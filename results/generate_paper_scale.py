@@ -1,9 +1,15 @@
 """Generate the paper-scale experiment outputs recorded in EXPERIMENTS.md."""
-import sys, time
+import time
+from pathlib import Path
+
 from repro.experiments import (
     ExperimentConfig, figure5, figure6, laxity_sweep, overhead_table,
     ablation_quantum, ablation_cost, ablation_representation,
+    ablation_interconnect, extension_reclaiming, extension_load_sweep,
+    extension_write_mix, extension_failures,
 )
+
+OUT = Path(__file__).resolve().parent
 
 config = ExperimentConfig.paper()
 jobs = [
@@ -14,12 +20,14 @@ jobs = [
     ("ablate_quantum", lambda: ablation_quantum(config)),
     ("ablate_cost", lambda: ablation_cost(config)),
     ("ablate_representation", lambda: ablation_representation(config)),
+    ("ablate_interconnect", lambda: ablation_interconnect(config)),
+    ("reclaiming", lambda: extension_reclaiming(config)),
+    ("write_mix", lambda: extension_write_mix(config)),
+    ("failures", lambda: extension_failures(config)),
+    ("load_sweep", lambda: extension_load_sweep(config)),
 ]
 for name, job in jobs:
     t0 = time.time()
-    result = job()
-    text = result.render()
-    with open(f"/root/repo/results/paper_{name}.txt", "w") as f:
-        f.write(text + "\n")
+    (OUT / f"paper_{name}.txt").write_text(job().render() + "\n")
     print(f"DONE {name} in {time.time()-t0:.0f}s", flush=True)
 print("ALL DONE", flush=True)

@@ -1,11 +1,15 @@
 """Generate the quick-scale experiment outputs recorded in EXPERIMENTS.md."""
 import time
+from pathlib import Path
+
 from repro.experiments import (
     ExperimentConfig, figure5, figure6, laxity_sweep, overhead_table,
     ablation_quantum, ablation_cost, ablation_representation,
     ablation_interconnect, ablation_memory, extension_reclaiming,
     extension_load_sweep, extension_write_mix, extension_failures,
 )
+
+OUT = Path(__file__).resolve().parent
 
 config = ExperimentConfig.quick()
 jobs = [
@@ -25,9 +29,6 @@ jobs = [
 ]
 for name, job in jobs:
     t0 = time.time()
-    with open(f"results/quick_{name}.txt", "w") as f:
-        f.write(job().render() + "\n")
+    (OUT / f"quick_{name}.txt").write_text(job().render() + "\n")
     print(f"DONE {name} in {time.time()-t0:.0f}s", flush=True)
 print("ALL DONE", flush=True)
-
-# A5 and X4 were added after the first version of this script; append them.

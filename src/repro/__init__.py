@@ -43,7 +43,6 @@ from .simulator import (
     DistributedRuntime,
     Machine,
     MachineConfig,
-    SimulationResult,
     simulate,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "Schedule",
     "Scheduler",
     "SelfAdjustingQuantum",
-    "SimulationResult",
     "Task",
     "TaskSet",
     "UniformCommunicationModel",

@@ -24,7 +24,6 @@ from .launcher import launch_cluster, reap_workers, spawn_worker
 from .master import (
     ClusterError,
     ClusterMaster,
-    ClusterReport,
     ClusterStartupError,
     ClusterTimeoutError,
     LiveTaskRecord,
@@ -38,7 +37,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterError",
     "ClusterMaster",
-    "ClusterReport",
     "ClusterStartupError",
     "ClusterTimeoutError",
     "ClusterWorker",

@@ -19,8 +19,9 @@ import multiprocessing
 from typing import List, Optional
 
 from ..observability import Instrumentation, get_instrumentation
+from ..runtime.report import RunReport
 from .config import ClusterConfig
-from .master import ClusterMaster, ClusterReport
+from .master import ClusterMaster
 from .worker import worker_main
 
 #: Grace period for workers to exit after SHUTDOWN before escalation.
@@ -30,7 +31,7 @@ JOIN_GRACE_SECONDS = 5.0
 def launch_cluster(
     config: ClusterConfig,
     instrumentation: Optional[Instrumentation] = None,
-) -> ClusterReport:
+) -> RunReport:
     """Run one live experiment end to end; always reaps the workers.
 
     A multi-domain experiment (``experiment.domains > 1``) is the sharded

@@ -1,7 +1,7 @@
 """The live scheduling master: RT-SADS on a dedicated OS process.
 
-This is the production-shaped counterpart of
-:class:`repro.simulator.runtime.DistributedRuntime`: the same phase loop
+This is the production-shaped counterpart of one
+:class:`repro.simulator.runtime.DomainHost`: the same phase loop
 (batch -> quantum -> search -> deliver), but time is the wall clock, the
 "working processors" are worker processes reached over TCP, and delivery is
 an ``ASSIGN`` message instead of a simulated ready-queue append.  The loop
@@ -44,7 +44,7 @@ from ..metrics.compliance import STATUS_COMPLETED, STATUS_EXPIRED
 from ..observability import Instrumentation, get_instrumentation
 from ..observability.clockskew import ClockOffsetEstimator
 from ..runtime.driver import PhaseDriver, PhaseHooks
-from ..runtime.report import ClusterReport, RunReport  # noqa: F401
+from ..runtime.report import RunReport
 from . import protocol
 from .config import ClusterConfig, build_cluster_workload
 from .failure import HeartbeatMonitor

@@ -13,7 +13,7 @@ This package is the seam between *what the paper's algorithm does* and
 * :class:`RunReport` — the single report schema every backend produces.
 
 The concrete backends (:mod:`repro.runtime.sim`,
-:mod:`repro.runtime.live`) are deliberately *not* imported here: they
+:mod:`repro.runtime.live`, :mod:`repro.runtime.service`) are deliberately *not* imported here: they
 load lazily through :func:`get_backend` so simulation-only processes
 never touch sockets or multiprocessing, and so the import graph stays
 acyclic (the backends import the experiment builders, which import this
@@ -27,18 +27,16 @@ from .backend import (
     register_backend,
 )
 from .driver import OpenPhase, PhaseDriver, PhaseHooks, PhaseTrace
-from .report import ClusterReport, RunReport, SimulationResult
+from .report import RunReport
 
 __all__ = [
     "BACKEND_NAMES",
-    "ClusterReport",
     "ExecutionBackend",
     "OpenPhase",
     "PhaseDriver",
     "PhaseHooks",
     "PhaseTrace",
     "RunReport",
-    "SimulationResult",
     "get_backend",
     "register_backend",
 ]

@@ -1,10 +1,12 @@
 """Execution backends: where a scheduled workload actually runs.
 
 An :class:`ExecutionBackend` turns one ``(ExperimentConfig, scheduler,
-seed)`` cell into a :class:`~repro.runtime.report.RunReport`.  Two ship
-with the repo — ``"sim"`` (the virtual-clock discrete-event simulator)
-and ``"cluster"`` (the live TCP master/worker system) — and the registry
-is open: a future asyncio or process-pool backend registers a name and
+seed)`` cell into a :class:`~repro.runtime.report.RunReport`.  Four names
+ship with the repo — ``"sim"`` and ``"sharded"`` (one class: the
+virtual-clock discrete-event simulator over ``config.domains`` scheduling
+domains), ``"cluster"`` (the live TCP master/worker system) and
+``"service"`` (the streaming scheduler service) — and the registry is
+open: a future asyncio or process-pool backend registers a name and
 every experiment, figure, and CLI flag can sweep it immediately.
 
 Built-in backends load lazily: naming ``"cluster"`` must not drag socket
@@ -25,7 +27,7 @@ _BUILTIN_MODULES = {
     "sim": "repro.runtime.sim",
     "cluster": "repro.runtime.live",
     "service": "repro.runtime.service",
-    "sharded": "repro.runtime.sharded",
+    "sharded": "repro.runtime.sim",
 }
 
 #: The backends every installation has (CLI choices, config validation).

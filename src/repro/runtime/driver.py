@@ -13,9 +13,10 @@ and what happens to a task record when it expires.
 expiry, quantum allocation, the feasibility search call, delivery-time
 batch bookkeeping, guarantee accounting, and failure remap — and asks a
 :class:`PhaseHooks` implementation (the concrete runtime) for the rest.
-Both :class:`~repro.simulator.runtime.DistributedRuntime` and
-:class:`~repro.cluster.master.ClusterMaster` are thin hook objects around
-one driver instance.
+Both the simulator's :class:`~repro.simulator.runtime.DomainHost` (one per
+scheduling domain of a :class:`~repro.simulator.runtime.DistributedRuntime`)
+and :class:`~repro.cluster.master.ClusterMaster` are thin hook objects
+around one driver instance.
 
 Two admission styles are supported because the two time models need them:
 
@@ -124,8 +125,7 @@ class PhaseDriver:
         self.scheduler = scheduler
         self.hooks = hooks
         self.batch = Batch()
-        #: Phase summaries in completion order; shared by reference with
-        #: the owning runtime's trace object where one exists.
+        #: Phase summaries in completion order.
         self.phases: List[PhaseTrace] = []
         self._pending: List[Task] = []
         self._arrivals: List[Task] = []
@@ -199,29 +199,6 @@ class PhaseDriver:
         self._pending = kept
         withdrawn.extend(self.batch.withdraw(wanted))
         return withdrawn
-
-    def requeue(self, tasks: Sequence[Task]) -> None:
-        """Return tasks to pending without touching failure accounting.
-
-        The migration path's "declined offer falls back to surrender" —
-        of the *decision*, not the guarantee: these tasks were never
-        guaranteed here (they are exactly the ones the local search could
-        not place), so unlike :meth:`surrender` nothing is revoked and no
-        reschedule is counted.  They re-enter the batch at the next phase
-        start like fresh arrivals.
-        """
-        self._pending.extend(tasks)
-
-    def waiting_tasks(self) -> List[Task]:
-        """Tasks admitted but not yet dispatched (batch + pending).
-
-        The migration candidate set: after a delivered phase these are
-        precisely the tasks the local feasibility search failed to place.
-        Returns copies of the references in deterministic id order; use
-        :meth:`withdraw` to actually remove one.
-        """
-        waiting = list(self.batch.tasks()) + list(self._pending)
-        return sorted(waiting, key=lambda t: t.task_id)
 
     def surrender(self, tasks: Sequence[Task]) -> int:
         """Failure remap: requeue tasks whose processor was lost.

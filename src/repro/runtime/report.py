@@ -15,9 +15,6 @@ never exported.
 
 Every ratio is computed by :func:`repro.metrics.compliance.ratio` — one
 guard, one division, for both backends.
-
-``SimulationResult`` and ``ClusterReport`` are deprecated aliases of
-:class:`RunReport`, kept for one release.
 """
 
 from __future__ import annotations
@@ -81,16 +78,6 @@ class RunReport:
     def guarantee_ratio(self) -> float:
         """Fraction of tasks delivered under an unrevoked guarantee."""
         return ratio(self.guaranteed, self.total_tasks)
-
-    @property
-    def compliance_ratio(self) -> float:
-        """Deprecated alias of :attr:`hit_ratio` (old ClusterReport name)."""
-        return self.hit_ratio
-
-    @property
-    def makespan_units(self) -> float:
-        """Deprecated alias of :attr:`makespan` (old ClusterReport name)."""
-        return self.makespan
 
     # ----- phase-level aggregates -------------------------------------------
 
@@ -229,9 +216,3 @@ class RunReport:
             "migration": dict(self.migration),
             "phases": [asdict(phase) for phase in self.phases],
         }
-
-
-#: Deprecated aliases, kept for one release.  Old call sites constructing
-#: these by keyword must migrate to the RunReport field names.
-SimulationResult = RunReport
-ClusterReport = RunReport

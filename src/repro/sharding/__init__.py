@@ -12,8 +12,9 @@ to the local surrender path).
 
 Two compositions exist over the same core:
 
-* :class:`~repro.sharding.sim.ShardedRuntime` — ``k`` domain hosts on one
-  virtual clock (the ``sharded`` execution backend);
+* :class:`~repro.simulator.runtime.DistributedRuntime` — ``k`` domain
+  hosts on one virtual clock (the simulator's only runtime; ``k = 1`` is
+  the paper's single master);
 * :func:`~repro.sharding.cluster.launch_sharded_cluster` — ``k`` real
   :class:`~repro.cluster.master.ClusterMaster` processes exchanging
   protocol-v4 ``MIGRATE_OFFER/ACCEPT/DECLINE`` frames over TCP.

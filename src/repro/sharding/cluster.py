@@ -1,7 +1,7 @@
 """Sharded live cluster: k domain masters, one coordinator, real frames.
 
-:func:`launch_sharded_cluster` is the live counterpart of
-:class:`~repro.sharding.sim.ShardedRuntime`: the worker fleet is
+:func:`launch_sharded_cluster` is the live counterpart of a multi-domain
+:class:`~repro.simulator.runtime.DistributedRuntime`: the worker fleet is
 partitioned into scheduling domains, each domain gets its own
 :class:`DomainMaster` (a :class:`~repro.cluster.master.ClusterMaster`
 restricted to its slice of the fleet, with its own TCP hub and its own

@@ -35,7 +35,7 @@ from .processor import QueuedWork, RunningWork, WorkerProcessor
 from .runtime import (
     DEFAULT_MAX_EVENTS,
     DistributedRuntime,
-    SimulationResult,
+    DomainHost,
     simulate,
 )
 from .trace import (
@@ -51,6 +51,7 @@ __all__ = [
     "DEFAULT_MAX_EVENTS",
     "DEFAULT_REMOTE_COST",
     "DistributedRuntime",
+    "DomainHost",
     "EventQueue",
     "ExecutionModelError",
     "ExecutionTimeModel",
@@ -75,7 +76,6 @@ __all__ = [
     "SimulationEngine",
     "SimulationError",
     "SimulationObserver",
-    "SimulationResult",
     "SimulationTrace",
     "TaskArrived",
     "TaskFinished",

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..core.phase import PhaseResult
 from ..core.task import Task
 
 
@@ -27,18 +26,20 @@ class TaskArrived:
 
 @dataclass(frozen=True)
 class HostWake:
-    """Deferred request for the host to open a scheduling phase.
+    """Deferred request for one domain's host to open a scheduling phase.
 
     Scheduled instead of opening a phase inline so that all same-time
     arrivals are admitted into the batch first.
     """
 
+    domain: int = 0
+
 
 @dataclass(frozen=True)
 class ScheduleDelivered:
-    """Scheduling phase ``j`` ended; its schedule reaches the ready queues."""
+    """A host's phase ``j`` ended; its schedule reaches the ready queues."""
 
-    result: PhaseResult
+    domain: int = 0
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The on-line scheduling runtime: host + workers under a virtual clock.
+"""The on-line scheduling runtime: ``k`` hosts + workers under a virtual clock.
 
 This is the simulator counterpart of the paper's deployment on the Intel
 Paragon: a dedicated host processor runs scheduling phases back to back
@@ -12,24 +12,40 @@ schedules.  The cycle per phase ``j`` (paper Section 4):
 4. at ``t_e = t_s + sigma_j`` deliver ``S_j`` to the ready queues.
 
 The loop itself lives in the backend-neutral
-:class:`~repro.runtime.driver.PhaseDriver`; this module is the simulator's
-:class:`~repro.runtime.driver.PhaseHooks` implementation — it answers the
-driver's questions (loads, delivery, expiry accounting) in virtual time
-and wires the driver to the discrete-event engine.  Workers execute
-non-preemptively in delivery order and report completions as events.  The
-runtime records every task's lifecycle for the metrics layer.
+:class:`~repro.runtime.driver.PhaseDriver`.  A :class:`DomainHost` is one
+such host — a driver, its scheduler and the workers it owns — and
+:class:`DistributedRuntime` runs every host of a
+:class:`~repro.core.domains.DomainAssignment` on one
+:class:`~repro.simulator.engine.SimulationEngine` (the engine allows one
+handler per event type, so the runtime is the sole subscriber and routes
+to hosts).  The paper's machine is the one-domain assignment: its host's
+slots *are* the global worker ids, it has no peers, and so neither the
+affinity projection nor the migration path below is ever reached.
+
+With ``k > 1`` domains each host searches only its own workers and its own
+share of the arrivals, and the hosts' phases overlap freely in virtual
+time.  After a host delivers a phase, every task its search left unplaced
+is offered (once) to the least-loaded peer; the peer accepts iff the quick
+guarantee check (:func:`~repro.sharding.migration.can_guarantee`) passes,
+at which point the task is withdrawn from the origin driver and admitted to
+the peer — guarantee accounting never double-counts because an unplaced
+task holds no guarantee and earns one only where it is finally delivered.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
-from typing import Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.affinity import CommunicationModel, project_tasks
+from ..core.domains import DomainAssignment, partition_workers
 from ..core.scheduler import Scheduler
 from ..core.task import Task, TaskSet
 from ..observability import Instrumentation, get_instrumentation
 from ..runtime.driver import OpenPhase, PhaseDriver, PhaseHooks
-from ..runtime.report import RunReport, SimulationResult  # noqa: F401
+from ..runtime.report import RunReport
+from ..sharding.migration import MigrationStats, can_guarantee
 from .engine import SimulationEngine, SimulationError
 from .events import (
     HostWake,
@@ -39,7 +55,7 @@ from .events import (
     TaskFinished,
 )
 from .execution import ExecutionTimeModel, resolve_actual_cost
-from .machine import Machine, MachineConfig
+from .processor import WorkerProcessor
 from .trace import (
     STATUS_COMPLETED,
     STATUS_EXPIRED,
@@ -52,32 +68,139 @@ from .trace import (
 DEFAULT_MAX_EVENTS = 5_000_000
 
 
-class DistributedRuntime(PhaseHooks):
-    """Drives one scheduler over one workload on one simulated machine."""
+class DomainHost(PhaseHooks):
+    """One scheduling host: its driver, its scheduler, and its workers.
+
+    The host answers the driver's questions (loads, delivery, expiry
+    accounting) in virtual time, writing to the runtime's shared trace.
+    """
 
     def __init__(
         self,
+        runtime: "DistributedRuntime",
+        domain_id: int,
+        workers: Tuple[int, ...],
         scheduler: Scheduler,
-        machine: Machine,
+    ) -> None:
+        self.runtime = runtime
+        self.domain_id = domain_id
+        #: Global worker ids in slot order; the scheduler sees slots.
+        self.workers = workers
+        self.scheduler = scheduler
+        self.driver = PhaseDriver(scheduler=scheduler, hooks=self)
+        self.worker_objs = [WorkerProcessor(w) for w in workers]
+        assignment = runtime.assignment
+        #: Slot ``i`` is global worker ``i``: projecting a batch onto this
+        #: host would hand every task back unchanged, so it is skipped.
+        self.owns_whole_machine = workers == tuple(
+            range(assignment.num_workers)
+        )
+        #: Domain label on this host's trace events (none on a lone host).
+        self.tag = {"domain": domain_id} if assignment.num_domains > 1 else {}
+        self.busy = False
+        self.wake_pending = False
+        self.open_phase: Optional[OpenPhase] = None
+
+    def total_load(self, now: float) -> float:
+        """Mean remaining work per live worker (the peer-selection metric)."""
+        finite = [l for l in self.loads(now) if l != float("inf")]
+        if not finite:
+            return float("inf")
+        return sum(finite) / len(finite)
+
+    # ----- PhaseHooks: the driver's view of this host's workers ------------
+
+    def loads(self, now: float) -> List[float]:
+        return [worker.load(now) for worker in self.worker_objs]
+
+    def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
+        if self.owns_whole_machine:
+            return tasks
+        return project_tasks(tasks, self.workers)
+
+    def on_task_expired(self, task: Task, now: float) -> None:
+        runtime = self.runtime
+        runtime.trace.records[task.task_id].status = STATUS_EXPIRED
+        if runtime.obs.enabled:
+            runtime._task_event(
+                "expired",
+                task.task_id,
+                now,
+                deadline=task.deadline,
+                arrival=task.arrival_time,
+                **self.tag,
+            )
+
+    def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
+        worker = self.worker_objs[entry.processor]
+        if worker.failed:
+            # The processor died between phase start and delivery; the
+            # assignment returns to the pending set and is rescheduled on
+            # the survivors through the normal feasibility path.
+            return False
+        runtime = self.runtime
+        record = runtime.trace.records[entry.task.task_id]
+        record.scheduled_phase = phase_index
+        record.processor = worker.processor_id  # global id in the trace
+        record.delivered_at = now
+        actual = resolve_actual_cost(runtime.execution_model, entry)
+        record.planned_cost = entry.total_cost
+        record.actual_cost = actual
+        worker.deliver(entry, now, actual_cost=actual)
+        if runtime.obs.enabled:
+            runtime._task_event(
+                "delivered",
+                entry.task.task_id,
+                now,
+                processor=worker.processor_id,
+                phase=phase_index,
+                arrival=entry.task.arrival_time,
+                deadline=entry.task.deadline,
+                planned_cost=entry.total_cost,
+                **self.tag,
+            )
+        return True
+
+
+class DistributedRuntime:
+    """Drives one workload over the scheduling hosts of one assignment."""
+
+    def __init__(
+        self,
+        schedulers: Sequence[Scheduler],
+        assignment: DomainAssignment,
         workload: Iterable[Task],
+        remote_cost: float,
+        comm: Optional[CommunicationModel] = None,
         max_events: int = DEFAULT_MAX_EVENTS,
         validate_phases: bool = False,
         execution_model: Optional[ExecutionTimeModel] = None,
         failures: Optional[List] = None,
         instrumentation: Optional[Instrumentation] = None,
         seed: int = 0,
+        router: Optional[Callable[[Task], int]] = None,
     ) -> None:
-        self.scheduler = scheduler
-        self.machine = machine
+        if len(schedulers) != assignment.num_domains:
+            raise ValueError(
+                f"{assignment.num_domains} domains need as many schedulers, "
+                f"got {len(schedulers)}"
+            )
+        self.assignment = assignment
         self.workload = list(workload)
+        #: The constant ``C`` migration offers are checked against.
+        self.remote_cost = remote_cost
+        #: What ``validate_phases`` re-checks against (default: each
+        #: host's own scheduler model).
+        self.comm = comm
         self.max_events = max_events
         self.validate_phases = validate_phases
         self.execution_model = execution_model
         self.seed = seed
+        self.router = router or assignment.route
         # (time, processor) fail-stop crash injections.
         self.failures = list(failures or [])
         for at, processor in self.failures:
-            if not 0 <= processor < machine.num_workers:
+            if not 0 <= processor < assignment.num_workers:
                 raise ValueError(f"failure targets unknown P{processor}")
             if at < 0:
                 raise ValueError("failure time must be non-negative")
@@ -86,19 +209,25 @@ class DistributedRuntime(PhaseHooks):
         # event this run emits says which scheduler produced it.
         base_obs = instrumentation or get_instrumentation()
         self.obs = (
-            base_obs.bind(scheduler=scheduler.name)
+            base_obs.bind(scheduler=schedulers[0].name)
             if base_obs.enabled
             else base_obs
         )
         self.engine = SimulationEngine()
         self.trace = SimulationTrace()
-        self.driver = PhaseDriver(scheduler=scheduler, hooks=self)
-        # One phase list, shared by reference: the driver appends, the
-        # trace's aggregate views read.
-        self.trace.phases = self.driver.phases
-        self._host_busy = False
-        self._wake_pending = False
-        self._open_phase: Optional[OpenPhase] = None
+        self.stats = MigrationStats()
+        self.domains: List[DomainHost] = [
+            DomainHost(self, d, assignment.workers_of(d), scheduler)
+            for d, scheduler in enumerate(schedulers)
+        ]
+        #: Global worker id -> (owning host, worker object).
+        self._worker_index: Dict[int, Tuple[DomainHost, WorkerProcessor]] = {
+            worker.processor_id: (host, worker)
+            for host in self.domains
+            for worker in host.worker_objs
+        }
+        #: Task ids that may not migrate (offered once, or migrated in).
+        self._migration_barred: Set[int] = set()
 
         self.engine.subscribe(TaskArrived, self._on_task_arrived)
         self.engine.subscribe(HostWake, self._on_host_wake)
@@ -117,105 +246,73 @@ class DistributedRuntime(PhaseHooks):
             "runtime_task_transitions", transition=transition
         ).inc()
 
-    # ----- PhaseHooks: the driver's view of the simulated machine ----------
-
-    def loads(self, now: float) -> List[float]:
-        return self.machine.loads(now)
-
-    def on_task_expired(self, task: Task, now: float) -> None:
-        self.trace.records[task.task_id].status = STATUS_EXPIRED
-        if self.obs.enabled:
-            self._task_event(
-                "expired",
-                task.task_id,
-                now,
-                deadline=task.deadline,
-                arrival=task.arrival_time,
-            )
-
-    def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
-        worker = self.machine.workers[entry.processor]
-        if worker.failed:
-            # The processor died between phase start and delivery; the
-            # assignment returns to the pending set and is rescheduled on
-            # the survivors through the normal feasibility path.
-            return False
-        record = self.trace.records[entry.task.task_id]
-        record.scheduled_phase = phase_index
-        record.processor = entry.processor
-        record.delivered_at = now
-        actual = resolve_actual_cost(self.execution_model, entry)
-        record.planned_cost = entry.total_cost
-        record.actual_cost = actual
-        worker.deliver(entry, now, actual_cost=actual)
-        if self.obs.enabled:
-            self._task_event(
-                "delivered",
-                entry.task.task_id,
-                now,
-                processor=entry.processor,
-                phase=phase_index,
-                arrival=entry.task.arrival_time,
-                deadline=entry.task.deadline,
-                planned_cost=entry.total_cost,
-            )
-        return True
-
     # ----- event handlers --------------------------------------------------
 
     def _on_task_arrived(self, now: float, event: TaskArrived) -> None:
-        self.driver.admit([event.task])
+        task = event.task
+        target = self.router(task)
+        if not 0 <= target < len(self.domains):
+            raise SimulationError(
+                f"router sent task {task.task_id} to unknown domain {target}"
+            )
+        host = self.domains[target]
+        host.driver.admit([task])
         if self.obs.enabled:
             # Deadline + worst-case cost ride on the arrival so a trace is
             # self-contained for the offline schedulability oracle (expired
             # tasks never reach a transition that stamps their cost).
             self._task_event(
                 "arrived",
-                event.task.task_id,
+                task.task_id,
                 now,
-                deadline=event.task.deadline,
-                cost=event.task.processing_time,
+                deadline=task.deadline,
+                cost=task.processing_time,
+                **host.tag,
             )
-        self._request_wake(now)
+        self._request_wake(host, now)
 
-    def _request_wake(self, now: float) -> None:
-        if self._host_busy or self._wake_pending:
+    def _request_wake(self, host: DomainHost, now: float) -> None:
+        if host.busy or host.wake_pending:
             return
-        self._wake_pending = True
-        self.engine.schedule_at(now, HostWake())
+        host.wake_pending = True
+        self.engine.schedule_at(now, HostWake(host.domain_id))
 
     def _on_host_wake(self, now: float, event: HostWake) -> None:
-        self._wake_pending = False
-        if not self._host_busy:
-            self._start_phase(now)
+        host = self.domains[event.domain]
+        host.wake_pending = False
+        if not host.busy:
+            self._start_phase(host, now)
 
-    def _start_phase(self, now: float) -> None:
-        """Open scheduling phase ``j`` if there is anything to schedule."""
-        opened = self.driver.open_phase(now)
+    def _start_phase(self, host: DomainHost, now: float) -> None:
+        """Open the host's phase ``j`` if there is anything to schedule."""
+        opened = host.driver.open_phase(now)
         if opened is None:
             # Nothing schedulable; the host sleeps until the next arrival.
             return
         if self.validate_phases:
-            opened.result.validate(self.machine.comm)
-        self._host_busy = True
-        self._open_phase = opened
+            opened.result.validate(self.comm or host.scheduler.comm)
+        host.busy = True
+        host.open_phase = opened
         self.engine.schedule_at(
-            opened.result.phase_end, ScheduleDelivered(opened.result)
+            opened.result.phase_end, ScheduleDelivered(host.domain_id)
         )
 
     def _on_schedule_delivered(self, now: float, event: ScheduleDelivered) -> None:
-        opened = self._open_phase
-        self._open_phase = None
-        self._host_busy = False
-        self.driver.deliver_phase(opened, now)
+        host = self.domains[event.domain]
+        opened = host.open_phase
+        host.open_phase = None
+        host.busy = False
+        host.driver.deliver_phase(opened, now)
         # Kick any worker that was idle and just received work.
         for entry in opened.result.schedule:
-            if not self.machine.workers[entry.processor].failed:
-                self._maybe_start_worker(entry.processor, now)
-        self._start_phase(now)
+            worker = host.worker_objs[entry.processor]
+            if not worker.failed:
+                self._maybe_start_worker(worker, now)
+        if len(self.domains) > 1:
+            self._offer_leftovers(host, now)
+        self._start_phase(host, now)
 
-    def _maybe_start_worker(self, processor: int, now: float) -> None:
-        worker = self.machine.workers[processor]
+    def _maybe_start_worker(self, worker: WorkerProcessor, now: float) -> None:
         running = worker.start_next(now)
         if running is not None:
             record = self.trace.records[running.task.task_id]
@@ -225,26 +322,29 @@ class DistributedRuntime(PhaseHooks):
                     "started",
                     running.task.task_id,
                     running.started_at,
-                    processor=processor,
+                    processor=worker.processor_id,
                 )
             self.engine.schedule_at(
                 running.finishes_at,
-                TaskFinished(processor=processor, task_id=running.task.task_id),
+                TaskFinished(
+                    processor=worker.processor_id,
+                    task_id=running.task.task_id,
+                ),
             )
 
     def _on_processor_failed(self, now: float, event: ProcessorFailed) -> None:
-        worker = self.machine.workers[event.processor]
+        host, worker = self._worker_index[event.processor]
         if worker.failed:
             return
         lost, survivors = worker.fail(now)
-        self.driver.worker_lost()
+        host.driver.worker_lost()
         if lost is not None:
             record = self.trace.records[lost.task.task_id]
             record.status = STATUS_FAILED
             record.finished_at = None
             # The guarantee died with the processor; the task is terminal
             # and cannot be requeued (non-preemptive, partially executed).
-            self.driver.revoke(lost.task.task_id)
+            host.driver.revoke(lost.task.task_id)
             if self.obs.enabled:
                 self._task_event(
                     "failed", lost.task.task_id, now, processor=event.processor
@@ -259,12 +359,14 @@ class DistributedRuntime(PhaseHooks):
             record.delivered_at = None
             record.planned_cost = None
             record.actual_cost = None
-            surrendered.append(work.task)
-        self.driver.surrender(surrendered)
-        self._request_wake(now)
+            # Requeue the *original* task: the queued copy may carry a
+            # host-projected affinity from transform_batch.
+            surrendered.append(record.task)
+        host.driver.surrender(surrendered)
+        self._request_wake(host, now)
 
     def _on_task_finished(self, now: float, event: TaskFinished) -> None:
-        worker = self.machine.workers[event.processor]
+        _, worker = self._worker_index[event.processor]
         if worker.failed:
             # Stale completion of a task that was lost in the crash.
             return
@@ -286,33 +388,94 @@ class DistributedRuntime(PhaseHooks):
                 met_deadline=record.met_deadline,
                 deadline=record.task.deadline,
             )
-        self._maybe_start_worker(event.processor, now)
+        self._maybe_start_worker(worker, now)
+
+    # ----- migration (only ever reached with peers) ------------------------
+
+    def _offer_leftovers(self, origin: DomainHost, now: float) -> None:
+        """Offer each task the origin's search left unplaced to one peer.
+
+        Candidates are the batch leftovers after delivery — exactly the
+        tasks the local feasibility search failed to guarantee.  Each is
+        offered at most once, to the least-loaded peer (mean remaining
+        work, ties to the lowest domain id; nothing in here moves a
+        worker's load, so one peer serves the whole call); an accepted
+        task is withdrawn here and admitted there, a declined one is
+        barred and falls back to the origin's normal surrender/expiry
+        path.
+        """
+        leftovers = sorted(origin.driver.batch.tasks(), key=lambda t: t.task_id)
+        candidates = [
+            self.trace.records[stale.task_id].task  # original affinity
+            for stale in leftovers
+            if stale.task_id not in self._migration_barred
+            and not stale.is_expired(now)
+        ]
+        if not candidates:
+            return
+        target = min(
+            (host for host in self.domains if host is not origin),
+            key=lambda host: (host.total_load(now), host.domain_id),
+        )
+        loads = target.loads(now)
+        hop = {"from_domain": origin.domain_id, "to_domain": target.domain_id}
+        migrated: List[Task] = []
+        for task in candidates:
+            self._migration_barred.add(task.task_id)
+            self.stats.record_offer(origin.domain_id)
+            if self.obs.enabled:
+                self._task_event("migration_offered", task.task_id, now, **hop)
+            if can_guarantee(task, now, loads, target.workers, self.remote_cost):
+                self.stats.record_accept(target.domain_id)
+                migrated.append(task)
+                outcome = "migrated"
+            else:
+                self.stats.record_decline()
+                outcome = "migration_declined"
+            if self.obs.enabled:
+                self._task_event(outcome, task.task_id, now, **hop)
+        if migrated:
+            origin.driver.withdraw([task.task_id for task in migrated])
+            target.driver.admit(migrated)
+            self._request_wake(target, now)
 
     # ----- public API ------------------------------------------------------
 
     def run(self) -> RunReport:
         """Execute the full workload; returns the aggregated report."""
-        self.scheduler.reset()
-        obs = self.obs
-        # Lend the run's instrumentation to the scheduler so phase spans and
-        # per-scheduler counters flow even when the caller passed it only to
-        # simulate(); an explicitly instrumented scheduler keeps its own.
-        lend_obs = obs.enabled and self.scheduler.instrumentation is None
-        if lend_obs:
-            self.scheduler.instrumentation = obs
+        # Lend the run's instrumentation to the schedulers so phase spans
+        # and per-scheduler counters flow even when the caller passed it
+        # only to simulate(); an explicitly instrumented scheduler keeps
+        # its own.
+        lent: List[Scheduler] = []
+        for host in self.domains:
+            host.scheduler.reset()
+            if self.obs.enabled and host.scheduler.instrumentation is None:
+                host.scheduler.instrumentation = self.obs
+                lent.append(host.scheduler)
         try:
-            return self._run(obs)
+            return self._run()
         finally:
-            if lend_obs:
-                self.scheduler.instrumentation = None
+            for scheduler in lent:
+                scheduler.instrumentation = None
 
-    def _run(self, obs: Instrumentation) -> RunReport:
+    def _run(self) -> RunReport:
         start_wall = time.monotonic()
+        obs = self.obs
+        assignment = self.assignment
+        domains = assignment.num_domains
+        sharded = domains > 1
         if obs.enabled:
+            # A lone host's trace carries no domain fields (cf. DomainHost.tag).
             obs.emit(
                 "run_start",
-                workers=self.machine.num_workers,
+                workers=assignment.num_workers,
                 tasks=len(self.workload),
+                **(
+                    {"domains": domains, "partition_policy": assignment.policy}
+                    if sharded
+                    else {}
+                ),
             )
         for task in self.workload:
             self.trace.add_task(task)
@@ -320,47 +483,63 @@ class DistributedRuntime(PhaseHooks):
         for at, processor in self.failures:
             self.engine.schedule_at(at, ProcessorFailed(processor))
         self.engine.run(max_events=self.max_events)
-        if self.driver.has_backlog():
+        drivers = [host.driver for host in self.domains]
+        if any(driver.has_backlog() for driver in drivers):
             raise SimulationError(
                 "simulation drained with tasks still unscheduled; "
                 "this indicates a stalled host loop"
             )
-        self.trace.finished_at = self.engine.now
         trace = self.trace
+        trace.finished_at = self.engine.now
+        # Each host's phases are already in start order (they never
+        # overlap); interleave the hosts on the shared clock.
+        trace.phases = list(
+            heapq.merge(
+                *(driver.phases for driver in drivers),
+                key=lambda p: (p.start, p.end, p.index),
+            )
+        )
         completed = len(trace.completed())
         hits = trace.deadline_hits()
         report = RunReport(
-            backend="sim",
-            scheduler_name=self.scheduler.name,
-            num_workers=self.machine.num_workers,
+            backend="sharded" if sharded else "sim",
+            scheduler_name=self.domains[0].scheduler.name,
+            num_workers=assignment.num_workers,
             seed=self.seed,
             total_tasks=trace.total_tasks(),
-            guaranteed=self.driver.guaranteed_count,
+            guaranteed=sum(d.guaranteed_count for d in drivers),
             completed=completed,
             deadline_hits=hits,
             completed_late=completed - hits,
             expired=len(trace.expired()),
             failed=len(trace.failed()),
             guaranteed_violations=len(trace.scheduled_but_missed()),
-            reschedules=self.driver.reschedules,
-            workers_lost=self.driver.workers_lost,
+            reschedules=sum(d.reschedules for d in drivers),
+            workers_lost=sum(d.workers_lost for d in drivers),
             makespan=self.engine.now,
             wall_seconds=time.monotonic() - start_wall,
             phases=trace.phases,
+            migration=self.stats.as_section() if sharded else {},
             extras={
                 "trace": trace,
                 "events_dispatched": self.engine.events_dispatched,
+                "assignment": assignment.as_dict(),
             },
         )
         if obs.enabled:
             obs.emit(
                 "run_end",
-                workers=self.machine.num_workers,
-                tasks=self.trace.total_tasks(),
-                deadline_hits=self.trace.deadline_hits(),
-                phases=len(self.trace.phases),
+                workers=assignment.num_workers,
+                tasks=trace.total_tasks(),
+                deadline_hits=hits,
+                phases=len(trace.phases),
                 makespan=self.engine.now,
                 events_dispatched=self.engine.events_dispatched,
+                **(
+                    {"domains": domains, "migrations": self.stats.accepted}
+                    if sharded
+                    else {}
+                ),
             )
             obs.metrics.counter("runtime_runs").inc()
             obs.metrics.counter(
@@ -381,7 +560,7 @@ def simulate(
     instrumentation: Optional[Instrumentation] = None,
     seed: int = 0,
 ) -> RunReport:
-    """Convenience wrapper: build the machine and run one simulation.
+    """Convenience wrapper: the paper's machine, one host over ``m`` workers.
 
     ``comm`` defaults to the scheduler's own communication model when it has
     one (all built-in schedulers do), keeping the scheduler's view of costs
@@ -394,11 +573,12 @@ def simulate(
             raise ValueError(
                 "scheduler exposes no communication model; pass comm explicitly"
             )
-    machine = Machine(MachineConfig(num_workers=num_workers, comm=comm))
     runtime = DistributedRuntime(
-        scheduler=scheduler,
-        machine=machine,
+        schedulers=[scheduler],
+        assignment=partition_workers(num_workers, 1),
         workload=workload,
+        remote_cost=getattr(comm, "remote_cost", 0.0),
+        comm=comm,
         validate_phases=validate_phases,
         execution_model=execution_model,
         failures=failures,

@@ -47,8 +47,8 @@ class TestLiveCluster:
         assert report.reschedules == 0
         # Generous-deadline smoke workload schedules comfortably; anything
         # below this means the live path is broken, not merely jittery.
-        assert report.compliance_ratio >= 0.5
-        assert report.guarantee_ratio >= report.compliance_ratio - 1e-9
+        assert report.hit_ratio >= 0.5
+        assert report.guarantee_ratio >= report.hit_ratio - 1e-9
         assert report.num_phases >= 1
         assert report.wall_seconds < config.max_wall_seconds
         assert_port_released(report.port)

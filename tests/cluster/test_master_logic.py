@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterReport, remap_tasks
+from repro.cluster import remap_tasks
 from repro.core import RTSADS, UniformCommunicationModel, make_task
+from repro.runtime import RunReport
 
 
-def make_report(**overrides) -> ClusterReport:
+def make_report(**overrides) -> RunReport:
     defaults = dict(
         backend="cluster",
         scheduler_name="rtsads",
@@ -31,7 +32,7 @@ def make_report(**overrides) -> ClusterReport:
         extras={"port": 45000},
     )
     defaults.update(overrides)
-    return ClusterReport(**defaults)
+    return RunReport(**defaults)
 
 
 class TestRemapTasks:
@@ -188,12 +189,12 @@ class TestClusterReport:
             total_tasks=200, guaranteed=150, deadline_hits=140
         )
         assert report.guarantee_ratio == pytest.approx(0.75)
-        assert report.compliance_ratio == pytest.approx(0.70)
+        assert report.hit_ratio == pytest.approx(0.70)
 
     def test_zero_task_run_yields_zero_ratios(self):
         report = make_report(total_tasks=0, guaranteed=0, deadline_hits=0)
         assert report.guarantee_ratio == 0.0
-        assert report.compliance_ratio == 0.0
+        assert report.hit_ratio == 0.0
 
     def test_render_prints_both_ratios(self):
         text = make_report(

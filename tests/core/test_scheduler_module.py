@@ -118,7 +118,7 @@ class TestPublicAPI:
             "Schedule",
             "Scheduler",
             "SelfAdjustingQuantum",
-            "SimulationResult",
+            "RunReport",
             "simulate",
             "make_task",
         ):

@@ -18,10 +18,11 @@ from repro.core import Task, make_task
 from repro.core.search import Expander, Expansion, PhaseContext, Vertex
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_workload
-from repro.simulator.runtime import SimulationResult, simulate
+from repro.runtime import RunReport
+from repro.simulator.runtime import simulate
 
 
-def simulation_fingerprint(result: SimulationResult) -> tuple:
+def simulation_fingerprint(result: RunReport) -> tuple:
     """Everything observable about a run, with floats at full precision.
 
     Covers the guarantee set (which tasks were scheduled, when, where), the
@@ -65,7 +66,7 @@ def simulation_fingerprint(result: SimulationResult) -> tuple:
 def run_matrix_cell(
     scheduler, num_processors: int, replication: float, seed: int,
     num_transactions: int = 50,
-) -> SimulationResult:
+) -> RunReport:
     """One simulated run of ``scheduler`` over a seeded workload cell."""
     config = (
         ExperimentConfig.quick(num_transactions=num_transactions, runs=1)

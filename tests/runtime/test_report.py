@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.metrics import report_to_json
-from repro.runtime import ClusterReport, PhaseTrace, RunReport, SimulationResult
+from repro.runtime import PhaseTrace, RunReport
 
 
 def make_report(**overrides) -> RunReport:
@@ -62,17 +62,6 @@ class TestRatios:
         report = make_report(total_tasks=0, guaranteed=0, deadline_hits=0)
         assert report.hit_ratio == 0.0
         assert report.guarantee_ratio == 0.0
-
-
-class TestDeprecatedAliases:
-    def test_type_aliases_are_the_same_class(self):
-        assert SimulationResult is RunReport
-        assert ClusterReport is RunReport
-
-    def test_field_aliases_mirror_the_new_names(self):
-        report = make_report(makespan=123.0)
-        assert report.compliance_ratio == report.hit_ratio
-        assert report.makespan_units == 123.0
 
 
 class TestExtras:

@@ -21,7 +21,7 @@ from repro.experiments.runner import build_scheduler, build_workload
 from repro.core.affinity import UniformCommunicationModel
 from repro.core.domains import partition_workers
 from repro.sharding import MigrationStats, can_guarantee
-from repro.sharding.sim import ShardedRuntime
+from repro.simulator import DistributedRuntime
 
 
 def _task(processing: float, deadline: float, affinity=()) -> Task:
@@ -162,7 +162,7 @@ class TestEndToEndAccounting:
             build_scheduler("rtsads", config, comm)
             for _ in range(assignment.num_domains)
         ]
-        runtime = ShardedRuntime(
+        runtime = DistributedRuntime(
             schedulers=schedulers,
             assignment=assignment,
             workload=tasks,

@@ -32,7 +32,10 @@ class TestDispatch:
         assert report.backend == "sharded"
         assert report.migration  # section present, even if all zeros
 
-    def test_single_domain_stays_on_the_plain_simulator(self):
+    def test_single_domain_reports_as_the_paper_machine(self):
+        """One domain is the k=1 case of the same runtime, not another one:
+        it is told apart only by its label and its absent migration
+        ledger."""
         report = run_once(_quick(), "rtsads", 3)
         assert report.backend == "sim"
         assert report.migration == {}

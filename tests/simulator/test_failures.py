@@ -9,12 +9,13 @@ from repro.core import (
     UniformCommunicationModel,
     make_task,
 )
+from repro.core.domains import partition_workers
 from repro.simulator import (
     STATUS_COMPLETED,
     STATUS_EXPIRED,
     STATUS_FAILED,
+    DistributedRuntime,
     WorkerProcessor,
-    simulate,
 )
 from repro.workload import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
@@ -74,15 +75,22 @@ class TestWorkerFailure:
 
 
 class TestRuntimeFailures:
-    def _run(self, scheduler_cls=RTSADS, failures=(), **kwargs):
+    """Fail-stop accounting on the paper's machine: one host, 4 workers."""
+
+    #: How many scheduling domains the 4 workers are split into.
+    domains = 1
+
+    def _run(self, scheduler_cls=RTSADS, failures=(), tasks=None, **kwargs):
         comm = UniformCommunicationModel(20.0)
-        return simulate(
-            scheduler_cls(comm),
-            list(_workload(**kwargs)),
-            num_workers=4,
+        assignment = partition_workers(4, self.domains)
+        return DistributedRuntime(
+            schedulers=[scheduler_cls(comm) for _ in assignment.domains],
+            assignment=assignment,
+            workload=tasks or list(_workload(**kwargs)),
+            remote_cost=comm.remote_cost,
             failures=list(failures),
             validate_phases=True,
-        )
+        ).run()
 
     def test_in_flight_task_marked_failed(self):
         result = self._run(failures=[(50.0, 0)])
@@ -139,12 +147,41 @@ class TestRuntimeFailures:
         assert result.trace.total_tasks() == 50
 
     def test_failure_validation(self):
-        comm = UniformCommunicationModel(20.0)
         with pytest.raises(ValueError):
-            simulate(
-                RTSADS(comm), list(_workload()), 4, failures=[(1.0, 9)]
-            )
+            self._run(failures=[(1.0, 9)])
         with pytest.raises(ValueError):
-            simulate(
-                RTSADS(comm), list(_workload()), 4, failures=[(-1.0, 0)]
-            )
+            self._run(failures=[(-1.0, 0)])
+
+
+class TestRuntimeFailuresTwoDomains(TestRuntimeFailures):
+    """The same assertions with the 4 workers under two hosts."""
+
+    domains = 2
+
+    def test_surrendered_work_is_requeued_in_its_original_form(self):
+        """A dead worker's queue returns as the tasks that arrived.
+
+        Domain 0 owns workers (0, 2), so its queued copies carry
+        slot-space affinities.  Task 1 (affine to workers 0 and 2) waits
+        behind task 0 on P0 when P0 dies; requeued as the original it
+        re-projects onto P2's slot and runs there free of charge, whereas
+        the queued copy would be projected a second time, lose P2, and pay
+        the remote cost.
+        """
+        assert partition_workers(4, self.domains).workers_of(0) == (0, 2)
+        tasks = [
+            make_task(0, 30.0, 400.0, affinity=[0]),
+            make_task(1, 10.0, 500.0, affinity=[0, 2]),
+            make_task(2, 40.0, 410.0, affinity=[2]),
+        ]
+        healthy = self._run(tasks=tasks).trace.records[1]
+        assert healthy.processor == 0
+        assert healthy.started_at > healthy.delivered_at  # queued behind task 0
+        crashed = self._run(
+            tasks=tasks, failures=[(healthy.delivered_at + 1.0, 0)]
+        )
+        record = crashed.trace.records[1]
+        assert crashed.reschedules == 1
+        assert record.processor == 2
+        assert record.planned_cost == pytest.approx(10.0)
+        assert record.status == STATUS_COMPLETED

@@ -10,12 +10,11 @@ from repro.core import (
     ZeroCommunicationModel,
     make_task,
 )
+from repro.core.domains import partition_workers
 from repro.simulator import (
     STATUS_COMPLETED,
     STATUS_EXPIRED,
     DistributedRuntime,
-    Machine,
-    MachineConfig,
     simulate,
 )
 
@@ -171,9 +170,10 @@ class TestRuntimeConstruction:
         ]
         comm = UniformCommunicationModel(1.0)
         runtime = DistributedRuntime(
-            scheduler=RTSADS(comm),
-            machine=Machine(MachineConfig(num_workers=1, comm=comm)),
+            schedulers=[RTSADS(comm)],
+            assignment=partition_workers(1, 1),
             workload=tasks,
+            remote_cost=comm.remote_cost,
         )
         with pytest.raises(ValueError):
             runtime.run()
