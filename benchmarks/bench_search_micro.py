@@ -2,10 +2,9 @@
 
 Not a paper figure — these keep the engine honest: vertex expansion rates
 for both representations, candidate-list operations, quantum policy cost,
-the discrete-event engine's dispatch rate, the optimized expander's
+the discrete-event engine's dispatch rate, and the optimized expander's
 speedup over the frozen reference implementation in
-:mod:`repro.core.reference`, and the vectorized kernel's speedup over the
-scalar kernel on the kernel × m × R grid (see ``docs/PERFORMANCE.md``).
+:mod:`repro.core.reference` (see ``docs/PERFORMANCE.md``).
 Regressions here silently inflate every experiment above.
 
 Headline numbers land in ``results/BENCH_search.json`` (see conftest).
@@ -14,8 +13,6 @@ Headline numbers land in ``results/BENCH_search.json`` (see conftest).
 import random
 import statistics
 import time
-
-import pytest
 
 from conftest import record_metric
 
@@ -28,11 +25,9 @@ from repro.core import (
     SequenceOrientedExpander,
     UniformCommunicationModel,
     VirtualTimeBudget,
-    get_kernel,
     make_child,
     make_root,
     make_task,
-    numpy_available,
     run_search,
 )
 from repro.core import reference
@@ -41,24 +36,6 @@ from repro.simulator import SimulationEngine
 #: Acceptance bar for the hot-path optimization: vertices expanded per
 #: second of search, optimized vs frozen reference, same quantum.
 SPEEDUP_TARGET = 1.5
-
-#: Acceptance bar for the vectorized kernel: mean speedup over the scalar
-#: kernel across the m=16 cells of the kernel grid (see below).
-KERNEL_SPEEDUP_TARGET = 5.0
-
-#: The kernel grid: every (kernel, m, R) cell runs one deep scheduling
-#: phase at paper scale.  ``R`` is the deadline-slack factor — deadlines
-#: are drawn from ``quantum * U(1.02, R)``, so every task passes the
-#: phase prefilter (as production batches do) and the workload tightens
-#: from barely-schedulable to loose as R grows.  Task count scales with
-#: the machine (weak scaling, constant per-processor pressure), matching
-#: the paper's scalability framing.
-KERNEL_GRID_M = (4, 8, 16)
-KERNEL_GRID_R = (1.5, 4.0, 10.0)
-KERNEL_GRID_TASKS_PER_PROCESSOR = 125
-KERNEL_GRID_QUANTUM = 5000.0
-KERNEL_GRID_PER_VERTEX_COST = 0.05
-KERNEL_GRID_REPEATS = 5
 
 
 def timing_samples(benchmark):
@@ -285,129 +262,3 @@ def test_phase_instrumentation_enabled_overhead(benchmark):
     result = benchmark(lambda: _schedule_phase(scheduler, tasks, m))
     assert len(result.schedule) > 0
     assert obs.metrics.snapshot()["counters"]["scheduler_phases{scheduler=RT-SADS}"] > 0
-
-
-# --- kernel grid: scalar vs vectorized ------------------------------------
-
-
-def _kernel_grid_tasks(n, m, slack_factor, quantum, seed=3):
-    """Deep-descent workload: prefilter-admissible, tightening with depth."""
-    rng = random.Random(seed)
-    tasks = []
-    for task_id in range(n):
-        p = rng.uniform(5.0, 30.0)
-        affinity = frozenset(
-            proc for proc in range(m) if rng.random() < 0.5
-        ) or frozenset({rng.randrange(m)})
-        tasks.append(
-            make_task(
-                task_id,
-                processing_time=p,
-                deadline=quantum * rng.uniform(1.02, slack_factor),
-                affinity=affinity,
-            )
-        )
-    return sorted(tasks, key=lambda t: (t.deadline, t.task_id))
-
-
-def _outcome_fingerprint(outcome):
-    """Every observable bit of a search outcome, for identity asserts."""
-    path = [
-        (v.batch_index, v.processor, repr(v.scheduled_end), repr(v.value))
-        for v in outcome.best.path()
-    ]
-    s = outcome.stats
-    return (
-        tuple(path),
-        s.vertices_generated,
-        s.expansions,
-        s.backtracks,
-        s.feasibility_rejections,
-        s.tasks_pruned,
-        repr(outcome.time_used),
-    )
-
-
-def _kernel_cell(kernel, m, slack_factor, repeats=KERNEL_GRID_REPEATS):
-    """Interleaved scalar/vectorized rates for one (m, R) grid cell.
-
-    Returns ``(scalar_rates, vectorized_rates)`` in vertices/s, one sample
-    per repeat, sampled alternately so machine drift hits both kernels
-    equally.  Asserts the two kernels produce bit-identical outcomes.
-    """
-    n = KERNEL_GRID_TASKS_PER_PROCESSOR * m
-    quantum = KERNEL_GRID_QUANTUM
-    tasks = _kernel_grid_tasks(n, m, slack_factor, quantum)
-
-    def one(search):
-        ctx = PhaseContext(
-            tasks=tasks,
-            num_processors=m,
-            comm=UniformCommunicationModel(40.0),
-            phase_start=0.0,
-            quantum=quantum,
-            initial_offsets=tuple(0.5 * k for k in range(m)),
-            evaluator=LoadBalancingEvaluator(),
-        )
-        budget = VirtualTimeBudget(
-            quantum=quantum, per_vertex_cost=KERNEL_GRID_PER_VERTEX_COST
-        )
-        start = time.perf_counter()
-        outcome = search(ctx, AssignmentOrientedExpander(), budget)
-        elapsed = time.perf_counter() - start
-        return outcome.stats.vertices_generated / elapsed, outcome
-
-    scalar_rates, vector_rates = [], []
-    for _ in range(repeats):
-        rate, scalar_out = one(run_search)
-        scalar_rates.append(rate)
-        rate, vector_out = one(kernel.search)
-        vector_rates.append(rate)
-        assert _outcome_fingerprint(scalar_out) == _outcome_fingerprint(
-            vector_out
-        ), f"kernel outcomes diverged at m={m}, R={slack_factor}"
-    assert scalar_out.best.depth > 0
-    return scalar_rates, vector_rates
-
-
-@pytest.mark.skipif(
-    not numpy_available(), reason="vectorized kernel requires numpy ([fast])"
-)
-def test_kernel_grid_speedup():
-    """The vectorized-kernel acceptance bar: >= 5x mean vertices/s over the
-    scalar kernel across the m=16 cells of the kernel grid, with outcomes
-    proven bit-identical cell by cell."""
-    kernel = get_kernel("vectorized")
-    speedups = {}
-    for m in KERNEL_GRID_M:
-        for slack_factor in KERNEL_GRID_R:
-            scalar_rates, vector_rates = _kernel_cell(kernel, m, slack_factor)
-            cell = f"m{m}_r{slack_factor:g}"
-            record_metric(
-                "search",
-                f"kernel_scalar_rate_{cell}",
-                samples=scalar_rates,
-                unit="vertices/s",
-            )
-            record_metric(
-                "search",
-                f"kernel_vectorized_rate_{cell}",
-                samples=vector_rates,
-                unit="vertices/s",
-            )
-            speedup = statistics.median(vector_rates) / statistics.median(
-                scalar_rates
-            )
-            speedups[(m, slack_factor)] = speedup
-            record_metric("search", f"kernel_speedup_{cell}", speedup=speedup)
-    m16 = [s for (m, _), s in speedups.items() if m == 16]
-    mean16 = statistics.fmean(m16)
-    record_metric("search", "kernel_speedup_m16_mean", speedup=mean16)
-    assert mean16 >= KERNEL_SPEEDUP_TARGET, (
-        f"vectorized kernel mean speedup {mean16:.2f}x at m=16 fell below "
-        f"the {KERNEL_SPEEDUP_TARGET}x bar (cells: "
-        + ", ".join(
-            f"m={m} R={r}: {s:.2f}x" for (m, r), s in sorted(speedups.items())
-        )
-        + ")"
-    )

@@ -37,20 +37,7 @@ from .feasibility import (
     remaining_quantum,
     schedule_is_deadline_safe,
 )
-from .kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_NAMES,
-    ScalarKernel,
-    SearchKernel,
-    get_kernel,
-    kernel_available,
-    numpy_available,
-    register_kernel,
-    registered_kernels,
-    resolve_kernel,
-)
 from .phase import MIN_PHASE_TIME, PhaseResult, run_phase
-from .reference import reference_dcols, reference_rtsads
 from .registry import (
     SCHEDULER_NAMES,
     SchedulerContext,
@@ -105,11 +92,9 @@ __all__ = [
     "EarliestFinishEvaluator",
     "Expander",
     "Expansion",
-    "DEFAULT_KERNEL",
     "FifoEvaluator",
     "FixedQuantum",
     "GreedyEDFScheduler",
-    "KERNEL_NAMES",
     "LoadBalancingEvaluator",
     "LoadOnlyQuantum",
     "MIN_PHASE_TIME",
@@ -124,9 +109,7 @@ __all__ = [
     "Schedule",
     "ScheduleEntry",
     "Scheduler",
-    "ScalarKernel",
     "SearchBudget",
-    "SearchKernel",
     "SearchOutcome",
     "SearchScheduler",
     "SearchStats",
@@ -161,14 +144,6 @@ __all__ = [
     "random_affinity",
     "register_scheduler",
     "registered_names",
-    "registered_kernels",
-    "register_kernel",
-    "resolve_kernel",
-    "get_kernel",
-    "kernel_available",
-    "numpy_available",
-    "reference_dcols",
-    "reference_rtsads",
     "remaining_quantum",
     "run_phase",
     "run_search",

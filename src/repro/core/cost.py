@@ -23,31 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class VertexEvaluator(ABC):
     """Assigns a sort value to a candidate vertex; lower expands first."""
 
-    #: Whether :meth:`evaluate_batch` reproduces :meth:`evaluate` exactly.
-    #: The vectorized search kernel (:mod:`repro.core.vectorized`) only
-    #: engages when this is True; custom evaluators that leave it False are
-    #: silently served by the scalar kernel instead.
-    supports_batch = False
-
     @abstractmethod
     def evaluate(self, ctx: "PhaseContext", vertex: "Vertex") -> float:
         """Value of the candidate; ties resolved by generation order."""
-
-    def evaluate_batch(self, ctx, scheduled_ends, parent_max_offset, deadlines):
-        """Vector of :meth:`evaluate` values for one block of siblings.
-
-        ``scheduled_ends`` is a float64 array of the candidates' scheduled
-        ends, ``parent_max_offset`` the shared parent's maximum offset, and
-        ``deadlines`` the candidates' raw task deadlines (a scalar when the
-        block shares one task, an array otherwise).  Implementations must
-        perform the *same* floating-point operations in the *same* order as
-        :meth:`evaluate` so the result is bit-identical per element — the
-        kernel-equivalence contract of :mod:`repro.core.kernels`.  The
-        returned array may alias an argument; callers never mutate either.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement batch evaluation"
-        )
 
     @property
     def name(self) -> str:
@@ -72,22 +50,9 @@ class LoadBalancingEvaluator(VertexEvaluator):
     #: Weight of the tie-breaking term; small enough never to override CE.
     TIE_WEIGHT = 1e-6
 
-    supports_batch = True
-
     def evaluate(self, ctx: "PhaseContext", vertex: "Vertex") -> float:
         """``CE_i`` plus the scheduled-end tie-breaking term."""
         return vertex.max_offset + self.TIE_WEIGHT * vertex.scheduled_end
-
-    def evaluate_batch(self, ctx, scheduled_ends, parent_max_offset, deadlines):
-        """Batched ``CE_i + tie`` — same two IEEE ops as :meth:`evaluate`."""
-        # numpy is imported lazily so this module stays dependency-free; the
-        # method is only reached from the vectorized kernel, which exists
-        # only when numpy is importable.
-        import numpy
-
-        values = numpy.maximum(scheduled_ends, parent_max_offset)
-        values += self.TIE_WEIGHT * scheduled_ends
-        return values
 
 
 class EarliestFinishEvaluator(VertexEvaluator):
@@ -97,15 +62,9 @@ class EarliestFinishEvaluator(VertexEvaluator):
     balance and serves as the paper's "heuristic function" alternative.
     """
 
-    supports_batch = True
-
     def evaluate(self, ctx: "PhaseContext", vertex: "Vertex") -> float:
         """The candidate's completion time on its processor."""
         return vertex.scheduled_end
-
-    def evaluate_batch(self, ctx, scheduled_ends, parent_max_offset, deadlines):
-        """The scheduled ends themselves (returned array aliases the input)."""
-        return scheduled_ends
 
 
 class MinSlackEvaluator(VertexEvaluator):
@@ -115,16 +74,10 @@ class MinSlackEvaluator(VertexEvaluator):
     an additional heuristic for the cost-function ablation (A2).
     """
 
-    supports_batch = True
-
     def evaluate(self, ctx: "PhaseContext", vertex: "Vertex") -> float:
         """Worst-case slack of the assignment; tight fits sort first."""
         task = ctx.tasks[vertex.batch_index]
         return task.deadline - (ctx.phase_end_bound + vertex.scheduled_end)
-
-    def evaluate_batch(self, ctx, scheduled_ends, parent_max_offset, deadlines):
-        """Batched slack — identical operand order to :meth:`evaluate`."""
-        return deadlines - (ctx.phase_end_bound + scheduled_ends)
 
 
 class FifoEvaluator(VertexEvaluator):
@@ -135,15 +88,9 @@ class FifoEvaluator(VertexEvaluator):
     configuration of the ablation.
     """
 
-    supports_batch = True
-
     def evaluate(self, ctx: "PhaseContext", vertex: "Vertex") -> float:
         """A constant: the stable CL preserves generation order."""
         return 0.0
-
-    def evaluate_batch(self, ctx, scheduled_ends, parent_max_offset, deadlines):
-        """All zeros, like :meth:`evaluate` (scheduled ends are finite)."""
-        return scheduled_ends * 0.0
 
 
 def get_evaluator(name: str) -> VertexEvaluator:

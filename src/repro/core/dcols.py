@@ -54,7 +54,6 @@ class DCOLS(SearchScheduler):
         max_candidates: Optional[int] = 100_000,
         instrumentation: Optional["Instrumentation"] = None,
         phase_runner=None,
-        kernel=None,
     ) -> None:
         def factory(phase_index: int) -> SequenceOrientedExpander:
             start = phase_index if rotate_start else 0
@@ -72,7 +71,6 @@ class DCOLS(SearchScheduler):
             name="D-COLS",
             instrumentation=instrumentation,
             phase_runner=phase_runner,
-            kernel=kernel,
         )
         self.beam_width = beam_width
         self.rotate_start = rotate_start
@@ -84,7 +82,6 @@ def _build_dcols(context: "SchedulerContext") -> DCOLS:
         evaluator=context.evaluator,
         quantum_policy=context.quantum_policy,
         per_vertex_cost=context.per_vertex_cost,
-        kernel=context.kernel,
     )
 
 

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from .affinity import CommunicationModel
 from .cost import VertexEvaluator
 from .feasibility import projected_offsets
-from .kernels import resolve_kernel
 from .schedule import Schedule
 from .search import (
     Expander,
@@ -72,7 +71,6 @@ def run_phase(
     budget: Optional[SearchBudget] = None,
     per_vertex_cost: float = 0.1,
     max_candidates: Optional[int] = None,
-    kernel=None,
 ) -> PhaseResult:
     """Run one scheduling phase over an EDF-ordered snapshot of the batch.
 
@@ -80,10 +78,7 @@ def run_phase(
     remaining work ``Load_k(j-1)`` of each working processor at phase start,
     ``quantum`` the allocated ``Q_s(j)``.  If no explicit budget is supplied
     a :class:`VirtualTimeBudget` charging ``per_vertex_cost`` per generated
-    vertex is used.  ``kernel`` selects the search kernel by name or
-    instance (:mod:`repro.core.kernels`); ``None`` keeps the scalar
-    :func:`~repro.core.search.run_search` — every kernel is bit-identical,
-    so the choice never changes the schedule.
+    vertex is used.
     """
     ordered = sorted(tasks, key=lambda t: (t.deadline, t.task_id))
     # Necessary-condition pre-filter: Figure 4's test at the best possible
@@ -110,15 +105,7 @@ def run_phase(
     )
     if budget is None:
         budget = VirtualTimeBudget(quantum=quantum, per_vertex_cost=per_vertex_cost)
-    kernel = resolve_kernel(kernel)
-    if kernel is None:
-        outcome = run_search(
-            ctx, expander, budget, max_candidates=max_candidates
-        )
-    else:
-        outcome = kernel.search(
-            ctx, expander, budget, max_candidates=max_candidates
-        )
+    outcome = run_search(ctx, expander, budget, max_candidates=max_candidates)
     outcome.stats.prefilter_rejected = prefilter_rejected
     time_used = min(max(outcome.time_used, MIN_PHASE_TIME), quantum)
     return PhaseResult(

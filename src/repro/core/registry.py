@@ -58,10 +58,6 @@ class SchedulerContext:
     evaluator: Optional[object] = None
     quantum_policy: Optional[object] = None
     seed: int = 0
-    #: Search-kernel name (:mod:`repro.core.kernels`); ``None`` leaves the
-    #: scheduler on its default (scalar) phase loop.  One-pass list
-    #: schedulers have no search to vectorize and ignore it.
-    kernel: Optional[str] = None
 
 
 def register_scheduler(

@@ -45,10 +45,6 @@ class RTSADS(SearchScheduler):
         Alternative phase loop; the differential harness passes the frozen
         :func:`repro.core.reference.run_phase` here to pin the optimized
         hot path against the reference implementation.
-    kernel:
-        Search-kernel name or instance (:mod:`repro.core.kernels`);
-        ``None`` keeps the default scalar phase loop.  Kernels are
-        bit-identical by contract, so this is purely a speed knob.
     """
 
     def __init__(
@@ -61,7 +57,6 @@ class RTSADS(SearchScheduler):
         max_candidates: Optional[int] = 100_000,
         instrumentation: Optional["Instrumentation"] = None,
         phase_runner=None,
-        kernel=None,
     ) -> None:
         expander = AssignmentOrientedExpander(max_task_probes=max_task_probes)
         super().__init__(
@@ -75,7 +70,6 @@ class RTSADS(SearchScheduler):
             name="RT-SADS",
             instrumentation=instrumentation,
             phase_runner=phase_runner,
-            kernel=kernel,
         )
 
 
@@ -85,7 +79,6 @@ def _build_rtsads(context: "SchedulerContext") -> RTSADS:
         evaluator=context.evaluator,
         quantum_policy=context.quantum_policy,
         per_vertex_cost=context.per_vertex_cost,
-        kernel=context.kernel,
     )
 
 

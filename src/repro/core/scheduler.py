@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from ..observability import Instrumentation, get_instrumentation
 from .affinity import CommunicationModel
 from .cost import LoadBalancingEvaluator, VertexEvaluator
-from .kernels import resolve_kernel
 from .phase import PhaseResult, run_phase
 from .quantum import QuantumPolicy, SelfAdjustingQuantum
 from .search import Expander, SearchStats, VirtualTimeBudget
@@ -155,7 +154,6 @@ class SearchScheduler(Scheduler):
         name: str = "search-scheduler",
         instrumentation: Optional[Instrumentation] = None,
         phase_runner=None,
-        kernel=None,
     ) -> None:
         if per_vertex_cost <= 0:
             raise ValueError("per_vertex_cost must be positive")
@@ -179,12 +177,6 @@ class SearchScheduler(Scheduler):
         # (repro.core.reference.run_phase) here; production schedulers keep
         # the optimized default.
         self._phase_runner = phase_runner if phase_runner is not None else run_phase
-        # Resolved eagerly so a missing optional dependency (numpy for
-        # kernel="vectorized") fails at construction, not mid-simulation.
-        # None stays None: alternative phase runners (the frozen reference
-        # loop) predate the kernel parameter, so it is only forwarded when
-        # explicitly configured.
-        self.kernel = resolve_kernel(kernel)
         self.phase_index = 0
 
     def plan_quantum(
@@ -224,7 +216,6 @@ class SearchScheduler(Scheduler):
             quantum=quantum + overhead, per_vertex_cost=self.per_vertex_cost
         )
         budget.consume(overhead)
-        runner_kwargs = {} if self.kernel is None else {"kernel": self.kernel}
         obs = self.instrumentation or get_instrumentation()
         if not obs.enabled:
             result = self._phase_runner(
@@ -238,7 +229,6 @@ class SearchScheduler(Scheduler):
                 budget=budget,
                 per_vertex_cost=self.per_vertex_cost,
                 max_candidates=self.max_candidates,
-                **runner_kwargs,
             )
             self.phase_index += 1
             return result
@@ -254,7 +244,6 @@ class SearchScheduler(Scheduler):
                 budget=budget,
                 per_vertex_cost=self.per_vertex_cost,
                 max_candidates=self.max_candidates,
-                **runner_kwargs,
             )
             span.set(
                 t=now,

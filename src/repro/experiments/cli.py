@@ -44,7 +44,6 @@ from ..observability import (
     instrumented,
 )
 from ..core.domains import PARTITION_POLICIES
-from ..core.kernels import KERNEL_NAMES
 from ..core.registry import SCHEDULER_NAMES
 from ..runtime import BACKEND_NAMES
 from .config import ExperimentConfig
@@ -171,19 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         help=(
             "execution backend for every cell: 'sim' (virtual-clock "
-            "simulator, the default), 'cluster' (live TCP processes), or "
-            "'service' (live streaming service under open-loop load)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        help=(
-            "search kernel for every phase: 'scalar' (default, "
-            "dependency-free), 'vectorized' (numpy batch evaluation, "
-            "requires the [fast] extra), or 'auto' (vectorized when "
-            "numpy is importable).  Kernels are bit-identical; this "
-            "only changes speed"
+            "simulator, the default), 'cluster' (live TCP processes), "
+            "'service' (live streaming service under open-loop load), or "
+            "'sharded' (the simulator with its report labelled by "
+            "scheduling domain even at --domains 1)"
         ),
     )
     sharding = parser.add_argument_group(
@@ -389,8 +379,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["backend"] = args.backend
     if args.scheduler is not None:
         overrides["scheduler"] = args.scheduler
-    if args.kernel is not None:
-        overrides["kernel"] = args.kernel
     if getattr(args, "domains", None) is not None:
         values = _parse_domains(args.domains)
         if len(values) == 1:

@@ -93,13 +93,10 @@ class ExperimentConfig:
     domains: int = 1
     partition_policy: str = "hash"
 
-    # Search-kernel registry name (repro.core.kernels): "scalar" is the
-    # zero-dependency default, "vectorized" the numpy batch kernel, "auto"
-    # picks vectorized when numpy is importable.  Kernels are bit-identical
-    # by contract, so every cell result is byte-equal across kernels — the
-    # field still enters the cache key (it is not an EXECUTION_FIELD), so
-    # a kernel sweep re-validating that claim is content-addressed like
-    # any other axis.
+    # There is one search loop (repro.core.search.run_search), so "scalar"
+    # is the only legal value.  The field keeps its place in cache_fields()
+    # so existing sweep-cache digests stay valid, and benchmarks/e2e still
+    # passes kernel="scalar"; it goes when that benchmark is re-based.
     kernel: str = "scalar"
 
     # --- service mode (see src/repro/service/; ignored by sim/cluster) ---
@@ -149,11 +146,9 @@ class ExperimentConfig:
             )
         if self.domains <= 0:
             raise ValueError("domains must be positive")
-        from ..core.kernels import registered_kernels
-
-        if self.kernel not in registered_kernels():
+        if self.kernel != "scalar":
             raise ValueError(
-                f"kernel must be one of {sorted(registered_kernels())}, "
+                "kernel must be 'scalar' (the one search loop), "
                 f"got {self.kernel!r}"
             )
         if self.domains > self.num_processors:
@@ -250,10 +245,6 @@ class ExperimentConfig:
     def with_domains(self, domains: int) -> "ExperimentConfig":
         """A copy with ``domains`` replaced (shard-curve sweep axis)."""
         return replace(self, domains=domains)
-
-    def with_kernel(self, kernel: str) -> "ExperimentConfig":
-        """A copy pinned to one search kernel (see repro.core.kernels)."""
-        return replace(self, kernel=kernel)
 
     def with_partition_policy(self, policy: str) -> "ExperimentConfig":
         """A copy with the domain-partitioning policy replaced."""

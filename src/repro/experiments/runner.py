@@ -62,7 +62,6 @@ def build_scheduler(
             per_vertex_cost=config.per_vertex_cost,
             evaluator=evaluator,
             quantum_policy=quantum_policy,
-            kernel=None if config.kernel == "scalar" else config.kernel,
         ),
     )
 

@@ -1,5 +1,8 @@
 """Tests for experiment configurations."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import (
@@ -88,6 +91,40 @@ class TestValidation:
             ExperimentConfig(per_vertex_cost=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(runs=0)
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "auto"])
+    def test_only_the_scalar_search_loop_exists(self, kernel):
+        """ValueError is what benchmarks/e2e/run.py catches for a gone kernel."""
+        with pytest.raises(ValueError, match="scalar"):
+            ExperimentConfig(kernel=kernel)
+
+    def test_scalar_kernel_still_constructs(self):
+        assert ExperimentConfig.paper(kernel="scalar").kernel == "scalar"
+
+    def test_default_sweep_digest_is_pinned(self):
+        """Existing sweep caches stay valid: the literal predates this test."""
+        from repro.experiments.sweep import config_digest
+
+        assert config_digest(ExperimentConfig.quick()) == (
+            "5392a0f61b3560d6d62015415c725b952bb7f1a895fa299db114ff29a9f9dced"
+        )
+
+
+def test_production_imports_neither_numpy_nor_the_frozen_reference():
+    """The library is dependency-free and the reference loop is test-only."""
+    probe = (
+        "import sys\n"
+        "import repro.experiments, repro.cluster, repro.service\n"
+        "print([m for m in ('numpy', 'repro.core.reference') "
+        "if m in sys.modules])\n"
+    )
+    # The child inherits this process's environment, PYTHONPATH included.
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestServiceFields:

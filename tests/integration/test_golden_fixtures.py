@@ -57,19 +57,12 @@ def _golden_name(scheduler: str, m: int, replication: float, seed: int) -> str:
     return f"{scheduler}_m{m}_R{int(replication * 100)}_s{seed}.json"
 
 
-def _golden_document(
-    scheduler: str, m: int, replication: float, seed: int, kernel: str = None
-) -> str:
+def _golden_document(scheduler: str, m: int, replication: float, seed: int) -> str:
     config = (
         ExperimentConfig.quick(num_transactions=40, runs=1)
         .with_processors(m)
         .with_replication(replication)
     )
-    if kernel is not None:
-        # Kernels are bit-identical by contract, so the document must come
-        # out byte-equal; tests/differential/test_kernel_differential.py
-        # re-runs the search-scheduler cells this way.
-        config = config.with_kernel(kernel)
     result = run_once(config, scheduler, seed)
     record_rows = [
         [

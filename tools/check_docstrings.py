@@ -28,13 +28,11 @@ from typing import Iterator, List, Tuple
 DEFAULT_SCOPE = (
     "src/repro/runtime",
     "src/repro/experiments",
-    # The search substrate and the kernel registry: the modules the
-    # performance docs (docs/PERFORMANCE.md) point readers into.
+    # The search substrate: the modules the performance docs
+    # (docs/PERFORMANCE.md) point readers into.
     "src/repro/core/search.py",
     "src/repro/core/cost.py",
     "src/repro/core/feasibility.py",
-    "src/repro/core/kernels.py",
-    "src/repro/core/vectorized.py",
 )
 
 
