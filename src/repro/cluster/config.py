@@ -17,11 +17,11 @@ jitter, which the dispatch-time guarantee margin absorbs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..experiments.config import ExperimentConfig
+from ..workload.transactions import build_seeded_workload
 from .failure import FailurePlan
 
 
@@ -170,35 +170,8 @@ def build_cluster_workload(experiment: ExperimentConfig, seed: int):
     Master and every worker call this with the same seed and rebuild
     byte-identical state independently — shipping a few kilobytes of config
     through process arguments instead of megabytes of tables over TCP.
-    Mirrors the simulator path in :mod:`repro.experiments.runner` so live
+    The body is the one the simulator path uses
+    (:func:`~repro.workload.transactions.build_seeded_workload`), so live
     and simulated runs of one config see the same workload.
     """
-    from ..database.database import DatabaseConfig, DistributedDatabase
-    from ..workload.transactions import (
-        TransactionWorkloadConfig,
-        TransactionWorkloadGenerator,
-    )
-
-    rng = random.Random(seed)
-    database = DistributedDatabase.build(
-        config=DatabaseConfig(
-            num_subdatabases=experiment.num_subdatabases,
-            records_per_subdb=experiment.records_per_subdb,
-            num_attributes=experiment.num_attributes,
-            domain_size=experiment.domain_size,
-        ),
-        num_processors=experiment.num_processors,
-        replication_rate=experiment.replication_rate,
-        rng=rng,
-    )
-    generator = TransactionWorkloadGenerator(
-        database=database,
-        config=TransactionWorkloadConfig(
-            num_transactions=experiment.num_transactions,
-            slack_factor=experiment.slack_factor,
-            key_probability=experiment.key_probability,
-            seed=seed,
-        ),
-    )
-    tasks, transactions = generator.generate()
-    return database, tasks, transactions
+    return build_seeded_workload(experiment, seed)

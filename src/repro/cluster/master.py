@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.affinity import UniformCommunicationModel, project_tasks
 from ..core.task import Task
@@ -45,6 +45,7 @@ from ..observability import Instrumentation, get_instrumentation
 from ..observability.clockskew import ClockOffsetEstimator
 from ..runtime.driver import PhaseDriver, PhaseHooks
 from ..runtime.report import RunReport
+from ..sharding.migration import can_guarantee
 from . import protocol
 from .config import ClusterConfig, build_cluster_workload
 from .failure import HeartbeatMonitor
@@ -86,9 +87,14 @@ class LiveTaskRecord:
     planned_cost: Optional[float] = None
     actual_cost: Optional[float] = None
     reschedules: int = 0
+    #: Template to stamp on ASSIGN frames; the wire default (``-1`` = "the
+    #: task id *is* the template id") is right for a batch workload's own
+    #: tasks, the service mints records that name their template.
+    template_id: int = -1
 
     @property
     def met_deadline(self) -> bool:
+        """Completed at or before the deadline (virtual units)."""
         return (
             self.status == COMPLETED
             and self.finished_at is not None
@@ -135,23 +141,72 @@ def remap_tasks(
     return project_tasks(tasks, alive)
 
 
+@dataclass(frozen=True)
+class Domain:
+    """What one master schedules: a slice of the fleet and its routed tasks.
+
+    Domain-ness is data handed to the one master class by whoever builds
+    the masters (the launcher partitions the fleet and routes the workload
+    once; ``k`` may be 1), not a subclass of it.  The paper's machine —
+    one scheduling processor over all ``m`` workers — is :meth:`whole`.
+    """
+
+    #: Placement source for WELCOME residencies (shared by every domain).
+    database: object
+    #: The closed workload routed here (empty for a streaming service).
+    tasks: Sequence[Task]
+    #: Global ids of the workers that register with this master.
+    workers: Tuple[int, ...]
+    domain_id: int = 0
+    #: Whether peer domains exist: a lone domain's trace carries no
+    #: domain fields and it has no one to migrate to (the simulator's rule).
+    has_peers: bool = False
+
+    @classmethod
+    def whole(cls, experiment) -> "Domain":
+        """The one-domain case: the whole fleet, the whole workload."""
+        database, tasks, _transactions = build_cluster_workload(
+            experiment, experiment.base_seed
+        )
+        return cls(
+            database=database,
+            tasks=tasks,
+            workers=tuple(range(experiment.num_processors)),
+        )
+
+
 class ClusterMaster(PhaseHooks):
     """Accepts workers, runs the scheduling loop, collects completions."""
+
+    #: ``RunReport.backend`` label of this master's runs.
+    backend = "cluster"
+
+    #: The one dispatch point: message type -> handler method, each called
+    #: as ``handler(conn_id, message)``.  A subclass serving more frame
+    #: types extends the table; nothing pre-filters events around it.
+    HANDLERS = {
+        protocol.HELLO: "_register_worker",
+        protocol.HEARTBEAT: "_on_heartbeat",
+        protocol.TASK_DONE: "_on_task_done",
+        protocol.TELEMETRY: "_on_telemetry",
+        protocol.MIGRATE_OFFER: "_on_migrate_offer",
+    }
 
     def __init__(
         self,
         config: ClusterConfig,
+        domain: Domain,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.config = config
-        base_obs = instrumentation or get_instrumentation()
-        self.obs = (
-            base_obs.bind(component="master") if base_obs.enabled else base_obs
-        )
         experiment = config.experiment
-        self.database, tasks, _transactions = build_cluster_workload(
-            experiment, experiment.base_seed
-        )
+        self.domain = domain
+        base_obs = instrumentation or get_instrumentation()
+        if base_obs.enabled:
+            tag = {"domain": domain.domain_id} if domain.has_peers else {}
+            base_obs = base_obs.bind(component="master", **tag)
+        self.obs = base_obs
+        self.database = domain.database
         self.comm = UniformCommunicationModel(experiment.remote_cost)
         self.scheduler = build_scheduler(
             config.scheduler_name, experiment, self.comm
@@ -161,9 +216,25 @@ class ClusterMaster(PhaseHooks):
         self.hub = MessageHub(
             config.host, config.port, instrumentation=self.obs
         )
-        self.records: Dict[int, LiveTaskRecord] = {}
         self.driver = PhaseDriver(scheduler=self.scheduler, hooks=self)
-        self._install_workload(tasks)
+        self._handlers = {
+            kind: getattr(self, name) for kind, name in self.HANDLERS.items()
+        }
+        # Every task of the closed workload is known up front: one record
+        # each, and the full arrival stream staged on the driver.
+        self.records: Dict[int, LiveTaskRecord] = {
+            task.task_id: LiveTaskRecord(task=task) for task in domain.tasks
+        }
+        self.driver.stage_arrivals(domain.tasks)
+        #: Settled-task counters and the latest completion (virtual units);
+        #: they outlive the records, which a service prunes on RESULT and a
+        #: migration hands to the accepting peer.
+        self.completed = 0
+        self.deadline_hits = 0
+        self.expired = 0
+        self.last_finish = 0.0
+        #: Task ids that may not migrate (offered once, or migrated in).
+        self._migration_barred: set = set()
         self.workers: Dict[int, _WorkerState] = {}
         self._conn_to_worker: Dict[int, int] = {}
         self.monitor = HeartbeatMonitor(
@@ -184,42 +255,17 @@ class ClusterMaster(PhaseHooks):
         self._t0: Optional[float] = None
         self._start_wall: Optional[float] = None
 
-    def _install_workload(self, tasks: Sequence[Task]) -> None:
-        """Hand the deterministically rebuilt workload to the run.
-
-        Batch mode: every task is known up front — create its record and
-        stage the full arrival stream on the driver.  The streaming
-        service subclass overrides this to keep the tasks as *templates*
-        and mint records per submission instead.
-        """
-        self.records = {
-            task.task_id: LiveTaskRecord(task=task) for task in tasks
-        }
-        self.driver.stage_arrivals(tasks)
-
-    def _template_id(self, task_id: int) -> int:
-        """Template id to stamp on ASSIGN frames for ``task_id``.
-
-        Batch mode dispatches the workload tasks themselves, so the wire
-        default (``-1`` = "task id *is* the template id") is correct; the
-        service subclass maps minted submission ids back to templates.
-        """
-        return -1
-
     # ----- clocks ----------------------------------------------------------
 
     @property
     def port(self) -> int:
+        """The TCP port this master's hub is bound to."""
         return self.hub.port
 
     @property
     def expected_workers(self) -> int:
-        """How many workers must register before the run starts.
-
-        The whole fleet by default; a domain master (sharded mode)
-        overrides this with the size of its own partition.
-        """
-        return self.config.num_workers
+        """How many workers must register before the run starts."""
+        return len(self.domain.workers)
 
     def vnow(self) -> float:
         """Virtual time: wall seconds since readiness, in cost units."""
@@ -228,27 +274,42 @@ class ClusterMaster(PhaseHooks):
         return (time.monotonic() - self._t0) / self.config.seconds_per_unit
 
     # ----- lifecycle -------------------------------------------------------
+    #
+    # await_workers -> start_clock -> step (until True) -> shutdown ->
+    # report.  run() is exactly that sequence for one master; the launcher
+    # walks k masters through the same public steps from one thread.
 
     def run(self) -> RunReport:
         """Serve one complete workload; returns the aggregated report."""
-        self._start_wall = time.monotonic()
         try:
-            self._await_workers()
-            # The virtual clock starts when the cluster is ready: worker
-            # spawn time is deployment overhead, not scheduling overhead,
-            # and the bursty workload "arrives" at readiness.
-            self._t0 = time.monotonic()
+            self.await_workers()
             if self.obs.enabled:
                 self.obs.emit(
                     "run_start",
                     workers=len(self.workers),
                     tasks=len(self.records),
                 )
-                self._emit_arrivals()
-            self._loop()
+            self.start_clock()
+            while not self.step():
+                pass
         finally:
             self.shutdown()
-        return self._build_report()
+        report = self.report()
+        emit_run_end(self.obs, report, [self])
+        return report
+
+    def start_clock(self, t0: Optional[float] = None) -> None:
+        """Start virtual time (at ``t0``, a monotonic reading; default now).
+
+        The virtual clock starts when the cluster is ready: worker spawn
+        time is deployment overhead, not scheduling overhead, and the
+        bursty workload "arrives" at readiness.  Masters of one sharded
+        run are handed one shared origin, so loads, deadlines and
+        migration decisions in every domain speak the same clock.
+        """
+        self._t0 = time.monotonic() if t0 is None else t0
+        if self.obs.enabled:
+            self._emit_arrivals()
 
     def _emit_arrivals(self) -> None:
         """One "arrived" per task, mirroring the simulator's trace.
@@ -271,8 +332,8 @@ class ClusterMaster(PhaseHooks):
     def shutdown(self) -> None:
         """Broadcast SHUTDOWN, drain the last telemetry, close the hub.
 
-        Idempotent: the sharded coordinator calls it on the success path
-        and again from its ``finally`` cleanup.
+        Idempotent; failure-path cleanup uses :meth:`close`, which cannot
+        raise.
         """
         if self.hub.closed:
             return
@@ -284,6 +345,7 @@ class ClusterMaster(PhaseHooks):
         self.close()
 
     def close(self) -> None:
+        """Close the hub without the SHUTDOWN handshake (idempotent)."""
         self.hub.close()
 
     def _drain_shutdown(self) -> None:
@@ -307,14 +369,15 @@ class ClusterMaster(PhaseHooks):
                 elif event.kind == MESSAGE and (
                     event.message.get("type") == protocol.TELEMETRY
                 ):
-                    self._on_telemetry(event.message)
+                    self._handle_frame(event.conn_id, event.message)
             if not traced:
                 break
 
-    def _await_workers(self) -> None:
+    def await_workers(self) -> None:
         """Block until every worker said HELLO (or the startup timeout)."""
         config = self.config
-        deadline = time.monotonic() + config.startup_timeout
+        self._start_wall = time.monotonic()
+        deadline = self._start_wall + config.startup_timeout
         while len(self.workers) < self.expected_workers:
             if time.monotonic() > deadline:
                 raise ClusterStartupError(
@@ -325,7 +388,7 @@ class ClusterMaster(PhaseHooks):
                 # Routed through the full dispatcher: a fast worker's first
                 # TELEMETRY batch (its ``worker_start`` marker) can land
                 # while the master still waits on slower registrations.
-                self._handle_event(event)
+                self._dispatch(event)
         self.obs.logger.info(
             "cluster ready", workers=len(self.workers), port=self.port
         )
@@ -380,19 +443,15 @@ class ClusterMaster(PhaseHooks):
 
     # ----- main loop -------------------------------------------------------
 
-    def _loop(self) -> None:
-        while not self.step():
-            pass
-
     def step(self) -> bool:
         """One iteration of the scheduling loop; True when the run is done.
 
-        Exposed so the sharded coordinator can round-robin several domain
-        masters through one thread; :meth:`run` just iterates it.
+        The whole loop body: :meth:`run` just iterates it, and the launcher
+        round-robins several domain masters through it in one thread.
         """
         config = self.config
         for event in self.hub.poll(config.poll_interval):
-            self._handle_event(event)
+            self._dispatch(event)
         now_wall = time.monotonic()
         for worker_id in self.monitor.expired(now_wall):
             self._worker_lost(worker_id, reason="missed heartbeats")
@@ -401,38 +460,61 @@ class ClusterMaster(PhaseHooks):
                 f"live run exceeded {config.max_wall_seconds}s; "
                 "aborting and shutting the cluster down"
             )
+        self._before_phase(now_wall)
         self._schedule_ready_work()
         return self._finished()
 
-    def _handle_event(self, event: NetworkEvent) -> None:
+    def _before_phase(self, now_wall: float) -> None:
+        """Per-step hook ahead of scheduling (the service's stop check)."""
+
+    def _dispatch(self, event: NetworkEvent) -> None:
         if event.kind == CONNECT:
-            return  # identity arrives with HELLO
-        if event.kind == DISCONNECT:
+            self._on_connect(event.conn_id)
+        elif event.kind == DISCONNECT:
             self._on_disconnect(event.conn_id)
-            return
-        message = event.message
-        kind = message.get("type")
-        if kind == protocol.HELLO:
-            self._register_worker(event.conn_id, message)
-        elif kind == protocol.HEARTBEAT:
-            worker_id = int(message["worker_id"])
-            self.monitor.beat(worker_id, time.monotonic())
-            self._observe_clock(worker_id, message.get("mono"))
-            if self.obs.enabled:
-                self.obs.metrics.counter("cluster_heartbeats").inc()
-        elif kind == protocol.TASK_DONE:
-            self._on_task_done(message)
-        elif kind == protocol.TELEMETRY:
-            self._on_telemetry(message)
         else:
+            self._handle_frame(event.conn_id, event.message)
+
+    def _handle_frame(self, conn_id: int, message: Dict) -> None:
+        """Route one frame through :attr:`HANDLERS`.
+
+        ``unpack`` vouches only for ``v`` and ``type``; the fields are the
+        peer's word.  A handler that trips over them (``KeyError``,
+        ``TypeError``, ``ValueError``) costs that peer its connection —
+        never the loop, and with it every other client's guarantees.
+        """
+        kind = message.get("type")
+        handler = self._handlers.get(kind)
+        if handler is None:
+            self.obs.logger.warning("unexpected message at master", type=kind)
+            return
+        try:
+            handler(conn_id, message)
+        except (KeyError, TypeError, ValueError) as exc:
             self.obs.logger.warning(
-                "unexpected message at master", type=kind
+                "malformed frame; dropping the connection",
+                type=kind,
+                conn=conn_id,
+                error=repr(exc),
             )
+            self.obs.metrics.counter("cluster_protocol_errors").inc()
+            self.hub.close_connection(conn_id)
+            self._on_disconnect(conn_id)
+
+    def _on_connect(self, conn_id: int) -> None:
+        """A peer connected; its identity arrives with its first frame."""
 
     def _on_disconnect(self, conn_id: int) -> None:
         worker_id = self._conn_to_worker.pop(conn_id, None)
         if worker_id is not None:
             self._worker_lost(worker_id, reason="connection lost")
+
+    def _on_heartbeat(self, conn_id: int, message: Dict) -> None:
+        worker_id = int(message["worker_id"])
+        self.monitor.beat(worker_id, time.monotonic())
+        self._observe_clock(worker_id, message.get("mono"))
+        if self.obs.enabled:
+            self.obs.metrics.counter("cluster_heartbeats").inc()
 
     # ----- telemetry merging ------------------------------------------------
 
@@ -457,7 +539,7 @@ class ClusterMaster(PhaseHooks):
                 samples=self.clock.samples(worker_id),
             )
 
-    def _on_telemetry(self, message: Dict) -> None:
+    def _on_telemetry(self, conn_id: int, message: Dict) -> None:
         """Merge one batched TELEMETRY frame into the run's trace sink.
 
         Each shipped event keeps the worker's own stamp (``w_mono``) and
@@ -510,9 +592,12 @@ class ClusterMaster(PhaseHooks):
 
     # ----- completions ------------------------------------------------------
 
-    def _on_task_done(self, message: Dict) -> None:
+    def _on_task_done(self, conn_id: int, message: Dict) -> None:
+        # Fields first: a malformed TASK_DONE must fail before any
+        # bookkeeping moves, or its task would settle nowhere.
         worker_id = int(message["worker_id"])
         task_id = int(message["task_id"])
+        actual_cost = float(message["actual_cost"])
         now_v = self.vnow()
         self.monitor.beat(worker_id, time.monotonic())
         state = self.workers.get(worker_id)
@@ -530,7 +615,11 @@ class ClusterMaster(PhaseHooks):
             return
         record.status = COMPLETED
         record.finished_at = now_v
-        record.actual_cost = float(message["actual_cost"])
+        record.actual_cost = actual_cost
+        self.completed += 1
+        if record.met_deadline:
+            self.deadline_hits += 1
+        self.last_finish = max(self.last_finish, now_v)
         if record.guaranteed and not record.met_deadline:
             self.guaranteed_violations += 1
             self.obs.logger.warning(
@@ -551,6 +640,11 @@ class ClusterMaster(PhaseHooks):
                 deadline=record.task.deadline,
                 actual_cost=record.actual_cost,
             )
+        self._task_settled(record, now_v)
+
+    def _task_settled(self, record: LiveTaskRecord, now_v: float) -> None:
+        """``record`` just reached COMPLETED or EXPIRED (the service's
+        cue to answer its client); a batch run only counts it."""
 
     # ----- failures ---------------------------------------------------------
 
@@ -633,11 +727,14 @@ class ClusterMaster(PhaseHooks):
         return loads
 
     def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
+        """Project affinities onto this phase's alive-worker slots."""
         return remap_tasks(tasks, self._phase_alive)
 
     def on_task_expired(self, task: Task, now: float) -> None:
+        """The driver evicted ``task`` from the batch: deadline hopeless."""
         record = self.records[task.task_id]
         record.status = EXPIRED
+        self.expired += 1
         if self.obs.enabled:
             self.obs.metrics.counter("cluster_tasks_expired").inc()
             self.obs.emit(
@@ -648,6 +745,7 @@ class ClusterMaster(PhaseHooks):
                 deadline=task.deadline,
                 arrival=task.arrival_time,
             )
+        self._task_settled(record, now)
 
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
         """Re-validate one entry at dispatch time and send it.
@@ -693,7 +791,7 @@ class ClusterMaster(PhaseHooks):
                 total_cost=entry.total_cost,
                 communication_cost=entry.communication_cost,
                 deadline=entry.task.deadline,
-                template_id=self._template_id(entry.task.task_id),
+                template_id=record.template_id,
             ),
         )
         if not sent:
@@ -757,43 +855,29 @@ class ClusterMaster(PhaseHooks):
             not state.outstanding for state in self.workers.values()
         )
 
-    def _build_report(self, emit: bool = True) -> RunReport:
-        """Aggregate this master's records; ``emit=False`` suppresses the
-        ``run_end`` event (the sharded coordinator emits one merged one)."""
-        records = self.records.values()
-        completed = [r for r in records if r.status == COMPLETED]
-        hits = [r for r in completed if r.met_deadline]
-        expired = [r for r in records if r.status == EXPIRED]
-        makespan = max(
-            (r.finished_at for r in completed if r.finished_at is not None),
-            default=self.vnow(),
-        )
+    def report(self) -> RunReport:
+        """This master's outcome, from its settled-task counters.
+
+        Emits nothing: the ``run_end`` header belongs to whoever owns the
+        run (:meth:`run`, or the launcher for its merged report).
+        """
+        makespan = self.last_finish or self.vnow()
         wall = (
             time.monotonic() - self._start_wall
             if self._start_wall is not None
             else 0.0
         )
-        if emit and self.obs.enabled:
-            self.obs.emit(
-                "run_end",
-                workers=self.config.num_workers,
-                tasks=len(self.records),
-                deadline_hits=len(hits),
-                phases=len(self.driver.phases),
-                makespan=float(makespan),
-                telemetry_dropped=sum(self.telemetry_dropped.values()),
-            )
         return RunReport(
-            backend="cluster",
+            backend=self.backend,
             scheduler_name=self.scheduler.name,
             num_workers=self.expected_workers,
             seed=self.config.experiment.base_seed,
             total_tasks=len(self.records),
             guaranteed=self.driver.guaranteed_count,
-            completed=len(completed),
-            deadline_hits=len(hits),
-            completed_late=len(completed) - len(hits),
-            expired=len(expired),
+            completed=self.completed,
+            deadline_hits=self.deadline_hits,
+            completed_late=self.completed - self.deadline_hits,
+            expired=self.expired,
             failed=0,  # fail-stop workers surrender; tasks never die in flight
             guaranteed_violations=self.guaranteed_violations,
             reschedules=self.driver.reschedules,
@@ -803,3 +887,132 @@ class ClusterMaster(PhaseHooks):
             phases=self.driver.phases,
             extras={"port": self.port},
         )
+
+    # ----- migration: the target side ---------------------------------------
+
+    def _on_migrate_offer(self, conn_id: int, message: Dict) -> None:
+        """Decide one offer: admit-and-accept, or decline.
+
+        The quick check is the same arithmetic the simulator's peer
+        domains use (:func:`~repro.sharding.migration.can_guarantee`), so
+        sim and cluster accept the same offers under the same loads.  An
+        accepted task is barred from re-migration (one-hop) and re-earns
+        its guarantee through the normal dispatch-time re-check.  A lone
+        domain has no peers to hear from: an offer there is a stray frame.
+        """
+        if not self.domain.has_peers:
+            self.obs.logger.warning(
+                "unexpected message at master", type=protocol.MIGRATE_OFFER
+            )
+            return
+        offer_id = int(message["offer_id"])
+        task_id = int(message["task_id"])
+        task = Task(
+            task_id=task_id,
+            processing_time=float(message["processing"]),
+            arrival_time=float(message["arrival"]),
+            deadline=float(message["deadline"]),
+            affinity=frozenset(int(p) for p in message["affinity"]),
+        )
+        alive = self._alive_workers()
+        loads = [self.workers[w].outstanding_units() for w in alive]
+        acceptable = (
+            task_id not in self.records
+            and bool(alive)
+            and can_guarantee(
+                task,
+                self.vnow(),
+                loads,
+                alive,
+                self.config.experiment.remote_cost,
+            )
+        )
+        domain_id = self.domain.domain_id
+        if acceptable:
+            self.records[task_id] = LiveTaskRecord(task=task)
+            self._migration_barred.add(task_id)
+            self.driver.admit([task])
+            self.hub.send(
+                conn_id, protocol.migrate_accept(offer_id, task_id, domain_id)
+            )
+            if self.obs.enabled:
+                self.obs.metrics.counter("cluster_migrations_in").inc()
+        else:
+            self.hub.send(
+                conn_id, protocol.migrate_decline(offer_id, task_id, domain_id)
+            )
+
+    # ----- migration: the origin side ---------------------------------------
+
+    def migration_candidates(self) -> List[Task]:
+        """Unbarred batch leftovers — what the local search failed to place.
+
+        Returned with their *original* (global-id) affinities from the
+        task records, never the remapped local-slot view the search saw.
+        """
+        now = self.vnow()
+        candidates: List[Task] = []
+        for stale in self.driver.batch.tasks():
+            record = self.records.get(stale.task_id)
+            if record is None or record.status != PENDING:
+                continue
+            if stale.task_id in self._migration_barred:
+                continue
+            task = record.task
+            if task.is_expired(now):
+                continue
+            candidates.append(task)
+        return sorted(candidates, key=lambda t: t.task_id)
+
+    def bar_migration(self, task_id: int) -> None:
+        """One-hop discipline: never offer this task again."""
+        self._migration_barred.add(task_id)
+
+    def release_migrated(self, task_id: int) -> bool:
+        """Hand ownership to the accepting peer: drop batch entry + record."""
+        removed = self.driver.withdraw([task_id])
+        record = self.records.pop(task_id, None)
+        if not removed or record is None:
+            self.obs.logger.warning(
+                "migrated task was not waiting here", task=task_id
+            )
+            return False
+        if self.obs.enabled:
+            self.obs.metrics.counter("cluster_migrations_out").inc()
+        return True
+
+    def mean_load(self) -> float:
+        """Mean outstanding work per alive worker (inf with none alive)."""
+        alive = self._alive_workers()
+        if not alive:
+            return float("inf")
+        total = sum(self.workers[w].outstanding_units() for w in alive)
+        return total / len(alive)
+
+
+def emit_run_end(
+    obs: Instrumentation,
+    report: RunReport,
+    masters: Sequence[ClusterMaster],
+    **sharding: object,
+) -> None:
+    """The one ``run_end`` trace header of a run, from its final report.
+
+    ``masters`` are the run's masters (their telemetry-drop counts fold
+    into the header); ``sharding`` carries the fields only a multi-domain
+    run has.
+    """
+    if not obs.enabled:
+        return
+    obs.emit(
+        "run_end",
+        workers=report.num_workers,
+        tasks=report.total_tasks,
+        deadline_hits=report.deadline_hits,
+        phases=len(report.phases),
+        makespan=report.makespan,
+        telemetry_dropped=sum(
+            sum(master.telemetry_dropped.values()) for master in masters
+        ),
+        **sharding,
+    )

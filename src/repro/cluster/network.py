@@ -4,7 +4,9 @@ The master side (:class:`MessageHub`) multiplexes every worker connection
 through one :mod:`selectors` loop: sockets are non-blocking, each connection
 owns a receive :class:`~repro.cluster.protocol.FrameDecoder` and a send
 buffer, and broken connections surface as explicit ``DISCONNECT`` events
-after any messages that were already buffered — never as lost data.
+after any messages that were already buffered — never as lost data.  A
+peer that does not speak the protocol is dropped the same way: a
+``ProtocolError`` never escapes :meth:`MessageHub.poll`.
 
 The worker side (:class:`WorkerChannel`) holds the single connection to the
 master: blocking sends (a worker has nothing better to do than flush its
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..observability import Instrumentation, get_instrumentation
-from .protocol import FrameDecoder, pack
+from .protocol import FrameDecoder, ProtocolError, pack
 
 #: Event kinds yielded by :meth:`MessageHub.poll`.
 CONNECT = "connect"
@@ -158,13 +160,26 @@ class MessageHub:
         if not data:
             self._drop(conn, events)
             return
-        for message in conn.decoder.feed(data):
-            self._count("received", str(message.get("type")), len(data))
-            events.append(
-                NetworkEvent(
-                    kind=MESSAGE, conn_id=conn.conn_id, message=message
+        try:
+            for message in conn.decoder.frames(data):
+                self._count("received", str(message.get("type")), len(data))
+                events.append(
+                    NetworkEvent(
+                        kind=MESSAGE, conn_id=conn.conn_id, message=message
+                    )
                 )
+        except ProtocolError as exc:
+            # Not our protocol (a stray HTTP client, another version, a
+            # corrupt stream): that peer loses its connection, the loop
+            # and every other peer carry on.  Frames completed before the
+            # bad one were yielded above and precede the DISCONNECT.
+            self.obs.logger.warning(
+                "protocol error; dropping the connection",
+                conn=conn.conn_id,
+                error=str(exc),
             )
+            self.obs.metrics.counter("cluster_protocol_errors").inc()
+            self._drop(conn, events)
 
     def _drop(
         self, conn: _Connection, events: Optional[List[NetworkEvent]]

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 #: Bump on any incompatible change to frame layout or message fields.
 #: v2: TELEMETRY messages; ``mono`` clock samples on HELLO and HEARTBEAT.
@@ -172,8 +172,17 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Dict[str, object]]:
         """Absorb ``data``; return every message completed by it."""
+        return list(self.frames(data))
+
+    def frames(self, data: bytes) -> Iterator[Dict[str, object]]:
+        """Absorb ``data``; yield each message it completes, in order.
+
+        Raises :class:`ProtocolError` at the first corrupt frame — after
+        the messages completed before it have been yielded, so a reader
+        that must survive a bad peer keeps what was good and drops the
+        connection (the stream cannot be resynchronized).
+        """
         self._buffer.extend(data)
-        messages: List[Dict[str, object]] = []
         while len(self._buffer) >= HEADER.size:
             (length,) = HEADER.unpack_from(self._buffer)
             if length > MAX_FRAME_BYTES:
@@ -186,8 +195,7 @@ class FrameDecoder:
                 break
             body = bytes(self._buffer[HEADER.size:end])
             del self._buffer[:end]
-            messages.append(unpack(body))
-        return messages
+            yield unpack(body)
 
     @property
     def pending_bytes(self) -> int:

@@ -86,6 +86,18 @@ class DomainAssignment:
     def num_domains(self) -> int:
         return len(self.domains)
 
+    @property
+    def sharded(self) -> bool:
+        """Whether domains have peers.  A lone domain is the paper's
+        single master: no domain fields in its trace, no migration ledger
+        in its report, on the simulator and the live cluster alike."""
+        return len(self.domains) > 1
+
+    def header_fields(self, **extra: object) -> Dict[str, object]:
+        """What a sharded run's ``run_start``/``run_end`` trace headers
+        add — the domain count plus ``extra``; nothing for a lone domain."""
+        return {"domains": self.num_domains, **extra} if self.sharded else {}
+
     def domain_of(self, worker_id: int) -> int:
         """The domain owning ``worker_id``; raises on unknown workers."""
         for index, members in enumerate(self.domains):

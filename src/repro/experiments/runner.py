@@ -15,7 +15,6 @@ cluster and comes back as the same
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -29,16 +28,12 @@ from ..core.cost import VertexEvaluator
 from ..core.quantum import QuantumPolicy
 from ..core.registry import SCHEDULER_NAMES, SchedulerContext, make_scheduler
 from ..core.scheduler import Scheduler
-from ..database.database import DatabaseConfig, DistributedDatabase
 from ..metrics.regret import summarize_regret
 from ..metrics.stats import ConfidenceInterval, confidence_interval, mean
 from ..observability import get_instrumentation
 from ..runtime.backend import ExecutionBackend, get_backend
 from ..runtime.report import RunReport
-from ..workload.transactions import (
-    TransactionWorkloadConfig,
-    TransactionWorkloadGenerator,
-)
+from ..workload.transactions import build_seeded_workload
 from .config import ExperimentConfig
 
 def build_scheduler(
@@ -68,28 +63,8 @@ def build_scheduler(
 
 def build_workload(config: ExperimentConfig, seed: int):
     """Database + tasks for one repetition; returns (database, task set)."""
-    rng = random.Random(seed)
-    database = DistributedDatabase.build(
-        config=DatabaseConfig(
-            num_subdatabases=config.num_subdatabases,
-            records_per_subdb=config.records_per_subdb,
-            num_attributes=config.num_attributes,
-            domain_size=config.domain_size,
-        ),
-        num_processors=config.num_processors,
-        replication_rate=config.replication_rate,
-        rng=rng,
-    )
-    generator = TransactionWorkloadGenerator(
-        database=database,
-        config=TransactionWorkloadConfig(
-            num_transactions=config.num_transactions,
-            slack_factor=config.slack_factor,
-            key_probability=config.key_probability,
-            seed=seed,
-        ),
-    )
-    return database, generator.generate_tasks()
+    database, tasks, _transactions = build_seeded_workload(config, seed)
+    return database, tasks
 
 
 def run_once(

@@ -33,18 +33,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster import protocol
 from ..cluster.master import (
-    COMPLETED,
     DISPATCHED,
     PENDING,
     ClusterMaster,
-    ClusterTimeoutError,
+    Domain,
     LiveTaskRecord,
 )
-from ..cluster.network import CONNECT, DISCONNECT, MESSAGE, NetworkEvent
 from ..core.task import Task
 from ..observability import Instrumentation
 from ..runtime.report import RunReport
@@ -62,20 +60,32 @@ class ServiceTaskRecord(LiveTaskRecord):
 
     client_conn: int = -1
     request_id: int = -1
-    template_id: int = -1
     result_sent: bool = False
 
 
 class ServiceMaster(ClusterMaster):
     """Accepts submission streams, schedules them, answers every one."""
 
+    backend = "service"
+
+    HANDLERS = {**ClusterMaster.HANDLERS, protocol.SUBMIT: "_on_submit"}
+
     def __init__(
         self,
         service: ServiceConfig,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
+        # The rebuilt workload is the template universe, not a closed
+        # batch: the master starts with nothing staged and mints a record
+        # per submission.
+        fleet = Domain.whole(service.cluster.experiment)
+        super().__init__(
+            service.cluster,
+            replace(fleet, tasks=()),
+            instrumentation=instrumentation,
+        )
         self.service = service
-        super().__init__(service.cluster, instrumentation=instrumentation)
+        self.templates: Dict[int, Task] = {t.task_id: t for t in fleet.tasks}
         self.policy = build_policy(service.admission_policy)
         templates = self.templates.values()
         costs = [t.processing_time for t in templates]
@@ -83,15 +93,15 @@ class ServiceMaster(ClusterMaster):
         self.mean_template_cost = sum(costs) / len(costs)
         mean_laxity = sum(laxities) / len(laxities)
         self.capacity_units = service.max_backlog_units or (
-            self.config.num_workers * mean_laxity
+            self.expected_workers * mean_laxity
         )
         self._next_task_id = max(self.templates) + 1
         # Submission accounting (aggregate; records prune on RESULT).
         self.submitted = 0
         self.accepted = 0
         self.rejected = 0
-        self._terminal = {"completed": 0, "hits": 0, "expired": 0, SHED: 0, SURRENDERED: 0}
-        self._max_finished_v = 0.0
+        self.shed = 0
+        self.surrendered = 0
         # Client connections currently open (conn_id -> submissions seen).
         self._clients: Dict[int, int] = {}
         self._had_client = False
@@ -104,19 +114,6 @@ class ServiceMaster(ClusterMaster):
         self._draining = False
         self._drain_reason = ""
         self._drain_deadline_wall = 0.0
-
-    # ----- workload installation (templates, not staged arrivals) -----------
-
-    def _install_workload(self, tasks: Sequence[Task]) -> None:
-        """Keep the rebuilt workload as the template universe."""
-        self.templates: Dict[int, Task] = {t.task_id: t for t in tasks}
-        self.records = {}
-
-    def _template_id(self, task_id: int) -> int:
-        record = self.records.get(task_id)
-        if isinstance(record, ServiceTaskRecord):
-            return record.template_id
-        return -1
 
     # ----- stop / drain ------------------------------------------------------
 
@@ -183,6 +180,7 @@ class ServiceMaster(ClusterMaster):
             if record.status == DISPATCHED:
                 self.driver.revoke(record.task.task_id)
             record.status = SURRENDERED
+            self.surrendered += 1
             if self.obs.enabled:
                 self.obs.emit(
                     "task",
@@ -203,56 +201,51 @@ class ServiceMaster(ClusterMaster):
         for _ in range(3):
             self.hub.poll(0.02)
 
-    # ----- main loop ---------------------------------------------------------
+    # ----- lifecycle plug-ins ------------------------------------------------
 
-    def _loop(self) -> None:
-        config = self.config
-        self._replay_pre_start()
-        while True:
-            for event in self.hub.poll(config.poll_interval):
-                self._handle_event(event)
-            now_wall = time.monotonic()
-            for worker_id in self.monitor.expired(now_wall):
-                self._worker_lost(worker_id, reason="missed heartbeats")
-            if now_wall - self._start_wall > config.max_wall_seconds:
-                raise ClusterTimeoutError(
-                    f"service run exceeded {config.max_wall_seconds}s; "
-                    "aborting and shutting the cluster down"
-                )
-            if not self._draining:
-                reason = self._stop_due(now_wall)
-                if reason:
-                    self._begin_drain(reason, now_wall)
-            self._schedule_ready_work()
-            if self._draining and (
-                self._finished() or time.monotonic() >= self._drain_deadline_wall
-            ):
-                self._surrender_unfinished()
-                return
-
-    def _replay_pre_start(self) -> None:
-        """Admit SUBMITs that raced the startup barrier, in arrival order."""
+    def start_clock(self, t0: Optional[float] = None) -> None:
+        """Start virtual time, then admit the SUBMITs that raced the
+        startup barrier, in arrival order."""
+        super().start_clock(t0)
         queued, self._pre_start = self._pre_start, []
         for conn_id, message in queued:
-            self._admit_submission(conn_id, message)
+            self._handle_frame(conn_id, message)
 
-    def _handle_event(self, event: NetworkEvent) -> None:
-        if event.kind == CONNECT:
-            # Tentatively a client; a worker's HELLO reclassifies it.
-            self._clients.setdefault(event.conn_id, 0)
+    def _before_phase(self, now_wall: float) -> None:
+        if not self._draining:
+            reason = self._stop_due(now_wall)
+            if reason:
+                self._begin_drain(reason, now_wall)
+
+    def _finished(self) -> bool:
+        """A service never runs out of workload: it is done once a drain
+        emptied the queues, or its grace ran out."""
+        return self._draining and (
+            super()._finished()
+            or time.monotonic() >= self._drain_deadline_wall
+        )
+
+    def shutdown(self) -> None:
+        """Answer every client a drain left waiting, then stop the fleet."""
+        if self._draining and not self.hub.closed:
+            self._surrender_unfinished()
+        super().shutdown()
+
+    # ----- connections: clients next to workers ------------------------------
+
+    def _on_connect(self, conn_id: int) -> None:
+        # Tentatively a client; a worker's HELLO reclassifies it.
+        self._clients.setdefault(conn_id, 0)
+
+    def _register_worker(self, conn_id: int, message: Dict) -> None:
+        self._clients.pop(conn_id, None)
+        super()._register_worker(conn_id, message)
+
+    def _on_disconnect(self, conn_id: int) -> None:
+        if self._clients.pop(conn_id, None) is not None:
+            self.obs.logger.info("client disconnected", conn=conn_id)
             return
-        if event.kind == MESSAGE:
-            kind = event.message.get("type")
-            if kind == protocol.SUBMIT:
-                self._on_submit(event.conn_id, event.message)
-                return
-            if kind == protocol.HELLO:
-                self._clients.pop(event.conn_id, None)
-        if event.kind == DISCONNECT and event.conn_id in self._clients:
-            self._clients.pop(event.conn_id, None)
-            self.obs.logger.info("client disconnected", conn=event.conn_id)
-            return
-        super()._handle_event(event)
+        super()._on_disconnect(conn_id)
 
     # ----- admission ---------------------------------------------------------
 
@@ -260,22 +253,21 @@ class ServiceMaster(ClusterMaster):
         if self._t0 is None:
             self._pre_start.append((conn_id, message))
             return
-        self._admit_submission(conn_id, message)
-
-    def _admit_submission(self, conn_id: int, message: Dict) -> None:
+        # Fields first: a malformed SUBMIT must fail before it is counted.
+        request_id = int(message["request_id"])
+        template_id = int(message["template_id"])
+        relative = float(message.get("relative_deadline") or 0.0)
         self._clients[conn_id] = self._clients.get(conn_id, 0) + 1
         self._had_client = True
         self.submitted += 1
-        request_id = int(message["request_id"])
         if self._draining:
             self._reject(conn_id, request_id, "draining")
             return
-        template = self.templates.get(int(message["template_id"]))
+        template = self.templates.get(template_id)
         if template is None:
             self._reject(conn_id, request_id, "unknown-template")
             return
         now_v = self.vnow()
-        relative = float(message.get("relative_deadline") or 0.0)
         if relative <= 0.0:
             relative = template.deadline - template.arrival_time
         task_id = self._next_task_id
@@ -367,6 +359,7 @@ class ServiceMaster(ClusterMaster):
             return
         self.driver.withdraw([task_id])
         record.status = SHED
+        self.shed += 1
         if self.obs.enabled:
             self.obs.metrics.counter("service_shed").inc()
             self.obs.emit(
@@ -399,9 +392,9 @@ class ServiceMaster(ClusterMaster):
         """Send the one terminal RESULT for ``record`` and prune it.
 
         Pruning is what bounds master memory over an unbounded run; the
-        aggregate ``_terminal`` counters keep the history the report
-        needs.  A dead client connection just drops the frame — the
-        record still settles.
+        master's aggregate counters keep the history the report needs.
+        A dead client connection just drops the frame — the record still
+        settles.
         """
         if record.result_sent:
             return
@@ -418,82 +411,32 @@ class ServiceMaster(ClusterMaster):
                 finished,
             ),
         )
-        self._terminal[status] += 1
-        if status == "completed":
-            if met:
-                self._terminal["hits"] += 1
-            self._max_finished_v = max(self._max_finished_v, finished)
         self.records.pop(record.task.task_id, None)
 
-    def _on_task_done(self, message: Dict) -> None:
-        super()._on_task_done(message)
-        record = self.records.get(int(message["task_id"]))
-        if (
-            isinstance(record, ServiceTaskRecord)
-            and record.status == COMPLETED
-        ):
-            self._send_result(
-                record, "completed", record.finished_at or self.vnow()
-            )
-
-    def on_task_expired(self, task: Task, now: float) -> None:
-        super().on_task_expired(task, now)
-        record = self.records.get(task.task_id)
-        if isinstance(record, ServiceTaskRecord):
-            self._send_result(record, "expired", now)
+    def _task_settled(self, record: ServiceTaskRecord, now_v: float) -> None:
+        self._send_result(record, record.status, now_v)
 
     # ----- report ------------------------------------------------------------
 
-    def _build_report(self) -> RunReport:
-        terminal = self._terminal
-        completed = terminal["completed"]
-        hits = terminal["hits"]
-        failed = self.rejected + terminal[SHED] + terminal[SURRENDERED]
-        makespan = self._max_finished_v or self.vnow()
-        wall = (
-            time.monotonic() - self._start_wall
-            if self._start_wall is not None
-            else 0.0
+    def report(self) -> RunReport:
+        """The master's report, judged against *offered* load.
+
+        Every submission counts in ``total_tasks``, so shedding is paid
+        for in ``hit_ratio``; rejected, shed and surrendered work is
+        ``failed``.
+        """
+        report = super().report()
+        report.total_tasks = self.submitted
+        report.failed = self.rejected + self.shed + self.surrendered
+        report.extras.update(
+            policy=self.policy.name,
+            submitted=self.submitted,
+            accepted=self.accepted,
+            rejected=self.rejected,
+            shed=self.shed,
+            surrendered=self.surrendered,
+            capacity_units=self.capacity_units,
+            distinct_workers=len(self.workers),
+            drain_reason=self._drain_reason,
         )
-        if self.obs.enabled:
-            self.obs.emit(
-                "run_end",
-                workers=self.config.num_workers,
-                tasks=self.submitted,
-                deadline_hits=hits,
-                phases=len(self.driver.phases),
-                makespan=float(makespan),
-            )
-        return RunReport(
-            backend="service",
-            scheduler_name=self.scheduler.name,
-            num_workers=self.config.num_workers,
-            seed=self.config.experiment.base_seed,
-            # Compliance is judged against *offered* load: every
-            # submission counts, so shedding is paid for in hit_ratio.
-            total_tasks=self.submitted,
-            guaranteed=self.driver.guaranteed_count,
-            completed=completed,
-            deadline_hits=hits,
-            completed_late=completed - hits,
-            expired=terminal["expired"],
-            failed=failed,
-            guaranteed_violations=self.guaranteed_violations,
-            reschedules=self.driver.reschedules,
-            workers_lost=self.driver.workers_lost,
-            makespan=float(makespan),
-            wall_seconds=wall,
-            phases=self.driver.phases,
-            extras={
-                "port": self.port,
-                "policy": self.policy.name,
-                "submitted": self.submitted,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "shed": terminal[SHED],
-                "surrendered": terminal[SURRENDERED],
-                "capacity_units": self.capacity_units,
-                "distinct_workers": len(self.workers),
-                "drain_reason": self._drain_reason,
-            },
-        )
+        return report

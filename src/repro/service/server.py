@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import signal
 import threading
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from ..cluster.launcher import reap_workers, spawn_worker
+from ..cluster.launcher import WorkerFleet
 from ..observability import Instrumentation, get_instrumentation
 from ..runtime.report import RunReport
 from .config import JoinPlan, ServiceConfig
@@ -50,25 +50,15 @@ def run_service(
     obs = instrumentation or get_instrumentation()
     master = ServiceMaster(service, instrumentation=obs)
     cluster = service.cluster
-    worker_config = cluster.with_port(master.port)
-    if obs.enabled and not worker_config.telemetry:
-        # Same reasoning as launch_cluster: spawned workers cannot inherit
-        # the sink, so the config flag makes them ship events on the wire.
-        worker_config = worker_config.with_telemetry(True)
-    workers: List = []
-    workers_lock = threading.Lock()
-    stopping = threading.Event()
+    fleet = WorkerFleet(cluster, obs)
 
     def _join_fleet(plan: JoinPlan) -> None:
-        if stopping.is_set():
-            return
-        with workers_lock:
-            workers.append(spawn_worker(worker_config, plan.worker_index))
-        obs.logger.info(
-            "elastic worker spawned",
-            worker=plan.worker_index,
-            after=plan.after_seconds,
-        )
+        if fleet.spawn(plan.worker_index, master.port):
+            obs.logger.info(
+                "elastic worker spawned",
+                worker=plan.worker_index,
+                after=plan.after_seconds,
+            )
 
     timers = [
         threading.Timer(plan.after_seconds, _join_fleet, args=(plan,))
@@ -77,9 +67,8 @@ def run_service(
     restored = _install_handlers(master, obs) if install_signal_handlers else []
     load_thread: Optional[threading.Thread] = None
     try:
-        with workers_lock:
-            for index in range(cluster.num_workers):
-                workers.append(spawn_worker(worker_config, index))
+        for index in range(cluster.num_workers):
+            fleet.spawn(index, master.port)
         for timer in timers:
             timer.daemon = True
             timer.start()
@@ -93,7 +82,6 @@ def run_service(
             load_thread.start()
         report = master.run()
     finally:
-        stopping.set()
         for timer in timers:
             timer.cancel()
         master.close()
@@ -103,8 +91,7 @@ def run_service(
             load_thread.join(timeout=5.0)
         for handler_signal, previous in restored:
             signal.signal(handler_signal, previous)
-        with workers_lock:
-            reap_workers(workers, obs)
+        fleet.reap()
     return report
 
 

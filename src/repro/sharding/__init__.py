@@ -15,9 +15,11 @@ Two compositions exist over the same core:
 * :class:`~repro.simulator.runtime.DistributedRuntime` — ``k`` domain
   hosts on one virtual clock (the simulator's only runtime; ``k = 1`` is
   the paper's single master);
-* :func:`~repro.sharding.cluster.launch_sharded_cluster` — ``k`` real
-  :class:`~repro.cluster.master.ClusterMaster` processes exchanging
-  protocol-v4 ``MIGRATE_OFFER/ACCEPT/DECLINE`` frames over TCP.
+* :func:`~repro.cluster.launcher.launch_cluster` — ``k`` in-process
+  :class:`~repro.cluster.master.ClusterMaster`s (``k = 1`` likewise the
+  paper's single master) stepped by one coordinator thread, exchanging
+  protocol-v4 ``MIGRATE_OFFER/ACCEPT/DECLINE`` frames over TCP through
+  :class:`~repro.sharding.cluster.MigrationBroker`.
 
 Both merge their per-domain outcomes into one
 :class:`~repro.runtime.report.RunReport` whose ``migration`` section

@@ -96,7 +96,7 @@ class DomainHost(PhaseHooks):
             range(assignment.num_workers)
         )
         #: Domain label on this host's trace events (none on a lone host).
-        self.tag = {"domain": domain_id} if assignment.num_domains > 1 else {}
+        self.tag = {"domain": domain_id} if assignment.sharded else {}
         self.busy = False
         self.wake_pending = False
         self.open_phase: Optional[OpenPhase] = None
@@ -463,19 +463,14 @@ class DistributedRuntime:
         start_wall = time.monotonic()
         obs = self.obs
         assignment = self.assignment
-        domains = assignment.num_domains
-        sharded = domains > 1
+        sharded = assignment.sharded
         if obs.enabled:
             # A lone host's trace carries no domain fields (cf. DomainHost.tag).
             obs.emit(
                 "run_start",
                 workers=assignment.num_workers,
                 tasks=len(self.workload),
-                **(
-                    {"domains": domains, "partition_policy": assignment.policy}
-                    if sharded
-                    else {}
-                ),
+                **assignment.header_fields(partition_policy=assignment.policy),
             )
         for task in self.workload:
             self.trace.add_task(task)
@@ -535,11 +530,7 @@ class DistributedRuntime:
                 phases=len(trace.phases),
                 makespan=self.engine.now,
                 events_dispatched=self.engine.events_dispatched,
-                **(
-                    {"domains": domains, "migrations": self.stats.accepted}
-                    if sharded
-                    else {}
-                ),
+                **assignment.header_fields(migrations=self.stats.accepted),
             )
             obs.metrics.counter("runtime_runs").inc()
             obs.metrics.counter(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.task import Task, TaskSet
-from ..database.database import DistributedDatabase
+from ..database.database import DatabaseConfig, DistributedDatabase
 from ..database.transaction import Transaction, UpdateTransaction
 from .arrivals import ArrivalProcess, BurstyArrival
 from .deadlines import DeadlinePolicy, ProportionalDeadline
@@ -149,3 +149,38 @@ class TransactionWorkloadGenerator:
         """Just the scheduler-facing tasks."""
         tasks, _ = self.generate()
         return tasks
+
+
+def build_seeded_workload(
+    experiment, seed: int
+) -> Tuple[DistributedDatabase, TaskSet, List[Transaction]]:
+    """Database, scheduler tasks and raw transactions of one seeded run.
+
+    A pure function of ``(experiment, seed)`` — ``experiment`` is anything
+    with an :class:`~repro.experiments.config.ExperimentConfig`'s database
+    and workload fields.  The simulator, the live master and every live
+    worker rebuild byte-identical state from it independently, so live and
+    simulated runs of one config see the same workload.
+    """
+    database = DistributedDatabase.build(
+        config=DatabaseConfig(
+            num_subdatabases=experiment.num_subdatabases,
+            records_per_subdb=experiment.records_per_subdb,
+            num_attributes=experiment.num_attributes,
+            domain_size=experiment.domain_size,
+        ),
+        num_processors=experiment.num_processors,
+        replication_rate=experiment.replication_rate,
+        rng=random.Random(seed),
+    )
+    generator = TransactionWorkloadGenerator(
+        database=database,
+        config=TransactionWorkloadConfig(
+            num_transactions=experiment.num_transactions,
+            slack_factor=experiment.slack_factor,
+            key_probability=experiment.key_probability,
+            seed=seed,
+        ),
+    )
+    tasks, transactions = generator.generate()
+    return database, tasks, transactions

@@ -18,6 +18,7 @@ from repro.cluster import (
     FailurePlan,
     launch_cluster,
 )
+from repro.observability import Instrumentation, JsonlSink, read_jsonl
 
 
 def assert_port_released(port: int) -> None:
@@ -51,6 +52,44 @@ class TestLiveCluster:
         assert report.guarantee_ratio >= report.hit_ratio - 1e-9
         assert report.num_phases >= 1
         assert report.wall_seconds < config.max_wall_seconds
+        assert_port_released(report.port)
+
+    def test_one_domain_run_is_the_papers_machine(
+        self, tmp_path, assert_no_leaked_children
+    ):
+        """k=1 goes through the same coordinator as k>1 and must not show
+        it (the simulator's rule): no migration ledger, no domain fields
+        anywhere in the trace, and the one ``extras`` shape."""
+        config = ClusterConfig.smoke(workers=2, tasks=16, seed=7)
+        trace_path = tmp_path / "k1.jsonl"
+        sink = JsonlSink(trace_path)
+        try:
+            report = launch_cluster(
+                config, instrumentation=Instrumentation(sink=sink)
+            )
+        finally:
+            sink.close()
+
+        assert report.migration == {}
+        assert set(report.extras) == {"port", "ports", "partition"}
+        assert report.extras["ports"] == [report.port]
+        assert report.extras["partition"]["domains"] == [[0, 1]]
+        assert report.completed + report.expired == report.total_tasks == 16
+
+        events = read_jsonl(trace_path)
+        master_events = [e for e in events if e.get("component") == "master"]
+        assert master_events
+        assert not [e for e in master_events if "domain" in e]
+        (run_start,) = [e for e in events if e["event"] == "run_start"]
+        (run_end,) = [e for e in events if e["event"] == "run_end"]
+        assert run_start["component"] == run_end["component"] == "master"
+        assert (run_start["workers"], run_start["tasks"]) == (2, 16)
+        for header in (run_start, run_end):
+            assert not {"domains", "partition_policy", "migrations"} & set(
+                header
+            )
+        assert run_end["tasks"] == 16
+        assert "telemetry_dropped" in run_end
         assert_port_released(report.port)
 
     def test_deterministic_workload_across_runs(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 
 import pytest
@@ -150,6 +151,75 @@ class TestDisconnects:
         probe.close()
         with pytest.raises(ConnectionLost):
             WorkerChannel.connect("127.0.0.1", port, timeout=0.3)
+
+
+def raw_frame(payload: dict) -> bytes:
+    """A well-framed payload the sanctioned ``pack`` would refuse to build."""
+    body = json.dumps(payload).encode("utf-8")
+    return protocol.HEADER.pack(len(body)) + body
+
+
+class TestProtocolErrors:
+    """A peer that does not speak the protocol loses its connection; the
+    hub's ``poll`` — the master's scheduling loop — never raises."""
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            b"GET / HTTP/1.1\r\n\r\n",
+            protocol.HEADER.pack(protocol.MAX_FRAME_BYTES + 1) + b"x",
+            raw_frame({"v": protocol.PROTOCOL_VERSION - 1, "type": "HELLO"}),
+            raw_frame({"v": protocol.PROTOCOL_VERSION, "type": "BOGUS"}),
+        ],
+        ids=["garbage", "oversized-length", "wrong-version", "unknown-type"],
+    )
+    def test_bad_peer_is_dropped_and_others_keep_talking(self, hub, wire):
+        good = WorkerChannel.connect(hub.host, hub.port, timeout=5.0)
+        bad = socket.create_connection((hub.host, hub.port), timeout=5.0)
+        try:
+            events = poll_until(
+                hub, lambda evs: sum(e.kind == CONNECT for e in evs) == 2
+            )
+            bad_id = max(e.conn_id for e in events if e.kind == CONNECT)
+            bad.sendall(wire)
+            events = poll_until(
+                hub, lambda evs: any(e.kind == DISCONNECT for e in evs)
+            )
+            dropped = [e.conn_id for e in events if e.kind == DISCONNECT]
+            assert dropped == [bad_id]
+            assert bad_id not in hub.connection_ids()
+            # The hub closed its end: the bad peer reads EOF (or a reset).
+            try:
+                assert bad.recv(16) == b""
+            except ConnectionResetError:
+                pass
+            good.send(protocol.heartbeat(0, 1, 2))
+            events = poll_until(
+                hub, lambda evs: any(e.kind == MESSAGE for e in evs)
+            )
+            assert [e.message["type"] for e in events if e.kind == MESSAGE] == [
+                protocol.HEARTBEAT
+            ]
+        finally:
+            bad.close()
+            good.close()
+
+    def test_frames_before_the_corrupt_one_are_still_delivered(self, hub):
+        """Good frame + garbage in one ``recv``: MESSAGE, then DISCONNECT."""
+        peer = socket.create_connection((hub.host, hub.port), timeout=5.0)
+        try:
+            peer.sendall(
+                protocol.pack(protocol.heartbeat(3, 1, 2)) + b"\xff" * 32
+            )
+            events = poll_until(
+                hub, lambda evs: any(e.kind == DISCONNECT for e in evs)
+            )
+            kinds = [e.kind for e in events if e.kind != CONNECT]
+            assert kinds == [MESSAGE, DISCONNECT]
+            message = next(e.message for e in events if e.kind == MESSAGE)
+            assert message["worker_id"] == 3
+        finally:
+            peer.close()
 
 
 class TestLifecycle:

@@ -12,6 +12,7 @@ assertion after every launch.
 from __future__ import annotations
 
 import socket
+import sys
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,6 @@ from repro.observability import (
     read_jsonl,
     render_attribution,
 )
-from repro.sharding.cluster import launch_sharded_cluster
 
 
 def assert_port_released(port: int) -> None:
@@ -37,6 +37,26 @@ def assert_port_released(port: int) -> None:
         probe.bind(("127.0.0.1", port))
     finally:
         probe.close()
+
+
+def count_master_side_builds(monkeypatch) -> list:
+    """Record every in-process ``build_cluster_workload`` call (workers
+    rebuild theirs in their own processes and are not seen here)."""
+    from repro.cluster.config import build_cluster_workload as original
+
+    seeds: list = []
+
+    def counting(experiment, seed):
+        seeds.append(seed)
+        return original(experiment, seed)
+
+    # ``from x import f`` copies the reference: patch every module that did.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and (
+            getattr(module, "build_cluster_workload", None) is original
+        ):
+            monkeypatch.setattr(module, "build_cluster_workload", counting)
+    return seeds
 
 
 def _forced_migration_config() -> ClusterConfig:
@@ -59,14 +79,18 @@ def _forced_migration_config() -> ClusterConfig:
 
 class TestLiveShardedCluster:
     def test_two_domain_smoke_through_the_launcher(
-        self, assert_no_leaked_children
+        self, monkeypatch, assert_no_leaked_children
     ):
-        """launch_cluster dispatches on experiment.domains transparently."""
+        """launch_cluster partitions on experiment.domains; the workload is
+        built once on the master side however many masters share it."""
         config = ClusterConfig.smoke(workers=4, tasks=24, seed=7)
         config = replace(
             config, experiment=config.experiment.with_domains(2)
         )
+        builds = count_master_side_builds(monkeypatch)
         report = launch_cluster(config)
+
+        assert builds == [config.experiment.base_seed]
 
         assert report.backend == "cluster"
         assert report.total_tasks == 24
@@ -80,7 +104,35 @@ class TestLiveShardedCluster:
             section["offers"]
             == section["accepted"] + section["declined"] + section["timeouts"]
         )
+        # One extras shape at every k: ``port`` is domain 0's.
+        assert report.port == report.extras["ports"][0]
         for port in report.extras["ports"]:
+            assert_port_released(port)
+
+    def test_pinned_port_goes_to_domain_zero(self, assert_no_leaked_children):
+        """A pinned port (the sweep engine leases them) must not be bound
+        by every domain's master: domain 0 takes it, its peers bind
+        ephemeral ports, and every listener is gone afterwards."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        pinned = probe.getsockname()[1]
+        probe.close()
+        config = ClusterConfig.smoke(workers=4, tasks=16, seed=7)
+        config = replace(
+            config,
+            port=pinned,
+            experiment=config.experiment.with_domains(2),
+        )
+        try:
+            report = launch_cluster(config)
+        finally:
+            assert_port_released(pinned)
+
+        assert report.completed + report.expired == report.total_tasks == 16
+        ports = report.extras["ports"]
+        assert ports[0] == pinned
+        assert len(set(ports)) == 2
+        for port in ports:
             assert_port_released(port)
 
     def test_forced_migration_accounts_and_attributes(
@@ -93,7 +145,7 @@ class TestLiveShardedCluster:
         sink = JsonlSink(trace_path)
         obs = Instrumentation(sink=sink)
         try:
-            report = launch_sharded_cluster(
+            report = launch_cluster(
                 _forced_migration_config(),
                 instrumentation=obs,
                 router=lambda task: 0,

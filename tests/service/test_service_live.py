@@ -17,7 +17,8 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.cluster import ClusterConfig, reap_workers, spawn_worker
+from repro.cluster import ClusterConfig, protocol, reap_workers, spawn_worker
+from repro.cluster.network import ConnectionLost, WorkerChannel
 from repro.observability import get_instrumentation
 from repro.service import ServiceClient, ServiceConfig, ServiceMaster
 
@@ -125,6 +126,141 @@ class TestResultDiscipline:
                 assert good.accepted is True
             finally:
                 client.close()
+
+    def test_malformed_submit_costs_only_its_own_connection(
+        self, assert_no_leaked_children
+    ):
+        """A well-framed SUBMIT with missing or mistyped fields is the
+        sender's problem: its connection closes, nothing is counted, and a
+        second client keeps getting ACCEPT + exactly one RESULT each."""
+        malformed = [
+            {"type": protocol.SUBMIT},
+            {"type": protocol.SUBMIT, "request_id": "x", "template_id": 0},
+            {"type": protocol.SUBMIT, "request_id": 1, "template_id": None},
+        ]
+        with live_service(smoke_service(stop_when_idle=False)) as (
+            master, _workers, box,
+        ):
+            await_ready(master)
+            client = ServiceClient.connect("127.0.0.1", master.port)
+            frames = []
+            try:
+                templates = sorted(master.templates)[:6]
+                for template_id, payload in zip(templates, malformed * 2):
+                    vandal = WorkerChannel.connect("127.0.0.1", master.port)
+                    try:
+                        vandal.send(payload)
+                        with pytest.raises(ConnectionLost):
+                            for _ in range(200):
+                                vandal.poll(0.05)
+                    finally:
+                        vandal.close()
+                    client.submit(template_id)
+                deadline = time.monotonic() + 60.0
+                while client.unsettled() and time.monotonic() < deadline:
+                    frames.extend(client.poll(0.05))
+                outcomes = list(client.outcomes.values())
+                assert len(outcomes) == 6
+                assert all(o.accepted and o.settled for o in outcomes)
+                for outcome in outcomes:
+                    results = [
+                        f for f in frames
+                        if f["type"] == protocol.RESULT
+                        and f["request_id"] == outcome.request_id
+                    ]
+                    assert len(results) == 1
+            finally:
+                client.close()
+        report = box["report"]
+        # Malformed frames were refused before they were counted.
+        assert report.extras["submitted"] == 6
+        assert report.extras["accepted"] == 6
+        assert report.extras["rejected"] == 0
+
+    def test_stray_migrate_offer_is_ignored_by_a_lone_master(
+        self, assert_no_leaked_children
+    ):
+        """A lone master has no peers: a MIGRATE_OFFER injects no task,
+        gets no answer, and a client keeps its one RESULT per submission."""
+        with live_service(smoke_service(stop_when_idle=False)) as (
+            master, _workers, box,
+        ):
+            await_ready(master)
+            client = ServiceClient.connect("127.0.0.1", master.port)
+            peer = WorkerChannel.connect("127.0.0.1", master.port)
+            frames, replies = [], []
+            try:
+                for offer_id, template_id in enumerate(
+                    sorted(master.templates)[:6]
+                ):
+                    # A free task id (template ids are never minted) and a
+                    # deadline any worker could meet: acceptable on paper.
+                    peer.send(
+                        protocol.migrate_offer(
+                            offer_id=offer_id,
+                            origin_domain=1,
+                            task_id=template_id,
+                            arrival=0.0,
+                            processing=1.0,
+                            deadline=1e9,
+                            affinity=(0,),
+                        )
+                    )
+                    client.submit(template_id)
+                deadline = time.monotonic() + 60.0
+                while client.unsettled() and time.monotonic() < deadline:
+                    frames.extend(client.poll(0.05))
+                    replies.extend(peer.poll(0.0))
+                outcomes = list(client.outcomes.values())
+                assert len(outcomes) == 6
+                assert all(o.accepted and o.settled for o in outcomes)
+                results = [f for f in frames if f["type"] == protocol.RESULT]
+                assert sorted(f["request_id"] for f in results) == sorted(
+                    o.request_id for o in outcomes
+                )
+                assert replies == []
+            finally:
+                peer.close()
+                client.close()
+        report = box["report"]
+        assert report.total_tasks == report.extras["submitted"] == 6
+        assert report.completed + report.expired == 6
+
+    def test_task_done_without_a_cost_settles_nothing(
+        self, assert_no_leaked_children
+    ):
+        """A TASK_DONE missing ``actual_cost`` fails before any bookkeeping
+        moves: the named task still completes through its real worker and
+        its client still gets the one RESULT."""
+        with live_service(smoke_service(stop_when_idle=False)) as (
+            master, _workers, box,
+        ):
+            await_ready(master)
+            client = ServiceClient.connect("127.0.0.1", master.port)
+            try:
+                for template_id in sorted(master.templates)[:6]:
+                    outcome = client.submit(template_id)
+                    while outcome.accepted is None:
+                        client.poll(0.05)
+                    for worker_id in range(2):
+                        vandal = WorkerChannel.connect(
+                            "127.0.0.1", master.port
+                        )
+                        vandal.send(
+                            {
+                                "type": protocol.TASK_DONE,
+                                "task_id": outcome.task_id,
+                                "worker_id": worker_id,
+                            }
+                        )
+                        vandal.close()
+                assert client.drain(timeout=60.0)
+                outcomes = list(client.outcomes.values())
+                assert all(o.accepted and o.settled for o in outcomes)
+            finally:
+                client.close()
+        report = box["report"]
+        assert report.completed + report.expired == report.total_tasks == 6
 
 
 class TestGracefulDrain:

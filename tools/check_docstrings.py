@@ -33,6 +33,12 @@ DEFAULT_SCOPE = (
     "src/repro/core/search.py",
     "src/repro/core/cost.py",
     "src/repro/core/feasibility.py",
+    # The live master's public lifecycle and the coordinator that drives
+    # it (``await_workers`` / ``start_clock`` / ``step`` / ``shutdown`` /
+    # ``report``): what replaced the private hooks subclasses overrode.
+    "src/repro/cluster/master.py",
+    "src/repro/cluster/launcher.py",
+    "src/repro/sharding/cluster.py",
 )
 
 
