@@ -248,7 +248,15 @@ def exact_feasibility(
         return None
 
 
-@lru_cache(maxsize=64)
+#: Verdicts :func:`_analyze` remembers.  Its key is the whole workload as
+#: float triples (about 0.4 MB at 3000 tasks), so the cache is sized for
+#: the callers that repeat themselves — the schedulers of one figure cell
+#: asking about the same few seeds back to back — and no larger: what it
+#: retains must not grow with the length of a sweep.
+ORACLE_CACHE_ENTRIES = 4
+
+
+@lru_cache(maxsize=ORACLE_CACHE_ENTRIES)
 def _analyze(
     tasks: Tuple[Tuple[float, float, float], ...], workers: int
 ) -> SchedulabilityVerdict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .task import Task
 
@@ -37,6 +37,17 @@ class CommunicationModel(ABC):
         cost = self.cost
         return tuple(cost(task, k) for k in range(num_processors))
 
+    def cost_row_and_min(
+        self, task: Task, num_processors: int
+    ) -> Tuple[tuple, float]:
+        """``(cost_row, min(cost_row))`` — what the search asks per task.
+
+        Recomputed on every call here, because :meth:`cost` may read any
+        task field; a model whose rows depend on less may reuse them.
+        """
+        row = self.cost_row(task, num_processors)
+        return row, min(row)
+
     def execution_cost(self, task: Task, processor: int) -> float:
         """Total cost ``p_i + c_ij`` of running ``task`` on ``processor``."""
         return task.processing_time + self.cost(task, processor)
@@ -46,23 +57,49 @@ class CommunicationModel(ABC):
         return min(self.execution_cost(task, p) for p in processors)
 
 
+#: Distinct ``(affinity set, m)`` rows one model remembers before it starts
+#: over.  A simulated run has about ten; the bound is for the live master,
+#: whose one model sees a new alive-set projection after every worker loss.
+COMM_ROW_CACHE_SIZE = 4096
+
+
 class UniformCommunicationModel(CommunicationModel):
-    """The paper's wormhole-routing model: 0 if affine, else constant ``C``."""
+    """The paper's wormhole-routing model: 0 if affine, else constant ``C``.
+
+    A row depends on the task's affinity set and ``m`` only, so the model
+    keeps each distinct row (with its minimum) for as long as it lives —
+    one run on the simulator, where a model is built per ``run_once``.
+    """
 
     def __init__(self, remote_cost: float) -> None:
         if remote_cost < 0:
             raise ValueError(f"remote_cost must be non-negative, got {remote_cost}")
         self.remote_cost = remote_cost
+        self._rows: Dict[Tuple[frozenset, int], Tuple[tuple, float]] = {}
 
     def cost(self, task: Task, processor: int) -> float:
         return 0.0 if task.has_affinity(processor) else self.remote_cost
 
     def cost_row(self, task: Task, num_processors: int) -> tuple:
+        return self.cost_row_and_min(task, num_processors)[0]
+
+    def cost_row_and_min(
+        self, task: Task, num_processors: int
+    ) -> Tuple[tuple, float]:
         affinity = task.affinity
-        remote = self.remote_cost
-        return tuple(
-            0.0 if k in affinity else remote for k in range(num_processors)
-        )
+        key = (affinity, num_processors)
+        cached = self._rows.get(key)
+        if cached is None:
+            remote = self.remote_cost
+            row = tuple(
+                0.0 if k in affinity else remote
+                for k in range(num_processors)
+            )
+            cached = (row, min(row))
+            if len(self._rows) >= COMM_ROW_CACHE_SIZE:
+                self._rows.clear()
+            self._rows[key] = cached
+        return cached
 
     def __repr__(self) -> str:
         return f"UniformCommunicationModel(C={self.remote_cost})"

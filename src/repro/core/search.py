@@ -249,8 +249,9 @@ class PhaseContext:
         """
         cached = self._comm_rows[index]
         if cached is None:
-            row = self.comm.cost_row(self.tasks[index], self.num_processors)
-            cached = (row, min(row))
+            cached = self.comm.cost_row_and_min(
+                self.tasks[index], self.num_processors
+            )
             self._comm_rows[index] = cached
         return cached
 

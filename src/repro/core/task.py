@@ -107,17 +107,10 @@ class TaskSet:
     """
 
     def __init__(self, tasks: Iterable[Task] = ()) -> None:
-        self._tasks: list[Task] = list(tasks)
-        self._validate()
-
-    def _validate(self) -> None:
-        seen: set[int] = set()
-        for task in self._tasks:
-            if task.task_id in seen:
-                raise TaskValidationError(
-                    f"duplicate task_id {task.task_id} in task set"
-                )
-            seen.add(task.task_id)
+        self._tasks: list[Task] = []
+        self._ids: set[int] = set()
+        for task in tasks:
+            self.add(task)
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -129,14 +122,16 @@ class TaskSet:
         return self._tasks[index]
 
     def __contains__(self, task: Task) -> bool:
-        return task in self._tasks
+        """Whether the set holds a task with ``task``'s id (ids are unique)."""
+        return task.task_id in self._ids
 
     def add(self, task: Task) -> None:
         """Append a task, enforcing task-id uniqueness."""
-        if any(existing.task_id == task.task_id for existing in self._tasks):
+        if task.task_id in self._ids:
             raise TaskValidationError(
                 f"duplicate task_id {task.task_id} in task set"
             )
+        self._ids.add(task.task_id)
         self._tasks.append(task)
 
     def by_arrival(self) -> list[Task]:

@@ -41,6 +41,7 @@ from .runner import (
     build_workload,
     run_cell,
     run_once,
+    workload_tasks,
 )
 from .sweep import (
     CellRecord,
@@ -90,4 +91,5 @@ __all__ = [
     "run_cell",
     "run_once",
     "shard_curve",
+    "workload_tasks",
 ]

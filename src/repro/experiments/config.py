@@ -24,6 +24,23 @@ from ..workload.arrivals import ARRIVAL_NAMES
 #: invalidate cached results — ``--jobs 4`` reuses cells computed serially.
 EXECUTION_FIELDS = ("jobs", "cache_dir", "resume")
 
+#: The fields :func:`repro.workload.transactions.build_seeded_workload`
+#: reads: with the seed, the whole identity of a generated workload.
+#: ``domains``, ``partition_policy``, ``scheduler`` and ``backend`` are
+#: absent because they never reach the generator (tested against an
+#: attribute-recording proxy in ``tests/experiments/test_workload_memo.py``).
+WORKLOAD_FIELDS = (
+    "num_subdatabases",
+    "records_per_subdb",
+    "num_attributes",
+    "domain_size",
+    "num_processors",
+    "replication_rate",
+    "num_transactions",
+    "slack_factor",
+    "key_probability",
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -292,6 +309,15 @@ class ExperimentConfig:
         parallel engine never generates seeds, it only distributes these.
         """
         return [self.base_seed + run for run in range(self.runs)]
+
+    def workload_key(self) -> Tuple[object, ...]:
+        """The :data:`WORKLOAD_FIELDS` values: which workload a seed yields.
+
+        Two configs with equal keys generate byte-identical workloads from
+        the same seed, whatever scheduler, backend or domain count they
+        run them on.
+        """
+        return tuple(getattr(self, name) for name in WORKLOAD_FIELDS)
 
     def cache_fields(self) -> Dict[str, object]:
         """Every field that determines a run's outcome, as plain types.

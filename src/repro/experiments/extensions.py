@@ -45,7 +45,7 @@ from ..workload.transactions import (
 )
 from .config import OFFERED_LOAD_SWEEP, ExperimentConfig
 from .figures import DISPLAY_NAMES, AblationResult, SweepResult
-from .runner import build_scheduler, build_workload
+from .runner import build_scheduler, workload_tasks
 
 
 def _build_database_workload(config: ExperimentConfig, seed: int,
@@ -321,7 +321,7 @@ def ablation_interconnect(
         for name in scheduler_names:
             hits = []
             for seed in config.seeds():
-                _, tasks = build_workload(config, seed)
+                tasks = workload_tasks(config, seed)
                 scheduler = build_scheduler(name, config, comm)
                 result = simulate(
                     scheduler, tasks, num_workers=config.num_processors

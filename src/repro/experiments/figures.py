@@ -44,7 +44,7 @@ from .config import (
     SLACK_FACTOR_SWEEP,
     ExperimentConfig,
 )
-from .runner import CellResult, build_workload, run_cell
+from .runner import CellResult, run_cell, workload_tasks
 from .sweep import run_grid
 
 #: Display names used in figures, matching the paper's legends.
@@ -400,7 +400,7 @@ def _measure_wall_clock_vertex_cost(
     config: ExperimentConfig, budget_seconds: float = 0.05
 ) -> float:
     """Seconds per vertex when a real phase runs under a wall-clock budget."""
-    _, tasks = build_workload(config, config.base_seed)
+    tasks = workload_tasks(config, config.base_seed)
     comm = UniformCommunicationModel(config.remote_cost)
     ordered = sorted(tasks, key=lambda t: (t.deadline, t.task_id))
     ctx = PhaseContext(
@@ -568,7 +568,7 @@ def ablation_memory(
     for bound in cl_bounds:
         hits = []
         for seed in config.seeds():
-            _, tasks = build_workload(config, seed)
+            tasks = workload_tasks(config, seed)
             comm = UniformCommunicationModel(config.remote_cost)
             scheduler = build_scheduler(scheduler_name, config, comm)
             scheduler.max_candidates = bound

@@ -15,8 +15,10 @@ cluster and comes back as the same
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..analysis.schedulability import (
     analyze_tasks,
@@ -28,6 +30,7 @@ from ..core.cost import VertexEvaluator
 from ..core.quantum import QuantumPolicy
 from ..core.registry import SCHEDULER_NAMES, SchedulerContext, make_scheduler
 from ..core.scheduler import Scheduler
+from ..core.task import Task
 from ..metrics.regret import summarize_regret
 from ..metrics.stats import ConfidenceInterval, confidence_interval, mean
 from ..observability import get_instrumentation
@@ -65,6 +68,65 @@ def build_workload(config: ExperimentConfig, seed: int):
     """Database + tasks for one repetition; returns (database, task set)."""
     database, tasks, _transactions = build_seeded_workload(config, seed)
     return database, tasks
+
+
+#: Tasks the process-wide workload memo may retain; the latest workload is
+#: kept whatever its size.  Large enough for the repetitions of one
+#: quick-scale figure cell, or two paper-scale workloads, to stay resident
+#: while the other scheduler of the cell and the oracle ask for them again;
+#: small enough (about a megabyte of ``Task`` objects) that a sweep's peak
+#: memory stays that of its largest run.
+WORKLOAD_MEMO_TASKS = 2048
+
+
+class WorkloadMemo:
+    """Seeded task lists already built, least recently used first.
+
+    A generated workload is a pure function of ``(config.workload_key(),
+    seed)``: the schedulers of a figure cell, every domain count of a shard
+    curve and the schedulability oracle all ask for the same one.  Hits
+    return the same immutable tuple of (frozen) tasks, never the database.
+    One lock covers lookup, build and eviction, so threads sharing a
+    backend build each workload once.
+    """
+
+    def __init__(self, max_tasks: int = WORKLOAD_MEMO_TASKS) -> None:
+        self.max_tasks = max_tasks
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[tuple, Tuple[Task, ...]]" = OrderedDict()
+
+    def tasks(self, config: ExperimentConfig, seed: int) -> Tuple[Task, ...]:
+        """The tasks of ``(config, seed)``, built on the first request."""
+        key = (config.workload_key(), seed)
+        with self._lock:
+            tasks = self._entries.get(key)
+            if tasks is not None:
+                self._entries.move_to_end(key)
+                return tasks
+            _, built = build_workload(config, seed)
+            tasks = self._entries[key] = tuple(built)
+            retained = self.retained_tasks()
+            while retained > self.max_tasks and len(self._entries) > 1:
+                _, oldest = self._entries.popitem(last=False)
+                retained -= len(oldest)
+            return tasks
+
+    def retained_tasks(self) -> int:
+        """How many tasks the memo currently keeps alive."""
+        return sum(map(len, self._entries.values()))
+
+
+_WORKLOADS = WorkloadMemo()
+
+
+def workload_tasks(config: ExperimentConfig, seed: int) -> Tuple[Task, ...]:
+    """Tasks of one seeded repetition, built once per process.
+
+    The front door of :func:`build_workload` for everything that only
+    schedules or analyses the tasks: a miss builds the workload there, a
+    hit costs a dictionary lookup (see :class:`WorkloadMemo`).
+    """
+    return _WORKLOADS.tasks(config, seed)
 
 
 def run_once(
@@ -108,18 +170,20 @@ def _regret_for(
 ) -> dict:
     """Oracle verdict + regret for one finished run.
 
-    The oracle rebuilds the run's workload offline — possible whenever
-    the backend derives its task set deterministically from ``(config,
-    seed)``.  Backends that mint tasks at request time (the streaming
-    service) get an explicit ``unknown`` placeholder instead, keeping the
-    exported schema identical everywhere.
+    The oracle analyses the run's workload offline — the very task list a
+    simulated run used (:func:`workload_tasks`), and an exact rebuild
+    whenever the backend derives its task set deterministically from
+    ``(config, seed)``.  Backends that mint tasks at request time (the
+    streaming service) get an explicit ``unknown`` placeholder instead,
+    keeping the exported schema identical everywhere.
     """
     if report.backend not in _ORACLE_BACKENDS:
         return unknown_regret_section(
             report.total_tasks, report.num_workers
         )
-    _, tasks = build_workload(config, seed)
-    verdict = analyze_tasks(tasks, config.num_processors)
+    verdict = analyze_tasks(
+        workload_tasks(config, seed), config.num_processors
+    )
     return regret_section(verdict, report.deadline_hits)
 
 

@@ -251,24 +251,27 @@ class PhaseDriver:
     def deliver_phase(self, opened: OpenPhase, now: float) -> PhaseTrace:
         """Deliver an open phase's schedule through the backend.
 
-        Scheduled tasks leave the batch before delivery; entries the
-        backend declines return to pending (not to the just-advanced
-        batch), exactly like fresh arrivals — they re-enter at the next
-        phase start and run back through the feasibility test.
+        Scheduled tasks leave the batch before delivery; the tasks of
+        entries the backend declines return to pending (not to the
+        just-advanced batch) as they were admitted, exactly like fresh
+        arrivals — they re-enter at the next phase start and run back
+        through transform_batch and the feasibility test.
         """
         result = opened.result
         self._open = None
-        scheduled_ids = result.schedule.task_ids()
-        if scheduled_ids:
-            self.batch.remove_scheduled(scheduled_ids)
+        # What the batch held, entry by entry: ``entry.task`` may be the
+        # hooks' transform_batch copy, whose affinity is in slot space.
+        originals = self.batch.remove_scheduled(
+            entry.task.task_id for entry in result.schedule
+        )
         self.batch.advance_phase()
         delivered = 0
-        for entry in result.schedule:
+        for entry, original in zip(result.schedule, originals):
             if self.hooks.deliver_entry(entry, opened.index, now):
-                self._guaranteed_ids.add(entry.task.task_id)
+                self._guaranteed_ids.add(original.task_id)
                 delivered += 1
             else:
-                self._pending.append(entry.task)
+                self._pending.append(original)
         trace = PhaseTrace(
             index=opened.index,
             start=result.phase_start,

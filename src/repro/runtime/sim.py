@@ -41,24 +41,27 @@ class SimBackend(ExecutionBackend):
     ) -> RunReport:
         """Simulate one repetition on the virtual clock.
 
-        Builds the workload from ``seed``, runs the discrete-event loop,
-        and returns its :class:`RunReport`; every time in the report is
-        virtual quanta except ``wall_seconds``, which is the simulation's
-        real CPU time.  Deterministic per ``(config, seed)`` and stateless,
+        Takes the workload of ``seed`` from the process-wide memo
+        (:func:`repro.experiments.runner.workload_tasks`), runs the
+        discrete-event loop, and returns its :class:`RunReport`; every time
+        in the report is virtual quanta except ``wall_seconds``, which is
+        the simulation's real CPU time.  Deterministic per ``(config,
+        seed)``.  The backend itself holds no state and the memo is locked,
         so one ``SimBackend`` may be shared by any number of threads or
-        sweep worker processes.
+        sweep worker processes; everything else a run builds (communication
+        model, schedulers, runtime) is its own and dies with it.
         """
         # Imported here, not at module level: the experiment builders
         # import the backend registry, so the arrow must point one way at
         # import time.
         from ..core.affinity import UniformCommunicationModel
         from ..core.domains import partition_workers
-        from ..experiments.runner import build_scheduler, build_workload
+        from ..experiments.runner import build_scheduler, workload_tasks
         from ..sharding.migration import MigrationStats
         from ..simulator.runtime import DistributedRuntime, simulate
 
         comm = UniformCommunicationModel(remote_cost=config.remote_cost)
-        _, tasks = build_workload(config, seed)
+        tasks = workload_tasks(config, seed)
         obs = (
             instrumentation
             if instrumentation is not None

@@ -63,6 +63,14 @@ class SimulationEngine:
             )
         self._handlers[event_type] = handler
 
+    def unsubscribe_all(self) -> None:
+        """Forget every dispatch handler: the owner is done with the engine.
+
+        Handlers are usually bound methods of whatever owns the engine, so
+        until they are dropped owner and engine keep each other alive.
+        """
+        self._handlers.clear()
+
     def add_observer(self, observer: Any) -> None:
         """Attach a passive observer (see :class:`SimulationObserver`).
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import time
+import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.affinity import CommunicationModel, project_tasks
@@ -63,38 +64,65 @@ from .trace import (
     SimulationTrace,
 )
 
+#: ``DomainHost._projections`` miss: no task is ``None``.
+_UNPROJECTED = (None, None)
+
 #: Safety cap on dispatched events; generously above any legitimate run
 #: (a 1000-task burst dispatches a few thousand events).
 DEFAULT_MAX_EVENTS = 5_000_000
+
+
+def _task_event(
+    obs: Instrumentation, transition: str, task_id: int, t: float,
+    **extra: object,
+) -> None:
+    """One task lifecycle transition (trace event + transition counter)."""
+    obs.emit("task", transition=transition, task_id=task_id, t=t, **extra)
+    obs.metrics.counter("runtime_task_transitions", transition=transition).inc()
 
 
 class DomainHost(PhaseHooks):
     """One scheduling host: its driver, its scheduler, and its workers.
 
     The host answers the driver's questions (loads, delivery, expiry
-    accounting) in virtual time, writing to the runtime's shared trace.
+    accounting) in virtual time, writing to the run's shared trace.  It
+    holds the pieces of the run it uses, never the runtime, and its driver
+    calls back through a weak proxy: a finished run is a tree, freed by
+    reference count when the caller drops it, not whenever the cycle
+    collector next runs (its trace and projections are most of what a
+    sweep allocates).
     """
 
     def __init__(
         self,
-        runtime: "DistributedRuntime",
+        assignment: DomainAssignment,
         domain_id: int,
         workers: Tuple[int, ...],
         scheduler: Scheduler,
+        trace: SimulationTrace,
+        obs: Instrumentation,
+        execution_model: Optional[ExecutionTimeModel] = None,
     ) -> None:
-        self.runtime = runtime
         self.domain_id = domain_id
         #: Global worker ids in slot order; the scheduler sees slots.
         self.workers = workers
         self.scheduler = scheduler
-        self.driver = PhaseDriver(scheduler=scheduler, hooks=self)
+        self.trace = trace
+        self.obs = obs
+        self.execution_model = execution_model
+        self.driver = PhaseDriver(
+            scheduler=scheduler, hooks=weakref.proxy(self)
+        )
         self.worker_objs = [WorkerProcessor(w) for w in workers]
-        assignment = runtime.assignment
         #: Slot ``i`` is global worker ``i``: projecting a batch onto this
         #: host would hand every task back unchanged, so it is skipped.
         self.owns_whole_machine = workers == tuple(
             range(assignment.num_workers)
         )
+        #: task id -> (task as admitted, its projection onto ``workers``).
+        #: The worker tuple is fixed for the run, so each task is projected
+        #: once, however many phases it waits in the batch.
+        self._projections: Dict[int, Tuple[Task, Task]] = {}
         #: Domain label on this host's trace events (none on a lone host).
         self.tag = {"domain": domain_id} if assignment.sharded else {}
         self.busy = False
@@ -116,13 +144,20 @@ class DomainHost(PhaseHooks):
     def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
         if self.owns_whole_machine:
             return tasks
-        return project_tasks(tasks, self.workers)
+        projections = self._projections
+        fresh = [
+            task for task in tasks
+            if projections.get(task.task_id, _UNPROJECTED)[0] is not task
+        ]
+        for task, local in zip(fresh, project_tasks(fresh, self.workers)):
+            projections[task.task_id] = (task, local)
+        return [projections[task.task_id][1] for task in tasks]
 
     def on_task_expired(self, task: Task, now: float) -> None:
-        runtime = self.runtime
-        runtime.trace.records[task.task_id].status = STATUS_EXPIRED
-        if runtime.obs.enabled:
-            runtime._task_event(
+        self.trace.records[task.task_id].status = STATUS_EXPIRED
+        if self.obs.enabled:
+            _task_event(
+                self.obs,
                 "expired",
                 task.task_id,
                 now,
@@ -138,17 +173,17 @@ class DomainHost(PhaseHooks):
             # assignment returns to the pending set and is rescheduled on
             # the survivors through the normal feasibility path.
             return False
-        runtime = self.runtime
-        record = runtime.trace.records[entry.task.task_id]
+        record = self.trace.records[entry.task.task_id]
         record.scheduled_phase = phase_index
         record.processor = worker.processor_id  # global id in the trace
         record.delivered_at = now
-        actual = resolve_actual_cost(runtime.execution_model, entry)
+        actual = resolve_actual_cost(self.execution_model, entry)
         record.planned_cost = entry.total_cost
         record.actual_cost = actual
         worker.deliver(entry, now, actual_cost=actual)
-        if runtime.obs.enabled:
-            runtime._task_event(
+        if self.obs.enabled:
+            _task_event(
+                self.obs,
                 "delivered",
                 entry.task.task_id,
                 now,
@@ -217,7 +252,10 @@ class DistributedRuntime:
         self.trace = SimulationTrace()
         self.stats = MigrationStats()
         self.domains: List[DomainHost] = [
-            DomainHost(self, d, assignment.workers_of(d), scheduler)
+            DomainHost(
+                assignment, d, assignment.workers_of(d), scheduler,
+                self.trace, self.obs, execution_model,
+            )
             for d, scheduler in enumerate(schedulers)
         ]
         #: Global worker id -> (owning host, worker object).
@@ -235,17 +273,6 @@ class DistributedRuntime:
         self.engine.subscribe(TaskFinished, self._on_task_finished)
         self.engine.subscribe(ProcessorFailed, self._on_processor_failed)
 
-    # ----- instrumentation -------------------------------------------------
-
-    def _task_event(
-        self, transition: str, task_id: int, t: float, **extra: object
-    ) -> None:
-        """One task lifecycle transition (trace event + transition counter)."""
-        self.obs.emit("task", transition=transition, task_id=task_id, t=t, **extra)
-        self.obs.metrics.counter(
-            "runtime_task_transitions", transition=transition
-        ).inc()
-
     # ----- event handlers --------------------------------------------------
 
     def _on_task_arrived(self, now: float, event: TaskArrived) -> None:
@@ -261,7 +288,8 @@ class DistributedRuntime:
             # Deadline + worst-case cost ride on the arrival so a trace is
             # self-contained for the offline schedulability oracle (expired
             # tasks never reach a transition that stamps their cost).
-            self._task_event(
+            _task_event(
+                self.obs,
                 "arrived",
                 task.task_id,
                 now,
@@ -318,7 +346,8 @@ class DistributedRuntime:
             record = self.trace.records[running.task.task_id]
             record.started_at = running.started_at
             if self.obs.enabled:
-                self._task_event(
+                _task_event(
+                    self.obs,
                     "started",
                     running.task.task_id,
                     running.started_at,
@@ -346,8 +375,9 @@ class DistributedRuntime:
             # and cannot be requeued (non-preemptive, partially executed).
             host.driver.revoke(lost.task.task_id)
             if self.obs.enabled:
-                self._task_event(
-                    "failed", lost.task.task_id, now, processor=event.processor
+                _task_event(
+                    self.obs, "failed", lost.task.task_id, now,
+                    processor=event.processor,
                 )
         surrendered: List[Task] = []
         for work in survivors:
@@ -380,7 +410,8 @@ class DistributedRuntime:
         record.status = STATUS_COMPLETED
         record.finished_at = now
         if self.obs.enabled:
-            self._task_event(
+            _task_event(
+                self.obs,
                 "finished",
                 event.task_id,
                 now,
@@ -424,7 +455,9 @@ class DistributedRuntime:
             self._migration_barred.add(task.task_id)
             self.stats.record_offer(origin.domain_id)
             if self.obs.enabled:
-                self._task_event("migration_offered", task.task_id, now, **hop)
+                _task_event(
+                    self.obs, "migration_offered", task.task_id, now, **hop
+                )
             if can_guarantee(task, now, loads, target.workers, self.remote_cost):
                 self.stats.record_accept(target.domain_id)
                 migrated.append(task)
@@ -433,7 +466,7 @@ class DistributedRuntime:
                 self.stats.record_decline()
                 outcome = "migration_declined"
             if self.obs.enabled:
-                self._task_event(outcome, task.task_id, now, **hop)
+                _task_event(self.obs, outcome, task.task_id, now, **hop)
         if migrated:
             origin.driver.withdraw([task.task_id for task in migrated])
             target.driver.admit(migrated)
@@ -458,6 +491,9 @@ class DistributedRuntime:
         finally:
             for scheduler in lent:
                 scheduler.instrumentation = None
+            # The handlers are this runtime's bound methods: dropping them
+            # cuts the last cycle of a finished run (see DomainHost).
+            self.engine.unsubscribe_all()
 
     def _run(self) -> RunReport:
         start_wall = time.monotonic()

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import affinity as affinity_module
 from repro.core import (
     DistanceCommunicationModel,
     UniformCommunicationModel,
@@ -44,6 +46,65 @@ class TestUniformCommunicationModel:
     def test_zero_remote_cost_allowed(self):
         model = UniformCommunicationModel(remote_cost=0.0)
         assert model.cost(_task([1]), 0) == 0.0
+
+
+class TestCommunicationRows:
+    """``cost_row`` is ``cost`` for every processor, kept or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),  # which model
+                st.frozensets(st.integers(min_value=0, max_value=12)),
+                st.integers(min_value=1, max_value=10),  # m
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_kept_rows_equal_cost_for_any_affinity_m_and_model(self, steps):
+        """Interleaved models and widths share nothing; repeats (which
+        the small ranges make frequent) are served from the kept rows."""
+        models = [
+            UniformCommunicationModel(remote_cost=50.0),
+            UniformCommunicationModel(remote_cost=0.5),
+            DistanceCommunicationModel(per_hop_cost=3.0, num_processors=10),
+        ]
+        for which, affinity, m in steps:
+            model, task = models[which], _task(affinity)
+            expected = tuple(model.cost(task, k) for k in range(m))
+            assert model.cost_row(task, m) == expected
+            assert model.cost_row_and_min(task, m) == (expected, min(expected))
+
+    def test_a_uniform_model_keeps_one_row_per_affinity_and_width(self):
+        model = UniformCommunicationModel(remote_cost=50.0)
+        row = model.cost_row(_task([1, 3]), 4)
+        assert row == (50.0, 0.0, 50.0, 0.0)
+        # Another task, same affinity set: the same row object.
+        assert model.cost_row(_task([3, 1], p=2.0), 4) is row
+        assert model.cost_row(_task([1, 3]), 5) == row + (50.0,)
+
+    def test_a_model_reading_other_fields_is_never_served_a_kept_row(self):
+        class SizeAware(affinity_module.CommunicationModel):
+            def cost(self, task, processor):
+                return task.processing_time * processor
+
+        model = SizeAware()
+        assert model.cost_row_and_min(_task([0], p=2.0), 3) == (
+            (0.0, 2.0, 4.0), 0.0,
+        )
+        assert model.cost_row(_task([0], p=3.0), 3) == (0.0, 3.0, 6.0)
+
+    def test_kept_rows_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(affinity_module, "COMM_ROW_CACHE_SIZE", 8)
+        model = UniformCommunicationModel(remote_cost=50.0)
+        for width in range(1, 40):
+            task = _task([width % 3])
+            assert model.cost_row(task, width) == tuple(
+                model.cost(task, k) for k in range(width)
+            )
+            assert len(model._rows) <= 8
 
 
 class TestZeroCommunicationModel:

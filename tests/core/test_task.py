@@ -96,6 +96,30 @@ class TestTaskSet:
         with pytest.raises(TaskValidationError):
             task_set.add(make_task(0, processing_time=1.0, deadline=10.0))
 
+    def test_add_checks_the_id_without_scanning_the_set(self):
+        """Counts work, not time: a linear duplicate scan reads every
+        member's id on every ``add`` (n^2 / 2 reads for n adds)."""
+        reads = [0]
+
+        class CountingTask(Task):
+            def __getattribute__(self, name):
+                if name == "task_id":
+                    reads[0] += 1
+                return object.__getattribute__(self, name)
+
+        n = 300
+        task_set = TaskSet()
+        for task_id in range(n):
+            task_set.add(CountingTask(task_id, 1.0, 0.0, 10.0))
+        reads_to_build = reads[0]
+        assert reads_to_build <= 4 * n
+        assert task_set[n - 1] in task_set
+        with pytest.raises(TaskValidationError):
+            task_set.add(CountingTask(0, 1.0, 0.0, 10.0))
+        assert reads[0] - reads_to_build <= 8
+        assert len(TaskSet(task_set)) == n
+        assert reads[0] <= 8 * n
+
     def test_add_appends(self):
         task_set = TaskSet()
         task_set.add(make_task(9, processing_time=1.0, deadline=10.0))

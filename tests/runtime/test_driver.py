@@ -7,6 +7,7 @@ from typing import List
 import pytest
 
 from repro.core import RTSADS, Task, UniformCommunicationModel, make_task
+from repro.core.affinity import project_tasks
 from repro.runtime import PhaseDriver, PhaseHooks
 
 
@@ -118,6 +119,42 @@ class TestDelivery:
         assert 1 in hooks.delivered
         assert driver.guaranteed_count == 3
         assert not driver.has_backlog()
+
+    def test_declined_entry_requeues_the_task_as_admitted(self):
+        """The schedule carries transform_batch's slot-space copy; what
+        goes back to pending must be the admitted task, or the next phase
+        projects a projection (affinity {1, 5} on workers (1, 3, 5, 7)
+        came back as {0, 2}, then as the empty set)."""
+
+        class SlotSpaceHooks(RecordingHooks):
+            workers = (1, 3, 5, 7)
+
+            def __init__(self):
+                super().__init__(num_processors=4)
+                self.batches = []
+
+            def transform_batch(self, tasks, now):
+                self.batches.append(list(tasks))
+                return project_tasks(tasks, self.workers)
+
+        hooks = SlotSpaceHooks()
+        driver = PhaseDriver(
+            scheduler=RTSADS(
+                comm=UniformCommunicationModel(remote_cost=5.0),
+                per_vertex_cost=0.01,
+            ),
+            hooks=hooks,
+        )
+        task = make_task(0, 10.0, 1000.0, affinity=[1, 5])
+        hooks.declined_ids = {0}
+        driver.admit([task])
+        trace = driver.run_phase(now=0.0)
+        assert (trace.scheduled, trace.delivered) == (1, 0)
+        hooks.declined_ids = set()
+        trace = driver.run_phase(now=trace.end)
+        assert trace.delivered == 1
+        assert [batch[0] for batch in hooks.batches] == [task, task]
+        assert hooks.batches[1][0] is task
 
     def test_zero_capacity_skips_phase_and_keeps_batch(self):
         driver, hooks = make_driver()

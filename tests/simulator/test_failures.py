@@ -185,3 +185,33 @@ class TestRuntimeFailuresTwoDomains(TestRuntimeFailures):
         assert record.processor == 2
         assert record.planned_cost == pytest.approx(10.0)
         assert record.status == STATUS_COMPLETED
+
+    def test_declined_entries_are_requeued_in_their_original_form(self):
+        """A phase in flight when a worker dies has its entries declined.
+
+        Domain 1 of an 8-worker machine owns workers (1, 3, 5, 7).  It
+        searches at t=0 and delivers at the phase's end; P5 dies in
+        between, so the entries placed on it are declined at delivery.
+        Every task is affine to workers 1 and 5 only and cannot afford the
+        remote cost: requeued as the schedule's slot-space copies (affinity
+        {0, 2}) they would be projected a second time, onto nothing, and
+        expire; requeued as the originals they all run on P1.
+        """
+        assignment = partition_workers(8, self.domains)
+        assert assignment.workers_of(1) == (1, 3, 5, 7)
+        comm = UniformCommunicationModel(50.0)
+        tasks = [make_task(i, 10.0, 55.0, affinity=[1, 5]) for i in range(4)]
+        result = DistributedRuntime(
+            schedulers=[RTSADS(comm) for _ in assignment.domains],
+            assignment=assignment,
+            workload=tasks,
+            remote_cost=comm.remote_cost,
+            failures=[(1e-6, 5)],
+            router=lambda task: 1,
+        ).run()
+        first = result.phases[0]
+        assert first.delivered < first.scheduled  # the decline happened
+        for record in result.trace.records.values():
+            assert record.status == STATUS_COMPLETED
+            assert record.processor == 1
+            assert record.planned_cost == pytest.approx(10.0)

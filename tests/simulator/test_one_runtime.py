@@ -130,7 +130,10 @@ class TestIdentityProjectionIsKeyedOnWorkerOrder:
     def test_a_permuted_single_domain_still_projects(self):
         """k == 1 alone does not earn the fast path: slot order does."""
         runtime = self._runtime()
-        host = DomainHost(runtime, 0, (1, 0, 2), runtime.domains[0].scheduler)
+        host = DomainHost(
+            runtime.assignment, 0, (1, 0, 2), runtime.domains[0].scheduler,
+            runtime.trace, runtime.obs,
+        )
         tasks = self._tasks()
         projected = host.transform_batch(tasks, 0.0)
         assert projected is not tasks
@@ -148,7 +151,10 @@ class TestIdentityProjectionIsKeyedOnWorkerOrder:
             workload=[],
             remote_cost=comm.remote_cost,
         )
-        host = DomainHost(runtime, 0, (0, 1), runtime.domains[0].scheduler)
+        host = DomainHost(
+            runtime.assignment, 0, (0, 1), runtime.domains[0].scheduler,
+            runtime.trace, runtime.obs,
+        )
         task = make_task(0, 5.0, 100.0, affinity=[1, 3])
         (projected,) = host.transform_batch([task], 0.0)
         assert projected.affinity == frozenset({1})
