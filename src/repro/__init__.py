@@ -39,12 +39,7 @@ from .runtime import (
     get_backend,
     register_backend,
 )
-from .simulator import (
-    DistributedRuntime,
-    Machine,
-    MachineConfig,
-    simulate,
-)
+from .simulator import DistributedRuntime, simulate
 
 __version__ = "1.0.0"
 
@@ -54,8 +49,6 @@ __all__ = [
     "DistributedRuntime",
     "ExecutionBackend",
     "GreedyEDFScheduler",
-    "Machine",
-    "MachineConfig",
     "MyopicScheduler",
     "RTSADS",
     "RandomScheduler",

@@ -44,9 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .task import Task
 
-#: Registered partitioning policies, CLI-visible order.
-PARTITION_POLICIES = ("hash", "worst-fit", "affinity")
-
 
 @dataclass(frozen=True)
 class DomainAssignment:
@@ -165,12 +162,7 @@ def partition_workers(
             f"policy must be one of {PARTITION_POLICIES}, got {policy!r}"
         )
     task_list = list(tasks) if tasks is not None else []
-    if policy == "hash":
-        members = _hash_partition(num_workers, num_domains)
-    elif policy == "worst-fit":
-        members = _worst_fit_partition(num_workers, num_domains, task_list)
-    else:
-        members = _affinity_partition(num_workers, num_domains, task_list)
+    members = _PARTITIONERS[policy](num_workers, num_domains, task_list)
     return DomainAssignment(
         num_workers=num_workers,
         policy=policy,
@@ -178,7 +170,9 @@ def partition_workers(
     )
 
 
-def _hash_partition(num_workers: int, num_domains: int) -> List[List[int]]:
+def _hash_partition(
+    num_workers: int, num_domains: int, tasks: Sequence[Task]
+) -> List[List[int]]:
     """``worker % k``: the workload-blind baseline."""
     groups: List[List[int]] = [[] for _ in range(num_domains)]
     for worker in range(num_workers):
@@ -288,3 +282,14 @@ def _affinity_partition(
         target = min(range(num_domains), key=lambda d: (len(groups[d]), d))
         groups[target].append(worker)
     return groups
+
+
+#: policy name -> ``(num_workers, num_domains, tasks)`` partitioner.
+_PARTITIONERS = {
+    "hash": _hash_partition,
+    "worst-fit": _worst_fit_partition,
+    "affinity": _affinity_partition,
+}
+
+#: Registered partitioning policies, CLI-visible order.
+PARTITION_POLICIES = tuple(_PARTITIONERS)

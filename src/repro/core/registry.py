@@ -1,6 +1,6 @@
 """Scheduler registry: every scheduling policy the repo can run.
 
-Mirrors the :class:`~repro.runtime.backend.ExecutionBackend` registry in
+One :class:`repro.registry.Registry`, like the execution backends in
 ``runtime/backend.py``: built-in schedulers load lazily (naming
 ``"rtsads"`` must not import the zoo, and vice versa), third parties call
 :func:`register_scheduler` with a builder, and every experiment, figure,
@@ -15,31 +15,32 @@ dependency arrow stays ``experiments -> core``.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
+from ..registry import Registry
 from .affinity import CommunicationModel
 from .scheduler import DEFAULT_PER_VERTEX_COST, Scheduler
 
-#: name -> module that registers it on import.  Order is meaningful: the
-#: first five entries preserve the historical ``SCHEDULER_NAMES`` tuple
-#: (golden fixtures, docs, and CLI help all enumerate in this order).
-_BUILTIN_MODULES = {
-    "rtsads": "repro.core.rtsads",
-    "dcols": "repro.core.dcols",
-    "greedy_edf": "repro.core.baselines",
-    "myopic": "repro.core.baselines",
-    "random": "repro.core.baselines",
-    "edf": "repro.core.zoo",
-    "partitioned-edf": "repro.core.zoo",
-    "candidate-sort": "repro.core.zoo",
-}
+#: Declaration order is meaningful: the first five entries preserve the
+#: historical ``SCHEDULER_NAMES`` tuple (golden fixtures, docs, and CLI
+#: help all enumerate in this order).
+_SCHEDULERS: Registry[Callable[[SchedulerContext], Scheduler]] = Registry(
+    "scheduler",
+    {
+        "rtsads": "repro.core.rtsads",
+        "dcols": "repro.core.dcols",
+        "greedy_edf": "repro.core.baselines",
+        "myopic": "repro.core.baselines",
+        "random": "repro.core.baselines",
+        "edf": "repro.core.zoo",
+        "partitioned-edf": "repro.core.zoo",
+        "candidate-sort": "repro.core.zoo",
+    },
+)
 
 #: The schedulers every installation has (CLI choices, config validation).
-SCHEDULER_NAMES = tuple(_BUILTIN_MODULES)
-
-_REGISTRY: Dict[str, Callable[["SchedulerContext"], Scheduler]] = {}
+SCHEDULER_NAMES = _SCHEDULERS.builtin_names
 
 
 @dataclass(frozen=True)
@@ -64,33 +65,21 @@ def register_scheduler(
     name: str, builder: Callable[[SchedulerContext], Scheduler]
 ) -> None:
     """Register (or replace) a scheduler builder under ``name``."""
-    if not name:
-        raise ValueError("scheduler name must be a non-empty string")
-    _REGISTRY[name] = builder
+    _SCHEDULERS.register(name, builder)
 
 
 def get_scheduler_builder(
     name: str,
 ) -> Callable[[SchedulerContext], Scheduler]:
     """Resolve a scheduler name to its registered builder."""
-    if name not in _REGISTRY:
-        module = _BUILTIN_MODULES.get(name)
-        if module is None:
-            known = sorted(set(_REGISTRY) | set(_BUILTIN_MODULES))
-            raise ValueError(
-                f"unknown scheduler {name!r}; choose from {known}"
-            )
-        importlib.import_module(module)  # module registers itself
-    return _REGISTRY[name]
+    return _SCHEDULERS.get(name)
 
 
 def make_scheduler(name: str, context: SchedulerContext) -> Scheduler:
     """Instantiate a registered scheduler from a context."""
-    return get_scheduler_builder(name)(context)
+    return _SCHEDULERS.get(name)(context)
 
 
 def registered_names() -> tuple:
     """Every currently resolvable name: built-ins plus third-party."""
-    return tuple(
-        dict.fromkeys(list(_BUILTIN_MODULES) + sorted(_REGISTRY))
-    )
+    return _SCHEDULERS.names()

@@ -1,9 +1,11 @@
 """Experiment harness: configs, runners, sweeps, and figure reproductions.
 
 The public surface: :class:`ExperimentConfig` describes a cell,
-:func:`run_once`/:func:`run_cell` execute it, :func:`run_grid` fans whole
-grids over worker processes with per-cell result caching, and the
-``figure5``/``figure6``/... builders reproduce the paper's evaluation.
+:func:`run_once` executes one seeded repetition of it, and :func:`run_grid`
+is the one engine that runs every repetition of a grid of cells — in this
+process, or fanned over worker processes, with per-cell result caching
+(:func:`run_cell` is its one-cell call).  The ``figure5``/``figure6``/...
+builders reproduce the paper's evaluation on top of it.
 """
 
 from .config import (

@@ -35,7 +35,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from ..observability import (
     Instrumentation,
@@ -68,34 +68,46 @@ from .figures import (
     shard_curve,
 )
 
-EXPERIMENTS = (
-    "fig5",
-    "fig6",
-    "laxity",
-    "overhead",
-    "ablate-quantum",
-    "ablate-cost",
-    "ablate-representation",
-    "ablate-interconnect",
-    "ablate-memory",
-    "reclaiming",
-    "load-sweep",
-    "write-mix",
-    "failures",
+class Experiment(NamedTuple):
+    """One row of the experiment table: how to build it, where it shows."""
+
+    #: ``builder(config, **kwargs)`` -> a result object with ``.render()``.
+    builder: Callable[..., object]
+    #: Part of ``all``: a pure simulation at the shared --quick/--paper
+    #: scale, safe for any sandbox.
+    in_all: bool = True
+    #: Carries figure data that ``--export`` can write.
+    exports: bool = False
+
+
+#: Every experiment the CLI can name; parser choices, ``all``, dispatch and
+#: the ``--export`` check all read this one table.  'service-curve' runs
+#: real processes (one service lifetime per cell) and 'shard-curve' runs
+#: at its own pressure scale, so neither is part of ``all``.  ('cluster'
+#: is a parser choice too, but a command with its own flags and report —
+#: see :func:`run_cluster` — not a row here.)
+EXPERIMENTS = {
+    "fig5": Experiment(figure5, exports=True),
+    "fig6": Experiment(figure6, exports=True),
+    "laxity": Experiment(laxity_sweep, exports=True),
+    "overhead": Experiment(overhead_table),
+    "ablate-quantum": Experiment(ablation_quantum),
+    "ablate-cost": Experiment(ablation_cost),
+    "ablate-representation": Experiment(ablation_representation),
+    "ablate-interconnect": Experiment(ablation_interconnect),
+    "ablate-memory": Experiment(ablation_memory),
+    "reclaiming": Experiment(extension_reclaiming),
+    "load-sweep": Experiment(extension_load_sweep),
+    "write-mix": Experiment(extension_write_mix),
+    "failures": Experiment(extension_failures),
+    "service-curve": Experiment(service_curve, in_all=False, exports=True),
+    "shard-curve": Experiment(shard_curve, in_all=False, exports=True),
+}
+
+#: The experiments ``--export`` accepts, as its messages list them.
+EXPORTING = ", ".join(
+    name for name, experiment in EXPERIMENTS.items() if experiment.exports
 )
-
-#: Runs real processes over TCP, so it is not part of "all" (which stays a
-#: pure-simulation sweep safe for any sandbox).
-CLUSTER_COMMAND = "cluster"
-
-#: Also real processes (one service lifetime per cell) — selectable by
-#: name, excluded from "all" for the same reason as 'cluster'.
-SERVICE_CURVE_COMMAND = "service-curve"
-
-#: Pure simulation, but runs at its own pressure scale (heavier search
-#: cost than the shared --quick config), so it is a standalone command
-#: rather than part of "all".
-SHARD_CURVE_COMMAND = "shard-curve"
 
 
 def _parse_domains(spec: str) -> tuple:
@@ -120,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=EXPERIMENTS
-        + ("all", CLUSTER_COMMAND, SERVICE_CURVE_COMMAND, SHARD_CURVE_COMMAND),
+        choices=(*EXPERIMENTS, "all", "cluster"),
         help=(
             "which experiment to run; 'cluster' runs the live master/worker "
             "system over localhost TCP instead of the simulator; "
@@ -237,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "also write the figure's data as JSON to PATH "
-            "(fig5, fig6, laxity, shard-curve only; byte-stable across "
-            "--jobs/--resume)"
+            f"({EXPORTING} only; byte-stable across --jobs/--resume)"
         ),
     )
     verbosity = parser.add_mutually_exclusive_group()
@@ -333,23 +343,24 @@ def write_metrics_snapshot(
 
 
 def sweep_execution_from_args(args: argparse.Namespace) -> dict:
-    """The (jobs, cache_dir, resume) overrides the sweep flags imply.
+    """The (jobs, cache_dir) overrides the sweep flags imply.
 
     Caching policy: ``--cache-dir`` always enables it; ``--jobs N`` and
-    ``--resume`` turn it on under :data:`DEFAULT_CACHE_DIR`; ``--no-cache``
-    forces it off; and a plain serial invocation leaves it off entirely, so
-    the default CLI run touches nothing on disk.
+    ``--resume`` turn it on under :data:`DEFAULT_CACHE_DIR` (``--resume``
+    is nothing more than that: the engine consults whatever cache it is
+    given); ``--no-cache`` forces it off; and a plain serial invocation
+    leaves it off entirely, so the default CLI run touches nothing on disk.
     """
     jobs = args.jobs if args.jobs is not None else 1
     if args.no_cache:
         cache_dir = None
     elif args.cache_dir is not None:
         cache_dir = args.cache_dir
-    elif jobs > 1 or args.resume:
+    elif args.resume or jobs > 1:
         cache_dir = DEFAULT_CACHE_DIR
     else:
         cache_dir = None
-    return {"jobs": jobs, "cache_dir": cache_dir, "resume": args.resume}
+    return {"jobs": jobs, "cache_dir": cache_dir}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -383,33 +394,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         values = _parse_domains(args.domains)
         if len(values) == 1:
             overrides["domains"] = values[0]
-        elif args.experiment != SHARD_CURVE_COMMAND:
+        elif args.experiment != "shard-curve":
             raise SystemExit(
                 "--domains accepts a comma list only with shard-curve"
             )
     if getattr(args, "partition_policy", None) is not None:
         overrides["partition_policy"] = args.partition_policy
     return replace(config, **overrides) if overrides else config
-
-
-#: Experiment name -> builder returning a result object with ``.render()``.
-EXPERIMENT_BUILDERS = {
-    "fig5": figure5,
-    "fig6": figure6,
-    "laxity": laxity_sweep,
-    "overhead": overhead_table,
-    "ablate-quantum": ablation_quantum,
-    "ablate-cost": ablation_cost,
-    "ablate-representation": ablation_representation,
-    "ablate-interconnect": ablation_interconnect,
-    "ablate-memory": ablation_memory,
-    "reclaiming": extension_reclaiming,
-    "load-sweep": extension_load_sweep,
-    "write-mix": extension_write_mix,
-    "failures": extension_failures,
-    SERVICE_CURVE_COMMAND: service_curve,
-    SHARD_CURVE_COMMAND: shard_curve,
-}
 
 
 def build_experiment(name: str, config: ExperimentConfig, **kwargs):
@@ -419,15 +410,10 @@ def build_experiment(name: str, config: ExperimentConfig, **kwargs):
     its ``domains`` series).
     """
     try:
-        builder = EXPERIMENT_BUILDERS[name]
+        experiment = EXPERIMENTS[name]
     except KeyError:
         raise ValueError(f"unknown experiment {name!r}") from None
-    return builder(config, **kwargs)
-
-
-def run_experiment(name: str, config: ExperimentConfig) -> str:
-    """Run one experiment by CLI name and return its printable report."""
-    return build_experiment(name, config).render()
+    return experiment.builder(config, **kwargs)
 
 
 def _sweep_regret(result) -> dict:
@@ -480,7 +466,7 @@ def export_figure_json(path: str, name: str, result) -> None:
     else:
         raise ValueError(
             f"experiment {name!r} has no figure data to export; --export "
-            "supports fig5, fig6, laxity, shard-curve, and service-curve"
+            f"supports {EXPORTING}"
         )
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -558,25 +544,16 @@ def run_cluster(args: argparse.Namespace) -> int:
     # does, so `--seed S` reproduces one specific simulated repetition
     # on real processes.
     seed = config.seeds()[0]
-    obs = build_instrumentation(args)
+    obs = build_instrumentation(args) or Instrumentation.disabled()
     scheduler = args.scheduler or "rtsads"
-    if obs is None:
-        report = run_once(config, scheduler, seed, backend=backend)
-    else:
-        try:
-            with instrumented(obs):
-                with obs.span(
-                    "cluster_run", workers=config.num_processors
-                ):
-                    report = run_once(
-                        config, scheduler, seed, backend=backend
-                    )
-            if args.metrics_out:
-                write_metrics_snapshot(
-                    args.metrics_out, obs, [CLUSTER_COMMAND]
-                )
-        finally:
-            obs.close()
+    try:
+        with instrumented(obs):
+            with obs.span("cluster_run", workers=config.num_processors):
+                report = run_once(config, scheduler, seed, backend=backend)
+        if args.metrics_out:
+            write_metrics_snapshot(args.metrics_out, obs, ["cluster"])
+    finally:
+        obs.close()
     print(report.render())
     # A guaranteed task missing its deadline falsifies the theorem the
     # live system exists to demonstrate; make that loud in exit status.
@@ -586,7 +563,7 @@ def run_cluster(args: argparse.Namespace) -> int:
 def cluster_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro-cluster`` console script."""
     forwarded = list(sys.argv[1:] if argv is None else argv)
-    return main([CLUSTER_COMMAND, *forwarded])
+    return main(["cluster", *forwarded])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -609,37 +586,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return load_main(arglist[1:])
     parser = build_parser()
     args = parser.parse_args(arglist)
-    if args.experiment == CLUSTER_COMMAND:
+    if args.experiment == "cluster":
         return run_cluster(args)
-    if args.export and args.experiment not in (
-        "fig5", "fig6", "laxity", SERVICE_CURVE_COMMAND, SHARD_CURVE_COMMAND
-    ):
-        parser.error(
-            "--export requires fig5, fig6, laxity, shard-curve, "
-            "or service-curve"
-        )
+    if args.experiment == "all":
+        names = [name for name, row in EXPERIMENTS.items() if row.in_all]
+    else:
+        names = [args.experiment]
+    if args.export and not all(EXPERIMENTS[name].exports for name in names):
+        parser.error(f"--export requires one of: {EXPORTING}")
     extra = {}
-    if args.experiment == SHARD_CURVE_COMMAND:
+    if args.experiment == "shard-curve":
         config = shard_config_from_args(args)
         if args.domains is not None:
             extra["domains"] = _parse_domains(args.domains)
     else:
         config = config_from_args(args)
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-
-    def run_all() -> None:
-        """Run and print every selected experiment, exporting if asked."""
-        for name in names:
-            result = build_experiment(name, config, **extra)
-            print(result.render())
-            print()
-            if args.export:
-                export_figure_json(args.export, name, result)
-
-    obs = build_instrumentation(args)
-    if obs is None:
-        run_all()
-        return 0
+    # With no observability flag this is the everything-off bundle: the
+    # spans and log calls below cost a boolean check each.
+    obs = build_instrumentation(args) or Instrumentation.disabled()
     try:
         with instrumented(obs):
             for name in names:

@@ -22,7 +22,13 @@ from ..workload.arrivals import ARRIVAL_NAMES
 #: than *what* it computes.  They are excluded from
 #: :meth:`ExperimentConfig.cache_fields`, so changing them can never
 #: invalidate cached results — ``--jobs 4`` reuses cells computed serially.
-EXECUTION_FIELDS = ("jobs", "cache_dir", "resume")
+EXECUTION_FIELDS = ("jobs", "cache_dir")
+
+#: Fields that say which seeds a cell repeats and how the repetitions are
+#: summarised.  ``run_once(config, scheduler, seed)`` reads none of them
+#: (the seed is an argument), so they are no part of a run's identity:
+#: ``--runs 3`` then ``--runs 10`` recomputes seven seeds per point.
+STATISTICS_FIELDS = ("runs", "base_seed", "confidence", "significance_level")
 
 #: The fields :func:`repro.workload.transactions.build_seeded_workload`
 #: reads: with the seed, the whole identity of a generated workload.
@@ -111,9 +117,8 @@ class ExperimentConfig:
     partition_policy: str = "hash"
 
     # There is one search loop (repro.core.search.run_search), so "scalar"
-    # is the only legal value.  The field keeps its place in cache_fields()
-    # so existing sweep-cache digests stay valid, and benchmarks/e2e still
-    # passes kernel="scalar"; it goes when that benchmark is re-based.
+    # is the only legal value and no run reads it.  benchmarks/e2e still
+    # passes kernel="scalar"; the field goes when that benchmark is re-based.
     kernel: str = "scalar"
 
     # --- service mode (see src/repro/service/; ignored by sim/cluster) ---
@@ -130,14 +135,12 @@ class ExperimentConfig:
 
     # --- sweep execution (see experiments/sweep.py) ---
     # How the cell grid executes: worker processes to fan cells across
-    # (1 = serial, in-process), where cached cell results live (None =
-    # no cache), and whether a sweep is explicitly resuming an earlier,
-    # interrupted invocation.  None of these affect what is computed —
+    # (1 = every cell in this process) and where finished cells are kept
+    # and looked up (None = no cache).  Neither affects what is computed —
     # they are excluded from the cache key (EXECUTION_FIELDS) and results
-    # are byte-identical for every (jobs, cache_dir, resume) combination.
+    # are byte-identical for every (jobs, cache_dir) combination.
     jobs: int = 1
     cache_dir: Optional[str] = None
-    resume: bool = False
 
     def __post_init__(self) -> None:
         """Reject configurations no experiment could meaningfully run."""
@@ -191,11 +194,6 @@ class ExperimentConfig:
             )
         if self.jobs <= 0:
             raise ValueError("jobs must be positive (1 = serial)")
-        if self.resume and self.cache_dir is None:
-            raise ValueError(
-                "resume requires a cache_dir: without cached cells there "
-                "is nothing to resume from"
-            )
 
     # ----- canonical scales --------------------------------------------------
 
@@ -283,7 +281,6 @@ class ExperimentConfig:
         self,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> "ExperimentConfig":
         """A copy with sweep-execution knobs replaced (None keeps current).
 
@@ -296,8 +293,6 @@ class ExperimentConfig:
             overrides["jobs"] = jobs
         if cache_dir is not None:
             overrides["cache_dir"] = cache_dir
-        if resume is not None:
-            overrides["resume"] = resume
         return replace(self, **overrides) if overrides else self
 
     def seeds(self) -> List[int]:
@@ -320,18 +315,21 @@ class ExperimentConfig:
         return tuple(getattr(self, name) for name in WORKLOAD_FIELDS)
 
     def cache_fields(self) -> Dict[str, object]:
-        """Every field that determines a run's outcome, as plain types.
+        """Every field one seeded run reads, as plain types.
 
         This is the identity the sweep cache hashes: all workload,
-        machine, cost-model, statistics, and backend fields — everything
-        except :data:`EXECUTION_FIELDS`, which only describe how a sweep
-        executes.  Any change to any returned value must invalidate
-        cached cells (tested in ``tests/experiments/test_sweep.py``).
+        machine, cost-model, backend, sharding and service fields —
+        everything except :data:`EXECUTION_FIELDS` (how a sweep executes),
+        :data:`STATISTICS_FIELDS` (which seeds, how summarised) and the
+        one-valued ``kernel``.  Any change to any returned value must
+        invalidate cached cells, and no other change may (both tested in
+        ``tests/experiments/test_sweep.py``).
         """
+        unread = (*EXECUTION_FIELDS, *STATISTICS_FIELDS, "kernel")
         return {
             spec.name: getattr(self, spec.name)
             for spec in fields(self)
-            if spec.name not in EXECUTION_FIELDS
+            if spec.name not in unread
         }
 
 

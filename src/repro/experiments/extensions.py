@@ -44,7 +44,7 @@ from ..workload.transactions import (
     TransactionWorkloadGenerator,
 )
 from .config import OFFERED_LOAD_SWEEP, ExperimentConfig
-from .figures import DISPLAY_NAMES, AblationResult, SweepResult
+from .figures import DISPLAY_NAMES, AblationResult, SweepResult, _run_sweep
 from .runner import build_scheduler, workload_tasks
 
 
@@ -357,43 +357,39 @@ def service_curve(
     delivered on time as the stream crosses capacity.
 
     Every cell is a plain ``ExperimentConfig`` on the ``service`` backend,
-    so the grid runs through :func:`~repro.experiments.sweep.run_grid` —
-    cells cache, resume, and export exactly like the simulator figures
-    (service cells are serial; ``--jobs`` fan-out does not apply).
+    so the figure runs like every other one — cells cache and export
+    exactly like the simulator figures (a live backend's cells run one at
+    a time in the parent; ``--jobs`` fan-out does not apply).
     """
-    from ..metrics.reporting import FigureData
-    from .sweep import run_grid
-
     config = config or ExperimentConfig.quick()
     # A sustained stream by default: the config's "burst" drops the whole
     # workload at t=0, which probes overload recovery, not offered load.
     base = replace(config, backend="service", arrival=arrival)
-    specs = [
-        (base.with_admission_policy(p).with_offered_load(x), scheduler)
-        for p in policies
-        for x in loads
-    ]
-    grid = iter(run_grid(specs).cells)
-    cells = {}
-    for policy in policies:
-        for x in loads:
-            cells[(policy, x)] = next(grid)
-    figure = FigureData(
+    return _run_sweep(
         title=(
             "X5 - Compliance under open-loop load, live service "
             f"(P={base.num_processors}, {base.arrival} arrivals, "
             f"{DISPLAY_NAMES.get(scheduler, scheduler)})"
         ),
         x_label="offered load",
-        x_values=list(loads),
+        x_values=loads,
+        series=[
+            (
+                policy,
+                policy,
+                [
+                    (
+                        base.with_admission_policy(policy).with_offered_load(x),
+                        scheduler,
+                    )
+                    for x in loads
+                ],
+            )
+            for policy in policies
+        ],
         notes=[
             "y values are deadline hits as % of *submitted* work "
             f"over {base.runs} service lifetime(s) per cell",
             "shed and rejected submissions count as misses",
         ],
     )
-    for policy in policies:
-        figure.add_series(
-            policy, [cells[(policy, x)].mean_hit_percent for x in loads]
-        )
-    return SweepResult(figure=figure, cells=cells)

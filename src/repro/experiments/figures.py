@@ -98,59 +98,75 @@ def _run_sweep(
     title: str,
     x_label: str,
     x_values: Sequence[float],
-    configs: Sequence[ExperimentConfig],
-    schedulers: Sequence[str],
+    series: Sequence[Tuple[str, str, Sequence[tuple]]],
     notes: Sequence[str] = (),
 ) -> SweepResult:
-    """Shared machinery: one cell per (scheduler, x), stats across pairs.
+    """The one way a figure runs: specs -> grid -> ``cells[(key, x)]`` -> series.
 
-    When the configs enable sweep execution (``jobs > 1`` or a
-    ``cache_dir``), the *entire* grid is handed to
-    :func:`repro.experiments.sweep.run_grid` as one batch, so a single
-    worker pool covers every (scheduler, x, seed) cell — much better
-    fan-out than pooling one cell at a time.  Otherwise each cell runs
-    through the legacy serial :func:`~repro.experiments.runner.run_cell`
-    path.  Either way the cells land in the same deterministic
-    (scheduler-major, x-minor, seed-innermost) order, so the resulting
-    figure is byte-identical across paths.
+    Each ``series`` row is ``(key in SweepResult.cells, legend label, one
+    run_grid spec per x value)``.  The *entire* figure goes to the cell
+    engine (:func:`repro.experiments.sweep.run_grid`) as one batch, so with
+    ``jobs > 1`` a single worker pool covers every (series, x, seed) cell.
+    Cells land in deterministic (series-major, x-minor, seed-innermost)
+    order whatever the worker count or cache state, so the figure is
+    byte-identical across them.
     """
     figure = FigureData(
         title=title, x_label=x_label, x_values=list(x_values), notes=list(notes)
     )
-    cells: Dict[Tuple[str, float], CellResult] = {}
-    if configs and (configs[0].jobs > 1 or configs[0].cache_dir):
-        specs = [
-            (config, name) for name in schedulers for config in configs
-        ]
-        grid = iter(run_grid(specs).cells)
-        for name in schedulers:
-            for x in x_values:
-                cells[(name, x)] = next(grid)
-    else:
-        for name in schedulers:
-            for x, config in zip(x_values, configs):
-                cells[(name, x)] = run_cell(config, name)
-    for name in schedulers:
+    specs = [spec for _, _, row in series for spec in row]
+    grid = iter(run_grid(specs).cells)
+    cells = {(key, x): next(grid) for key, _, _ in series for x in x_values}
+    for key, label, _ in series:
         figure.add_series(
-            DISPLAY_NAMES.get(name, name),
-            [cells[(name, x)].mean_hit_percent for x in x_values],
+            label, [cells[(key, x)].mean_hit_percent for x in x_values]
         )
-    significance = []
+    return SweepResult(figure=figure, cells=cells)
+
+
+def _mean_differences(
+    result: SweepResult,
+    first: str,
+    second: str,
+    significance_level: float,
+    versus: str = "",
+) -> List[str]:
+    """One difference-of-means line per x: series ``first`` minus ``second``."""
+    lines = []
+    for x in result.figure.x_values:
+        test = difference_of_means(
+            result.cells[(first, x)].hit_percents,
+            result.cells[(second, x)].hit_percents,
+            significance_level=significance_level,
+        )
+        verdict = "significant" if test.significant else "not significant"
+        lines.append(
+            f"{result.figure.x_label}={x}: {versus}mean diff "
+            f"{test.mean_difference:+.2f} pts, p={test.p_value:.4f} "
+            f"({verdict} at {significance_level})"
+        )
+    return lines
+
+
+def _scheduler_sweep(
+    title: str,
+    x_label: str,
+    x_values: Sequence[float],
+    configs: Sequence[ExperimentConfig],
+    schedulers: Sequence[str],
+    notes: Sequence[str] = (),
+) -> SweepResult:
+    """A paper figure: one series per scheduler, the first two compared."""
+    series = [
+        (name, DISPLAY_NAMES.get(name, name), [(c, name) for c in configs])
+        for name in schedulers
+    ]
+    result = _run_sweep(title, x_label, x_values, series, notes)
     if len(schedulers) >= 2 and configs and configs[0].runs >= 2:
-        first, second = schedulers[0], schedulers[1]
-        for x in x_values:
-            test = difference_of_means(
-                cells[(first, x)].hit_percents,
-                cells[(second, x)].hit_percents,
-                significance_level=configs[0].significance_level,
-            )
-            verdict = "significant" if test.significant else "not significant"
-            significance.append(
-                f"{x_label}={x}: mean diff "
-                f"{test.mean_difference:+.2f} pts, p={test.p_value:.4f} "
-                f"({verdict} at {configs[0].significance_level})"
-            )
-    return SweepResult(figure=figure, cells=cells, significance=significance)
+        result.significance = _mean_differences(
+            result, schedulers[0], schedulers[1], configs[0].significance_level
+        )
+    return result
 
 
 def figure5(
@@ -162,7 +178,7 @@ def figure5(
     config = config or ExperimentConfig.paper()
     schedulers = _pick_schedulers(config, schedulers)
     configs = [config.with_processors(m) for m in processors]
-    return _run_sweep(
+    return _scheduler_sweep(
         title=(
             "Figure 5 - Deadline scalability "
             f"(R={config.replication_rate:.0%}, SF={config.slack_factor:g})"
@@ -187,7 +203,7 @@ def figure6(
     config = config or ExperimentConfig.paper()
     schedulers = _pick_schedulers(config, schedulers)
     configs = [config.with_replication(r) for r in replication_rates]
-    return _run_sweep(
+    return _scheduler_sweep(
         title=(
             "Figure 6 - Deadline compliance vs replication rate "
             f"(P={config.num_processors}, SF={config.slack_factor:g})"
@@ -240,58 +256,37 @@ def shard_curve(
             f"domains={max(domains)} cannot partition the smallest "
             f"machine in the sweep (m={min(processors)})"
         )
-    figure = FigureData(
+    result = _run_sweep(
         title=(
             "Shard curve - Deadline compliance vs processors by domain "
             f"count ({DISPLAY_NAMES.get(scheduler, scheduler)}, "
             f"SF={config.slack_factor:g})"
         ),
         x_label="processors",
-        x_values=list(processors),
+        x_values=processors,
+        series=[
+            (
+                f"domains={k}",
+                f"domains={k}",
+                [
+                    (config.with_processors(m).with_domains(k), scheduler)
+                    for m in processors
+                ],
+            )
+            for k in domains
+        ],
         notes=[
             "y values are mean deadline hit ratios (%) over "
             f"{config.runs} runs",
             f"partition policy: {config.partition_policy}",
         ],
     )
-    grid_configs = [
-        config.with_processors(m).with_domains(k)
-        for k in domains
-        for m in processors
-    ]
-    cells: Dict[Tuple[str, float], CellResult] = {}
-    if config.jobs > 1 or config.cache_dir:
-        specs = [(cell_config, scheduler) for cell_config in grid_configs]
-        grid = iter(run_grid(specs).cells)
-        for k in domains:
-            for m in processors:
-                cells[(f"domains={k}", m)] = next(grid)
-    else:
-        ordered = iter(grid_configs)
-        for k in domains:
-            for m in processors:
-                cells[(f"domains={k}", m)] = run_cell(next(ordered), scheduler)
-    for k in domains:
-        figure.add_series(
-            f"domains={k}",
-            [cells[(f"domains={k}", m)].mean_hit_percent for m in processors],
-        )
-    significance = []
     if len(domains) >= 2 and config.runs >= 2:
         low, high = f"domains={domains[0]}", f"domains={domains[-1]}"
-        for m in processors:
-            test = difference_of_means(
-                cells[(high, m)].hit_percents,
-                cells[(low, m)].hit_percents,
-                significance_level=config.significance_level,
-            )
-            verdict = "significant" if test.significant else "not significant"
-            significance.append(
-                f"processors={m}: {high} vs {low} mean diff "
-                f"{test.mean_difference:+.2f} pts, p={test.p_value:.4f} "
-                f"({verdict} at {config.significance_level})"
-            )
-    return SweepResult(figure=figure, cells=cells, significance=significance)
+        result.significance = _mean_differences(
+            result, high, low, config.significance_level, f"{high} vs {low} "
+        )
+    return result
 
 
 @dataclass
@@ -322,7 +317,7 @@ def laxity_sweep(
     for slack_factor in slack_factors:
         sf_config = config.with_slack_factor(slack_factor)
         configs = [sf_config.with_processors(m) for m in processors]
-        sweeps[slack_factor] = _run_sweep(
+        sweeps[slack_factor] = _scheduler_sweep(
             title=(
                 f"Laxity sweep - SF={slack_factor:g} "
                 f"(R={config.replication_rate:.0%})"

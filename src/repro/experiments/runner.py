@@ -1,9 +1,12 @@
-"""Experiment runner: build everything, run repetitions, aggregate.
+"""Experiment runner: build everything for one run, name what a cell is.
 
-One *cell* is (config, scheduler); the runner builds the database, the
-transaction workload, the machine, and the scheduler from the config, runs
-the cell ``config.runs`` times with distinct seeds, and aggregates hit
-ratios with the paper's statistics (mean, 99% CI).
+One *cell* is (config, scheduler): ``config.runs`` repetitions with
+distinct seeds, aggregated into a :class:`CellResult` with the paper's
+statistics (mean, 99% CI).  This module builds what one repetition needs
+— the database, the transaction workload, the scheduler — and runs it
+(:func:`run_once`); the loop over repetitions lives in one place, the
+cell engine :func:`repro.experiments.sweep.run_grid`, of which
+:func:`run_cell` is the one-spec call.
 
 *Where* each repetition runs is the config's (or the caller's) choice:
 :func:`run_once` dispatches through the
@@ -33,7 +36,6 @@ from ..core.scheduler import Scheduler
 from ..core.task import Task
 from ..metrics.regret import summarize_regret
 from ..metrics.stats import ConfidenceInterval, confidence_interval, mean
-from ..observability import get_instrumentation
 from ..runtime.backend import ExecutionBackend, get_backend
 from ..runtime.report import RunReport
 from ..workload.transactions import build_seeded_workload
@@ -155,29 +157,28 @@ def run_once(
         validate_phases=validate_phases,
     )
     if not report.regret:
-        report.regret = _regret_for(report, config, seed)
+        report.regret = _regret_for(report, config, seed, chosen)
     return report
 
 
-#: Backends whose workload :func:`build_workload` reconstructs exactly
-#: (the live cluster and the sharded runtime mirror the simulator's
-#: generator, same seed — partitioning never changes the task set).
-_ORACLE_BACKENDS = frozenset({"sim", "cluster", "sharded"})
-
-
 def _regret_for(
-    report: RunReport, config: ExperimentConfig, seed: int
+    report: RunReport,
+    config: ExperimentConfig,
+    seed: int,
+    backend: ExecutionBackend,
 ) -> dict:
     """Oracle verdict + regret for one finished run.
 
     The oracle analyses the run's workload offline — the very task list a
     simulated run used (:func:`workload_tasks`), and an exact rebuild
     whenever the backend derives its task set deterministically from
-    ``(config, seed)``.  Backends that mint tasks at request time (the
+    ``(config, seed)`` (:attr:`ExecutionBackend.seeded_workload`; the live
+    cluster mirrors the simulator's generator, and partitioning never
+    changes the task set).  Backends that mint tasks at request time (the
     streaming service) get an explicit ``unknown`` placeholder instead,
     keeping the exported schema identical everywhere.
     """
-    if report.backend not in _ORACLE_BACKENDS:
+    if not backend.seeded_workload:
         return unknown_regret_section(
             report.total_tasks, report.num_workers
         )
@@ -240,115 +241,19 @@ def run_cell(
     scheduler_name: str,
     evaluator: Optional[VertexEvaluator] = None,
     quantum_policy: Optional[QuantumPolicy] = None,
-    backend: Union[str, ExecutionBackend, None] = None,
 ) -> CellResult:
-    """Run every repetition of a cell and aggregate the paper's metrics.
+    """Run every repetition of one cell and aggregate the paper's metrics.
 
-    When the config enables sweep execution (``jobs > 1`` or a
-    ``cache_dir``) and no scheduler-construction overrides are given, the
-    repetitions route through the parallel sweep engine
+    The one-spec call of the cell engine
     (:func:`repro.experiments.sweep.run_grid`): cached repetitions are
-    reused and missing ones may fan across worker processes.  Overrides
-    (``evaluator``/``quantum_policy``, the ablation studies) force the
-    serial in-process path — they are live objects that cannot be part of
-    a cache key.  Either path aggregates in ``config.seeds()`` order, so
-    results are bit-identical.  Not thread-safe under instrumentation
-    (the metrics registry is unlocked); virtual quanta throughout.
+    reused and, with ``config.jobs > 1``, missing ones fan across worker
+    processes; the results are bit-identical either way.  A cell given an
+    ablation override (``evaluator`` / ``quantum_policy``, live objects
+    with no cache key) runs in this process and is never cached.  Not
+    thread-safe under instrumentation (the metrics registry is unlocked);
+    virtual quanta throughout.
     """
-    # Resolve the backend once so the aggregated CellResult (and the
-    # metrics snapshot) record where the cell actually ran, even when the
-    # caller overrode the config's choice.
-    resolved = get_backend(backend if backend is not None else config.backend)
-    if config.backend != resolved.name:
-        config = config.with_backend(resolved.name)
-    backend = resolved
-    if (
-        evaluator is None
-        and quantum_policy is None
-        and (config.jobs > 1 or config.cache_dir)
-    ):
-        from .sweep import run_grid
+    from .sweep import run_grid  # the engine imports this module
 
-        return run_grid([(config, scheduler_name)]).cells[0]
-    obs = get_instrumentation()
-    counters_before = (
-        dict(obs.metrics.snapshot()["counters"]) if obs.enabled else {}
-    )
-    hit_percents: List[float] = []
-    dead_end_rates: List[float] = []
-    mean_depths: List[float] = []
-    processors_touched: List[float] = []
-    scheduling_times: List[float] = []
-    makespans: List[float] = []
-    regrets: List[Dict[str, object]] = []
-    missed = 0
-    seeds = config.seeds()
-    for repetition, seed in enumerate(seeds, start=1):
-        report = run_once(
-            config,
-            scheduler_name,
-            seed,
-            evaluator=evaluator,
-            quantum_policy=quantum_policy,
-            backend=backend,
-        )
-        hit_percents.append(report.hit_percent)
-        dead_end_rates.append(report.dead_end_rate)
-        mean_depths.append(report.mean_depth)
-        processors_touched.append(report.mean_processors_touched)
-        scheduling_times.append(report.total_scheduling_time)
-        makespans.append(report.makespan)
-        regrets.append(dict(report.regret))
-        missed += report.guaranteed_violations
-        obs.logger.info(
-            "repetition done",
-            scheduler=scheduler_name,
-            rep=f"{repetition}/{len(seeds)}",
-            seed=seed,
-            backend=report.backend,
-            processors=config.num_processors,
-            replication=config.replication_rate,
-            hit_percent=round(report.hit_percent, 2),
-            phases=report.num_phases,
-        )
-    cell = CellResult(
-        scheduler_name=scheduler_name,
-        config=config,
-        hit_percents=hit_percents,
-        dead_end_rates=dead_end_rates,
-        mean_depths=mean_depths,
-        processors_touched=processors_touched,
-        scheduling_times=scheduling_times,
-        makespans=makespans,
-        scheduled_but_missed=missed,
-        regrets=regrets,
-    )
-    if obs.enabled:
-        _record_cell_snapshot(obs, cell, counters_before)
-    return cell
-
-
-def _record_cell_snapshot(obs, cell: CellResult, counters_before) -> None:
-    """Store one cell's summary + counter deltas for ``--metrics-out``."""
-    counters_after = obs.metrics.snapshot()["counters"]
-    deltas = {
-        key: value - counters_before.get(key, 0)
-        for key, value in counters_after.items()
-        if value != counters_before.get(key, 0)
-    }
-    config = cell.config
-    obs.record_cell(
-        {
-            "scheduler": cell.scheduler_name,
-            "backend": config.backend,
-            "processors": config.num_processors,
-            "replication": config.replication_rate,
-            "slack_factor": config.slack_factor,
-            "transactions": config.num_transactions,
-            "runs": config.runs,
-            "mean_hit_percent": cell.mean_hit_percent,
-            "mean_dead_end_rate": cell.mean_dead_end_rate,
-            "scheduled_but_missed": cell.scheduled_but_missed,
-            "counters": deltas,
-        }
-    )
+    spec = (config, scheduler_name, evaluator, quantum_policy)
+    return run_grid([spec]).cells[0]

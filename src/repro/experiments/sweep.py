@@ -1,33 +1,40 @@
-"""Parallel sweep engine: fan experiment cells over processes, cache results.
+"""The cell engine: run every repetition of a grid, cache and fan out.
 
 A figure reproduction is a grid of independent *cells* — one
 ``(config, scheduler, seed)`` triple per repetition per sweep point — and
 nothing about the paper's evaluation couples them: every cell rebuilds its
-own database, workload, and scheduler from the seed.  This module exploits
-that:
+own workload and scheduler from the seed.  :func:`run_grid` is the only
+code that runs repetitions and folds them into a
+:class:`~repro.experiments.runner.CellResult`; a plain serial run is the
+same call at ``jobs=1`` with no cache directory.  On top of that one loop:
 
-* **fan-out** — cells execute on a ``multiprocessing`` *spawn* pool of
-  ``jobs`` workers (spawn, not fork: workers must rebuild state from the
+* **fan-out** — with ``jobs > 1`` cells execute on a ``multiprocessing``
+  *spawn* pool (spawn, not fork: workers must rebuild state from the
   pickled config alone, the same discipline the live cluster already
   enforces);
-* **content-addressed cache** — each finished cell persists one small JSON
-  record under ``<cache_dir>/<config digest>/``, keyed by the config's
+* **content-addressed cache** — with a ``cache_dir`` each finished cell
+  persists one small JSON record under ``<cache_dir>/<config digest>/``,
+  keyed by the config's
   :meth:`~repro.experiments.config.ExperimentConfig.cache_fields` hash plus
-  ``(scheduler, seed)``, so re-runs and ``--resume`` after an interruption
+  ``(scheduler, seed)``; the cache is consulted on every call, so re-runs
+  (``--resume`` after an interruption, ``--runs 10`` after ``--runs 3``)
   execute only the missing cells;
 * **deterministic merge** — results aggregate in ``config.seeds()`` order
   regardless of completion order, worker count, or cache hits, so figure
-  JSON is byte-identical across every ``(jobs, cache, resume)``
-  combination (CI's ``sweep-smoke`` job asserts the bytes);
+  JSON is byte-identical across every ``(jobs, cache)`` combination (CI's
+  ``sweep-smoke`` job asserts the bytes);
 * **observability** — one progress line per finished cell, per-cell wall
   timing into the metrics registry (``sweep_cell_seconds``), and hit/miss
   counters (``sweep_cells{source=...}``).
 
-Cells whose backend is in :data:`SERIAL_BACKENDS` (the live TCP cluster)
-never enter the pool: each such cell spawns its own worker processes and
-binds a listening socket, so the engine serializes them in the parent,
-leasing master ports from a bounded :class:`PortPool` to avoid bind
-collisions between consecutive cells.
+Where a cell runs is read off the cell itself.  A cell runs *here*, in
+the calling process, unless it may cross the spawn boundary: a cell on a
+:attr:`~repro.runtime.backend.ExecutionBackend.live` backend spawns its
+own worker processes and binds a listening socket, so it runs in the
+parent on a master port leased from a bounded :class:`PortPool`; a cell
+carrying an ablation override (a live ``evaluator`` / ``quantum_policy``
+object) has no cache key and does not pickle, so it runs in the parent and
+is never cached.
 
 Units: everything a :class:`CellRecord` stores under a ``*_time`` /
 ``makespan`` name is virtual quanta (one tuple-check = 1.0 unit);
@@ -47,13 +54,27 @@ import shutil
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..observability import NULL_SINK, get_instrumentation, read_jsonl
+from ..core.cost import VertexEvaluator
+from ..core.quantum import QuantumPolicy
+from ..observability import (
+    NULL_SINK,
+    OFF,
+    Instrumentation,
+    JsonlSink,
+    MetricsRegistry,
+    StructuredLogger,
+    get_instrumentation,
+    instrumented,
+    read_jsonl,
+)
+from ..runtime.backend import get_backend
 from .config import ExperimentConfig
+from .runner import CellResult, run_once
 
 #: Bump when the CellRecord schema changes: a new version can never read
 #: (or be poisoned by) records written by an older one.
@@ -68,11 +89,6 @@ CACHE_SCHEMA_VERSION = 4
 #: The cache directory the CLI defaults to (relative to the working dir).
 DEFAULT_CACHE_DIR = "results/cache"
 
-#: Backends whose cells must not run concurrently: each live-cluster cell
-#: spawns its own OS processes and binds a TCP listener, so the engine
-#: runs them one at a time in the parent on a bounded port pool.
-SERIAL_BACKENDS = frozenset({"cluster", "service"})
-
 
 # ----- the unit of work ------------------------------------------------------
 
@@ -81,13 +97,26 @@ SERIAL_BACKENDS = frozenset({"cluster", "service"})
 class SweepCell:
     """One schedulable unit: run ``scheduler_name`` on ``config`` at ``seed``.
 
-    Frozen and picklable (the config is a frozen dataclass of plain
-    types), so a cell crosses the spawn boundary to a pool worker intact.
+    Frozen, and picklable while it carries no override (the config is a
+    frozen dataclass of plain types), so such a cell crosses the spawn
+    boundary to a pool worker intact.
     """
 
     config: ExperimentConfig
     scheduler_name: str
     seed: int
+    #: Scheduler-construction overrides of the ablation studies.
+    evaluator: Optional[VertexEvaluator] = None
+    quantum_policy: Optional[QuantumPolicy] = None
+
+    @property
+    def portable(self) -> bool:
+        """Whether the plain-data fields say everything about the cell.
+
+        An override is a live object: it has no cache key and need not
+        pickle, so a cell carrying one is neither cached nor pooled.
+        """
+        return self.evaluator is None and self.quantum_policy is None
 
 
 @dataclass(frozen=True)
@@ -161,12 +190,18 @@ class CellRecord:
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    """Stable hex digest of everything that determines a cell's outcome.
+    """Stable hex digest of everything one seeded run reads from ``config``.
 
     Hashes the canonical JSON of :meth:`ExperimentConfig.cache_fields`
-    plus :data:`CACHE_SCHEMA_VERSION`; execution knobs (``jobs``,
-    ``cache_dir``, ``resume``) are excluded by construction, so the same
-    workload computed serially and in parallel shares one digest.
+    plus :data:`CACHE_SCHEMA_VERSION`.  Execution knobs (``jobs``,
+    ``cache_dir``) are excluded by construction, so the same workload
+    computed serially and in parallel shares one digest; so is the
+    statistics block (``runs``, ``base_seed``, ``confidence``,
+    ``significance_level``), which no run reads — the seed is in the
+    record's file name — so a longer or differently summarised sweep
+    reuses every seed already computed.  Digests changed once when the
+    statistics block left the key: records written before that are never
+    found again (and never misread).
     """
     canonical = json.dumps(
         {"schema": CACHE_SCHEMA_VERSION, **config.cache_fields()},
@@ -241,7 +276,7 @@ class SweepCache:
         os.replace(temp, path)
 
 
-# ----- bounded port pool for live-cluster cells ------------------------------
+# ----- bounded port pool for live-backend cells ------------------------------
 
 
 class PortPool:
@@ -279,66 +314,103 @@ class PortPool:
                 self._available.notify()
 
 
-# ----- pool worker -----------------------------------------------------------
+# ----- running one cell ------------------------------------------------------
 
 
-def _execute_cell(
+def _run_here(
+    cell: SweepCell, obs, port_pool: Optional[PortPool] = None
+) -> CellRecord:
+    """Run one cell in this process, under ``obs``; returns its record.
+
+    The run goes through :func:`~repro.experiments.runner.run_once`, so
+    trace events reach ``obs``'s sink directly and only the cell's counter
+    deltas need capturing.  A live backend holds a master port from
+    ``port_pool`` for the duration of its run; consecutive masters can
+    therefore never contend for one listener.
+    """
+    backend = get_backend(cell.config.backend)
+    before = _counter_values(obs)
+    with port_pool.lease() if backend.live else nullcontext(0) as port:
+        if port:
+            backend = backend.with_port(port)
+        start = time.perf_counter()
+        report = run_once(
+            cell.config,
+            cell.scheduler_name,
+            cell.seed,
+            evaluator=cell.evaluator,
+            quantum_policy=cell.quantum_policy,
+            backend=backend,
+        )
+        elapsed = time.perf_counter() - start
+    return replace(
+        CellRecord.from_report(report, elapsed_seconds=elapsed),
+        counters=_counter_delta(before, _counter_values(obs)),
+    )
+
+
+def _run_in_child(
     payload: Tuple[int, SweepCell, Optional[str]]
 ) -> Tuple[int, Dict[str, object]]:
     """Pool worker: run one cell and return ``(index, record dict)``.
 
-    ``payload`` is ``(index, cell, trace_path)``.  With ``trace_path``
-    ``None`` the cell runs under whatever instrumentation is already the
-    process default — disabled in a spawned child, the parent's own in
-    the serial in-process path.  With a path (the parent is tracing and
-    this is a spawned child that cannot reach the parent's sink), the
-    child instruments itself into a private JSONL file at that path and
-    records its counter deltas on the returned record; the parent adopts
-    both when the cell finishes, so ``--trace-out --jobs N`` loses
-    nothing relative to ``--jobs 1``.  Module-level by necessity — spawn
-    pickles the function by reference.
+    ``payload`` is ``(index, cell, trace_path)``.  A spawned child starts
+    with instrumentation disabled and cannot reach the parent's sink, so
+    when the parent is tracing it passes a path: the child instruments
+    itself into a private JSONL file there, with a fresh registry whose
+    values *are* the cell's counter deltas, and the parent adopts both
+    when the cell finishes — ``--trace-out --jobs N`` loses nothing
+    relative to ``--jobs 1``.  Module-level by necessity: spawn pickles
+    the function by reference.
     """
     index, cell, trace_path = payload
-    from .runner import run_once
-
     if trace_path is None:
-        start = time.perf_counter()
-        report = run_once(cell.config, cell.scheduler_name, cell.seed)
-        elapsed = time.perf_counter() - start
-        record = CellRecord.from_report(report, elapsed_seconds=elapsed)
-        return index, record.as_dict()
-
-    from ..observability import (
-        OFF,
-        Instrumentation,
-        JsonlSink,
-        MetricsRegistry,
-        StructuredLogger,
-        instrumented,
-    )
-
+        return index, _run_here(cell, get_instrumentation()).as_dict()
     obs = Instrumentation(
         metrics=MetricsRegistry(),
         logger=StructuredLogger(name="repro.sweep", level=OFF),
         sink=JsonlSink(trace_path),
     )
     try:
-        start = time.perf_counter()
         with instrumented(obs):
-            report = run_once(cell.config, cell.scheduler_name, cell.seed)
-        elapsed = time.perf_counter() - start
+            record = _run_here(cell, obs)
     finally:
         obs.close()
-    record = CellRecord.from_report(report, elapsed_seconds=elapsed)
-    # A fresh registry means absolute values ARE this cell's deltas;
-    # zero-valued (created but never incremented) counters are dropped to
-    # match the delta semantics of the in-parent path.
-    counters = {
-        key: value
-        for key, value in obs.metrics.snapshot()["counters"].items()
-        if value != 0
-    }
-    return index, replace(record, counters=counters).as_dict()
+    return index, record.as_dict()
+
+
+def _run_in_pool(
+    items: Sequence[Tuple[int, SweepCell]], jobs: int, obs
+) -> Iterator[Tuple[int, CellRecord]]:
+    """Fan ``items`` over a spawn pool; yields ``(index, record)`` as done.
+
+    When the parent is tracing, each child writes a private per-cell
+    JSONL file that the parent adopts (re-emits, then deletes) as the
+    cell finishes — same event set as an in-parent run, completion order.
+    """
+    trace_dir = (
+        tempfile.mkdtemp(prefix="repro-sweep-trace-")
+        if obs.enabled and obs.sink is not NULL_SINK
+        else None
+    )
+
+    def trace_path(index: int) -> Optional[str]:
+        """Where cell ``index``'s child writes its trace, if anyone does."""
+        if trace_dir is None:
+            return None
+        return os.path.join(trace_dir, f"cell-{index}.jsonl")
+
+    payloads = [(index, cell, trace_path(index)) for index, cell in items]
+    try:
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(processes=min(jobs, len(items))) as pool:
+            for index, payload in pool.imap_unordered(_run_in_child, payloads):
+                if trace_dir:
+                    _adopt_cell_trace(obs, trace_path(index))
+                yield index, CellRecord.from_dict(payload)
+    finally:
+        if trace_dir:
+            shutil.rmtree(trace_dir, ignore_errors=True)
 
 
 # ----- the engine ------------------------------------------------------------
@@ -359,27 +431,29 @@ class SweepStats:
 class SweepOutcome:
     """Aggregated results in spec order plus the execution accounting."""
 
-    #: One CellResult per ``(config, scheduler)`` spec, in call order.
-    cells: List[object] = field(default_factory=list)
+    #: One CellResult per spec, in call order.
+    cells: List[CellResult] = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
 
 
 def run_grid(
-    specs: Sequence[Tuple[ExperimentConfig, str]],
+    specs: Sequence[tuple],
     *,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    resume: Optional[bool] = None,
     port_pool: Optional[PortPool] = None,
 ) -> SweepOutcome:
-    """Run every repetition of every ``(config, scheduler)`` spec.
+    """Run every repetition of every spec and fold each into a cell.
 
-    The execution knobs default to the first config's ``jobs`` /
-    ``cache_dir`` / ``resume`` fields (keyword arguments override).  Cells
-    found in the cache are not re-executed; everything else fans across a
-    spawn pool of ``jobs`` workers, except cells on a
-    :data:`SERIAL_BACKENDS` backend, which run one at a time in the
-    parent on ``port_pool`` (defaulting to ephemeral ports).
+    A spec is ``(config, scheduler_name)``, optionally followed by the
+    ablation overrides ``evaluator, quantum_policy``.  The execution knobs
+    default to the first config's ``jobs`` / ``cache_dir`` fields (keyword
+    arguments override).  Cells found in the cache are not re-executed;
+    with ``jobs > 1`` the rest fan across a spawn pool of that many
+    workers, except cells that must stay in the parent — a live backend's
+    (one at a time, on ``port_pool``, ephemeral ports by default) and
+    those carrying an override (never cached either).  With ``jobs=1``
+    every cell runs here, in order.
 
     Aggregation order is fixed by ``specs`` and ``config.seeds()`` — never
     by completion order — so the returned :class:`SweepOutcome` is
@@ -387,145 +461,89 @@ def run_grid(
     any thread, but do not share one cache directory between two
     *schemas*; the version stamp protects reads either way.
     """
-    from .runner import CellResult
-
     if not specs:
         return SweepOutcome()
     first = specs[0][0]
     jobs = first.jobs if jobs is None else jobs
     cache_dir = first.cache_dir if cache_dir is None else cache_dir
-    resume = first.resume if resume is None else resume
     if jobs <= 0:
         raise ValueError("jobs must be positive (1 = serial)")
     cache = SweepCache(cache_dir) if cache_dir else None
+    port_pool = port_pool or PortPool()
 
-    # One flat, deterministically indexed task list across all specs.
-    tasks: List[SweepCell] = []
+    # One flat, deterministically indexed cell list across all specs.
+    cells: List[SweepCell] = []
     spec_slices: List[Tuple[int, int]] = []
-    for config, scheduler_name in specs:
-        start = len(tasks)
+    for config, scheduler_name, *overrides in specs:
+        start = len(cells)
         for seed in config.seeds():
-            tasks.append(SweepCell(config, scheduler_name, seed))
-        spec_slices.append((start, len(tasks)))
+            cells.append(SweepCell(config, scheduler_name, seed, *overrides))
+        spec_slices.append((start, len(cells)))
 
     obs = get_instrumentation()
     records: Dict[int, CellRecord] = {}
     pending: List[Tuple[int, SweepCell]] = []
-    for index, cell in enumerate(tasks):
-        cached = cache.load(cell) if cache is not None else None
+    for index, cell in enumerate(cells):
+        cached = cache.load(cell) if cache and cell.portable else None
         if cached is not None:
             records[index] = cached
-            _note_cell(obs, cell, cached, index, len(tasks), source="cache")
+            _note_cell(obs, cell, cached, index, len(cells), source="cache")
         else:
             pending.append((index, cell))
 
-    stats = SweepStats(
-        total_cells=len(tasks),
-        cached=len(records),
+    stats = SweepStats(total_cells=len(cells), cached=len(records), jobs=jobs)
+    obs.logger.info(
+        "sweep start",
+        cells=len(cells),
+        cached=stats.cached,
+        to_run=len(pending),
         jobs=jobs,
     )
-    if obs.enabled:
-        obs.logger.info(
-            "sweep start" if not resume else "sweep resume",
-            cells=len(tasks),
-            cached=stats.cached,
-            to_run=len(pending),
-            jobs=jobs,
-        )
 
-    started = time.perf_counter()
-    parallel: List[Tuple[int, SweepCell]] = []
-    serial: List[Tuple[int, SweepCell]] = []
-    for item in pending:
-        if item[1].config.backend in SERIAL_BACKENDS:
-            serial.append(item)
-        else:
-            parallel.append(item)
-
-    def finish(index: int, cell: SweepCell, record: CellRecord) -> None:
+    def finish(index: int, record: CellRecord) -> None:
         """Accept one freshly executed cell: record, cache, account, log."""
+        cell = cells[index]
         records[index] = record
         stats.executed += 1
-        if cache is not None:
+        if cache and cell.portable:
             cache.store(cell, record)
-        _note_cell(obs, cell, record, index, len(tasks), source="run")
+        _note_cell(obs, cell, record, index, len(cells), source="run")
 
-    if jobs > 1 and len(parallel) > 1:
-        # Spawned children cannot reach the parent's sink; when the
-        # parent is tracing, each child writes a private per-cell JSONL
-        # file that the parent adopts (re-emits, then deletes) as the
-        # cell finishes — same event set as a serial run, completion
-        # order.
-        trace_dir = (
-            tempfile.mkdtemp(prefix="repro-sweep-trace-")
-            if obs.enabled and obs.sink is not NULL_SINK
-            else None
-        )
-        payloads = [
-            (
-                index,
-                cell,
-                os.path.join(trace_dir, f"cell-{index}.jsonl")
-                if trace_dir
-                else None,
-            )
-            for index, cell in parallel
-        ]
-        try:
-            context = multiprocessing.get_context("spawn")
-            with context.Pool(processes=min(jobs, len(parallel))) as pool:
-                for index, payload in pool.imap_unordered(
-                    _execute_cell, payloads
-                ):
-                    record = CellRecord.from_dict(payload)
-                    if trace_dir:
-                        _adopt_cell_trace(
-                            obs,
-                            os.path.join(trace_dir, f"cell-{index}.jsonl"),
-                        )
-                    finish(index, tasks[index], record)
-        finally:
-            if trace_dir:
-                shutil.rmtree(trace_dir, ignore_errors=True)
-    else:
-        for index, cell in parallel:
-            # In-process: run_once sees the parent's own instrumentation,
-            # so trace events flow straight to the sink; only the per-cell
-            # counter deltas need explicit capture.
-            before = _counter_values(obs)
-            _, payload = _execute_cell((index, cell, None))
-            record = CellRecord.from_dict(payload)
-            record = replace(
-                record, counters=_counter_delta(before, _counter_values(obs))
-            )
-            finish(index, cell, record)
-
-    if serial:
-        _run_serial_backends(serial, port_pool or PortPool(), finish, obs)
+    started = time.perf_counter()
+    pooled = [
+        (index, cell)
+        for index, cell in pending
+        if cell.portable and not get_backend(cell.config.backend).live
+    ]
+    if jobs > 1 and len(pooled) > 1:  # a pool of one buys nothing
+        for index, record in _run_in_pool(pooled, jobs, obs):
+            finish(index, record)
+    for index, cell in pending:
+        if index not in records:
+            finish(index, _run_here(cell, obs, port_pool))
 
     stats.elapsed_seconds = time.perf_counter() - started
-    if obs.enabled:
-        obs.logger.info(
-            "sweep done",
-            cells=stats.total_cells,
-            executed=stats.executed,
-            cached=stats.cached,
-            jobs=stats.jobs,
-            elapsed_s=round(stats.elapsed_seconds, 3),
-        )
+    obs.logger.info(
+        "sweep done",
+        cells=stats.total_cells,
+        executed=stats.executed,
+        cached=stats.cached,
+        jobs=stats.jobs,
+        elapsed_s=round(stats.elapsed_seconds, 3),
+    )
 
     outcome = SweepOutcome(stats=stats)
-    for (config, scheduler_name), (start, stop) in zip(specs, spec_slices):
+    for (config, scheduler_name, *_), (start, stop) in zip(specs, spec_slices):
         ordered = [records[index] for index in range(start, stop)]
-        cell = _aggregate(CellResult, config, scheduler_name, ordered)
+        cell = _aggregate(config, scheduler_name, ordered)
         outcome.cells.append(cell)
         if obs.enabled:
-            # Same per-cell summary shape the serial runner records for
-            # --metrics-out.  Counter deltas sum over the spec's records:
-            # fresh cells captured them at execution time (in the child
-            # or around the in-parent run) and cached cells persisted
-            # them in their cache records, so a resumed sweep reports the
-            # same totals as the run that populated the cache.
+            # The per-cell summary of --metrics-out.  Counter deltas sum
+            # over the spec's records: fresh cells captured them at
+            # execution time (in the child or around the in-parent run)
+            # and cached cells persisted them in their cache records, so a
+            # resumed sweep reports the same totals as the run that
+            # populated the cache.
             summed: Dict[str, float] = {}
             for record in ordered:
                 for key, value in record.counters.items():
@@ -546,36 +564,6 @@ def run_grid(
                 }
             )
     return outcome
-
-
-def _run_serial_backends(items, port_pool: PortPool, finish, obs) -> None:
-    """Run live-cluster cells one at a time on leased master ports.
-
-    Each cell spawns its own worker processes, so concurrency here would
-    multiply process counts and risk port collisions; serialized on the
-    pool, consecutive masters can never contend for one listener.  Runs
-    in the parent, so trace events reach the sink directly; counter
-    deltas are captured per cell like the serial runner does.
-    """
-    from ..runtime.backend import get_backend
-    from .runner import run_once
-
-    for index, cell in items:
-        with port_pool.lease() as port:
-            backend = get_backend(cell.config.backend)
-            if port and hasattr(backend, "with_port"):
-                backend = backend.with_port(port)
-            before = _counter_values(obs)
-            start = time.perf_counter()
-            report = run_once(
-                cell.config, cell.scheduler_name, cell.seed, backend=backend
-            )
-            elapsed = time.perf_counter() - start
-        record = replace(
-            CellRecord.from_report(report, elapsed_seconds=elapsed),
-            counters=_counter_delta(before, _counter_values(obs)),
-        )
-        finish(index, cell, record)
 
 
 def _counter_values(obs) -> Dict[str, float]:
@@ -615,14 +603,16 @@ def _adopt_cell_trace(obs, path: str) -> None:
         pass
 
 
-def _aggregate(cell_result_cls, config, scheduler_name, records):
+def _aggregate(
+    config: ExperimentConfig, scheduler_name: str, records: List[CellRecord]
+) -> CellResult:
     """Fold per-seed records into one ``CellResult`` in seed order.
 
-    Identical arithmetic to the serial ``run_cell`` loop — append per
-    repetition, sum the violations — so cached, pooled, and in-process
-    paths cannot diverge even in float rounding.
+    Append per repetition, sum the violations: cached, pooled and
+    in-parent records fold through these same lines, so they cannot
+    diverge even in float rounding.
     """
-    return cell_result_cls(
+    return CellResult(
         scheduler_name=scheduler_name,
         config=config,
         hit_percents=[r.hit_percent for r in records],

@@ -2,7 +2,7 @@
 
 A :class:`StructuredLogger` writes one line per record::
 
-    12:03:44 INFO repro.runner repetition done scheduler=rtsads seed=1998 hit=91.2
+    12:03:44 INFO repro.experiments cell done scheduler=rtsads seed=1998 hit_percent=91.2
 
 ``bind(**context)`` returns a child logger whose context fields are appended
 to every record — the run/phase binding the experiment harness uses so a

@@ -16,24 +16,24 @@ implementations import the experiment builders, which import this module.
 
 from __future__ import annotations
 
-import importlib
 from abc import ABC, abstractmethod
-from typing import Callable, ClassVar, Dict, Optional, Union
+from typing import Callable, ClassVar, Union
 
+from ..registry import Registry
 from .report import RunReport
 
-#: name -> module that registers it on import.
-_BUILTIN_MODULES = {
-    "sim": "repro.runtime.sim",
-    "cluster": "repro.runtime.live",
-    "service": "repro.runtime.service",
-    "sharded": "repro.runtime.sim",
-}
+_BACKENDS: Registry[Callable[[], ExecutionBackend]] = Registry(
+    "backend",
+    {
+        "sim": "repro.runtime.sim",
+        "cluster": "repro.runtime.live",
+        "service": "repro.runtime.service",
+        "sharded": "repro.runtime.sim",
+    },
+)
 
 #: The backends every installation has (CLI choices, config validation).
-BACKEND_NAMES = tuple(_BUILTIN_MODULES)
-
-_REGISTRY: Dict[str, Callable[[], "ExecutionBackend"]] = {}
+BACKEND_NAMES = _BACKENDS.builtin_names
 
 
 class ExecutionBackend(ABC):
@@ -41,6 +41,18 @@ class ExecutionBackend(ABC):
 
     #: Registry name; also stamped into every report's ``backend`` field.
     name: ClassVar[str] = ""
+
+    #: A live backend spawns its own OS processes and binds a TCP listener
+    #: per run, so the sweep engine runs its cells one at a time in the
+    #: parent, each on a port leased from a bounded pool, and never hands
+    #: one to a pool child.
+    live: ClassVar[bool] = False
+
+    #: Whether a run's task set is exactly ``workload_tasks(config, seed)``,
+    #: so the schedulability oracle can analyse it offline.  Backends that
+    #: mint tasks at request time (the streaming service) say ``False`` and
+    #: their reports carry an explicit ``unknown`` verdict instead.
+    seeded_workload: ClassVar[bool] = False
 
     @abstractmethod
     def run_once(
@@ -61,14 +73,16 @@ class ExecutionBackend(ABC):
         must raise rather than silently ignore them.
         """
 
+    def with_port(self, port: int) -> "ExecutionBackend":
+        """A copy that binds ``port``; a backend that binds none is itself."""
+        return self
+
 
 def register_backend(
     name: str, factory: Callable[[], ExecutionBackend]
 ) -> None:
     """Register (or replace) a backend factory under ``name``."""
-    if not name:
-        raise ValueError("backend name must be a non-empty string")
-    _REGISTRY[name] = factory
+    _BACKENDS.register(name, factory)
 
 
 def get_backend(
@@ -81,13 +95,4 @@ def get_backend(
     """
     if isinstance(spec, ExecutionBackend):
         return spec
-    name = spec or "sim"
-    if name not in _REGISTRY:
-        module = _BUILTIN_MODULES.get(name)
-        if module is None:
-            known = sorted(set(_REGISTRY) | set(_BUILTIN_MODULES))
-            raise ValueError(
-                f"unknown backend {name!r}; choose from {known}"
-            )
-        importlib.import_module(module)  # module registers itself
-    return _REGISTRY[name]()
+    return _BACKENDS.get(spec or "sim")()

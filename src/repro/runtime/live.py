@@ -34,6 +34,9 @@ class ClusterBackend(ExecutionBackend):
     """
 
     name = "cluster"
+    live = True
+    #: The master mirrors the simulator's generator, same seed.
+    seeded_workload = True
 
     def __init__(
         self,

@@ -34,6 +34,7 @@ class ServiceBackend(ExecutionBackend):
     """
 
     name = "service"
+    live = True
 
     def __init__(
         self,

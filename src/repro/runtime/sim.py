@@ -25,6 +25,8 @@ from .report import RunReport
 class SimBackend(ExecutionBackend):
     """Runs a cell on the discrete-event simulator."""
 
+    seeded_workload = True
+
     def __init__(self, name: str = "sim") -> None:
         self.name = name
 

@@ -47,10 +47,6 @@ from ..core.task import Task
 #: Comparison slop in virtual units (mirrors the core EPSILON).
 EPSILON = 1e-9
 
-#: Registry keys accepted by :func:`build_policy` and
-#: ``ExperimentConfig.admission_policy``.
-ADMISSION_POLICY_NAMES = ("reject-newest", "least-slack", "schedulability")
-
 
 @dataclass(frozen=True)
 class QueuedTask:
@@ -198,6 +194,10 @@ _POLICIES: Dict[str, Type[AdmissionPolicy]] = {
     LeastSlackPolicy.name: LeastSlackPolicy,
     SchedulabilityPolicy.name: SchedulabilityPolicy,
 }
+
+#: Registry keys accepted by :func:`build_policy` and
+#: ``ExperimentConfig.admission_policy``.
+ADMISSION_POLICY_NAMES = tuple(_POLICIES)
 
 
 def build_policy(name: str) -> AdmissionPolicy:

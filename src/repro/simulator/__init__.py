@@ -30,7 +30,6 @@ from .interconnect import (
     near_square_mesh,
     wormhole_model,
 )
-from .machine import DEFAULT_REMOTE_COST, Machine, MachineConfig
 from .processor import QueuedWork, RunningWork, WorkerProcessor
 from .runtime import (
     DEFAULT_MAX_EVENTS,
@@ -49,7 +48,6 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_MAX_EVENTS",
-    "DEFAULT_REMOTE_COST",
     "DistributedRuntime",
     "DomainHost",
     "EventQueue",
@@ -61,8 +59,6 @@ __all__ = [
     "WorstCaseExecution",
     "resolve_actual_cost",
     "HostWake",
-    "Machine",
-    "MachineConfig",
     "MeshCommunicationModel",
     "MeshTopology",
     "PhaseTrace",

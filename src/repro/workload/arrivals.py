@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List
+from typing import Callable, Dict, List
 
 
 class ArrivalProcess(ABC):
@@ -234,9 +234,22 @@ class DiurnalArrival(ArrivalProcess):
         return times
 
 
+#: name -> ``(rate, horizon)`` constructor of that arrival shape.
+_ARRIVALS: Dict[str, Callable[[float, float], ArrivalProcess]] = {
+    "burst": lambda rate, horizon: BurstyArrival(),
+    "poisson": lambda rate, horizon: PoissonArrival(rate),
+    "uniform": lambda rate, horizon: UniformArrival(0.0, horizon),
+    "batched": lambda rate, horizon: BatchedArrival(
+        num_batches=8, interval=horizon / 8.0
+    ),
+    "pareto": lambda rate, horizon: ParetoArrival(rate),
+    "lognormal": lambda rate, horizon: LogNormalArrival(rate),
+    "diurnal": lambda rate, horizon: DiurnalArrival(rate, period=horizon),
+}
+
 #: Names accepted by :func:`make_arrival`; referenced by
 #: ``ExperimentConfig.arrival`` validation and the ``repro load`` CLI.
-ARRIVAL_NAMES = ("burst", "poisson", "uniform", "batched", "pareto", "lognormal", "diurnal")
+ARRIVAL_NAMES = tuple(_ARRIVALS)
 
 
 def make_arrival(name: str, rate: float, horizon: float = 0.0) -> ArrivalProcess:
@@ -256,16 +269,4 @@ def make_arrival(name: str, rate: float, horizon: float = 0.0) -> ArrivalProcess
         raise ValueError("arrival rate must be positive")
     if horizon <= 0:
         horizon = 100.0 / rate
-    if name == "burst":
-        return BurstyArrival()
-    if name == "poisson":
-        return PoissonArrival(rate)
-    if name == "uniform":
-        return UniformArrival(0.0, horizon)
-    if name == "batched":
-        return BatchedArrival(num_batches=8, interval=horizon / 8.0)
-    if name == "pareto":
-        return ParetoArrival(rate)
-    if name == "lognormal":
-        return LogNormalArrival(rate)
-    return DiurnalArrival(rate, period=horizon)
+    return _ARRIVALS[name](rate, horizon)

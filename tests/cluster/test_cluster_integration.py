@@ -134,17 +134,13 @@ class TestLiveCluster:
 
 class TestClusterCli:
     def test_cluster_is_a_cli_choice_but_not_in_all(self):
-        from repro.experiments.cli import (
-            CLUSTER_COMMAND,
-            EXPERIMENTS,
-            build_parser,
-        )
+        from repro.experiments.cli import EXPERIMENTS, build_parser
 
-        assert CLUSTER_COMMAND not in EXPERIMENTS  # "all" stays simulation
+        assert "cluster" not in EXPERIMENTS  # "all" stays simulation
         args = build_parser().parse_args(
             ["cluster", "--workers", "2", "--tasks", "40", "--seed", "1"]
         )
-        assert args.experiment == CLUSTER_COMMAND
+        assert args.experiment == "cluster"
         assert args.workers == 2
         assert args.tasks == 40
         assert args.seed == 1

@@ -224,11 +224,7 @@ class TestSweepFlags:
         return sweep_execution_from_args(build_parser().parse_args(argv))
 
     def test_defaults_serial_and_uncached(self):
-        assert self._execution("fig5") == {
-            "jobs": 1,
-            "cache_dir": None,
-            "resume": False,
-        }
+        assert self._execution("fig5") == {"jobs": 1, "cache_dir": None}
 
     def test_jobs_implies_default_cache(self):
         from repro.experiments.sweep import DEFAULT_CACHE_DIR
@@ -249,8 +245,7 @@ class TestSweepFlags:
         from repro.experiments.sweep import DEFAULT_CACHE_DIR
 
         execution = self._execution("fig5", "--resume")
-        assert execution["resume"]
-        assert execution["cache_dir"] == DEFAULT_CACHE_DIR
+        assert execution == {"jobs": 1, "cache_dir": DEFAULT_CACHE_DIR}
 
     def test_resume_and_no_cache_conflict(self):
         with pytest.raises(SystemExit):
@@ -263,7 +258,6 @@ class TestSweepFlags:
         config = config_from_args(args)
         assert config.jobs == 2
         assert config.cache_dir == "c"
-        assert config.resume
 
     def test_export_requires_a_figure_experiment(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -4,9 +4,11 @@ The suite covers the three contracts the engine exists for:
 
 * determinism — the same cells aggregate to bit-identical results no
   matter the worker count or cache state (including the actual spawn
-  pool, exercised once with a tiny workload);
-* cache identity — any workload-field change invalidates cached cells,
-  while execution knobs (jobs, cache_dir, resume) never do;
+  pool, exercised once with a tiny workload; the figure-level bytes are
+  pinned in ``test_one_engine.py``);
+* cache identity — a change to any field a run reads invalidates cached
+  cells, while execution knobs (jobs, cache_dir) and the statistics block
+  (runs, base_seed, confidence, significance_level) never do;
 * resilience — torn or schema-mismatched cache files count as misses,
   never as errors.
 """
@@ -65,9 +67,18 @@ class TestConfigDigest:
         assert config_digest(config) == config_digest(config)
 
     def test_every_workload_field_changes_the_digest(self):
-        """Any change to any cache field must invalidate cached cells."""
+        """A change to any field a run reads must invalidate cached cells,
+        and a change to any other field must not."""
         base = tiny_config()
         baseline = config_digest(base)
+        unread = {
+            "runs": 3,
+            "base_seed": 1999,
+            "confidence": 0.95,
+            "significance_level": 0.05,
+            "jobs": 8,
+            "cache_dir": "elsewhere",
+        }
         bumped = {
             "num_transactions": 31,
             "slack_factor": 1.5,
@@ -80,10 +91,6 @@ class TestConfigDigest:
             "replication_rate": 0.4,
             "remote_cost": 81.0,
             "per_vertex_cost": 0.03,
-            "runs": 3,
-            "base_seed": 1999,
-            "confidence": 0.95,
-            "significance_level": 0.05,
             "backend": "cluster",
             "scheduler": "edf",
             "arrival": "poisson",
@@ -92,27 +99,24 @@ class TestConfigDigest:
             "domains": 2,
             "partition_policy": "worst-fit",
         }
-        # "kernel" has one legal value ("scalar"), so it cannot be bumped.
-        cache_fields = set(base.cache_fields()) - {"kernel"}
-        assert cache_fields == set(bumped), (
+        assert set(base.cache_fields()) == set(bumped), (
             "a new ExperimentConfig field joined cache_fields(); "
             "extend this test with a bumped value for it"
         )
+        # "kernel" has one legal value ("scalar"), so it cannot be bumped.
+        every_field = {spec.name for spec in dataclasses.fields(base)}
+        assert every_field == set(bumped) | set(unread) | {"kernel"}
         for name, value in bumped.items():
             changed = dataclasses.replace(base, **{name: value})
             assert config_digest(changed) != baseline, name
+        for name, value in unread.items():
+            changed = dataclasses.replace(base, **{name: value})
+            assert config_digest(changed) == baseline, name
 
     def test_execution_fields_never_change_the_digest(self):
         base = tiny_config()
-        tweaked = base.with_execution(
-            jobs=8, cache_dir="elsewhere", resume=False
-        )
+        tweaked = base.with_execution(jobs=8, cache_dir="elsewhere")
         assert config_digest(tweaked) == config_digest(base)
-
-    def test_with_execution_resume(self):
-        resumed = tiny_config(cache_dir="somewhere").with_execution(resume=True)
-        assert resumed.resume
-        assert config_digest(resumed) == config_digest(tiny_config())
 
 
 class TestSweepCache:
@@ -181,15 +185,22 @@ class TestSweepCache:
 
 class TestRunGrid:
     def test_matches_the_serial_runner_exactly(self, tmp_path):
+        """The engine folds exactly what ``run_once`` reports, seed by
+        seed (figure-level bytes: tests/experiments/test_one_engine.py)."""
         config = tiny_config()
-        legacy = run_cell(config, "rtsads")
+        reports = [run_once(config, "rtsads", seed) for seed in config.seeds()]
         swept = run_grid(
             [(config, "rtsads")], jobs=1, cache_dir=str(tmp_path)
         ).cells[0]
-        assert swept.hit_percents == legacy.hit_percents
-        assert swept.makespans == legacy.makespans
-        assert swept.scheduling_times == legacy.scheduling_times
-        assert swept.scheduled_but_missed == legacy.scheduled_but_missed
+        assert swept.hit_percents == [r.hit_percent for r in reports]
+        assert swept.makespans == [r.makespan for r in reports]
+        assert swept.scheduling_times == [
+            r.total_scheduling_time for r in reports
+        ]
+        assert swept.regrets == [r.regret for r in reports]
+        assert swept.scheduled_but_missed == sum(
+            r.guaranteed_violations for r in reports
+        )
 
     def test_second_run_executes_nothing(self, tmp_path):
         config = tiny_config()
@@ -210,13 +221,29 @@ class TestRunGrid:
         victim = SweepCell(config, "rtsads", config.seeds()[1])
         cache.cell_path(victim).unlink()
         resumed = run_grid(
-            [(config, "rtsads")],
-            jobs=1,
-            cache_dir=str(tmp_path),
-            resume=True,
+            [(config, "rtsads")], jobs=1, cache_dir=str(tmp_path)
         )
         assert resumed.stats.executed == 1
         assert resumed.stats.cached == 2
+
+    def test_a_longer_sweep_reuses_the_seeds_already_cached(self, tmp_path):
+        """--runs 2, then --runs 3 at another confidence: one new seed per
+        spec, because the cache keys on what a run reads."""
+
+        def specs(config):
+            return [(config, "rtsads"), (config, "dcols")]
+
+        short = tiny_config(runs=2)
+        run_grid(specs(short), jobs=1, cache_dir=str(tmp_path))
+        longer = dataclasses.replace(short, runs=3, confidence=0.95)
+        warm = run_grid(specs(longer), jobs=1, cache_dir=str(tmp_path))
+        assert warm.stats.cached == 2 * len(specs(longer))
+        assert warm.stats.executed == 1 * len(specs(longer))
+        cold = run_grid(specs(longer), jobs=1, cache_dir=None)
+        assert cold.stats.executed == 3 * len(specs(longer))
+        assert [dataclasses.asdict(cell) for cell in warm.cells] == [
+            dataclasses.asdict(cell) for cell in cold.cells
+        ]
 
     def test_no_cache_dir_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -285,7 +312,7 @@ class TestSpawnPool:
         assert pooled.cells[0].dead_end_rates == serial.cells[0].dead_end_rates
 
 
-def _traced_grid(jobs, cache_dir=None, resume=False):
+def _traced_grid(jobs, cache_dir=None):
     """Run one tiny grid under fresh instrumentation; return (obs, outcome)."""
     from repro.observability import (
         OFF,
@@ -301,10 +328,7 @@ def _traced_grid(jobs, cache_dir=None, resume=False):
     )
     with instrumented(obs):
         outcome = run_grid(
-            [(config, "rtsads")],
-            jobs=jobs,
-            cache_dir=cache_dir,
-            resume=resume,
+            [(config, "rtsads")], jobs=jobs, cache_dir=cache_dir
         )
     return obs, outcome
 
@@ -361,9 +385,7 @@ class TestSweepTracing:
         """A fully resumed sweep (zero executions) reports the same
         summed counters as the run that populated the cache."""
         first_obs, first = _traced_grid(jobs=1, cache_dir=str(tmp_path))
-        second_obs, second = _traced_grid(
-            jobs=1, cache_dir=str(tmp_path), resume=True
-        )
+        second_obs, second = _traced_grid(jobs=1, cache_dir=str(tmp_path))
         assert second.stats.executed == 0
         assert second.stats.cached == first.stats.executed
         assert (
@@ -409,7 +431,8 @@ class TestRunnerDelegation:
         assert second.hit_percents == first.hit_percents
 
     def test_overrides_bypass_the_sweep_engine(self, tmp_path):
-        """Ablation overrides are live objects: they must not be cached."""
+        """Ablation overrides are live objects with no cache key: the
+        engine runs such a cell but never caches it."""
         from repro.core.quantum import FixedQuantum
 
         config = tiny_config(cache_dir=str(tmp_path))
@@ -463,13 +486,12 @@ class TestConfigExecutionFields:
         config = ExperimentConfig.quick()
         assert config.jobs == 1
         assert config.cache_dir is None
-        assert not config.resume
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig.quick(jobs=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig.quick(resume=True)  # no cache_dir
+        with pytest.raises(TypeError):
+            ExperimentConfig.quick(resume=True)  # not a field: see --resume
 
     def test_with_execution_keeps_other_fields(self):
         base = ExperimentConfig.quick()

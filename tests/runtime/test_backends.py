@@ -103,6 +103,69 @@ class TestRunnerDispatch:
         assert report.trace.total_tasks() == 20  # sim extra present
 
 
+class TestBackendFacts:
+    """What the engine and the oracle need to know is on the backend."""
+
+    def test_builtin_facts(self):
+        facts = {
+            name: (get_backend(name).live, get_backend(name).seeded_workload)
+            for name in BACKEND_NAMES
+        }
+        assert facts == {
+            "sim": (False, True),
+            "sharded": (False, True),
+            "cluster": (True, True),
+            "service": (True, False),
+        }
+
+    def test_a_backend_that_binds_no_port_is_its_own_copy(self):
+        backend = RecordingBackend()
+        assert backend.with_port(4242) is backend
+        assert not backend.live and not backend.seeded_workload
+
+    def test_a_registered_live_backend_stays_in_the_parent(self, monkeypatch):
+        """A third-party socket backend is never pooled and gets a leased
+        port per run, because it says ``live`` — no name set knows it."""
+        from repro.experiments import PortPool, run_grid, sweep
+
+        class SocketBackend(RecordingBackend):
+            name = "socket-test"
+            live = True
+
+            def __init__(self):
+                super().__init__()
+                self.ports = []
+
+            def with_port(self, port):
+                self.ports.append(port)
+                return self
+
+        def no_pool(method):
+            raise AssertionError("a live backend's cell must not be pooled")
+
+        monkeypatch.setattr(sweep.multiprocessing, "get_context", no_pool)
+        backend = SocketBackend()
+        register_backend(backend.name, lambda: backend)
+        config = ExperimentConfig.quick(runs=2).with_backend(backend.name)
+        outcome = run_grid(
+            [(config, "rtsads")], jobs=4, port_pool=PortPool((5001,))
+        )
+        assert outcome.stats.executed == 2
+        assert backend.ports == [5001, 5001]
+        assert [seed for _, _, seed in backend.calls] == config.seeds()
+
+    def test_a_seeded_workload_backend_gets_an_oracle_verdict(self):
+        class MirrorBackend(RecordingBackend):
+            name = "mirror-test"
+            seeded_workload = True
+
+        config = ExperimentConfig.quick(num_transactions=20, runs=1)
+        plain = run_once(config, "rtsads", 7, backend=RecordingBackend())
+        mirrored = run_once(config, "rtsads", 7, backend=MirrorBackend())
+        assert plain.regret["verdict"] == "unknown"
+        assert mirrored.regret["verdict"] != "unknown"
+
+
 class TestExperimentConfigBackend:
     def test_default_and_override(self):
         config = ExperimentConfig.quick()
