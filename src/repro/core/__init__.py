@@ -41,7 +41,6 @@ from .phase import MIN_PHASE_TIME, PhaseResult, run_phase
 from .registry import (
     SCHEDULER_NAMES,
     SchedulerContext,
-    get_scheduler_builder,
     make_scheduler,
     register_scheduler,
     registered_names,
@@ -130,7 +129,6 @@ __all__ = [
     "get_evaluator",
     "get_expander",
     "get_quantum_policy",
-    "get_scheduler_builder",
     "is_feasible_against_bound",
     "is_feasible_assignment",
     "make_child",

@@ -1,4 +1,4 @@
-"""Non-search baselines implementing the same scheduler interface.
+"""Non-search baselines: the list frame and three placement rules.
 
 These enrich the comparison beyond the paper's two contenders:
 
@@ -10,189 +10,142 @@ These enrich the comparison beyond the paper's two contenders:
 * :class:`RandomScheduler` — random task order, random feasible processor;
   the sanity-check floor.
 
-All three charge the same virtual per-vertex cost for every (task,
-processor) pair they evaluate and honour the same quantum-aware feasibility
-bound, so the paper's correctness theorem holds for them too.
+All of them (and the zoo in :mod:`repro.core.zoo`) are a
+:class:`ListScheduler`: the frame charges the same virtual per-vertex cost
+for every (task, processor) pair a rule looks at and applies the same
+quantum-aware feasibility bound, so the paper's correctness theorem holds
+for each by construction.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .affinity import CommunicationModel
-from .feasibility import projected_offsets
+from .feasibility import is_feasible_against_bound, projected_offsets
 from .phase import MIN_PHASE_TIME, PhaseResult
-from .quantum import QuantumPolicy, SelfAdjustingQuantum
-from .registry import SchedulerContext, register_scheduler
+from .quantum import QuantumPolicy
+from .registry import register_scheduler
 from .schedule import Schedule, ScheduleEntry
-from ..observability import get_instrumentation
-from .scheduler import (
-    DEFAULT_PER_VERTEX_COST,
-    DEFAULT_PHASE_OVERHEAD_FACTOR,
-    DEFAULT_QUANTUM_CAP_FACTOR,
-    Scheduler,
-    phase_overhead,
-    record_phase_metrics,
-    useful_search_time,
-)
+from .scheduler import DEFAULT_PER_VERTEX_COST, Scheduler
 from .search import SearchStats, VirtualTimeBudget
 from .task import Task
 
+#: One feasible placement of a task: ``(processor, comm_cost, end)``.
+Placement = Tuple[int, float, float]
 
-class _ListScheduler(Scheduler):
-    """Shared machinery for the one-pass (no backtracking) baselines."""
 
-    def __init__(
-        self,
-        comm: CommunicationModel,
-        quantum_policy: Optional[QuantumPolicy] = None,
-        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        quantum_cap_factor: Optional[float] = DEFAULT_QUANTUM_CAP_FACTOR,
-        phase_overhead_factor: float = DEFAULT_PHASE_OVERHEAD_FACTOR,
-        name: str = "list-scheduler",
-    ) -> None:
-        if per_vertex_cost <= 0:
-            raise ValueError("per_vertex_cost must be positive")
-        if phase_overhead_factor < 0:
-            raise ValueError("phase_overhead_factor must be non-negative")
-        self.comm = comm
-        self.quantum_policy = quantum_policy or SelfAdjustingQuantum()
-        self.per_vertex_cost = per_vertex_cost
-        self.quantum_cap_factor = quantum_cap_factor
-        self.phase_overhead_factor = phase_overhead_factor
-        self.name = name
+class ListScheduler(Scheduler):
+    """The frame's hook for schedulers that place without backtracking.
 
-    def _phase_budget(
-        self, batch_size: int, num_processors: int, quantum: float
-    ) -> VirtualTimeBudget:
-        """Budget for the phase window: quantum plus pre-paid overhead."""
-        overhead = phase_overhead(
-            batch_size=batch_size,
-            num_processors=num_processors,
-            per_vertex_cost=self.per_vertex_cost,
-            overhead_factor=self.phase_overhead_factor,
-        )
-        budget = VirtualTimeBudget(
-            quantum=quantum + overhead, per_vertex_cost=self.per_vertex_cost
-        )
-        budget.consume(overhead)
-        return budget
+    :meth:`fill_window` is order -> pre-filter -> placements -> stats ->
+    :class:`PhaseResult`.  A subclass overrides what distinguishes it:
 
-    def plan_quantum(
-        self, batch: Sequence[Task], loads: Sequence[float], now: float
-    ) -> float:
-        quantum = self.quantum_policy.quantum(batch, loads, now)
-        if self.quantum_cap_factor is not None:
-            cap = useful_search_time(
-                batch_size=len(batch),
-                num_processors=len(loads),
-                per_vertex_cost=self.per_vertex_cost,
-                cap_factor=self.quantum_cap_factor,
-            )
-            quantum = min(quantum, max(cap, self.quantum_policy.min_quantum))
-        return quantum
+    * :meth:`order` — the sequence tasks are considered in (default EDF);
+    * :meth:`pick` — which of a task's feasible placements to take;
+    * :meth:`place` — the loop that turns the admitted tasks into entries
+      (default: one pass, one :meth:`probe` and one :meth:`pick` per task).
+    """
 
-    def _task_order(self, batch: Sequence[Task]) -> List[Task]:
-        """Order in which tasks are considered for assignment."""
-        return sorted(batch, key=lambda t: (t.deadline, t.task_id))
-
-    def _pick_processor(
-        self,
-        task: Task,
-        offsets: List[float],
-        bound: float,
-        budget: VirtualTimeBudget,
-        stats: SearchStats,
-    ) -> Optional[tuple]:
-        """Choose a feasible processor; returns (proc, comm_cost, end)."""
-        best = None
-        budget.charge(len(offsets))
-        stats.vertices_generated += len(offsets)
-        for processor, offset in enumerate(offsets):
-            comm_cost = self.comm.cost(task, processor)
-            end = offset + task.processing_time + comm_cost
-            if bound + end > task.deadline + 1e-9:
-                stats.feasibility_rejections += 1
-                continue
-            if best is None or end < best[2]:
-                best = (processor, comm_cost, end)
-        return best
-
-    def schedule_phase(
-        self,
-        batch: Sequence[Task],
-        loads: Sequence[float],
-        now: float,
-        quantum: float,
-    ) -> PhaseResult:
-        budget = self._phase_budget(len(batch), len(loads), quantum)
-        phase_window = budget.quantum  # quantum + phase overhead
-        offsets = list(projected_offsets(loads, phase_window))
-        initial = tuple(offsets)
-        bound = now + phase_window
+    def fill_window(self, batch, loads, now, budget):
+        """One list-scheduling phase over the window ``budget.quantum``."""
+        window = budget.quantum
+        initial = projected_offsets(loads, window)
+        bound = now + window
         stats = SearchStats()
-        schedule = Schedule()
         # Same necessary-condition pre-filter as run_phase: drop tasks that
         # cannot meet their deadline even at zero wait this phase.
         viable = [
-            t
-            for t in self._task_order(batch)
-            if bound + t.processing_time <= t.deadline + 1e-9
+            task
+            for task in self.order(batch)
+            if is_feasible_against_bound(task, task.processing_time, bound)
         ]
-        for task in viable:
-            if budget.exhausted():
-                break
-            stats.task_probes += 1
-            choice = self._pick_processor(task, offsets, bound, budget, stats)
-            if choice is None:
-                continue
-            processor, comm_cost, end = choice
-            offsets[processor] = end
-            schedule.append(
-                ScheduleEntry(
-                    task=task,
-                    processor=processor,
-                    communication_cost=comm_cost,
-                    scheduled_end=end,
-                )
-            )
+        stats.prefilter_rejected = len(batch) - len(viable)
+        schedule = Schedule(
+            self.place(viable, list(initial), bound, budget, stats)
+        )
         stats.expansions = len(schedule)
         stats.max_depth = len(schedule)
         stats.processors_touched = len(schedule.processors())
         stats.complete = len(schedule) == len(batch)
-        stats.prefilter_rejected = len(batch) - len(viable)
-        result = PhaseResult(
+        return PhaseResult(
             schedule=schedule,
-            time_used=min(max(budget.used(), MIN_PHASE_TIME), phase_window),
-            quantum=phase_window,
+            time_used=min(max(budget.used(), MIN_PHASE_TIME), window),
+            quantum=window,
             phase_start=now,
             stats=stats,
             initial_offsets=initial,
         )
-        obs = self.instrumentation or get_instrumentation()
-        if obs.enabled:
-            record_phase_metrics(obs, self.name, stats, phase_window, len(batch))
-        return result
+
+    def order(self, batch: Sequence[Task]) -> List[Task]:
+        """Order in which tasks are considered for assignment."""
+        return sorted(batch, key=lambda t: (t.deadline, t.task_id))
+
+    def probe(
+        self,
+        task: Task,
+        offsets: Sequence[float],
+        bound: float,
+        budget: VirtualTimeBudget,
+        stats: SearchStats,
+    ) -> List[Placement]:
+        """Charge one vertex per processor; the placements meeting ``bound``.
+
+        Returned in processor order.  Every infeasible (task, processor)
+        pair counts as a feasibility rejection, whatever the rule then does
+        with the feasible ones.
+        """
+        budget.charge(len(offsets))
+        stats.task_probes += 1
+        stats.vertices_generated += len(offsets)
+        feasible = []
+        for processor, offset in enumerate(offsets):
+            comm_cost = self.comm.cost(task, processor)
+            end = offset + task.processing_time + comm_cost
+            if is_feasible_against_bound(task, end, bound):
+                feasible.append((processor, comm_cost, end))
+        stats.feasibility_rejections += len(offsets) - len(feasible)
+        return feasible
+
+    def pick(
+        self, feasible: List[Placement], offsets: Sequence[float]
+    ) -> Placement:
+        """Choose among a task's feasible placements (never empty)."""
+        return min(feasible, key=lambda choice: choice[2])
+
+    def place(
+        self,
+        viable: List[Task],
+        offsets: List[float],
+        bound: float,
+        budget: VirtualTimeBudget,
+        stats: SearchStats,
+    ) -> List[ScheduleEntry]:
+        """One pass over ``viable``: probe, pick, advance that processor."""
+        entries = []
+        for task in viable:
+            if budget.exhausted():
+                break
+            feasible = self.probe(task, offsets, bound, budget, stats)
+            if not feasible:
+                continue
+            processor, comm_cost, end = self.pick(feasible, offsets)
+            offsets[processor] = end
+            entries.append(ScheduleEntry(task, processor, comm_cost, end))
+        return entries
 
 
-class GreedyEDFScheduler(_ListScheduler):
+class GreedyEDFScheduler(ListScheduler):
     """EDF order, minimum-completion-time processor, no backtracking."""
 
-    def __init__(
-        self,
-        comm: CommunicationModel,
-        quantum_policy: Optional[QuantumPolicy] = None,
-        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            comm, quantum_policy, per_vertex_cost, name="Greedy-EDF", **kwargs
-        )
+    name = "Greedy-EDF"
 
 
-class RandomScheduler(_ListScheduler):
+class RandomScheduler(ListScheduler):
     """Random task order and random feasible processor (seeded)."""
+
+    name = "Random"
 
     def __init__(
         self,
@@ -202,35 +155,27 @@ class RandomScheduler(_ListScheduler):
         seed: int = 0,
         **kwargs,
     ) -> None:
-        super().__init__(
-            comm, quantum_policy, per_vertex_cost, name="Random", **kwargs
-        )
+        super().__init__(comm, quantum_policy, per_vertex_cost, **kwargs)
         self.seed = seed
         self._rng = random.Random(seed)
 
     def reset(self) -> None:
+        """Rewind the generator too, so a rerun repeats its choices."""
+        super().reset()
         self._rng = random.Random(self.seed)
 
-    def _task_order(self, batch: Sequence[Task]) -> List[Task]:
+    def order(self, batch: Sequence[Task]) -> List[Task]:
+        """A seeded shuffle of the batch."""
         tasks = list(batch)
         self._rng.shuffle(tasks)
         return tasks
 
-    def _pick_processor(self, task, offsets, bound, budget, stats):
-        budget.charge(len(offsets))
-        stats.vertices_generated += len(offsets)
-        feasible = []
-        for processor, offset in enumerate(offsets):
-            comm_cost = self.comm.cost(task, processor)
-            end = offset + task.processing_time + comm_cost
-            if bound + end <= task.deadline + 1e-9:
-                feasible.append((processor, comm_cost, end))
-        if not feasible:
-            return None
+    def pick(self, feasible, offsets):
+        """Any feasible placement, uniformly."""
         return self._rng.choice(feasible)
 
 
-class MyopicScheduler(_ListScheduler):
+class MyopicScheduler(ListScheduler):
     """Myopic heuristic scheduling (Ramamritham, Stankovic & Zhao style).
 
     At each step only the ``window`` earliest-deadline unassigned tasks are
@@ -239,6 +184,8 @@ class MyopicScheduler(_ListScheduler):
     uniprocessor/shared-memory technique whose sequence-oriented extension
     the paper critiques, included here as an additional reference point.
     """
+
+    name = "Myopic"
 
     def __init__(
         self,
@@ -253,111 +200,37 @@ class MyopicScheduler(_ListScheduler):
             raise ValueError("window must be positive")
         if weight < 0:
             raise ValueError("weight must be non-negative")
-        super().__init__(
-            comm, quantum_policy, per_vertex_cost, name="Myopic", **kwargs
-        )
+        super().__init__(comm, quantum_policy, per_vertex_cost, **kwargs)
         self.window = window
         self.weight = weight
 
-    def schedule_phase(
-        self,
-        batch: Sequence[Task],
-        loads: Sequence[float],
-        now: float,
-        quantum: float,
-    ) -> PhaseResult:
-        budget = self._phase_budget(len(batch), len(loads), quantum)
-        phase_window = budget.quantum  # quantum + phase overhead
-        offsets = list(projected_offsets(loads, phase_window))
-        initial = tuple(offsets)
-        bound = now + phase_window
-        stats = SearchStats()
-        schedule = Schedule()
-        remaining = [
-            t
-            for t in sorted(batch, key=lambda t: (t.deadline, t.task_id))
-            if bound + t.processing_time <= t.deadline + 1e-9
-        ]
-        prefiltered = len(remaining)
+    def place(self, viable, offsets, bound, budget, stats):
+        """Repeatedly place the best ``(H, end)`` of the lookahead window."""
+        entries = []
+        remaining = list(viable)
         while remaining and not budget.exhausted():
-            best = None  # (H, task_pos, processor, comm_cost, end)
-            lookahead = remaining[: self.window]
-            for position, task in enumerate(lookahead):
-                stats.task_probes += 1
-                budget.charge(len(offsets))
-                stats.vertices_generated += len(offsets)
-                for processor, offset in enumerate(offsets):
-                    comm_cost = self.comm.cost(task, processor)
-                    end = offset + task.processing_time + comm_cost
-                    if bound + end > task.deadline + 1e-9:
-                        stats.feasibility_rejections += 1
-                        continue
+            best = None  # ((H, end), position, placement)
+            for position, task in enumerate(remaining[: self.window]):
+                for choice in self.probe(task, offsets, bound, budget, stats):
+                    _, comm_cost, end = choice
                     start = end - task.processing_time - comm_cost
-                    heuristic = task.deadline + self.weight * start
-                    key = (heuristic, end)
+                    key = (task.deadline + self.weight * start, end)
                     if best is None or key < best[0]:
-                        best = (key, position, processor, comm_cost, end)
+                        best = (key, position, choice)
             if best is None:
                 # No window task is feasible anywhere: the myopic strategy
                 # discards the head (tightest) task and retries.
                 remaining.pop(0)
                 stats.backtracks += 1
                 continue
-            _, position, processor, comm_cost, end = best
-            task = remaining.pop(position)
+            _, position, (processor, comm_cost, end) = best
             offsets[processor] = end
-            schedule.append(
-                ScheduleEntry(
-                    task=task,
-                    processor=processor,
-                    communication_cost=comm_cost,
-                    scheduled_end=end,
-                )
+            entries.append(
+                ScheduleEntry(remaining.pop(position), processor, comm_cost, end)
             )
-            stats.expansions += 1
-        stats.max_depth = len(schedule)
-        stats.processors_touched = len(schedule.processors())
-        stats.complete = len(schedule) == len(batch)
-        stats.prefilter_rejected = len(batch) - prefiltered
-        result = PhaseResult(
-            schedule=schedule,
-            time_used=min(max(budget.used(), MIN_PHASE_TIME), phase_window),
-            quantum=phase_window,
-            phase_start=now,
-            stats=stats,
-            initial_offsets=initial,
-        )
-        obs = self.instrumentation or get_instrumentation()
-        if obs.enabled:
-            record_phase_metrics(obs, self.name, stats, phase_window, len(batch))
-        return result
+        return entries
 
 
-def _build_greedy_edf(context: "SchedulerContext") -> GreedyEDFScheduler:
-    return GreedyEDFScheduler(
-        comm=context.comm,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-def _build_myopic(context: "SchedulerContext") -> MyopicScheduler:
-    return MyopicScheduler(
-        comm=context.comm,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-def _build_random(context: "SchedulerContext") -> RandomScheduler:
-    return RandomScheduler(
-        comm=context.comm,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-        seed=context.seed,
-    )
-
-
-register_scheduler("greedy_edf", _build_greedy_edf)
-register_scheduler("myopic", _build_myopic)
-register_scheduler("random", _build_random)
+register_scheduler("greedy_edf", GreedyEDFScheduler.from_context)
+register_scheduler("myopic", MyopicScheduler.from_context)
+register_scheduler("random", RandomScheduler.from_context)

@@ -18,7 +18,7 @@ from ..observability import Instrumentation
 from .affinity import CommunicationModel
 from .cost import LoadBalancingEvaluator, VertexEvaluator
 from .quantum import QuantumPolicy, SelfAdjustingQuantum
-from .registry import SchedulerContext, register_scheduler
+from .registry import register_scheduler
 from .representations import SequenceOrientedExpander
 from .scheduler import DEFAULT_PER_VERTEX_COST, SearchScheduler
 
@@ -76,13 +76,4 @@ class DCOLS(SearchScheduler):
         self.rotate_start = rotate_start
 
 
-def _build_dcols(context: "SchedulerContext") -> DCOLS:
-    return DCOLS(
-        comm=context.comm,
-        evaluator=context.evaluator,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-register_scheduler("dcols", _build_dcols)
+register_scheduler("dcols", DCOLS.from_context)

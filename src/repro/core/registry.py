@@ -8,7 +8,8 @@ backend, and CLI flag can sweep any registered name immediately.
 
 A builder receives a :class:`SchedulerContext` — the frozen bag of
 construction inputs the experiment layer knows about — and returns a
-:class:`~repro.core.scheduler.Scheduler`.  Keeping the context in
+:class:`~repro.core.scheduler.Scheduler`; every built-in registers its
+class's :meth:`~repro.core.scheduler.Scheduler.from_context`.  Keeping the context in
 ``core/`` means builders never import the experiment layer, so the
 dependency arrow stays ``experiments -> core``.
 """
@@ -50,15 +51,13 @@ class SchedulerContext:
     ``evaluator`` and ``quantum_policy`` are the ablation overrides; the
     search schedulers (RT-SADS, D-COLS) honour both, the one-pass list
     schedulers take only the quantum policy — same contract the old
-    if-chain in ``experiments/runner.py`` implemented.  ``seed`` feeds
-    stochastic schedulers (``"random"``) so repetitions stay reproducible.
+    if-chain in ``experiments/runner.py`` implemented.
     """
 
     comm: CommunicationModel
     per_vertex_cost: float = DEFAULT_PER_VERTEX_COST
     evaluator: Optional[object] = None
     quantum_policy: Optional[object] = None
-    seed: int = 0
 
 
 def register_scheduler(
@@ -66,13 +65,6 @@ def register_scheduler(
 ) -> None:
     """Register (or replace) a scheduler builder under ``name``."""
     _SCHEDULERS.register(name, builder)
-
-
-def get_scheduler_builder(
-    name: str,
-) -> Callable[[SchedulerContext], Scheduler]:
-    """Resolve a scheduler name to its registered builder."""
-    return _SCHEDULERS.get(name)
 
 
 def make_scheduler(name: str, context: SchedulerContext) -> Scheduler:

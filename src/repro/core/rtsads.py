@@ -16,7 +16,7 @@ from ..observability import Instrumentation
 from .affinity import CommunicationModel
 from .cost import LoadBalancingEvaluator, VertexEvaluator
 from .quantum import QuantumPolicy, SelfAdjustingQuantum
-from .registry import SchedulerContext, register_scheduler
+from .registry import register_scheduler
 from .representations import AssignmentOrientedExpander
 from .scheduler import DEFAULT_PER_VERTEX_COST, SearchScheduler
 
@@ -73,13 +73,4 @@ class RTSADS(SearchScheduler):
         )
 
 
-def _build_rtsads(context: "SchedulerContext") -> RTSADS:
-    return RTSADS(
-        comm=context.comm,
-        evaluator=context.evaluator,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-register_scheduler("rtsads", _build_rtsads)
+register_scheduler("rtsads", RTSADS.from_context)

@@ -1,23 +1,27 @@
-"""Scheduler interface and the generic search-based dynamic scheduler.
+"""The phase frame every scheduler runs inside, and the search scheduler.
 
 The on-line runtime (:mod:`repro.simulator.runtime`) is scheduler-agnostic:
-anything implementing :class:`Scheduler` can drive it.  RT-SADS and D-COLS
-are thin configurations of :class:`SearchScheduler`; the greedy baselines in
-:mod:`repro.core.baselines` implement the interface directly.
+it calls ``plan_quantum`` then ``schedule_phase`` on any :class:`Scheduler`.
+RT-SADS and D-COLS are thin configurations of :class:`SearchScheduler`; the
+one-pass schedulers of :mod:`repro.core.baselines` and :mod:`repro.core.zoo`
+share :class:`~repro.core.baselines.ListScheduler`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..observability import Instrumentation, get_instrumentation
 from .affinity import CommunicationModel
 from .cost import LoadBalancingEvaluator, VertexEvaluator
 from .phase import PhaseResult, run_phase
 from .quantum import QuantumPolicy, SelfAdjustingQuantum
-from .search import Expander, SearchStats, VirtualTimeBudget
+from .search import SearchStats, VirtualTimeBudget
 from .task import Task
+
+if TYPE_CHECKING:  # registry imports this module
+    from .registry import SchedulerContext
 
 #: Default modelled cost of generating/evaluating one search vertex, in the
 #: same time units as task processing times (one tuple-check = 1.0 unit).
@@ -102,58 +106,32 @@ def useful_search_time(
 
 
 class Scheduler(ABC):
-    """A dynamic scheduler usable by the on-line runtime."""
+    """The phase frame every dynamic scheduler runs inside.
+
+    The paper compares representations "under the same quantum formula and
+    the same feasibility test" (Section 5.2); the frame makes that hold by
+    construction for every registered scheduler.  It owns the constructor
+    validation, :meth:`plan_quantum`, and :meth:`schedule_phase` — pre-paid
+    phase overhead, the virtual-time budget, one observation path (``phase``
+    span, per-scheduler metrics, debug line).  A scheduler supplies only
+    :meth:`fill_window`, the rule that spends the budget on placements.
+    """
 
     name: str = "scheduler"
 
-    #: None means "use the process default at phase time"; the runtime
-    #: injects its own instrumentation here for the duration of a run so an
+    #: None means "use the process default at phase time", so switching the
+    #: global instrumentation on affects already-built schedulers; the
+    #: runtime injects its own here for the duration of a run so an
     #: explicitly instrumented ``simulate(...)`` reaches the phase loop too.
     instrumentation: Optional[Instrumentation] = None
-
-    @abstractmethod
-    def plan_quantum(
-        self, batch: Sequence[Task], loads: Sequence[float], now: float
-    ) -> float:
-        """Allocate the scheduling time ``Q_s(j)`` for the next phase."""
-
-    @abstractmethod
-    def schedule_phase(
-        self,
-        batch: Sequence[Task],
-        loads: Sequence[float],
-        now: float,
-        quantum: float,
-    ) -> PhaseResult:
-        """Run scheduling phase ``j`` and return its feasible schedule."""
-
-    def reset(self) -> None:
-        """Clear inter-phase state before a fresh simulation run."""
-
-
-class SearchScheduler(Scheduler):
-    """Search-based dynamic scheduler parameterized by representation.
-
-    Combines a quantum policy (Section 4.2), a search representation
-    (Section 3), a vertex evaluator (Section 4.4), and the budget model into
-    the phase loop of Section 4.1.  ``expander_factory`` receives the phase
-    index so representations can rotate state across phases (D-COLS rotates
-    its round-robin start processor).
-    """
 
     def __init__(
         self,
         comm: CommunicationModel,
-        expander_factory,
-        evaluator: Optional[VertexEvaluator] = None,
         quantum_policy: Optional[QuantumPolicy] = None,
         per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        max_candidates: Optional[int] = 100_000,
         quantum_cap_factor: Optional[float] = DEFAULT_QUANTUM_CAP_FACTOR,
         phase_overhead_factor: float = DEFAULT_PHASE_OVERHEAD_FACTOR,
-        name: str = "search-scheduler",
-        instrumentation: Optional[Instrumentation] = None,
-        phase_runner=None,
     ) -> None:
         if per_vertex_cost <= 0:
             raise ValueError("per_vertex_cost must be positive")
@@ -162,26 +140,25 @@ class SearchScheduler(Scheduler):
         if phase_overhead_factor < 0:
             raise ValueError("phase_overhead_factor must be non-negative")
         self.comm = comm
-        self.expander_factory = expander_factory
-        self.evaluator = evaluator or LoadBalancingEvaluator()
         self.quantum_policy = quantum_policy or SelfAdjustingQuantum()
         self.per_vertex_cost = per_vertex_cost
-        self.max_candidates = max_candidates
         self.quantum_cap_factor = quantum_cap_factor
         self.phase_overhead_factor = phase_overhead_factor
-        self.name = name
-        # None means "use the process default at phase time", so switching
-        # the global instrumentation on affects already-built schedulers.
-        self.instrumentation = instrumentation
-        # The differential harness swaps in the frozen reference phase loop
-        # (repro.core.reference.run_phase) here; production schedulers keep
-        # the optimized default.
-        self._phase_runner = phase_runner if phase_runner is not None else run_phase
         self.phase_index = 0
+
+    @classmethod
+    def from_context(cls, context: SchedulerContext) -> Scheduler:
+        """The registry builder: construct from what the experiment knows."""
+        return cls(
+            comm=context.comm,
+            quantum_policy=context.quantum_policy,
+            per_vertex_cost=context.per_vertex_cost,
+        )
 
     def plan_quantum(
         self, batch: Sequence[Task], loads: Sequence[float], now: float
     ) -> float:
+        """Allocate the scheduling time ``Q_s(j)`` for the next phase."""
         quantum = self.quantum_policy.quantum(batch, loads, now)
         if self.quantum_cap_factor is not None:
             cap = useful_search_time(
@@ -200,7 +177,7 @@ class SearchScheduler(Scheduler):
         now: float,
         quantum: float,
     ) -> PhaseResult:
-        expander: Expander = self.expander_factory(self.phase_index)
+        """Run scheduling phase ``j`` and return its feasible schedule."""
         # The phase's total window is the search quantum plus the fixed
         # batch-management overhead; the overhead is pre-consumed so the
         # search only gets `quantum` of it, while the feasibility bound
@@ -218,33 +195,11 @@ class SearchScheduler(Scheduler):
         budget.consume(overhead)
         obs = self.instrumentation or get_instrumentation()
         if not obs.enabled:
-            result = self._phase_runner(
-                tasks=batch,
-                loads=loads,
-                now=now,
-                quantum=quantum + overhead,
-                comm=self.comm,
-                expander=expander,
-                evaluator=self.evaluator,
-                budget=budget,
-                per_vertex_cost=self.per_vertex_cost,
-                max_candidates=self.max_candidates,
-            )
+            result = self.fill_window(batch, loads, now, budget)
             self.phase_index += 1
             return result
         with obs.span("phase", scheduler=self.name, phase=self.phase_index) as span:
-            result = self._phase_runner(
-                tasks=batch,
-                loads=loads,
-                now=now,
-                quantum=quantum + overhead,
-                comm=self.comm,
-                expander=expander,
-                evaluator=self.evaluator,
-                budget=budget,
-                per_vertex_cost=self.per_vertex_cost,
-                max_candidates=self.max_candidates,
-            )
+            result = self.fill_window(batch, loads, now, budget)
             span.set(
                 t=now,
                 quantum=result.quantum,
@@ -272,10 +227,94 @@ class SearchScheduler(Scheduler):
         self.phase_index += 1
         return result
 
+    @abstractmethod
+    def fill_window(
+        self,
+        batch: Sequence[Task],
+        loads: Sequence[float],
+        now: float,
+        budget: VirtualTimeBudget,
+    ) -> PhaseResult:
+        """Spend ``budget`` placing tasks of ``batch``; the one hook.
+
+        ``budget.quantum`` is the whole phase window — ``Q_s(j)`` plus the
+        overhead already consumed from it — so the result's ``quantum`` and
+        the feasibility bound are ``now + budget.quantum``.
+        """
+
     def reset(self) -> None:
+        """Clear inter-phase state before a fresh simulation run."""
         self.phase_index = 0
 
+
+class SearchScheduler(Scheduler):
+    """Search-based dynamic scheduler parameterized by representation.
+
+    Combines a quantum policy (Section 4.2), a search representation
+    (Section 3), a vertex evaluator (Section 4.4), and the budget model into
+    the phase loop of Section 4.1.  ``expander_factory`` receives the phase
+    index so representations can rotate state across phases (D-COLS rotates
+    its round-robin start processor).
+    """
+
+    def __init__(
+        self,
+        comm: CommunicationModel,
+        expander_factory,
+        evaluator: Optional[VertexEvaluator] = None,
+        quantum_policy: Optional[QuantumPolicy] = None,
+        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
+        max_candidates: Optional[int] = 100_000,
+        quantum_cap_factor: Optional[float] = DEFAULT_QUANTUM_CAP_FACTOR,
+        phase_overhead_factor: float = DEFAULT_PHASE_OVERHEAD_FACTOR,
+        name: str = "search-scheduler",
+        instrumentation: Optional[Instrumentation] = None,
+        phase_runner=None,
+    ) -> None:
+        super().__init__(
+            comm,
+            quantum_policy,
+            per_vertex_cost,
+            quantum_cap_factor,
+            phase_overhead_factor,
+        )
+        self.expander_factory = expander_factory
+        self.evaluator = evaluator or LoadBalancingEvaluator()
+        self.max_candidates = max_candidates
+        self.name = name
+        self.instrumentation = instrumentation
+        # The differential harness swaps in the frozen reference phase loop
+        # (repro.core.reference.run_phase) here; production schedulers keep
+        # the optimized default.
+        self._phase_runner = phase_runner if phase_runner is not None else run_phase
+
+    @classmethod
+    def from_context(cls, context: SchedulerContext) -> SearchScheduler:
+        """As the frame's, plus the evaluator override a search honours."""
+        return cls(
+            comm=context.comm,
+            evaluator=context.evaluator,
+            quantum_policy=context.quantum_policy,
+            per_vertex_cost=context.per_vertex_cost,
+        )
+
+    def fill_window(self, batch, loads, now, budget):
+        """Search the task space of ``batch`` until the budget runs out."""
+        return self._phase_runner(
+            tasks=batch,
+            loads=loads,
+            now=now,
+            quantum=budget.quantum,
+            comm=self.comm,
+            expander=self.expander_factory(self.phase_index),
+            evaluator=self.evaluator,
+            budget=budget,
+            per_vertex_cost=self.per_vertex_cost,
+            max_candidates=self.max_candidates,
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        """Class, display name, evaluator and quantum policy."""
         return (
             f"{type(self).__name__}(name={self.name!r}, "
             f"evaluator={self.evaluator.name}, "

@@ -1,9 +1,10 @@
-"""Scheduler zoo: classic multiprocessor policies behind one interface.
+"""Scheduler zoo: classic multiprocessor policies as placement rules.
 
 Three non-search schedulers that broaden the comparison beyond the
-paper's contenders, all built on the :class:`_ListScheduler` machinery so
-they charge the same virtual per-vertex cost and honour the same
-quantum-aware feasibility bound (the guarantee theorem holds for them):
+paper's contenders, each a rule under
+:class:`~repro.core.baselines.ListScheduler` — so they charge the same
+virtual per-vertex cost and honour the same quantum-aware feasibility
+bound (the guarantee theorem holds for them):
 
 * :class:`GlobalEDFScheduler` — global earliest-deadline-first onto the
   earliest-available processor, the textbook global-EDF dispatcher.
@@ -22,21 +23,21 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .affinity import CommunicationModel
-from .feasibility import projected_offsets
-from .baselines import _ListScheduler
-from .phase import MIN_PHASE_TIME, PhaseResult
+from .baselines import ListScheduler, Placement
+from .feasibility import is_feasible_against_bound
 from .quantum import QuantumPolicy
-from .registry import SchedulerContext, register_scheduler
-from .schedule import Schedule, ScheduleEntry
-from .scheduler import DEFAULT_PER_VERTEX_COST, record_phase_metrics
-from .search import SearchStats
+from .registry import register_scheduler
+from .schedule import ScheduleEntry
+from .scheduler import DEFAULT_PER_VERTEX_COST
 from .task import Task
-from ..observability import get_instrumentation
-
-_EPS = 1e-9
 
 
-class GlobalEDFScheduler(_ListScheduler):
+def _emptiest(feasible: List[Placement], offsets: Sequence[float]) -> Placement:
+    """The feasible placement on the processor that frees up first."""
+    return min(feasible, key=lambda choice: (offsets[choice[0]], choice[0]))
+
+
+class GlobalEDFScheduler(ListScheduler):
     """EDF task order dispatched to the earliest-available processor.
 
     Differs from :class:`~repro.core.baselines.GreedyEDFScheduler` in the
@@ -45,37 +46,14 @@ class GlobalEDFScheduler(_ListScheduler):
     high-communication task still lands on the emptiest queue.
     """
 
-    def __init__(
-        self,
-        comm: CommunicationModel,
-        quantum_policy: Optional[QuantumPolicy] = None,
-        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            comm, quantum_policy, per_vertex_cost, name="Global-EDF", **kwargs
-        )
+    name = "Global-EDF"
 
-    def _pick_processor(self, task, offsets, bound, budget, stats):
-        budget.charge(len(offsets))
-        stats.vertices_generated += len(offsets)
-        best = None  # (offset, processor, comm_cost, end)
-        for processor, offset in enumerate(offsets):
-            comm_cost = self.comm.cost(task, processor)
-            end = offset + task.processing_time + comm_cost
-            if bound + end > task.deadline + _EPS:
-                stats.feasibility_rejections += 1
-                continue
-            key = (offset, processor)
-            if best is None or key < (best[0], best[1]):
-                best = (offset, processor, comm_cost, end)
-        if best is None:
-            return None
-        _, processor, comm_cost, end = best
-        return processor, comm_cost, end
+    def pick(self, feasible, offsets):
+        """Least-loaded feasible processor, lowest index on ties."""
+        return _emptiest(feasible, offsets)
 
 
-class CandidateSortScheduler(_ListScheduler):
+class CandidateSortScheduler(ListScheduler):
     """Sort each task's processor candidates, take the first feasible.
 
     Candidates are ranked by (communication cost, availability, index):
@@ -85,37 +63,17 @@ class CandidateSortScheduler(_ListScheduler):
     is stuck this phase and waits for the next batch.
     """
 
-    def __init__(
-        self,
-        comm: CommunicationModel,
-        quantum_policy: Optional[QuantumPolicy] = None,
-        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            comm,
-            quantum_policy,
-            per_vertex_cost,
-            name="Candidate-Sort",
-            **kwargs,
+    name = "Candidate-Sort"
+
+    def pick(self, feasible, offsets):
+        """First of the feasible in (comm cost, availability, index) rank."""
+        return min(
+            feasible,
+            key=lambda choice: (choice[1], offsets[choice[0]], choice[0]),
         )
 
-    def _pick_processor(self, task, offsets, bound, budget, stats):
-        budget.charge(len(offsets))
-        stats.vertices_generated += len(offsets)
-        candidates = sorted(
-            (self.comm.cost(task, processor), offset, processor)
-            for processor, offset in enumerate(offsets)
-        )
-        for comm_cost, offset, processor in candidates:
-            end = offset + task.processing_time + comm_cost
-            if bound + end <= task.deadline + _EPS:
-                return processor, comm_cost, end
-            stats.feasibility_rejections += 1
-        return None
 
-
-class PartitionedEDFScheduler(_ListScheduler):
+class PartitionedEDFScheduler(ListScheduler):
     """Partitioned EDF: bin-pack tasks onto processors, run each in EDF.
 
     Phase one packs the batch in decreasing processing-time order using a
@@ -128,6 +86,8 @@ class PartitionedEDFScheduler(_ListScheduler):
     are not rather than dispatching a doomed assignment.
     """
 
+    name = "Partitioned-EDF"
+
     def __init__(
         self,
         comm: CommunicationModel,
@@ -138,124 +98,45 @@ class PartitionedEDFScheduler(_ListScheduler):
     ) -> None:
         if packing not in ("wfd", "ff"):
             raise ValueError("packing must be 'wfd' or 'ff'")
-        super().__init__(
-            comm,
-            quantum_policy,
-            per_vertex_cost,
-            name="Partitioned-EDF",
-            **kwargs,
-        )
+        super().__init__(comm, quantum_policy, per_vertex_cost, **kwargs)
         self.packing = packing
 
-    def schedule_phase(
-        self,
-        batch: Sequence[Task],
-        loads: Sequence[float],
-        now: float,
-        quantum: float,
-    ) -> PhaseResult:
-        budget = self._phase_budget(len(batch), len(loads), quantum)
-        phase_window = budget.quantum  # quantum + phase overhead
-        offsets = list(projected_offsets(loads, phase_window))
+    def order(self, batch: Sequence[Task]) -> List[Task]:
+        """Decreasing size, the bin-packing order."""
+        return sorted(
+            batch, key=lambda t: (-t.processing_time, t.deadline, t.task_id)
+        )
+
+    def pick(self, feasible, offsets):
+        """First fit: lowest feasible index; worst fit: emptiest bin."""
+        if self.packing == "ff":
+            return feasible[0]
+        return _emptiest(feasible, offsets)
+
+    def place(self, viable, offsets, bound, budget, stats):
+        """Pack with the shared loop, then run each partition in EDF."""
         initial = tuple(offsets)
-        bound = now + phase_window
-        stats = SearchStats()
-        schedule = Schedule()
-        viable = [
-            t
-            for t in sorted(
-                batch, key=lambda t: (-t.processing_time, t.deadline, t.task_id)
-            )
-            if bound + t.processing_time <= t.deadline + _EPS
-        ]
-        partitions: List[List[tuple]] = [[] for _ in offsets]
-        for task in viable:
-            if budget.exhausted():
-                break
-            stats.task_probes += 1
-            budget.charge(len(offsets))
-            stats.vertices_generated += len(offsets)
-            best = None  # (key, processor, comm_cost, end)
-            for processor, offset in enumerate(offsets):
-                comm_cost = self.comm.cost(task, processor)
-                end = offset + task.processing_time + comm_cost
-                if bound + end > task.deadline + _EPS:
-                    stats.feasibility_rejections += 1
-                    continue
-                if self.packing == "ff":
-                    best = (processor, processor, comm_cost, end)
-                    break
-                key = (offset, processor)  # worst fit: emptiest bin first
-                if best is None or key < best[0]:
-                    best = (key, processor, comm_cost, end)
-            if best is None:
-                continue
-            _, processor, comm_cost, end = best
-            offsets[processor] = end
-            partitions[processor].append((task, comm_cost))
-        # Each partition runs EDF on its processor; recompute the ends
-        # from the processor's initial offset and re-verify the bound.
-        for processor, assigned in enumerate(partitions):
+        partitions: List[List[ScheduleEntry]] = [[] for _ in offsets]
+        for entry in super().place(viable, offsets, bound, budget, stats):
+            partitions[entry.processor].append(entry)
+        # Recompute the ends from the processor's initial offset and
+        # re-verify the bound.
+        entries = []
+        for processor, packed in enumerate(partitions):
             cursor = initial[processor]
-            for task, comm_cost in sorted(
-                assigned, key=lambda pair: (pair[0].deadline, pair[0].task_id)
+            for entry in sorted(
+                packed, key=lambda e: (e.task.deadline, e.task.task_id)
             ):
+                task, comm_cost = entry.task, entry.communication_cost
                 end = cursor + task.processing_time + comm_cost
-                if bound + end > task.deadline + _EPS:
+                if not is_feasible_against_bound(task, end, bound):
                     stats.feasibility_rejections += 1
                     continue
                 cursor = end
-                schedule.append(
-                    ScheduleEntry(
-                        task=task,
-                        processor=processor,
-                        communication_cost=comm_cost,
-                        scheduled_end=end,
-                    )
-                )
-        stats.expansions = len(schedule)
-        stats.max_depth = len(schedule)
-        stats.processors_touched = len(schedule.processors())
-        stats.complete = len(schedule) == len(batch)
-        stats.prefilter_rejected = len(batch) - len(viable)
-        result = PhaseResult(
-            schedule=schedule,
-            time_used=min(max(budget.used(), MIN_PHASE_TIME), phase_window),
-            quantum=phase_window,
-            phase_start=now,
-            stats=stats,
-            initial_offsets=initial,
-        )
-        obs = self.instrumentation or get_instrumentation()
-        if obs.enabled:
-            record_phase_metrics(obs, self.name, stats, phase_window, len(batch))
-        return result
+                entries.append(ScheduleEntry(task, processor, comm_cost, end))
+        return entries
 
 
-def _build_edf(context: SchedulerContext) -> GlobalEDFScheduler:
-    return GlobalEDFScheduler(
-        comm=context.comm,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-def _build_partitioned_edf(context: SchedulerContext) -> PartitionedEDFScheduler:
-    return PartitionedEDFScheduler(
-        comm=context.comm,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-def _build_candidate_sort(context: SchedulerContext) -> CandidateSortScheduler:
-    return CandidateSortScheduler(
-        comm=context.comm,
-        quantum_policy=context.quantum_policy,
-        per_vertex_cost=context.per_vertex_cost,
-    )
-
-
-register_scheduler("edf", _build_edf)
-register_scheduler("partitioned-edf", _build_partitioned_edf)
-register_scheduler("candidate-sort", _build_candidate_sort)
+register_scheduler("edf", GlobalEDFScheduler.from_context)
+register_scheduler("partitioned-edf", PartitionedEDFScheduler.from_context)
+register_scheduler("candidate-sort", CandidateSortScheduler.from_context)

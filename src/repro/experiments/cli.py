@@ -523,13 +523,16 @@ def shard_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return replace(config, **presets) if presets else config
 
 
-def run_cluster(args: argparse.Namespace) -> int:
-    """Run one cell on the live master/worker system and print its report."""
+def live_knobs_from_args(args: argparse.Namespace) -> dict:
+    """``--kill-worker`` / ``--time-scale`` / ``--heartbeat`` as
+    :class:`~repro.cluster.config.ClusterConfig` fields (given flags only).
+
+    Shared by ``repro cluster`` and ``repro serve``, whose live fleets take
+    the same three knobs.
+    """
     # Imported lazily: simulation-only usage never touches sockets or
     # multiprocessing machinery.
     from ..cluster import FailurePlan
-    from ..runtime.live import ClusterBackend
-    from .runner import run_once
 
     knobs = {}
     if args.kill_worker:
@@ -538,7 +541,15 @@ def run_cluster(args: argparse.Namespace) -> int:
         knobs["seconds_per_unit"] = args.time_scale
     if args.heartbeat is not None:
         knobs["heartbeat_interval"] = args.heartbeat
-    backend = ClusterBackend(**knobs)
+    return knobs
+
+
+def run_cluster(args: argparse.Namespace) -> int:
+    """Run one cell on the live master/worker system and print its report."""
+    from ..runtime.live import ClusterBackend
+    from .runner import run_once
+
+    backend = ClusterBackend(**live_knobs_from_args(args))
     config = cluster_config_from_args(args)
     # The live repetition draws its seed exactly where the simulator
     # does, so `--seed S` reproduces one specific simulated repetition

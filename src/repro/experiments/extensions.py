@@ -27,10 +27,12 @@ All return :class:`~repro.experiments.figures.AblationResult`-style tables
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..core.affinity import UniformCommunicationModel
 from ..metrics.stats import mean
+from ..runtime.report import RunReport
 from ..simulator.execution import (
     FirstMatchDatabaseExecution,
     ScaledExecution,
@@ -82,6 +84,52 @@ def _build_database_workload(config: ExperimentConfig, seed: int,
     return database, tasks, transactions
 
 
+def _seeded_reports(
+    config: ExperimentConfig,
+    scheduler_name: str,
+    workload=None,
+    comm=None,
+    tweak=None,
+    execution_model=None,
+    **simulate_kwargs,
+) -> List[RunReport]:
+    """One simulated run per seed of ``config``: the loop every table shares.
+
+    ``workload(seed)`` returns ``(database, tasks, transactions)``, by
+    default :func:`_build_database_workload`'s read-only burst.  ``comm``
+    defaults to a fresh uniform-``C`` model per run, ``tweak(scheduler)``
+    adjusts the built scheduler, ``execution_model(database, transactions)``
+    builds the repetition's execution model, and the remaining keyword
+    arguments go to :func:`simulate` unchanged.
+    """
+    workload = workload or partial(_build_database_workload, config)
+    reports = []
+    for seed in config.seeds():
+        database, tasks, transactions = workload(seed)
+        scheduler = build_scheduler(
+            scheduler_name,
+            config,
+            comm or UniformCommunicationModel(config.remote_cost),
+        )
+        if tweak is not None:
+            tweak(scheduler)
+        if execution_model is not None:
+            simulate_kwargs["execution_model"] = execution_model(
+                database, transactions
+            )
+        reports.append(
+            simulate(
+                scheduler, tasks, num_workers=config.num_processors,
+                **simulate_kwargs,
+            )
+        )
+    return reports
+
+
+def _mean_hit_percent(reports: Sequence[RunReport]) -> float:
+    return mean([100.0 * report.hit_ratio for report in reports])
+
+
 def extension_write_mix(
     config: Optional[ExperimentConfig] = None,
     write_fractions: Sequence[float] = (0.0, 0.1, 0.25, 0.5),
@@ -105,18 +153,14 @@ def extension_write_mix(
     for fraction in write_fractions:
         row: List[object] = [fraction]
         for name in schedulers:
-            hits = []
-            for seed in config.seeds():
-                _, tasks, _ = _build_database_workload(
+            reports = _seeded_reports(
+                config,
+                name,
+                lambda seed: _build_database_workload(
                     config, seed, write_fraction=fraction
-                )
-                comm = UniformCommunicationModel(config.remote_cost)
-                scheduler = build_scheduler(name, config, comm)
-                result = simulate(
-                    scheduler, tasks, num_workers=config.num_processors
-                )
-                hits.append(100.0 * result.hit_ratio)
-            row.append(mean(hits))
+                ),
+            )
+            row.append(_mean_hit_percent(reports))
         rows.append(row)
     return AblationResult(
         title=(
@@ -156,24 +200,16 @@ def extension_reclaiming(
     ]
     rows = []
     for label, factory in models:
-        hits, reclaimed, makespans = [], [], []
-        for seed in config.seeds():
-            database, tasks, transactions = _build_database_workload(
-                config, seed
-            )
-            comm = UniformCommunicationModel(config.remote_cost)
-            scheduler = build_scheduler(scheduler_name, config, comm)
-            result = simulate(
-                scheduler,
-                tasks,
-                num_workers=config.num_processors,
-                execution_model=factory(database, transactions),
-            )
-            hits.append(100.0 * result.hit_ratio)
-            reclaimed.append(result.trace.total_reclaimed_time())
-            makespans.append(result.makespan)
+        reports = _seeded_reports(
+            config, scheduler_name, execution_model=factory
+        )
         rows.append(
-            [label, mean(hits), mean(reclaimed), mean(makespans)]
+            [
+                label,
+                _mean_hit_percent(reports),
+                mean([r.trace.total_reclaimed_time() for r in reports]),
+                mean([r.makespan for r in reports]),
+            ]
         )
     return AblationResult(
         title=(
@@ -208,18 +244,14 @@ def extension_load_sweep(
         rate = factor * config.num_processors / mean_cost
         row: List[object] = [factor]
         for name in schedulers:
-            hits = []
-            for seed in config.seeds():
-                _, tasks, _ = _build_database_workload(
+            reports = _seeded_reports(
+                config,
+                name,
+                lambda seed: _build_database_workload(
                     config, seed, arrivals=PoissonArrival(rate=rate)
-                )
-                comm = UniformCommunicationModel(config.remote_cost)
-                scheduler = build_scheduler(name, config, comm)
-                result = simulate(
-                    scheduler, tasks, num_workers=config.num_processors
-                )
-                hits.append(100.0 * result.hit_ratio)
-            row.append(mean(hits))
+                ),
+            )
+            row.append(_mean_hit_percent(reports))
         rows.append(row)
     return AblationResult(
         title=(
@@ -262,19 +294,8 @@ def extension_failures(
         ]
         row: List[object] = [count]
         for name in schedulers:
-            hits = []
-            for seed in config.seeds():
-                _, tasks, _ = _build_database_workload(config, seed)
-                comm = UniformCommunicationModel(config.remote_cost)
-                scheduler = build_scheduler(name, config, comm)
-                result = simulate(
-                    scheduler,
-                    tasks,
-                    num_workers=config.num_processors,
-                    failures=failures,
-                )
-                hits.append(100.0 * result.hit_ratio)
-            row.append(mean(hits))
+            reports = _seeded_reports(config, name, failures=failures)
+            row.append(_mean_hit_percent(reports))
         rows.append(row)
     return AblationResult(
         title=(
@@ -319,15 +340,13 @@ def ablation_interconnect(
     for label, comm in comm_models:
         row: List[object] = [label]
         for name in scheduler_names:
-            hits = []
-            for seed in config.seeds():
-                tasks = workload_tasks(config, seed)
-                scheduler = build_scheduler(name, config, comm)
-                result = simulate(
-                    scheduler, tasks, num_workers=config.num_processors
-                )
-                hits.append(100.0 * result.hit_ratio)
-            row.append(mean(hits))
+            reports = _seeded_reports(
+                config,
+                name,
+                lambda seed: (None, workload_tasks(config, seed), None),
+                comm=comm,
+            )
+            row.append(_mean_hit_percent(reports))
         rows.append(row)
     return AblationResult(
         title=(

@@ -555,24 +555,20 @@ def ablation_memory(
     CL can get before schedule quality suffers — in practice depth-first
     search rarely revisits old candidates, so tight bounds are nearly free.
     """
-    from .runner import build_scheduler
-    from ..simulator.runtime import simulate
+    # extensions.py builds on this module, so its seed loop is imported late.
+    from .extensions import _mean_hit_percent, _seeded_reports
 
     config = config or ExperimentConfig.paper()
     rows = []
     for bound in cl_bounds:
-        hits = []
-        for seed in config.seeds():
-            tasks = workload_tasks(config, seed)
-            comm = UniformCommunicationModel(config.remote_cost)
-            scheduler = build_scheduler(scheduler_name, config, comm)
-            scheduler.max_candidates = bound
-            result = simulate(
-                scheduler, tasks, num_workers=config.num_processors
-            )
-            hits.append(100.0 * result.hit_ratio)
+        reports = _seeded_reports(
+            config,
+            scheduler_name,
+            lambda seed: (None, workload_tasks(config, seed), None),
+            tweak=lambda scheduler: setattr(scheduler, "max_candidates", bound),
+        )
         label = "unbounded" if bound is None else str(bound)
-        rows.append([label, sum(hits) / len(hits)])
+        rows.append([label, _mean_hit_percent(reports)])
     return AblationResult(
         title=(
             "A5 - Candidate-list memory bound "

@@ -20,7 +20,10 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+from ..core.registry import SCHEDULER_NAMES
 from ..observability import instrumented
+from ..service.admission import ADMISSION_POLICY_NAMES
+from ..workload.arrivals import ARRIVAL_NAMES
 from .config import ExperimentConfig
 
 #: Flags shared by serve and load that must agree between the two sides
@@ -108,13 +111,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="master port (default 0 = OS-chosen; printed at startup)",
     )
     parser.add_argument(
-        "--scheduler", default="rtsads",
+        "--scheduler", default="rtsads", choices=SCHEDULER_NAMES,
         help="scheduler registry name (default rtsads)",
     )
     parser.add_argument(
-        "--policy", default="reject-newest",
-        help="admission policy: reject-newest, least-slack, or "
-        "schedulability (default reject-newest)",
+        "--policy", default="reject-newest", choices=ADMISSION_POLICY_NAMES,
+        help=f"admission policy: {', '.join(ADMISSION_POLICY_NAMES)} "
+        "(default reject-newest)",
     )
     parser.add_argument(
         "--backlog-units", type=float, default=0.0,
@@ -164,21 +167,18 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``repro serve``."""
     # Heavy imports stay inside main so `repro fig5` never pays for them.
-    from ..cluster import FailurePlan
     from ..cluster.config import ClusterConfig
     from ..service.config import JoinPlan, ServiceConfig
     from ..service.server import run_service
-    from .cli import build_instrumentation, write_metrics_snapshot
+    from .cli import (
+        build_instrumentation,
+        live_knobs_from_args,
+        write_metrics_snapshot,
+    )
 
     args = build_serve_parser().parse_args(argv)
     experiment = experiment_from_args(args)
-    knobs = {"port": args.port}
-    if args.kill_worker:
-        knobs["failure"] = FailurePlan.parse(args.kill_worker)
-    if args.time_scale is not None:
-        knobs["seconds_per_unit"] = args.time_scale
-    if args.heartbeat is not None:
-        knobs["heartbeat_interval"] = args.heartbeat
+    knobs = {"port": args.port, **live_knobs_from_args(args)}
     if args.max_wall_seconds is not None:
         knobs["max_wall_seconds"] = args.max_wall_seconds
     service = ServiceConfig(
@@ -243,9 +243,9 @@ def build_load_parser() -> argparse.ArgumentParser:
         help="host of the running service master (default 127.0.0.1)",
     )
     parser.add_argument(
-        "--arrival", default="poisson",
-        help="arrival process: burst, poisson, uniform, batched, pareto, "
-        "lognormal, diurnal (default poisson)",
+        "--arrival", default="poisson", choices=ARRIVAL_NAMES,
+        help=f"arrival process: {', '.join(ARRIVAL_NAMES)} "
+        "(default poisson)",
     )
     parser.add_argument(
         "--load", type=float, default=1.0,

@@ -9,6 +9,11 @@ from repro.core import (
     UniformCommunicationModel,
     make_task,
 )
+from repro.core.zoo import (
+    CandidateSortScheduler,
+    GlobalEDFScheduler,
+    PartitionedEDFScheduler,
+)
 
 
 @pytest.fixture
@@ -151,3 +156,26 @@ class TestCommonBehaviour:
         tasks = [make_task(0, processing_time=100.0, deadline=102.0)]
         result = scheduler.schedule_phase(tasks, [0.0], 0.0, 10.0)
         assert len(result.schedule) == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            GreedyEDFScheduler,
+            MyopicScheduler,
+            RandomScheduler,
+            GlobalEDFScheduler,
+            CandidateSortScheduler,
+            PartitionedEDFScheduler,
+            lambda comm: PartitionedEDFScheduler(comm, packing="ff"),
+        ],
+    )
+    def test_rejections_count_every_infeasible_charged_pair(self, comm, build):
+        # Local on P0 fits; remote on P1 (+50) does not.  Every rule
+        # charges both processors, so every rule reports the one rejection
+        # — also those that take the first hit or never rank the misses.
+        tasks = [make_task(0, processing_time=10.0, deadline=40.0,
+                           affinity=[0])]
+        result = build(comm).schedule_phase(tasks, [0.0, 0.0], 0.0, 1.0)
+        assert [e.processor for e in result.schedule] == [0]
+        assert result.stats.vertices_generated == 2
+        assert result.stats.feasibility_rejections == 1

@@ -302,3 +302,39 @@ class TestSweepFlags:
         assert main(argv + ["--export", str(first)]) == 0
         assert main(argv + ["--resume", "--export", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestServiceParsers:
+    """`repro serve` / `repro load` reject unknown names in the parser."""
+
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["serve", "--scheduler", "nope"], "SCHEDULER_NAMES"),
+            (["serve", "--policy", "nope"], "ADMISSION_POLICY_NAMES"),
+            (["load", "--port", "1", "--arrival", "nope"], "ARRIVAL_NAMES"),
+        ],
+    )
+    def test_bad_name_exits_2_with_the_choice_list(self, argv, names, capsys):
+        from repro.experiments import service_cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        for name in getattr(service_cli, names):
+            assert repr(name) in err
+
+    def test_live_knobs_map_given_flags_only(self):
+        from repro.experiments.cli import live_knobs_from_args
+        from repro.experiments.service_cli import build_serve_parser
+
+        cluster = build_parser().parse_args(
+            ["cluster", "--kill-worker", "1@0.5", "--heartbeat", "0.1"]
+        )
+        knobs = live_knobs_from_args(cluster)
+        assert sorted(knobs) == ["failure", "heartbeat_interval"]
+        assert knobs["heartbeat_interval"] == 0.1
+        serve = build_serve_parser().parse_args(["--time-scale", "0.002"])
+        assert live_knobs_from_args(serve) == {"seconds_per_unit": 0.002}

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.schedulability import FEASIBLE, analyze_tasks
-from repro.core import UniformCommunicationModel
+from repro.core import Scheduler, UniformCommunicationModel
 from repro.core.registry import (
     SCHEDULER_NAMES,
     SchedulerContext,
@@ -82,6 +82,13 @@ class TestRegistry:
         assert all(names)
         # Display names are distinct: reports must identify the scheduler.
         assert len(set(names)) == len(names)
+
+    def test_every_scheduler_runs_inside_the_one_phase_frame(self):
+        """Same quantum formula, same accounting: nobody re-spells them."""
+        for name in ALL_SCHEDULERS:
+            cls = type(build(name))
+            assert cls.plan_quantum is Scheduler.plan_quantum, name
+            assert cls.schedule_phase is Scheduler.schedule_phase, name
 
 
 @pytest.mark.parametrize("seed", SEEDS)

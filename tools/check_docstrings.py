@@ -33,6 +33,12 @@ DEFAULT_SCOPE = (
     "src/repro/core/search.py",
     "src/repro/core/cost.py",
     "src/repro/core/feasibility.py",
+    # The phase frame and its hooks (``fill_window``; ``order`` / ``pick`` /
+    # ``place`` under the list frame): the extension point a new scheduler
+    # implements.
+    "src/repro/core/scheduler.py",
+    "src/repro/core/baselines.py",
+    "src/repro/core/zoo.py",
     # The live master's public lifecycle and the coordinator that drives
     # it (``await_workers`` / ``start_clock`` / ``step`` / ``shutdown`` /
     # ``report``): what replaced the private hooks subclasses overrode.
