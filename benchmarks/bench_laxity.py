@@ -13,16 +13,13 @@ from conftest import bench_config
 from repro.experiments import laxity_sweep
 
 PROCESSORS = (2, 6, 10)
-SLACK_FACTORS = (1.0, 2.0, 3.0)
 
 
 def test_laxity_sweep(benchmark):
     config = bench_config()
 
     result = benchmark.pedantic(
-        lambda: laxity_sweep(
-            config, slack_factors=SLACK_FACTORS, processors=PROCESSORS
-        ),
+        lambda: laxity_sweep(config, processors=PROCESSORS),
         rounds=1,
         iterations=1,
     )

@@ -24,7 +24,6 @@ def main() -> None:
         test = difference_of_means(
             result.cells[("rtsads", rate)].hit_percents,
             result.cells[("dcols", rate)].hit_percents,
-            significance_level=config.significance_level,
         )
         verdict = "significant" if test.significant else "not significant"
         print(

@@ -8,7 +8,8 @@ experiment in library form, at a size that runs in seconds.
 Every cell dispatches through the execution-backend registry: this config
 runs on the simulator (`backend="sim"`, the default), and the identical
 sweep runs on the live TCP cluster by building the config with
-``.with_backend("cluster")`` — or `--backend cluster` on the CLI.
+``dataclasses.replace(config, backend="cluster")`` — or `--backend cluster`
+on the CLI.
 
 Run:  python examples/scalability_study.py
 """

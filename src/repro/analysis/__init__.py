@@ -11,7 +11,6 @@ from .schedulability import (
     FEASIBLE,
     INFEASIBLE,
     UNKNOWN,
-    VERDICTS,
     SchedulabilityVerdict,
     analyze_tasks,
     analyze_triples,
@@ -26,7 +25,6 @@ __all__ = [
     "FEASIBLE",
     "INFEASIBLE",
     "UNKNOWN",
-    "VERDICTS",
     "SchedulabilityVerdict",
     "analyze_tasks",
     "analyze_triples",

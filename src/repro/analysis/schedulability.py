@@ -47,7 +47,6 @@ EPSILON = 1e-9
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
-VERDICTS = (FEASIBLE, INFEASIBLE, UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,7 @@ class _NodeBudgetExhausted(Exception):
 
 
 def exact_feasibility(
-    tasks: Sequence[Tuple[float, float, float]],
-    workers: int,
-    node_limit: int = EXACT_NODE_LIMIT,
+    tasks: Sequence[Tuple[float, float, float]], workers: int
 ) -> "bool | None":
     """Exact non-preemptive feasibility on ``m`` identical machines.
 
@@ -194,7 +191,7 @@ def exact_feasibility(
     branch once; visited ``(remaining, free-times)`` states memoize.
 
     Returns True when a schedule meeting every deadline exists, False
-    when provably none does, None when ``node_limit`` ran out — the
+    when provably none does, None when :data:`EXACT_NODE_LIMIT` ran out — the
     caller keeps its ``unknown``.  Exponential in the worst case: callers
     gate on :data:`EXACT_TASK_LIMIT`.
     """
@@ -215,7 +212,7 @@ def exact_feasibility(
         if remaining == 0:
             return True
         nodes += 1
-        if nodes > node_limit:
+        if nodes > EXACT_NODE_LIMIT:
             raise _NodeBudgetExhausted
         key = (remaining, frees)
         if key in seen:

@@ -14,8 +14,8 @@ Entry points
 :class:`ClusterConfig`          workload + deployment knobs.
 :class:`FailurePlan`            kill a worker mid-run (fail-stop study).
 
-The CLI surface is ``python -m repro.experiments cluster ...`` or the
-``repro-cluster`` console script.
+The CLI surface is ``python -m repro.experiments cluster ...`` (installed:
+``repro cluster ...``).
 """
 
 from .config import ClusterConfig, build_cluster_workload

@@ -3,8 +3,9 @@
 A :class:`ClusterConfig` wraps an
 :class:`~repro.experiments.config.ExperimentConfig` (workload, database,
 machine size, scheduler cost model) with the knobs only a real deployment
-has: the TCP endpoint, the wall-clock scale, heartbeat cadence, dispatch
-safety margin, and optional failure injection.
+has: the TCP endpoint, the wall-clock scale, heartbeat cadence, the hard
+wall-clock ceiling, and optional failure injection.  Timing values no
+deployment has ever varied are the module constants below.
 
 **Time model.**  Everything the scheduler reasons about stays in the
 paper's virtual cost units (one tuple-check = 1.0); the cluster maps them
@@ -17,39 +18,39 @@ jitter, which the dispatch-time guarantee margin absorbs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..experiments.config import ExperimentConfig
 from ..workload.transactions import build_seeded_workload
 from .failure import FailurePlan
 
+#: Selector-loop tick of master and workers, in wall seconds; bounds
+#: dispatch latency between phases.
+POLL_INTERVAL = 0.02
+#: Wall-clock slop subtracted from deadlines at dispatch time; absorbs
+#: network latency, GC pauses, and OS scheduling jitter so a dispatched
+#: guarantee survives contact with the real machine.
+GUARANTEE_MARGIN_SECONDS = 0.05
+#: Wall seconds the fleet may take to register (and a worker to be
+#: welcomed) before the run is declared failed to start.
+STARTUP_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
     """Everything a master and its workers need to run one live experiment."""
 
-    experiment: ExperimentConfig = field(
-        default_factory=lambda: ExperimentConfig.quick(
-            num_transactions=200, num_processors=4, runs=1, slack_factor=3.0
-        )
-    )
+    experiment: ExperimentConfig
     scheduler_name: str = "rtsads"
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick an ephemeral port; launcher propagates it
     #: Wall seconds one virtual cost unit lasts (1 ms per tuple-check).
     seconds_per_unit: float = 0.001
+    #: A worker is declared dead after
+    #: :attr:`~repro.cluster.failure.HeartbeatMonitor.MISS_FACTOR` intervals
+    #: of silence.
     heartbeat_interval: float = 0.25
-    #: Dead after ``interval * miss_factor`` of silence (2 intervals).
-    heartbeat_miss_factor: float = 2.0
-    #: Master selector-loop tick; bounds dispatch latency between phases.
-    poll_interval: float = 0.02
-    #: Wall-clock slop subtracted from deadlines at dispatch time; absorbs
-    #: network latency, GC pauses, and OS scheduling jitter so a dispatched
-    #: guarantee survives contact with the real machine.
-    guarantee_margin_seconds: float = 0.05
-    connect_timeout: float = 10.0
-    startup_timeout: float = 30.0
     #: Hard abort: a run exceeding this is declared hung, shut down, and
     #: reported as an error (the per-test hard timeout of the smoke suite).
     max_wall_seconds: float = 120.0
@@ -65,12 +66,6 @@ class ClusterConfig:
             raise ValueError("seconds_per_unit must be positive")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_miss_factor < 1.0:
-            raise ValueError("heartbeat_miss_factor must be >= 1")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if self.guarantee_margin_seconds < 0:
-            raise ValueError("guarantee_margin_seconds must be non-negative")
         if self.max_wall_seconds <= 0:
             raise ValueError("max_wall_seconds must be positive")
         if self.failure is not None and (
@@ -90,44 +85,12 @@ class ClusterConfig:
 
     @property
     def guarantee_margin_units(self) -> float:
-        return self.guarantee_margin_seconds / self.seconds_per_unit
-
-    @property
-    def heartbeat_timeout(self) -> float:
-        return self.heartbeat_interval * self.heartbeat_miss_factor
+        return GUARANTEE_MARGIN_SECONDS / self.seconds_per_unit
 
     def units_to_seconds(self, units: float) -> float:
         return units * self.seconds_per_unit
 
-    def seconds_to_units(self, seconds: float) -> float:
-        return seconds / self.seconds_per_unit
-
     # ----- canonical scales ------------------------------------------------
-
-    @classmethod
-    def default(
-        cls,
-        workers: int = 4,
-        tasks: int = 200,
-        seed: int = 1,
-        slack_factor: float = 3.0,
-        **overrides,
-    ) -> "ClusterConfig":
-        """The CLI's scale: a few seconds of wall clock on localhost.
-
-        The slack factor defaults to 3 (the generous end of the paper's
-        [1, 3] range): live deadlines burn real milliseconds on message
-        hops, so the tightest setting would measure socket latency, not
-        scheduling.
-        """
-        experiment = ExperimentConfig.quick(
-            num_transactions=tasks,
-            num_processors=workers,
-            base_seed=seed,
-            slack_factor=slack_factor,
-            runs=1,
-        )
-        return cls(experiment=experiment, **overrides)
 
     @classmethod
     def smoke(
@@ -155,13 +118,6 @@ class ClusterConfig:
 
     def with_port(self, port: int) -> "ClusterConfig":
         return replace(self, port=port)
-
-    def with_telemetry(self, telemetry: bool = True) -> "ClusterConfig":
-        """A copy with worker-side trace shipping switched on or off."""
-        return replace(self, telemetry=telemetry)
-
-    def with_failure(self, failure: Optional[FailurePlan]) -> "ClusterConfig":
-        return replace(self, failure=failure)
 
 
 def build_cluster_workload(experiment: ExperimentConfig, seed: int):

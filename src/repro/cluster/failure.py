@@ -12,7 +12,7 @@ surrendered queue on the survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Exit code a deliberately killed worker dies with, so launcher teardown
 #: can tell an injected crash from a genuine worker bug.
@@ -64,25 +64,24 @@ class HeartbeatMonitor:
     """Tracks worker liveness from message arrival times.
 
     A worker is declared dead when nothing has been heard from it for
-    ``interval * miss_factor`` seconds (the acceptance criterion: detection
-    within two heartbeat intervals, so the default factor is 2).  Any
-    message counts as a beat — a completion report is as alive as a
-    heartbeat.
+    ``interval * MISS_FACTOR`` seconds (the acceptance criterion:
+    detection within two heartbeat intervals).  Any message counts as a
+    beat — a completion report is as alive as a heartbeat.
     """
 
-    def __init__(self, interval: float, miss_factor: float = 2.0) -> None:
+    #: Heartbeat intervals of silence after which a worker is dead.
+    MISS_FACTOR = 2.0
+
+    def __init__(self, interval: float) -> None:
         if interval <= 0:
             raise ValueError("heartbeat interval must be positive")
-        if miss_factor < 1.0:
-            raise ValueError("miss_factor must be >= 1")
         self.interval = interval
-        self.miss_factor = miss_factor
         self._last_seen: Dict[int, float] = {}
 
     @property
     def timeout(self) -> float:
         """Silence longer than this declares a worker dead."""
-        return self.interval * self.miss_factor
+        return self.interval * self.MISS_FACTOR
 
     def register(self, worker_id: int, now: float) -> None:
         """Start watching a worker (its registration counts as a beat)."""
@@ -97,9 +96,6 @@ class HeartbeatMonitor:
         """Stop watching a worker (it was declared dead or shut down)."""
         self._last_seen.pop(worker_id, None)
 
-    def last_seen(self, worker_id: int) -> Optional[float]:
-        return self._last_seen.get(worker_id)
-
     def expired(self, now: float) -> List[int]:
         """Workers silent past the timeout; each is reported exactly once."""
         dead = [
@@ -110,6 +106,3 @@ class HeartbeatMonitor:
         for worker_id in dead:
             del self._last_seen[worker_id]
         return dead
-
-    def watched(self) -> List[int]:
-        return sorted(self._last_seen)

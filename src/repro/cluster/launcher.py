@@ -24,6 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 from ..core.domains import partition_workers
@@ -144,7 +145,7 @@ class WorkerFleet:
             # The master is traced, so the workers should be too: spawned
             # processes can't inherit the sink object, but the config flag
             # makes them self-instrument and ship events back over the wire.
-            config = config.with_telemetry(True)
+            config = replace(config, telemetry=True)
         self._config = config
         self._obs = obs
         self._processes: List[multiprocessing.Process] = []

@@ -47,7 +47,12 @@ from ..runtime.driver import PhaseDriver, PhaseHooks
 from ..runtime.report import RunReport
 from ..sharding.migration import can_guarantee
 from . import protocol
-from .config import ClusterConfig, build_cluster_workload
+from .config import (
+    POLL_INTERVAL,
+    STARTUP_TIMEOUT,
+    ClusterConfig,
+    build_cluster_workload,
+)
 from .failure import HeartbeatMonitor
 from .network import CONNECT, DISCONNECT, MESSAGE, MessageHub, NetworkEvent
 
@@ -237,9 +242,7 @@ class ClusterMaster(PhaseHooks):
         self._migration_barred: set = set()
         self.workers: Dict[int, _WorkerState] = {}
         self._conn_to_worker: Dict[int, int] = {}
-        self.monitor = HeartbeatMonitor(
-            config.heartbeat_interval, config.heartbeat_miss_factor
-        )
+        self.monitor = HeartbeatMonitor(config.heartbeat_interval)
         # Every worker frame carries the sender's monotonic clock; the
         # min-filter estimator learns each worker's offset so shipped
         # telemetry can merge onto the master's timeline.
@@ -375,16 +378,15 @@ class ClusterMaster(PhaseHooks):
 
     def await_workers(self) -> None:
         """Block until every worker said HELLO (or the startup timeout)."""
-        config = self.config
         self._start_wall = time.monotonic()
-        deadline = self._start_wall + config.startup_timeout
+        deadline = self._start_wall + STARTUP_TIMEOUT
         while len(self.workers) < self.expected_workers:
             if time.monotonic() > deadline:
                 raise ClusterStartupError(
                     f"only {len(self.workers)}/{self.expected_workers} "
-                    f"workers registered within {config.startup_timeout}s"
+                    f"workers registered within {STARTUP_TIMEOUT}s"
                 )
-            for event in self.hub.poll(config.poll_interval):
+            for event in self.hub.poll(POLL_INTERVAL):
                 # Routed through the full dispatcher: a fast worker's first
                 # TELEMETRY batch (its ``worker_start`` marker) can land
                 # while the master still waits on slower registrations.
@@ -450,7 +452,7 @@ class ClusterMaster(PhaseHooks):
         round-robins several domain masters through it in one thread.
         """
         config = self.config
-        for event in self.hub.poll(config.poll_interval):
+        for event in self.hub.poll(POLL_INTERVAL):
             self._dispatch(event)
         now_wall = time.monotonic()
         for worker_id in self.monitor.expired(now_wall):

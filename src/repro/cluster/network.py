@@ -30,6 +30,12 @@ MESSAGE = "message"
 DISCONNECT = "disconnect"
 
 RECV_CHUNK = 65536
+#: Pending-connection queue of the master's listener; a fleet registers in
+#: one burst, so it must exceed any worker count the experiments use.
+LISTEN_BACKLOG = 32
+#: Wall seconds between a worker's attempts to reach a master that is not
+#: listening yet.
+RETRY_INTERVAL = 0.05
 
 
 class ConnectionLost(ConnectionError):
@@ -65,7 +71,6 @@ class MessageHub:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        backlog: int = 32,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.obs = instrumentation or get_instrumentation()
@@ -73,7 +78,7 @@ class MessageHub:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(backlog)
+        self._listener.listen(LISTEN_BACKLOG)
         self._listener.setblocking(False)
         # Cached so the address survives close() (reports read it late).
         self._host, self._port = self._listener.getsockname()[:2]
@@ -95,9 +100,6 @@ class MessageHub:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def connection_ids(self) -> List[int]:
-        return list(self._connections)
 
     # ----- metrics ---------------------------------------------------------
 
@@ -279,7 +281,6 @@ class WorkerChannel:
         host: str,
         port: int,
         timeout: float = 10.0,
-        retry_interval: float = 0.05,
     ) -> "WorkerChannel":
         """Dial the master, retrying until it listens or ``timeout`` passes."""
         deadline = time.monotonic() + timeout
@@ -287,11 +288,11 @@ class WorkerChannel:
         while time.monotonic() < deadline:
             try:
                 sock = socket.create_connection(
-                    (host, port), timeout=retry_interval + 1.0
+                    (host, port), timeout=RETRY_INTERVAL + 1.0
                 )
             except OSError as exc:
                 last_error = exc
-                time.sleep(retry_interval)
+                time.sleep(RETRY_INTERVAL)
                 continue
             sock.setblocking(True)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -25,18 +25,16 @@ from typing import Deque, Dict, List
 
 from ..observability.sinks import TraceSink
 
-#: Events retained before the oldest are dropped (flush cadence keeps the
-#: live buffer far below this; the cap only matters for a wedged socket).
-DEFAULT_BUFFER_CAP = 4096
-
 
 class TelemetryBuffer(TraceSink):
     """Bounded event buffer stamped with the worker's monotonic clock."""
 
-    def __init__(self, cap: int = DEFAULT_BUFFER_CAP) -> None:
-        if cap <= 0:
-            raise ValueError("telemetry buffer cap must be positive")
-        self.cap = cap
+    #: Events retained before the oldest are dropped (flush cadence keeps
+    #: the live buffer far below this; the cap only matters for a wedged
+    #: socket).
+    CAP = 4096
+
+    def __init__(self) -> None:
         self._events: Deque[Dict[str, object]] = deque()
         self.events_buffered = 0
         self.events_dropped = 0
@@ -48,7 +46,7 @@ class TelemetryBuffer(TraceSink):
             event["w_mono"] = time.monotonic()
         self._events.append(event)
         self.events_buffered += 1
-        if len(self._events) > self.cap:
+        if len(self._events) > self.CAP:
             self._events.popleft()
             self.events_dropped += 1
 

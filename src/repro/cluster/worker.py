@@ -45,7 +45,12 @@ from ..observability import (
     get_instrumentation,
 )
 from . import protocol
-from .config import ClusterConfig, build_cluster_workload
+from .config import (
+    POLL_INTERVAL,
+    STARTUP_TIMEOUT,
+    ClusterConfig,
+    build_cluster_workload,
+)
 from .failure import FAILURE_EXIT_CODE
 from .network import ConnectionLost, WorkerChannel
 from .telemetry import TelemetryBuffer
@@ -121,9 +126,7 @@ class ClusterWorker:
         self._started = time.monotonic()
         try:
             self._channel = WorkerChannel.connect(
-                self.config.host,
-                self.config.port,
-                timeout=self.config.connect_timeout,
+                self.config.host, self.config.port
             )
             self._register()
             self._serve()
@@ -145,9 +148,9 @@ class ClusterWorker:
                 mono=time.monotonic(),
             )
         )
-        deadline = time.monotonic() + self.config.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         while time.monotonic() < deadline:
-            messages = channel.poll(self.config.poll_interval)
+            messages = channel.poll(POLL_INTERVAL)
             for position, message in enumerate(messages):
                 if message.get("type") == protocol.WELCOME:
                     granted = frozenset(message.get("residency", ()))
@@ -180,9 +183,7 @@ class ClusterWorker:
                             )
                     return
             self._maybe_die()
-        raise ConnectionLost(
-            f"no WELCOME within {self.config.startup_timeout}s"
-        )
+        raise ConnectionLost(f"no WELCOME within {STARTUP_TIMEOUT}s")
 
     def _serve(self) -> None:
         channel = self._channel
@@ -190,7 +191,7 @@ class ClusterWorker:
             self._maybe_die()
             self._maybe_heartbeat()
             # Drain the wire promptly while busy; sleep in poll when idle.
-            timeout = 0.0 if self._queue else self.config.poll_interval
+            timeout = 0.0 if self._queue else POLL_INTERVAL
             for message in channel.poll(timeout):
                 kind = message.get("type")
                 if kind == protocol.ASSIGN:

@@ -15,7 +15,6 @@ from .affinity import (
     DistanceCommunicationModel,
     UniformCommunicationModel,
     ZeroCommunicationModel,
-    affinity_degree,
     random_affinity,
 )
 from .baselines import GreedyEDFScheduler, MyopicScheduler, RandomScheduler
@@ -26,7 +25,6 @@ from .cost import (
     LoadBalancingEvaluator,
     MinSlackEvaluator,
     VertexEvaluator,
-    get_evaluator,
 )
 from .dcols import DCOLS
 from .feasibility import (
@@ -51,14 +49,12 @@ from .quantum import (
     QuantumPolicy,
     SelfAdjustingQuantum,
     SlackOnlyQuantum,
-    get_quantum_policy,
     min_load,
     min_slack,
 )
 from .representations import (
     AssignmentOrientedExpander,
     SequenceOrientedExpander,
-    get_expander,
 )
 from .rtsads import RTSADS
 from .schedule import Schedule, ScheduleEntry
@@ -125,10 +121,6 @@ __all__ = [
     "VirtualTimeBudget",
     "WallClockBudget",
     "ZeroCommunicationModel",
-    "affinity_degree",
-    "get_evaluator",
-    "get_expander",
-    "get_quantum_policy",
     "is_feasible_against_bound",
     "is_feasible_assignment",
     "make_child",

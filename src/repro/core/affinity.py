@@ -52,10 +52,6 @@ class CommunicationModel(ABC):
         """Total cost ``p_i + c_ij`` of running ``task`` on ``processor``."""
         return task.processing_time + self.cost(task, processor)
 
-    def cheapest_cost(self, task: Task, processors: Iterable[int]) -> float:
-        """Minimum execution cost of ``task`` over ``processors``."""
-        return min(self.execution_cost(task, p) for p in processors)
-
 
 #: Distinct ``(affinity set, m)`` rows one model remembers before it starts
 #: over.  A simulated run has about ten; the bound is for the live master,
@@ -200,11 +196,3 @@ def project_tasks(
             task if local == task.affinity else replace(task, affinity=local)
         )
     return projected
-
-
-def affinity_degree(tasks: Iterable[Task], num_processors: int) -> float:
-    """Empirical affinity degree of a workload: mean |affinity| / m."""
-    tasks = list(tasks)
-    if not tasks or num_processors <= 0:
-        return 0.0
-    return sum(len(t.affinity) for t in tasks) / (len(tasks) * num_processors)

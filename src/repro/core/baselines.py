@@ -147,22 +147,22 @@ class RandomScheduler(ListScheduler):
 
     name = "Random"
 
+    #: Seed of the generator every instance starts from (and rewinds to).
+    SEED = 0
+
     def __init__(
         self,
         comm: CommunicationModel,
         quantum_policy: Optional[QuantumPolicy] = None,
         per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        seed: int = 0,
-        **kwargs,
     ) -> None:
-        super().__init__(comm, quantum_policy, per_vertex_cost, **kwargs)
-        self.seed = seed
-        self._rng = random.Random(seed)
+        super().__init__(comm, quantum_policy, per_vertex_cost)
+        self._rng = random.Random(self.SEED)
 
     def reset(self) -> None:
         """Rewind the generator too, so a rerun repeats its choices."""
         super().reset()
-        self._rng = random.Random(self.seed)
+        self._rng = random.Random(self.SEED)
 
     def order(self, batch: Sequence[Task]) -> List[Task]:
         """A seeded shuffle of the batch."""
@@ -178,31 +178,19 @@ class RandomScheduler(ListScheduler):
 class MyopicScheduler(ListScheduler):
     """Myopic heuristic scheduling (Ramamritham, Stankovic & Zhao style).
 
-    At each step only the ``window`` earliest-deadline unassigned tasks are
-    considered; the one minimizing ``H = d + weight * earliest_start`` is
-    assigned to its earliest-finishing feasible processor.  This is the
+    At each step only the :attr:`WINDOW` earliest-deadline unassigned tasks
+    are considered; the one minimizing ``H = d + WEIGHT * earliest_start``
+    is assigned to its earliest-finishing feasible processor.  This is the
     uniprocessor/shared-memory technique whose sequence-oriented extension
     the paper critiques, included here as an additional reference point.
     """
 
     name = "Myopic"
 
-    def __init__(
-        self,
-        comm: CommunicationModel,
-        quantum_policy: Optional[QuantumPolicy] = None,
-        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        window: int = 8,
-        weight: float = 1.0,
-        **kwargs,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        super().__init__(comm, quantum_policy, per_vertex_cost, **kwargs)
-        self.window = window
-        self.weight = weight
+    #: Feasibility-check window: tasks looked at per placement step.
+    WINDOW = 8
+    #: ``W`` of the heuristic ``H = d + W * est``.
+    WEIGHT = 1.0
 
     def place(self, viable, offsets, bound, budget, stats):
         """Repeatedly place the best ``(H, end)`` of the lookahead window."""
@@ -210,11 +198,11 @@ class MyopicScheduler(ListScheduler):
         remaining = list(viable)
         while remaining and not budget.exhausted():
             best = None  # ((H, end), position, placement)
-            for position, task in enumerate(remaining[: self.window]):
+            for position, task in enumerate(remaining[: self.WINDOW]):
                 for choice in self.probe(task, offsets, bound, budget, stats):
                     _, comm_cost, end = choice
                     start = end - task.processing_time - comm_cost
-                    key = (task.deadline + self.weight * start, end)
+                    key = (task.deadline + self.WEIGHT * start, end)
                     if best is None or key < best[0]:
                         best = (key, position, choice)
             if best is None:

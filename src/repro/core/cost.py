@@ -91,19 +91,3 @@ class FifoEvaluator(VertexEvaluator):
     def evaluate(self, ctx: "PhaseContext", vertex: "Vertex") -> float:
         """A constant: the stable CL preserves generation order."""
         return 0.0
-
-
-def get_evaluator(name: str) -> VertexEvaluator:
-    """Factory by short name, used by experiment configs and the CLI."""
-    evaluators = {
-        "load_balancing": LoadBalancingEvaluator,
-        "earliest_finish": EarliestFinishEvaluator,
-        "min_slack": MinSlackEvaluator,
-        "fifo": FifoEvaluator,
-    }
-    try:
-        return evaluators[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown evaluator {name!r}; choose from {sorted(evaluators)}"
-        ) from None

@@ -16,8 +16,8 @@ from typing import Optional
 
 from ..observability import Instrumentation
 from .affinity import CommunicationModel
-from .cost import LoadBalancingEvaluator, VertexEvaluator
-from .quantum import QuantumPolicy, SelfAdjustingQuantum
+from .cost import VertexEvaluator
+from .quantum import QuantumPolicy
 from .registry import register_scheduler
 from .representations import SequenceOrientedExpander
 from .scheduler import DEFAULT_PER_VERTEX_COST, SearchScheduler
@@ -26,21 +26,14 @@ from .scheduler import DEFAULT_PER_VERTEX_COST, SearchScheduler
 class DCOLS(SearchScheduler):
     """Sequence-oriented dynamic scheduler under RT-SADS's quantum regime.
 
-    Parameters
-    ----------
-    comm, evaluator, quantum_policy, per_vertex_cost:
-        As in :class:`repro.core.rtsads.RTSADS` — both algorithms receive
-        identical time quanta and per-vertex costs, per Section 5.2.
-    beam_width:
-        Tasks probed per processor level, in EDF order.  Defaults to the
-        machine's processor count so each D-COLS expansion evaluates exactly
-        as many candidates as an RT-SADS expansion does.
-    rotate_start:
-        Whether the round-robin starting processor advances each phase.
-        Defaults to False — the literal Figure-1 tree, whose first level
-        always considers the same processor; this is the configuration whose
-        idle-processor pathology the paper analyses.  Enabling rotation is a
-        strictly friendlier variant (exercised by the ablations).
+    ``comm``, ``evaluator``, ``quantum_policy``, ``per_vertex_cost`` and
+    ``phase_runner`` are as in :class:`repro.core.rtsads.RTSADS` — both
+    algorithms receive identical time quanta and per-vertex costs, per
+    Section 5.2.  The tree is the literal Figure-1 one: every phase's first
+    level considers processor 0 (the configuration whose idle-processor
+    pathology the paper analyses), and each level probes as many
+    EDF-ordered tasks as the machine has processors, so a D-COLS expansion
+    evaluates exactly as many candidates as an RT-SADS expansion does.
     """
 
     def __init__(
@@ -49,31 +42,21 @@ class DCOLS(SearchScheduler):
         evaluator: Optional[VertexEvaluator] = None,
         quantum_policy: Optional[QuantumPolicy] = None,
         per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        beam_width: Optional[int] = None,
-        rotate_start: bool = False,
-        max_candidates: Optional[int] = 100_000,
         instrumentation: Optional["Instrumentation"] = None,
         phase_runner=None,
     ) -> None:
-        def factory(phase_index: int) -> SequenceOrientedExpander:
-            start = phase_index if rotate_start else 0
-            return SequenceOrientedExpander(
-                beam_width=beam_width, start_processor=start
-            )
-
+        expander = SequenceOrientedExpander()
         super().__init__(
             comm=comm,
-            expander_factory=factory,
-            evaluator=evaluator or LoadBalancingEvaluator(),
-            quantum_policy=quantum_policy or SelfAdjustingQuantum(),
+            # Without rotation the expander is stateless across phases.
+            expander_factory=lambda phase_index: expander,
+            evaluator=evaluator,
+            quantum_policy=quantum_policy,
             per_vertex_cost=per_vertex_cost,
-            max_candidates=max_candidates,
             name="D-COLS",
             instrumentation=instrumentation,
             phase_runner=phase_runner,
         )
-        self.beam_width = beam_width
-        self.rotate_start = rotate_start
 
 
 register_scheduler("dcols", DCOLS.from_context)

@@ -16,30 +16,19 @@ are provided for the quantum ablation (A1).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .task import Task
-
-#: Smallest quantum any policy will grant.  A zero quantum would forbid even
-#: one vertex evaluation and stall the runtime; a handful of evaluations is
-#: always allowed (10 vertices at the default per-vertex cost of 0.1).
-DEFAULT_MIN_QUANTUM = 1.0
 
 
 class QuantumPolicy(ABC):
     """Decides ``Q_s(j)`` from the batch, processor loads, and current time."""
 
-    def __init__(
-        self,
-        min_quantum: float = DEFAULT_MIN_QUANTUM,
-        max_quantum: Optional[float] = None,
-    ) -> None:
-        if min_quantum <= 0:
-            raise ValueError("min_quantum must be positive")
-        if max_quantum is not None and max_quantum < min_quantum:
-            raise ValueError("max_quantum must be >= min_quantum")
-        self.min_quantum = min_quantum
-        self.max_quantum = max_quantum
+    #: Smallest quantum the policy will grant.  A zero quantum would forbid
+    #: even one vertex evaluation and stall the runtime; a handful of
+    #: evaluations is always allowed (10 vertices at the default per-vertex
+    #: cost of 0.1).  :class:`FixedQuantum` pins it to its value.
+    min_quantum = 1.0
 
     @abstractmethod
     def _raw_quantum(
@@ -50,12 +39,8 @@ class QuantumPolicy(ABC):
     def quantum(
         self, batch: Sequence[Task], loads: Sequence[float], now: float
     ) -> float:
-        """Clamped ``Q_s(j)`` for a phase starting at ``now``."""
-        value = self._raw_quantum(batch, loads, now)
-        value = max(value, self.min_quantum)
-        if self.max_quantum is not None:
-            value = min(value, self.max_quantum)
-        return value
+        """``Q_s(j)`` for a phase starting at ``now``, floored at the minimum."""
+        return max(self._raw_quantum(batch, loads, now), self.min_quantum)
 
     @property
     def name(self) -> str:
@@ -115,27 +100,9 @@ class FixedQuantum(QuantumPolicy):
     def __init__(self, value: float) -> None:
         if value <= 0:
             raise ValueError("fixed quantum must be positive")
-        super().__init__(min_quantum=value, max_quantum=value)
-        self.value = value
+        self.value = self.min_quantum = value
 
     def _raw_quantum(
         self, batch: Sequence[Task], loads: Sequence[float], now: float
     ) -> float:
         return self.value
-
-
-def get_quantum_policy(name: str, **kwargs) -> QuantumPolicy:
-    """Factory by short name, used by experiment configs and the CLI."""
-    policies = {
-        "self_adjusting": SelfAdjustingQuantum,
-        "slack_only": SlackOnlyQuantum,
-        "load_only": LoadOnlyQuantum,
-        "fixed": FixedQuantum,
-    }
-    try:
-        cls = policies[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown quantum policy {name!r}; choose from {sorted(policies)}"
-        ) from None
-    return cls(**kwargs)

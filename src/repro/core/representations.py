@@ -27,7 +27,7 @@ under ``tests/differential/`` enforces this.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .feasibility import EPSILON
 from .search import (
@@ -53,9 +53,9 @@ class AssignmentOrientedExpander(Expander):
 
     Task selection follows EDF order over the batch; if the earliest-deadline
     unscheduled task has no feasible processor it is skipped (it stays in the
-    batch for the next phase) and the next task is probed, up to
-    ``max_task_probes``.  Every probe evaluates all processors and charges
-    the budget for each generated candidate.
+    batch for the next phase) and the next task is probed.  Every probe
+    evaluates all processors and charges the budget for each generated
+    candidate.
 
     Because per-processor offsets never decrease along a path, a task that is
     infeasible on *every* processor at some vertex stays infeasible in the
@@ -64,11 +64,6 @@ class AssignmentOrientedExpander(Expander):
     paid for once (its vertex generations are charged) instead of at every
     level.  The pruned tasks remain in the batch for the next phase.
     """
-
-    def __init__(self, max_task_probes: Optional[int] = None) -> None:
-        if max_task_probes is not None and max_task_probes <= 0:
-            raise ValueError("max_task_probes must be positive when given")
-        self.max_task_probes = max_task_probes
 
     def successors(
         self,
@@ -80,7 +75,6 @@ class AssignmentOrientedExpander(Expander):
         probes = 0
         hopeless_mask = 0
         truncated = False
-        max_task_probes = self.max_task_probes
         m = ctx.num_processors
         bound = ctx.phase_end_bound
         tasks = ctx.tasks
@@ -91,9 +85,6 @@ class AssignmentOrientedExpander(Expander):
         child_depth = vertex.depth + 1
         parent_max = vertex.max_offset
         for index in _unscheduled_indices(vertex, ctx.n):
-            if max_task_probes is not None and probes >= max_task_probes:
-                truncated = True
-                break
             if probes and budget.exhausted():
                 truncated = True
                 break
@@ -161,30 +152,20 @@ class AssignmentOrientedExpander(Expander):
 class SequenceOrientedExpander(Expander):
     """D-COLS's representation: pick a processor round-robin, branch on tasks.
 
-    Level ``depth`` of the tree considers processor
-    ``(start_processor + depth) % m`` and generates candidates for the first
-    ``beam_width`` unscheduled tasks in EDF order (the pruning a dynamic
-    sequence-oriented algorithm must apply; the paper cites limited
-    backtracking and bounded lookahead).  A level whose processor admits no
-    feasible task yields no successors — the search must backtrack, and with
-    low replication this is where D-COLS dead-ends.
+    Level ``depth`` of the tree considers processor ``depth % m`` — the
+    literal Figure-1 tree, whose first level is always processor 0 — and
+    generates candidates for the first ``m`` unscheduled tasks in EDF order
+    (the pruning a dynamic sequence-oriented algorithm must apply; the paper
+    cites limited backtracking and bounded lookahead), so an expansion
+    evaluates exactly as many candidates as an assignment-oriented one.  A
+    level whose processor admits no feasible task yields no successors — the
+    search must backtrack, and with low replication this is where D-COLS
+    dead-ends.
     """
-
-    def __init__(
-        self,
-        beam_width: Optional[int] = None,
-        start_processor: int = 0,
-    ) -> None:
-        if beam_width is not None and beam_width <= 0:
-            raise ValueError("beam_width must be positive when given")
-        if start_processor < 0:
-            raise ValueError("start_processor must be non-negative")
-        self.beam_width = beam_width
-        self.start_processor = start_processor
 
     def processor_at(self, depth: int, num_processors: int) -> int:
         """The processor considered at tree level ``depth``."""
-        return (self.start_processor + depth) % num_processors
+        return depth % num_processors
 
     def successors(
         self,
@@ -194,7 +175,7 @@ class SequenceOrientedExpander(Expander):
         stats: SearchStats,
     ) -> Expansion:
         processor = self.processor_at(vertex.depth, ctx.num_processors)
-        beam = self.beam_width if self.beam_width is not None else ctx.num_processors
+        beam = ctx.num_processors
         tasks = ctx.tasks
         comm_row = ctx.comm_row
         evaluate = ctx.evaluator.evaluate
@@ -236,21 +217,3 @@ class SequenceOrientedExpander(Expander):
         # sequence-oriented expansion is never exhaustive: the representation
         # cannot certify a maximal schedule and must backtrack instead.
         return Expansion(successors=candidates, exhaustive=False)
-
-
-def get_expander(
-    name: str,
-    beam_width: Optional[int] = None,
-    start_processor: int = 0,
-    max_task_probes: Optional[int] = None,
-) -> Expander:
-    """Factory by short name, used by experiment configs and the CLI."""
-    if name == "assignment":
-        return AssignmentOrientedExpander(max_task_probes=max_task_probes)
-    if name == "sequence":
-        return SequenceOrientedExpander(
-            beam_width=beam_width, start_processor=start_processor
-        )
-    raise ValueError(
-        f"unknown representation {name!r}; choose 'assignment' or 'sequence'"
-    )

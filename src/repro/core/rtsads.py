@@ -14,8 +14,8 @@ from typing import Optional
 
 from ..observability import Instrumentation
 from .affinity import CommunicationModel
-from .cost import LoadBalancingEvaluator, VertexEvaluator
-from .quantum import QuantumPolicy, SelfAdjustingQuantum
+from .cost import VertexEvaluator
+from .quantum import QuantumPolicy
 from .registry import register_scheduler
 from .representations import AssignmentOrientedExpander
 from .scheduler import DEFAULT_PER_VERTEX_COST, SearchScheduler
@@ -38,9 +38,6 @@ class RTSADS(SearchScheduler):
     per_vertex_cost:
         Modelled scheduling cost of generating one search vertex (the
         virtual-time stand-in for Paragon host-processor speed).
-    max_task_probes:
-        How many EDF-ordered tasks a level may probe before giving up when
-        the front tasks have no feasible processor; ``None`` probes all.
     phase_runner:
         Alternative phase loop; the differential harness passes the frozen
         :func:`repro.core.reference.run_phase` here to pin the optimized
@@ -53,20 +50,17 @@ class RTSADS(SearchScheduler):
         evaluator: Optional[VertexEvaluator] = None,
         quantum_policy: Optional[QuantumPolicy] = None,
         per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        max_task_probes: Optional[int] = None,
-        max_candidates: Optional[int] = 100_000,
         instrumentation: Optional["Instrumentation"] = None,
         phase_runner=None,
     ) -> None:
-        expander = AssignmentOrientedExpander(max_task_probes=max_task_probes)
+        expander = AssignmentOrientedExpander()
         super().__init__(
             comm=comm,
             # The assignment-oriented expander is stateless across phases.
             expander_factory=lambda phase_index: expander,
-            evaluator=evaluator or LoadBalancingEvaluator(),
-            quantum_policy=quantum_policy or SelfAdjustingQuantum(),
+            evaluator=evaluator,
+            quantum_policy=quantum_policy,
             per_vertex_cost=per_vertex_cost,
-            max_candidates=max_candidates,
             name="RT-SADS",
             instrumentation=instrumentation,
             phase_runner=phase_runner,

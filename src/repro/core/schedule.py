@@ -34,11 +34,6 @@ class ScheduleEntry:
         """``p_l + c_lk`` — the processor time the entry consumes."""
         return self.task.processing_time + self.communication_cost
 
-    @property
-    def scheduled_start(self) -> float:
-        """Projected start offset (from phase end) of this entry."""
-        return self.scheduled_end - self.total_cost
-
 
 class Schedule:
     """An ordered collection of :class:`ScheduleEntry`, grouped by processor.
@@ -85,26 +80,11 @@ class Schedule:
         """Processors that received at least one task."""
         return set(self._by_processor)
 
-    def sequence_for(self, processor: int) -> List[ScheduleEntry]:
-        """Execution order of the entries assigned to ``processor``."""
-        return list(self._by_processor.get(processor, []))
-
-    def load_per_processor(self) -> Dict[int, float]:
-        """Total ``p + c`` added to each processor by this schedule."""
-        return {
-            proc: sum(e.total_cost for e in seq)
-            for proc, seq in self._by_processor.items()
-        }
-
     def makespan(self) -> float:
         """Largest scheduled-end offset — the schedule's ``CE`` value."""
         if not self._entries:
             return 0.0
         return max(e.scheduled_end for e in self._entries)
-
-    def is_complete_for(self, batch_task_ids: Iterable[int]) -> bool:
-        """Whether every task of the batch appears in this schedule."""
-        return set(batch_task_ids) <= self._task_ids
 
     def validate(
         self,

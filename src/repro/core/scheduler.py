@@ -27,23 +27,6 @@ if TYPE_CHECKING:  # registry imports this module
 #: same time units as task processing times (one tuple-check = 1.0 unit).
 DEFAULT_PER_VERTEX_COST = 0.1
 
-#: Default cap on the allocated quantum, as a multiple of the time one full
-#: search pass over the batch costs (``kappa * m * |batch|``).  The paper's
-#: criterion (Figure 3) is an upper bound ("Q_s(j) <= max[...]"); allocating
-#: more time than the search can productively use only pushes the
-#: feasibility bound ``t_s + Q_s`` further out — making *currently* viable
-#: tasks test infeasible — while the extra time buys no additional search.
-#: The factor leaves room for backtracking beyond the single greedy pass.
-DEFAULT_QUANTUM_CAP_FACTOR = 3.0
-
-#: Per-phase fixed overhead, as a multiple of ``kappa * (batch + m)``: every
-#: phase the host must merge arrivals into Batch(j), run the expiry test on
-#: each member, read every processor's load, and deliver the schedule.  This
-#: cost exists for every scheduler and prevents the unrealistic
-#: free-restart regime where an algorithm converts dead-end micro-phases
-#: into a zero-cost trickle scheduler.
-DEFAULT_PHASE_OVERHEAD_FACTOR = 1.0
-
 
 def record_phase_metrics(
     obs: Instrumentation,
@@ -119,6 +102,24 @@ class Scheduler(ABC):
 
     name: str = "scheduler"
 
+    #: Cap on the allocated quantum, as a multiple of the time one full
+    #: search pass over the batch costs (``kappa * m * |batch|``).  The
+    #: paper's criterion (Figure 3) is an upper bound ("Q_s(j) <=
+    #: max[...]"); allocating more time than the search can productively
+    #: use only pushes the feasibility bound ``t_s + Q_s`` further out —
+    #: making *currently* viable tasks test infeasible — while the extra
+    #: time buys no additional search.  The factor leaves room for
+    #: backtracking beyond the single greedy pass.
+    QUANTUM_CAP_FACTOR = 3.0
+
+    #: Per-phase fixed overhead, as a multiple of ``kappa * (batch + m)``:
+    #: every phase the host must merge arrivals into Batch(j), run the
+    #: expiry test on each member, read every processor's load, and deliver
+    #: the schedule.  This cost exists for every scheduler and prevents the
+    #: unrealistic free-restart regime where an algorithm converts dead-end
+    #: micro-phases into a zero-cost trickle scheduler.
+    PHASE_OVERHEAD_FACTOR = 1.0
+
     #: None means "use the process default at phase time", so switching the
     #: global instrumentation on affects already-built schedulers; the
     #: runtime injects its own here for the duration of a run so an
@@ -130,20 +131,12 @@ class Scheduler(ABC):
         comm: CommunicationModel,
         quantum_policy: Optional[QuantumPolicy] = None,
         per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        quantum_cap_factor: Optional[float] = DEFAULT_QUANTUM_CAP_FACTOR,
-        phase_overhead_factor: float = DEFAULT_PHASE_OVERHEAD_FACTOR,
     ) -> None:
         if per_vertex_cost <= 0:
             raise ValueError("per_vertex_cost must be positive")
-        if quantum_cap_factor is not None and quantum_cap_factor <= 0:
-            raise ValueError("quantum_cap_factor must be positive when given")
-        if phase_overhead_factor < 0:
-            raise ValueError("phase_overhead_factor must be non-negative")
         self.comm = comm
         self.quantum_policy = quantum_policy or SelfAdjustingQuantum()
         self.per_vertex_cost = per_vertex_cost
-        self.quantum_cap_factor = quantum_cap_factor
-        self.phase_overhead_factor = phase_overhead_factor
         self.phase_index = 0
 
     @classmethod
@@ -160,15 +153,13 @@ class Scheduler(ABC):
     ) -> float:
         """Allocate the scheduling time ``Q_s(j)`` for the next phase."""
         quantum = self.quantum_policy.quantum(batch, loads, now)
-        if self.quantum_cap_factor is not None:
-            cap = useful_search_time(
-                batch_size=len(batch),
-                num_processors=len(loads),
-                per_vertex_cost=self.per_vertex_cost,
-                cap_factor=self.quantum_cap_factor,
-            )
-            quantum = min(quantum, max(cap, self.quantum_policy.min_quantum))
-        return quantum
+        cap = useful_search_time(
+            batch_size=len(batch),
+            num_processors=len(loads),
+            per_vertex_cost=self.per_vertex_cost,
+            cap_factor=self.QUANTUM_CAP_FACTOR,
+        )
+        return min(quantum, max(cap, self.quantum_policy.min_quantum))
 
     def schedule_phase(
         self,
@@ -187,7 +178,7 @@ class Scheduler(ABC):
             batch_size=len(batch),
             num_processors=len(loads),
             per_vertex_cost=self.per_vertex_cost,
-            overhead_factor=self.phase_overhead_factor,
+            overhead_factor=self.PHASE_OVERHEAD_FACTOR,
         )
         budget = VirtualTimeBudget(
             quantum=quantum + overhead, per_vertex_cost=self.per_vertex_cost
@@ -253,8 +244,8 @@ class SearchScheduler(Scheduler):
     Combines a quantum policy (Section 4.2), a search representation
     (Section 3), a vertex evaluator (Section 4.4), and the budget model into
     the phase loop of Section 4.1.  ``expander_factory`` receives the phase
-    index so representations can rotate state across phases (D-COLS rotates
-    its round-robin start processor).
+    index and returns that phase's expander; ``max_candidates`` bounds the
+    candidate list (the A5 memory ablation assigns it on a built scheduler).
     """
 
     def __init__(
@@ -265,19 +256,11 @@ class SearchScheduler(Scheduler):
         quantum_policy: Optional[QuantumPolicy] = None,
         per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
         max_candidates: Optional[int] = 100_000,
-        quantum_cap_factor: Optional[float] = DEFAULT_QUANTUM_CAP_FACTOR,
-        phase_overhead_factor: float = DEFAULT_PHASE_OVERHEAD_FACTOR,
         name: str = "search-scheduler",
         instrumentation: Optional[Instrumentation] = None,
         phase_runner=None,
     ) -> None:
-        super().__init__(
-            comm,
-            quantum_policy,
-            per_vertex_cost,
-            quantum_cap_factor,
-            phase_overhead_factor,
-        )
+        super().__init__(comm, quantum_policy, per_vertex_cost)
         self.expander_factory = expander_factory
         self.evaluator = evaluator or LoadBalancingEvaluator()
         self.max_candidates = max_candidates

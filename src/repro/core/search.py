@@ -591,7 +591,6 @@ def run_search(
     expander: Expander,
     budget: SearchBudget,
     max_candidates: Optional[int] = None,
-    max_iterations: Optional[int] = None,
 ) -> SearchOutcome:
     """Depth-first search of one scheduling phase (paper Section 4.1).
 
@@ -609,11 +608,7 @@ def run_search(
     cl.push_block([root])
     best = root
     stats = SearchStats()
-    iterations = 0
     while not budget.exhausted():
-        if max_iterations is not None and iterations >= max_iterations:
-            break
-        iterations += 1
         vertex = cl.pop()
         if vertex is None:
             stats.dead_end = True

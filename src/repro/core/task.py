@@ -134,10 +134,6 @@ class TaskSet:
         self._ids.add(task.task_id)
         self._tasks.append(task)
 
-    def by_arrival(self) -> list[Task]:
-        """Tasks sorted by arrival time (ties broken by task id)."""
-        return sorted(self._tasks, key=lambda t: (t.arrival_time, t.task_id))
-
     def by_deadline(self) -> list[Task]:
         """Tasks sorted by absolute deadline (EDF order)."""
         return sorted(self._tasks, key=lambda t: (t.deadline, t.task_id))
@@ -145,14 +141,6 @@ class TaskSet:
     def ids(self) -> list[int]:
         """Task ids in insertion order."""
         return [task.task_id for task in self._tasks]
-
-    def total_processing_time(self) -> float:
-        """Sum of ``p_i`` over the set — a lower bound on total work."""
-        return sum(task.processing_time for task in self._tasks)
-
-    def arrived_by(self, now: float) -> list[Task]:
-        """Tasks whose arrival time is at or before ``now``."""
-        return [task for task in self._tasks if task.arrival_time <= now]
 
     def min_laxity(self) -> float:
         """Smallest relative laxity across the set."""

@@ -9,9 +9,9 @@ bound (the guarantee theorem holds for them):
 * :class:`GlobalEDFScheduler` — global earliest-deadline-first onto the
   earliest-available processor, the textbook global-EDF dispatcher.
 * :class:`PartitionedEDFScheduler` — partitioned EDF: tasks are packed
-  onto processors in decreasing-size order with a worst-fit (default) or
-  first-fit bin-packing rule, then each processor runs its partition in
-  EDF order (Chen & Bansal, arXiv:1809.04355 style heuristics).
+  onto processors in decreasing-size order with a worst-fit bin-packing
+  rule, then each processor runs its partition in EDF order (Chen &
+  Bansal, arXiv:1809.04355 style heuristics).
 * :class:`CandidateSortScheduler` — per-task candidate sorting in the
   style of slot-allocation runtimes: rank every processor by affinity
   (communication cost) then availability, and take the first feasible
@@ -20,15 +20,12 @@ bound (the guarantee theorem holds for them):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from .affinity import CommunicationModel
 from .baselines import ListScheduler, Placement
 from .feasibility import is_feasible_against_bound
-from .quantum import QuantumPolicy
 from .registry import register_scheduler
 from .schedule import ScheduleEntry
-from .scheduler import DEFAULT_PER_VERTEX_COST
 from .task import Task
 
 
@@ -77,29 +74,15 @@ class PartitionedEDFScheduler(ListScheduler):
     """Partitioned EDF: bin-pack tasks onto processors, run each in EDF.
 
     Phase one packs the batch in decreasing processing-time order using a
-    worst-fit (``packing="wfd"``, default) or first-fit (``"ff"``) rule
-    over the feasible processors.  Phase two reorders every processor's
-    partition into EDF and recomputes completion times; because each
-    task's requirement on a fixed processor is constant (processing time
-    plus that pair's communication cost), the EDF exchange argument keeps
-    every packed task feasible, and a defensive re-check drops any that
-    are not rather than dispatching a doomed assignment.
+    worst-fit rule over the feasible processors.  Phase two reorders every
+    processor's partition into EDF and recomputes completion times; because
+    each task's requirement on a fixed processor is constant (processing
+    time plus that pair's communication cost), the EDF exchange argument
+    keeps every packed task feasible, and a defensive re-check drops any
+    that are not rather than dispatching a doomed assignment.
     """
 
     name = "Partitioned-EDF"
-
-    def __init__(
-        self,
-        comm: CommunicationModel,
-        quantum_policy: Optional[QuantumPolicy] = None,
-        per_vertex_cost: float = DEFAULT_PER_VERTEX_COST,
-        packing: str = "wfd",
-        **kwargs,
-    ) -> None:
-        if packing not in ("wfd", "ff"):
-            raise ValueError("packing must be 'wfd' or 'ff'")
-        super().__init__(comm, quantum_policy, per_vertex_cost, **kwargs)
-        self.packing = packing
 
     def order(self, batch: Sequence[Task]) -> List[Task]:
         """Decreasing size, the bin-packing order."""
@@ -108,9 +91,7 @@ class PartitionedEDFScheduler(ListScheduler):
         )
 
     def pick(self, feasible, offsets):
-        """First fit: lowest feasible index; worst fit: emptiest bin."""
-        if self.packing == "ff":
-            return feasible[0]
+        """Worst fit: the emptiest feasible bin."""
         return _emptiest(feasible, offsets)
 
     def place(self, viable, offsets, bound, budget, stats):

@@ -7,7 +7,7 @@ the host estimates from a global index file.
 """
 
 from .cost_model import (
-    DEFAULT_CHECK_COST,
+    CHECK_COST,
     WRITE_COST_FACTOR,
     CostEstimate,
     TransactionCostModel,
@@ -24,9 +24,8 @@ from .partition import (
     IntervalHashPartitioner,
     ModuloHashPartitioner,
     Partitioner,
-    balance_report,
 )
-from .replication import ReplicaPlacement, place_replicas, replicas_for_rate
+from .replication import ReplicaPlacement, place_replicas
 from .schema import (
     DEFAULT_DOMAIN_SIZE,
     DEFAULT_KEY_ATTRIBUTE,
@@ -43,7 +42,7 @@ from .transaction import Transaction, UpdateTransaction
 
 __all__ = [
     "CostEstimate",
-    "DEFAULT_CHECK_COST",
+    "CHECK_COST",
     "LockAcquisitionBlocked",
     "LockError",
     "LockManager",
@@ -69,8 +68,6 @@ __all__ = [
     "Transaction",
     "TransactionCostModel",
     "TransactionExecutor",
-    "balance_report",
     "generate_subdatabase",
     "place_replicas",
-    "replicas_for_rate",
 ]

@@ -21,8 +21,9 @@ from .index import GlobalIndex
 from .schema import Schema
 from .transaction import Transaction, UpdateTransaction
 
-#: One checking iteration defines the time unit of the whole reproduction.
-DEFAULT_CHECK_COST = 1.0
+#: ``k``, the processing time of one checking iteration: the time unit of
+#: the whole reproduction.
+CHECK_COST = 1.0
 
 #: Writing one matched row costs this many checking iterations (read,
 #: modify, write back).  Shared between the estimator and the executor.
@@ -47,16 +48,12 @@ class TransactionCostModel:
         schema: Schema,
         index: GlobalIndex,
         records_per_subdb: int,
-        check_cost: float = DEFAULT_CHECK_COST,
     ) -> None:
         if records_per_subdb <= 0:
             raise ValueError("records_per_subdb must be positive")
-        if check_cost <= 0:
-            raise ValueError("check_cost must be positive")
         self.schema = schema
         self.index = index
         self.records_per_subdb = records_per_subdb
-        self.check_cost = check_cost
 
     def estimate(self, txn: Transaction) -> CostEstimate:
         """Worst-case execution cost of ``txn`` on a node holding its data.
@@ -73,10 +70,10 @@ class TransactionCostModel:
         else:
             tuples = self.records_per_subdb
             used_index = False
-        cost = self.check_cost * tuples
+        cost = CHECK_COST * tuples
         if isinstance(txn, UpdateTransaction):
             # Worst case: every candidate tuple matches and is rewritten.
-            cost += self.check_cost * WRITE_COST_FACTOR * tuples
+            cost += CHECK_COST * WRITE_COST_FACTOR * tuples
         return CostEstimate(
             tuples_to_check=tuples,
             cost=cost,

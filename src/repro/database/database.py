@@ -14,17 +14,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.task import Task
-from .cost_model import DEFAULT_CHECK_COST, TransactionCostModel
+from .cost_model import TransactionCostModel
 from .executor import TransactionExecutor
 from .index import GlobalIndex
 from .partition import IntervalHashPartitioner
 from .replication import ReplicaPlacement, place_replicas
-from .schema import (
-    DEFAULT_DOMAIN_SIZE,
-    DEFAULT_KEY_ATTRIBUTE,
-    DEFAULT_NUM_ATTRIBUTES,
-    Schema,
-)
+from .schema import DEFAULT_DOMAIN_SIZE, DEFAULT_NUM_ATTRIBUTES, Schema
 from .table import DEFAULT_RECORDS_PER_SUBDB, SubDatabase, generate_subdatabase
 from .transaction import Transaction
 
@@ -37,8 +32,6 @@ class DatabaseConfig:
     records_per_subdb: int = DEFAULT_RECORDS_PER_SUBDB
     num_attributes: int = DEFAULT_NUM_ATTRIBUTES
     domain_size: int = DEFAULT_DOMAIN_SIZE
-    key_attribute: int = DEFAULT_KEY_ATTRIBUTE
-    check_cost: float = DEFAULT_CHECK_COST
 
     def __post_init__(self) -> None:
         if self.num_subdatabases <= 0:
@@ -56,7 +49,6 @@ class DatabaseConfig:
             num_subdatabases=self.num_subdatabases,
             num_attributes=self.num_attributes,
             domain_size=self.domain_size,
-            key_attribute=self.key_attribute,
         )
 
 
@@ -81,7 +73,6 @@ class DistributedDatabase:
             schema=schema,
             index=index,
             records_per_subdb=config.records_per_subdb,
-            check_cost=config.check_cost,
         )
 
     @classmethod
@@ -160,16 +151,10 @@ class DistributedDatabase:
             subdb: self.subdatabases[subdb]
             for subdb in self.placement.contents_of(processor)
         }
-        return TransactionExecutor(
-            schema=self.schema,
-            subdatabases=local,
-            check_cost=self.config.check_cost,
-        )
+        return TransactionExecutor(schema=self.schema, subdatabases=local)
 
     def global_executor(self) -> TransactionExecutor:
         """An executor over every partition (estimation validation)."""
         return TransactionExecutor(
-            schema=self.schema,
-            subdatabases=self.subdatabases,
-            check_cost=self.config.check_cost,
+            schema=self.schema, subdatabases=self.subdatabases
         )

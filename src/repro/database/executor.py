@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..observability import get_instrumentation
-from .cost_model import WRITE_COST_FACTOR, TransactionCostModel
+from .cost_model import CHECK_COST, WRITE_COST_FACTOR
 from .locks import LockManager, LockMode
 from .schema import Schema
 from .table import SubDatabase
@@ -55,15 +55,11 @@ class TransactionExecutor:
         self,
         schema: Schema,
         subdatabases: Dict[int, SubDatabase],
-        check_cost: float = 1.0,
         lock_manager: LockManager | None = None,
         global_index=None,
     ) -> None:
-        if check_cost <= 0:
-            raise ValueError("check_cost must be positive")
         self.schema = schema
         self.subdatabases = dict(subdatabases)
-        self.check_cost = check_cost
         self.lock_manager = lock_manager
         self.global_index = global_index
 
@@ -128,7 +124,7 @@ class TransactionExecutor:
             subdb=target,
             matches=tuple(matches),
             tuples_checked=tuples_checked,
-            cost=self.check_cost * tuples_checked,
+            cost=CHECK_COST * tuples_checked,
         )
 
     def execute_update(self, txn: UpdateTransaction) -> ExecutionOutcome:
@@ -154,7 +150,7 @@ class TransactionExecutor:
             self.global_index.apply_deltas(deltas)
         tuples_checked = max(1, tuples_checked)
         self._record_access("write", target, tuples_checked, rows_changed)
-        cost = self.check_cost * (
+        cost = CHECK_COST * (
             tuples_checked + self.WRITE_COST_FACTOR * rows_changed
         )
         return ExecutionOutcome(
@@ -165,15 +161,3 @@ class TransactionExecutor:
             cost=cost,
             rows_changed=rows_changed,
         )
-
-    def verify_estimate(
-        self, txn: Transaction, cost_model: TransactionCostModel
-    ) -> bool:
-        """Whether the host estimate upper-bounds the actual checking work.
-
-        The estimate is worst-case, so ``actual <= estimate`` must always
-        hold; property tests drive this over random transactions.
-        """
-        outcome = self.execute(txn)
-        estimate = cost_model.estimate(txn)
-        return outcome.tuples_checked <= estimate.tuples_to_check

@@ -101,10 +101,6 @@ class GlobalIndex:
         entry = self._entries.get(key_value)
         return entry.frequency if entry is not None else 0
 
-    def subdb_of(self, key_value: int) -> int:
-        """Sub-database owning the key value (indexed or not)."""
-        return self.schema.subdb_of_value(key_value)
-
     def __len__(self) -> int:
         return len(self._entries)
 

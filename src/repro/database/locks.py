@@ -164,17 +164,6 @@ class LockManager:
             del self._resources[resource]
         return granted
 
-    def release_all(self, owner: int) -> List[Tuple[int, int, LockMode]]:
-        """Release every lock ``owner`` holds; returns (resource, owner,
-        mode) grants it unblocked."""
-        granted: List[Tuple[int, int, LockMode]] = []
-        for resource in [
-            r for r, s in self._resources.items() if owner in s.holders
-        ]:
-            for new_owner, mode in self.release(resource, owner):
-                granted.append((resource, new_owner, mode))
-        return granted
-
     def waiters_of(self, resource: int) -> List[int]:
         state = self._resources.get(resource)
         if state is None:

@@ -63,15 +63,3 @@ class ModuloHashPartitioner(Partitioner):
         # Multiplicative (Knuth) mixing so consecutive keys spread out.
         mixed = (key_value * 2654435761) & 0xFFFFFFFF
         return mixed % self.num_partitions
-
-
-def balance_report(partitions: Dict[int, List[Row]]) -> Dict[str, float]:
-    """Min/max/mean partition sizes — used to sanity-check the hash."""
-    sizes = [len(rows) for rows in partitions.values()]
-    if not sizes:
-        return {"min": 0.0, "max": 0.0, "mean": 0.0}
-    return {
-        "min": float(min(sizes)),
-        "max": float(max(sizes)),
-        "mean": sum(sizes) / len(sizes),
-    }

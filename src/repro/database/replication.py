@@ -54,29 +54,6 @@ class ReplicaPlacement:
             if processor in holders
         )
 
-    def copies_per_subdatabase(self) -> List[int]:
-        return [
-            len(self.replicas[subdb]) for subdb in range(self.num_subdatabases)
-        ]
-
-    def effective_affinity_degree(self) -> float:
-        """Mean fraction of processors holding a given sub-database."""
-        counts = self.copies_per_subdatabase()
-        return sum(counts) / (len(counts) * self.num_processors)
-
-
-def replicas_for_rate(replication_rate: float, num_processors: int) -> int:
-    """Copies per sub-database implied by rate ``R`` on ``m`` processors.
-
-    Every sub-database needs at least one home; ``R = 1.0`` means a copy on
-    every processor.
-    """
-    if not 0.0 < replication_rate <= 1.0:
-        raise ValueError(
-            f"replication_rate must be in (0, 1], got {replication_rate}"
-        )
-    return max(1, round(replication_rate * num_processors))
-
 
 def replica_counts_for_rate(
     replication_rate: float, num_processors: int, num_subdatabases: int

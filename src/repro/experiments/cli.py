@@ -34,8 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..observability import (
     Instrumentation,
@@ -46,6 +47,8 @@ from ..observability import (
 from ..core.domains import PARTITION_POLICIES
 from ..core.registry import SCHEDULER_NAMES
 from ..runtime import BACKEND_NAMES
+from ..service.admission import ADMISSION_POLICY_NAMES
+from ..workload.arrivals import ARRIVAL_NAMES
 from .config import ExperimentConfig
 from .sweep import DEFAULT_CACHE_DIR
 from .extensions import (
@@ -110,6 +113,32 @@ EXPORTING = ", ".join(
 )
 
 
+# ----- flag value parsers -----------------------------------------------------
+
+
+def _checked(cast: Callable[[str], object], expected: str, ok=None):
+    """An argparse ``type=``: ``cast`` the text, then require ``ok(value)``.
+
+    A ``cast`` that raises ``ValueError`` or a value ``ok`` refuses is a
+    usage error naming what was ``expected`` (exit status 2, one line on
+    stderr), never a traceback.
+    """
+
+    def parse(text: str):
+        """``text`` as a checked value, or an ``ArgumentTypeError``."""
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or (ok is not None and not ok(value)):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _parse_domains(spec: str) -> tuple:
     """Parse ``--domains``: one count (``4``) or a comma list (``1,2,4``)."""
     try:
@@ -121,16 +150,66 @@ def _parse_domains(spec: str) -> tuple:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (kept separate so tests can drive it)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description=(
-            "Regenerate the evaluation of 'A Scalable Scheduling Algorithm "
-            "for Real-Time Distributed Systems' (ICDCS 1998)."
-        ),
-    )
-    parser.add_argument(
+def _parse_kill_worker(spec: str):
+    """``--kill-worker INDEX@SECONDS`` as a ``FailurePlan``."""
+    # Imported lazily: simulation-only usage never touches sockets or
+    # multiprocessing machinery.
+    from ..cluster.failure import FailurePlan
+
+    return FailurePlan.parse(spec)
+
+
+def _parse_join(spec: str):
+    """``--join INDEX@SECONDS`` as a ``JoinPlan``."""
+    from ..service.config import JoinPlan
+
+    return JoinPlan.parse(spec)
+
+
+positive_int = _checked(int, "a positive integer", lambda v: v > 0)
+count = _checked(int, "a non-negative integer", lambda v: v >= 0)
+positive_float = _checked(float, "a positive number", lambda v: v > 0)
+amount = _checked(float, "a non-negative number", lambda v: v >= 0)
+unit_rate = _checked(float, "a rate in (0, 1]", lambda v: 0 < v <= 1)
+tcp_port = _checked(int, "a port in 0..65535", lambda v: 0 <= v <= 65535)
+chart_width = _checked(int, "at least 16 columns", lambda v: v >= 16)
+domain_counts = _checked(
+    _parse_domains, "a domain count K >= 1 or a comma list K,K,..."
+)
+_WORKER_EVENT = "INDEX@SECONDS with INDEX >= 0 and SECONDS >= 0"
+kill_worker = _checked(_parse_kill_worker, _WORKER_EVENT)
+join_worker = _checked(_parse_join, _WORKER_EVENT)
+
+
+# ----- the flag table ---------------------------------------------------------
+
+
+class Flag(NamedTuple):
+    """One row of :data:`FLAGS`: what ``add_argument`` is called with."""
+
+    options: Tuple[str, ...]
+    kwargs: Dict[str, object]
+
+
+def _flag(*options: str, **kwargs) -> Flag:
+    """A :data:`FLAGS` row, written the way ``add_argument`` is called."""
+    return Flag(options, kwargs)
+
+
+#: Every flag of every ``repro`` command, defined once.  The four parser
+#: builders (:func:`build_parser`, ``build_serve_parser``,
+#: ``build_load_parser``, ``build_trace_parser``) only *select* rows by
+#: name through :func:`add_flags`, so a flag shared by two commands cannot
+#: differ between them in type, choices or help.  A row carries no
+#: per-command default: where commands assume different values for an
+#: absent flag (``--seed``, ``--transactions``, ...), the value is ``None``
+#: here and the command's preset code fills it in
+#: (:func:`cluster_config_from_args`, ``service_cli.experiment_from_args``,
+#: the config dataclasses' own defaults).  Every ``type=`` parses *and*
+#: range-checks, so a malformed value is a usage error.
+FLAGS: Dict[str, Flag] = {
+    # --- what to run, at which scale ---
+    "experiment": _flag(
         "experiment",
         choices=(*EXPERIMENTS, "all", "cluster"),
         help=(
@@ -141,42 +220,77 @@ def build_parser() -> argparse.ArgumentParser:
             "'shard-curve' sweeps compliance vs processors for each "
             "scheduling-domain count"
         ),
-    )
-    scale = parser.add_mutually_exclusive_group()
-    scale.add_argument(
+    ),
+    "paper": _flag(
         "--paper",
         action="store_true",
         help="full Section-5.1 scale (1000 transactions, 10 runs; slow)",
-    )
-    scale.add_argument(
+    ),
+    "quick": _flag(
         "--quick",
         action="store_true",
         help="CI scale preserving cost ratios (default)",
-    )
-    parser.add_argument("--runs", type=int, help="override repetitions per cell")
-    parser.add_argument(
-        "--transactions", type=int, help="override transaction count"
-    )
-    parser.add_argument("--seed", type=int, help="override base seed")
-    parser.add_argument(
-        "--processors", type=int, help="override fixed processor count"
-    )
-    parser.add_argument(
-        "--replication", type=float, help="override fixed replication rate"
-    )
-    parser.add_argument(
-        "--slack-factor", type=float, help="override slack factor SF"
-    )
-    parser.add_argument(
+    ),
+    # --- the cell: workload, machine, scheduler, backend ---
+    "runs": _flag(
+        "--runs",
+        type=positive_int,
+        help="repetitions per cell (default: the scale's; 1 for 'cluster')",
+    ),
+    "transactions": _flag(
+        "--transactions",
+        "--tasks",
+        type=positive_int,
+        help=(
+            "transaction count (default: the scale's; 200 for 'cluster', "
+            "500 for 'shard-curve', 100 templates for serve/load, where "
+            "both sides must agree).  --tasks is the same flag: given "
+            "both, the last one on the command line wins"
+        ),
+    ),
+    "seed": _flag(
+        "--seed",
+        type=int,
+        help=(
+            "base seed of the workload (default 1998; 1 for 'cluster', "
+            "serve and load, where both sides must agree)"
+        ),
+    ),
+    "processors": _flag(
+        "--processors",
+        "--workers",
+        type=positive_int,
+        help=(
+            "working processors = worker processes = data placement width "
+            "(default: the scale's 10; 4 for 'cluster', 2 for serve/load, "
+            "where both sides must agree).  --workers is the same flag: "
+            "given both, the last one on the command line wins"
+        ),
+    ),
+    "replication": _flag(
+        "--replication",
+        type=unit_rate,
+        help="replication rate R in (0, 1] (default: the scale's 0.3)",
+    ),
+    "slack_factor": _flag(
+        "--slack-factor",
+        type=positive_float,
+        help=(
+            "deadline slack factor SF (default: the scale's 1; 3 for "
+            "'cluster', serve and load — live runs burn real milliseconds "
+            "on hops, so SF=1 would measure socket latency)"
+        ),
+    ),
+    "scheduler": _flag(
         "--scheduler",
         choices=SCHEDULER_NAMES,
         help=(
             "pin every cell to one scheduler registry name (default: the "
             "paper's rtsads-vs-dcols comparison for figures, rtsads for "
-            "'cluster')"
+            "'cluster' and serve)"
         ),
-    )
-    parser.add_argument(
+    ),
+    "backend": _flag(
         "--backend",
         choices=BACKEND_NAMES,
         help=(
@@ -186,41 +300,33 @@ def build_parser() -> argparse.ArgumentParser:
             "'sharded' (the simulator with its report labelled by "
             "scheduling domain even at --domains 1)"
         ),
-    )
-    sharding = parser.add_argument_group(
-        "scheduling domains",
-        "split the workers into k domains, one master each, with "
-        "inter-domain migration (see docs/ARCHITECTURE.md)",
-    )
-    sharding.add_argument(
+    ),
+    "domains": _flag(
         "--domains",
         metavar="K[,K...]",
+        type=domain_counts,
         help=(
             "scheduling-domain count: a single k shards any experiment "
             "(sim or cluster) into k masters; a comma list sets the "
             "shard-curve series (default 1,2,4)"
         ),
-    )
-    sharding.add_argument(
+    ),
+    "partition_policy": _flag(
         "--partition-policy",
         choices=PARTITION_POLICIES,
         help="how workers are assigned to domains (default hash)",
-    )
-    sweeps = parser.add_argument_group(
-        "parallel sweeps",
-        "fan cells over worker processes and cache finished cells "
-        "(results are byte-identical for every combination of these flags)",
-    )
-    sweeps.add_argument(
+    ),
+    # --- how the sweep executes ---
+    "jobs": _flag(
         "--jobs",
         "-j",
-        type=int,
+        type=positive_int,
         help=(
             "worker processes for independent cells (default 1 = serial; "
             f"implies caching under {DEFAULT_CACHE_DIR} unless --no-cache)"
         ),
-    )
-    sweeps.add_argument(
+    ),
+    "cache_dir": _flag(
         "--cache-dir",
         metavar="DIR",
         help=(
@@ -228,81 +334,282 @@ def build_parser() -> argparse.ArgumentParser:
             f"(default {DEFAULT_CACHE_DIR} when --jobs/--resume is given, "
             "otherwise off)"
         ),
-    )
-    caching = sweeps.add_mutually_exclusive_group()
-    caching.add_argument(
+    ),
+    "no_cache": _flag(
         "--no-cache",
         action="store_true",
         help="never read or write the cell cache, even with --jobs",
-    )
-    caching.add_argument(
+    ),
+    "resume": _flag(
         "--resume",
         action="store_true",
         help=(
             "resume an interrupted sweep: re-run only cells missing from "
             "the cache (implies caching)"
         ),
-    )
-    sweeps.add_argument(
+    ),
+    "export": _flag(
         "--export",
         metavar="PATH",
         help=(
             "also write the figure's data as JSON to PATH "
             f"({EXPORTING} only; byte-stable across --jobs/--resume)"
         ),
-    )
-    verbosity = parser.add_mutually_exclusive_group()
-    verbosity.add_argument(
+    ),
+    # --- observability ---
+    "verbose": _flag(
         "--verbose",
         "-v",
         action="store_true",
-        help="progress line per repetition on stderr (INFO level)",
-    )
-    verbosity.add_argument(
+        help="structured INFO logging on stderr (a progress line per cell)",
+    ),
+    "quiet": _flag(
         "--quiet",
         action="store_true",
         help="suppress everything below ERROR",
-    )
-    parser.add_argument(
+    ),
+    "trace_out": _flag(
         "--trace-out",
         metavar="PATH",
-        help="write a JSONL event trace (phase spans, task lifecycle)",
-    )
-    parser.add_argument(
+        help=(
+            "write a JSONL event trace (phase spans, task lifecycle; "
+            "read it with: repro trace analyze PATH)"
+        ),
+    ),
+    "metrics_out": _flag(
         "--metrics-out",
         metavar="PATH",
         help="write a JSON metrics snapshot (per-scheduler counters, per cell)",
+    ),
+    # --- the live fleet ('cluster' and serve) ---
+    "kill_worker": _flag(
+        "--kill-worker",
+        metavar="INDEX@SECONDS",
+        type=kill_worker,
+        help="fail-stop one worker mid-run, e.g. 1@0.5",
+    ),
+    "time_scale": _flag(
+        "--time-scale",
+        type=positive_float,
+        help=(
+            "wall seconds per virtual cost unit (default 0.001); a load "
+            "client must be given the value its service runs at"
+        ),
+    ),
+    "heartbeat": _flag(
+        "--heartbeat",
+        type=positive_float,
+        help="worker heartbeat interval in seconds (default 0.25)",
+    ),
+    # --- repro serve ---
+    "port": _flag(
+        "--port",
+        type=tcp_port,
+        help=(
+            "service master port (serve: default 0 = OS-chosen, printed "
+            "at startup; load: required)"
+        ),
+    ),
+    "policy": _flag(
+        "--policy",
+        choices=ADMISSION_POLICY_NAMES,
+        help=f"admission policy: {', '.join(ADMISSION_POLICY_NAMES)} "
+        "(default reject-newest)",
+    ),
+    "backlog_units": _flag(
+        "--backlog-units",
+        type=amount,
+        help="admission backlog cap in cost units (default 0 = derive "
+        "from fleet size and mean template laxity)",
+    ),
+    "max_seconds": _flag(
+        "--max-seconds",
+        type=amount,
+        help="stop serving after this many wall seconds (default 0 = "
+        "serve until SIGTERM or idle-stop)",
+    ),
+    "drain_grace": _flag(
+        "--drain-grace",
+        type=positive_float,
+        help="wall seconds in-flight work may finish during a drain "
+        "before being surrendered (default 5)",
+    ),
+    "idle_stop": _flag(
+        "--idle-stop",
+        action="store_true",
+        help="exit once at least one client was served and none remain "
+        "(what scripted smoke runs use)",
+    ),
+    "join": _flag(
+        "--join",
+        action="append",
+        default=[],
+        metavar="INDEX@SECONDS",
+        type=join_worker,
+        help="spawn an elastic worker mid-run, e.g. --join 2@3.0 "
+        "(repeatable)",
+    ),
+    "max_wall_seconds": _flag(
+        "--max-wall-seconds",
+        type=positive_float,
+        help="hard abort ceiling for the whole run (safety net; "
+        "default 120)",
+    ),
+    # --- repro load ---
+    "host": _flag(
+        "--host",
+        default="127.0.0.1",
+        help="host of the running service master (default 127.0.0.1)",
+    ),
+    "arrival": _flag(
+        "--arrival",
+        choices=ARRIVAL_NAMES,
+        help=f"arrival process: {', '.join(ARRIVAL_NAMES)} "
+        "(default poisson)",
+    ),
+    "load": _flag(
+        "--load",
+        type=positive_float,
+        help="offered load as a fraction of fleet capacity (default 1.0)",
+    ),
+    "submissions": _flag(
+        "--submissions",
+        type=count,
+        help="submissions to stream (default 0 = one per template)",
+    ),
+    "load_seed": _flag(
+        "--load-seed",
+        type=int,
+        help="seed of the arrival stream (default 0 = the workload seed)",
+    ),
+    "settle_grace": _flag(
+        "--settle-grace",
+        type=amount,
+        help="extra wall seconds to await straggler RESULTs (default 5)",
+    ),
+    "clients": _flag(
+        "--clients",
+        type=positive_int,
+        help="concurrent client connections; the stream is dealt "
+        "round-robin across them (default 1)",
+    ),
+    # --- repro trace ---
+    "trace": _flag("trace", help="path to a JSONL trace"),
+    "json": _flag(
+        "--json",
+        action="store_true",
+        help="emit the attribution as JSON instead of tables",
+    ),
+    "phase": _flag(
+        "--phase",
+        type=count,
+        help="restrict to tasks placed in this scheduling phase",
+    ),
+    "width": _flag(
+        "--width",
+        type=chart_width,
+        default=72,
+        help="chart width in columns (default 72, at least 16)",
+    ),
+    "trace_a": _flag("trace_a", help="first JSONL trace (e.g. simulator)"),
+    "trace_b": _flag("trace_b", help="second JSONL trace (e.g. cluster)"),
+    "label_a": _flag("--label-a", help="display name for the first trace"),
+    "label_b": _flag("--label-b", help="display name for the second trace"),
+}
+
+
+def add_flags(target, *names: str) -> None:
+    """Add the named :data:`FLAGS` rows to a parser or argument group."""
+    for name in names:
+        options, kwargs = FLAGS[name]
+        target.add_argument(*options, **kwargs)
+
+
+def given(args: argparse.Namespace, fields: Dict[str, str]) -> dict:
+    """``{field: value}`` for each ``dest -> field`` whose flag was given."""
+    return {
+        field: getattr(args, dest)
+        for dest, field in fields.items()
+        if getattr(args, dest) is not None
+    }
+
+
+@contextmanager
+def usage_errors(parser: argparse.ArgumentParser):
+    """Report a config constructor's ``ValueError`` as a usage error.
+
+    The flag rows check each value alone; what only a constructor can see
+    (``--domains 20`` against 10 processors, ``--kill-worker 9@1`` against
+    4 workers) leaves the same way: exit status 2, one line, no traceback.
+    """
+    try:
+        yield
+    except ValueError as error:
+        parser.error(str(error))
+
+
+#: The template-universe flags every command shares: dest -> config field.
+WORKLOAD_FLAGS = {
+    "transactions": "num_transactions",
+    "seed": "base_seed",
+    "processors": "num_processors",
+    "replication": "replication_rate",
+    "slack_factor": "slack_factor",
+}
+
+#: Every flag of ``repro <experiment>`` that is one config field.
+CONFIG_FLAGS = {
+    **WORKLOAD_FLAGS,
+    "runs": "runs",
+    "backend": "backend",
+    "scheduler": "scheduler",
+    "partition_policy": "partition_policy",
+}
+
+#: The three live-fleet knobs 'cluster' and serve share: dest ->
+#: ``ClusterConfig`` field.
+LIVE_KNOB_FLAGS = {
+    "kill_worker": "failure",
+    "time_scale": "seconds_per_unit",
+    "heartbeat": "heartbeat_interval",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (kept separate so tests can drive it)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Regenerate the evaluation of 'A Scalable Scheduling Algorithm "
+            "for Real-Time Distributed Systems' (ICDCS 1998)."
+        ),
     )
+    add_flags(parser, "experiment")
+    add_flags(parser.add_mutually_exclusive_group(), "paper", "quick")
+    add_flags(
+        parser, "runs", "transactions", "seed", "processors", "replication",
+        "slack_factor", "scheduler", "backend",
+    )
+    sharding = parser.add_argument_group(
+        "scheduling domains",
+        "split the workers into k domains, one master each, with "
+        "inter-domain migration (see docs/ARCHITECTURE.md)",
+    )
+    add_flags(sharding, "domains", "partition_policy")
+    sweeps = parser.add_argument_group(
+        "parallel sweeps",
+        "fan cells over worker processes and cache finished cells "
+        "(results are byte-identical for every combination of these flags)",
+    )
+    add_flags(sweeps, "jobs", "cache_dir")
+    add_flags(sweeps.add_mutually_exclusive_group(), "no_cache", "resume")
+    add_flags(sweeps, "export")
+    add_flags(parser.add_mutually_exclusive_group(), "verbose", "quiet")
+    add_flags(parser, "trace_out", "metrics_out")
     cluster = parser.add_argument_group(
         "cluster mode", "only meaningful with the 'cluster' experiment"
     )
-    cluster.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker processes to spawn (default 4)",
-    )
-    cluster.add_argument(
-        "--tasks",
-        type=int,
-        default=200,
-        help="transactions in the live workload (default 200)",
-    )
-    cluster.add_argument(
-        "--kill-worker",
-        metavar="INDEX@SECONDS",
-        help="fail-stop one worker mid-run, e.g. 1@0.5",
-    )
-    cluster.add_argument(
-        "--time-scale",
-        type=float,
-        help="wall seconds per virtual cost unit (default 0.001)",
-    )
-    cluster.add_argument(
-        "--heartbeat",
-        type=float,
-        help="worker heartbeat interval in seconds (default 0.25)",
-    )
+    add_flags(cluster, "kill_worker", "time_scale", "heartbeat")
     return parser
 
 
@@ -368,39 +675,23 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
     Starts from the chosen scale (``--paper`` / ``--quick``), applies the
     generic workload overrides, then the sweep-execution knobs from
-    :func:`sweep_execution_from_args`.
+    :func:`sweep_execution_from_args`.  Raises ``ValueError`` for what only
+    the whole config can refuse (see :func:`usage_errors`).
     """
     config = (
         ExperimentConfig.paper() if args.paper else ExperimentConfig.quick()
     )
-    overrides = dict(sweep_execution_from_args(args))
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.transactions is not None:
-        overrides["num_transactions"] = args.transactions
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.processors is not None:
-        overrides["num_processors"] = args.processors
-    if args.replication is not None:
-        overrides["replication_rate"] = args.replication
-    if args.slack_factor is not None:
-        overrides["slack_factor"] = args.slack_factor
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.scheduler is not None:
-        overrides["scheduler"] = args.scheduler
-    if getattr(args, "domains", None) is not None:
-        values = _parse_domains(args.domains)
-        if len(values) == 1:
-            overrides["domains"] = values[0]
+    overrides = {
+        **sweep_execution_from_args(args), **given(args, CONFIG_FLAGS)
+    }
+    if args.domains is not None:
+        if len(args.domains) == 1:
+            overrides["domains"] = args.domains[0]
         elif args.experiment != "shard-curve":
-            raise SystemExit(
+            raise ValueError(
                 "--domains accepts a comma list only with shard-curve"
             )
-    if getattr(args, "partition_policy", None) is not None:
-        overrides["partition_policy"] = args.partition_policy
-    return replace(config, **overrides) if overrides else config
+    return replace(config, **overrides)
 
 
 def build_experiment(name: str, config: ExperimentConfig, **kwargs):
@@ -473,6 +764,19 @@ def export_figure_json(path: str, name: str, result) -> None:
         handle.write("\n")
 
 
+#: What 'cluster' assumes where a flag is absent: the CLI's historical
+#: 200-task / 4-worker scale, one run, base seed 1, and a slack factor of 3
+#: (live deadlines burn real milliseconds on message hops, so the tightest
+#: setting would measure socket latency, not scheduling).
+CLUSTER_PRESETS = {
+    "num_transactions": 200,
+    "num_processors": 4,
+    "slack_factor": 3.0,
+    "runs": 1,
+    "base_seed": 1,
+}
+
+
 def cluster_config_from_args(
     args: argparse.Namespace,
 ) -> ExperimentConfig:
@@ -480,25 +784,16 @@ def cluster_config_from_args(
 
     Starts from the shared :func:`config_from_args` so every generic
     override (--transactions, --seed, --runs, ...) means the same thing on
-    both backends, then applies the live-friendly presets where no
-    override was given: the CLI's historical 200-task / 4-worker scale,
-    one run, a slack factor of 3 (live deadlines burn real milliseconds
-    on message hops, so the tightest setting would measure socket latency,
-    not scheduling), and base seed 1.
+    both backends, then applies :data:`CLUSTER_PRESETS` where no flag was
+    given.
     """
-    config = config_from_args(args)
-    presets = {"backend": "cluster"}
-    if args.transactions is None:
-        presets["num_transactions"] = args.tasks
-    if args.processors is None:
-        presets["num_processors"] = args.workers
-    if args.slack_factor is None:
-        presets["slack_factor"] = 3.0
-    if args.runs is None:
-        presets["runs"] = 1
-    if args.seed is None:
-        presets["base_seed"] = 1
-    return replace(config, **presets)
+    flagged = given(args, CONFIG_FLAGS)
+    presets = {
+        field: value
+        for field, value in CLUSTER_PRESETS.items()
+        if field not in flagged
+    }
+    return replace(config_from_args(args), backend="cluster", **presets)
 
 
 def shard_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -512,51 +807,33 @@ def shard_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     well above the generic --quick scale; at --quick scale all domain
     counts would sit on top of each other.
     """
-    config = config_from_args(args)
-    presets = {}
+    # No CLI flag exposes the per-vertex cost; the shard curve is *about*
+    # search latency, so the pressure preset applies at both scales.
+    presets = {"per_vertex_cost": 0.1}
     if args.transactions is None:
         presets["num_transactions"] = 500
-    # No CLI flag exposes the per-vertex cost; the shard curve is
-    # *about* search latency, so the pressure preset applies at both
-    # scales.
-    presets["per_vertex_cost"] = 0.1
-    return replace(config, **presets) if presets else config
+    return replace(config_from_args(args), **presets)
 
 
-def live_knobs_from_args(args: argparse.Namespace) -> dict:
-    """``--kill-worker`` / ``--time-scale`` / ``--heartbeat`` as
-    :class:`~repro.cluster.config.ClusterConfig` fields (given flags only).
-
-    Shared by ``repro cluster`` and ``repro serve``, whose live fleets take
-    the same three knobs.
-    """
-    # Imported lazily: simulation-only usage never touches sockets or
-    # multiprocessing machinery.
-    from ..cluster import FailurePlan
-
-    knobs = {}
-    if args.kill_worker:
-        knobs["failure"] = FailurePlan.parse(args.kill_worker)
-    if args.time_scale is not None:
-        knobs["seconds_per_unit"] = args.time_scale
-    if args.heartbeat is not None:
-        knobs["heartbeat_interval"] = args.heartbeat
-    return knobs
-
-
-def run_cluster(args: argparse.Namespace) -> int:
+def run_cluster(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
     """Run one cell on the live master/worker system and print its report."""
     from ..runtime.live import ClusterBackend
     from .runner import run_once
 
-    backend = ClusterBackend(**live_knobs_from_args(args))
-    config = cluster_config_from_args(args)
-    # The live repetition draws its seed exactly where the simulator
-    # does, so `--seed S` reproduces one specific simulated repetition
-    # on real processes.
-    seed = config.seeds()[0]
-    obs = build_instrumentation(args) or Instrumentation.disabled()
     scheduler = args.scheduler or "rtsads"
+    with usage_errors(parser):
+        config = cluster_config_from_args(args)
+        # The live repetition draws its seed exactly where the simulator
+        # does, so `--seed S` reproduces one specific simulated repetition
+        # on real processes.
+        seed = config.seeds()[0]
+        backend = ClusterBackend(**given(args, LIVE_KNOB_FLAGS))
+        # Built once here so a deployment the flags cannot form (a killed
+        # worker outside the fleet) is a usage error, not a mid-run one.
+        backend.cluster_config(config, scheduler, seed)
+    obs = build_instrumentation(args) or Instrumentation.disabled()
     try:
         with instrumented(obs):
             with obs.span("cluster_run", workers=config.num_processors):
@@ -571,14 +848,8 @@ def run_cluster(args: argparse.Namespace) -> int:
     return 0 if report.guaranteed_violations == 0 else 1
 
 
-def cluster_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro-cluster`` console script."""
-    forwarded = list(sys.argv[1:] if argv is None else argv)
-    return main(["cluster", *forwarded])
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro`` / ``repro-experiments`` console scripts."""
+    """Entry point of the ``repro`` console script."""
     arglist = list(sys.argv[1:] if argv is None else argv)
     if arglist and arglist[0] == "trace":
         # The trace toolbox has its own subcommand grammar; route before
@@ -598,7 +869,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(arglist)
     if args.experiment == "cluster":
-        return run_cluster(args)
+        return run_cluster(args, parser)
     if args.experiment == "all":
         names = [name for name, row in EXPERIMENTS.items() if row.in_all]
     else:
@@ -606,12 +877,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.export and not all(EXPERIMENTS[name].exports for name in names):
         parser.error(f"--export requires one of: {EXPORTING}")
     extra = {}
-    if args.experiment == "shard-curve":
-        config = shard_config_from_args(args)
-        if args.domains is not None:
-            extra["domains"] = _parse_domains(args.domains)
-    else:
-        config = config_from_args(args)
+    with usage_errors(parser):
+        if args.experiment == "shard-curve":
+            config = shard_config_from_args(args)
+            if args.domains is not None:
+                extra["domains"] = args.domains
+        else:
+            config = config_from_args(args)
     # With no observability flag this is the everything-off bundle: the
     # spans and log calls below cost a boolean check each.
     obs = build_instrumentation(args) or Instrumentation.disabled()

@@ -3,7 +3,8 @@
 The paper's setup: 10 sub-databases of 1000 records x 10 attributes, 1000
 bursty transactions, deadlines ``SF * 10 * Estimated_Cost`` with SF in
 [1, 3], replication rate R in [10%, 100%], processors 2..10, 10 runs per
-point, 99% confidence.  :meth:`ExperimentConfig.paper` reproduces that
+point, 99% confidence (:data:`repro.metrics.stats.SIGNIFICANCE_LEVEL`).
+:meth:`ExperimentConfig.paper` reproduces that
 scale; :meth:`ExperimentConfig.quick` shrinks records and repetitions so CI
 and the benchmark harness stay fast while preserving every ratio that
 drives the result shapes.
@@ -24,11 +25,11 @@ from ..workload.arrivals import ARRIVAL_NAMES
 #: invalidate cached results — ``--jobs 4`` reuses cells computed serially.
 EXECUTION_FIELDS = ("jobs", "cache_dir")
 
-#: Fields that say which seeds a cell repeats and how the repetitions are
-#: summarised.  ``run_once(config, scheduler, seed)`` reads none of them
-#: (the seed is an argument), so they are no part of a run's identity:
-#: ``--runs 3`` then ``--runs 10`` recomputes seven seeds per point.
-STATISTICS_FIELDS = ("runs", "base_seed", "confidence", "significance_level")
+#: Fields that say which seeds a cell repeats.  ``run_once(config,
+#: scheduler, seed)`` reads neither (the seed is an argument), so they are
+#: no part of a run's identity: ``--runs 3`` then ``--runs 10`` recomputes
+#: seven seeds per point.
+STATISTICS_FIELDS = ("runs", "base_seed")
 
 #: The fields :func:`repro.workload.transactions.build_seeded_workload`
 #: reads: with the seed, the whole identity of a generated workload.
@@ -86,8 +87,6 @@ class ExperimentConfig:
     # --- statistics ---
     runs: int = 10
     base_seed: int = 1998  # venue year; any constant works
-    confidence: float = 0.99
-    significance_level: float = 0.01
 
     # --- execution ---
     # Registry name of the ExecutionBackend the runner dispatches to
@@ -249,51 +248,17 @@ class ExperimentConfig:
         """A copy with ``slack_factor`` replaced (laxity sweep axis)."""
         return replace(self, slack_factor=slack_factor)
 
-    def with_backend(self, backend: str) -> "ExperimentConfig":
-        """A copy dispatching to another execution backend registry name."""
-        return replace(self, backend=backend)
-
-    def with_scheduler(self, scheduler: Optional[str]) -> "ExperimentConfig":
-        """A copy pinned to one scheduler registry name (None unpins)."""
-        return replace(self, scheduler=scheduler)
-
     def with_domains(self, domains: int) -> "ExperimentConfig":
         """A copy with ``domains`` replaced (shard-curve sweep axis)."""
         return replace(self, domains=domains)
-
-    def with_partition_policy(self, policy: str) -> "ExperimentConfig":
-        """A copy with the domain-partitioning policy replaced."""
-        return replace(self, partition_policy=policy)
 
     def with_offered_load(self, offered_load: float) -> "ExperimentConfig":
         """A copy with ``offered_load`` replaced (load-curve sweep axis)."""
         return replace(self, offered_load=offered_load)
 
-    def with_arrival(self, arrival: str) -> "ExperimentConfig":
-        """A copy with the service arrival-process name replaced."""
-        return replace(self, arrival=arrival)
-
     def with_admission_policy(self, policy: str) -> "ExperimentConfig":
         """A copy with the service admission policy replaced."""
         return replace(self, admission_policy=policy)
-
-    def with_execution(
-        self,
-        jobs: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-    ) -> "ExperimentConfig":
-        """A copy with sweep-execution knobs replaced (None keeps current).
-
-        Only touches :data:`EXECUTION_FIELDS`, so the returned config has
-        the same :meth:`cache_fields` — and therefore the same cached
-        cells — as this one.
-        """
-        overrides: Dict[str, object] = {}
-        if jobs is not None:
-            overrides["jobs"] = jobs
-        if cache_dir is not None:
-            overrides["cache_dir"] = cache_dir
-        return replace(self, **overrides) if overrides else self
 
     def seeds(self) -> List[int]:
         """One deterministic seed per repetition.
@@ -320,7 +285,7 @@ class ExperimentConfig:
         This is the identity the sweep cache hashes: all workload,
         machine, cost-model, backend, sharding and service fields —
         everything except :data:`EXECUTION_FIELDS` (how a sweep executes),
-        :data:`STATISTICS_FIELDS` (which seeds, how summarised) and the
+        :data:`STATISTICS_FIELDS` (which seeds) and the
         one-valued ``kernel``.  Any change to any returned value must
         invalidate cached cells, and no other change may (both tested in
         ``tests/experiments/test_sweep.py``).

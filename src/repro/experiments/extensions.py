@@ -41,47 +41,16 @@ from ..simulator.execution import (
 from ..simulator.interconnect import MeshCommunicationModel, near_square_mesh
 from ..simulator.runtime import simulate
 from ..workload.arrivals import PoissonArrival
-from ..workload.transactions import (
-    TransactionWorkloadConfig,
-    TransactionWorkloadGenerator,
-)
+from ..workload.transactions import build_seeded_workload
 from .config import OFFERED_LOAD_SWEEP, ExperimentConfig
-from .figures import DISPLAY_NAMES, AblationResult, SweepResult, _run_sweep
+from .figures import (
+    DISPLAY_NAMES,
+    AblationResult,
+    SweepResult,
+    _pick_schedulers,
+    _run_sweep,
+)
 from .runner import build_scheduler, workload_tasks
-
-
-def _build_database_workload(config: ExperimentConfig, seed: int,
-                             arrivals=None, write_fraction: float = 0.0):
-    """Database, tasks, and raw transactions for one repetition."""
-    import random
-
-    from ..database.database import DatabaseConfig, DistributedDatabase
-
-    rng = random.Random(seed)
-    database = DistributedDatabase.build(
-        config=DatabaseConfig(
-            num_subdatabases=config.num_subdatabases,
-            records_per_subdb=config.records_per_subdb,
-            num_attributes=config.num_attributes,
-            domain_size=config.domain_size,
-        ),
-        num_processors=config.num_processors,
-        replication_rate=config.replication_rate,
-        rng=rng,
-    )
-    generator = TransactionWorkloadGenerator(
-        database=database,
-        config=TransactionWorkloadConfig(
-            num_transactions=config.num_transactions,
-            slack_factor=config.slack_factor,
-            key_probability=config.key_probability,
-            write_fraction=write_fraction,
-            seed=seed,
-        ),
-        arrivals=arrivals,
-    )
-    tasks, transactions = generator.generate()
-    return database, tasks, transactions
 
 
 def _seeded_reports(
@@ -96,13 +65,13 @@ def _seeded_reports(
     """One simulated run per seed of ``config``: the loop every table shares.
 
     ``workload(seed)`` returns ``(database, tasks, transactions)``, by
-    default :func:`_build_database_workload`'s read-only burst.  ``comm``
+    default :func:`build_seeded_workload`'s read-only burst.  ``comm``
     defaults to a fresh uniform-``C`` model per run, ``tweak(scheduler)``
     adjusts the built scheduler, ``execution_model(database, transactions)``
     builds the repetition's execution model, and the remaining keyword
     arguments go to :func:`simulate` unchanged.
     """
-    workload = workload or partial(_build_database_workload, config)
+    workload = workload or partial(build_seeded_workload, config)
     reports = []
     for seed in config.seeds():
         database, tasks, transactions = workload(seed)
@@ -133,7 +102,6 @@ def _mean_hit_percent(reports: Sequence[RunReport]) -> float:
 def extension_write_mix(
     config: Optional[ExperimentConfig] = None,
     write_fractions: Sequence[float] = (0.0, 0.1, 0.25, 0.5),
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
 ) -> AblationResult:
     """X3: read/write transaction mixes (the paper assumed read-only).
 
@@ -149,6 +117,7 @@ def extension_write_mix(
     mix is the invariant the bench asserts.
     """
     config = config or ExperimentConfig.paper()
+    schedulers = _pick_schedulers(config)
     rows = []
     for fraction in write_fractions:
         row: List[object] = [fraction]
@@ -156,8 +125,8 @@ def extension_write_mix(
             reports = _seeded_reports(
                 config,
                 name,
-                lambda seed: _build_database_workload(
-                    config, seed, write_fraction=fraction
+                partial(
+                    build_seeded_workload, config, write_fraction=fraction
                 ),
             )
             row.append(_mean_hit_percent(reports))
@@ -176,7 +145,6 @@ def extension_write_mix(
 
 def extension_reclaiming(
     config: Optional[ExperimentConfig] = None,
-    scheduler_name: str = "rtsads",
 ) -> AblationResult:
     """Resource reclaiming: worst-case plans vs early-finishing execution.
 
@@ -200,9 +168,7 @@ def extension_reclaiming(
     ]
     rows = []
     for label, factory in models:
-        reports = _seeded_reports(
-            config, scheduler_name, execution_model=factory
-        )
+        reports = _seeded_reports(config, "rtsads", execution_model=factory)
         rows.append(
             [
                 label,
@@ -226,7 +192,6 @@ def extension_reclaiming(
 def extension_load_sweep(
     config: Optional[ExperimentConfig] = None,
     load_factors: Sequence[float] = (0.4, 0.7, 1.0, 1.3, 1.6),
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
 ) -> AblationResult:
     """Open system: Poisson arrivals at a fraction of machine capacity.
 
@@ -235,6 +200,7 @@ def extension_load_sweep(
     rate for load factor ``f`` is ``f * m / mean_cost``.
     """
     config = config or ExperimentConfig.paper()
+    schedulers = _pick_schedulers(config)
     key_p = (
         config.key_probability if config.key_probability is not None else 0.55
     )
@@ -247,8 +213,10 @@ def extension_load_sweep(
             reports = _seeded_reports(
                 config,
                 name,
-                lambda seed: _build_database_workload(
-                    config, seed, arrivals=PoissonArrival(rate=rate)
+                partial(
+                    build_seeded_workload,
+                    config,
+                    arrivals=PoissonArrival(rate=rate),
                 ),
             )
             row.append(_mean_hit_percent(reports))
@@ -267,7 +235,6 @@ def extension_load_sweep(
 def extension_failures(
     config: Optional[ExperimentConfig] = None,
     failure_counts: Optional[Sequence[int]] = None,
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
 ) -> AblationResult:
     """X4: fail-stop processor crashes mid-run (fault-injection study).
 
@@ -278,6 +245,7 @@ def extension_failures(
     graceful degradation roughly proportional to lost capacity.
     """
     config = config or ExperimentConfig.paper()
+    schedulers = _pick_schedulers(config)
     if failure_counts is None:
         # Default sweep: up to 3 crashes, always leaving survivors.
         failure_counts = tuple(
@@ -311,7 +279,6 @@ def extension_failures(
 
 def ablation_interconnect(
     config: Optional[ExperimentConfig] = None,
-    scheduler_names: Sequence[str] = ("rtsads", "dcols"),
 ) -> AblationResult:
     """A4: wormhole constant-C vs store-and-forward mesh communication.
 
@@ -321,6 +288,7 @@ def ablation_interconnect(
     on the routing assumption.
     """
     config = config or ExperimentConfig.paper()
+    scheduler_names = _pick_schedulers(config)
     mesh = near_square_mesh(config.num_processors)
     # Calibrate per-hop cost so an average remote access costs about C.
     mean_hops = max(1.0, (mesh.diameter() + 1) / 3.0)
@@ -359,13 +327,11 @@ def ablation_interconnect(
     )
 
 
-def service_curve(
-    config: Optional[ExperimentConfig] = None,
-    loads: Sequence[float] = OFFERED_LOAD_SWEEP,
-    policies: Sequence[str] = ("reject-newest", "least-slack"),
-    scheduler: str = "rtsads",
-    arrival: str = "poisson",
-) -> SweepResult:
+#: The shedding policies X5 compares: the default against the deadline-aware.
+SERVICE_CURVE_POLICIES = ("reject-newest", "least-slack")
+
+
+def service_curve(config: Optional[ExperimentConfig] = None) -> SweepResult:
     """X5: deadline compliance under open-loop load, live service mode.
 
     One cell = one full service lifetime: master + worker fleet + the
@@ -381,9 +347,11 @@ def service_curve(
     a time in the parent; ``--jobs`` fan-out does not apply).
     """
     config = config or ExperimentConfig.quick()
-    # A sustained stream by default: the config's "burst" drops the whole
+    scheduler = config.scheduler or "rtsads"
+    loads = OFFERED_LOAD_SWEEP
+    # A sustained stream: the config's default "burst" drops the whole
     # workload at t=0, which probes overload recovery, not offered load.
-    base = replace(config, backend="service", arrival=arrival)
+    base = replace(config, backend="service", arrival="poisson")
     return _run_sweep(
         title=(
             "X5 - Compliance under open-loop load, live service "
@@ -404,7 +372,7 @@ def service_curve(
                     for x in loads
                 ],
             )
-            for policy in policies
+            for policy in SERVICE_CURVE_POLICIES
         ],
         notes=[
             "y values are deadline hits as % of *submitted* work "

@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.affinity import UniformCommunicationModel
-from ..core.cost import get_evaluator
+from ..core.cost import (
+    EarliestFinishEvaluator,
+    FifoEvaluator,
+    LoadBalancingEvaluator,
+    MinSlackEvaluator,
+)
 from ..core.quantum import (
     FixedQuantum,
     LoadOnlyQuantum,
@@ -30,14 +35,13 @@ from ..core.quantum import (
 )
 from ..core.representations import AssignmentOrientedExpander
 from ..core.search import PhaseContext, WallClockBudget, run_search
-from ..core.cost import LoadBalancingEvaluator
 from ..metrics.reporting import (
     FigureData,
     ascii_chart,
     format_figure,
     format_table,
 )
-from ..metrics.stats import difference_of_means
+from ..metrics.stats import SIGNIFICANCE_LEVEL, difference_of_means
 from .config import (
     PROCESSOR_SWEEP,
     REPLICATION_SWEEP,
@@ -61,14 +65,14 @@ DISPLAY_NAMES = {
 
 #: The paper's head-to-head comparison, used whenever a config does not
 #: pin a scheduler of its own.
-DEFAULT_SCHEDULERS = ("rtsads", "dcols")
+PAPER_SCHEDULERS = ("rtsads", "dcols")
 
 
 def _pick_schedulers(
-    config: ExperimentConfig, schedulers: Sequence[str]
+    config: ExperimentConfig, schedulers: Sequence[str] = PAPER_SCHEDULERS
 ) -> Sequence[str]:
-    """``config.scheduler`` pins a sweep to one scheduler; otherwise the
-    caller's (usually the paper's) comparison set stands."""
+    """``config.scheduler`` pins a comparison to one scheduler; otherwise
+    the paper's pair (or figure 5's wider set) stands."""
     if config.scheduler is not None:
         return (config.scheduler,)
     return schedulers
@@ -125,11 +129,7 @@ def _run_sweep(
 
 
 def _mean_differences(
-    result: SweepResult,
-    first: str,
-    second: str,
-    significance_level: float,
-    versus: str = "",
+    result: SweepResult, first: str, second: str, versus: str = ""
 ) -> List[str]:
     """One difference-of-means line per x: series ``first`` minus ``second``."""
     lines = []
@@ -137,13 +137,12 @@ def _mean_differences(
         test = difference_of_means(
             result.cells[(first, x)].hit_percents,
             result.cells[(second, x)].hit_percents,
-            significance_level=significance_level,
         )
         verdict = "significant" if test.significant else "not significant"
         lines.append(
             f"{result.figure.x_label}={x}: {versus}mean diff "
             f"{test.mean_difference:+.2f} pts, p={test.p_value:.4f} "
-            f"({verdict} at {significance_level})"
+            f"({verdict} at {SIGNIFICANCE_LEVEL})"
         )
     return lines
 
@@ -164,7 +163,7 @@ def _scheduler_sweep(
     result = _run_sweep(title, x_label, x_values, series, notes)
     if len(schedulers) >= 2 and configs and configs[0].runs >= 2:
         result.significance = _mean_differences(
-            result, schedulers[0], schedulers[1], configs[0].significance_level
+            result, schedulers[0], schedulers[1]
         )
     return result
 
@@ -172,9 +171,13 @@ def _scheduler_sweep(
 def figure5(
     config: Optional[ExperimentConfig] = None,
     processors: Sequence[int] = PROCESSOR_SWEEP,
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
+    schedulers: Sequence[str] = PAPER_SCHEDULERS,
 ) -> SweepResult:
-    """Paper Figure 5: deadline scalability (R=30%, SF=1, m=2..10)."""
+    """Paper Figure 5: deadline scalability (R=30%, SF=1, m=2..10).
+
+    ``schedulers`` widens the comparison beyond the paper's pair
+    (``examples/scalability_study.py`` adds the list baselines).
+    """
     config = config or ExperimentConfig.paper()
     schedulers = _pick_schedulers(config, schedulers)
     configs = [config.with_processors(m) for m in processors]
@@ -197,11 +200,10 @@ def figure5(
 def figure6(
     config: Optional[ExperimentConfig] = None,
     replication_rates: Sequence[float] = REPLICATION_SWEEP,
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
 ) -> SweepResult:
     """Paper Figure 6: compliance vs replication rate (P=10, SF=1)."""
     config = config or ExperimentConfig.paper()
-    schedulers = _pick_schedulers(config, schedulers)
+    schedulers = _pick_schedulers(config)
     configs = [config.with_replication(r) for r in replication_rates]
     return _scheduler_sweep(
         title=(
@@ -230,7 +232,6 @@ def shard_curve(
     config: Optional[ExperimentConfig] = None,
     processors: Sequence[int] = SHARD_PROCESSOR_SWEEP,
     domains: Sequence[int] = SHARD_DOMAIN_SWEEP,
-    scheduler: str = "rtsads",
 ) -> SweepResult:
     """Compliance vs m with the fleet split into k scheduling domains.
 
@@ -248,8 +249,7 @@ def shard_curve(
     config = config or ExperimentConfig.quick(
         num_transactions=500, per_vertex_cost=0.1
     )
-    if config.scheduler is not None:
-        scheduler = config.scheduler
+    scheduler = config.scheduler or "rtsads"
     domains = sorted(set(int(k) for k in domains))
     if max(domains) > min(processors):
         raise ValueError(
@@ -284,7 +284,7 @@ def shard_curve(
     if len(domains) >= 2 and config.runs >= 2:
         low, high = f"domains={domains[0]}", f"domains={domains[-1]}"
         result.significance = _mean_differences(
-            result, high, low, config.significance_level, f"{high} vs {low} "
+            result, high, low, f"{high} vs {low} "
         )
     return result
 
@@ -306,15 +306,13 @@ class LaxitySweepResult:
 
 def laxity_sweep(
     config: Optional[ExperimentConfig] = None,
-    slack_factors: Sequence[float] = SLACK_FACTOR_SWEEP,
     processors: Sequence[int] = PROCESSOR_SWEEP,
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
 ) -> LaxitySweepResult:
     """Section 5.1's "SF values range from 1 to 3" across the m sweep."""
     config = config or ExperimentConfig.paper()
-    schedulers = _pick_schedulers(config, schedulers)
+    schedulers = _pick_schedulers(config)
     sweeps = {}
-    for slack_factor in slack_factors:
+    for slack_factor in SLACK_FACTOR_SWEEP:
         sf_config = config.with_slack_factor(slack_factor)
         configs = [sf_config.with_processors(m) for m in processors]
         sweeps[slack_factor] = _scheduler_sweep(
@@ -391,10 +389,8 @@ class OverheadResult:
         )
 
 
-def _measure_wall_clock_vertex_cost(
-    config: ExperimentConfig, budget_seconds: float = 0.05
-) -> float:
-    """Seconds per vertex when a real phase runs under a wall-clock budget."""
+def _measure_wall_clock_vertex_cost(config: ExperimentConfig) -> float:
+    """Seconds per vertex when a real phase runs under a 50 ms wall budget."""
     tasks = workload_tasks(config, config.base_seed)
     comm = UniformCommunicationModel(config.remote_cost)
     ordered = sorted(tasks, key=lambda t: (t.deadline, t.task_id))
@@ -407,7 +403,7 @@ def _measure_wall_clock_vertex_cost(
         initial_offsets=(0.0,) * config.num_processors,
         evaluator=LoadBalancingEvaluator(),
     )
-    budget = WallClockBudget(quantum_seconds=budget_seconds)
+    budget = WallClockBudget(quantum_seconds=0.05)
     start = time.perf_counter()
     run_search(ctx, AssignmentOrientedExpander(), budget)
     elapsed = time.perf_counter() - start
@@ -417,12 +413,11 @@ def _measure_wall_clock_vertex_cost(
 
 def overhead_table(
     config: Optional[ExperimentConfig] = None,
-    schedulers: Sequence[str] = ("rtsads", "dcols"),
 ) -> OverheadResult:
     """E4: per-phase scheduling time under the virtual budget, both sides."""
     config = config or ExperimentConfig.paper()
     rows: List[List[object]] = []
-    for name in schedulers:
+    for name in PAPER_SCHEDULERS:
         cell = run_cell(config, name)
         total_sched = sum(cell.scheduling_times) / len(cell.scheduling_times)
         makespan = sum(cell.makespans) / len(cell.makespans)
@@ -521,9 +516,15 @@ def ablation_cost(
 ) -> AblationResult:
     """A2: cost function / heuristic choices for RT-SADS."""
     config = config or ExperimentConfig.paper()
+    evaluators = [
+        ("load_balancing", LoadBalancingEvaluator()),
+        ("earliest_finish", EarliestFinishEvaluator()),
+        ("min_slack", MinSlackEvaluator()),
+        ("fifo", FifoEvaluator()),
+    ]
     rows = []
-    for name in ("load_balancing", "earliest_finish", "min_slack", "fifo"):
-        cell = run_cell(config, "rtsads", evaluator=get_evaluator(name))
+    for name, evaluator in evaluators:
+        cell = run_cell(config, "rtsads", evaluator=evaluator)
         rows.append(
             [
                 name,
@@ -545,7 +546,6 @@ def ablation_cost(
 def ablation_memory(
     config: Optional[ExperimentConfig] = None,
     cl_bounds: Sequence[Optional[int]] = (8, 64, 512, 4096, None),
-    scheduler_name: str = "rtsads",
 ) -> AblationResult:
     """A5: bounded scheduling memory (candidate-list size).
 
@@ -563,7 +563,7 @@ def ablation_memory(
     for bound in cl_bounds:
         reports = _seeded_reports(
             config,
-            scheduler_name,
+            "rtsads",
             lambda seed: (None, workload_tasks(config, seed), None),
             tweak=lambda scheduler: setattr(scheduler, "max_candidates", bound),
         )
@@ -571,8 +571,7 @@ def ablation_memory(
         rows.append([label, _mean_hit_percent(reports)])
     return AblationResult(
         title=(
-            "A5 - Candidate-list memory bound "
-            f"({DISPLAY_NAMES.get(scheduler_name, scheduler_name)}, "
+            "A5 - Candidate-list memory bound (RT-SADS, "
             f"P={config.num_processors}, R={config.replication_rate:.0%})"
         ),
         headers=["CL bound", "hit ratio %"],
@@ -591,7 +590,7 @@ def ablation_representation(
     """
     config = config or ExperimentConfig.paper()
     rows = []
-    for name in ("rtsads", "dcols"):
+    for name in PAPER_SCHEDULERS:
         cell = run_cell(config, name)
         rows.append(
             [

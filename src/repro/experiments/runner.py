@@ -215,10 +215,11 @@ class CellResult:
         return mean(self.hit_percents)
 
     def hit_ci(self) -> Optional[ConfidenceInterval]:
-        """Confidence interval on the hit ratio, or None below 2 runs."""
+        """The paper's 99 % confidence interval on the hit ratio (E5), or
+        None below 2 runs."""
         if len(self.hit_percents) < 2:
             return None
-        return confidence_interval(self.hit_percents, self.config.confidence)
+        return confidence_interval(self.hit_percents)
 
     @property
     def mean_dead_end_rate(self) -> float:

@@ -20,17 +20,56 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from ..core.registry import SCHEDULER_NAMES
 from ..observability import instrumented
-from ..service.admission import ADMISSION_POLICY_NAMES
-from ..workload.arrivals import ARRIVAL_NAMES
+from .cli import (
+    LIVE_KNOB_FLAGS,
+    WORKLOAD_FLAGS,
+    add_flags,
+    build_instrumentation,
+    given,
+    usage_errors,
+    write_metrics_snapshot,
+)
 from .config import ExperimentConfig
 
-#: Flags shared by serve and load that must agree between the two sides
-#: (they define the template universe both rebuild).
-_WORKLOAD_FLAG_DESTS = (
-    "workers", "transactions", "seed", "slack_factor", "replication"
-)
+#: What serve and load assume where a template-universe flag is absent.
+#: Both sides rebuild the workload from these, so they are one preset, not
+#: one per command.
+SERVICE_PRESETS = {
+    "num_processors": 2,
+    "num_transactions": 100,
+    "base_seed": 1,
+    # Live runs burn real milliseconds on hops, so SF=1 would measure
+    # socket latency.
+    "slack_factor": 3.0,
+}
+
+#: ``repro serve`` flags that are one ``ClusterConfig`` field: dest -> field.
+SERVE_CLUSTER_FLAGS = {
+    **LIVE_KNOB_FLAGS,
+    "port": "port",
+    "scheduler": "scheduler_name",
+    "max_wall_seconds": "max_wall_seconds",
+}
+
+#: ``repro serve`` flags that are one ``ServiceConfig`` field.
+SERVE_SERVICE_FLAGS = {
+    "policy": "admission_policy",
+    "backlog_units": "max_backlog_units",
+    "drain_grace": "drain_grace_seconds",
+    "max_seconds": "max_service_seconds",
+}
+
+#: ``repro load`` flags that are one ``LoadSpec`` field.
+LOAD_FLAGS = {
+    "arrival": "arrival",
+    "load": "offered_load",
+    "submissions": "submissions",
+    "load_seed": "seed",
+    "time_scale": "seconds_per_unit",
+    "settle_grace": "settle_grace_seconds",
+    "clients": "clients",
+}
 
 
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
@@ -40,55 +79,17 @@ def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
         "must match between serve and load (both sides rebuild the "
         "workload deterministically from these)",
     )
-    group.add_argument(
-        "--workers", type=int, default=2,
-        help="worker fleet size / data placement width (default 2)",
-    )
-    group.add_argument(
-        "--transactions", type=int, default=100,
-        help="distinct transaction templates (default 100)",
-    )
-    group.add_argument(
-        "--seed", type=int, default=1,
-        help="workload seed (default 1)",
-    )
-    group.add_argument(
-        "--slack-factor", type=float, default=3.0,
-        help="deadline slack factor SF (default 3; live runs burn real "
-        "milliseconds on hops, so SF=1 would measure socket latency)",
-    )
-    group.add_argument(
-        "--replication", type=float, default=None,
-        help="override replication rate",
-    )
-
-
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("observability")
-    group.add_argument(
-        "--verbose", "-v", action="store_true",
-        help="structured INFO logging on stderr",
-    )
-    group.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
-    group.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write a JSONL event trace (repro trace analyze PATH)",
-    )
-    group.add_argument("--metrics-out", metavar="PATH", help=argparse.SUPPRESS)
+    add_flags(group, *WORKLOAD_FLAGS)
 
 
 def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The template universe both subcommands rebuild from flags."""
     overrides = {
+        **SERVICE_PRESETS,
+        **given(args, WORKLOAD_FLAGS),
         "backend": "service",
-        "num_processors": args.workers,
-        "num_transactions": args.transactions,
-        "base_seed": args.seed,
-        "slack_factor": args.slack_factor,
         "runs": 1,
     }
-    if args.replication is not None:
-        overrides["replication_rate"] = args.replication
     return replace(ExperimentConfig.quick(), **overrides)
 
 
@@ -106,61 +107,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_workload_flags(parser)
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="master port (default 0 = OS-chosen; printed at startup)",
+    add_flags(
+        parser, "port", "scheduler", "policy", "backlog_units", "max_seconds",
+        "drain_grace", "idle_stop", "join", "kill_worker", "time_scale",
+        "heartbeat", "max_wall_seconds",
     )
-    parser.add_argument(
-        "--scheduler", default="rtsads", choices=SCHEDULER_NAMES,
-        help="scheduler registry name (default rtsads)",
-    )
-    parser.add_argument(
-        "--policy", default="reject-newest", choices=ADMISSION_POLICY_NAMES,
-        help=f"admission policy: {', '.join(ADMISSION_POLICY_NAMES)} "
-        "(default reject-newest)",
-    )
-    parser.add_argument(
-        "--backlog-units", type=float, default=0.0,
-        help="admission backlog cap in cost units (default 0 = derive "
-        "from fleet size and mean template laxity)",
-    )
-    parser.add_argument(
-        "--max-seconds", type=float, default=0.0,
-        help="stop serving after this many wall seconds (default 0 = "
-        "serve until SIGTERM or idle-stop)",
-    )
-    parser.add_argument(
-        "--drain-grace", type=float, default=5.0,
-        help="wall seconds in-flight work may finish during a drain "
-        "before being surrendered (default 5)",
-    )
-    parser.add_argument(
-        "--idle-stop", action="store_true",
-        help="exit once at least one client was served and none remain "
-        "(what scripted smoke runs use)",
-    )
-    parser.add_argument(
-        "--join", action="append", default=[], metavar="INDEX@SECONDS",
-        help="spawn an elastic worker mid-run, e.g. --join 2@3.0 "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--kill-worker", metavar="INDEX@SECONDS",
-        help="fail-stop one worker mid-run, e.g. 1@2.5",
-    )
-    parser.add_argument(
-        "--time-scale", type=float, default=None,
-        help="wall seconds per virtual cost unit (default 0.001)",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=None,
-        help="worker heartbeat interval in seconds",
-    )
-    parser.add_argument(
-        "--max-wall-seconds", type=float, default=None,
-        help="hard abort ceiling for the whole run (safety net)",
-    )
-    _add_observability_flags(parser)
+    observability = parser.add_argument_group("observability")
+    add_flags(observability, "verbose", "quiet", "trace_out", "metrics_out")
     return parser
 
 
@@ -168,39 +121,29 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``repro serve``."""
     # Heavy imports stay inside main so `repro fig5` never pays for them.
     from ..cluster.config import ClusterConfig
-    from ..service.config import JoinPlan, ServiceConfig
+    from ..service.config import ServiceConfig
     from ..service.server import run_service
-    from .cli import (
-        build_instrumentation,
-        live_knobs_from_args,
-        write_metrics_snapshot,
-    )
 
-    args = build_serve_parser().parse_args(argv)
-    experiment = experiment_from_args(args)
-    knobs = {"port": args.port, **live_knobs_from_args(args)}
-    if args.max_wall_seconds is not None:
-        knobs["max_wall_seconds"] = args.max_wall_seconds
-    service = ServiceConfig(
-        cluster=ClusterConfig(
-            experiment=experiment,
-            scheduler_name=args.scheduler,
-            **knobs,
-        ),
-        admission_policy=args.policy,
-        max_backlog_units=args.backlog_units,
-        drain_grace_seconds=args.drain_grace,
-        max_service_seconds=args.max_seconds,
-        stop_when_idle=args.idle_stop,
-    )
-    joins = [JoinPlan.parse(spec) for spec in args.join]
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
+    with usage_errors(parser):
+        service = ServiceConfig(
+            cluster=ClusterConfig(
+                experiment=experiment_from_args(args),
+                **given(args, SERVE_CLUSTER_FLAGS),
+            ),
+            # A deployment serves until told to stop; harness runs ask for
+            # the idle exit.
+            stop_when_idle=args.idle_stop,
+            **given(args, SERVE_SERVICE_FLAGS),
+        )
     obs = build_instrumentation(args)
 
     def _serve(instrumentation) -> int:
         report = run_service(
             service,
             instrumentation=instrumentation,
-            joins=joins,
+            joins=args.join,
             install_signal_handlers=True,
         )
         print(report.render())
@@ -234,44 +177,9 @@ def build_load_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_workload_flags(parser)
-    parser.add_argument(
-        "--port", type=int, required=True,
-        help="port of the running service master",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="host of the running service master (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--arrival", default="poisson", choices=ARRIVAL_NAMES,
-        help=f"arrival process: {', '.join(ARRIVAL_NAMES)} "
-        "(default poisson)",
-    )
-    parser.add_argument(
-        "--load", type=float, default=1.0,
-        help="offered load as a fraction of fleet capacity (default 1.0)",
-    )
-    parser.add_argument(
-        "--submissions", type=int, default=0,
-        help="submissions to stream (default 0 = one per template)",
-    )
-    parser.add_argument(
-        "--load-seed", type=int, default=0,
-        help="seed of the arrival stream (default 0 = the workload seed)",
-    )
-    parser.add_argument(
-        "--time-scale", type=float, default=None,
-        help="wall seconds per virtual cost unit; must match the serve "
-        "side (default 0.001)",
-    )
-    parser.add_argument(
-        "--settle-grace", type=float, default=5.0,
-        help="extra wall seconds to await straggler RESULTs (default 5)",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=1,
-        help="concurrent client connections; the stream is dealt "
-        "round-robin across them (default 1)",
+    add_flags(
+        parser, "port", "host", "arrival", "load", "submissions",
+        "load_seed", "time_scale", "settle_grace", "clients",
     )
     return parser
 
@@ -281,21 +189,15 @@ def load_main(argv: Optional[List[str]] = None) -> int:
     from ..cluster.network import ConnectionLost
     from ..service.load import LoadSpec, run_load
 
-    args = build_load_parser().parse_args(argv)
-    experiment = experiment_from_args(args)
-    spec_overrides = {}
-    if args.time_scale is not None:
-        spec_overrides["seconds_per_unit"] = args.time_scale
-    spec = LoadSpec(
-        experiment=experiment,
-        arrival=args.arrival,
-        offered_load=args.load,
-        submissions=args.submissions,
-        seed=args.load_seed,
-        settle_grace_seconds=args.settle_grace,
-        clients=args.clients,
-        **spec_overrides,
-    )
+    parser = build_load_parser()
+    args = parser.parse_args(argv)
+    if args.port is None:
+        # One --port row serves both commands; only this one needs it.
+        parser.error("the following arguments are required: --port")
+    with usage_errors(parser):
+        spec = LoadSpec(
+            experiment=experiment_from_args(args), **given(args, LOAD_FLAGS)
+        )
     try:
         report = run_load(args.host, args.port, spec)
     except (ConnectionRefusedError, ConnectionLost):

@@ -196,10 +196,9 @@ def config_digest(config: ExperimentConfig) -> str:
     plus :data:`CACHE_SCHEMA_VERSION`.  Execution knobs (``jobs``,
     ``cache_dir``) are excluded by construction, so the same workload
     computed serially and in parallel shares one digest; so is the
-    statistics block (``runs``, ``base_seed``, ``confidence``,
-    ``significance_level``), which no run reads — the seed is in the
-    record's file name — so a longer or differently summarised sweep
-    reuses every seed already computed.  Digests changed once when the
+    statistics block (``runs``, ``base_seed``), which no run reads — the
+    seed is in the record's file name — so a longer sweep reuses every
+    seed already computed.  Digests changed once when the
     statistics block left the key: records written before that are never
     found again (and never misread).
     """

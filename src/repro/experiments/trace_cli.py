@@ -15,7 +15,8 @@ taxonomy), ``timeline`` draws an ASCII per-processor Gantt chart, and
 simulator trace against a live-cluster trace of the same configuration.
 
 All heavy lifting lives in :mod:`repro.observability.analyze`; this module
-only parses arguments, reads files, and prints.
+only parses arguments (rows of the one flag table in
+:mod:`repro.experiments.cli`), reads files, and prints.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from ..observability import (
     render_diff,
     render_timeline,
 )
-
-#: Subcommand name the experiments CLI routes here.
-TRACE_COMMAND = "trace"
+from .cli import add_flags
 
 
 def build_trace_parser() -> argparse.ArgumentParser:
@@ -54,42 +53,19 @@ def build_trace_parser() -> argparse.ArgumentParser:
         "analyze",
         help="classify every deadline miss into exactly one cause",
     )
-    analyze.add_argument("trace", help="path to a JSONL trace")
-    analyze.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the attribution as JSON instead of tables",
-    )
+    add_flags(analyze, "trace", "json")
 
     timeline = commands.add_parser(
         "timeline",
         help="ASCII per-processor Gantt chart of the executed tasks",
     )
-    timeline.add_argument("trace", help="path to a JSONL trace")
-    timeline.add_argument(
-        "--phase",
-        type=int,
-        help="restrict to tasks placed in this scheduling phase",
-    )
-    timeline.add_argument(
-        "--width",
-        type=int,
-        default=72,
-        help="chart width in columns (default 72)",
-    )
+    add_flags(timeline, "trace", "phase", "width")
 
     diff = commands.add_parser(
         "diff",
         help="compare two traces task by task (presence, outcome, causes)",
     )
-    diff.add_argument("trace_a", help="first JSONL trace (e.g. simulator)")
-    diff.add_argument("trace_b", help="second JSONL trace (e.g. cluster)")
-    diff.add_argument(
-        "--label-a", default=None, help="display name for the first trace"
-    )
-    diff.add_argument(
-        "--label-b", default=None, help="display name for the second trace"
-    )
+    add_flags(diff, "trace_a", "trace_b", "label_a", "label_b")
     return parser
 
 
@@ -132,8 +108,6 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_timeline(args: argparse.Namespace) -> int:
     """Draw the per-processor Gantt chart of one trace."""
-    if args.width < 16:
-        raise SystemExit("--width must be at least 16 columns")
     events = read_jsonl(args.trace)
     print(render_timeline(events, phase=args.phase, width=args.width))
     return 0

@@ -1,25 +1,7 @@
-"""Metrics: deadline compliance, scalability, statistics, reporting."""
+"""Metrics: deadline compliance, statistics (CI, significance), reporting."""
 
-from .compliance import (
-    ComplianceReport,
-    compliance_report,
-    hit_ratio_by_tag,
-    is_monotone_nondecreasing,
-    percent,
-    processor_balance,
-    ratio,
-    scalability_gain,
-)
-from .export import (
-    export_figure,
-    export_report,
-    figure_to_csv,
-    figure_to_json,
-    report_to_json,
-    table_to_csv,
-    table_to_json,
-    write_text,
-)
+from .compliance import hit_ratio_by_tag, percent, ratio
+from .export import report_to_json
 from .regret import summarize_regret
 from .reporting import (
     FigureData,
@@ -43,37 +25,25 @@ from .stats import (
 )
 
 __all__ = [
-    "ComplianceReport",
     "ConfidenceInterval",
     "DifferenceOfMeansResult",
     "FigureData",
     "Series",
     "ascii_chart",
     "comparison_summary",
-    "compliance_report",
     "confidence_interval",
     "difference_of_means",
-    "export_figure",
-    "export_report",
-    "figure_to_csv",
-    "figure_to_json",
     "format_figure",
     "format_gantt",
     "format_table",
     "hit_ratio_by_tag",
-    "is_monotone_nondecreasing",
     "mean",
     "percent",
-    "processor_balance",
     "ratio",
     "report_to_json",
-    "scalability_gain",
     "std_dev",
-    "summarize_regret",
-    "table_to_csv",
-    "table_to_json",
     "student_t_cdf",
     "student_t_quantile",
+    "summarize_regret",
     "variance",
-    "write_text",
 ]

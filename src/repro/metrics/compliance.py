@@ -2,8 +2,8 @@
 
 *Deadline compliance* is the percentage of tasks that complete by their
 deadline; *scalability* is the ability to increase compliance as processors
-are added.  This module computes both, plus the per-class and per-phase
-breakdowns the analysis sections use.
+are added.  This module holds the one division both reduce to, plus the
+per-class breakdown the examples print.
 
 This is the *base* metrics layer: every compliance-style ratio in the
 codebase — :attr:`~repro.runtime.report.RunReport.hit_ratio`,
@@ -16,8 +16,7 @@ defined here and re-exported by the trace/report modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
 #: Canonical task terminal states, shared by every backend's records.
 STATUS_COMPLETED = "completed"
@@ -41,40 +40,6 @@ def percent(numerator: int, denominator: int) -> float:
     return 100.0 * ratio(numerator, denominator)
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
-    """Digest of one run's deadline behaviour."""
-
-    total_tasks: int
-    deadline_hits: int
-    completed: int
-    completed_late: int
-    expired: int
-    scheduled_but_missed: int
-
-    @property
-    def hit_ratio(self) -> float:
-        return ratio(self.deadline_hits, self.total_tasks)
-
-    @property
-    def hit_percent(self) -> float:
-        return percent(self.deadline_hits, self.total_tasks)
-
-
-def compliance_report(trace: "SimulationTrace") -> ComplianceReport:
-    """Aggregate one trace into a :class:`ComplianceReport`."""
-    completed = trace.completed()
-    hits = trace.deadline_hits()
-    return ComplianceReport(
-        total_tasks=trace.total_tasks(),
-        deadline_hits=hits,
-        completed=len(completed),
-        completed_late=len(completed) - hits,
-        expired=len(trace.expired()),
-        scheduled_but_missed=len(trace.scheduled_but_missed()),
-    )
-
-
 def hit_ratio_by_tag(trace: "SimulationTrace") -> Dict[str, float]:
     """Deadline hit ratio split by task tag (e.g. 'indexed' vs 'scan')."""
     totals: Dict[str, int] = {}
@@ -85,40 +50,3 @@ def hit_ratio_by_tag(trace: "SimulationTrace") -> Dict[str, float]:
         if record.met_deadline:
             hits[tag] = hits.get(tag, 0) + 1
     return {tag: hits.get(tag, 0) / total for tag, total in totals.items()}
-
-
-def processor_balance(
-    trace: "SimulationTrace", num_processors: int
-) -> List[int]:
-    """Completed-task counts per processor — the load-balance picture."""
-    counts = [0] * num_processors
-    for record in trace.records.values():
-        if record.status == STATUS_COMPLETED and record.processor is not None:
-            counts[record.processor] += 1
-    return counts
-
-
-def scalability_gain(hit_ratios: Sequence[float]) -> float:
-    """End-to-end compliance gain over a processor sweep.
-
-    Positive when adding processors raised compliance — the paper's
-    definition of scaling up to the high end.  Input is the hit-ratio series
-    in increasing-processor order.
-    """
-    if len(hit_ratios) < 2:
-        return 0.0
-    return hit_ratios[-1] - hit_ratios[0]
-
-
-def is_monotone_nondecreasing(
-    values: Sequence[float], tolerance: float = 0.0
-) -> bool:
-    """Whether a series never drops by more than ``tolerance``.
-
-    Used to characterize scalability curves (RT-SADS's should pass with a
-    small tolerance for sampling noise; D-COLS's typically does not rise).
-    """
-    return all(
-        later >= earlier - tolerance
-        for earlier, later in zip(values, values[1:])
-    )

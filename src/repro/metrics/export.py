@@ -1,116 +1,22 @@
-"""Machine-readable export of experiment results (CSV and JSON).
+"""Machine-readable export of one run's report.
 
-The ASCII tables in :mod:`repro.metrics.reporting` are for terminals; this
-module serializes the same result objects for plotting pipelines:
-
-* :func:`figure_to_csv` / :func:`figure_to_json` — a
-  :class:`~repro.metrics.reporting.FigureData` (one row per x value, one
-  column per series).
-* :func:`table_to_csv` / :func:`table_to_json` — any headers-plus-rows
-  table (the ablation/extension results).
-* :func:`report_to_json` / :func:`export_report` — one run's
-  :class:`~repro.runtime.report.RunReport`; the schema is identical for
-  every execution backend, which the CI backend-matrix job asserts.
-* :func:`write_text` — tiny helper writing with a trailing newline.
-
-Only the standard library is used; CSV quoting follows RFC 4180 via the
-``csv`` module.
+:func:`report_to_json` serializes a
+:class:`~repro.runtime.report.RunReport`; the schema is identical for
+every execution backend, which the CI backend-matrix job asserts.  Figure
+data is exported by the experiments CLI itself
+(``cli.export_figure_json``, the ``--export`` flag).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from pathlib import Path
-from typing import List, Sequence
-
-from .reporting import FigureData
 
 
-def figure_to_csv(figure: FigureData) -> str:
-    """CSV text: header row, then one row per x value."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([figure.x_label] + [s.label for s in figure.series])
-    for i, x in enumerate(figure.x_values):
-        writer.writerow([x] + [series.values[i] for series in figure.series])
-    return buffer.getvalue()
-
-
-def figure_to_json(figure: FigureData, indent: int = 2) -> str:
-    """JSON document carrying the figure's full structure."""
-    document = {
-        "title": figure.title,
-        "x_label": figure.x_label,
-        "y_label": figure.y_label,
-        "x_values": list(figure.x_values),
-        "series": [
-            {"label": series.label, "values": list(series.values)}
-            for series in figure.series
-        ],
-        "notes": list(figure.notes),
-    }
-    return json.dumps(document, indent=indent)
-
-
-def table_to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """CSV text for a generic headers-plus-rows table."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(headers))
-    for row in rows:
-        writer.writerow(list(row))
-    return buffer.getvalue()
-
-
-def table_to_json(
-    headers: Sequence[str],
-    rows: Sequence[Sequence],
-    title: str = "",
-    indent: int = 2,
-) -> str:
-    """JSON document: list of row objects keyed by header."""
-    if any(len(row) != len(headers) for row in rows):
-        raise ValueError("every row must have one cell per header")
-    document = {
-        "title": title,
-        "headers": list(headers),
-        "rows": [dict(zip(headers, row)) for row in rows],
-    }
-    return json.dumps(document, indent=indent)
-
-
-def report_to_json(report, indent: int = 2) -> str:
+def report_to_json(report) -> str:
     """JSON document for one run's report, keys sorted for stable diffs.
 
     Duck-typed on ``as_dict()`` rather than annotated with
     :class:`~repro.runtime.report.RunReport` so this base-layer module
     keeps importing nothing from the runtime packages.
     """
-    return json.dumps(report.as_dict(), indent=indent, sort_keys=True)
-
-
-def write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` (creating parents), newline-terminated."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not text.endswith("\n"):
-        text += "\n"
-    path.write_text(text)
-    return path
-
-
-def export_figure(figure: FigureData, stem: str | Path) -> List[Path]:
-    """Write ``<stem>.csv`` and ``<stem>.json`` for a figure."""
-    stem = Path(stem)
-    return [
-        write_text(stem.with_suffix(".csv"), figure_to_csv(figure)),
-        write_text(stem.with_suffix(".json"), figure_to_json(figure)),
-    ]
-
-
-def export_report(report, stem: str | Path) -> Path:
-    """Write ``<stem>.json`` for one run's report."""
-    stem = Path(stem)
-    return write_text(stem.with_suffix(".json"), report_to_json(report))
+    return json.dumps(report.as_dict(), indent=2, sort_keys=True)

@@ -87,19 +87,16 @@ def format_figure(figure: FigureData, precision: int = 2) -> str:
     return "\n".join(parts)
 
 
-def ascii_chart(
-    figure: FigureData, width: int = 50, y_max: Optional[float] = None
-) -> str:
+def ascii_chart(figure: FigureData, width: int = 50) -> str:
     """A crude horizontal bar chart, one bar per (x, series) pair.
 
     Good enough to eyeball whether a curve rises, flattens, or crosses —
     which is exactly what "reproducing the figure's shape" means here.
     """
-    if y_max is None:
-        peak = max(
-            (v for series in figure.series for v in series.values), default=0.0
-        )
-        y_max = peak or 1.0
+    peak = max(
+        (v for series in figure.series for v in series.values), default=0.0
+    )
+    y_max = peak or 1.0
     lines = [figure.title]
     label_width = max(
         (len(series.label) for series in figure.series), default=0

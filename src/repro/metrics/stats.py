@@ -14,6 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+#: The paper's significance level (Section 5.1); its confidence intervals
+#: are at the complementary 99 %.
+SIGNIFICANCE_LEVEL = 0.01
+
 
 def mean(values: Sequence[float]) -> float:
     if not values:
@@ -139,7 +143,7 @@ class ConfidenceInterval:
 
 
 def confidence_interval(
-    values: Sequence[float], confidence: float = 0.99
+    values: Sequence[float], confidence: float = 1.0 - SIGNIFICANCE_LEVEL
 ) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of a small sample."""
     if len(values) < 2:
@@ -167,24 +171,19 @@ class DifferenceOfMeansResult:
     degrees_of_freedom: float
     p_value: float
     significant: bool
-    significance_level: float
 
 
 def difference_of_means(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
-    significance_level: float = 0.01,
+    sample_a: Sequence[float], sample_b: Sequence[float]
 ) -> DifferenceOfMeansResult:
     """Two-tailed Welch t-test on the difference of two sample means.
 
-    This is the paper's statistical check (Section 5.1) at its 0.01
-    significance level.  Welch's form is used because the two algorithms'
-    run-to-run variances need not match.
+    This is the paper's statistical check (Section 5.1) at its
+    :data:`SIGNIFICANCE_LEVEL`.  Welch's form is used because the two
+    algorithms' run-to-run variances need not match.
     """
     if len(sample_a) < 2 or len(sample_b) < 2:
         raise ValueError("each sample needs at least 2 observations")
-    if not 0.0 < significance_level < 1.0:
-        raise ValueError("significance_level must be in (0, 1)")
     mean_a, mean_b = mean(sample_a), mean(sample_b)
     var_a, var_b = variance(sample_a), variance(sample_b)
     na, nb = len(sample_a), len(sample_b)
@@ -197,7 +196,6 @@ def difference_of_means(
             degrees_of_freedom=float(na + nb - 2),
             p_value=1.0 if identical else 0.0,
             significant=not identical,
-            significance_level=significance_level,
         )
     t_stat = (mean_a - mean_b) / math.sqrt(se_sq)
     df = se_sq**2 / (
@@ -209,6 +207,5 @@ def difference_of_means(
         t_statistic=t_stat,
         degrees_of_freedom=df,
         p_value=p_value,
-        significant=p_value < significance_level,
-        significance_level=significance_level,
+        significant=p_value < SIGNIFICANCE_LEVEL,
     )

@@ -76,7 +76,3 @@ class ClockOffsetEstimator:
         if offset is None:
             return None
         return peer_mono + offset
-
-    def known_peers(self) -> Dict[int, float]:
-        """Snapshot of every peer's current offset estimate."""
-        return dict(self._offsets)

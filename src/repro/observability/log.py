@@ -97,9 +97,6 @@ class StructuredLogger:
             _level_cell=self._level_cell,
         )
 
-    def is_enabled_for(self, level: int) -> bool:
-        return level >= self._level_cell[0]
-
     def log(self, level: int, message: str, **fields: object) -> None:
         if level < self._level_cell[0]:
             return

@@ -8,10 +8,9 @@ with the repetition's seed as the workload seed, spawns the master and
 one worker process per configured processor, and returns the master's
 :class:`~repro.runtime.report.RunReport`.
 
-Deployment knobs that have no simulated counterpart (wall-clock scale,
-heartbeat cadence, failure injection) are constructor arguments — they
-describe *where* the run happens, not *what* runs, so they stay out of
-``ExperimentConfig``.
+Deployment knobs that have no simulated counterpart describe *where* the
+run happens, not *what* runs, so they stay out of ``ExperimentConfig``:
+the backend holds them as one mapping of ``ClusterConfig`` overrides.
 """
 
 from __future__ import annotations
@@ -38,41 +37,55 @@ class ClusterBackend(ExecutionBackend):
     #: The master mirrors the simulator's generator, same seed.
     seeded_workload = True
 
-    def __init__(
-        self,
-        *,
-        host: str = None,
-        port: int = None,
-        seconds_per_unit: float = None,
-        heartbeat_interval: float = None,
-        guarantee_margin_seconds: float = None,
-        max_wall_seconds: float = None,
-        failure=None,
-    ) -> None:
-        overrides = {
-            "host": host,
-            "port": port,
-            "seconds_per_unit": seconds_per_unit,
-            "heartbeat_interval": heartbeat_interval,
-            "guarantee_margin_seconds": guarantee_margin_seconds,
-            "max_wall_seconds": max_wall_seconds,
-            "failure": failure,
-        }
-        self._overrides = {
-            key: value for key, value in overrides.items()
-            if value is not None
-        }
+    def __init__(self, **cluster_overrides) -> None:
+        #: ``ClusterConfig`` fields replaced on every run's config: the
+        #: CLI's live knobs (``cli.LIVE_KNOB_FLAGS``: ``failure``,
+        #: ``seconds_per_unit``, ``heartbeat_interval``) and, through
+        #: :meth:`with_port`, a leased ``port``.  ``ClusterConfig`` itself
+        #: rejects a name it does not have when the run starts.
+        self.cluster_overrides = cluster_overrides
 
     def with_port(self, port: int) -> "ClusterBackend":
         """A copy whose master binds ``port`` (0 = OS-chosen ephemeral).
 
-        The sweep engine uses this to pin consecutive live-cluster cells
-        onto leased ports from a bounded pool; all other deployment
-        overrides carry over unchanged.
+        The sweep engine uses this to pin consecutive live cells onto
+        leased ports from a bounded pool; every other override carries
+        over unchanged.
         """
-        clone = ClusterBackend()
-        clone._overrides = {**self._overrides, "port": port}
-        return clone
+        return type(self)(**{**self.cluster_overrides, "port": port})
+
+    def cluster_config(
+        self,
+        config,
+        scheduler_name: str,
+        seed: int,
+        evaluator=None,
+        quantum_policy=None,
+    ):
+        """The ``ClusterConfig`` one repetition deploys.
+
+        Its ``experiment`` is ``config`` at this backend, one run, seeded
+        with the repetition's seed.  Refuses the simulator-only scheduler
+        overrides rather than ignoring them.
+        """
+        if evaluator is not None or quantum_policy is not None:
+            raise NotImplementedError(
+                "scheduler construction overrides (evaluator, "
+                "quantum_policy) are simulator-only; a live master "
+                "builds its scheduler from the registry name"
+            )
+        # Sockets and multiprocessing stay out of simulation-only
+        # processes; also breaks the cluster -> experiments -> backend
+        # import cycle.
+        from ..cluster.config import ClusterConfig
+
+        return ClusterConfig(
+            experiment=replace(
+                config, base_seed=seed, runs=1, backend=self.name
+            ),
+            scheduler_name=scheduler_name,
+            **self.cluster_overrides,
+        )
 
     def run_once(
         self,
@@ -94,30 +107,14 @@ class ClusterBackend(ExecutionBackend):
         masters would race for the listener) — the sweep engine
         serializes cluster cells for exactly this reason.
         """
-        if evaluator is not None or quantum_policy is not None:
-            raise NotImplementedError(
-                "scheduler construction overrides (evaluator, "
-                "quantum_policy) are simulator-only; the live master "
-                "builds its scheduler from the registry name"
-            )
         # validate_phases is subsumed: the live master re-validates every
         # entry at dispatch time against a fresh wall-clock reading, which
         # is strictly stronger than the simulator's phase-end check.
-
-        # Sockets and multiprocessing stay out of simulation-only
-        # processes; also breaks the cluster -> experiments -> backend
-        # import cycle.
-        from ..cluster.config import ClusterConfig
+        cluster_config = self.cluster_config(
+            config, scheduler_name, seed, evaluator, quantum_policy
+        )
         from ..cluster.launcher import launch_cluster
 
-        experiment = replace(
-            config, base_seed=seed, runs=1, backend=self.name
-        )
-        cluster_config = ClusterConfig(
-            experiment=experiment,
-            scheduler_name=scheduler_name,
-            **self._overrides,
-        )
         return launch_cluster(
             cluster_config, instrumentation=instrumentation
         )

@@ -50,21 +50,18 @@ class ServiceClient:
         self.outcomes: Dict[int, SubmissionOutcome] = {}
 
     @classmethod
-    def connect(
-        cls, host: str, port: int, timeout: float = 10.0
-    ) -> "ServiceClient":
+    def connect(cls, host: str, port: int) -> "ServiceClient":
         """Dial a running service master."""
-        return cls(WorkerChannel.connect(host, port, timeout=timeout))
+        return cls(WorkerChannel.connect(host, port))
 
     def close(self) -> None:
         self._channel.close()
 
     # ----- submitting --------------------------------------------------------
 
-    def submit(
-        self, template_id: int, relative_deadline: float = 0.0
-    ) -> SubmissionOutcome:
-        """Stream one SUBMIT; returns its (not yet settled) outcome."""
+    def submit(self, template_id: int) -> SubmissionOutcome:
+        """Stream one SUBMIT (at the template's own deadline); returns its
+        (not yet settled) outcome."""
         import time
 
         request_id = self._next_request
@@ -74,12 +71,7 @@ class ServiceClient:
         )
         self.outcomes[request_id] = outcome
         self._channel.send(
-            protocol.submit(
-                request_id,
-                template_id,
-                relative_deadline=relative_deadline,
-                mono=time.monotonic(),
-            )
+            protocol.submit(request_id, template_id, mono=time.monotonic())
         )
         return outcome
 
@@ -118,7 +110,7 @@ class ServiceClient:
         """Submissions still owed an ACCEPT/REJECT or a RESULT."""
         return [o for o in self.outcomes.values() if not o.settled]
 
-    def drain(self, timeout: float, poll_interval: float = 0.05) -> bool:
+    def drain(self, timeout: float) -> bool:
         """Poll until every submission settles or ``timeout`` passes.
 
         Returns True when fully settled.  A lost connection settles
@@ -132,7 +124,7 @@ class ServiceClient:
             if time.monotonic() >= deadline:
                 return False
             try:
-                self.poll(poll_interval)
+                self.poll(0.05)
             except ConnectionLost:
                 return False
         return True

@@ -15,7 +15,7 @@ they script the membership churn a service-smoke run exercises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..cluster.config import ClusterConfig
 from .admission import ADMISSION_POLICY_NAMES
@@ -87,11 +87,3 @@ class ServiceConfig:
             raise ValueError("drain_grace_seconds must be positive")
         if self.max_service_seconds < 0:
             raise ValueError("max_service_seconds must be non-negative")
-
-    def with_policy(self, policy: str) -> "ServiceConfig":
-        """A copy with the admission policy replaced."""
-        return replace(self, admission_policy=policy)
-
-    def with_cluster(self, cluster: ClusterConfig) -> "ServiceConfig":
-        """A copy with the underlying cluster deployment replaced."""
-        return replace(self, cluster=cluster)

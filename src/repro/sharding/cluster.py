@@ -165,9 +165,7 @@ class MigrationBroker:
         channel = self._channels.get(target.port)
         if channel is None:
             channel = self._channels[target.port] = WorkerChannel.connect(
-                self.config.host,
-                target.port,
-                timeout=self.config.connect_timeout,
+                self.config.host, target.port
             )
         return channel
 

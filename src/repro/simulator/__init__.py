@@ -21,18 +21,16 @@ from .execution import (
     FirstMatchDatabaseExecution,
     ScaledExecution,
     StochasticExecution,
-    WorstCaseExecution,
     resolve_actual_cost,
 )
 from .interconnect import (
     MeshCommunicationModel,
     MeshTopology,
     near_square_mesh,
-    wormhole_model,
 )
 from .processor import QueuedWork, RunningWork, WorkerProcessor
 from .runtime import (
-    DEFAULT_MAX_EVENTS,
+    MAX_EVENTS,
     DistributedRuntime,
     DomainHost,
     simulate,
@@ -47,7 +45,7 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_EVENTS",
+    "MAX_EVENTS",
     "DistributedRuntime",
     "DomainHost",
     "EventQueue",
@@ -56,7 +54,6 @@ __all__ = [
     "FirstMatchDatabaseExecution",
     "ScaledExecution",
     "StochasticExecution",
-    "WorstCaseExecution",
     "resolve_actual_cost",
     "HostWake",
     "MeshCommunicationModel",
@@ -79,5 +76,4 @@ __all__ = [
     "WorkerProcessor",
     "near_square_mesh",
     "simulate",
-    "wormhole_model",
 ]

@@ -90,15 +90,6 @@ class SimulationEngine:
         if advanced is not None:
             self._clock_observers.append(advanced)
 
-    def remove_observer(self, observer: Any) -> None:
-        """Detach a previously added observer (unknown observers are a no-op)."""
-        dispatched = getattr(observer, "on_event_dispatched", None)
-        advanced = getattr(observer, "on_clock_advanced", None)
-        if dispatched in self._dispatch_observers:
-            self._dispatch_observers.remove(dispatched)
-        if advanced in self._clock_observers:
-            self._clock_observers.remove(advanced)
-
     def schedule_at(self, time: float, event: Any) -> None:
         """Enqueue ``event`` for dispatch at absolute virtual ``time``."""
         if time < self.now - 1e-12:
@@ -159,7 +150,3 @@ class SimulationEngine:
                 )
             self.step()
             dispatched += 1
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)

@@ -23,6 +23,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, Optional
 
 from ..core.schedule import ScheduleEntry
+from ..database.cost_model import CHECK_COST
 
 
 class ExecutionModelError(RuntimeError):
@@ -39,13 +40,6 @@ class ExecutionTimeModel(ABC):
     @property
     def name(self) -> str:
         return type(self).__name__
-
-
-class WorstCaseExecution(ExecutionTimeModel):
-    """Tasks consume exactly their planned worst case (the default)."""
-
-    def actual_cost(self, entry: ScheduleEntry) -> float:
-        return entry.total_cost
 
 
 class ScaledExecution(ExecutionTimeModel):
@@ -73,7 +67,7 @@ class StochasticExecution(ExecutionTimeModel):
     the draw is deterministic per task id so repeated runs agree.
     """
 
-    def __init__(self, low: float, high: float, seed: int = 0) -> None:
+    def __init__(self, low: float, high: float, seed: int) -> None:
         if not 0.0 < low <= high <= 1.0:
             raise ValueError(
                 f"need 0 < low <= high <= 1, got low={low} high={high}"
@@ -114,7 +108,7 @@ class FirstMatchDatabaseExecution(ExecutionTimeModel):
         target = txn.target_subdb(self.database.schema)
         subdb = self.database.subdatabases[target]
         _, tuples_checked = subdb.probe_first_match(txn.predicates)
-        processing = self.database.config.check_cost * max(1, tuples_checked)
+        processing = CHECK_COST * max(1, tuples_checked)
         # Never exceed the plan: the estimate is a worst case by
         # construction, but guard against configuration mismatches.
         processing = min(processing, entry.task.processing_time)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..core.affinity import DistanceCommunicationModel, UniformCommunicationModel
+from ..core.affinity import DistanceCommunicationModel
 from ..core.task import Task
 
 
@@ -79,8 +79,3 @@ class MeshCommunicationModel(DistanceCommunicationModel):
             return 0.0
         hops = min(self.topology.hops(processor, home) for home in task.affinity)
         return self.per_hop_cost * hops
-
-
-def wormhole_model(remote_cost: float) -> UniformCommunicationModel:
-    """The paper's cut-through model; alias for discoverability."""
-    return UniformCommunicationModel(remote_cost=remote_cost)

@@ -62,10 +62,6 @@ class WorkerProcessor:
     def is_busy(self) -> bool:
         return self.running is not None
 
-    @property
-    def is_idle(self) -> bool:
-        return self.running is None and not self.queue
-
     def load(self, now: float) -> float:
         """Remaining work ``Load_k`` at virtual time ``now``.
 

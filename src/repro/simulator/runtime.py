@@ -69,7 +69,7 @@ _UNPROJECTED = (None, None)
 
 #: Safety cap on dispatched events; generously above any legitimate run
 #: (a 1000-task burst dispatches a few thousand events).
-DEFAULT_MAX_EVENTS = 5_000_000
+MAX_EVENTS = 5_000_000
 
 
 def _task_event(
@@ -207,7 +207,6 @@ class DistributedRuntime:
         workload: Iterable[Task],
         remote_cost: float,
         comm: Optional[CommunicationModel] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
         validate_phases: bool = False,
         execution_model: Optional[ExecutionTimeModel] = None,
         failures: Optional[List] = None,
@@ -227,7 +226,6 @@ class DistributedRuntime:
         #: What ``validate_phases`` re-checks against (default: each
         #: host's own scheduler model).
         self.comm = comm
-        self.max_events = max_events
         self.validate_phases = validate_phases
         self.execution_model = execution_model
         self.seed = seed
@@ -513,7 +511,7 @@ class DistributedRuntime:
             self.engine.schedule_at(task.arrival_time, TaskArrived(task))
         for at, processor in self.failures:
             self.engine.schedule_at(at, ProcessorFailed(processor))
-        self.engine.run(max_events=self.max_events)
+        self.engine.run(max_events=MAX_EVENTS)
         drivers = [host.driver for host in self.domains]
         if any(driver.has_backlog() for driver in drivers):
             raise SimulationError(

@@ -57,12 +57,6 @@ class TaskRecord:
         )
 
     @property
-    def response_time(self) -> Optional[float]:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.task.arrival_time
-
-    @property
     def reclaimed_time(self) -> float:
         """Worst-case time the task did not consume (early completion)."""
         if self.planned_cost is None or self.actual_cost is None:

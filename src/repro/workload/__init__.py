@@ -15,7 +15,6 @@ from .arrivals import (
 from .deadlines import (
     PAPER_DEADLINE_MULTIPLIER,
     DeadlinePolicy,
-    FixedLaxityDeadline,
     ProportionalDeadline,
 )
 from .synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
@@ -34,7 +33,6 @@ __all__ = [
     "LogNormalArrival",
     "ParetoArrival",
     "make_arrival",
-    "FixedLaxityDeadline",
     "PAPER_DEADLINE_MULTIPLIER",
     "PoissonArrival",
     "ProportionalDeadline",

@@ -38,35 +38,27 @@ class ArrivalProcess(ABC):
 
 
 class BurstyArrival(ArrivalProcess):
-    """All tasks arrive at once (paper Section 5.1)."""
-
-    def __init__(self, at: float = 0.0) -> None:
-        if at < 0:
-            raise ValueError("burst time must be non-negative")
-        self.at = at
+    """All tasks arrive at once, at ``t = 0`` (paper Section 5.1)."""
 
     def arrival_times(self, n: int, rng: random.Random) -> List[float]:
         if n < 0:
             raise ValueError("n must be non-negative")
-        return [self.at] * n
+        return [0.0] * n
 
 
 class PoissonArrival(ArrivalProcess):
     """Poisson process: exponential inter-arrival gaps at a given rate."""
 
-    def __init__(self, rate: float, start: float = 0.0) -> None:
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError("arrival rate must be positive")
-        if start < 0:
-            raise ValueError("start must be non-negative")
         self.rate = rate
-        self.start = start
 
     def arrival_times(self, n: int, rng: random.Random) -> List[float]:
         if n < 0:
             raise ValueError("n must be non-negative")
         times: List[float] = []
-        now = self.start
+        now = 0.0
         for _ in range(n):
             now += rng.expovariate(self.rate)
             times.append(now)
@@ -92,19 +84,16 @@ class BatchedArrival(ArrivalProcess):
     """Several bursts at fixed intervals — a stress case for the quantum.
 
     Tasks are split as evenly as possible across ``num_batches`` bursts
-    spaced ``interval`` apart.
+    spaced ``interval`` apart, the first at ``t = 0``.
     """
 
-    def __init__(self, num_batches: int, interval: float, start: float = 0.0) -> None:
+    def __init__(self, num_batches: int, interval: float) -> None:
         if num_batches <= 0:
             raise ValueError("num_batches must be positive")
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if start < 0:
-            raise ValueError("start must be non-negative")
         self.num_batches = num_batches
         self.interval = interval
-        self.start = start
 
     def arrival_times(self, n: int, rng: random.Random) -> List[float]:
         if n < 0:
@@ -113,43 +102,40 @@ class BatchedArrival(ArrivalProcess):
         base, extra = divmod(n, self.num_batches)
         for batch in range(self.num_batches):
             count = base + (1 if batch < extra else 0)
-            times.extend([self.start + batch * self.interval] * count)
+            times.extend([batch * self.interval] * count)
         return times
 
 
 class ParetoArrival(ArrivalProcess):
     """Heavy-tailed gaps: Lomax (shifted Pareto) inter-arrival times.
 
-    Gaps are drawn as ``scale * (U**(-1/shape) - 1)`` — a Pareto-II
-    distribution with mean ``scale / (shape - 1)`` for ``shape > 1``.  The
-    scale is derived from ``rate`` so the *mean* arrival rate matches a
-    Poisson process of the same rate, but occasional very long gaps are
-    followed by tight clumps: the classic self-similar traffic shape that
-    stresses admission control far harder than exponential gaps.
+    Gaps are drawn as ``scale * (U**(-1/SHAPE) - 1)`` — a Pareto-II
+    distribution with mean ``scale / (SHAPE - 1)`` (finite because ``SHAPE >
+    1``).  The scale is derived from ``rate`` so the *mean* arrival rate
+    matches a Poisson process of the same rate, but occasional very long
+    gaps are followed by tight clumps: the classic self-similar traffic
+    shape that stresses admission control far harder than exponential gaps.
     """
 
-    def __init__(self, rate: float, shape: float = 2.5, start: float = 0.0) -> None:
+    #: Tail index of the gap distribution (heavier tail as it nears 1).
+    SHAPE = 2.5
+
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError("arrival rate must be positive")
-        if shape <= 1:
-            raise ValueError("shape must exceed 1 so the mean gap is finite")
-        if start < 0:
-            raise ValueError("start must be non-negative")
         self.rate = rate
-        self.shape = shape
-        self.start = start
-        #: Lomax scale giving mean gap 1/rate: scale = (shape - 1) / rate.
-        self.scale = (shape - 1.0) / rate
+        #: Lomax scale giving mean gap 1/rate: scale = (SHAPE - 1) / rate.
+        self.scale = (self.SHAPE - 1.0) / rate
 
     def arrival_times(self, n: int, rng: random.Random) -> List[float]:
         if n < 0:
             raise ValueError("n must be non-negative")
         times: List[float] = []
-        now = self.start
+        now = 0.0
         for _ in range(n):
-            # Inverse-CDF sample of Lomax(shape, scale); 1 - U avoids u == 0.
+            # Inverse-CDF sample of Lomax(SHAPE, scale); 1 - U avoids u == 0.
             u = 1.0 - rng.random()
-            now += self.scale * (u ** (-1.0 / self.shape) - 1.0)
+            now += self.scale * (u ** (-1.0 / self.SHAPE) - 1.0)
             times.append(now)
         return times
 
@@ -157,30 +143,27 @@ class ParetoArrival(ArrivalProcess):
 class LogNormalArrival(ArrivalProcess):
     """Heavy-tailed gaps: log-normal inter-arrival times.
 
-    ``sigma`` controls burstiness (sigma -> 0 degenerates to a uniform
+    :attr:`SIGMA` sets burstiness (sigma -> 0 degenerates to a uniform
     cadence); ``mu`` is derived from ``rate`` so the mean gap is exactly
-    ``1/rate`` (``mu = ln(1/rate) - sigma**2 / 2``).
+    ``1/rate`` (``mu = ln(1/rate) - SIGMA**2 / 2``).
     """
 
-    def __init__(self, rate: float, sigma: float = 1.0, start: float = 0.0) -> None:
+    #: Standard deviation of the gaps' logarithm.
+    SIGMA = 1.0
+
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError("arrival rate must be positive")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if start < 0:
-            raise ValueError("start must be non-negative")
         self.rate = rate
-        self.sigma = sigma
-        self.start = start
-        self.mu = math.log(1.0 / rate) - (sigma * sigma) / 2.0
+        self.mu = math.log(1.0 / rate) - (self.SIGMA * self.SIGMA) / 2.0
 
     def arrival_times(self, n: int, rng: random.Random) -> List[float]:
         if n < 0:
             raise ValueError("n must be non-negative")
         times: List[float] = []
-        now = self.start
+        now = 0.0
         for _ in range(n):
-            now += rng.lognormvariate(self.mu, self.sigma)
+            now += rng.lognormvariate(self.mu, self.SIGMA)
             times.append(now)
         return times
 
@@ -188,45 +171,36 @@ class LogNormalArrival(ArrivalProcess):
 class DiurnalArrival(ArrivalProcess):
     """Non-homogeneous Poisson process with a sinusoidal rate curve.
 
-    The instantaneous rate is ``rate * (1 + amplitude * sin(2*pi*t /
+    The instantaneous rate is ``rate * (1 + AMPLITUDE * sin(2*pi*t /
     period))`` — a day/night cycle compressed to ``period`` virtual units.
     Sampling uses Lewis & Shedler thinning: candidate gaps are drawn at the
-    peak rate ``rate * (1 + amplitude)`` and accepted with probability
+    peak rate ``rate * (1 + AMPLITUDE)`` and accepted with probability
     ``rate(t) / peak``, which is exact for any bounded rate curve.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        period: float,
-        amplitude: float = 0.8,
-        start: float = 0.0,
-    ) -> None:
+    #: Relative swing of the rate curve; below 1 so the rate stays positive.
+    AMPLITUDE = 0.8
+
+    def __init__(self, rate: float, period: float) -> None:
         if rate <= 0:
             raise ValueError("arrival rate must be positive")
         if period <= 0:
             raise ValueError("period must be positive")
-        if not 0 <= amplitude < 1:
-            raise ValueError("amplitude must be in [0, 1) so the rate stays positive")
-        if start < 0:
-            raise ValueError("start must be non-negative")
         self.rate = rate
         self.period = period
-        self.amplitude = amplitude
-        self.start = start
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at virtual time ``t``."""
         return self.rate * (
-            1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
+            1.0 + self.AMPLITUDE * math.sin(2.0 * math.pi * t / self.period)
         )
 
     def arrival_times(self, n: int, rng: random.Random) -> List[float]:
         if n < 0:
             raise ValueError("n must be non-negative")
-        peak = self.rate * (1.0 + self.amplitude)
+        peak = self.rate * (1.0 + self.AMPLITUDE)
         times: List[float] = []
-        now = self.start
+        now = 0.0
         while len(times) < n:
             now += rng.expovariate(peak)
             if rng.random() * peak <= self.rate_at(now):

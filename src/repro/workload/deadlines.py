@@ -31,37 +31,15 @@ class DeadlinePolicy(ABC):
 class ProportionalDeadline(DeadlinePolicy):
     """The paper's rule: ``d = a + SF * 10 * cost``."""
 
-    def __init__(
-        self,
-        slack_factor: float,
-        multiplier: float = PAPER_DEADLINE_MULTIPLIER,
-    ) -> None:
+    def __init__(self, slack_factor: float) -> None:
         if slack_factor <= 0:
             raise ValueError("slack_factor must be positive")
-        if multiplier <= 0:
-            raise ValueError("multiplier must be positive")
         self.slack_factor = slack_factor
-        self.multiplier = multiplier
 
     def deadline(self, arrival_time: float, estimated_cost: float) -> float:
         if estimated_cost <= 0:
             raise ValueError("estimated_cost must be positive")
-        return arrival_time + self.slack_factor * self.multiplier * estimated_cost
-
-
-class FixedLaxityDeadline(DeadlinePolicy):
-    """Constant absolute laxity on top of the cost: ``d = a + cost + L``.
-
-    Unlike the proportional rule this gives cheap tasks the same waiting
-    allowance as expensive ones; used by tests and the quantum ablation.
-    """
-
-    def __init__(self, laxity: float) -> None:
-        if laxity < 0:
-            raise ValueError("laxity must be non-negative")
-        self.laxity = laxity
-
-    def deadline(self, arrival_time: float, estimated_cost: float) -> float:
-        if estimated_cost <= 0:
-            raise ValueError("estimated_cost must be positive")
-        return arrival_time + estimated_cost + self.laxity
+        return (
+            arrival_time
+            + self.slack_factor * PAPER_DEADLINE_MULTIPLIER * estimated_cost
+        )

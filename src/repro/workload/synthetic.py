@@ -15,7 +15,7 @@ from typing import Optional
 from ..core.affinity import random_affinity
 from ..core.task import Task, TaskSet
 from .arrivals import ArrivalProcess, BurstyArrival
-from .deadlines import DeadlinePolicy, ProportionalDeadline
+from .deadlines import ProportionalDeadline
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,6 @@ class SyntheticWorkloadConfig:
     affinity_probability: float = 0.3
     min_processing_time: float = 10.0
     max_processing_time: float = 100.0
-    bimodal_fraction: float = 0.0  # fraction of "heavy" tasks
-    bimodal_scale: float = 10.0  # heavy tasks are this much longer
     slack_factor: float = 1.0
     seed: int = 0
 
@@ -43,10 +41,6 @@ class SyntheticWorkloadConfig:
             raise ValueError("min_processing_time must be positive")
         if self.max_processing_time < self.min_processing_time:
             raise ValueError("max_processing_time < min_processing_time")
-        if not 0.0 <= self.bimodal_fraction <= 1.0:
-            raise ValueError("bimodal_fraction must be in [0, 1]")
-        if self.bimodal_scale < 1.0:
-            raise ValueError("bimodal_scale must be >= 1")
         if self.slack_factor <= 0:
             raise ValueError("slack_factor must be positive")
 
@@ -58,20 +52,10 @@ class SyntheticWorkloadGenerator:
         self,
         config: Optional[SyntheticWorkloadConfig] = None,
         arrivals: Optional[ArrivalProcess] = None,
-        deadlines: Optional[DeadlinePolicy] = None,
     ) -> None:
         self.config = config or SyntheticWorkloadConfig()
         self.arrivals = arrivals or BurstyArrival()
-        self.deadlines = deadlines or ProportionalDeadline(
-            slack_factor=self.config.slack_factor
-        )
-
-    def _processing_time(self, rng: random.Random) -> float:
-        cfg = self.config
-        base = rng.uniform(cfg.min_processing_time, cfg.max_processing_time)
-        if cfg.bimodal_fraction and rng.random() < cfg.bimodal_fraction:
-            return base * cfg.bimodal_scale
-        return base
+        self.deadlines = ProportionalDeadline(self.config.slack_factor)
 
     def generate(self) -> TaskSet:
         cfg = self.config
@@ -79,7 +63,9 @@ class SyntheticWorkloadGenerator:
         times = self.arrivals.arrival_times(cfg.num_tasks, rng)
         tasks = TaskSet()
         for task_id, arrival in enumerate(times):
-            processing = self._processing_time(rng)
+            processing = rng.uniform(
+                cfg.min_processing_time, cfg.max_processing_time
+            )
             deadline = self.deadlines.deadline(arrival, processing)
             tasks.add(
                 Task(

@@ -25,7 +25,7 @@ from ..core.task import Task, TaskSet
 from ..database.database import DatabaseConfig, DistributedDatabase
 from ..database.transaction import Transaction, UpdateTransaction
 from .arrivals import ArrivalProcess, BurstyArrival
-from .deadlines import DeadlinePolicy, ProportionalDeadline
+from .deadlines import ProportionalDeadline
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,6 @@ class TransactionWorkloadConfig:
 
     num_transactions: int = 1000
     slack_factor: float = 1.0  # SF in [1, 3]
-    min_given_attributes: int = 1
-    max_given_attributes: Optional[int] = None  # default: all attributes
     key_probability: Optional[float] = None
     write_fraction: float = 0.0  # paper: read-only, i.e. 0.0
     seed: int = 0
@@ -51,15 +49,6 @@ class TransactionWorkloadConfig:
             raise ValueError("num_transactions must be positive")
         if self.slack_factor <= 0:
             raise ValueError("slack_factor must be positive")
-        if self.min_given_attributes <= 0:
-            raise ValueError("min_given_attributes must be positive")
-        if (
-            self.max_given_attributes is not None
-            and self.max_given_attributes < self.min_given_attributes
-        ):
-            raise ValueError(
-                "max_given_attributes must be >= min_given_attributes"
-            )
 
 
 class TransactionWorkloadGenerator:
@@ -70,23 +59,19 @@ class TransactionWorkloadGenerator:
         database: DistributedDatabase,
         config: Optional[TransactionWorkloadConfig] = None,
         arrivals: Optional[ArrivalProcess] = None,
-        deadlines: Optional[DeadlinePolicy] = None,
     ) -> None:
         self.database = database
         self.config = config or TransactionWorkloadConfig()
         self.arrivals = arrivals or BurstyArrival()
-        self.deadlines = deadlines or ProportionalDeadline(
-            slack_factor=self.config.slack_factor
-        )
+        self.deadlines = ProportionalDeadline(self.config.slack_factor)
 
     def _draw_transaction(
         self, txn_id: int, arrival_time: float, rng: random.Random
     ) -> Transaction:
         schema = self.database.schema
         subdb = rng.randrange(schema.num_subdatabases)
-        max_given = self.config.max_given_attributes or schema.num_attributes
-        max_given = min(max_given, schema.num_attributes)
-        count = rng.randint(self.config.min_given_attributes, max_given)
+        # "A uniformly distributed number of given attribute-values."
+        count = rng.randint(1, schema.num_attributes)
         if self.config.key_probability is None:
             attributes = rng.sample(range(schema.num_attributes), count)
         else:
@@ -152,15 +137,21 @@ class TransactionWorkloadGenerator:
 
 
 def build_seeded_workload(
-    experiment, seed: int
+    experiment,
+    seed: int,
+    arrivals: Optional[ArrivalProcess] = None,
+    write_fraction: float = 0.0,
 ) -> Tuple[DistributedDatabase, TaskSet, List[Transaction]]:
     """Database, scheduler tasks and raw transactions of one seeded run.
 
-    A pure function of ``(experiment, seed)`` — ``experiment`` is anything
-    with an :class:`~repro.experiments.config.ExperimentConfig`'s database
-    and workload fields.  The simulator, the live master and every live
-    worker rebuild byte-identical state from it independently, so live and
-    simulated runs of one config see the same workload.
+    A pure function of its arguments — ``experiment`` is anything with an
+    :class:`~repro.experiments.config.ExperimentConfig`'s database and
+    workload fields.  The simulator, the live master and every live worker
+    rebuild byte-identical state from ``(experiment, seed)`` independently,
+    so live and simulated runs of one config see the same workload.  The
+    two keywords are the extension studies' departures from the paper's
+    read-only burst: ``arrivals`` (X2's Poisson stream) and
+    ``write_fraction`` (X3's update mix).
     """
     database = DistributedDatabase.build(
         config=DatabaseConfig(
@@ -179,8 +170,10 @@ def build_seeded_workload(
             num_transactions=experiment.num_transactions,
             slack_factor=experiment.slack_factor,
             key_probability=experiment.key_probability,
+            write_fraction=write_fraction,
             seed=seed,
         ),
+        arrivals=arrivals,
     )
     tasks, transactions = generator.generate()
     return database, tasks, transactions

@@ -141,8 +141,8 @@ class TestClusterCli:
             ["cluster", "--workers", "2", "--tasks", "40", "--seed", "1"]
         )
         assert args.experiment == "cluster"
-        assert args.workers == 2
-        assert args.tasks == 40
+        assert args.processors == 2  # --workers is its other spelling
+        assert args.transactions == 40  # and --tasks this one's
         assert args.seed == 1
 
     def test_kill_worker_flag_parses_into_plan(self):

@@ -187,7 +187,7 @@ class TestProtocolErrors:
             )
             dropped = [e.conn_id for e in events if e.kind == DISCONNECT]
             assert dropped == [bad_id]
-            assert bad_id not in hub.connection_ids()
+            assert not hub.send(bad_id, protocol.shutdown())
             # The hub closed its end: the bad peer reads EOF (or a reset).
             try:
                 assert bad.recv(16) == b""

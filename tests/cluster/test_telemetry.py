@@ -1,8 +1,12 @@
 """Unit tests for the worker-side telemetry buffer."""
 
-import pytest
+from repro.cluster.telemetry import TelemetryBuffer
 
-from repro.cluster.telemetry import DEFAULT_BUFFER_CAP, TelemetryBuffer
+
+def small_buffer(monkeypatch, cap):
+    """A buffer whose class-wide drop bound is shrunk to ``cap`` events."""
+    monkeypatch.setattr(TelemetryBuffer, "CAP", cap)
+    return TelemetryBuffer()
 
 
 class TestEmit:
@@ -26,16 +30,16 @@ class TestEmit:
 
 
 class TestBounding:
-    def test_oldest_events_drop_first(self):
-        buffer = TelemetryBuffer(cap=3)
+    def test_oldest_events_drop_first(self, monkeypatch):
+        buffer = small_buffer(monkeypatch, 3)
         for index in range(5):
             buffer.emit({"event": "task", "task_id": index, "w_mono": 1.0})
         assert len(buffer) == 3
         assert buffer.events_dropped == 2
         assert buffer.events_buffered == 5
 
-    def test_drop_marker_prepended_on_next_drain(self):
-        buffer = TelemetryBuffer(cap=2)
+    def test_drop_marker_prepended_on_next_drain(self, monkeypatch):
+        buffer = small_buffer(monkeypatch, 2)
         for index in range(4):
             buffer.emit({"event": "task", "task_id": index, "w_mono": 1.0})
         batch = buffer.drain(10)
@@ -45,7 +49,7 @@ class TestBounding:
         # The loss is reported exactly once.
         assert buffer.drain(10) == []
 
-    def test_drop_marker_rides_on_top_of_max_events(self):
+    def test_drop_marker_rides_on_top_of_max_events(self, monkeypatch):
         """The marker must not displace a payload event from the batch.
 
         A drain capped at ``max_events`` returns up to that many *real*
@@ -53,7 +57,7 @@ class TestBounding:
         one live event per heartbeat, and a persistently full buffer
         could starve payload delivery entirely.
         """
-        buffer = TelemetryBuffer(cap=3)
+        buffer = small_buffer(monkeypatch, 3)
         for index in range(5):
             buffer.emit({"event": "task", "task_id": index, "w_mono": 1.0})
         batch = buffer.drain(3)
@@ -62,13 +66,6 @@ class TestBounding:
         assert batch[0]["dropped"] == 2
         assert [e["task_id"] for e in batch[1:]] == [2, 3, 4]
         assert buffer.drain(3) == []
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            TelemetryBuffer(cap=0)
-
-    def test_default_cap(self):
-        assert TelemetryBuffer().cap == DEFAULT_BUFFER_CAP
 
 
 class TestDrain:
@@ -82,8 +79,8 @@ class TestDrain:
         assert [e["task_id"] for e in second] == [3, 4]
         assert not buffer
 
-    def test_truthiness_tracks_pending_work(self):
-        buffer = TelemetryBuffer(cap=1)
+    def test_truthiness_tracks_pending_work(self, monkeypatch):
+        buffer = small_buffer(monkeypatch, 1)
         assert not buffer
         buffer.emit({"event": "task", "w_mono": 1.0})
         assert buffer

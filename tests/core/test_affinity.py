@@ -10,7 +10,6 @@ from repro.core import (
     DistanceCommunicationModel,
     UniformCommunicationModel,
     ZeroCommunicationModel,
-    affinity_degree,
     make_task,
     random_affinity,
 )
@@ -34,10 +33,6 @@ class TestUniformCommunicationModel:
         model = UniformCommunicationModel(remote_cost=50.0)
         assert model.execution_cost(_task([1], p=10.0), 0) == 60.0
         assert model.execution_cost(_task([1], p=10.0), 1) == 10.0
-
-    def test_cheapest_cost(self):
-        model = UniformCommunicationModel(remote_cost=50.0)
-        assert model.cheapest_cost(_task([1], p=10.0), range(4)) == 10.0
 
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError):
@@ -170,14 +165,3 @@ class TestRandomAffinity:
         for _ in range(100):
             affinity = random_affinity(5, 0.4, rng)
             assert all(0 <= member < 5 for member in affinity)
-
-
-class TestAffinityDegree:
-    def test_empty_inputs(self):
-        assert affinity_degree([], 4) == 0.0
-        assert affinity_degree([_task([0])], 0) == 0.0
-
-    def test_computes_mean_fraction(self):
-        tasks = [_task([0, 1]), _task([2])]
-        # (2 + 1) / (2 tasks * 4 processors)
-        assert affinity_degree(tasks, 4) == pytest.approx(3 / 8)

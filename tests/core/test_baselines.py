@@ -64,33 +64,11 @@ class TestGreedyEDF:
 
 class TestMyopic:
     def test_schedules_within_window(self, comm, tasks):
-        result = _phase(MyopicScheduler(comm, window=2), tasks)
+        scheduler = MyopicScheduler(comm)
+        scheduler.WINDOW = 2  # narrower than the batch
+        result = _phase(scheduler, tasks)
         assert len(result.schedule) == 3
         result.validate(comm)
-
-    def test_window_validation(self, comm):
-        with pytest.raises(ValueError):
-            MyopicScheduler(comm, window=0)
-        with pytest.raises(ValueError):
-            MyopicScheduler(comm, weight=-1.0)
-
-    def test_heuristic_weight_changes_selection(self, comm):
-        # Task 0 has the earlier deadline but must wait on loaded P0 (remote
-        # execution misses its deadline); task 1 can start immediately on
-        # P1.  Weight 0 picks by deadline; a large weight by earliest start.
-        tasks = [
-            make_task(0, processing_time=10.0, deadline=60.0, affinity=[0]),
-            make_task(1, processing_time=10.0, deadline=310.0, affinity=[1]),
-        ]
-        loads = [40.0, 0.0]
-        by_deadline = MyopicScheduler(
-            comm, weight=0.0, phase_overhead_factor=0.0
-        ).schedule_phase(tasks, loads, 0.0, quantum=1.0)
-        by_start = MyopicScheduler(
-            comm, weight=100.0, phase_overhead_factor=0.0
-        ).schedule_phase(tasks, loads, 0.0, quantum=1.0)
-        assert by_deadline.schedule.entries[0].task.task_id == 0
-        assert by_start.schedule.entries[0].task.task_id == 1
 
     def test_discards_head_when_window_infeasible(self, comm):
         # Task 0 passes the optimistic pre-filter (1 + 10 <= 12) but is
@@ -100,7 +78,11 @@ class TestMyopic:
             make_task(0, processing_time=10.0, deadline=12.0, affinity=[0, 1]),
             make_task(1, processing_time=10.0, deadline=900.0, affinity=[0]),
         ]
-        scheduler = MyopicScheduler(comm, window=1, phase_overhead_factor=0.0)
+        scheduler = MyopicScheduler(comm)
+        # Instance overrides of the class constants build the scenario: a
+        # one-task window, and a quantum spent on probes alone.
+        scheduler.WINDOW = 1
+        scheduler.PHASE_OVERHEAD_FACTOR = 0.0
         result = scheduler.schedule_phase(
             tasks, [5.0, 5.0], 0.0, quantum=1.0
         )
@@ -110,8 +92,8 @@ class TestMyopic:
 
 class TestRandom:
     def test_deterministic_under_seed(self, comm, tasks):
-        first = _phase(RandomScheduler(comm, seed=5), tasks)
-        scheduler = RandomScheduler(comm, seed=5)
+        first = _phase(RandomScheduler(comm), tasks)
+        scheduler = RandomScheduler(comm)
         scheduler.reset()
         second = _phase(scheduler, tasks)
         assert [e.task.task_id for e in first.schedule] == [
@@ -123,11 +105,11 @@ class TestRandom:
             make_task(i, processing_time=10.0, deadline=80.0, affinity=[0])
             for i in range(10)
         ]
-        result = _phase(RandomScheduler(comm, seed=1), tasks)
+        result = _phase(RandomScheduler(comm), tasks)
         result.validate(comm)
 
     def test_reset_restores_stream(self, comm, tasks):
-        scheduler = RandomScheduler(comm, seed=9)
+        scheduler = RandomScheduler(comm)
         first = _phase(scheduler, tasks)
         scheduler.reset()
         second = _phase(scheduler, tasks)
@@ -166,7 +148,6 @@ class TestCommonBehaviour:
             GlobalEDFScheduler,
             CandidateSortScheduler,
             PartitionedEDFScheduler,
-            lambda comm: PartitionedEDFScheduler(comm, packing="ff"),
         ],
     )
     def test_rejections_count_every_infeasible_charged_pair(self, comm, build):

@@ -1,7 +1,5 @@
 """Tests for vertex evaluators (cost functions and heuristics)."""
 
-import pytest
-
 from repro.core import (
     EarliestFinishEvaluator,
     FifoEvaluator,
@@ -9,7 +7,6 @@ from repro.core import (
     MinSlackEvaluator,
     PhaseContext,
     ZeroCommunicationModel,
-    get_evaluator,
     make_child,
     make_root,
     make_task,
@@ -91,21 +88,3 @@ class TestFifoEvaluator:
         root = make_root(ctx.initial_offsets)
         child = make_child(root, 0, 0, 10.0, 0.0)
         assert FifoEvaluator().evaluate(ctx, child) == 0.0
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("load_balancing", LoadBalancingEvaluator),
-            ("earliest_finish", EarliestFinishEvaluator),
-            ("min_slack", MinSlackEvaluator),
-            ("fifo", FifoEvaluator),
-        ],
-    )
-    def test_names(self, name, cls):
-        assert isinstance(get_evaluator(name), cls)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            get_evaluator("bogus")

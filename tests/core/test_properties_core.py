@@ -59,10 +59,7 @@ def workloads(draw):
 def expanders(draw):
     if draw(st.booleans()):
         return AssignmentOrientedExpander()
-    return SequenceOrientedExpander(
-        beam_width=draw(st.integers(min_value=1, max_value=8)),
-        start_processor=draw(st.integers(min_value=0, max_value=3)),
-    )
+    return SequenceOrientedExpander()
 
 
 class TestPhaseInvariants:

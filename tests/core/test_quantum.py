@@ -7,7 +7,6 @@ from repro.core import (
     LoadOnlyQuantum,
     SelfAdjustingQuantum,
     SlackOnlyQuantum,
-    get_quantum_policy,
     make_task,
     min_load,
     min_slack,
@@ -51,20 +50,10 @@ class TestSelfAdjustingQuantum:
         assert policy.quantum(batch, loads=[0.0, 0.0], now=0.0) == 90.0
 
     def test_min_quantum_floor(self):
-        policy = SelfAdjustingQuantum(min_quantum=5.0)
-        batch = [make_task(0, processing_time=10.0, deadline=11.0)]
-        assert policy.quantum(batch, loads=[0.0], now=0.0) == 5.0
-
-    def test_max_quantum_ceiling(self):
-        policy = SelfAdjustingQuantum(max_quantum=50.0)
-        batch = [make_task(0, processing_time=10.0, deadline=10_000.0)]
-        assert policy.quantum(batch, loads=[0.0], now=0.0) == 50.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SelfAdjustingQuantum(min_quantum=0.0)
-        with pytest.raises(ValueError):
-            SelfAdjustingQuantum(min_quantum=10.0, max_quantum=5.0)
+        policy = SelfAdjustingQuantum()
+        batch = [make_task(0, processing_time=10.0, deadline=10.5)]
+        assert policy.quantum(batch, loads=[0.0], now=0.0) == policy.min_quantum
+        assert policy.min_quantum == 1.0
 
 
 class TestAblationPolicies:
@@ -87,17 +76,3 @@ class TestAblationPolicies:
     def test_fixed_quantum_validation(self):
         with pytest.raises(ValueError):
             FixedQuantum(0.0)
-
-
-class TestFactory:
-    def test_names(self):
-        assert isinstance(
-            get_quantum_policy("self_adjusting"), SelfAdjustingQuantum
-        )
-        assert isinstance(get_quantum_policy("slack_only"), SlackOnlyQuantum)
-        assert isinstance(get_quantum_policy("load_only"), LoadOnlyQuantum)
-        assert isinstance(get_quantum_policy("fixed", value=5.0), FixedQuantum)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            get_quantum_policy("nope")

@@ -11,7 +11,6 @@ from repro.core import (
     UniformCommunicationModel,
     VirtualTimeBudget,
     ZeroCommunicationModel,
-    get_expander,
     make_root,
     make_task,
     run_search,
@@ -108,15 +107,14 @@ class TestAssignmentOrientedExpander:
             make_task(i, processing_time=60.0, deadline=100.0) for i in range(3)
         ]
         ctx = _ctx(tasks, m=2, quantum=50.0)
-        expansion = AssignmentOrientedExpander(max_task_probes=2).successors(
-            make_root(ctx.initial_offsets), ctx, _budget(), SearchStats()
+        # The budget runs out after the first probe (2 vertices), so the
+        # remaining tasks were never tried: no proof of maximality.
+        budget = VirtualTimeBudget(quantum=0.002, per_vertex_cost=0.001)
+        expansion = AssignmentOrientedExpander().successors(
+            make_root(ctx.initial_offsets), ctx, budget, SearchStats()
         )
         assert not expansion.successors
         assert not expansion.exhaustive
-
-    def test_max_task_probes_validation(self):
-        with pytest.raises(ValueError):
-            AssignmentOrientedExpander(max_task_probes=0)
 
 
 class TestSequenceOrientedExpander:
@@ -125,8 +123,8 @@ class TestSequenceOrientedExpander:
             make_task(i, processing_time=10.0, deadline=10_000.0)
             for i in range(3)
         ]
-        ctx = _ctx(tasks, m=2)
-        expansion = SequenceOrientedExpander(beam_width=3).successors(
+        ctx = _ctx(tasks, m=3)
+        expansion = SequenceOrientedExpander().successors(
             make_root(ctx.initial_offsets), ctx, _budget(), SearchStats()
         )
         assert len(expansion.successors) == 3
@@ -138,24 +136,6 @@ class TestSequenceOrientedExpander:
         assert expander.processor_at(0, 4) == 0
         assert expander.processor_at(1, 4) == 1
         assert expander.processor_at(4, 4) == 0
-
-    def test_start_processor_offset(self):
-        expander = SequenceOrientedExpander(start_processor=2)
-        assert expander.processor_at(0, 4) == 2
-        assert expander.processor_at(3, 4) == 1
-
-    def test_beam_limits_lookahead(self):
-        tasks = [
-            make_task(i, processing_time=10.0, deadline=10_000.0)
-            for i in range(10)
-        ]
-        ctx = _ctx(tasks, m=2)
-        budget = _budget()
-        expansion = SequenceOrientedExpander(beam_width=4).successors(
-            make_root(ctx.initial_offsets), ctx, budget, SearchStats()
-        )
-        assert len(expansion.successors) == 4
-        assert budget.used() == pytest.approx(4 * 0.001)
 
     def test_default_beam_is_processor_count(self):
         tasks = [
@@ -208,26 +188,3 @@ class TestSequenceOrientedExpander:
             ctx, AssignmentOrientedExpander(), VirtualTimeBudget(50.0, 0.001)
         )
         assert outcome.best.depth > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SequenceOrientedExpander(beam_width=0)
-        with pytest.raises(ValueError):
-            SequenceOrientedExpander(start_processor=-1)
-
-
-class TestGetExpander:
-    def test_factory_names(self):
-        assert isinstance(
-            get_expander("assignment"), AssignmentOrientedExpander
-        )
-        assert isinstance(get_expander("sequence"), SequenceOrientedExpander)
-
-    def test_factory_passes_options(self):
-        expander = get_expander("sequence", beam_width=7, start_processor=3)
-        assert expander.beam_width == 7
-        assert expander.start_processor == 3
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            get_expander("bogus")

@@ -28,10 +28,6 @@ class TestScheduleEntry:
         entry = _entry(0, 0, p=10.0, comm=5.0)
         assert entry.total_cost == 15.0
 
-    def test_scheduled_start(self):
-        entry = _entry(0, 0, p=10.0, comm=5.0, end=40.0)
-        assert entry.scheduled_start == 25.0
-
 
 class TestSchedule:
     def test_append_and_iterate(self):
@@ -56,32 +52,12 @@ class TestSchedule:
         schedule = Schedule([_entry(0, 0), _entry(1, 1), _entry(2, 1)])
         assert schedule.processors() == {0, 1}
 
-    def test_sequence_for_preserves_order(self):
-        first = _entry(0, 1, p=10.0, end=10.0)
-        second = _entry(1, 1, p=5.0, end=15.0)
-        schedule = Schedule([first, second])
-        assert [e.task.task_id for e in schedule.sequence_for(1)] == [0, 1]
-        assert schedule.sequence_for(9) == []
-
-    def test_load_per_processor(self):
-        schedule = Schedule([
-            _entry(0, 0, p=10.0),
-            _entry(1, 0, p=5.0, end=15.0),
-            _entry(2, 1, p=7.0),
-        ])
-        assert schedule.load_per_processor() == {0: 15.0, 1: 7.0}
-
     def test_makespan(self):
         schedule = Schedule([_entry(0, 0, end=10.0), _entry(1, 1, end=25.0)])
         assert schedule.makespan() == 25.0
 
     def test_makespan_empty(self):
         assert Schedule().makespan() == 0.0
-
-    def test_is_complete_for(self):
-        schedule = Schedule([_entry(0, 0), _entry(1, 1)])
-        assert schedule.is_complete_for([0, 1])
-        assert not schedule.is_complete_for([0, 1, 2])
 
 
 class TestScheduleValidate:

@@ -13,12 +13,7 @@ from repro.core import (
     make_task,
     run_search,
 )
-from repro.core.scheduler import (
-    DEFAULT_PHASE_OVERHEAD_FACTOR,
-    DEFAULT_QUANTUM_CAP_FACTOR,
-    phase_overhead,
-    useful_search_time,
-)
+from repro.core.scheduler import Scheduler, phase_overhead, useful_search_time
 
 
 class TestBudgetHelpers:
@@ -41,8 +36,8 @@ class TestBudgetHelpers:
         assert phase_overhead(50, 10, 0.02, 0.0) == 0.0
 
     def test_defaults_positive(self):
-        assert DEFAULT_QUANTUM_CAP_FACTOR > 0
-        assert DEFAULT_PHASE_OVERHEAD_FACTOR >= 0
+        assert Scheduler.QUANTUM_CAP_FACTOR > 0
+        assert Scheduler.PHASE_OVERHEAD_FACTOR >= 0
 
 
 class TestBoundedCandidateListSearch:
@@ -89,7 +84,8 @@ class TestBoundedCandidateListSearch:
 
     def test_scheduler_level_cl_bound(self):
         comm = UniformCommunicationModel(10.0)
-        scheduler = RTSADS(comm, max_candidates=4)
+        scheduler = RTSADS(comm)
+        scheduler.max_candidates = 4  # as the A5 memory ablation sets it
         tasks = [
             make_task(i, processing_time=10.0, deadline=5_000.0)
             for i in range(20)

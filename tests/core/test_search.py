@@ -249,20 +249,6 @@ class TestRunSearch:
         assert outcome.best.depth == 0
         assert len(outcome.extract_schedule(ctx)) == 0
 
-    def test_max_iterations_cap(self):
-        tasks = [
-            make_task(i, processing_time=10.0, deadline=10_000.0)
-            for i in range(10)
-        ]
-        ctx = _ctx(tasks, m=2)
-        outcome = run_search(
-            ctx,
-            AssignmentOrientedExpander(),
-            VirtualTimeBudget(1000.0, 0.001),
-            max_iterations=3,
-        )
-        assert outcome.best.depth <= 3
-
     def test_stats_processors_touched(self):
         tasks = [
             make_task(i, processing_time=10.0, deadline=10_000.0)

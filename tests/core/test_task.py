@@ -142,26 +142,6 @@ class TestTaskSet:
         ordered = TaskSet(tasks).by_deadline()
         assert [t.task_id for t in ordered] == [2, 5]
 
-    def test_by_arrival(self):
-        tasks = [
-            make_task(0, processing_time=1.0, deadline=30.0, arrival_time=5.0),
-            make_task(1, processing_time=1.0, deadline=30.0, arrival_time=2.0),
-        ]
-        ordered = TaskSet(tasks).by_arrival()
-        assert [t.task_id for t in ordered] == [1, 0]
-
-    def test_total_processing_time(self, simple_tasks):
-        assert TaskSet(simple_tasks).total_processing_time() == 50.0
-
-    def test_arrived_by(self):
-        tasks = [
-            make_task(0, processing_time=1.0, deadline=30.0, arrival_time=0.0),
-            make_task(1, processing_time=1.0, deadline=30.0, arrival_time=9.0),
-        ]
-        task_set = TaskSet(tasks)
-        assert [t.task_id for t in task_set.arrived_by(5.0)] == [0]
-        assert len(task_set.arrived_by(9.0)) == 2
-
     def test_min_laxity(self):
         tasks = [
             make_task(0, processing_time=10.0, deadline=100.0),  # laxity 10

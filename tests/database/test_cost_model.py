@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.database import (
+    CHECK_COST,
     GlobalIndex,
     Schema,
     Transaction,
@@ -22,7 +23,7 @@ def setup():
     ]
     index = GlobalIndex.build(schema, subdbs)
     model = TransactionCostModel(
-        schema=schema, index=index, records_per_subdb=40, check_cost=2.0
+        schema=schema, index=index, records_per_subdb=40
     )
     return schema, subdbs, index, model
 
@@ -47,14 +48,14 @@ class TestEstimate:
         assert estimate.used_index
         frequency = index.frequency(txn.key_value(schema))
         assert estimate.tuples_to_check == max(1, frequency)
-        assert estimate.cost == 2.0 * estimate.tuples_to_check
+        assert estimate.cost == CHECK_COST * estimate.tuples_to_check
 
     def test_scan_transaction_costs_full_partition(self, setup):
         schema, _, _, model = setup
         estimate = model.estimate(_scan_txn(schema, 1))
         assert not estimate.used_index
         assert estimate.tuples_to_check == 40  # r/d
-        assert estimate.cost == 80.0
+        assert estimate.cost == 40.0
         assert estimate.target_subdb == 1
 
     def test_absent_key_still_costs_one_probe(self, setup):
@@ -71,7 +72,7 @@ class TestEstimate:
         txn = Transaction(txn_id=0, predicates={0: absent[0]})
         estimate = model.estimate(txn)
         assert estimate.tuples_to_check == 1
-        assert estimate.cost == 2.0
+        assert estimate.cost == 1.0
 
     def test_estimates_are_positive(self, setup):
         """Tasks require p > 0; the estimator must never emit zero."""
@@ -84,7 +85,3 @@ class TestEstimate:
         schema, _, index, _ = setup
         with pytest.raises(ValueError):
             TransactionCostModel(schema, index, records_per_subdb=0)
-        with pytest.raises(ValueError):
-            TransactionCostModel(
-                schema, index, records_per_subdb=10, check_cost=0.0
-            )

@@ -35,7 +35,11 @@ class TestBuild:
         assert config.total_records == 200
 
     def test_placement_respects_rate(self, database):
-        copies = database.placement.copies_per_subdatabase()
+        placement = database.placement
+        copies = [
+            len(placement.processors_holding(subdb))
+            for subdb in range(placement.num_subdatabases)
+        ]
         assert all(c == 2 for c in copies)  # 0.5 * 4 processors
 
     def test_deterministic_build(self):

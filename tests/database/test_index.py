@@ -73,7 +73,3 @@ class TestAdd:
         index = GlobalIndex(schema)
         with pytest.raises(ValueError):
             index.add(schema.key_domain(0).low, subdb=0, frequency=0)
-
-    def test_subdb_of_decodes_unindexed_keys(self, schema):
-        index = GlobalIndex(schema)
-        assert index.subdb_of(schema.key_domain(2).low) == 2

@@ -67,16 +67,6 @@ class TestRelease:
         with pytest.raises(LockError):
             lm.release(1, owner=10)
 
-    def test_release_all(self):
-        lm = LockManager()
-        lm.acquire(1, owner=10, mode=LockMode.EXCLUSIVE)
-        lm.acquire(2, owner=10, mode=LockMode.SHARED)
-        lm.acquire(1, owner=11, mode=LockMode.SHARED)
-        granted = lm.release_all(owner=10)
-        assert (1, 11, LockMode.SHARED) in granted
-        assert lm.holds(1, 10) is None
-        assert lm.holds(2, 10) is None
-
     def test_empty_resources_garbage_collected(self):
         lm = LockManager()
         lm.acquire(1, owner=10, mode=LockMode.SHARED)

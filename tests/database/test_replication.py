@@ -4,26 +4,8 @@ import random
 
 import pytest
 
-from repro.database import place_replicas, replicas_for_rate
+from repro.database import place_replicas
 from repro.database.replication import replica_counts_for_rate
-
-
-class TestReplicasForRate:
-    def test_full_replication(self):
-        assert replicas_for_rate(1.0, 10) == 10
-
-    def test_minimum_one_copy(self):
-        assert replicas_for_rate(0.01, 10) == 1
-
-    def test_rounding(self):
-        assert replicas_for_rate(0.3, 10) == 3
-        assert replicas_for_rate(0.25, 10) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            replicas_for_rate(0.0, 10)
-        with pytest.raises(ValueError):
-            replicas_for_rate(1.5, 10)
 
 
 class TestReplicaCountsForRate:
@@ -51,7 +33,8 @@ class TestPlacement:
 
     def test_replica_count_matches_rate(self):
         placement = place_replicas(10, 10, 0.5, rng=random.Random(0))
-        assert placement.copies_per_subdatabase() == [5] * 10
+        copies = [len(placement.processors_holding(s)) for s in range(10)]
+        assert copies == [5] * 10
 
     def test_full_replication_everywhere(self):
         placement = place_replicas(6, 4, 1.0, rng=random.Random(0))
@@ -59,8 +42,10 @@ class TestPlacement:
             assert placement.processors_holding(subdb) == frozenset(range(4))
 
     def test_effective_affinity_degree(self):
+        """The mean fraction of processors holding a sub-database is R."""
         placement = place_replicas(10, 10, 0.5, rng=random.Random(0))
-        assert placement.effective_affinity_degree() == pytest.approx(0.5)
+        held = sum(len(placement.processors_holding(s)) for s in range(10))
+        assert held / (10 * 10) == pytest.approx(0.5)
 
     def test_contents_of_inverts_placement(self):
         placement = place_replicas(8, 4, 0.4, rng=random.Random(3))

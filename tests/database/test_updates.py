@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.database import (
+    CHECK_COST,
     DatabaseConfig,
     DistributedDatabase,
     GlobalIndex,
@@ -169,7 +170,7 @@ class TestExecuteUpdate:
         other = database.schema.domain_for(0, 1)
         txn = UpdateTransaction(0, {0: key}, updates={1: other.low})
         outcome = executor.execute_update(txn)
-        expected = database.config.check_cost * (
+        expected = CHECK_COST * (
             outcome.tuples_checked + WRITE_COST_FACTOR * outcome.rows_changed
         )
         assert outcome.cost == pytest.approx(expected)

@@ -120,14 +120,13 @@ def test_sequence_phase_trace_identical(seed: int, num_processors: int) -> None:
     loads = [rng.uniform(0.0, 25.0) for _ in range(num_processors)]
     quantum = rng.uniform(10.0, 60.0)
     comm = UniformCommunicationModel(remote_cost=rng.uniform(5.0, 40.0))
-    start = rng.randrange(num_processors)
     opt, ref, opt_log, ref_log = _run_pair(
         tasks,
         loads,
         quantum,
         comm,
-        SequenceOrientedExpander(start_processor=start),
-        reference.ReferenceSequenceOrientedExpander(start_processor=start),
+        SequenceOrientedExpander(),
+        reference.ReferenceSequenceOrientedExpander(),
         LoadBalancingEvaluator(),
         reference.ReferenceLoadBalancingEvaluator(),
     )

@@ -26,7 +26,6 @@ from repro.core.rtsads import RTSADS
 from repro.core.search import CandidateList, make_root
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_workload
-from repro.metrics.compliance import compliance_report
 from repro.simulator.runtime import simulate
 
 
@@ -103,8 +102,7 @@ def test_no_guaranteed_task_misses_deadline(scheduler_name: str, seed: int) -> N
         workload=list(tasks),
         num_workers=config.num_processors,
     )
-    report = compliance_report(result.trace)
-    assert report.scheduled_but_missed == 0, (
+    assert not result.trace.scheduled_but_missed(), (
         f"{scheduler_name} guaranteed a task past its deadline "
         f"(m={config.num_processors}, R={config.replication_rate})"
     )

@@ -63,25 +63,3 @@ def test_matrix_cell_is_bit_identical(
         f"{scheduler_name} diverged from the reference at "
         f"m={num_processors}, R={replication}"
     )
-
-
-@pytest.mark.parametrize("scheduler_name", ["rtsads", "dcols"])
-def test_rotating_and_probe_limited_variants(scheduler_name: str) -> None:
-    """Non-default expander knobs stay identical too."""
-    comm = _comm()
-    pvc = _QUICK.per_vertex_cost
-    if scheduler_name == "rtsads":
-        optimized = RTSADS(comm=comm, per_vertex_cost=pvc, max_task_probes=3)
-        reference = reference_rtsads(
-            comm=comm, per_vertex_cost=pvc, max_task_probes=3
-        )
-    else:
-        optimized = DCOLS(
-            comm=comm, per_vertex_cost=pvc, beam_width=4, rotate_start=True
-        )
-        reference = reference_dcols(
-            comm=comm, per_vertex_cost=pvc, beam_width=4, rotate_start=True
-        )
-    got = simulation_fingerprint(run_matrix_cell(optimized, 6, 0.3, SEED))
-    want = simulation_fingerprint(run_matrix_cell(reference, 6, 0.3, SEED))
-    assert got == want

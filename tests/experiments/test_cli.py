@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.cli import (
     _parse_domains,
     build_parser,
+    cluster_config_from_args,
     config_from_args,
     main,
     shard_config_from_args,
@@ -74,7 +75,7 @@ class TestShardingFlags:
 
     def test_domain_list_reserved_for_shard_curve(self):
         args = build_parser().parse_args(["fig5", "--domains", "1,2,4"])
-        with pytest.raises(SystemExit, match="shard-curve"):
+        with pytest.raises(ValueError, match="shard-curve"):
             config_from_args(args)
 
     def test_domain_list_accepted_for_shard_curve(self):
@@ -83,7 +84,7 @@ class TestShardingFlags:
         )
         # The list is a sweep axis, not a config override.
         assert config_from_args(args).domains == 1
-        assert _parse_domains(args.domains) == (1, 2, 4)
+        assert args.domains == (1, 2, 4)
 
     @pytest.mark.parametrize("bad", ["", "0", "two", "1,,2", "-1", "1,0"])
     def test_malformed_domain_specs_rejected(self, bad):
@@ -316,25 +317,118 @@ class TestServiceParsers:
         ],
     )
     def test_bad_name_exits_2_with_the_choice_list(self, argv, names, capsys):
-        from repro.experiments import service_cli
+        from repro.experiments import cli
 
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'nope'" in err
-        for name in getattr(service_cli, names):
+        for name in getattr(cli, names):
             assert repr(name) in err
 
     def test_live_knobs_map_given_flags_only(self):
-        from repro.experiments.cli import live_knobs_from_args
+        from repro.experiments.cli import LIVE_KNOB_FLAGS, given
         from repro.experiments.service_cli import build_serve_parser
 
         cluster = build_parser().parse_args(
             ["cluster", "--kill-worker", "1@0.5", "--heartbeat", "0.1"]
         )
-        knobs = live_knobs_from_args(cluster)
+        knobs = given(cluster, LIVE_KNOB_FLAGS)
         assert sorted(knobs) == ["failure", "heartbeat_interval"]
         assert knobs["heartbeat_interval"] == 0.1
         serve = build_serve_parser().parse_args(["--time-scale", "0.002"])
-        assert live_knobs_from_args(serve) == {"seconds_per_unit": 0.002}
+        assert given(serve, LIVE_KNOB_FLAGS) == {"seconds_per_unit": 0.002}
+
+
+class TestUsageErrors:
+    """A malformed flag value is exit status 2 and one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            (["fig5", "--domains", "abc"], "--domains"),
+            (["fig5", "--domains", "0"], "--domains"),
+            (["fig5", "--domains", "20"], "cannot split 10 processors"),
+            (["fig5", "--domains", "1,2"], "only with shard-curve"),
+            (["fig5", "--runs", "0"], "--runs"),
+            (["fig5", "--jobs", "0"], "--jobs"),
+            (["fig5", "--replication", "1.5"], "--replication"),
+            (["cluster", "--kill-worker", "abc"], "--kill-worker"),
+            (["cluster", "--kill-worker", "9@0.5"], "failure targets worker 9"),
+            (["cluster", "--time-scale", "0"], "--time-scale"),
+            (["serve", "--join", "abc"], "--join"),
+            (["serve", "--port", "70000"], "--port"),
+            (["serve", "--kill-worker", "5@1"], "failure targets worker 5"),
+            (["load", "--port", "1", "--clients", "0"], "--clients"),
+            (["load", "--clients", "2"], "required: --port"),
+            (["trace", "timeline", "t.jsonl", "--width", "8"], "--width"),
+        ],
+    )
+    def test_exit_2_one_line_no_traceback(self, argv, complaint, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert complaint in err
+        assert "Traceback" not in err
+        # argparse's shape: the usage synopsis, then one "error:" line.
+        assert err.rstrip().splitlines()[-1].count("error: ") == 1
+
+
+class TestClusterAliases:
+    """--workers / --tasks are spellings of --processors / --transactions."""
+
+    def test_aliases_share_one_dest(self):
+        args = build_parser().parse_args(
+            ["cluster", "--workers", "3", "--tasks", "40"]
+        )
+        assert (args.processors, args.transactions) == (3, 40)
+        config = cluster_config_from_args(args)
+        assert (config.num_processors, config.num_transactions) == (3, 40)
+
+    def test_the_last_spelling_wins(self):
+        args = build_parser().parse_args(
+            ["cluster", "--workers", "4", "--processors", "8"]
+        )
+        assert cluster_config_from_args(args).num_processors == 8
+        args = build_parser().parse_args(
+            ["cluster", "--processors", "8", "--workers", "4"]
+        )
+        assert cluster_config_from_args(args).num_processors == 4
+
+    def test_presets_apply_where_the_flag_is_absent(self):
+        config = cluster_config_from_args(
+            build_parser().parse_args(["cluster"])
+        )
+        assert config.backend == "cluster"
+        assert config.num_processors == 4
+        assert config.num_transactions == 200
+        assert config.slack_factor == 3.0
+        assert (config.runs, config.base_seed) == (1, 1)
+        flagged = cluster_config_from_args(
+            build_parser().parse_args(
+                ["cluster", "--seed", "9", "--slack-factor", "1.5"]
+            )
+        )
+        assert (flagged.base_seed, flagged.slack_factor) == (9, 1.5)
+        assert flagged.num_processors == 4
+
+
+class TestServicePresets:
+    def test_serve_and_load_rebuild_the_same_template_universe(self):
+        from repro.experiments.service_cli import (
+            build_load_parser,
+            build_serve_parser,
+            experiment_from_args,
+        )
+
+        flags = ["--workers", "3", "--seed", "5"]
+        serve = experiment_from_args(build_serve_parser().parse_args(flags))
+        load = experiment_from_args(
+            build_load_parser().parse_args(["--port", "1", *flags])
+        )
+        assert serve == load
+        assert serve.backend == "service" and serve.runs == 1
+        assert (serve.num_processors, serve.base_seed) == (3, 5)
+        assert (serve.num_transactions, serve.slack_factor) == (100, 3.0)

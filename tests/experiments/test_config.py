@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.experiments import (
     SLACK_FACTOR_SWEEP,
     ExperimentConfig,
 )
+from repro.metrics.stats import SIGNIFICANCE_LEVEL
 
 
 class TestScales:
@@ -21,8 +23,7 @@ class TestScales:
         assert config.records_per_subdb == 1000
         assert config.num_attributes == 10
         assert config.runs == 10
-        assert config.confidence == 0.99
-        assert config.significance_level == 0.01
+        assert SIGNIFICANCE_LEVEL == 0.01  # 99 % confidence
 
     def test_quick_preserves_frequency_invariant(self):
         """Mean key frequency (records / domain) stays at the paper's 10."""
@@ -140,7 +141,7 @@ class TestServiceFields:
 
     def test_with_helpers(self):
         config = ExperimentConfig()
-        assert config.with_arrival("pareto").arrival == "pareto"
+        assert replace(config, arrival="pareto").arrival == "pareto"
         assert config.with_offered_load(1.6).offered_load == 1.6
         assert (
             config.with_admission_policy("least-slack").admission_policy
@@ -176,5 +177,5 @@ class TestServiceFields:
             base.with_admission_policy("least-slack")
         )
         assert config_digest(base) != config_digest(
-            base.with_arrival("diurnal")
+            replace(base, arrival="diurnal")
         )

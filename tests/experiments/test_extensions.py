@@ -1,5 +1,7 @@
 """Tests for the extension experiments."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
@@ -40,7 +42,7 @@ class TestLoadSweep:
 
     def test_compliance_degrades_with_load(self):
         result = extension_load_sweep(
-            TINY, load_factors=(0.3, 2.0), schedulers=("rtsads",)
+            replace(TINY, scheduler="rtsads"), load_factors=(0.3, 2.0)
         )
         light, heavy = result.rows[0][1], result.rows[1][1]
         assert light > heavy
@@ -56,8 +58,9 @@ class TestInterconnect:
         assert "Interconnect" in result.render()
 
     def test_custom_scheduler_list(self):
-        result = ablation_interconnect(TINY, scheduler_names=("greedy_edf",))
+        result = ablation_interconnect(replace(TINY, scheduler="greedy_edf"))
         assert len(result.rows[0]) == 2
+        assert result.headers[1].startswith("Greedy-EDF")
 
 
 class TestWriteMix:
@@ -68,16 +71,16 @@ class TestWriteMix:
 
     def test_pure_read_mix_matches_paper_setup(self):
         result = extension_write_mix(
-            TINY, write_fractions=(0.0,), schedulers=("rtsads",)
+            replace(TINY, scheduler="rtsads"), write_fractions=(0.0,)
         )
         assert 0.0 <= result.rows[0][1] <= 100.0
 
     def test_theorem_holds_with_writes(self):
         from repro.core import RTSADS, UniformCommunicationModel
-        from repro.experiments.extensions import _build_database_workload
+        from repro.workload.transactions import build_seeded_workload
         from repro.simulator import simulate
 
-        _, tasks, txns = _build_database_workload(
+        _, tasks, txns = build_seeded_workload(
             TINY, TINY.base_seed, write_fraction=0.5
         )
         assert any(t.is_write for t in txns)
@@ -99,7 +102,7 @@ class TestFailures:
 
     def test_compliance_monotone_in_failures(self):
         result = extension_failures(
-            TINY, failure_counts=(0, 2), schedulers=("rtsads",)
+            replace(TINY, scheduler="rtsads"), failure_counts=(0, 2)
         )
         assert result.rows[0][1] >= result.rows[1][1] - 1.0
 
@@ -120,7 +123,7 @@ class TestFailureAccounting:
     @pytest.mark.parametrize("seed", [1, 7, 23, 101, 2024])
     def test_no_double_counting_across_seeds(self, seed):
         from repro.core import RTSADS, UniformCommunicationModel
-        from repro.experiments.extensions import _build_database_workload
+        from repro.workload.transactions import build_seeded_workload
         from repro.simulator import (
             STATUS_COMPLETED,
             STATUS_EXPIRED,
@@ -128,7 +131,7 @@ class TestFailureAccounting:
             simulate,
         )
 
-        _, tasks, _ = _build_database_workload(TINY, seed)
+        _, tasks, _ = build_seeded_workload(TINY, seed)
         horizon = 10.0 * TINY.slack_factor * TINY.scan_cost
         comm = UniformCommunicationModel(TINY.remote_cost)
         result = simulate(
@@ -175,10 +178,10 @@ class TestFailureAccounting:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_failed_tasks_only_come_from_crashed_processors(self, seed):
         from repro.core import RTSADS, UniformCommunicationModel
-        from repro.experiments.extensions import _build_database_workload
+        from repro.workload.transactions import build_seeded_workload
         from repro.simulator import simulate
 
-        _, tasks, _ = _build_database_workload(TINY, seed)
+        _, tasks, _ = build_seeded_workload(TINY, seed)
         horizon = 10.0 * TINY.slack_factor * TINY.scan_cost
         comm = UniformCommunicationModel(TINY.remote_cost)
         result = simulate(

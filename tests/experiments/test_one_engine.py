@@ -89,14 +89,14 @@ def test_in_the_parent_without_a_cache(stem, tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("stem", FIGURES)
 def test_in_a_spawn_pool(stem, tmp_path):
-    config = TINY.with_execution(jobs=2)
+    config = replace(TINY, jobs=2)
     assert _document(stem, config, tmp_path) == _golden(stem)
 
 
 @pytest.mark.parametrize("stem", FIGURES)
 def test_cold_cache_then_warm_cache(stem, tmp_path):
     cache_dir = tmp_path / "cache"
-    config = TINY.with_execution(cache_dir=str(cache_dir))
+    config = replace(TINY, cache_dir=str(cache_dir))
     assert _document(stem, config, tmp_path) == _golden(stem)
     written = _cache_files(cache_dir)
     stamps = [path.stat().st_mtime_ns for path in written]
@@ -114,7 +114,7 @@ class TestOverrideSpecs:
     """A spec carrying an ablation override runs in the parent, uncached."""
 
     def test_writes_no_cache_file(self, tmp_path):
-        config = TINY.with_execution(cache_dir=str(tmp_path))
+        config = replace(TINY, cache_dir=str(tmp_path))
         outcome = run_grid(
             [(config, "rtsads", None, FixedQuantum(5.0)), (config, "rtsads")]
         )
@@ -134,7 +134,7 @@ class TestOverrideSpecs:
             raise AssertionError("an override spec must not be pooled")
 
         monkeypatch.setattr(sweep.multiprocessing, "get_context", no_pool)
-        config = TINY.with_execution(jobs=4)
+        config = replace(TINY, jobs=4)
         pooled = run_cell(config, "rtsads", quantum_policy=FixedQuantum(5.0))
         here = run_cell(TINY, "rtsads", quantum_policy=FixedQuantum(5.0))
         assert pooled.scheduling_times == here.scheduling_times

@@ -8,7 +8,7 @@ The suite covers the three contracts the engine exists for:
   pinned in ``test_one_engine.py``);
 * cache identity — a change to any field a run reads invalidates cached
   cells, while execution knobs (jobs, cache_dir) and the statistics block
-  (runs, base_seed, confidence, significance_level) never do;
+  (runs, base_seed) never do;
 * resilience — torn or schema-mismatched cache files count as misses,
   never as errors.
 """
@@ -74,8 +74,6 @@ class TestConfigDigest:
         unread = {
             "runs": 3,
             "base_seed": 1999,
-            "confidence": 0.95,
-            "significance_level": 0.05,
             "jobs": 8,
             "cache_dir": "elsewhere",
         }
@@ -115,7 +113,7 @@ class TestConfigDigest:
 
     def test_execution_fields_never_change_the_digest(self):
         base = tiny_config()
-        tweaked = base.with_execution(jobs=8, cache_dir="elsewhere")
+        tweaked = dataclasses.replace(base, jobs=8, cache_dir="elsewhere")
         assert config_digest(tweaked) == config_digest(base)
 
 
@@ -227,15 +225,15 @@ class TestRunGrid:
         assert resumed.stats.cached == 2
 
     def test_a_longer_sweep_reuses_the_seeds_already_cached(self, tmp_path):
-        """--runs 2, then --runs 3 at another confidence: one new seed per
-        spec, because the cache keys on what a run reads."""
+        """--runs 2, then --runs 3: one new seed per spec, because the
+        cache keys on what a run reads."""
 
         def specs(config):
             return [(config, "rtsads"), (config, "dcols")]
 
         short = tiny_config(runs=2)
         run_grid(specs(short), jobs=1, cache_dir=str(tmp_path))
-        longer = dataclasses.replace(short, runs=3, confidence=0.95)
+        longer = dataclasses.replace(short, runs=3)
         warm = run_grid(specs(longer), jobs=1, cache_dir=str(tmp_path))
         assert warm.stats.cached == 2 * len(specs(longer))
         assert warm.stats.executed == 1 * len(specs(longer))
@@ -492,11 +490,3 @@ class TestConfigExecutionFields:
             ExperimentConfig.quick(jobs=0)
         with pytest.raises(TypeError):
             ExperimentConfig.quick(resume=True)  # not a field: see --resume
-
-    def test_with_execution_keeps_other_fields(self):
-        base = ExperimentConfig.quick()
-        tuned = base.with_execution(jobs=4, cache_dir="cache")
-        assert tuned.jobs == 4
-        assert tuned.cache_dir == "cache"
-        assert tuned.num_transactions == base.num_transactions
-        assert base.jobs == 1  # original unchanged

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -65,11 +65,12 @@ class TestKey:
         assert len(TINY.workload_key()) == len(WORKLOAD_FIELDS)
 
     def test_where_a_workload_runs_is_not_in_the_key(self):
-        elsewhere = (
-            TINY.with_domains(2)
-            .with_partition_policy("worst-fit")
-            .with_scheduler("edf")
-            .with_backend("sharded")
+        elsewhere = replace(
+            TINY,
+            domains=2,
+            partition_policy="worst-fit",
+            scheduler="edf",
+            backend="sharded",
         )
         assert elsewhere.workload_key() == TINY.workload_key()
         assert workload_tasks(elsewhere, 3) is workload_tasks(TINY, 3)

@@ -1,8 +1,7 @@
 """Golden-fixture regression tests for canonical schedules.
 
-Small canonical cells are checked in as JSON under ``tests/fixtures/golden/``
-(serialized with :mod:`repro.metrics.export`); re-running the same seeds must
-reproduce them *exactly* — floats are stored as ``repr`` strings, so a single
+Small canonical cells are checked in as JSON under ``tests/fixtures/golden/``;
+re-running the same seeds must reproduce them *exactly* — floats are stored as ``repr`` strings, so a single
 ULP of drift anywhere in the scheduler fails the diff.  Future performance
 PRs diff against these instead of eyeballing schedules.
 
@@ -23,7 +22,6 @@ import pytest
 from repro.core.registry import SCHEDULER_NAMES
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_once
-from repro.metrics.export import table_to_json, write_text
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 
@@ -51,6 +49,15 @@ PHASE_HEADERS = [
     "index", "start", "quantum", "time_used", "batch_size", "scheduled",
     "dead_end", "complete", "max_depth", "vertices_generated",
 ]
+
+
+def _table(headers, rows, title: str) -> dict:
+    """The fixtures' table shape: one object per row, keyed by header."""
+    return {
+        "title": title,
+        "headers": list(headers),
+        "rows": [dict(zip(headers, row)) for row in rows],
+    }
 
 
 def _golden_name(scheduler: str, m: int, replication: float, seed: int) -> str:
@@ -92,12 +99,6 @@ def _golden_document(scheduler: str, m: int, replication: float, seed: int) -> s
         ]
         for phase in result.phases
     ]
-    records_json = json.loads(
-        table_to_json(RECORD_HEADERS, record_rows, title="task records")
-    )
-    phases_json = json.loads(
-        table_to_json(PHASE_HEADERS, phase_rows, title="phases")
-    )
     document = {
         "cell": {
             "scheduler": scheduler,
@@ -107,8 +108,8 @@ def _golden_document(scheduler: str, m: int, replication: float, seed: int) -> s
             "transactions": 40,
         },
         "makespan": repr(result.makespan),
-        "records": records_json,
-        "phases": phases_json,
+        "records": _table(RECORD_HEADERS, record_rows, "task records"),
+        "phases": _table(PHASE_HEADERS, phase_rows, "phases"),
     }
     return json.dumps(document, indent=2, sort_keys=True)
 
@@ -120,7 +121,7 @@ def test_golden_schedule_reproduced_exactly(
     path = GOLDEN_DIR / _golden_name(scheduler, m, replication, seed)
     regenerated = _golden_document(scheduler, m, replication, seed)
     if os.environ.get("REPRO_REGEN_GOLDENS"):
-        write_text(path, regenerated)
+        path.write_text(regenerated + "\n")
         pytest.skip(f"regenerated {path.name}")
     assert path.exists(), (
         f"golden fixture {path} missing; regenerate with REPRO_REGEN_GOLDENS=1"

@@ -1,15 +1,7 @@
 """Tests for deadline-compliance metrics."""
 
-import pytest
-
 from repro.core import make_task
-from repro.metrics import (
-    compliance_report,
-    hit_ratio_by_tag,
-    is_monotone_nondecreasing,
-    processor_balance,
-    scalability_gain,
-)
+from repro.metrics import hit_ratio_by_tag
 from repro.simulator import STATUS_COMPLETED, STATUS_EXPIRED, SimulationTrace
 
 
@@ -34,42 +26,8 @@ def _trace():
     return trace
 
 
-class TestComplianceReport:
-    def test_counts(self):
-        report = compliance_report(_trace())
-        assert report.total_tasks == 4
-        assert report.deadline_hits == 2
-        assert report.completed == 3
-        assert report.completed_late == 1
-        assert report.expired == 1
-        assert report.scheduled_but_missed == 1
-
-    def test_ratios(self):
-        report = compliance_report(_trace())
-        assert report.hit_ratio == 0.5
-        assert report.hit_percent == 50.0
-
-    def test_empty_trace(self):
-        report = compliance_report(SimulationTrace())
-        assert report.hit_ratio == 0.0
-
-
 class TestBreakdowns:
     def test_hit_ratio_by_tag(self):
         ratios = hit_ratio_by_tag(_trace())
         assert ratios["indexed"] == 0.5
         assert ratios["scan"] == 0.5
-
-    def test_processor_balance(self):
-        assert processor_balance(_trace(), num_processors=3) == [2, 1, 0]
-
-
-class TestScalability:
-    def test_gain(self):
-        assert scalability_gain([20.0, 40.0, 70.0]) == 50.0
-        assert scalability_gain([70.0]) == 0.0
-
-    def test_monotone_check(self):
-        assert is_monotone_nondecreasing([1.0, 2.0, 2.0, 3.0])
-        assert not is_monotone_nondecreasing([1.0, 3.0, 2.0])
-        assert is_monotone_nondecreasing([1.0, 3.0, 2.5], tolerance=0.5)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability import (
     DEBUG,
-    ERROR,
     INFO,
     OFF,
     WARNING,
@@ -86,8 +85,3 @@ class TestBinding:
         output = stream.getvalue()
         assert "hidden" not in output
         assert "now visible" in output
-
-    def test_is_enabled_for(self):
-        logger, _ = make_logger(level="info")
-        assert logger.is_enabled_for(ERROR)
-        assert not logger.is_enabled_for(DEBUG)

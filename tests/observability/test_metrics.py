@@ -43,8 +43,7 @@ class TestGauge:
         gauge = MetricsRegistry().gauge("queue_depth")
         gauge.set(5)
         gauge.inc(2)
-        gauge.dec()
-        assert gauge.value == 6.0
+        assert gauge.value == 7.0
 
 
 class TestHistogram:

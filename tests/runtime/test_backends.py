@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ExperimentConfig, run_once
@@ -81,7 +83,7 @@ class TestRunnerDispatch:
     def test_run_once_follows_config_backend(self):
         backend = RecordingBackend()
         register_backend(backend.name, lambda: backend)
-        config = ExperimentConfig.quick(runs=1).with_backend(backend.name)
+        config = ExperimentConfig.quick(runs=1, backend=backend.name)
         report = run_once(config, "rtsads", 7)
         assert backend.calls == [(config, "rtsads", 7)]
         assert report.backend == backend.name
@@ -146,7 +148,7 @@ class TestBackendFacts:
         monkeypatch.setattr(sweep.multiprocessing, "get_context", no_pool)
         backend = SocketBackend()
         register_backend(backend.name, lambda: backend)
-        config = ExperimentConfig.quick(runs=2).with_backend(backend.name)
+        config = ExperimentConfig.quick(runs=2, backend=backend.name)
         outcome = run_grid(
             [(config, "rtsads")], jobs=4, port_pool=PortPool((5001,))
         )
@@ -170,7 +172,7 @@ class TestExperimentConfigBackend:
     def test_default_and_override(self):
         config = ExperimentConfig.quick()
         assert config.backend == "sim"
-        assert config.with_backend("cluster").backend == "cluster"
+        assert replace(config, backend="cluster").backend == "cluster"
 
     def test_empty_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -211,18 +213,23 @@ class TestServiceBackendContract:
         from repro.runtime.service import ServiceBackend
 
         backend = ServiceBackend(
-            drain_grace_seconds=2.0, submissions=8, seconds_per_unit=0.01
+            heartbeat_interval=0.1, seconds_per_unit=0.01
         )
         pinned = backend.with_port(4242)
         assert pinned is not backend
-        assert pinned._cluster_overrides["port"] == 4242
-        assert pinned._cluster_overrides["seconds_per_unit"] == 0.01
-        assert pinned._service_overrides["drain_grace_seconds"] == 2.0
-        assert pinned._load_overrides["submissions"] == 8
-        assert "port" not in backend._cluster_overrides
+        assert type(pinned) is ServiceBackend
+        assert pinned.cluster_overrides == {
+            "heartbeat_interval": 0.1,
+            "seconds_per_unit": 0.01,
+            "port": 4242,
+        }
+        assert "port" not in backend.cluster_overrides
 
     def test_unknown_override_rejected(self):
+        """``ClusterConfig`` refuses it before any process is spawned."""
         from repro.runtime.service import ServiceBackend
 
-        with pytest.raises(TypeError):
-            ServiceBackend(bogus_knob=1)
+        with pytest.raises(TypeError, match="bogus_knob"):
+            ServiceBackend(bogus_knob=1).run_once(
+                ExperimentConfig.quick(runs=1), "rtsads", 1
+            )

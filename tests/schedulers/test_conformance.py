@@ -21,6 +21,8 @@ conformance-tested by construction.  The battery:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.schedulability import FEASIBLE, analyze_tasks
@@ -176,7 +178,7 @@ def _assert_cluster_agrees(scheduler_name: str) -> None:
     seed = config.base_seed
     sim = run_once(config, scheduler_name, seed)
     live = run_once(
-        config.with_backend("cluster"), scheduler_name, seed
+        replace(config, backend="cluster"), scheduler_name, seed
     )
     assert live.backend == "cluster"
     assert live.total_tasks == sim.total_tasks

@@ -42,11 +42,3 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             ServiceConfig(max_service_seconds=-1.0)
 
-    def test_with_helpers(self):
-        config = ServiceConfig()
-        assert config.with_policy("least-slack").admission_policy == (
-            "least-slack"
-        )
-        replaced = config.with_cluster(config.cluster.with_port(4242))
-        assert replaced.cluster.port == 4242
-        assert config.cluster.port != 4242  # frozen original untouched

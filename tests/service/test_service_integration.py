@@ -56,10 +56,11 @@ class TestServiceUnderLoad:
     ):
         """One worker joins mid-run, another fail-stops; the stream keeps
         settling and the books balance on both sides of the wire."""
-        service = smoke_service(workers=2, tasks=24)
-        service = service.with_cluster(
-            service.cluster.with_failure(
-                FailurePlan(worker_index=1, after_seconds=0.8)
+        service = ServiceConfig(
+            cluster=ClusterConfig.smoke(
+                workers=2,
+                tasks=24,
+                failure=FailurePlan(worker_index=1, after_seconds=0.8),
             )
         )
         spec = LoadSpec(

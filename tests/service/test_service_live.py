@@ -275,8 +275,9 @@ class TestGracefulDrain:
             stop_when_idle=False,
             drain_grace_seconds=0.5,
         )
-        service = service.with_cluster(
-            dataclasses.replace(service.cluster, seconds_per_unit=0.01)
+        service = dataclasses.replace(
+            service,
+            cluster=dataclasses.replace(service.cluster, seconds_per_unit=0.01),
         )
         with live_service(service) as (master, _workers, box):
             await_ready(master)
@@ -321,8 +322,9 @@ class TestGracefulDrain:
         service = smoke_service(
             stop_when_idle=False, drain_grace_seconds=8.0
         )
-        service = service.with_cluster(
-            dataclasses.replace(service.cluster, seconds_per_unit=0.05)
+        service = dataclasses.replace(
+            service,
+            cluster=dataclasses.replace(service.cluster, seconds_per_unit=0.05),
         )
         with live_service(service) as (master, _workers, _box):
             await_ready(master)

@@ -8,6 +8,8 @@ clean accounting across domains, and per-(config, seed) determinism.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ExperimentConfig, run_once
@@ -95,7 +97,7 @@ class TestDeterminism:
         base = _quick(num_transactions=120, slack_factor=1.5).with_domains(2)
         hashed = run_once(base, "rtsads", 9)
         packed = run_once(
-            base.with_partition_policy("worst-fit"), "rtsads", 9
+            replace(base, partition_policy="worst-fit"), "rtsads", 9
         )
         # Policies may coincidentally produce the same partition on tiny
         # configs; assert the knob reaches the run rather than equality.

@@ -87,7 +87,7 @@ class TestScheduling:
         engine.run(until=5.0)
         assert seen == [1.0]
         assert engine.now == 5.0
-        assert engine.pending_events == 1
+        assert engine.step() is True  # the later event is still queued
 
     def test_step_returns_false_when_empty(self):
         assert SimulationEngine().step() is False
@@ -200,18 +200,6 @@ class TestObservers:
     def test_hookless_observer_rejected(self):
         with pytest.raises(SimulationError, match="neither"):
             SimulationEngine().add_observer(object())
-
-    def test_remove_observer(self):
-        engine, _ = self._engine_with_pings((1.0,))
-        observer = RecordingObserver()
-        engine.add_observer(observer)
-        engine.remove_observer(observer)
-        engine.run()
-        assert observer.dispatched == []
-        assert observer.advances == []
-
-    def test_remove_unknown_observer_is_noop(self):
-        SimulationEngine().remove_observer(RecordingObserver())
 
     def test_one_dispatch_handler_rule_retained(self):
         # Observers are additive; the single-handler dispatch contract of

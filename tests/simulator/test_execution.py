@@ -16,7 +16,6 @@ from repro.simulator import (
     FirstMatchDatabaseExecution,
     ScaledExecution,
     StochasticExecution,
-    WorstCaseExecution,
     resolve_actual_cost,
     simulate,
 )
@@ -36,9 +35,6 @@ def _entry(p=10.0, comm=5.0, task_id=0):
 
 
 class TestModels:
-    def test_worst_case_identity(self):
-        entry = _entry()
-        assert WorstCaseExecution().actual_cost(entry) == entry.total_cost
 
     def test_scaled_keeps_communication(self):
         entry = _entry(p=10.0, comm=5.0)
@@ -68,9 +64,9 @@ class TestModels:
 
     def test_stochastic_validation(self):
         with pytest.raises(ValueError):
-            StochasticExecution(0.0, 0.5)
+            StochasticExecution(0.0, 0.5, seed=1)
         with pytest.raises(ValueError):
-            StochasticExecution(0.9, 0.5)
+            StochasticExecution(0.9, 0.5, seed=1)
 
 
 class TestResolve:
@@ -145,18 +141,6 @@ class TestReclaimingRuntime:
             execution_model=ScaledExecution(0.4),
         )
         assert reclaimed.hit_ratio >= worst.hit_ratio
-
-    def test_worst_case_model_is_noop(self):
-        comm = UniformCommunicationModel(20.0)
-        plain = simulate(RTSADS(comm), self._workload(), num_workers=3)
-        explicit = simulate(
-            RTSADS(comm),
-            self._workload(),
-            num_workers=3,
-            execution_model=WorstCaseExecution(),
-        )
-        assert plain.hit_ratio == explicit.hit_ratio
-        assert explicit.trace.total_reclaimed_time() == 0.0
 
 
 class TestFirstMatchDatabaseExecution:

@@ -46,7 +46,7 @@ class TestWorkerFailure:
         assert lost.task.task_id == 0
         assert [w.task.task_id for w in survivors] == [1, 2]
         assert worker.failed
-        assert worker.is_idle
+        assert not worker.is_busy and not worker.queue
 
     def test_failed_worker_reports_infinite_load(self):
         worker = WorkerProcessor(0)

@@ -7,7 +7,6 @@ from repro.simulator import (
     MeshCommunicationModel,
     MeshTopology,
     near_square_mesh,
-    wormhole_model,
 )
 
 
@@ -80,10 +79,3 @@ class TestMeshCommunicationModel:
         )
         # Processor 5 is 1 hop from 4, 3 hops from 0.
         assert model.cost(task, 5) == 5.0
-
-
-class TestWormholeAlias:
-    def test_returns_uniform_model(self):
-        model = wormhole_model(25.0)
-        assert isinstance(model, UniformCommunicationModel)
-        assert model.remote_cost == 25.0

@@ -10,6 +10,8 @@ the identity, not because k happens to be 1.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import RTSADS, UniformCommunicationModel, make_task
@@ -46,7 +48,7 @@ class TestOneDomainIsTheSameRunUnderEitherName:
         config = _cell()
         sim = run_once(config, scheduler_name, seed)
         sharded = run_once(
-            config.with_backend("sharded"), scheduler_name, seed
+            replace(config, backend="sharded"), scheduler_name, seed
         )
         assert _without(sim, *LABEL_FIELDS) == _without(
             sharded, *LABEL_FIELDS
@@ -64,7 +66,7 @@ class TestOneDomainIsTheSameRunUnderEitherName:
     def test_multi_domain_cells_report_sharded_under_either_name(self):
         config = _cell().with_domains(2)
         by_sim = run_once(config, "rtsads", 5)
-        by_sharded = run_once(config.with_backend("sharded"), "rtsads", 5)
+        by_sharded = run_once(replace(config, backend="sharded"), "rtsads", 5)
         assert by_sim.backend == by_sharded.backend == "sharded"
         assert _without(by_sim, "wall_seconds") == _without(
             by_sharded, "wall_seconds"

@@ -16,7 +16,7 @@ def _entry(task_id, p=10.0, comm=0.0, deadline=1000.0):
 class TestQueueing:
     def test_starts_idle_and_empty(self):
         worker = WorkerProcessor(0)
-        assert worker.is_idle
+        assert not worker.is_busy and not worker.queue
         assert not worker.is_busy
         assert worker.load(0.0) == 0.0
 
@@ -25,7 +25,7 @@ class TestQueueing:
         worker.deliver(_entry(0), now=1.0)
         worker.deliver(_entry(1), now=1.0)
         assert [w.task.task_id for w in worker.queue] == [0, 1]
-        assert not worker.is_idle  # queued work pending
+        assert worker.queue  # queued work pending
 
     def test_load_sums_queue_and_running_remainder(self):
         worker = WorkerProcessor(0)
@@ -66,7 +66,7 @@ class TestExecution:
         worker.start_next(0.0)
         finished = worker.complete_current(10.0)
         assert finished.task.task_id == 0
-        assert worker.is_idle
+        assert not worker.is_busy and not worker.queue
         assert worker.completed_count == 1
         assert worker.busy_time == 10.0
 

@@ -50,12 +50,6 @@ class TestTaskRecord:
         ])
         assert not trace.records[0].met_deadline
 
-    def test_response_time(self):
-        trace = _trace_with([
-            (_task(0), STATUS_COMPLETED, 0, 0, 42.0),
-        ])
-        assert trace.records[0].response_time == 42.0
-
     def test_duplicate_task_rejected(self):
         trace = SimulationTrace()
         trace.add_task(_task(0))

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.workload import (
-    FixedLaxityDeadline,
-    PAPER_DEADLINE_MULTIPLIER,
-    ProportionalDeadline,
-)
+from repro.workload import PAPER_DEADLINE_MULTIPLIER, ProportionalDeadline
 
 
 class TestProportional:
@@ -31,22 +27,4 @@ class TestProportional:
         with pytest.raises(ValueError):
             ProportionalDeadline(slack_factor=0.0)
         with pytest.raises(ValueError):
-            ProportionalDeadline(slack_factor=1.0, multiplier=0.0)
-        with pytest.raises(ValueError):
             ProportionalDeadline(slack_factor=1.0).deadline(0.0, 0.0)
-
-
-class TestFixedLaxity:
-    def test_constant_allowance(self):
-        policy = FixedLaxityDeadline(laxity=25.0)
-        assert policy.deadline(0.0, 10.0) == 35.0
-        assert policy.deadline(0.0, 100.0) == 125.0
-
-    def test_zero_laxity_allowed(self):
-        assert FixedLaxityDeadline(0.0).deadline(5.0, 10.0) == 15.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedLaxityDeadline(-1.0)
-        with pytest.raises(ValueError):
-            FixedLaxityDeadline(1.0).deadline(0.0, -5.0)

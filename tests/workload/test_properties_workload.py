@@ -21,7 +21,7 @@ SETTINGS = dict(max_examples=40, deadline=None)
 def arrival_processes(draw):
     kind = draw(st.sampled_from(["bursty", "poisson", "uniform", "batched"]))
     if kind == "bursty":
-        return BurstyArrival(at=draw(st.floats(min_value=0.0, max_value=50.0)))
+        return BurstyArrival()
     if kind == "poisson":
         return PoissonArrival(
             rate=draw(st.floats(min_value=0.01, max_value=10.0))

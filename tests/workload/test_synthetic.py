@@ -27,19 +27,6 @@ class TestSyntheticGenerator:
         tasks = SyntheticWorkloadGenerator(config).generate()
         assert all(5.0 <= t.processing_time <= 9.0 for t in tasks)
 
-    def test_bimodal_tail(self):
-        config = SyntheticWorkloadConfig(
-            num_tasks=300,
-            min_processing_time=1.0,
-            max_processing_time=2.0,
-            bimodal_fraction=0.5,
-            bimodal_scale=100.0,
-            seed=3,
-        )
-        tasks = SyntheticWorkloadGenerator(config).generate()
-        heavy = sum(1 for t in tasks if t.processing_time > 50.0)
-        assert 100 < heavy < 200
-
     def test_affinity_within_machine(self):
         config = SyntheticWorkloadConfig(
             num_tasks=50, num_processors=3, affinity_probability=0.5, seed=4
@@ -81,7 +68,5 @@ class TestSyntheticGenerator:
             SyntheticWorkloadConfig(
                 min_processing_time=10.0, max_processing_time=5.0
             )
-        with pytest.raises(ValueError):
-            SyntheticWorkloadConfig(bimodal_scale=0.5)
         with pytest.raises(ValueError):
             SyntheticWorkloadConfig(slack_factor=0.0)

@@ -37,11 +37,9 @@ class TestTransactionGeneration:
             assert len(owners) == 1
 
     def test_attribute_count_within_bounds(self, small_database):
-        generator = _generator(
-            small_database, min_given_attributes=2, max_given_attributes=3
-        )
-        for txn in generator.generate_transactions():
-            assert 2 <= len(txn.predicates) <= 3
+        attributes = small_database.schema.num_attributes
+        for txn in _generator(small_database).generate_transactions():
+            assert 1 <= len(txn.predicates) <= attributes
 
     def test_bursty_default_arrivals(self, small_database):
         txns = _generator(small_database).generate_transactions()
@@ -100,12 +98,6 @@ class TestTransactionGeneration:
             TransactionWorkloadConfig(num_transactions=0)
         with pytest.raises(ValueError):
             TransactionWorkloadConfig(slack_factor=0.0)
-        with pytest.raises(ValueError):
-            TransactionWorkloadConfig(min_given_attributes=0)
-        with pytest.raises(ValueError):
-            TransactionWorkloadConfig(
-                min_given_attributes=5, max_given_attributes=2
-            )
         with pytest.raises(ValueError):
             TransactionWorkloadConfig(key_probability=1.5)
         with pytest.raises(ValueError):
