@@ -536,7 +536,8 @@ def given(args: argparse.Namespace, fields: Dict[str, str]) -> dict:
 
 @contextmanager
 def usage_errors(parser: argparse.ArgumentParser):
-    """Report a config constructor's ``ValueError`` as a usage error.
+    """Report a config constructor's or builder's ``ValueError`` as a usage
+    error.
 
     The flag rows check each value alone; what only a constructor can see
     (``--domains 20`` against 10 processors, ``--kill-worker 9@1`` against
@@ -892,7 +893,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             for name in names:
                 obs.logger.info("experiment start", experiment=name)
                 with obs.span("experiment", experiment=name):
-                    result = build_experiment(name, config, **extra)
+                    # What only a builder can refuse (a table that varies
+                    # the simulator under --backend cluster, a shard curve
+                    # wider than its smallest machine) is a usage error too.
+                    with usage_errors(parser):
+                        result = build_experiment(name, config, **extra)
                     print(result.render())
                 print()
                 if args.export:

@@ -27,76 +27,28 @@ All return :class:`~repro.experiments.figures.AblationResult`-style tables
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.affinity import UniformCommunicationModel
 from ..metrics.stats import mean
-from ..runtime.report import RunReport
+from ..runtime.sim import SimBackend
 from ..simulator.execution import (
     FirstMatchDatabaseExecution,
     ScaledExecution,
     StochasticExecution,
 )
 from ..simulator.interconnect import MeshCommunicationModel, near_square_mesh
-from ..simulator.runtime import simulate
 from ..workload.arrivals import PoissonArrival
-from ..workload.transactions import build_seeded_workload
 from .config import OFFERED_LOAD_SWEEP, ExperimentConfig
 from .figures import (
     DISPLAY_NAMES,
     AblationResult,
     SweepResult,
-    _pick_schedulers,
+    _hit_percent,
     _run_sweep,
+    _run_table,
+    _scheduler_table,
 )
-from .runner import build_scheduler, workload_tasks
-
-
-def _seeded_reports(
-    config: ExperimentConfig,
-    scheduler_name: str,
-    workload=None,
-    comm=None,
-    tweak=None,
-    execution_model=None,
-    **simulate_kwargs,
-) -> List[RunReport]:
-    """One simulated run per seed of ``config``: the loop every table shares.
-
-    ``workload(seed)`` returns ``(database, tasks, transactions)``, by
-    default :func:`build_seeded_workload`'s read-only burst.  ``comm``
-    defaults to a fresh uniform-``C`` model per run, ``tweak(scheduler)``
-    adjusts the built scheduler, ``execution_model(database, transactions)``
-    builds the repetition's execution model, and the remaining keyword
-    arguments go to :func:`simulate` unchanged.
-    """
-    workload = workload or partial(build_seeded_workload, config)
-    reports = []
-    for seed in config.seeds():
-        database, tasks, transactions = workload(seed)
-        scheduler = build_scheduler(
-            scheduler_name,
-            config,
-            comm or UniformCommunicationModel(config.remote_cost),
-        )
-        if tweak is not None:
-            tweak(scheduler)
-        if execution_model is not None:
-            simulate_kwargs["execution_model"] = execution_model(
-                database, transactions
-            )
-        reports.append(
-            simulate(
-                scheduler, tasks, num_workers=config.num_processors,
-                **simulate_kwargs,
-            )
-        )
-    return reports
-
-
-def _mean_hit_percent(reports: Sequence[RunReport]) -> float:
-    return mean([100.0 * report.hit_ratio for report in reports])
 
 
 def extension_write_mix(
@@ -117,30 +69,33 @@ def extension_write_mix(
     mix is the invariant the bench asserts.
     """
     config = config or ExperimentConfig.paper()
-    schedulers = _pick_schedulers(config)
-    rows = []
-    for fraction in write_fractions:
-        row: List[object] = [fraction]
-        for name in schedulers:
-            reports = _seeded_reports(
-                config,
-                name,
-                partial(
-                    build_seeded_workload, config, write_fraction=fraction
-                ),
-            )
-            row.append(_mean_hit_percent(reports))
-        rows.append(row)
-    return AblationResult(
-        title=(
-            "X3 - Read/write transaction mix "
-            f"(P={config.num_processors}, R={config.replication_rate:.0%}, "
-            f"SF={config.slack_factor:g})"
-        ),
-        headers=["write fraction"]
-        + [DISPLAY_NAMES.get(n, n) + " hit %" for n in schedulers],
-        rows=rows,
+    return _scheduler_table(
+        "X3 - Read/write transaction mix "
+        f"(P={config.num_processors}, R={config.replication_rate:.0%}, "
+        f"SF={config.slack_factor:g})",
+        "write fraction",
+        config,
+        [
+            (fraction, SimBackend(workload={"write_fraction": fraction}))
+            for fraction in write_fractions
+        ],
     )
+
+
+# X1's execution-model factories, ``(database, transactions) -> model``;
+# module-level so a cell carrying one pickles into a sweep worker.
+
+
+def _worst_case(database, transactions):
+    return None
+
+
+def _scaled_half(database, transactions):
+    return ScaledExecution(0.5)
+
+
+def _stochastic(database, transactions):
+    return StochasticExecution(0.2, 1.0, seed=7)
 
 
 def extension_reclaiming(
@@ -154,30 +109,13 @@ def extension_reclaiming(
     loads, so the self-adjusting quantum shortens and later batches gain.
     """
     config = config or ExperimentConfig.paper()
-    models: List[tuple] = [
-        ("worst-case (paper)", lambda db, txns: None),
-        ("scaled 50%", lambda db, txns: ScaledExecution(0.5)),
-        (
-            "stochastic U(0.2, 1.0)",
-            lambda db, txns: StochasticExecution(0.2, 1.0, seed=7),
-        ),
-        (
-            "first-match DB early exit",
-            lambda db, txns: FirstMatchDatabaseExecution(db, txns),
-        ),
+    models = [
+        ("worst-case (paper)", _worst_case),
+        ("scaled 50%", _scaled_half),
+        ("stochastic U(0.2, 1.0)", _stochastic),
+        ("first-match DB early exit", FirstMatchDatabaseExecution),
     ]
-    rows = []
-    for label, factory in models:
-        reports = _seeded_reports(config, "rtsads", execution_model=factory)
-        rows.append(
-            [
-                label,
-                _mean_hit_percent(reports),
-                mean([r.trace.total_reclaimed_time() for r in reports]),
-                mean([r.makespan for r in reports]),
-            ]
-        )
-    return AblationResult(
+    return _run_table(
         title=(
             "X1 - Resource reclaiming (RT-SADS, "
             f"P={config.num_processors}, R={config.replication_rate:.0%}, "
@@ -185,7 +123,15 @@ def extension_reclaiming(
         ),
         headers=["execution model", "hit ratio %", "reclaimed time",
                  "makespan"],
-        rows=rows,
+        rows=[
+            (label, [(config, "rtsads", SimBackend(execution_model=factory))])
+            for label, factory in models
+        ],
+        columns=[
+            _hit_percent,
+            lambda cell: mean(cell.reclaimed_times),
+            lambda cell: mean(cell.makespans),
+        ],
     )
 
 
@@ -200,35 +146,28 @@ def extension_load_sweep(
     rate for load factor ``f`` is ``f * m / mean_cost``.
     """
     config = config or ExperimentConfig.paper()
-    schedulers = _pick_schedulers(config)
     key_p = (
         config.key_probability if config.key_probability is not None else 0.55
     )
     mean_cost = key_p * 10.0 + (1.0 - key_p) * config.scan_cost
-    rows = []
-    for factor in load_factors:
-        rate = factor * config.num_processors / mean_cost
-        row: List[object] = [factor]
-        for name in schedulers:
-            reports = _seeded_reports(
-                config,
-                name,
-                partial(
-                    build_seeded_workload,
-                    config,
-                    arrivals=PoissonArrival(rate=rate),
+    return _scheduler_table(
+        "X2 - Open-system load sweep (Poisson arrivals, "
+        f"P={config.num_processors}, R={config.replication_rate:.0%})",
+        "offered load",
+        config,
+        [
+            (
+                factor,
+                SimBackend(
+                    workload={
+                        "arrivals": PoissonArrival(
+                            rate=factor * config.num_processors / mean_cost
+                        )
+                    }
                 ),
             )
-            row.append(_mean_hit_percent(reports))
-        rows.append(row)
-    return AblationResult(
-        title=(
-            "X2 - Open-system load sweep (Poisson arrivals, "
-            f"P={config.num_processors}, R={config.replication_rate:.0%})"
-        ),
-        headers=["offered load"]
-        + [DISPLAY_NAMES.get(n, n) + " hit %" for n in schedulers],
-        rows=rows,
+            for factor in load_factors
+        ],
     )
 
 
@@ -245,35 +184,32 @@ def extension_failures(
     graceful degradation roughly proportional to lost capacity.
     """
     config = config or ExperimentConfig.paper()
-    schedulers = _pick_schedulers(config)
     if failure_counts is None:
         # Default sweep: up to 3 crashes, always leaving survivors.
         failure_counts = tuple(
             range(min(3, config.num_processors - 1) + 1)
         )
+    if max(failure_counts, default=0) >= config.num_processors:
+        raise ValueError("cannot fail every processor in the study")
     horizon = 10.0 * config.slack_factor * config.scan_cost
-    rows = []
-    for count in failure_counts:
-        if count >= config.num_processors:
-            raise ValueError("cannot fail every processor in the study")
-        failures = [
-            (horizon * 0.25 * (i + 1) / max(1, count), i)
-            for i in range(count)
-        ]
-        row: List[object] = [count]
-        for name in schedulers:
-            reports = _seeded_reports(config, name, failures=failures)
-            row.append(_mean_hit_percent(reports))
-        rows.append(row)
-    return AblationResult(
-        title=(
-            "X4 - Fail-stop processor crashes "
-            f"(P={config.num_processors}, R={config.replication_rate:.0%}, "
-            f"SF={config.slack_factor:g})"
-        ),
-        headers=["processors failed"]
-        + [DISPLAY_NAMES.get(n, n) + " hit %" for n in schedulers],
-        rows=rows,
+    return _scheduler_table(
+        "X4 - Fail-stop processor crashes "
+        f"(P={config.num_processors}, R={config.replication_rate:.0%}, "
+        f"SF={config.slack_factor:g})",
+        "processors failed",
+        config,
+        [
+            (
+                count,
+                SimBackend(
+                    failures=[
+                        (horizon * 0.25 * (i + 1) / max(1, count), i)
+                        for i in range(count)
+                    ]
+                ),
+            )
+            for count in failure_counts
+        ],
     )
 
 
@@ -288,11 +224,10 @@ def ablation_interconnect(
     on the routing assumption.
     """
     config = config or ExperimentConfig.paper()
-    scheduler_names = _pick_schedulers(config)
     mesh = near_square_mesh(config.num_processors)
     # Calibrate per-hop cost so an average remote access costs about C.
     mean_hops = max(1.0, (mesh.diameter() + 1) / 3.0)
-    comm_models: List[tuple] = [
+    comm_models = [
         (
             "wormhole constant C (paper)",
             UniformCommunicationModel(config.remote_cost),
@@ -304,26 +239,12 @@ def ablation_interconnect(
             ),
         ),
     ]
-    rows = []
-    for label, comm in comm_models:
-        row: List[object] = [label]
-        for name in scheduler_names:
-            reports = _seeded_reports(
-                config,
-                name,
-                lambda seed: (None, workload_tasks(config, seed), None),
-                comm=comm,
-            )
-            row.append(_mean_hit_percent(reports))
-        rows.append(row)
-    return AblationResult(
-        title=(
-            "A4 - Interconnect model "
-            f"(P={config.num_processors}, R={config.replication_rate:.0%})"
-        ),
-        headers=["communication model"]
-        + [DISPLAY_NAMES.get(n, n) + " hit %" for n in scheduler_names],
-        rows=rows,
+    return _scheduler_table(
+        "A4 - Interconnect model "
+        f"(P={config.num_processors}, R={config.replication_rate:.0%})",
+        "communication model",
+        config,
+        [(label, SimBackend(comm=comm)) for label, comm in comm_models],
     )
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.affinity import UniformCommunicationModel
 from ..core.cost import (
@@ -41,14 +42,15 @@ from ..metrics.reporting import (
     format_figure,
     format_table,
 )
-from ..metrics.stats import SIGNIFICANCE_LEVEL, difference_of_means
+from ..metrics.stats import SIGNIFICANCE_LEVEL, difference_of_means, mean
+from ..runtime.sim import SimBackend
 from .config import (
     PROCESSOR_SWEEP,
     REPLICATION_SWEEP,
     SLACK_FACTOR_SWEEP,
     ExperimentConfig,
 )
-from .runner import CellResult, run_cell, workload_tasks
+from .runner import CellResult, run_cell, run_once, workload_tasks
 from .sweep import run_grid
 
 #: Display names used in figures, matching the paper's legends.
@@ -126,6 +128,78 @@ def _run_sweep(
             label, [cells[(key, x)].mean_hit_percent for x in x_values]
         )
     return SweepResult(figure=figure, cells=cells)
+
+
+@dataclass
+class AblationResult:
+    """A table of variants of one design choice."""
+
+    title: str
+    headers: List[str]
+    rows: List[List[object]]
+
+    def render(self) -> str:
+        """Title plus the variants table, formatted for a terminal."""
+        return "\n".join([self.title, format_table(self.headers, self.rows)])
+
+
+def _hit_percent(cell: CellResult) -> float:
+    return cell.mean_hit_percent
+
+
+def _run_table(
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Tuple[object, Sequence[tuple]]],
+    columns: Sequence[Callable[[CellResult], object]] = (_hit_percent,),
+) -> AblationResult:
+    """The one way a table runs: rows of specs -> grid -> rows of values.
+
+    Each ``rows`` entry is ``(label, [run_grid spec, ...])`` and renders as
+    the label followed by every ``columns`` value of each of its cells, in
+    spec order.  Like a figure, the whole table is one
+    :func:`~repro.experiments.sweep.run_grid` batch.  A spec's third
+    element — the :class:`~repro.runtime.sim.SimBackend` variant its
+    repetitions run on — is asked first whether it can honour the config,
+    so a table that varies the simulator refuses ``--backend cluster`` (a
+    ``ValueError``, the CLI's usage error) before any cell runs.
+    """
+    specs = [spec for _, row in rows for spec in row]
+    for config, _, *variant in specs:
+        if variant:
+            variant[0].require(config)
+    grid = iter(run_grid(specs).cells)
+    return AblationResult(
+        title=title,
+        headers=list(headers),
+        rows=[
+            [label]
+            + [
+                column(cell)
+                for cell in islice(grid, len(row))
+                for column in columns
+            ]
+            for label, row in rows
+        ],
+    )
+
+
+def _scheduler_table(
+    title: str,
+    x_label: str,
+    config: ExperimentConfig,
+    variants: Sequence[Tuple[object, SimBackend]],
+) -> AblationResult:
+    """A comparison table: a row per variant, a hit-% column per scheduler."""
+    schedulers = _pick_schedulers(config)
+    return _run_table(
+        title,
+        [x_label] + [DISPLAY_NAMES.get(n, n) + " hit %" for n in schedulers],
+        [
+            (label, [(config, name, backend) for name in schedulers])
+            for label, backend in variants
+        ],
+    )
 
 
 def _mean_differences(
@@ -422,8 +496,6 @@ def overhead_table(
         total_sched = sum(cell.scheduling_times) / len(cell.scheduling_times)
         makespan = sum(cell.makespans) / len(cell.makespans)
         # Per-phase means come from a single representative run.
-        from .runner import run_once
-
         result = run_once(config, name, config.base_seed)
         phases = result.phases
         mean_quantum = (
@@ -449,19 +521,6 @@ def overhead_table(
     )
 
 
-@dataclass
-class AblationResult:
-    """A table of variants of one design choice."""
-
-    title: str
-    headers: List[str]
-    rows: List[List[object]]
-
-    def render(self) -> str:
-        """Title plus the variants table, formatted for a terminal."""
-        return "\n".join([self.title, format_table(self.headers, self.rows)])
-
-
 def ablation_quantum(
     config: Optional[ExperimentConfig] = None,
 ) -> AblationResult:
@@ -482,19 +541,7 @@ def ablation_quantum(
         (f"fixed medium ({medium_fixed:g})", FixedQuantum(medium_fixed)),
         (f"fixed long ({long_fixed:g})", FixedQuantum(long_fixed)),
     ]
-    rows = []
-    for label, policy in policies:
-        cell = run_cell(config, "rtsads", quantum_policy=policy)
-        rows.append(
-            [
-                label,
-                cell.mean_hit_percent,
-                cell.mean_dead_end_rate * 100,
-                cell.mean_depth,
-                sum(cell.scheduling_times) / len(cell.scheduling_times),
-            ]
-        )
-    return AblationResult(
+    return _run_table(
         title=(
             "A1 - Quantum allocation policies (RT-SADS, "
             f"P={config.num_processors}, R={config.replication_rate:.0%}, "
@@ -507,7 +554,16 @@ def ablation_quantum(
             "mean depth",
             "total sched time",
         ],
-        rows=rows,
+        rows=[
+            (label, [(config, "rtsads", SimBackend(quantum_policy=policy))])
+            for label, policy in policies
+        ],
+        columns=[
+            _hit_percent,
+            lambda cell: cell.mean_dead_end_rate * 100,
+            lambda cell: cell.mean_depth,
+            lambda cell: mean(cell.scheduling_times),
+        ],
     )
 
 
@@ -522,24 +578,21 @@ def ablation_cost(
         ("min_slack", MinSlackEvaluator()),
         ("fifo", FifoEvaluator()),
     ]
-    rows = []
-    for name, evaluator in evaluators:
-        cell = run_cell(config, "rtsads", evaluator=evaluator)
-        rows.append(
-            [
-                name,
-                cell.mean_hit_percent,
-                cell.mean_processors_touched,
-                cell.mean_depth,
-            ]
-        )
-    return AblationResult(
+    return _run_table(
         title=(
             "A2 - Vertex evaluation functions (RT-SADS, "
             f"P={config.num_processors}, R={config.replication_rate:.0%})"
         ),
         headers=["evaluator", "hit ratio %", "procs touched", "mean depth"],
-        rows=rows,
+        rows=[
+            (name, [(config, "rtsads", SimBackend(evaluator=evaluator))])
+            for name, evaluator in evaluators
+        ],
+        columns=[
+            _hit_percent,
+            lambda cell: cell.mean_processors_touched,
+            lambda cell: cell.mean_depth,
+        ],
     )
 
 
@@ -555,27 +608,20 @@ def ablation_memory(
     CL can get before schedule quality suffers — in practice depth-first
     search rarely revisits old candidates, so tight bounds are nearly free.
     """
-    # extensions.py builds on this module, so its seed loop is imported late.
-    from .extensions import _mean_hit_percent, _seeded_reports
-
     config = config or ExperimentConfig.paper()
-    rows = []
-    for bound in cl_bounds:
-        reports = _seeded_reports(
-            config,
-            "rtsads",
-            lambda seed: (None, workload_tasks(config, seed), None),
-            tweak=lambda scheduler: setattr(scheduler, "max_candidates", bound),
-        )
-        label = "unbounded" if bound is None else str(bound)
-        rows.append([label, _mean_hit_percent(reports)])
-    return AblationResult(
+    return _run_table(
         title=(
             "A5 - Candidate-list memory bound (RT-SADS, "
             f"P={config.num_processors}, R={config.replication_rate:.0%})"
         ),
         headers=["CL bound", "hit ratio %"],
-        rows=rows,
+        rows=[
+            (
+                "unbounded" if bound is None else str(bound),
+                [(config, "rtsads", SimBackend(max_candidates=bound))],
+            )
+            for bound in cl_bounds
+        ],
     )
 
 
@@ -589,19 +635,7 @@ def ablation_representation(
     of processors each representation manages to use per phase.
     """
     config = config or ExperimentConfig.paper()
-    rows = []
-    for name in PAPER_SCHEDULERS:
-        cell = run_cell(config, name)
-        rows.append(
-            [
-                DISPLAY_NAMES[name],
-                cell.mean_hit_percent,
-                cell.mean_dead_end_rate * 100,
-                cell.mean_depth,
-                cell.mean_processors_touched,
-            ]
-        )
-    return AblationResult(
+    return _run_table(
         title=(
             "A3 - Representation only (identical quantum/evaluator, "
             f"P={config.num_processors}, R={config.replication_rate:.0%})"
@@ -613,5 +647,14 @@ def ablation_representation(
             "mean depth",
             "procs touched/phase",
         ],
-        rows=rows,
+        rows=[
+            (DISPLAY_NAMES[name], [(config, name)])
+            for name in PAPER_SCHEDULERS
+        ],
+        columns=[
+            _hit_percent,
+            lambda cell: cell.mean_dead_end_rate * 100,
+            lambda cell: cell.mean_depth,
+            lambda cell: cell.mean_processors_touched,
+        ],
     )

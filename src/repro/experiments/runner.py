@@ -13,7 +13,12 @@ cell engine :func:`repro.experiments.sweep.run_grid`, of which
 :class:`~repro.runtime.backend.ExecutionBackend` registry, so the same
 cell definition executes on the virtual-clock simulator or the live TCP
 cluster and comes back as the same
-:class:`~repro.runtime.report.RunReport`.
+:class:`~repro.runtime.report.RunReport`.  *How* a repetition departs
+from its config — an ablation's quantum policy, an extension's workload
+— is a fact of the backend instance it is given
+(:class:`~repro.runtime.sim.SimBackend`'s variants), which is where
+:func:`build_scheduler`'s two optional arguments come from; nothing in
+between carries them.
 """
 
 from __future__ import annotations
@@ -135,26 +140,20 @@ def run_once(
     config: ExperimentConfig,
     scheduler_name: str,
     seed: int,
-    evaluator: Optional[VertexEvaluator] = None,
-    quantum_policy: Optional[QuantumPolicy] = None,
     validate_phases: bool = False,
     backend: Union[str, ExecutionBackend, None] = None,
 ) -> RunReport:
     """One full run of one cell with one seed on one backend.
 
     ``backend`` (a registry name or a pre-built
-    :class:`~repro.runtime.backend.ExecutionBackend` instance) overrides
+    :class:`~repro.runtime.backend.ExecutionBackend` instance — a pinned
+    live port, a :class:`~repro.runtime.sim.SimBackend` variant) overrides
     ``config.backend``; the default follows the config, so a plain
     ``run_once(config, name, seed)`` keeps running on the simulator.
     """
     chosen = get_backend(backend if backend is not None else config.backend)
     report = chosen.run_once(
-        config,
-        scheduler_name,
-        seed,
-        evaluator=evaluator,
-        quantum_policy=quantum_policy,
-        validate_phases=validate_phases,
+        config, scheduler_name, seed, validate_phases=validate_phases
     )
     if not report.regret:
         report.regret = _regret_for(report, config, seed, chosen)
@@ -175,7 +174,8 @@ def _regret_for(
     ``(config, seed)`` (:attr:`ExecutionBackend.seeded_workload`; the live
     cluster mirrors the simulator's generator, and partitioning never
     changes the task set).  Backends that mint tasks at request time (the
-    streaming service) get an explicit ``unknown`` placeholder instead,
+    streaming service) and simulator variants that replace the workload or
+    the execution model get an explicit ``unknown`` placeholder instead,
     keeping the exported schema identical everywhere.
     """
     if not backend.seeded_workload:
@@ -201,6 +201,8 @@ class CellResult:
     scheduling_times: List[float]
     makespans: List[float]
     scheduled_but_missed: int
+    #: Virtual time reclaimed by early completions, per repetition.
+    reclaimed_times: List[float] = field(default_factory=list)
     #: One schedulability-oracle regret section per repetition (empty
     #: dicts when the oracle was not consulted for that run).
     regrets: List[Dict[str, object]] = field(default_factory=list)
@@ -237,24 +239,16 @@ class CellResult:
         return mean(self.processors_touched)
 
 
-def run_cell(
-    config: ExperimentConfig,
-    scheduler_name: str,
-    evaluator: Optional[VertexEvaluator] = None,
-    quantum_policy: Optional[QuantumPolicy] = None,
-) -> CellResult:
+def run_cell(config: ExperimentConfig, scheduler_name: str) -> CellResult:
     """Run every repetition of one cell and aggregate the paper's metrics.
 
     The one-spec call of the cell engine
     (:func:`repro.experiments.sweep.run_grid`): cached repetitions are
     reused and, with ``config.jobs > 1``, missing ones fan across worker
-    processes; the results are bit-identical either way.  A cell given an
-    ablation override (``evaluator`` / ``quantum_policy``, live objects
-    with no cache key) runs in this process and is never cached.  Not
-    thread-safe under instrumentation (the metrics registry is unlocked);
-    virtual quanta throughout.
+    processes; the results are bit-identical either way.  Not thread-safe
+    under instrumentation (the metrics registry is unlocked); virtual
+    quanta throughout.
     """
     from .sweep import run_grid  # the engine imports this module
 
-    spec = (config, scheduler_name, evaluator, quantum_policy)
-    return run_grid([spec]).cells[0]
+    return run_grid([(config, scheduler_name)]).cells[0]

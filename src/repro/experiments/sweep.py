@@ -27,14 +27,16 @@ same call at ``jobs=1`` with no cache directory.  On top of that one loop:
   timing into the metrics registry (``sweep_cell_seconds``), and hit/miss
   counters (``sweep_cells{source=...}``).
 
-Where a cell runs is read off the cell itself.  A cell runs *here*, in
-the calling process, unless it may cross the spawn boundary: a cell on a
+A spec is ``(config, scheduler_name)``, or ``(config, scheduler_name,
+backend)`` when every repetition departs from the config the same way — a
+table row's :class:`~repro.runtime.sim.SimBackend` variant.  Where a cell
+runs and whether it is cached are read off the cell itself.  A cell on a
 :attr:`~repro.runtime.backend.ExecutionBackend.live` backend spawns its
 own worker processes and binds a listening socket, so it runs in the
-parent on a master port leased from a bounded :class:`PortPool`; a cell
-carrying an ablation override (a live ``evaluator`` / ``quantum_policy``
-object) has no cache key and does not pickle, so it runs in the parent and
-is never cached.
+parent, one at a time, on a master port leased from a bounded
+:class:`PortPool`; every other cell may cross the spawn boundary.  A cell
+carrying a backend instance has no content address (the config does not
+say what the instance substitutes), so it is never cached.
 
 Units: everything a :class:`CellRecord` stores under a ``*_time`` /
 ``makespan`` name is virtual quanta (one tuple-check = 1.0 unit);
@@ -59,8 +61,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.cost import VertexEvaluator
-from ..core.quantum import QuantumPolicy
 from ..observability import (
     NULL_SINK,
     OFF,
@@ -72,7 +72,7 @@ from ..observability import (
     instrumented,
     read_jsonl,
 )
-from ..runtime.backend import get_backend
+from ..runtime.backend import ExecutionBackend, get_backend
 from .config import ExperimentConfig
 from .runner import CellResult, run_once
 
@@ -97,26 +97,22 @@ DEFAULT_CACHE_DIR = "results/cache"
 class SweepCell:
     """One schedulable unit: run ``scheduler_name`` on ``config`` at ``seed``.
 
-    Frozen, and picklable while it carries no override (the config is a
-    frozen dataclass of plain types), so such a cell crosses the spawn
-    boundary to a pool worker intact.
+    Frozen and picklable (the config is a frozen dataclass of plain types,
+    a backend instance holds policy objects and module-level functions),
+    so a cell crosses the spawn boundary to a pool worker intact.
     """
 
     config: ExperimentConfig
     scheduler_name: str
     seed: int
-    #: Scheduler-construction overrides of the ablation studies.
-    evaluator: Optional[VertexEvaluator] = None
-    quantum_policy: Optional[QuantumPolicy] = None
+    #: The spec's backend instance; ``None`` means ``config.backend`` by
+    #: name, the only kind of cell the config fully describes (and so the
+    #: only kind the cache may hold).
+    backend: Optional[ExecutionBackend] = None
 
-    @property
-    def portable(self) -> bool:
-        """Whether the plain-data fields say everything about the cell.
-
-        An override is a live object: it has no cache key and need not
-        pickle, so a cell carrying one is neither cached nor pooled.
-        """
-        return self.evaluator is None and self.quantum_policy is None
+    def resolve_backend(self) -> ExecutionBackend:
+        """The instance this cell runs on."""
+        return self.backend or get_backend(self.config.backend)
 
 
 @dataclass(frozen=True)
@@ -146,6 +142,10 @@ class CellRecord:
     num_phases: int
     wall_seconds: float
     elapsed_seconds: float = 0.0
+    #: Worst-case processor time reclaimed by early completions (virtual
+    #: quanta); 0.0 for every run under the worst-case execution model, so
+    #: records written before the field existed read back exactly.
+    reclaimed_time: float = 0.0
     #: Counter deltas this cell's run produced (``format_key`` -> value).
     #: Persisted with the record so a cached cell still contributes its
     #: metrics to ``--metrics-out`` on resume; empty when the run was
@@ -173,6 +173,7 @@ class CellRecord:
             num_phases=report.num_phases,
             wall_seconds=report.wall_seconds,
             elapsed_seconds=elapsed_seconds,
+            reclaimed_time=report.reclaimed_time,
             regret=dict(report.regret),
         )
 
@@ -327,19 +328,14 @@ def _run_here(
     ``port_pool`` for the duration of its run; consecutive masters can
     therefore never contend for one listener.
     """
-    backend = get_backend(cell.config.backend)
+    backend = cell.resolve_backend()
     before = _counter_values(obs)
     with port_pool.lease() if backend.live else nullcontext(0) as port:
         if port:
             backend = backend.with_port(port)
         start = time.perf_counter()
         report = run_once(
-            cell.config,
-            cell.scheduler_name,
-            cell.seed,
-            evaluator=cell.evaluator,
-            quantum_policy=cell.quantum_policy,
-            backend=backend,
+            cell.config, cell.scheduler_name, cell.seed, backend=backend
         )
         elapsed = time.perf_counter() - start
     return replace(
@@ -445,14 +441,13 @@ def run_grid(
     """Run every repetition of every spec and fold each into a cell.
 
     A spec is ``(config, scheduler_name)``, optionally followed by the
-    ablation overrides ``evaluator, quantum_policy``.  The execution knobs
-    default to the first config's ``jobs`` / ``cache_dir`` fields (keyword
-    arguments override).  Cells found in the cache are not re-executed;
-    with ``jobs > 1`` the rest fan across a spawn pool of that many
-    workers, except cells that must stay in the parent — a live backend's
-    (one at a time, on ``port_pool``, ephemeral ports by default) and
-    those carrying an override (never cached either).  With ``jobs=1``
-    every cell runs here, in order.
+    backend instance every repetition runs on (a simulator variant; never
+    cached).  The execution knobs default to the first config's ``jobs`` /
+    ``cache_dir`` fields (keyword arguments override).  Cells found in the
+    cache are not re-executed; with ``jobs > 1`` the rest fan across a
+    spawn pool of that many workers, except a live backend's, which stay
+    in the parent (one at a time, on ``port_pool``, ephemeral ports by
+    default).  With ``jobs=1`` every cell runs here, in order.
 
     Aggregation order is fixed by ``specs`` and ``config.seeds()`` — never
     by completion order — so the returned :class:`SweepOutcome` is
@@ -473,17 +468,17 @@ def run_grid(
     # One flat, deterministically indexed cell list across all specs.
     cells: List[SweepCell] = []
     spec_slices: List[Tuple[int, int]] = []
-    for config, scheduler_name, *overrides in specs:
+    for config, scheduler_name, *backend in specs:
         start = len(cells)
         for seed in config.seeds():
-            cells.append(SweepCell(config, scheduler_name, seed, *overrides))
+            cells.append(SweepCell(config, scheduler_name, seed, *backend))
         spec_slices.append((start, len(cells)))
 
     obs = get_instrumentation()
     records: Dict[int, CellRecord] = {}
     pending: List[Tuple[int, SweepCell]] = []
     for index, cell in enumerate(cells):
-        cached = cache.load(cell) if cache and cell.portable else None
+        cached = cache.load(cell) if cache and not cell.backend else None
         if cached is not None:
             records[index] = cached
             _note_cell(obs, cell, cached, index, len(cells), source="cache")
@@ -504,7 +499,7 @@ def run_grid(
         cell = cells[index]
         records[index] = record
         stats.executed += 1
-        if cache and cell.portable:
+        if cache and not cell.backend:
             cache.store(cell, record)
         _note_cell(obs, cell, record, index, len(cells), source="run")
 
@@ -512,7 +507,7 @@ def run_grid(
     pooled = [
         (index, cell)
         for index, cell in pending
-        if cell.portable and not get_backend(cell.config.backend).live
+        if not cell.resolve_backend().live
     ]
     if jobs > 1 and len(pooled) > 1:  # a pool of one buys nothing
         for index, record in _run_in_pool(pooled, jobs, obs):
@@ -620,6 +615,7 @@ def _aggregate(
         processors_touched=[r.mean_processors_touched for r in records],
         scheduling_times=[r.total_scheduling_time for r in records],
         makespans=[r.makespan for r in records],
+        reclaimed_times=[r.reclaimed_time for r in records],
         scheduled_but_missed=sum(r.guaranteed_violations for r in records),
         regrets=[dict(r.regret) for r in records],
     )

@@ -52,7 +52,7 @@ class ExecutionBackend(ABC):
     #: so the schedulability oracle can analyse it offline.  Backends that
     #: mint tasks at request time (the streaming service) say ``False`` and
     #: their reports carry an explicit ``unknown`` verdict instead.
-    seeded_workload: ClassVar[bool] = False
+    seeded_workload: bool = False
 
     @abstractmethod
     def run_once(
@@ -61,16 +61,14 @@ class ExecutionBackend(ABC):
         scheduler_name: str,
         seed: int,
         *,
-        evaluator=None,
-        quantum_policy=None,
         validate_phases: bool = False,
         instrumentation=None,
     ) -> RunReport:
         """One full run of one cell with one seed.
 
-        ``evaluator``/``quantum_policy`` are scheduler construction
-        overrides (the ablation studies); backends that cannot honor them
-        must raise rather than silently ignore them.
+        How a repetition departs from ``config`` is a fact of the backend
+        *instance* (see :class:`repro.runtime.sim.SimBackend`'s variants),
+        never a parameter of the call.
         """
 
     def with_port(self, port: int) -> "ExecutionBackend":

@@ -54,26 +54,12 @@ class ClusterBackend(ExecutionBackend):
         """
         return type(self)(**{**self.cluster_overrides, "port": port})
 
-    def cluster_config(
-        self,
-        config,
-        scheduler_name: str,
-        seed: int,
-        evaluator=None,
-        quantum_policy=None,
-    ):
+    def cluster_config(self, config, scheduler_name: str, seed: int):
         """The ``ClusterConfig`` one repetition deploys.
 
         Its ``experiment`` is ``config`` at this backend, one run, seeded
-        with the repetition's seed.  Refuses the simulator-only scheduler
-        overrides rather than ignoring them.
+        with the repetition's seed.
         """
-        if evaluator is not None or quantum_policy is not None:
-            raise NotImplementedError(
-                "scheduler construction overrides (evaluator, "
-                "quantum_policy) are simulator-only; a live master "
-                "builds its scheduler from the registry name"
-            )
         # Sockets and multiprocessing stay out of simulation-only
         # processes; also breaks the cluster -> experiments -> backend
         # import cycle.
@@ -93,8 +79,6 @@ class ClusterBackend(ExecutionBackend):
         scheduler_name: str,
         seed: int,
         *,
-        evaluator=None,
-        quantum_policy=None,
         validate_phases: bool = False,
         instrumentation=None,
     ) -> RunReport:
@@ -110,9 +94,7 @@ class ClusterBackend(ExecutionBackend):
         # validate_phases is subsumed: the live master re-validates every
         # entry at dispatch time against a fresh wall-clock reading, which
         # is strictly stronger than the simulator's phase-end check.
-        cluster_config = self.cluster_config(
-            config, scheduler_name, seed, evaluator, quantum_policy
-        )
+        cluster_config = self.cluster_config(config, scheduler_name, seed)
         from ..cluster.launcher import launch_cluster
 
         return launch_cluster(

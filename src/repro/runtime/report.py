@@ -127,6 +127,13 @@ class RunReport:
             ) from None
 
     @property
+    def reclaimed_time(self) -> float:
+        """Worst-case processor time reclaimed by early completions, in
+        virtual quanta (0.0 where a backend records no simulation trace)."""
+        trace = self.extras.get("trace")
+        return trace.total_reclaimed_time() if trace is not None else 0.0
+
+    @property
     def events_dispatched(self) -> int:
         """Engine events dispatched (sim backend only; 0 elsewhere)."""
         return int(self.extras.get("events_dispatched", 0))

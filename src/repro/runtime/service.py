@@ -43,8 +43,6 @@ class ServiceBackend(ClusterBackend):
         scheduler_name: str,
         seed: int,
         *,
-        evaluator=None,
-        quantum_policy=None,
         validate_phases: bool = False,
         instrumentation=None,
     ) -> RunReport:
@@ -53,9 +51,7 @@ class ServiceBackend(ClusterBackend):
         Blocks for the whole stream plus settle; returns the master's
         report with the client-side tallies merged into ``extras``.
         """
-        cluster_config = self.cluster_config(
-            config, scheduler_name, seed, evaluator, quantum_policy
-        )
+        cluster_config = self.cluster_config(config, scheduler_name, seed)
         experiment = cluster_config.experiment
         # Imported here for the same reasons as the cluster backend.
         from ..service.config import ServiceConfig

@@ -18,17 +18,59 @@ from __future__ import annotations
 from functools import partial
 
 from ..observability import get_instrumentation
-from .backend import ExecutionBackend, register_backend
+from .backend import ExecutionBackend, get_backend, register_backend
 from .report import RunReport
 
 
 class SimBackend(ExecutionBackend):
-    """Runs a cell on the discrete-event simulator."""
+    """Runs a cell on the discrete-event simulator.
 
-    seeded_workload = True
+    ``variant`` is how every repetition of this instance departs from the
+    paper's machine — the substitutions the ablation and extension tables
+    make, held the way :class:`~repro.runtime.live.ClusterBackend` holds
+    its deployment overrides.  A backend built by name carries none.
+    """
 
-    def __init__(self, name: str = "sim") -> None:
+    #: The substitutions, each with the experiments that vary it.
+    VARIANTS = (
+        "quantum_policy",   # A1: the scheduler's QuantumPolicy
+        "evaluator",        # A2: the search's VertexEvaluator
+        "comm",             # A4: the CommunicationModel (one domain only)
+        "max_candidates",   # A5: the candidate-list bound (None = unbounded)
+        "execution_model",  # X1: factory(database, transactions) -> model
+        "workload",         # X2, X3: build_seeded_workload keywords
+        "failures",         # X4: (time, processor) fail-stop crashes
+    )
+
+    def __init__(self, name: str = "sim", **variant) -> None:
+        unknown = sorted(set(variant).difference(self.VARIANTS))
+        if unknown:
+            raise TypeError(
+                f"unknown simulator variant {unknown}; "
+                f"choose from {list(self.VARIANTS)}"
+            )
         self.name = name
+        self.variant = variant
+        #: A variant that builds its own workload, or lets tasks finish
+        #: early, runs a task set the offline oracle did not see.
+        self.seeded_workload = not (
+            "workload" in variant or "execution_model" in variant
+        )
+
+    def require(self, config) -> None:
+        """Refuse, by ``ValueError``, a config this variant cannot honour."""
+        if not isinstance(get_backend(config.backend), SimBackend):
+            raise ValueError(
+                f"backend {config.backend!r} cannot run a cell that varies "
+                f"the simulator ({', '.join(self.variant)}); use 'sim' or "
+                "'sharded'"
+            )
+        if "comm" in self.variant and config.domains > 1:
+            raise ValueError(
+                "a substituted communication model is indexed by global "
+                "processor id and cannot be honoured over "
+                f"{config.domains} scheduling domains; use --domains 1"
+            )
 
     def run_once(
         self,
@@ -36,21 +78,20 @@ class SimBackend(ExecutionBackend):
         scheduler_name: str,
         seed: int,
         *,
-        evaluator=None,
-        quantum_policy=None,
         validate_phases: bool = False,
         instrumentation=None,
     ) -> RunReport:
         """Simulate one repetition on the virtual clock.
 
         Takes the workload of ``seed`` from the process-wide memo
-        (:func:`repro.experiments.runner.workload_tasks`), runs the
-        discrete-event loop, and returns its :class:`RunReport`; every time
-        in the report is virtual quanta except ``wall_seconds``, which is
-        the simulation's real CPU time.  Deterministic per ``(config,
-        seed)``.  The backend itself holds no state and the memo is locked,
-        so one ``SimBackend`` may be shared by any number of threads or
-        sweep worker processes; everything else a run builds (communication
+        (:func:`repro.experiments.runner.workload_tasks`) — or builds the
+        variant's own — runs the discrete-event loop, and returns its
+        :class:`RunReport`; every time in the report is virtual quanta
+        except ``wall_seconds``, which is the simulation's real CPU time.
+        Deterministic per ``(config, seed, variant)``.  The backend holds
+        no state beyond its variant and the memo is locked, so one
+        ``SimBackend`` may be shared by any number of threads or sweep
+        worker processes; everything else a run builds (communication
         model, schedulers, runtime) is its own and dies with it.
         """
         # Imported here, not at module level: the experiment builders
@@ -61,9 +102,14 @@ class SimBackend(ExecutionBackend):
         from ..experiments.runner import build_scheduler, workload_tasks
         from ..sharding.migration import MigrationStats
         from ..simulator.runtime import DistributedRuntime, simulate
+        from ..workload.transactions import build_seeded_workload
 
-        comm = UniformCommunicationModel(remote_cost=config.remote_cost)
-        tasks = workload_tasks(config, seed)
+        variant = self.variant
+        if variant:
+            self.require(config)
+        comm = variant.get("comm") or UniformCommunicationModel(
+            remote_cost=config.remote_cost
+        )
         obs = (
             instrumentation
             if instrumentation is not None
@@ -74,11 +120,29 @@ class SimBackend(ExecutionBackend):
             instrumentation=obs.bind(seed=seed) if obs.enabled else None,
             seed=seed,
         )
+        if self.seeded_workload:
+            tasks = workload_tasks(config, seed)
+        else:
+            database, tasks, transactions = build_seeded_workload(
+                config, seed, **variant.get("workload", {})
+            )
+            if "execution_model" in variant:
+                run_options["execution_model"] = variant["execution_model"](
+                    database, transactions
+                )
+        if "failures" in variant:
+            run_options["failures"] = variant["failures"]
 
-        new_scheduler = partial(
-            build_scheduler, scheduler_name, config, comm,
-            evaluator=evaluator, quantum_policy=quantum_policy,
-        )
+        def new_scheduler():
+            """One scheduler of this run, as the variant builds it."""
+            scheduler = build_scheduler(
+                scheduler_name, config, comm,
+                evaluator=variant.get("evaluator"),
+                quantum_policy=variant.get("quantum_policy"),
+            )
+            if "max_candidates" in variant:
+                scheduler.max_candidates = variant["max_candidates"]
+            return scheduler
 
         if config.domains == 1:
             # The paper's machine — one host over all m workers — is

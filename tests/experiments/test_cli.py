@@ -376,6 +376,54 @@ class TestUsageErrors:
         assert err.rstrip().splitlines()[-1].count("error: ") == 1
 
 
+#: The tables whose rows each run on a simulator variant.
+VARIANT_TABLES = [
+    "ablate-quantum", "ablate-cost", "ablate-interconnect", "ablate-memory",
+    "reclaiming", "load-sweep", "write-mix", "failures",
+]
+
+
+class TestVariantTables:
+    """--backend / --domains reach a variant table or are refused: a table
+    never prints one-domain simulator numbers under another label."""
+
+    TINY = ["--quick", "--runs", "1", "--transactions", "30",
+            "--processors", "4"]
+
+    @pytest.mark.parametrize("name", VARIANT_TABLES)
+    def test_live_backend_is_refused(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, *self.TINY, "--backend", "cluster"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.rstrip().splitlines()[-1]
+        assert "error: backend 'cluster' cannot run" in last
+
+    @pytest.mark.parametrize("name", VARIANT_TABLES)
+    def test_domains_honoured_or_refused(self, name, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "metrics.json"
+        argv = [name, *self.TINY, "--domains", "2", "--metrics-out", str(path)]
+        if name == "ablate-interconnect":
+            # A mesh is indexed by global processor id; a domain's
+            # scheduler sees slots.
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "2 scheduling domains" in capsys.readouterr().err
+            return
+        assert main(argv) == 0
+        timed = [
+            key
+            for key in json.loads(path.read_text())["metrics"]["histograms"]
+            if key.startswith("sweep_cell_seconds{")
+        ]
+        assert timed and all("backend=sharded" in key for key in timed)
+
+
 class TestClusterAliases:
     """--workers / --tasks are spellings of --processors / --transactions."""
 

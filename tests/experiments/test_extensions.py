@@ -110,6 +110,16 @@ class TestFailures:
         with pytest.raises(ValueError):
             extension_failures(TINY, failure_counts=(TINY.num_processors,))
 
+    def test_counts_are_validated_before_the_first_cell(self, monkeypatch):
+        from repro.experiments import figures
+
+        def no_grid(specs, **kwargs):
+            raise AssertionError(f"ran {len(specs)} specs before refusing")
+
+        monkeypatch.setattr(figures, "run_grid", no_grid)
+        with pytest.raises(ValueError, match="cannot fail every processor"):
+            extension_failures(TINY, failure_counts=(0, 1, 99))
+
 
 class TestFailureAccounting:
     """Property-style checks of the fail-stop rescheduling bookkeeping.

@@ -428,15 +428,6 @@ class TestRunnerDelegation:
         second = run_cell(config, "rtsads")
         assert second.hit_percents == first.hit_percents
 
-    def test_overrides_bypass_the_sweep_engine(self, tmp_path):
-        """Ablation overrides are live objects with no cache key: the
-        engine runs such a cell but never caches it."""
-        from repro.core.quantum import FixedQuantum
-
-        config = tiny_config(cache_dir=str(tmp_path))
-        run_cell(config, "rtsads", quantum_policy=FixedQuantum(5.0))
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestPortPool:
     def test_lease_returns_and_restores_ports(self):

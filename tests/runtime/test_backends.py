@@ -179,17 +179,91 @@ class TestExperimentConfigBackend:
             ExperimentConfig.quick(backend="")
 
 
-class TestClusterBackendContract:
-    def test_scheduler_overrides_are_refused_not_ignored(self):
-        from repro.runtime.live import ClusterBackend
+class TestOneRunOnceSignature:
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_no_override_parameters(self, name):
+        """How a repetition departs from its config is a fact of the
+        backend instance, so no backend can be asked for a substitution it
+        would have to refuse."""
+        import inspect
 
-        with pytest.raises(NotImplementedError, match="simulator-only"):
-            ClusterBackend().run_once(
-                ExperimentConfig.quick(runs=1),
-                "rtsads",
-                1,
-                evaluator=object(),
-            )
+        parameters = inspect.signature(get_backend(name).run_once).parameters
+        assert list(parameters) == [
+            "config", "scheduler_name", "seed",
+            "validate_phases", "instrumentation",
+        ]
+        assert list(inspect.signature(run_once).parameters) == [
+            "config", "scheduler_name", "seed", "validate_phases", "backend",
+        ]
+
+
+class TestSimBackendVariants:
+    TINY = ExperimentConfig.quick(
+        num_transactions=30, runs=1, num_processors=3
+    )
+
+    def test_an_unknown_substitution_is_a_type_error(self):
+        from repro.runtime.sim import SimBackend
+
+        with pytest.raises(TypeError, match="tweak"):
+            SimBackend(tweak=print)
+
+    def test_the_variant_reaches_every_domains_scheduler(self):
+        from repro.core.quantum import FixedQuantum
+        from repro.runtime.sim import SimBackend
+
+        variant = SimBackend(quantum_policy=FixedQuantum(5.0))
+        for config in (self.TINY, self.TINY.with_domains(2)):
+            plain = run_once(config, "rtsads", 7)
+            varied = run_once(config, "rtsads", 7, backend=variant)
+            assert varied.seed == 7
+            # No host of the varied run allocated a self-adjusted quantum.
+            assert not {p.quantum for p in varied.phases} & {
+                p.quantum for p in plain.phases
+            }
+
+    def test_an_unseen_task_set_gets_no_oracle_verdict(self):
+        from repro.runtime.sim import SimBackend
+
+        facts = {
+            name: SimBackend(**{name: value}).seeded_workload
+            for name, value in {
+                "quantum_policy": None, "evaluator": None, "comm": None,
+                "max_candidates": None, "failures": [],
+                "workload": {}, "execution_model": print,
+            }.items()
+        }
+        assert [name for name, seeded in facts.items() if not seeded] == [
+            "workload", "execution_model"
+        ]
+        report = run_once(
+            self.TINY, "rtsads", 7,
+            backend=SimBackend(workload={"write_fraction": 0.5}),
+        )
+        assert report.regret["verdict"] == "unknown"
+        crashed = run_once(
+            self.TINY, "rtsads", 7, backend=SimBackend(failures=[(1.0, 0)])
+        )
+        assert crashed.workers_lost == 1
+        assert crashed.regret["verdict"] != "unknown"
+
+    @pytest.mark.parametrize("backend", ["cluster", "service"])
+    def test_a_live_config_is_refused_not_simulated(self, backend):
+        from repro.runtime.sim import SimBackend
+
+        config = replace(self.TINY, backend=backend)
+        with pytest.raises(ValueError, match="varies the simulator"):
+            run_once(config, "rtsads", 7, backend=SimBackend(failures=[]))
+
+    def test_a_global_comm_model_is_refused_over_domains(self):
+        from repro.core.affinity import UniformCommunicationModel
+        from repro.runtime.sim import SimBackend
+
+        variant = SimBackend(comm=UniformCommunicationModel(3.0))
+        variant.require(self.TINY)
+        variant.require(replace(self.TINY, backend="sharded"))
+        with pytest.raises(ValueError, match="2 scheduling domains"):
+            run_once(self.TINY.with_domains(2), "rtsads", 7, backend=variant)
 
 
 class TestServiceBackendContract:
@@ -197,17 +271,6 @@ class TestServiceBackendContract:
         backend = get_backend("service")
         assert isinstance(backend, ExecutionBackend)
         assert backend.name == "service"
-
-    def test_scheduler_overrides_are_refused_not_ignored(self):
-        from repro.runtime.service import ServiceBackend
-
-        with pytest.raises(NotImplementedError, match="simulator-only"):
-            ServiceBackend().run_once(
-                ExperimentConfig.quick(runs=1),
-                "rtsads",
-                1,
-                quantum_policy=object(),
-            )
 
     def test_with_port_clones_with_every_override_intact(self):
         from repro.runtime.service import ServiceBackend
