@@ -26,7 +26,6 @@ from .master import (
     ClusterMaster,
     ClusterStartupError,
     ClusterTimeoutError,
-    LiveTaskRecord,
     remap_tasks,
 )
 from .network import ConnectionLost, MessageHub, NetworkEvent, WorkerChannel
@@ -45,7 +44,6 @@ __all__ = [
     "FailurePlan",
     "FrameDecoder",
     "HeartbeatMonitor",
-    "LiveTaskRecord",
     "MessageHub",
     "NetworkEvent",
     "PROTOCOL_VERSION",

@@ -112,9 +112,7 @@ def launch_cluster(
         broker.drive(masters)
         for master in masters:
             master.shutdown()
-        report = merge_reports(
-            [master.report() for master in masters], assignment, broker.stats
-        )
+        report = merge_reports(masters, assignment, broker.stats)
         emit_run_end(
             headers,
             report,

@@ -40,10 +40,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.affinity import UniformCommunicationModel, project_tasks
 from ..core.task import Task
 from ..experiments.runner import build_scheduler
-from ..metrics.compliance import STATUS_COMPLETED, STATUS_EXPIRED
 from ..observability import Instrumentation, get_instrumentation
 from ..observability.clockskew import ClockOffsetEstimator
 from ..runtime.driver import PhaseDriver, PhaseHooks
+from ..runtime.ledger import (
+    COMPLETED,
+    DELIVERED,
+    LIVE_PLACED,
+    PENDING,
+    TaskLedger,
+    TaskRecord,
+)
 from ..runtime.report import RunReport
 from ..sharding.migration import can_guarantee
 from . import protocol
@@ -59,13 +66,6 @@ from .network import CONNECT, DISCONNECT, MESSAGE, MessageHub, NetworkEvent
 #: Deadline-comparison slop in virtual units (mirrors the core EPSILON).
 EPSILON = 1e-9
 
-#: Transient task states of the live run; terminal states are the
-#: canonical ones from :mod:`repro.metrics.compliance`.
-PENDING = "pending"
-DISPATCHED = "dispatched"
-COMPLETED = STATUS_COMPLETED
-EXPIRED = STATUS_EXPIRED
-
 
 class ClusterError(RuntimeError):
     """The live run could not start or complete."""
@@ -80,43 +80,6 @@ class ClusterTimeoutError(ClusterError):
 
 
 @dataclass
-class LiveTaskRecord:
-    """Lifecycle of one task through the live system (master's view)."""
-
-    task: Task
-    status: str = PENDING
-    worker: Optional[int] = None
-    guaranteed: bool = False
-    dispatched_at: Optional[float] = None  # virtual units
-    finished_at: Optional[float] = None  # virtual units
-    planned_cost: Optional[float] = None
-    actual_cost: Optional[float] = None
-    reschedules: int = 0
-    #: Template to stamp on ASSIGN frames; the wire default (``-1`` = "the
-    #: task id *is* the template id") is right for a batch workload's own
-    #: tasks, the service mints records that name their template.
-    template_id: int = -1
-
-    @property
-    def met_deadline(self) -> bool:
-        """Completed at or before the deadline (virtual units)."""
-        return (
-            self.status == COMPLETED
-            and self.finished_at is not None
-            and self.finished_at <= self.task.deadline + EPSILON
-        )
-
-
-@dataclass
-class _Dispatched:
-    """One outstanding assignment on a worker's queue (master bookkeeping)."""
-
-    task_id: int
-    planned_cost: float
-    deadline: float
-
-
-@dataclass
 class _WorkerState:
     """Registration and queue state of one worker process."""
 
@@ -124,11 +87,12 @@ class _WorkerState:
     conn_id: int
     alive: bool = True
     tasks_done: int = 0
-    outstanding: Dict[int, _Dispatched] = field(default_factory=dict)
+    #: Task id -> planned cost of each assignment still on the queue.
+    outstanding: Dict[int, float] = field(default_factory=dict)
 
     def outstanding_units(self) -> float:
         """Worst-case remaining work — the live ``Load_k`` upper bound."""
-        return sum(d.planned_cost for d in self.outstanding.values())
+        return sum(self.outstanding.values())
 
 
 def remap_tasks(
@@ -221,23 +185,20 @@ class ClusterMaster(PhaseHooks):
         self.hub = MessageHub(
             config.host, config.port, instrumentation=self.obs
         )
-        self.driver = PhaseDriver(scheduler=self.scheduler, hooks=self)
+        #: This master's task records and settled-task counts (times in
+        #: virtual units); the counts outlive the records, which a service
+        #: prunes on RESULT and a migration hands to the accepting peer.
+        self.ledger = TaskLedger(self.obs, placed_as=LIVE_PLACED)
+        self.records = self.ledger.records
+        self.driver = PhaseDriver(self.scheduler, self, self.ledger)
         self._handlers = {
             kind: getattr(self, name) for kind, name in self.HANDLERS.items()
         }
         # Every task of the closed workload is known up front: one record
         # each, and the full arrival stream staged on the driver.
-        self.records: Dict[int, LiveTaskRecord] = {
-            task.task_id: LiveTaskRecord(task=task) for task in domain.tasks
-        }
+        for task in domain.tasks:
+            self.ledger.open(TaskRecord(task))
         self.driver.stage_arrivals(domain.tasks)
-        #: Settled-task counters and the latest completion (virtual units);
-        #: they outlive the records, which a service prunes on RESULT and a
-        #: migration hands to the accepting peer.
-        self.completed = 0
-        self.deadline_hits = 0
-        self.expired = 0
-        self.last_finish = 0.0
         #: Task ids that may not migrate (offered once, or migrated in).
         self._migration_barred: set = set()
         self.workers: Dict[int, _WorkerState] = {}
@@ -247,7 +208,6 @@ class ClusterMaster(PhaseHooks):
         # min-filter estimator learns each worker's offset so shipped
         # telemetry can merge onto the master's timeline.
         self.clock = ClockOffsetEstimator()
-        self.guaranteed_violations = 0
         # Telemetry events each worker's bounded buffer had to drop
         # (worker_id -> count), folded into the run_end trace header.
         self.telemetry_dropped: Dict[int, int] = {}
@@ -323,11 +283,10 @@ class ClusterMaster(PhaseHooks):
         """
         for task_id in sorted(self.records):
             task = self.records[task_id].task
-            self.obs.emit(
-                "task",
-                transition="arrived",
-                task_id=task_id,
-                t=task.arrival_time,
+            self.ledger.note(
+                "arrived",
+                task_id,
+                task.arrival_time,
                 deadline=task.deadline,
                 cost=task.processing_time,
             )
@@ -607,46 +566,22 @@ class ClusterMaster(PhaseHooks):
             state.outstanding.pop(task_id, None)
             state.tasks_done += 1
         record = self.records.get(task_id)
-        if record is None or record.status != DISPATCHED or (
-            record.worker != worker_id
+        if record is None or record.status != DELIVERED or (
+            record.processor != worker_id
         ):
             # Stale completion: the task was surrendered and rescheduled
             # while this report was in flight.  First terminal state wins.
             if self.obs.enabled:
                 self.obs.metrics.counter("cluster_stale_completions").inc()
             return
-        record.status = COMPLETED
-        record.finished_at = now_v
-        record.actual_cost = actual_cost
-        self.completed += 1
-        if record.met_deadline:
-            self.deadline_hits += 1
-        self.last_finish = max(self.last_finish, now_v)
+        self.ledger.settle(task_id, COMPLETED, now_v, actual_cost=actual_cost)
         if record.guaranteed and not record.met_deadline:
-            self.guaranteed_violations += 1
             self.obs.logger.warning(
                 "guaranteed task missed its deadline",
                 task=task_id,
                 finished=round(now_v, 2),
                 deadline=record.task.deadline,
             )
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster_tasks_completed").inc()
-            self.obs.emit(
-                "task",
-                transition="finished",
-                task_id=task_id,
-                t=now_v,
-                processor=worker_id,
-                met_deadline=record.met_deadline,
-                deadline=record.task.deadline,
-                actual_cost=record.actual_cost,
-            )
-        self._task_settled(record, now_v)
-
-    def _task_settled(self, record: LiveTaskRecord, now_v: float) -> None:
-        """``record`` just reached COMPLETED or EXPIRED (the service's
-        cue to answer its client); a batch run only counts it."""
 
     # ----- failures ---------------------------------------------------------
 
@@ -658,34 +593,25 @@ class ClusterMaster(PhaseHooks):
         self.monitor.forget(worker_id)
         self._conn_to_worker.pop(state.conn_id, None)
         self.hub.close_connection(state.conn_id)
-        surrendered = list(state.outstanding.values())
+        # The guarantee dies with the worker; its queue re-enters the
+        # batch and must re-earn feasibility on the survivors.
+        requeue = [
+            task_id
+            for task_id in state.outstanding
+            if task_id in self.records
+            and self.records[task_id].status == DELIVERED
+        ]
         state.outstanding.clear()
-        requeue: List[Task] = []
-        for dispatched in surrendered:
-            record = self.records.get(dispatched.task_id)
-            if record is None or record.status != DISPATCHED:
-                continue
-            # The guarantee dies with the worker; the task re-enters the
-            # batch and must re-earn feasibility on the survivors.
-            record.status = PENDING
-            record.guaranteed = False
-            record.worker = None
-            record.dispatched_at = None
-            record.planned_cost = None
-            record.reschedules += 1
-            requeue.append(record.task)
-        self.driver.worker_lost()
-        self.driver.surrender(requeue)
         self.obs.logger.warning(
             "worker lost",
             worker=worker_id,
             reason=reason,
             surrendered=len(requeue),
         )
+        now_v = self.vnow()
         if self.obs.enabled:
             self.obs.metrics.counter("cluster_workers_lost").inc()
             self.obs.metrics.counter("cluster_reschedules").inc(len(requeue))
-            now_v = self.vnow()
             self.obs.emit(
                 "worker_lost",
                 worker=worker_id,
@@ -693,15 +619,8 @@ class ClusterMaster(PhaseHooks):
                 t=now_v,
                 surrendered=len(requeue),
             )
-            for task in requeue:
-                self.obs.emit(
-                    "task",
-                    transition="surrendered",
-                    task_id=task.task_id,
-                    t=now_v,
-                    processor=worker_id,
-                    deadline=task.deadline,
-                )
+        self.driver.worker_lost()
+        self.driver.surrender(requeue, now_v, worker_id)
 
     # ----- PhaseHooks: the driver's view of the live cluster ----------------
 
@@ -732,23 +651,6 @@ class ClusterMaster(PhaseHooks):
         """Project affinities onto this phase's alive-worker slots."""
         return remap_tasks(tasks, self._phase_alive)
 
-    def on_task_expired(self, task: Task, now: float) -> None:
-        """The driver evicted ``task`` from the batch: deadline hopeless."""
-        record = self.records[task.task_id]
-        record.status = EXPIRED
-        self.expired += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster_tasks_expired").inc()
-            self.obs.emit(
-                "task",
-                transition="expired",
-                task_id=task.task_id,
-                t=now,
-                deadline=task.deadline,
-                arrival=task.arrival_time,
-            )
-        self._task_settled(record, now)
-
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
         """Re-validate one entry at dispatch time and send it.
 
@@ -773,17 +675,14 @@ class ClusterMaster(PhaseHooks):
             # The wall clock outran the phase's feasibility bound (or
             # the margin eats the slack); not guaranteed, try again
             # next phase or expire.
-            if self.obs.enabled:
-                self.obs.metrics.counter("cluster_dispatch_rejected").inc()
-                self.obs.emit(
-                    "task",
-                    transition="dispatch_rejected",
-                    task_id=entry.task.task_id,
-                    t=now_v,
-                    processor=worker_id,
-                    deadline=entry.task.deadline,
-                    finish_bound=round(finish_bound + margin, 6),
-                )
+            self.ledger.note(
+                "dispatch_rejected",
+                entry.task.task_id,
+                now_v,
+                processor=worker_id,
+                deadline=entry.task.deadline,
+                finish_bound=round(finish_bound + margin, 6),
+            )
             return False
         sent = self.hub.send(
             state.conn_id,
@@ -799,30 +698,9 @@ class ClusterMaster(PhaseHooks):
         if not sent:
             self._worker_lost(worker_id, reason="send failed")
             return False
-        record.status = DISPATCHED
-        record.worker = worker_id
-        record.guaranteed = True
-        record.dispatched_at = now_v
-        record.planned_cost = entry.total_cost
-        state.outstanding[entry.task.task_id] = _Dispatched(
-            task_id=entry.task.task_id,
-            planned_cost=entry.total_cost,
-            deadline=entry.task.deadline,
-        )
+        self.ledger.place(entry, phase_index, now_v, worker_id)
+        state.outstanding[entry.task.task_id] = entry.total_cost
         self._phase_cumulative[entry.processor] += entry.total_cost
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster_tasks_dispatched").inc()
-            self.obs.emit(
-                "task",
-                transition="dispatched",
-                task_id=entry.task.task_id,
-                t=now_v,
-                processor=worker_id,
-                phase=phase_index,
-                arrival=entry.task.arrival_time,
-                deadline=entry.task.deadline,
-                planned_cost=entry.total_cost,
-            )
         return True
 
     # ----- scheduling -------------------------------------------------------
@@ -858,31 +736,25 @@ class ClusterMaster(PhaseHooks):
         )
 
     def report(self) -> RunReport:
-        """This master's outcome, from its settled-task counters.
+        """This master's outcome, from its ledger's counts.
 
         Emits nothing: the ``run_end`` header belongs to whoever owns the
-        run (:meth:`run`, or the launcher for its merged report).
+        run (:meth:`run`, or the launcher for its merged report).  Nothing
+        is ``failed`` in flight here: fail-stop workers surrender their
+        queues, so a batch run's tasks all complete or expire.
         """
-        makespan = self.last_finish or self.vnow()
+        makespan = self.ledger.last_finish or self.vnow()
         wall = (
             time.monotonic() - self._start_wall
             if self._start_wall is not None
             else 0.0
         )
-        return RunReport(
+        return RunReport.from_ledgers(
+            [self.ledger],
             backend=self.backend,
             scheduler_name=self.scheduler.name,
             num_workers=self.expected_workers,
             seed=self.config.experiment.base_seed,
-            total_tasks=len(self.records),
-            guaranteed=self.driver.guaranteed_count,
-            completed=self.completed,
-            deadline_hits=self.deadline_hits,
-            completed_late=self.completed - self.deadline_hits,
-            expired=self.expired,
-            failed=0,  # fail-stop workers surrender; tasks never die in flight
-            guaranteed_violations=self.guaranteed_violations,
-            reschedules=self.driver.reschedules,
             workers_lost=self.driver.workers_lost,
             makespan=float(makespan),
             wall_seconds=wall,
@@ -931,7 +803,7 @@ class ClusterMaster(PhaseHooks):
         )
         domain_id = self.domain.domain_id
         if acceptable:
-            self.records[task_id] = LiveTaskRecord(task=task)
+            self.ledger.open(TaskRecord(task))
             self._migration_barred.add(task_id)
             self.driver.admit([task])
             self.hub.send(
@@ -973,7 +845,7 @@ class ClusterMaster(PhaseHooks):
     def release_migrated(self, task_id: int) -> bool:
         """Hand ownership to the accepting peer: drop batch entry + record."""
         removed = self.driver.withdraw([task_id])
-        record = self.records.pop(task_id, None)
+        record = self.ledger.release(task_id)
         if not removed or record is None:
             self.obs.logger.warning(
                 "migrated task was not waiting here", task=task_id

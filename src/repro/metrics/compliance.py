@@ -7,21 +7,14 @@ per-class breakdown the examples print.
 
 This is the *base* metrics layer: every compliance-style ratio in the
 codebase — :attr:`~repro.runtime.report.RunReport.hit_ratio`,
-``guarantee_ratio``, :meth:`SimulationTrace.hit_ratio` — bottoms out in
-:func:`ratio` here, so the zero-task guard and the division live in
-exactly one place.  It imports nothing from the runtime layers (they
-import it), which is also why the canonical terminal-state names are
-defined here and re-exported by the trace/report modules.
+``guarantee_ratio`` — bottoms out in :func:`ratio` here, so the zero-task
+guard and the division live in exactly one place.  It imports nothing
+from the runtime layers (they import it).
 """
 
 from __future__ import annotations
 
 from typing import Dict
-
-#: Canonical task terminal states, shared by every backend's records.
-STATUS_COMPLETED = "completed"
-STATUS_EXPIRED = "expired"  # dropped from a batch, deadline already hopeless
-STATUS_FAILED = "failed"  # in flight on a processor that crashed
 
 
 def ratio(numerator: int, denominator: int) -> float:
@@ -40,7 +33,7 @@ def percent(numerator: int, denominator: int) -> float:
     return 100.0 * ratio(numerator, denominator)
 
 
-def hit_ratio_by_tag(trace: "SimulationTrace") -> Dict[str, float]:
+def hit_ratio_by_tag(trace: "TaskLedger") -> Dict[str, float]:
     """Deadline hit ratio split by task tag (e.g. 'indexed' vs 'scan')."""
     totals: Dict[str, int] = {}
     hits: Dict[str, int] = {}

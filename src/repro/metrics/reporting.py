@@ -117,7 +117,7 @@ def format_gantt(
 ) -> str:
     """Render per-processor execution lanes as an ASCII timeline.
 
-    ``lanes`` is the :meth:`~repro.simulator.trace.SimulationTrace.gantt`
+    ``lanes`` is the :meth:`~repro.runtime.ledger.TaskLedger.gantt`
     output: processor -> sorted ``(task_id, start, finish)`` triples.  Each
     processor gets one row; executed intervals are drawn with ``#`` and gaps
     (idle time) with ``.``, scaled so the horizon fits in ``width`` columns.

@@ -83,17 +83,31 @@ CAUSES = (
     CAUSE_ADMISSION_WAIT,
 )
 
-#: Transitions that mean "the task was handed to a processor".
+#: Transitions that mean "the task was handed to a processor" (the
+#: ledger's ``PLACED_TRANSITIONS``; a test holds the two together).
 _PLACED = ("dispatched", "delivered")
 #: Transitions that mean "execution began on a processor".
 _STARTED = ("started", "exec_started")
 
-# Terminal outcomes a task timeline can end in.
+# Outcomes a task timeline can end in: a completion is ``met`` or
+# ``late``; every other terminal transition of the ledger's vocabulary
+# (``shed`` and ``surrendered`` too) is an outcome under its own name.
 OUTCOME_MET = "met"
 OUTCOME_LATE = "late"
 OUTCOME_EXPIRED = "expired"
 OUTCOME_FAILED = "failed"
 OUTCOME_INCOMPLETE = "incomplete"
+
+
+def _terminal_transitions() -> Tuple[str, ...]:
+    """The ledger's terminal transition names.
+
+    Read at call time: the ledger's package imports this one's
+    primitives, so a module-level import would be circular.
+    """
+    from ..runtime.ledger import TERMINAL_TRANSITIONS
+
+    return TERMINAL_TRANSITIONS
 
 
 def _num(value: object) -> Optional[float]:
@@ -169,16 +183,32 @@ class TaskTimeline:
             path.append(str(target))
         return "->".join(path) if path else None
 
+    def terminal(self) -> Optional[Dict[str, object]]:
+        """The terminal transition the timeline ended in (None if open).
+
+        The last one wins.  ``surrendered`` is terminal only as the word
+        on a drain: a worker-loss ``surrendered`` requeues the task, so
+        one followed by a re-placement leaves the timeline open.
+        """
+        names = _terminal_transitions()
+        placed_since = False
+        for event in reversed(self.transitions):
+            name = event.get("transition")
+            if name in _PLACED:
+                placed_since = True
+            elif name in names:
+                requeued = name == "surrendered" and placed_since
+                return None if requeued else event
+        return None
+
     def outcome(self) -> str:
         """Terminal outcome of the timeline (last terminal event wins)."""
-        terminal = self.last("finished", "expired", "failed")
+        terminal = self.terminal()
         if terminal is None:
             return OUTCOME_INCOMPLETE
         transition = terminal.get("transition")
-        if transition == "expired":
-            return OUTCOME_EXPIRED
-        if transition == "failed":
-            return OUTCOME_FAILED
+        if transition != "finished":
+            return str(transition)
         if terminal.get("met_deadline") is True:
             return OUTCOME_MET
         if terminal.get("met_deadline") is False:
@@ -452,7 +482,7 @@ def attribute_misses(
         if outcome not in (OUTCOME_LATE, OUTCOME_EXPIRED, OUTCOME_FAILED):
             continue
         cause, detail = classify_miss(timeline, phases)
-        terminal = timeline.last("finished", "expired", "failed")
+        terminal = timeline.terminal()
         placed = timeline.first(*_PLACED)
         phase = None
         if placed is not None and isinstance(placed.get("phase"), int):
@@ -534,8 +564,7 @@ def render_attribution(report: AttributionReport) -> str:
             for outcome in (
                 OUTCOME_MET,
                 OUTCOME_LATE,
-                OUTCOME_EXPIRED,
-                OUTCOME_FAILED,
+                *_terminal_transitions()[1:],
                 OUTCOME_INCOMPLETE,
             )
             if report.outcomes.get(outcome, 0)
@@ -635,7 +664,7 @@ def render_timeline(
         begin = _num((started or placed).get("t"))
         if begin is None:
             begin = _num(placed.get("t"))
-        terminal = timeline.last("finished", "expired", "failed")
+        terminal = timeline.terminal()
         end = _num(terminal.get("t")) if terminal is not None else None
         if begin is None or end is None or end < begin:
             continue

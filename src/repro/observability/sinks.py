@@ -17,9 +17,10 @@ emit (see EXPERIMENTS.md appendix for one full example of each):
     ``backtracks``, ``feasibility_rejections``, ``prefilter_rejected``,
     ``tasks_pruned``, ``dead_end``, ``complete``, ``max_depth``.
 ``task``
-    One task lifecycle transition: ``task_id``, ``transition`` (``arrived``
-    | ``delivered`` | ``started`` | ``finished`` | ``expired`` |
-    ``failed``), virtual time ``t``, and ``processor`` where known.
+    One task lifecycle transition, written by the run's task ledger:
+    ``task_id``, ``transition`` (one of
+    :data:`repro.runtime.ledger.TRANSITIONS`), virtual time ``t``, and
+    ``processor`` where known.
 ``lock_wait``
     A lock request queued instead of being granted: ``resource``,
     ``owner``, ``mode``.

@@ -10,6 +10,9 @@ This package is the seam between *what the paper's algorithm does* and
 * :class:`ExecutionBackend` + :func:`get_backend` — the registry through
   which experiments dispatch a cell to the simulator (``"sim"``), the
   live TCP cluster (``"cluster"``), or any backend registered later;
+* :class:`TaskLedger` + :class:`TaskRecord` — the one place a task's
+  lifecycle is written, on every backend (:mod:`repro.runtime.ledger`,
+  which also holds the status and transition vocabulary);
 * :class:`RunReport` — the single report schema every backend produces.
 
 The concrete backends (:mod:`repro.runtime.sim`,
@@ -27,6 +30,7 @@ from .backend import (
     register_backend,
 )
 from .driver import OpenPhase, PhaseDriver, PhaseHooks, PhaseTrace
+from .ledger import TaskLedger, TaskRecord
 from .report import RunReport
 
 __all__ = [
@@ -37,6 +41,8 @@ __all__ = [
     "PhaseHooks",
     "PhaseTrace",
     "RunReport",
+    "TaskLedger",
+    "TaskRecord",
     "get_backend",
     "register_backend",
 ]

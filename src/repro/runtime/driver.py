@@ -6,13 +6,16 @@ for a feasible partial schedule, deliver it at ``t_e = t_s + sigma_j`` —
 is the same whether "time" is a virtual event clock (the simulator) or
 the wall clock (the live TCP cluster).  What differs is only *how* the
 environment answers a handful of questions: what is each processor's
-current load, how does a schedule entry physically reach its processor,
-and what happens to a task record when it expires.
+current load, and how does a schedule entry physically reach its
+processor.
 
 :class:`PhaseDriver` owns everything backend-independent — admission,
 expiry, quantum allocation, the feasibility search call, delivery-time
-batch bookkeeping, guarantee accounting, and failure remap — and asks a
-:class:`PhaseHooks` implementation (the concrete runtime) for the rest.
+batch bookkeeping, and failure remap — and asks a :class:`PhaseHooks`
+implementation (the concrete runtime) for the rest.  It keeps no task
+counters: what it decides about a task (expired, requeued) it posts to
+the run's :class:`~repro.runtime.ledger.TaskLedger`, where the hooks post
+their placements too.
 Both the simulator's :class:`~repro.simulator.runtime.DomainHost` (one per
 scheduling domain of a :class:`~repro.simulator.runtime.DistributedRuntime`)
 and :class:`~repro.cluster.master.ClusterMaster` are thin hook objects
@@ -31,11 +34,12 @@ Two admission styles are supported because the two time models need them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from ..core.batch import Batch
 from ..core.scheduler import Scheduler
 from ..core.task import Task
+from .ledger import EXPIRED, TaskLedger
 
 
 @dataclass
@@ -90,6 +94,10 @@ class PhaseHooks:
     (the live cluster after worker loss) need it.
     """
 
+    #: Fields stamped on the ``task`` events the driver posts on this
+    #: backend's behalf (a sharded simulator host's ``domain``).
+    tag: Dict[str, object] = {}
+
     def loads(self, now: float) -> List[float]:
         """Current per-processor load ``Load_k`` in cost units.
 
@@ -107,23 +115,26 @@ class PhaseHooks:
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
         """Physically deliver one schedule entry; True iff it was accepted.
 
+        An accepting backend posts the placement
+        (:meth:`~repro.runtime.ledger.TaskLedger.place`) with what only it
+        knows: the global processor id and its own clock reading.
         A declined entry (processor died mid-phase, dispatch-time
         guarantee re-check failed) is returned to the pending set by the
         driver and re-enters the batch at the next phase start.
         """
         raise NotImplementedError
 
-    def on_task_expired(self, task: Task, now: float) -> None:
-        """Record a task evicted because its deadline is already hopeless."""
-        raise NotImplementedError
-
 
 class PhaseDriver:
     """Runs the paper's phase loop over any :class:`PhaseHooks` backend."""
 
-    def __init__(self, scheduler: Scheduler, hooks: PhaseHooks) -> None:
+    def __init__(
+        self, scheduler: Scheduler, hooks: PhaseHooks, ledger: TaskLedger
+    ) -> None:
         self.scheduler = scheduler
         self.hooks = hooks
+        #: Where every task this driver schedules has its record.
+        self.ledger = ledger
         self.batch = Batch()
         #: Phase summaries in completion order.
         self.phases: List[PhaseTrace] = []
@@ -131,10 +142,7 @@ class PhaseDriver:
         self._arrivals: List[Task] = []
         self._next_arrival = 0
         self._open: Optional[OpenPhase] = None
-        self._guaranteed_ids: Set[int] = set()
-        self.reschedules = 0
         self.workers_lost = 0
-        self.total_expired = 0
 
     # ----- admission --------------------------------------------------------
 
@@ -162,16 +170,7 @@ class PhaseDriver:
         """True once every staged arrival has been admitted to pending."""
         return self._next_arrival >= len(self._arrivals)
 
-    # ----- guarantee accounting and failure remap ---------------------------
-
-    @property
-    def guaranteed_count(self) -> int:
-        """Tasks delivered under a currently unrevoked guarantee."""
-        return len(self._guaranteed_ids)
-
-    def revoke(self, task_id: int) -> None:
-        """Void one guarantee without requeueing (e.g. task died in flight)."""
-        self._guaranteed_ids.discard(task_id)
+    # ----- failure remap ----------------------------------------------------
 
     def worker_lost(self) -> None:
         """Count one fail-stopped worker (live cluster failure path)."""
@@ -184,7 +183,8 @@ class PhaseDriver:
         and returns the :class:`~repro.core.task.Task` objects actually
         withdrawn.  Ids that are not waiting (already dispatched, expired,
         or unknown) are silently skipped — the caller decides what that
-        means.  Withdrawn tasks carry no guarantee, so nothing is revoked.
+        means (settle them as shed or surrendered, release them to a
+        peer).  Withdrawn tasks carry no guarantee, so nothing is revoked.
         """
         wanted = set(task_ids)
         if not wanted:
@@ -200,18 +200,20 @@ class PhaseDriver:
         withdrawn.extend(self.batch.withdraw(wanted))
         return withdrawn
 
-    def surrender(self, tasks: Sequence[Task]) -> int:
-        """Failure remap: requeue tasks whose processor was lost.
+    def surrender(
+        self, task_ids: Sequence[int], now: float, processor: int
+    ) -> None:
+        """Failure remap: requeue the work queued on lost ``processor``.
 
         Each task's guarantee is revoked — it must re-earn feasibility on
         the survivors through the normal phase path — and counted as a
-        reschedule.  Returns how many tasks were requeued.
+        reschedule (:meth:`~repro.runtime.ledger.TaskLedger.requeue`).
         """
-        for task in tasks:
-            self._guaranteed_ids.discard(task.task_id)
-            self._pending.append(task)
-        self.reschedules += len(tasks)
-        return len(tasks)
+        tag = self.hooks.tag
+        for task_id in task_ids:
+            self._pending.append(
+                self.ledger.requeue(task_id, now, processor, **tag)
+            )
 
     # ----- the phase loop ---------------------------------------------------
 
@@ -227,9 +229,8 @@ class PhaseDriver:
             self.batch.add_arrivals(self._pending)
             self._pending.clear()
         expired = self.batch.drop_expired(now)
-        self.total_expired += len(expired)
         for task in expired:
-            self.hooks.on_task_expired(task, now)
+            self.ledger.settle(task.task_id, EXPIRED, now, **self.hooks.tag)
         if not self.batch:
             return None
         loads = self.hooks.loads(now)
@@ -268,7 +269,6 @@ class PhaseDriver:
         delivered = 0
         for entry, original in zip(result.schedule, originals):
             if self.hooks.deliver_entry(entry, opened.index, now):
-                self._guaranteed_ids.add(original.task_id)
                 delivered += 1
             else:
                 self._pending.append(original)

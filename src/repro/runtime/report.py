@@ -7,11 +7,15 @@ emits) have identical keys and types regardless of backend, which is what
 lets one experiment sweep both execution modes through the same export
 and figure pipeline; CI asserts the schemas can never drift apart.
 
+Every *counted* field (``total_tasks`` through ``reschedules``) is a count
+kept by the run's :class:`~repro.runtime.ledger.TaskLedger`;
+:meth:`RunReport.from_ledgers` is the one place they are read off, for
+one ledger or the ``k`` of a sharded live run.
+
 Backend-specific artifacts that cannot be schema-stable — the simulator's
-full :class:`~repro.simulator.trace.SimulationTrace`, the live master's
-bound port — ride along in :attr:`RunReport.extras` and are exposed as
-conveniences (:attr:`trace`, :attr:`port`, :attr:`events_dispatched`) but
-never exported.
+full ledger, the live master's bound port — ride along in
+:attr:`RunReport.extras` and are exposed as conveniences (:attr:`trace`,
+:attr:`port`, :attr:`events_dispatched`) but never exported.
 
 Every ratio is computed by :func:`repro.metrics.compliance.ratio` — one
 guard, one division, for both backends.
@@ -19,11 +23,13 @@ guard, one division, for both backends.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..metrics.compliance import percent, ratio
 from .driver import PhaseTrace
+from .ledger import COMPLETED, EXPIRED, FAILED, SHED, SURRENDERED, TaskLedger
 
 
 @dataclass
@@ -61,6 +67,87 @@ class RunReport:
     extras: Dict[str, object] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @classmethod
+    def from_ledgers(
+        cls, ledgers: Sequence[TaskLedger], **run: object
+    ) -> "RunReport":
+        """The report of a run booked on ``ledgers`` (one per master).
+
+        Fills every counted field by summing the ledgers' counts; ``run``
+        is the rest of the constructor (backend, scheduler, clock
+        readings, phases, extras).  Judged against *offered* load: a
+        rejected submission counts in ``total_tasks``, and rejected, shed
+        and surrendered work is ``failed`` beside tasks lost in flight.
+        """
+        summed = (
+            "opened", "rejected", "deadline_hits", "guaranteed",
+            "guaranteed_violations", "reschedules",
+        )
+        counts: Counter = Counter()
+        for ledger in ledgers:
+            counts.update(ledger.settled)
+            counts.update({name: getattr(ledger, name) for name in summed})
+        return cls(
+            total_tasks=counts["opened"] + counts["rejected"],
+            guaranteed=counts["guaranteed"],
+            completed=counts[COMPLETED],
+            deadline_hits=counts["deadline_hits"],
+            completed_late=counts[COMPLETED] - counts["deadline_hits"],
+            expired=counts[EXPIRED],
+            failed=(
+                counts[FAILED] + counts[SHED] + counts[SURRENDERED]
+                + counts["rejected"]
+            ),
+            guaranteed_violations=counts["guaranteed_violations"],
+            reschedules=counts["reschedules"],
+            **run,
+        )
+
+    def check_balance(self) -> None:
+        """Raise ``ValueError`` unless every task is booked exactly once.
+
+        A drained batch run settles every task: ``completed + expired +
+        failed == total_tasks``.  A service report also carries the
+        submission side in ``extras``: every submission was accepted or
+        rejected, ``failed`` is exactly the rejected, shed and surrendered
+        ones, and accepted work still open (a report taken before the
+        drain finished) is the only thing allowed to be unsettled.
+        """
+        extras = self.extras
+        booked = self.completed + self.expired + self.failed
+        checks = [
+            (
+                "completed + expired + failed + open == total_tasks",
+                booked + extras.get("open", 0),
+                self.total_tasks,
+            ),
+            (
+                "deadline_hits + completed_late == completed",
+                self.deadline_hits + self.completed_late,
+                self.completed,
+            ),
+        ]
+        if "submitted" in extras:
+            refused = extras["rejected"] + extras["shed"] + extras["surrendered"]
+            checks += [
+                (
+                    "accepted + rejected == submitted",
+                    extras["accepted"] + extras["rejected"],
+                    extras["submitted"],
+                ),
+                ("submitted == total_tasks", extras["submitted"], self.total_tasks),
+                ("rejected + shed + surrendered == failed", refused, self.failed),
+            ]
+        problems = [
+            f"{law} ({left} != {right})"
+            for law, left, right in checks
+            if left != right
+        ]
+        if problems:
+            raise ValueError(
+                f"{self.backend} report does not balance: " + "; ".join(problems)
+            )
 
     # ----- ratios (all via metrics.compliance) ------------------------------
 
@@ -118,7 +205,7 @@ class RunReport:
 
     @property
     def trace(self):
-        """The simulator's full trace (sim backend only)."""
+        """The run's task ledger with its records (sim backend only)."""
         try:
             return self.extras["trace"]
         except KeyError:
@@ -129,7 +216,7 @@ class RunReport:
     @property
     def reclaimed_time(self) -> float:
         """Worst-case processor time reclaimed by early completions, in
-        virtual quanta (0.0 where a backend records no simulation trace)."""
+        virtual quanta (0.0 where a backend keeps no finished records)."""
         trace = self.extras.get("trace")
         return trace.total_reclaimed_time() if trace is not None else 0.0
 

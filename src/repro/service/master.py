@@ -15,10 +15,12 @@ derives the absolute deadline from the submission's relative deadline (or
 the template's own laxity).  ``ASSIGN`` carries the template id so workers
 execute the right resident transaction for a minted task.
 
-**Result discipline.**  A record leaves :attr:`ClusterMaster.records` the
-moment its RESULT is sent; aggregate counters carry the history.  That
-bounds the master's memory by work-in-flight, not by service lifetime —
-the property that lets the process run indefinitely.
+**Result discipline.**  Every terminal transition on the master's ledger
+sends the record's RESULT (the ledger's ``on_settled`` hook) and the
+record leaves :attr:`ClusterMaster.records` that moment; the ledger's
+counts carry the history.  That bounds the master's memory by
+work-in-flight, not by service lifetime — the property that lets the
+process run indefinitely.
 
 **Termination.**  The run ends by :meth:`request_stop` (SIGTERM), by the
 ``max_service_seconds`` duration cap, or — for harness runs — by going
@@ -36,31 +38,21 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import protocol
-from ..cluster.master import (
-    DISPATCHED,
-    PENDING,
-    ClusterMaster,
-    Domain,
-    LiveTaskRecord,
-)
+from ..cluster.master import ClusterMaster, Domain
 from ..core.task import Task
 from ..observability import Instrumentation
+from ..runtime.ledger import DELIVERED, PENDING, SHED, SURRENDERED, TaskRecord
 from ..runtime.report import RunReport
 from .admission import AdmissionState, QueuedTask, build_policy
 from .config import ServiceConfig
 
-#: Service-only terminal states (the batch ones come from the master).
-SHED = "shed"
-SURRENDERED = "surrendered"
-
 
 @dataclass
-class ServiceTaskRecord(LiveTaskRecord):
+class ServiceTaskRecord(TaskRecord):
     """One accepted submission's lifecycle, routed back to its client."""
 
     client_conn: int = -1
     request_id: int = -1
-    result_sent: bool = False
 
 
 class ServiceMaster(ClusterMaster):
@@ -85,6 +77,7 @@ class ServiceMaster(ClusterMaster):
             instrumentation=instrumentation,
         )
         self.service = service
+        self.ledger.on_settled = self._send_result
         self.templates: Dict[int, Task] = {t.task_id: t for t in fleet.tasks}
         self.policy = build_policy(service.admission_policy)
         templates = self.templates.values()
@@ -96,12 +89,6 @@ class ServiceMaster(ClusterMaster):
             self.expected_workers * mean_laxity
         )
         self._next_task_id = max(self.templates) + 1
-        # Submission accounting (aggregate; records prune on RESULT).
-        self.submitted = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.shed = 0
-        self.surrendered = 0
         # Client connections currently open (conn_id -> submissions seen).
         self._clients: Dict[int, int] = {}
         self._had_client = False
@@ -167,30 +154,18 @@ class ServiceMaster(ClusterMaster):
         """Terminal sweep: every record still open becomes ``surrendered``.
 
         Pending work is withdrawn from the driver; dispatched work has its
-        guarantee revoked (surrendered, not violated — the paper's
-        discipline survives shutdown).  Every client gets its RESULT, and
-        a few extra poll ticks flush the outboxes before SHUTDOWN.
+        guarantee revoked by the settlement (surrendered, not violated —
+        the paper's discipline survives shutdown).  Every client gets its
+        RESULT, and a few extra poll ticks flush the outboxes before
+        SHUTDOWN.
         """
         now_v = self.vnow()
         leftover = list(self.records.values())
         self.driver.withdraw(
-            [r.task.task_id for r in leftover if r.status == PENDING]
+            [r.task_id for r in leftover if r.status == PENDING]
         )
         for record in leftover:
-            if record.status == DISPATCHED:
-                self.driver.revoke(record.task.task_id)
-            record.status = SURRENDERED
-            self.surrendered += 1
-            if self.obs.enabled:
-                self.obs.emit(
-                    "task",
-                    transition="surrendered",
-                    task_id=record.task.task_id,
-                    t=now_v,
-                    deadline=record.task.deadline,
-                    met_deadline=False,
-                )
-            self._send_result(record, SURRENDERED, now_v)
+            self.ledger.settle(record.task_id, SURRENDERED, now_v)
         if self.obs.enabled:
             self.obs.emit(
                 "drain_end",
@@ -259,7 +234,6 @@ class ServiceMaster(ClusterMaster):
         relative = float(message.get("relative_deadline") or 0.0)
         self._clients[conn_id] = self._clients.get(conn_id, 0) + 1
         self._had_client = True
-        self.submitted += 1
         if self._draining:
             self._reject(conn_id, request_id, "draining")
             return
@@ -287,30 +261,27 @@ class ServiceMaster(ClusterMaster):
             self._note_backpressure(True)
             return
         self._next_task_id += 1
-        self.accepted += 1
-        record = ServiceTaskRecord(
-            task=task,
-            client_conn=conn_id,
-            request_id=request_id,
-            template_id=template.task_id,
+        self.ledger.open(
+            ServiceTaskRecord(
+                task=task,
+                client_conn=conn_id,
+                request_id=request_id,
+                template_id=template.task_id,
+            )
         )
-        self.records[task_id] = record
         self.driver.admit([task])
         self.hub.send(
             conn_id, protocol.accept(request_id, task_id, task.deadline)
         )
-        if self.obs.enabled:
-            self.obs.metrics.counter("service_accepted").inc()
-            self.obs.emit(
-                "task",
-                transition="admitted",
-                task_id=task_id,
-                t=now_v,
-                arrival=task.arrival_time,
-                deadline=task.deadline,
-                template=template.task_id,
-                policy=self.policy.name,
-            )
+        self.ledger.note(
+            "admitted",
+            task_id,
+            now_v,
+            arrival=task.arrival_time,
+            deadline=task.deadline,
+            template=template.task_id,
+            policy=self.policy.name,
+        )
         if decision.shed:
             self._note_backpressure(True)
         elif state.backlog_units() + cost < 0.8 * state.capacity_units:
@@ -327,7 +298,7 @@ class ServiceMaster(ClusterMaster):
             )
             if record.status == PENDING:
                 pending.append(view)
-            elif record.status == DISPATCHED:
+            elif record.status == DELIVERED:
                 outstanding.append(view)
         return AdmissionState(
             now=now_v,
@@ -338,7 +309,7 @@ class ServiceMaster(ClusterMaster):
         )
 
     def _reject(self, conn_id: int, request_id: int, reason: str) -> None:
-        self.rejected += 1
+        self.ledger.reject()
         self.hub.send(
             conn_id, protocol.reject(request_id, reason, self.policy.name)
         )
@@ -358,20 +329,7 @@ class ServiceMaster(ClusterMaster):
         if record is None or record.status != PENDING:
             return
         self.driver.withdraw([task_id])
-        record.status = SHED
-        self.shed += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("service_shed").inc()
-            self.obs.emit(
-                "task",
-                transition="shed",
-                task_id=task_id,
-                t=now_v,
-                deadline=record.task.deadline,
-                policy=self.policy.name,
-                met_deadline=False,
-            )
-        self._send_result(record, SHED, now_v)
+        self.ledger.settle(task_id, SHED, now_v, policy=self.policy.name)
 
     def _note_backpressure(self, engaged: bool) -> None:
         """Record open <-> shedding transitions of the admission layer."""
@@ -386,35 +344,26 @@ class ServiceMaster(ClusterMaster):
 
     # ----- results back to clients -------------------------------------------
 
-    def _send_result(
-        self, record: ServiceTaskRecord, status: str, now_v: float
-    ) -> None:
-        """Send the one terminal RESULT for ``record`` and prune it.
+    def _send_result(self, record: ServiceTaskRecord, now_v: float) -> None:
+        """Send the one terminal RESULT for a just-settled ``record`` and
+        prune it (the ledger's ``on_settled`` hook).
 
         Pruning is what bounds master memory over an unbounded run; the
-        master's aggregate counters keep the history the report needs.
-        A dead client connection just drops the frame — the record still
-        settles.
+        ledger's counts keep the history the report needs.  A dead client
+        connection just drops the frame — the record still settles.
         """
-        if record.result_sent:
-            return
-        record.result_sent = True
-        met = record.met_deadline
         finished = record.finished_at if record.finished_at is not None else 0.0
         self.hub.send(
             record.client_conn,
             protocol.result(
                 record.request_id,
-                record.task.task_id,
-                status,
-                met,
+                record.task_id,
+                record.status,
+                record.met_deadline,
                 finished,
             ),
         )
-        self.records.pop(record.task.task_id, None)
-
-    def _task_settled(self, record: ServiceTaskRecord, now_v: float) -> None:
-        self._send_result(record, record.status, now_v)
+        self.records.pop(record.task_id, None)
 
     # ----- report ------------------------------------------------------------
 
@@ -423,18 +372,19 @@ class ServiceMaster(ClusterMaster):
 
         Every submission counts in ``total_tasks``, so shedding is paid
         for in ``hit_ratio``; rejected, shed and surrendered work is
-        ``failed``.
+        ``failed`` (:meth:`RunReport.from_ledgers`).  The submission-side
+        counts ride in ``extras``.
         """
         report = super().report()
-        report.total_tasks = self.submitted
-        report.failed = self.rejected + self.shed + self.surrendered
+        ledger = self.ledger
         report.extras.update(
             policy=self.policy.name,
-            submitted=self.submitted,
-            accepted=self.accepted,
-            rejected=self.rejected,
-            shed=self.shed,
-            surrendered=self.surrendered,
+            submitted=ledger.opened + ledger.rejected,
+            accepted=ledger.opened,
+            rejected=ledger.rejected,
+            shed=ledger.settled[SHED],
+            surrendered=ledger.settled[SURRENDERED],
+            open=ledger.still_open,
             capacity_units=self.capacity_units,
             distinct_workers=len(self.workers),
             drain_reason=self._drain_reason,

@@ -32,7 +32,7 @@ like the simulator's (empty for a lone domain).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..cluster import protocol
 from ..cluster.config import ClusterConfig
@@ -41,6 +41,7 @@ from ..cluster.network import ConnectionLost, WorkerChannel
 from ..core.domains import DomainAssignment
 from ..core.task import Task
 from ..observability import Instrumentation
+from ..runtime.ledger import TaskLedger
 from ..runtime.report import RunReport
 from .migration import MigrationStats
 
@@ -63,8 +64,11 @@ class MigrationBroker:
 
     def __init__(self, config: ClusterConfig, obs: Instrumentation) -> None:
         self.config = config
-        self.obs = obs
         self.stats = MigrationStats()
+        #: Holds no records (a hand-off is booked by ``release`` on the
+        #: origin's ledger and ``open`` on the target's); it notes the
+        #: offers, whose events carry neither master's bound context.
+        self.ledger = TaskLedger(obs)
         self._channels: Dict[int, WorkerChannel] = {}
 
     def close(self) -> None:
@@ -122,7 +126,8 @@ class MigrationBroker:
         hop = {"from_domain": origin_d, "to_domain": target_d}
         offer_id = stats.offers  # origin-scoped, strictly increasing
         stats.record_offer(origin_d)
-        self._task_event("migration_offered", task, origin, **hop)
+        note = self.ledger.note
+        note("migration_offered", task.task_id, origin.vnow(), **hop)
         try:
             channel = self._channel_to(target)
             channel.send(
@@ -142,20 +147,21 @@ class MigrationBroker:
             reply = None
         if reply is None:
             stats.record_timeout()
-            self._task_event(
-                "migration_declined", task, origin, reason="timeout", **hop
+            note(
+                "migration_declined", task.task_id, origin.vnow(),
+                reason="timeout", **hop,
             )
             return False
         if reply.get("type") == protocol.MIGRATE_ACCEPT:
             origin.release_migrated(task.task_id)
             stats.record_accept(target_d)
-            self._task_event("migrated", task, origin, **hop)
+            note("migrated", task.task_id, origin.vnow(), **hop)
             return True
         stats.record_decline()
-        self._task_event(
+        note(
             "migration_declined",
-            task,
-            origin,
+            task.task_id,
+            origin.vnow(),
             reason=str(reply.get("reason", "infeasible")),
             **hop,
         )
@@ -168,18 +174,6 @@ class MigrationBroker:
                 self.config.host, target.port
             )
         return channel
-
-    def _task_event(
-        self, transition: str, task: Task, origin: ClusterMaster, **fields
-    ) -> None:
-        if self.obs.enabled:
-            self.obs.emit(
-                "task",
-                transition=transition,
-                task_id=task.task_id,
-                t=origin.vnow(),
-                **fields,
-            )
 
 
 def _await_reply(
@@ -209,34 +203,26 @@ def _await_reply(
 
 
 def merge_reports(
-    reports: List[RunReport],
+    masters: Sequence[ClusterMaster],
     assignment: DomainAssignment,
     stats: MigrationStats,
 ) -> RunReport:
-    """One fleet-wide report from the per-domain ones (``k`` may be 1).
+    """One fleet-wide report from the run's masters (``k`` may be 1).
 
-    Counters sum (each task's record lives in exactly one domain — the
-    target's after an accepted migration), makespan is the latest finish
-    on the shared clock, and the phase list interleaves every domain's
-    phases in start order like the simulator's merge.
+    The counted fields sum the masters' ledgers (each task's record lives
+    in exactly one domain — the target's after an accepted migration),
+    makespan is the latest finish on the shared clock, and the phase list
+    interleaves every domain's phases in start order like the simulator's
+    merge.
     """
+    reports = [master.report() for master in masters]
     ports = [report.port for report in reports]
-    return RunReport(
+    return RunReport.from_ledgers(
+        [master.ledger for master in masters],
         backend=reports[0].backend,
         scheduler_name=reports[0].scheduler_name,
         num_workers=assignment.num_workers,
         seed=reports[0].seed,
-        total_tasks=sum(r.total_tasks for r in reports),
-        guaranteed=sum(r.guaranteed for r in reports),
-        completed=sum(r.completed for r in reports),
-        deadline_hits=sum(r.deadline_hits for r in reports),
-        completed_late=sum(r.completed_late for r in reports),
-        expired=sum(r.expired for r in reports),
-        failed=sum(r.failed for r in reports),
-        guaranteed_violations=sum(
-            r.guaranteed_violations for r in reports
-        ),
-        reschedules=sum(r.reschedules for r in reports),
         workers_lost=sum(r.workers_lost for r in reports),
         makespan=max(r.makespan for r in reports),
         wall_seconds=max(r.wall_seconds for r in reports),

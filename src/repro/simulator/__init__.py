@@ -35,14 +35,6 @@ from .runtime import (
     DomainHost,
     simulate,
 )
-from .trace import (
-    STATUS_COMPLETED,
-    STATUS_EXPIRED,
-    STATUS_FAILED,
-    PhaseTrace,
-    SimulationTrace,
-    TaskRecord,
-)
 
 __all__ = [
     "MAX_EVENTS",
@@ -58,21 +50,15 @@ __all__ = [
     "HostWake",
     "MeshCommunicationModel",
     "MeshTopology",
-    "PhaseTrace",
     "ProcessorFailed",
     "QueuedWork",
     "RunningWork",
-    "STATUS_COMPLETED",
-    "STATUS_EXPIRED",
-    "STATUS_FAILED",
     "ScheduleDelivered",
     "SimulationEngine",
     "SimulationError",
     "SimulationObserver",
-    "SimulationTrace",
     "TaskArrived",
     "TaskFinished",
-    "TaskRecord",
     "WorkerProcessor",
     "near_square_mesh",
     "simulate",

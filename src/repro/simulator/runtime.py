@@ -45,6 +45,7 @@ from ..core.scheduler import Scheduler
 from ..core.task import Task, TaskSet
 from ..observability import Instrumentation, get_instrumentation
 from ..runtime.driver import OpenPhase, PhaseDriver, PhaseHooks
+from ..runtime.ledger import COMPLETED, FAILED, TaskLedger, TaskRecord
 from ..runtime.report import RunReport
 from ..sharding.migration import MigrationStats, can_guarantee
 from .engine import SimulationEngine, SimulationError
@@ -57,12 +58,6 @@ from .events import (
 )
 from .execution import ExecutionTimeModel, resolve_actual_cost
 from .processor import WorkerProcessor
-from .trace import (
-    STATUS_COMPLETED,
-    STATUS_EXPIRED,
-    STATUS_FAILED,
-    SimulationTrace,
-)
 
 #: ``DomainHost._projections`` miss: no task is ``None``.
 _UNPROJECTED = (None, None)
@@ -72,24 +67,15 @@ _UNPROJECTED = (None, None)
 MAX_EVENTS = 5_000_000
 
 
-def _task_event(
-    obs: Instrumentation, transition: str, task_id: int, t: float,
-    **extra: object,
-) -> None:
-    """One task lifecycle transition (trace event + transition counter)."""
-    obs.emit("task", transition=transition, task_id=task_id, t=t, **extra)
-    obs.metrics.counter("runtime_task_transitions", transition=transition).inc()
-
-
 class DomainHost(PhaseHooks):
     """One scheduling host: its driver, its scheduler, and its workers.
 
-    The host answers the driver's questions (loads, delivery, expiry
-    accounting) in virtual time, writing to the run's shared trace.  It
-    holds the pieces of the run it uses, never the runtime, and its driver
-    calls back through a weak proxy: a finished run is a tree, freed by
+    The host answers the driver's questions (loads, delivery) in virtual
+    time, posting placements to the run's shared ledger.  It holds the
+    pieces of the run it uses, never the runtime, and its driver calls
+    back through a weak proxy: a finished run is a tree, freed by
     reference count when the caller drops it, not whenever the cycle
-    collector next runs (its trace and projections are most of what a
+    collector next runs (its ledger and projections are most of what a
     sweep allocates).
     """
 
@@ -99,20 +85,16 @@ class DomainHost(PhaseHooks):
         domain_id: int,
         workers: Tuple[int, ...],
         scheduler: Scheduler,
-        trace: SimulationTrace,
-        obs: Instrumentation,
+        ledger: TaskLedger,
         execution_model: Optional[ExecutionTimeModel] = None,
     ) -> None:
         self.domain_id = domain_id
         #: Global worker ids in slot order; the scheduler sees slots.
         self.workers = workers
         self.scheduler = scheduler
-        self.trace = trace
-        self.obs = obs
+        self.ledger = ledger
         self.execution_model = execution_model
-        self.driver = PhaseDriver(
-            scheduler=scheduler, hooks=weakref.proxy(self)
-        )
+        self.driver = PhaseDriver(scheduler, weakref.proxy(self), ledger)
         self.worker_objs = [WorkerProcessor(w) for w in workers]
         #: Slot ``i`` is global worker ``i``: projecting a batch onto this
         #: host would hand every task back unchanged, so it is skipped.
@@ -153,19 +135,6 @@ class DomainHost(PhaseHooks):
             projections[task.task_id] = (task, local)
         return [projections[task.task_id][1] for task in tasks]
 
-    def on_task_expired(self, task: Task, now: float) -> None:
-        self.trace.records[task.task_id].status = STATUS_EXPIRED
-        if self.obs.enabled:
-            _task_event(
-                self.obs,
-                "expired",
-                task.task_id,
-                now,
-                deadline=task.deadline,
-                arrival=task.arrival_time,
-                **self.tag,
-            )
-
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
         worker = self.worker_objs[entry.processor]
         if worker.failed:
@@ -173,27 +142,11 @@ class DomainHost(PhaseHooks):
             # assignment returns to the pending set and is rescheduled on
             # the survivors through the normal feasibility path.
             return False
-        record = self.trace.records[entry.task.task_id]
-        record.scheduled_phase = phase_index
-        record.processor = worker.processor_id  # global id in the trace
-        record.delivered_at = now
         actual = resolve_actual_cost(self.execution_model, entry)
-        record.planned_cost = entry.total_cost
-        record.actual_cost = actual
         worker.deliver(entry, now, actual_cost=actual)
-        if self.obs.enabled:
-            _task_event(
-                self.obs,
-                "delivered",
-                entry.task.task_id,
-                now,
-                processor=worker.processor_id,
-                phase=phase_index,
-                arrival=entry.task.arrival_time,
-                deadline=entry.task.deadline,
-                planned_cost=entry.total_cost,
-                **self.tag,
-            )
+        self.ledger.place(  # global id in the record
+            entry, phase_index, now, worker.processor_id, actual, **self.tag
+        )
         return True
 
 
@@ -247,12 +200,13 @@ class DistributedRuntime:
             else base_obs
         )
         self.engine = SimulationEngine()
-        self.trace = SimulationTrace()
+        #: The run's one ledger, shared by every host.
+        self.ledger = TaskLedger(self.obs)
         self.stats = MigrationStats()
         self.domains: List[DomainHost] = [
             DomainHost(
                 assignment, d, assignment.workers_of(d), scheduler,
-                self.trace, self.obs, execution_model,
+                self.ledger, execution_model,
             )
             for d, scheduler in enumerate(schedulers)
         ]
@@ -282,19 +236,17 @@ class DistributedRuntime:
             )
         host = self.domains[target]
         host.driver.admit([task])
-        if self.obs.enabled:
-            # Deadline + worst-case cost ride on the arrival so a trace is
-            # self-contained for the offline schedulability oracle (expired
-            # tasks never reach a transition that stamps their cost).
-            _task_event(
-                self.obs,
-                "arrived",
-                task.task_id,
-                now,
-                deadline=task.deadline,
-                cost=task.processing_time,
-                **host.tag,
-            )
+        # Deadline + worst-case cost ride on the arrival so a trace is
+        # self-contained for the offline schedulability oracle (expired
+        # tasks never reach a transition that stamps their cost).
+        self.ledger.note(
+            "arrived",
+            task.task_id,
+            now,
+            deadline=task.deadline,
+            cost=task.processing_time,
+            **host.tag,
+        )
         self._request_wake(host, now)
 
     def _request_wake(self, host: DomainHost, now: float) -> None:
@@ -341,16 +293,9 @@ class DistributedRuntime:
     def _maybe_start_worker(self, worker: WorkerProcessor, now: float) -> None:
         running = worker.start_next(now)
         if running is not None:
-            record = self.trace.records[running.task.task_id]
-            record.started_at = running.started_at
-            if self.obs.enabled:
-                _task_event(
-                    self.obs,
-                    "started",
-                    running.task.task_id,
-                    running.started_at,
-                    processor=worker.processor_id,
-                )
+            self.ledger.start(
+                running.task.task_id, running.started_at, worker.processor_id
+            )
             self.engine.schedule_at(
                 running.finishes_at,
                 TaskFinished(
@@ -366,31 +311,14 @@ class DistributedRuntime:
         lost, survivors = worker.fail(now)
         host.driver.worker_lost()
         if lost is not None:
-            record = self.trace.records[lost.task.task_id]
-            record.status = STATUS_FAILED
-            record.finished_at = None
             # The guarantee died with the processor; the task is terminal
             # and cannot be requeued (non-preemptive, partially executed).
-            host.driver.revoke(lost.task.task_id)
-            if self.obs.enabled:
-                _task_event(
-                    self.obs, "failed", lost.task.task_id, now,
-                    processor=event.processor,
-                )
-        surrendered: List[Task] = []
-        for work in survivors:
-            # Undelivered work returns to the host for rescheduling on the
-            # surviving processors, through the normal feasibility path.
-            record = self.trace.records[work.task.task_id]
-            record.scheduled_phase = None
-            record.processor = None
-            record.delivered_at = None
-            record.planned_cost = None
-            record.actual_cost = None
-            # Requeue the *original* task: the queued copy may carry a
-            # host-projected affinity from transform_batch.
-            surrendered.append(record.task)
-        host.driver.surrender(surrendered)
+            self.ledger.settle(lost.task.task_id, FAILED, now)
+        # Undelivered work returns to the host for rescheduling on the
+        # surviving processors, through the normal feasibility path.
+        host.driver.surrender(
+            [work.task.task_id for work in survivors], now, event.processor
+        )
         self._request_wake(host, now)
 
     def _on_task_finished(self, now: float, event: TaskFinished) -> None:
@@ -404,19 +332,7 @@ class DistributedRuntime:
                 f"P{event.processor} finished task {finished.task.task_id}, "
                 f"expected {event.task_id}"
             )
-        record = self.trace.records[event.task_id]
-        record.status = STATUS_COMPLETED
-        record.finished_at = now
-        if self.obs.enabled:
-            _task_event(
-                self.obs,
-                "finished",
-                event.task_id,
-                now,
-                processor=event.processor,
-                met_deadline=record.met_deadline,
-                deadline=record.task.deadline,
-            )
+        self.ledger.settle(event.task_id, COMPLETED, now)
         self._maybe_start_worker(worker, now)
 
     # ----- migration (only ever reached with peers) ------------------------
@@ -435,7 +351,7 @@ class DistributedRuntime:
         """
         leftovers = sorted(origin.driver.batch.tasks(), key=lambda t: t.task_id)
         candidates = [
-            self.trace.records[stale.task_id].task  # original affinity
+            self.ledger.records[stale.task_id].task  # original affinity
             for stale in leftovers
             if stale.task_id not in self._migration_barred
             and not stale.is_expired(now)
@@ -452,10 +368,7 @@ class DistributedRuntime:
         for task in candidates:
             self._migration_barred.add(task.task_id)
             self.stats.record_offer(origin.domain_id)
-            if self.obs.enabled:
-                _task_event(
-                    self.obs, "migration_offered", task.task_id, now, **hop
-                )
+            self.ledger.note("migration_offered", task.task_id, now, **hop)
             if can_guarantee(task, now, loads, target.workers, self.remote_cost):
                 self.stats.record_accept(target.domain_id)
                 migrated.append(task)
@@ -463,8 +376,7 @@ class DistributedRuntime:
             else:
                 self.stats.record_decline()
                 outcome = "migration_declined"
-            if self.obs.enabled:
-                _task_event(self.obs, outcome, task.task_id, now, **hop)
+            self.ledger.note(outcome, task.task_id, now, **hop)
         if migrated:
             origin.driver.withdraw([task.task_id for task in migrated])
             target.driver.admit(migrated)
@@ -506,8 +418,9 @@ class DistributedRuntime:
                 tasks=len(self.workload),
                 **assignment.header_fields(partition_policy=assignment.policy),
             )
+        ledger = self.ledger
         for task in self.workload:
-            self.trace.add_task(task)
+            ledger.open(TaskRecord(task))
             self.engine.schedule_at(task.arrival_time, TaskArrived(task))
         for at, processor in self.failures:
             self.engine.schedule_at(at, ProcessorFailed(processor))
@@ -518,39 +431,27 @@ class DistributedRuntime:
                 "simulation drained with tasks still unscheduled; "
                 "this indicates a stalled host loop"
             )
-        trace = self.trace
-        trace.finished_at = self.engine.now
         # Each host's phases are already in start order (they never
         # overlap); interleave the hosts on the shared clock.
-        trace.phases = list(
+        ledger.phases = list(
             heapq.merge(
                 *(driver.phases for driver in drivers),
                 key=lambda p: (p.start, p.end, p.index),
             )
         )
-        completed = len(trace.completed())
-        hits = trace.deadline_hits()
-        report = RunReport(
+        report = RunReport.from_ledgers(
+            [ledger],
             backend="sharded" if sharded else "sim",
             scheduler_name=self.domains[0].scheduler.name,
             num_workers=assignment.num_workers,
             seed=self.seed,
-            total_tasks=trace.total_tasks(),
-            guaranteed=sum(d.guaranteed_count for d in drivers),
-            completed=completed,
-            deadline_hits=hits,
-            completed_late=completed - hits,
-            expired=len(trace.expired()),
-            failed=len(trace.failed()),
-            guaranteed_violations=len(trace.scheduled_but_missed()),
-            reschedules=sum(d.reschedules for d in drivers),
             workers_lost=sum(d.workers_lost for d in drivers),
             makespan=self.engine.now,
             wall_seconds=time.monotonic() - start_wall,
-            phases=trace.phases,
+            phases=ledger.phases,
             migration=self.stats.as_section() if sharded else {},
             extras={
-                "trace": trace,
+                "trace": ledger,
                 "events_dispatched": self.engine.events_dispatched,
                 "assignment": assignment.as_dict(),
             },
@@ -559,9 +460,9 @@ class DistributedRuntime:
             obs.emit(
                 "run_end",
                 workers=assignment.num_workers,
-                tasks=trace.total_tasks(),
-                deadline_hits=hits,
-                phases=len(trace.phases),
+                tasks=report.total_tasks,
+                deadline_hits=report.deadline_hits,
+                phases=len(report.phases),
                 makespan=self.engine.now,
                 events_dispatched=self.engine.events_dispatched,
                 **assignment.header_fields(migrations=self.stats.accepted),

@@ -18,7 +18,12 @@ from repro.cluster import (
     FailurePlan,
     launch_cluster,
 )
-from repro.observability import Instrumentation, JsonlSink, read_jsonl
+from repro.observability import (
+    Instrumentation,
+    JsonlSink,
+    MemorySink,
+    read_jsonl,
+)
 
 
 def assert_port_released(port: int) -> None:
@@ -118,11 +123,20 @@ class TestLiveCluster:
             seed=11,
             failure=FailurePlan(worker_index=1, after_seconds=0.8),
         )
-        report = launch_cluster(config)
+        obs = Instrumentation(sink=MemorySink())
+        report = launch_cluster(config, instrumentation=obs)
 
         assert report.workers_lost == 1
-        # The dead worker's queue was surrendered and re-entered the batch.
+        # The dead worker's queue was surrendered and re-entered the batch:
+        # one ``surrendered`` transition per reschedule, as on the simulator.
         assert report.reschedules >= 1
+        surrendered = [
+            event for event in obs.sink.of_kind("task")
+            if event["transition"] == "surrendered"
+        ]
+        assert len(surrendered) == report.reschedules
+        assert {event["processor"] for event in surrendered} == {1}
+        report.check_balance()
         # Surrender revokes the guarantee, so even the disrupted run keeps
         # the theorem intact.
         assert report.guaranteed_violations == 0

@@ -133,7 +133,15 @@ class TestMidPhaseDisconnect:
         returns False for its entries, the driver requeues them, and the
         next phase (with the dead worker remapped away) re-guarantees
         them.  This is the master's decline path in miniature."""
-        from repro.runtime import PhaseDriver, PhaseHooks
+        from repro.observability import NULL_INSTRUMENTATION
+        from repro.runtime import (
+            PhaseDriver,
+            PhaseHooks,
+            TaskLedger,
+            TaskRecord,
+        )
+
+        ledger = TaskLedger(NULL_INSTRUMENTATION)
 
         class FlakyWorkerHooks(PhaseHooks):
             def __init__(self):
@@ -151,20 +159,21 @@ class TestMidPhaseDisconnect:
                 if entry.processor == self.dead_processor:
                     return False
                 self.dispatched.append(entry.task.task_id)
+                ledger.place(
+                    entry, phase_index, now, self.alive[entry.processor]
+                )
                 return True
-
-            def on_task_expired(self, task, now):
-                raise AssertionError("nothing should expire here")
 
         scheduler = RTSADS(
             comm=UniformCommunicationModel(remote_cost=5.0),
             per_vertex_cost=0.01,
         )
         hooks = FlakyWorkerHooks()
-        driver = PhaseDriver(scheduler=scheduler, hooks=hooks)
-        driver.admit(
-            [make_task(i, 10.0, 1000.0, affinity=[i % 2]) for i in range(4)]
-        )
+        driver = PhaseDriver(scheduler, hooks, ledger)
+        tasks = [make_task(i, 10.0, 1000.0, affinity=[i % 2]) for i in range(4)]
+        for task in tasks:
+            ledger.open(TaskRecord(task))
+        driver.admit(tasks)
 
         hooks.dead_processor = 1  # dies mid-phase: dispatches decline
         first = driver.run_phase(now=0.0)
@@ -179,7 +188,8 @@ class TestMidPhaseDisconnect:
         hooks.dead_processor = None
         second = driver.run_phase(now=first.end)
         assert second.delivered == declined
-        assert driver.guaranteed_count == 4
+        assert ledger.guaranteed == 4
+        assert ledger.settled["expired"] == 0  # nothing expires here
         assert not driver.has_backlog()
 
 

@@ -134,12 +134,8 @@ class TestFailureAccounting:
     def test_no_double_counting_across_seeds(self, seed):
         from repro.core import RTSADS, UniformCommunicationModel
         from repro.workload.transactions import build_seeded_workload
-        from repro.simulator import (
-            STATUS_COMPLETED,
-            STATUS_EXPIRED,
-            STATUS_FAILED,
-            simulate,
-        )
+        from repro.runtime.ledger import COMPLETED, EXPIRED, FAILED
+        from repro.simulator import simulate
 
         _, tasks, _ = build_seeded_workload(TINY, seed)
         horizon = 10.0 * TINY.slack_factor * TINY.scan_cost
@@ -152,14 +148,21 @@ class TestFailureAccounting:
         )
         trace = result.trace
 
-        completed = trace.completed()
-        expired = trace.expired()
-        failed = trace.failed()
+        by_status = {status: [] for status in (COMPLETED, EXPIRED, FAILED)}
+        for record in trace.records.values():
+            by_status[record.status].append(record)
+        completed = by_status[COMPLETED]
+        expired = by_status[EXPIRED]
+        failed = by_status[FAILED]
+        assert (len(completed), len(expired), len(failed)) == (
+            result.completed, result.expired, result.failed
+        )
+        result.check_balance()
 
         # Exactly one terminal state per task — a surrendered task ends up
         # completed (rescheduled in time), expired, or failed, never two.
         assert len(completed) + len(expired) + len(failed) == (
-            trace.total_tasks()
+            result.total_tasks
         )
         ids = (
             [r.task_id for r in completed]
@@ -169,14 +172,14 @@ class TestFailureAccounting:
         assert len(ids) == len(set(ids))
         for record in trace.records.values():
             assert record.status in (
-                STATUS_COMPLETED, STATUS_EXPIRED, STATUS_FAILED,
+                COMPLETED, EXPIRED, FAILED,
             )
 
         # Hits live strictly inside the completed set: a failed or expired
         # task can never be counted as a kept guarantee.
         hits = [r for r in trace.records.values() if r.met_deadline]
         assert len(hits) <= len(completed)
-        assert trace.deadline_hits() == len(hits)
+        assert result.deadline_hits == len(hits)
         late = [r for r in completed if not r.met_deadline]
         assert len(hits) + len(late) == len(completed)
 
@@ -200,8 +203,11 @@ class TestFailureAccounting:
             num_workers=TINY.num_processors,
             failures=[(horizon * 0.15, 1)],
         )
-        for record in result.trace.failed():
-            assert record.processor == 1
+        from repro.runtime.ledger import FAILED
+
+        for record in result.trace.records.values():
+            if record.status == FAILED:
+                assert record.processor == 1
 
 
 class TestCLIIntegration:

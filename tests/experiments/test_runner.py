@@ -60,7 +60,7 @@ class TestBuildWorkload:
 class TestRunOnce:
     def test_produces_valid_result(self):
         result = run_once(TINY, "rtsads", seed=1, validate_phases=True)
-        assert result.trace.total_tasks() == 40
+        assert result.total_tasks == 40
         assert result.trace.scheduled_but_missed() == []
 
     def test_deterministic(self):

@@ -74,8 +74,27 @@ class TestBackendMatrix:
         assert sim_doc["total_tasks"] == live_doc["total_tasks"] == 16
         assert sim_doc["guaranteed_violations"] == 0
         assert live_doc["guaranteed_violations"] == 0
-        for doc in (sim_doc, live_doc):
-            assert (
-                doc["completed"] + doc["expired"] + doc["failed"]
-                == doc["total_tasks"]
-            )
+        sim.check_balance()
+        live.check_balance()
+
+    @pytest.mark.parametrize("domains", [1, 2])
+    @pytest.mark.parametrize(
+        "backend", ["sim", "sharded", "cluster", "service"]
+    )
+    def test_the_books_balance_on_every_backend(
+        self, cell, hard_timeout, backend, domains
+    ):
+        """One balance check, the report's own, wherever the run executed:
+        every task a ledger opened reached exactly one terminal count."""
+        report = run_once(
+            cell.with_domains(domains), "rtsads", cell.base_seed,
+            backend=backend,
+        )
+        report.check_balance()
+        assert report.total_tasks == 16
+        assert report.guaranteed_violations == 0
+        if backend == "service":
+            extras = report.extras
+            assert extras["submitted"] == 16 and extras["open"] == 0
+        else:
+            assert report.failed == 0

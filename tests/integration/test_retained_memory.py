@@ -39,7 +39,7 @@ def test_a_finished_run_is_freed_without_the_collector(
     def watching_run(self):
         watched["runtime"] = weakref.ref(self)
         watched["engine"] = weakref.ref(self.engine)
-        watched["trace"] = weakref.ref(self.trace)
+        watched["ledger"] = weakref.ref(self.ledger)
         for host in self.domains:
             watched[f"host {host.domain_id}"] = weakref.ref(host)
             watched[f"driver {host.domain_id}"] = weakref.ref(host.driver)

@@ -22,13 +22,13 @@ class TestPaperScaleSmoke:
         return result
 
     def test_thousand_task_burst_completes(self, result):
-        assert result.trace.total_tasks() == 1000
+        assert result.total_tasks == 1000
 
     def test_every_task_terminal(self, result):
-        from repro.simulator import STATUS_COMPLETED, STATUS_EXPIRED
+        from repro.runtime.ledger import COMPLETED, EXPIRED
 
         for record in result.trace.records.values():
-            assert record.status in (STATUS_COMPLETED, STATUS_EXPIRED)
+            assert record.status in (COMPLETED, EXPIRED)
 
     def test_theorem_at_scale(self, result):
         assert result.trace.scheduled_but_missed() == []

@@ -243,6 +243,66 @@ class TestAttributionProperties:
         assert "nothing to attribute" in text
 
 
+class TestLedgerOutcomes:
+    """Every terminal transition of the ledger's vocabulary is an outcome."""
+
+    def outcomes(self, *events):
+        return attribute_misses(list(events)).outcomes
+
+    def test_shed_is_its_own_outcome(self):
+        outcomes = self.outcomes(
+            task(1, "admitted", t=0.0, deadline=10.0),
+            task(1, "shed", t=1.0, deadline=10.0, met_deadline=False),
+        )
+        assert outcomes == {"shed": 1}
+
+    def test_drain_surrender_is_terminal(self):
+        outcomes = self.outcomes(
+            task(1, "admitted", t=0.0, deadline=10.0),
+            task(1, "dispatched", t=1.0, processor=0, phase=0),
+            task(1, "surrendered", t=2.0, deadline=10.0, met_deadline=False),
+            # Worker telemetry merged after the drain does not reopen it.
+            task(1, "exec_started", t=1.5, worker=0),
+        )
+        assert outcomes == {"surrendered": 1}
+
+    def test_requeue_followed_by_a_placement_stays_open(self):
+        outcomes = self.outcomes(
+            task(1, "dispatched", t=1.0, processor=0, phase=0),
+            task(1, "surrendered", t=2.0, processor=0, deadline=10.0),
+            task(1, "dispatched", t=3.0, processor=1, phase=1),
+        )
+        assert outcomes == {"incomplete": 1}
+
+    def test_requeue_then_finish_is_judged_on_the_finish(self):
+        outcomes = self.outcomes(
+            task(1, "delivered", t=1.0, processor=0, phase=0),
+            task(1, "surrendered", t=2.0, processor=0, deadline=10.0),
+            task(1, "delivered", t=3.0, processor=1, phase=1),
+            task(1, "finished", t=4.0, deadline=10.0, met_deadline=True),
+        )
+        assert outcomes == {OUTCOME_MET: 1}
+
+    def test_terminal_names_are_the_ledgers(self):
+        from repro.runtime.ledger import PLACED_TRANSITIONS, TERMINAL_TRANSITIONS
+        from repro.observability import analyze
+
+        for name in TERMINAL_TRANSITIONS[1:]:
+            assert self.outcomes(task(1, name, t=1.0)) == {name: 1}
+        assert set(analyze._PLACED) == set(PLACED_TRANSITIONS)
+
+    def test_render_lists_the_new_outcomes(self):
+        text = render_attribution(
+            attribute_misses(
+                [
+                    task(1, "shed", t=1.0, deadline=10.0),
+                    task(2, "surrendered", t=1.0, deadline=10.0),
+                ]
+            )
+        )
+        assert "1 shed, 1 surrendered" in text
+
+
 class TestPhaseWindows:
     def test_plain_phase_spans(self):
         windows = phase_windows(

@@ -98,4 +98,4 @@ class TestDisabledIsInert:
         )
         assert plain.makespan == pytest.approx(result.makespan)
         assert len(plain.phases) == len(result.phases)
-        assert plain.trace.hit_ratio() == result.trace.hit_ratio()
+        assert plain.hit_ratio == result.hit_ratio

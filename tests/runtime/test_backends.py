@@ -102,7 +102,7 @@ class TestRunnerDispatch:
         report = run_once(config, "rtsads", config.base_seed)
         assert report.backend == "sim"
         assert report.total_tasks == 20
-        assert report.trace.total_tasks() == 20  # sim extra present
+        assert report.total_tasks == 20  # sim extra present
 
 
 class TestBackendFacts:

@@ -8,7 +8,9 @@ import pytest
 
 from repro.core import RTSADS, Task, UniformCommunicationModel, make_task
 from repro.core.affinity import project_tasks
-from repro.runtime import PhaseDriver, PhaseHooks
+from repro.observability import NULL_INSTRUMENTATION
+from repro.runtime import PhaseDriver, PhaseHooks, TaskLedger, TaskRecord
+from repro.runtime.ledger import EXPIRED, FAILED
 
 
 class RecordingHooks(PhaseHooks):
@@ -19,7 +21,7 @@ class RecordingHooks(PhaseHooks):
         self.capacity = True
         self.declined_ids: set = set()
         self.delivered: List[int] = []
-        self.expired: List[int] = []
+        self.ledger = TaskLedger(NULL_INSTRUMENTATION)
 
     def loads(self, now: float) -> List[float]:
         if not self.capacity:
@@ -30,19 +32,39 @@ class RecordingHooks(PhaseHooks):
         if entry.task.task_id in self.declined_ids:
             return False
         self.delivered.append(entry.task.task_id)
+        self.ledger.place(entry, phase_index, now, entry.processor)
         return True
 
-    def on_task_expired(self, task: Task, now: float) -> None:
-        self.expired.append(task.task_id)
+    @property
+    def expired(self) -> List[int]:
+        return [
+            task_id for task_id, record in self.ledger.records.items()
+            if record.status == EXPIRED
+        ]
 
 
-def make_driver(num_processors: int = 2):
+class LedgerDriver(PhaseDriver):
+    """The driver under test, opening a record for whatever it admits."""
+
+    def admit(self, tasks) -> None:
+        for task in tasks:
+            if task.task_id not in self.ledger.records:
+                self.ledger.open(TaskRecord(task))
+        super().admit(tasks)
+
+    def stage_arrivals(self, tasks) -> None:
+        for task in tasks:
+            self.ledger.open(TaskRecord(task))
+        super().stage_arrivals(tasks)
+
+
+def make_driver(num_processors: int = 2, hooks=None):
     scheduler = RTSADS(
         comm=UniformCommunicationModel(remote_cost=5.0),
         per_vertex_cost=0.01,
     )
-    hooks = RecordingHooks(num_processors=num_processors)
-    return PhaseDriver(scheduler=scheduler, hooks=hooks), hooks
+    hooks = hooks or RecordingHooks(num_processors=num_processors)
+    return LedgerDriver(scheduler, hooks, hooks.ledger), hooks
 
 
 def easy_tasks(n: int = 4) -> List[Task]:
@@ -61,7 +83,7 @@ class TestAdmissionStyles:
         assert trace.scheduled == 3
         assert trace.delivered == 3
         assert sorted(hooks.delivered) == [0, 1, 2]
-        assert driver.guaranteed_count == 3
+        assert driver.ledger.guaranteed == 3
         assert not driver.has_backlog()
 
     def test_staged_arrivals_admit_only_when_due(self):
@@ -89,7 +111,7 @@ class TestExpiry:
         driver.admit([doomed, fine])
         trace = driver.run_phase(now=100.0)  # deadline 5 already past
         assert hooks.expired == [0]
-        assert driver.total_expired == 1
+        assert driver.ledger.settled[EXPIRED] == 1
         assert trace.expired_before == 1
         assert trace.scheduled == 1
 
@@ -111,13 +133,13 @@ class TestDelivery:
         trace = driver.run_phase(now=0.0)
         assert trace.scheduled == 3
         assert trace.delivered == 2
-        assert driver.guaranteed_count == 2
+        assert driver.ledger.guaranteed == 2
         assert driver.has_backlog()
         hooks.declined_ids = set()
         trace = driver.run_phase(now=trace.end)
         assert trace.delivered == 1
         assert 1 in hooks.delivered
-        assert driver.guaranteed_count == 3
+        assert driver.ledger.guaranteed == 3
         assert not driver.has_backlog()
 
     def test_declined_entry_requeues_the_task_as_admitted(self):
@@ -137,14 +159,7 @@ class TestDelivery:
                 self.batches.append(list(tasks))
                 return project_tasks(tasks, self.workers)
 
-        hooks = SlotSpaceHooks()
-        driver = PhaseDriver(
-            scheduler=RTSADS(
-                comm=UniformCommunicationModel(remote_cost=5.0),
-                per_vertex_cost=0.01,
-            ),
-            hooks=hooks,
-        )
+        driver, hooks = make_driver(hooks=SlotSpaceHooks())
         task = make_task(0, 10.0, 1000.0, affinity=[1, 5])
         hooks.declined_ids = {0}
         driver.admit([task])
@@ -183,25 +198,27 @@ class TestFailureRemap:
         tasks = easy_tasks(3)
         driver.admit(tasks)
         driver.run_phase(now=0.0)
-        assert driver.guaranteed_count == 3
+        assert driver.ledger.guaranteed == 3
 
         driver.worker_lost()
-        driver.surrender(tasks[:2])
+        driver.surrender([0, 1], now=5.0, processor=0)
         assert driver.workers_lost == 1
-        assert driver.reschedules == 2
-        assert driver.guaranteed_count == 1
+        assert driver.ledger.reschedules == 2
+        assert driver.ledger.guaranteed == 1
         assert driver.has_backlog()
 
         trace = driver.run_phase(now=10.0)
         assert trace.delivered == 2
-        assert driver.guaranteed_count == 3
+        assert driver.ledger.guaranteed == 3
 
     def test_revoke_voids_without_requeueing(self):
+        """A task lost in flight settles as failed: its guarantee is
+        voided by the settlement and nothing re-enters the batch."""
         driver, hooks = make_driver()
         driver.admit(easy_tasks(1))
         driver.run_phase(now=0.0)
-        driver.revoke(0)
-        assert driver.guaranteed_count == 0
+        driver.ledger.settle(0, FAILED, 5.0)
+        assert driver.ledger.guaranteed == 0
         assert not driver.has_backlog()
 
 

@@ -130,3 +130,47 @@ class TestPresentation:
         summary = make_report(phases=[make_phase()]).summary()
         assert "\n" not in summary
         assert "rtsads" in summary
+
+
+class TestCheckBalance:
+    def test_a_drained_batch_run_balances(self):
+        make_report().check_balance()
+
+    def test_an_unbooked_task_is_named_with_the_counts(self):
+        with pytest.raises(ValueError) as caught:
+            make_report(expired=11).check_balance()
+        message = str(caught.value)
+        assert "completed + expired + failed + open == total_tasks" in message
+        assert "(99 != 100)" in message
+
+    def test_hits_and_late_must_add_up_to_completed(self):
+        with pytest.raises(ValueError, match="completed_late"):
+            make_report(deadline_hits=80).check_balance()
+
+    def test_the_service_form(self):
+        extras = dict(
+            submitted=100, accepted=95, rejected=5, shed=2, surrendered=3,
+            open=0,
+        )
+        balanced = make_report(
+            backend="service", completed=80, deadline_hits=80, expired=10,
+            failed=10, extras=extras,
+        )
+        balanced.check_balance()
+        # A report taken mid-drain may leave accepted work open...
+        mid_drain = make_report(
+            backend="service", completed=78, deadline_hits=78, expired=10,
+            failed=10, extras=dict(extras, open=2),
+        )
+        mid_drain.check_balance()
+        # ...but every refusal must be booked as failed.
+        with pytest.raises(ValueError, match="rejected \\+ shed"):
+            make_report(
+                backend="service", completed=81, deadline_hits=81,
+                expired=10, failed=9, extras=extras,
+            ).check_balance()
+        with pytest.raises(ValueError, match="accepted \\+ rejected"):
+            make_report(
+                backend="service", completed=80, deadline_hits=80,
+                expired=10, failed=10, extras=dict(extras, accepted=94),
+            ).check_balance()

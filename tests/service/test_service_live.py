@@ -19,7 +19,12 @@ pytestmark = pytest.mark.slow
 
 from repro.cluster import ClusterConfig, protocol, reap_workers, spawn_worker
 from repro.cluster.network import ConnectionLost, WorkerChannel
-from repro.observability import get_instrumentation
+from repro.observability import (
+    Instrumentation,
+    MemorySink,
+    attribute_misses,
+    get_instrumentation,
+)
 from repro.service import ServiceClient, ServiceConfig, ServiceMaster
 
 
@@ -38,14 +43,18 @@ def assert_port_released(port: int) -> None:
 
 
 @contextlib.contextmanager
-def live_service(service: ServiceConfig):
-    """Master in a thread, real worker fleet; always reaps and joins."""
-    master = ServiceMaster(service)
+def live_service(
+    service: ServiceConfig, instrumentation=None, before_workers=None
+):
+    """Master in a thread, real worker fleet; always reaps and joins.
+
+    ``before_workers(master)`` runs while the master still waits for its
+    fleet: whatever it submits is queued and replayed at virtual time
+    zero, back to back, before any phase runs.
+    """
+    master = ServiceMaster(service, instrumentation=instrumentation)
     worker_config = service.cluster.with_port(master.port)
-    workers = [
-        spawn_worker(worker_config, index)
-        for index in range(service.cluster.num_workers)
-    ]
+    workers: list = []
     box: dict = {}
 
     def _run() -> None:
@@ -57,6 +66,12 @@ def live_service(service: ServiceConfig):
     thread = threading.Thread(target=_run, daemon=True)
     thread.start()
     try:
+        if before_workers is not None:
+            before_workers(master)
+        workers.extend(
+            spawn_worker(worker_config, index)
+            for index in range(service.cluster.num_workers)
+        )
         yield master, workers, box
     finally:
         master.request_stop("test-teardown")
@@ -313,6 +328,66 @@ class TestGracefulDrain:
         assert report.extras["surrendered"] == len(surrendered)
         # The master's ledger is empty: nothing orphaned inside either.
         assert master.records == {}
+
+    def test_trace_outcomes_equal_the_reports_counts(
+        self, assert_no_leaked_children
+    ):
+        """One traced run that sheds under overload and strands work at
+        the drain: ``trace analyze`` books every accepted submission
+        under the outcome the master answered it with."""
+        obs = Instrumentation(sink=MemorySink())
+        service = smoke_service(
+            tasks=24,
+            stop_when_idle=False,
+            drain_grace_seconds=0.5,
+            admission_policy="least-slack",
+            # The fifteen indexed templates (161 units together) fit; the
+            # first 200-unit scan must shed eight of them to get in.
+            max_backlog_units=300.0,
+        )
+        service = dataclasses.replace(
+            service,
+            cluster=dataclasses.replace(service.cluster, seconds_per_unit=0.01),
+        )
+        clients = []
+
+        def burst_before_the_fleet(master):
+            # The whole universe, tightest first, so each newcomer
+            # outranks the queue it is replayed against at t=0.
+            client = ServiceClient.connect("127.0.0.1", master.port)
+            clients.append(client)
+            for template in sorted(
+                master.templates.values(),
+                key=lambda t: t.deadline - t.arrival_time - t.processing_time,
+            ):
+                client.submit(template.task_id)
+            deadline = time.monotonic() + 10.0
+            while len(master._pre_start) < len(master.templates):
+                assert time.monotonic() < deadline, "SUBMITs never queued"
+                time.sleep(0.02)
+
+        with live_service(service, obs, burst_before_the_fleet) as (
+            master, _workers, box
+        ):
+            await_ready(master)
+            (client,) = clients
+            try:
+                client.poll(0.2)  # the scan runs 2 s on the slowed clock
+                master.request_stop("test-stop")
+                assert client.drain(timeout=60.0)
+            finally:
+                client.close()
+        report = box["report"]
+        report.check_balance()
+        extras = report.extras
+        assert extras["shed"] > 0 and extras["surrendered"] > 0, extras
+        outcomes = attribute_misses(obs.sink.events).outcomes
+        assert outcomes["met"] + outcomes["late"] == report.completed
+        assert outcomes["expired"] == report.expired
+        assert outcomes["shed"] == extras["shed"]
+        assert outcomes["surrendered"] == extras["surrendered"]
+        assert sum(outcomes.values()) == extras["accepted"]
+        assert extras["open"] == 0 and master.records == {}
 
     def test_submissions_during_drain_are_rejected(
         self, assert_no_leaked_children

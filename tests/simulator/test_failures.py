@@ -10,13 +10,8 @@ from repro.core import (
     make_task,
 )
 from repro.core.domains import partition_workers
-from repro.simulator import (
-    STATUS_COMPLETED,
-    STATUS_EXPIRED,
-    STATUS_FAILED,
-    DistributedRuntime,
-    WorkerProcessor,
-)
+from repro.runtime.ledger import COMPLETED, EXPIRED, FAILED
+from repro.simulator import DistributedRuntime, WorkerProcessor
 from repro.workload import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
@@ -94,16 +89,19 @@ class TestRuntimeFailures:
 
     def test_in_flight_task_marked_failed(self):
         result = self._run(failures=[(50.0, 0)])
-        failed = result.trace.failed()
-        assert len(failed) <= 1  # at most the in-flight task
+        failed = [
+            record for record in result.trace.records.values()
+            if record.status == FAILED
+        ]
+        assert len(failed) == result.failed <= 1  # at most the in-flight task
         for record in failed:
-            assert record.status == STATUS_FAILED
+            assert not record.guaranteed
             assert not record.met_deadline
 
     def test_queued_tasks_rescheduled_elsewhere(self):
         result = self._run(failures=[(30.0, 0)])
         for record in result.trace.records.values():
-            if record.status == STATUS_COMPLETED:
+            if record.status == COMPLETED:
                 assert record.processor != 0 or (
                     record.finished_at is not None
                     and record.finished_at <= 30.0 + 1e-9
@@ -130,9 +128,9 @@ class TestRuntimeFailures:
         )
         for record in result.trace.records.values():
             assert record.status in (
-                STATUS_COMPLETED,
-                STATUS_EXPIRED,
-                STATUS_FAILED,
+                COMPLETED,
+                EXPIRED,
+                FAILED,
             )
         # Nothing can complete after t=1 on a dead machine.
         late_finishes = [
@@ -144,7 +142,7 @@ class TestRuntimeFailures:
 
     def test_duplicate_failure_events_tolerated(self):
         result = self._run(failures=[(40.0, 0), (60.0, 0)])
-        assert result.trace.total_tasks() == 50
+        assert result.total_tasks == 50
 
     def test_failure_validation(self):
         with pytest.raises(ValueError):
@@ -184,7 +182,7 @@ class TestRuntimeFailuresTwoDomains(TestRuntimeFailures):
         assert crashed.reschedules == 1
         assert record.processor == 2
         assert record.planned_cost == pytest.approx(10.0)
-        assert record.status == STATUS_COMPLETED
+        assert record.status == COMPLETED
 
     def test_declined_entries_are_requeued_in_their_original_form(self):
         """A phase in flight when a worker dies has its entries declined.
@@ -212,6 +210,64 @@ class TestRuntimeFailuresTwoDomains(TestRuntimeFailures):
         first = result.phases[0]
         assert first.delivered < first.scheduled  # the decline happened
         for record in result.trace.records.values():
-            assert record.status == STATUS_COMPLETED
+            assert record.status == COMPLETED
             assert record.processor == 1
             assert record.planned_cost == pytest.approx(10.0)
+
+
+class TestRequeueIsTraced:
+    """A dead processor's queued work is requeued through the ledger: one
+    ``surrendered`` transition each, the live master's spelling."""
+
+    def _traced(self):
+        from repro.experiments import ExperimentConfig, run_once
+        from repro.observability import (
+            Instrumentation,
+            MemorySink,
+            instrumented,
+        )
+        from repro.runtime.sim import SimBackend
+
+        config = ExperimentConfig.quick(
+            num_transactions=120, num_processors=4, slack_factor=1.5
+        )
+        obs = Instrumentation(sink=MemorySink())
+        with instrumented(obs):
+            report = run_once(
+                config, "rtsads", 7,
+                backend=SimBackend(failures=[(200.0, 1)]),
+            )
+        return report, obs.sink.events
+
+    def test_every_reschedule_is_one_surrendered_event(self):
+        report, events = self._traced()
+        surrendered = [
+            e for e in events
+            if e["event"] == "task" and e["transition"] == "surrendered"
+        ]
+        assert len(surrendered) == report.reschedules > 0
+        assert {e["processor"] for e in surrendered} == {1}
+        report.check_balance()
+
+    def test_requeued_then_missed_is_blamed_on_the_failure(self):
+        from repro.observability import attribute_misses
+        from repro.observability.analyze import (
+            CAUSE_WORKER_FAILURE,
+            build_timelines,
+        )
+
+        report, events = self._traced()
+        requeued = {
+            task_id
+            for task_id, timeline in build_timelines(events).items()
+            if timeline.has("surrendered")
+        }
+        attribution = attribute_misses(events)
+        blamed = [m for m in attribution.misses if m.task_id in requeued]
+        assert blamed, "the cell must miss some requeued tasks"
+        assert {m.cause for m in blamed} == {CAUSE_WORKER_FAILURE}
+        # Analysis and report agree on every outcome of the run.
+        outcomes = attribution.outcomes
+        assert outcomes["met"] + outcomes["late"] == report.completed
+        assert outcomes["expired"] == report.expired
+        assert outcomes["failed"] == report.failed

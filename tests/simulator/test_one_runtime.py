@@ -134,7 +134,7 @@ class TestIdentityProjectionIsKeyedOnWorkerOrder:
         runtime = self._runtime()
         host = DomainHost(
             runtime.assignment, 0, (1, 0, 2), runtime.domains[0].scheduler,
-            runtime.trace, runtime.obs,
+            runtime.ledger,
         )
         tasks = self._tasks()
         projected = host.transform_batch(tasks, 0.0)
@@ -155,7 +155,7 @@ class TestIdentityProjectionIsKeyedOnWorkerOrder:
         )
         host = DomainHost(
             runtime.assignment, 0, (0, 1), runtime.domains[0].scheduler,
-            runtime.trace, runtime.obs,
+            runtime.ledger,
         )
         task = make_task(0, 5.0, 100.0, affinity=[1, 3])
         (projected,) = host.transform_batch([task], 0.0)

@@ -11,7 +11,8 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import DCOLS, RTSADS, GreedyEDFScheduler, UniformCommunicationModel, make_task
-from repro.simulator import STATUS_COMPLETED, STATUS_EXPIRED, simulate
+from repro.runtime.ledger import COMPLETED, EXPIRED
+from repro.simulator import simulate
 
 SETTINGS = dict(
     max_examples=25,
@@ -76,9 +77,9 @@ class TestRuntimeProperties:
         tasks, m, remote_cost = workload
         comm = UniformCommunicationModel(remote_cost)
         result = simulate(RTSADS(comm), tasks, num_workers=m)
-        assert result.trace.total_tasks() == len(tasks)
+        assert result.total_tasks == len(tasks)
         for record in result.trace.records.values():
-            assert record.status in (STATUS_COMPLETED, STATUS_EXPIRED)
+            assert record.status in (COMPLETED, EXPIRED)
 
     @settings(**SETTINGS)
     @given(workload=online_workloads())
@@ -88,7 +89,7 @@ class TestRuntimeProperties:
         comm = UniformCommunicationModel(remote_cost)
         result = simulate(RTSADS(comm), tasks, num_workers=m)
         for record in result.trace.records.values():
-            if record.status != STATUS_COMPLETED:
+            if record.status != COMPLETED:
                 continue
             assert record.started_at >= record.task.arrival_time - 1e-9
             expected_cost = comm.execution_cost(record.task, record.processor)
@@ -108,5 +109,5 @@ class TestRuntimeProperties:
         hits = sum(
             1 for r in result.trace.records.values() if r.met_deadline
         )
-        assert result.trace.deadline_hits() == hits
-        assert result.trace.hit_ratio() == hits / len(tasks)
+        assert result.deadline_hits == hits
+        assert result.hit_ratio == hits / len(tasks)

@@ -11,12 +11,8 @@ from repro.core import (
     make_task,
 )
 from repro.core.domains import partition_workers
-from repro.simulator import (
-    STATUS_COMPLETED,
-    STATUS_EXPIRED,
-    DistributedRuntime,
-    simulate,
-)
+from repro.runtime.ledger import COMPLETED, EXPIRED
+from repro.simulator import DistributedRuntime, simulate
 
 
 def _simulate(tasks, m=2, C=50.0, scheduler_cls=RTSADS, **kwargs):
@@ -31,7 +27,7 @@ class TestBasicRuns:
                            affinity=[0])]
         result = _simulate(tasks, m=2)
         record = result.trace.records[0]
-        assert record.status == STATUS_COMPLETED
+        assert record.status == COMPLETED
         assert record.met_deadline
         assert record.finished_at == pytest.approx(
             record.started_at + 10.0
@@ -39,7 +35,7 @@ class TestBasicRuns:
 
     def test_all_feasible_tasks_complete(self, simple_tasks):
         result = _simulate(simple_tasks, m=2)
-        assert result.trace.hit_ratio() == 1.0
+        assert result.hit_ratio == 1.0
         assert result.trace.scheduled_but_missed() == []
 
     def test_impossible_task_expires(self):
@@ -48,13 +44,13 @@ class TestBasicRuns:
         record = result.trace.records[0]
         # Scheduling overhead makes the task hopeless; it must be dropped,
         # never scheduled late.
-        assert record.status in (STATUS_COMPLETED, STATUS_EXPIRED)
-        if record.status == STATUS_EXPIRED:
+        assert record.status in (COMPLETED, EXPIRED)
+        if record.status == EXPIRED:
             assert record.scheduled_phase is None
 
     def test_empty_workload(self):
         result = _simulate([], m=2)
-        assert result.trace.total_tasks() == 0
+        assert result.total_tasks == 0
         assert result.makespan == 0.0
 
     def test_makespan_is_last_event(self, simple_tasks):
@@ -144,7 +140,7 @@ class TestOnlineSemantics:
     def test_every_task_reaches_terminal_state(self, synthetic_workload):
         result = _simulate(list(synthetic_workload), m=4)
         for record in result.trace.records.values():
-            assert record.status in (STATUS_COMPLETED, STATUS_EXPIRED)
+            assert record.status in (COMPLETED, EXPIRED)
 
 
 class TestRuntimeConstruction:
@@ -187,7 +183,7 @@ class TestRuntimeConstruction:
     def test_greedy_baseline_through_runtime(self, simple_tasks):
         result = _simulate(simple_tasks, m=2,
                            scheduler_cls=GreedyEDFScheduler)
-        assert result.trace.hit_ratio() == 1.0
+        assert result.hit_ratio == 1.0
 
 
 class TestDeterminism:
@@ -200,7 +196,7 @@ class TestDeterminism:
             )
 
         first, second = run(), run()
-        assert first.trace.hit_ratio() == second.trace.hit_ratio()
+        assert first.hit_ratio == second.hit_ratio
         assert len(first.phases) == len(second.phases)
         for a, b in zip(first.phases, second.phases):
             assert a.quantum == b.quantum

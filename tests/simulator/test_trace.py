@@ -1,28 +1,40 @@
-"""Tests for simulation traces and their aggregate views."""
+"""Tests for a finished run's trace: the task ledger's records and views
+(``report.trace``) and the report's phase aggregates."""
 
 import pytest
 
 from repro.core import make_task
-from repro.simulator import (
-    STATUS_COMPLETED,
-    STATUS_EXPIRED,
-    PhaseTrace,
-    SimulationTrace,
-)
+from repro.core.schedule import ScheduleEntry
+from repro.observability import NULL_INSTRUMENTATION
+from repro.runtime import PhaseTrace, RunReport, TaskLedger, TaskRecord
+from repro.runtime.ledger import COMPLETED, EXPIRED
 
 
 def _trace_with(records):
-    """records: list of (task, status, processor, phase, finished_at)."""
-    trace = SimulationTrace()
+    """records: list of (task, status, processor, phase, finished_at).
+
+    Every record gets there through the ledger's own transitions.
+    """
+    trace = TaskLedger(NULL_INSTRUMENTATION)
     for task, status, processor, phase, finished in records:
-        record = trace.add_task(task)
-        record.status = status
-        record.processor = processor
-        record.scheduled_phase = phase
-        record.finished_at = finished
-        if finished is not None:
-            record.started_at = finished - task.processing_time
+        trace.open(TaskRecord(task))
+        if finished is None:
+            trace.settle(task.task_id, status, 0.0)
+            continue
+        entry = ScheduleEntry(task, 0, 0.0, task.processing_time)
+        trace.place(entry, phase, 0.0, processor)
+        trace.start(task.task_id, finished - task.processing_time, processor)
+        trace.settle(task.task_id, status, finished)
     return trace
+
+
+def _report(trace=None, phases=()):
+    """The report of a run booked on ``trace`` with the given phases."""
+    return RunReport.from_ledgers(
+        [trace or TaskLedger(NULL_INSTRUMENTATION)],
+        backend="sim", scheduler_name="rtsads", num_workers=2, seed=0,
+        workers_lost=0, makespan=0.0, wall_seconds=0.0, phases=list(phases),
+    )
 
 
 def _task(task_id, p=10.0, d=100.0):
@@ -32,50 +44,54 @@ def _task(task_id, p=10.0, d=100.0):
 class TestTaskRecord:
     def test_met_deadline(self):
         trace = _trace_with([
-            (_task(0, d=100.0), STATUS_COMPLETED, 0, 0, 99.0),
-            (_task(1, d=100.0), STATUS_COMPLETED, 0, 0, 101.0),
+            (_task(0, d=100.0), COMPLETED, 0, 0, 99.0),
+            (_task(1, d=100.0), COMPLETED, 0, 0, 101.0),
         ])
         assert trace.records[0].met_deadline
         assert not trace.records[1].met_deadline
 
     def test_boundary_finish_meets_deadline(self):
         trace = _trace_with([
-            (_task(0, d=100.0), STATUS_COMPLETED, 0, 0, 100.0),
+            (_task(0, d=100.0), COMPLETED, 0, 0, 100.0),
         ])
         assert trace.records[0].met_deadline
 
     def test_expired_never_meets(self):
         trace = _trace_with([
-            (_task(0), STATUS_EXPIRED, None, None, None),
+            (_task(0), EXPIRED, None, None, None),
         ])
         assert not trace.records[0].met_deadline
 
     def test_duplicate_task_rejected(self):
-        trace = SimulationTrace()
-        trace.add_task(_task(0))
+        trace = TaskLedger(NULL_INSTRUMENTATION)
+        trace.open(TaskRecord(_task(0)))
         with pytest.raises(ValueError):
-            trace.add_task(_task(0))
+            trace.open(TaskRecord(_task(0)))
 
 
 class TestAggregates:
     def _mixed_trace(self):
         return _trace_with([
-            (_task(0, d=100.0), STATUS_COMPLETED, 0, 0, 50.0),
-            (_task(1, d=100.0), STATUS_COMPLETED, 1, 0, 120.0),  # late
-            (_task(2, d=100.0), STATUS_EXPIRED, None, None, None),
-            (_task(3, d=100.0), STATUS_COMPLETED, 0, 1, 80.0),
+            (_task(0, d=100.0), COMPLETED, 0, 0, 50.0),
+            (_task(1, d=100.0), COMPLETED, 1, 0, 120.0),  # late
+            (_task(2, d=100.0), EXPIRED, None, None, None),
+            (_task(3, d=100.0), COMPLETED, 0, 1, 80.0),
         ])
 
     def test_hit_ratio(self):
-        assert self._mixed_trace().hit_ratio() == 0.5
+        assert _report(self._mixed_trace()).hit_ratio == 0.5
 
     def test_hit_ratio_empty(self):
-        assert SimulationTrace().hit_ratio() == 0.0
+        assert _report().hit_ratio == 0.0
 
     def test_completed_and_expired(self):
         trace = self._mixed_trace()
-        assert len(trace.completed()) == 3
-        assert len(trace.expired()) == 1
+        assert trace.settled[COMPLETED] == 3
+        assert trace.settled[EXPIRED] == 1
+        report = _report(trace)
+        assert (report.completed, report.expired) == (3, 1)
+        assert report.completed_late == report.guaranteed_violations == 1
+        report.check_balance()
 
     def test_scheduled_but_missed_finds_theorem_violations(self):
         trace = self._mixed_trace()
@@ -108,26 +124,27 @@ class TestPhaseAggregates:
         )
 
     def test_dead_end_rate(self):
-        trace = SimulationTrace()
-        trace.phases = [self._phase(0, dead_end=True), self._phase(1)]
-        assert trace.dead_end_rate() == 0.5
+        report = _report(
+            phases=[self._phase(0, dead_end=True), self._phase(1)]
+        )
+        assert report.dead_end_rate == 0.5
 
     def test_dead_end_rate_empty(self):
-        assert SimulationTrace().dead_end_rate() == 0.0
+        assert _report().dead_end_rate == 0.0
 
     def test_mean_depth_and_processors(self):
-        trace = SimulationTrace()
-        trace.phases = [
-            self._phase(0, depth=2, touched=1),
-            self._phase(1, depth=4, touched=3),
-        ]
-        assert trace.mean_depth() == 3.0
-        assert trace.mean_processors_touched() == 2.0
+        report = _report(
+            phases=[
+                self._phase(0, depth=2, touched=1),
+                self._phase(1, depth=4, touched=3),
+            ]
+        )
+        assert report.mean_depth == 3.0
+        assert report.mean_processors_touched == 2.0
 
     def test_total_scheduling_time(self):
-        trace = SimulationTrace()
-        trace.phases = [self._phase(0), self._phase(1)]
-        assert trace.total_scheduling_time() == 4.0
+        report = _report(phases=[self._phase(0), self._phase(1)])
+        assert report.total_scheduling_time == 4.0
 
     def test_phase_end(self):
         phase = self._phase(0)

@@ -4,15 +4,18 @@
     python tools/smoke.py cluster
     python tools/smoke.py service [--trace-out /tmp/service.jsonl]
     python tools/smoke.py shard   [--trace-out /tmp/sharded.jsonl]
+    python tools/smoke.py trace   [--trace-out /tmp/trace.jsonl]
 
-CI's ``cluster-smoke``, ``service-smoke`` and ``shard-smoke`` jobs and
-``.claude/skills/verify`` run exactly these, so what CI checks can be run
-locally and the library calls they make (``launch_cluster(router=)``,
-``run_service(joins=, drive_load=)``, a ``FailurePlan`` on a
-``ClusterConfig``) are visible to import-based tooling.  Each smoke
-launches the live system, asserts its ledger, and ends with the shared
-post-conditions: every deadline miss in the merged trace attributed to
-exactly one cause, and no worker process left behind.
+CI's ``cluster-smoke``, ``service-smoke``, ``shard-smoke`` and
+``trace-smoke`` jobs and ``.claude/skills/verify`` run exactly these, so
+what CI checks can be run locally and the library calls they make
+(``launch_cluster(router=)``, ``run_service(joins=, drive_load=)``, a
+``FailurePlan`` on a ``ClusterConfig``) are visible to import-based
+tooling.  Each smoke launches the live system, checks that its report
+balances (``RunReport.check_balance``), and ends with the shared
+post-conditions: the merged trace's outcome counts equal the report's,
+every deadline miss attributed to exactly one cause, and no worker
+process left behind.
 
 Runs from a file with a main guard, never from stdin: the workers use the
 multiprocessing spawn context, which re-imports the parent's ``__main__``.
@@ -21,20 +24,24 @@ multiprocessing spawn context, which re-imports the parent's ``__main__``.
 from __future__ import annotations
 
 import argparse
+import io
+import json
 import multiprocessing
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster import ClusterConfig, FailurePlan, launch_cluster  # noqa: E402
 from repro.experiments import ExperimentConfig, run_once  # noqa: E402
+from repro.experiments.trace_cli import trace_main  # noqa: E402
 from repro.observability import (  # noqa: E402
     CAUSES,
     Instrumentation,
     JsonlSink,
     attribute_misses,
+    instrumented,
     read_jsonl,
     render_attribution,
 )
@@ -57,13 +64,24 @@ def traced(path: str):
         obs.close()
 
 
-def check_attribution(path: str, total_tasks: int):
-    """Every miss in the merged trace carries exactly one known cause."""
+def check_attribution(path: str, report):
+    """The report balances, the merged trace tells the same story, and
+    every miss in it carries exactly one known cause."""
+    report.check_balance()
     events = read_jsonl(path)
     attribution = attribute_misses(events)
     print(render_attribution(attribution))
-    assert attribution.total_tasks == total_tasks, attribution.total_tasks
-    assert sum(attribution.outcomes.values()) == attribution.total_tasks
+    outcomes = attribution.outcomes
+    extras = report.extras
+    assert attribution.total_tasks == extras.get(
+        "accepted", report.total_tasks
+    ), attribution.total_tasks
+    assert outcomes["met"] == report.deadline_hits, outcomes
+    assert outcomes["late"] == report.completed_late, outcomes
+    assert outcomes["expired"] == report.expired, outcomes
+    assert outcomes["shed"] == extras.get("shed", 0), outcomes
+    assert outcomes["surrendered"] == extras.get("surrendered", 0), outcomes
+    assert outcomes["incomplete"] == 0, outcomes
     for miss in attribution.misses:
         assert miss.cause in CAUSES, miss
     assert sum(attribution.by_cause.values()) == len(attribution.misses)
@@ -145,9 +163,7 @@ def smoke_service(trace_out: str) -> str:
     # Fail-stop surrenders guarantees; it never violates them.
     assert report.guaranteed_violations == 0
 
-    events, attribution = check_attribution(
-        trace_out, report.extras["accepted"]
-    )
+    events, attribution = check_attribution(trace_out, report)
     workers_in_trace = {
         e["worker"] for e in events
         if e.get("component") == "worker" and "worker" in e
@@ -191,17 +207,15 @@ def smoke_shard(trace_out: str) -> str:
     ), section
     assert sum(section["out_by_domain"].values()) == section["offers"]
     assert sum(section["in_by_domain"].values()) == section["accepted"]
-    # Guarantee accounting absorbed the handoffs exactly once.  (No
+    # Guarantee accounting absorbed the handoffs exactly once: the merged
+    # report balances (checked with the trace below).  (No
     # guaranteed_violations assertion: slack 1.4 under a deliberate
-    # overload is a wall-clock stress run, like the slack-1.0 trace-smoke
-    # job.)
-    assert (
-        report.completed + report.expired + report.failed
-        == report.total_tasks == 40
-    )
+    # overload is a wall-clock stress run, like the slack-1.0 trace
+    # smoke.)
+    assert report.total_tasks == 40
 
     # Misses on migrated tasks carry their cross-domain path.
-    events, attribution = check_attribution(trace_out, 40)
+    events, attribution = check_attribution(trace_out, report)
     run_end = [e for e in events if e.get("event") == "run_end"]
     assert len(run_end) == 1
     assert run_end[0]["domains"] == 2
@@ -216,7 +230,57 @@ def smoke_shard(trace_out: str) -> str:
     )
 
 
-SMOKES = {"cluster": smoke_cluster, "service": smoke_service, "shard": smoke_shard}
+def smoke_trace(trace_out: str) -> str:
+    """A tight-slack live cell whose merged trace explains its misses.
+
+    The trace must merge the master and every worker onto one
+    skew-corrected timeline, and ``repro trace analyze`` must attribute
+    every deadline miss in it — and count every outcome as the report
+    did.
+    """
+    config = ExperimentConfig.quick(
+        num_transactions=24, num_processors=2,
+        slack_factor=1.0, runs=1, base_seed=1,
+    )
+    with traced(trace_out) as obs, instrumented(obs):
+        report = run_once(config, "rtsads", config.base_seed, backend="cluster")
+    print(report.render())
+
+    events, attribution = check_attribution(trace_out, report)
+    workers = {
+        e["worker"] for e in events
+        if e.get("component") == "worker" and "worker" in e
+    }
+    assert workers == {0, 1}, f"missing worker events: {workers}"
+    corrected = [
+        e for e in events
+        if e.get("component") == "worker" and "m_mono" in e
+    ]
+    assert corrected, "no skew-corrected worker events"
+    assert any(e["event"] == "clock_offset" for e in events)
+
+    # The CLI's JSON document says the same as the library call.
+    printed = io.StringIO()
+    with redirect_stdout(printed):
+        assert trace_main(["analyze", trace_out, "--json"]) == 0
+    document = json.loads(printed.getvalue())
+    misses = document["misses"]
+    assert misses, "slack-factor 1.0 must produce deadline misses"
+    assert len(misses) == len(attribution.misses)
+    assert all(m["cause"] in CAUSES for m in misses)
+    assert sum(document["by_cause"].values()) == len(misses)
+    return (
+        f"{len(events)} events from master + workers {sorted(workers)}, "
+        f"{len(misses)} misses all attributed"
+    )
+
+
+SMOKES = {
+    "cluster": smoke_cluster,
+    "service": smoke_service,
+    "shard": smoke_shard,
+    "trace": smoke_trace,
+}
 
 
 def main(argv=None) -> int:
@@ -225,7 +289,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="where service / shard write their merged JSONL trace "
+        help="where service / shard / trace write their merged JSONL trace "
         "(default /tmp/NAME.jsonl)",
     )
     args = parser.parse_args(argv)
