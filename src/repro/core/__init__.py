@@ -74,7 +74,7 @@ from .search import (
     make_root,
     run_search,
 )
-from .task import Task, TaskSet, TaskValidationError, make_task
+from .task import Task, TaskSet, TaskValidationError, edf_key, make_task
 
 __all__ = [
     "AssignmentOrientedExpander",
@@ -121,6 +121,7 @@ __all__ = [
     "VirtualTimeBudget",
     "WallClockBudget",
     "ZeroCommunicationModel",
+    "edf_key",
     "is_feasible_against_bound",
     "is_feasible_assignment",
     "make_child",

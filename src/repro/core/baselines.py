@@ -23,6 +23,7 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from .affinity import CommunicationModel
+from .batch import in_edf_order
 from .feasibility import is_feasible_against_bound, projected_offsets
 from .phase import MIN_PHASE_TIME, PhaseResult
 from .quantum import QuantumPolicy
@@ -80,7 +81,7 @@ class ListScheduler(Scheduler):
 
     def order(self, batch: Sequence[Task]) -> List[Task]:
         """Order in which tasks are considered for assignment."""
-        return sorted(batch, key=lambda t: (t.deadline, t.task_id))
+        return in_edf_order(batch)
 
     def probe(
         self,

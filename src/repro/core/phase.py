@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .affinity import CommunicationModel
+from .batch import in_edf_order
 from .cost import VertexEvaluator
 from .feasibility import projected_offsets
 from .schedule import Schedule
@@ -80,7 +81,7 @@ def run_phase(
     a :class:`VirtualTimeBudget` charging ``per_vertex_cost`` per generated
     vertex is used.
     """
-    ordered = sorted(tasks, key=lambda t: (t.deadline, t.task_id))
+    ordered = in_edf_order(tasks)
     # Necessary-condition pre-filter: Figure 4's test at the best possible
     # offset (zero wait, zero communication).  A task failing
     # ``t_s + Q_s + p <= d`` is infeasible on every processor this phase, so

@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+from .batch import batch_behind
 from .task import Task
 
 
@@ -48,9 +49,16 @@ class QuantumPolicy(ABC):
 
 
 def min_slack(batch: Sequence[Task], now: float) -> float:
-    """``Min_Slack``: smallest slack among batch tasks, floored at zero."""
+    """``Min_Slack``: smallest slack among batch tasks, floored at zero.
+
+    A batch's own :class:`~repro.core.batch.EdfOrder` answers from the
+    batch's latest-start index (the same float, without the scan).
+    """
     if not batch:
         return 0.0
+    source = batch_behind(batch)
+    if source is not None:
+        return source.min_slack(now)
     return max(0.0, min(task.slack(now) for task in batch))
 
 

@@ -12,6 +12,7 @@ cost ``c_ij`` is derived from the affinity set by a communication model (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -99,6 +100,11 @@ class Task:
         return now + self.processing_time > self.deadline
 
 
+#: The EDF sort key ``(deadline, task_id)``: the order a phase considers its
+#: batch in, ties broken by id so the order is total and reproducible.
+edf_key = attrgetter("deadline", "task_id")
+
+
 class TaskSet:
     """An ordered collection of tasks with workload-level validation.
 
@@ -136,7 +142,7 @@ class TaskSet:
 
     def by_deadline(self) -> list[Task]:
         """Tasks sorted by absolute deadline (EDF order)."""
-        return sorted(self._tasks, key=lambda t: (t.deadline, t.task_id))
+        return sorted(self._tasks, key=edf_key)
 
     def ids(self) -> list[int]:
         """Task ids in insertion order."""

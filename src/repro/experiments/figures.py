@@ -36,6 +36,7 @@ from ..core.quantum import (
 )
 from ..core.representations import AssignmentOrientedExpander
 from ..core.search import PhaseContext, WallClockBudget, run_search
+from ..core.task import edf_key
 from ..metrics.reporting import (
     FigureData,
     ascii_chart,
@@ -467,7 +468,7 @@ def _measure_wall_clock_vertex_cost(config: ExperimentConfig) -> float:
     """Seconds per vertex when a real phase runs under a 50 ms wall budget."""
     tasks = workload_tasks(config, config.base_seed)
     comm = UniformCommunicationModel(config.remote_cost)
-    ordered = sorted(tasks, key=lambda t: (t.deadline, t.task_id))
+    ordered = sorted(tasks, key=edf_key)
     ctx = PhaseContext(
         tasks=ordered,
         num_processors=config.num_processors,

@@ -109,7 +109,12 @@ class PhaseHooks:
     def transform_batch(
         self, tasks: List[Task], now: float
     ) -> List[Task]:
-        """Map batch tasks into the scheduler's processor index space."""
+        """Map batch tasks into the scheduler's processor index space.
+
+        Element-wise: the result stands in for ``tasks`` position by
+        position with ids, deadlines and processing times untouched, so the
+        driver carries the batch's EDF order over to it unsorted.
+        """
         return tasks
 
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
@@ -236,7 +241,8 @@ class PhaseDriver:
         loads = self.hooks.loads(now)
         if not loads:
             return None  # no capacity; leftovers wait for the next phase
-        batch_tasks = self.hooks.transform_batch(self.batch.edf_order(), now)
+        order = self.batch.edf_order()
+        batch_tasks = order.carried_to(self.hooks.transform_batch(order, now))
         quantum = self.scheduler.plan_quantum(batch_tasks, loads, now)
         result = self.scheduler.schedule_phase(
             batch_tasks, loads, now, quantum

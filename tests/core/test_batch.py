@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Batch, make_task
+from repro.core import Batch, make_task, min_slack
 
 
 def _task(task_id, p=10.0, d=100.0):
@@ -103,4 +103,48 @@ class TestBatchWithdraw:
         batch.withdraw([0])
         assert 0 not in batch
         batch.add_arrivals([_task(0)])
+        assert 0 in batch
+
+
+class TestRaisingCallChangesNothing:
+    """A call validates all of its arguments before it mutates anything."""
+
+    @staticmethod
+    def _state(batch):
+        return (
+            [t.task_id for t in batch.tasks()],
+            [t.task_id for t in batch.edf_order()],
+            min_slack(batch.edf_order(), 0.0),
+            batch.drop_expired(-1e9),  # nothing can be due: reads, not drops
+            batch.total_admitted,
+            batch.total_scheduled,
+            batch.total_expired,
+            batch.total_withdrawn,
+        )
+
+    def _batch(self):
+        batch = Batch([_task(0, d=300.0), _task(1, d=100.0), _task(2, d=200.0)])
+        batch.remove_scheduled([2])
+        batch.withdraw([1])
+        batch.add_arrivals([_task(1, d=50.0)])
+        return batch
+
+    def test_add_arrivals_with_a_duplicate_admits_none(self):
+        batch = self._batch()
+        before = self._state(batch)
+        with pytest.raises(ValueError):
+            batch.add_arrivals([_task(7), _task(8, d=10.0), _task(0)])
+        with pytest.raises(ValueError):
+            batch.add_arrivals([_task(7), _task(7)])  # within the call
+        assert self._state(batch) == before
+        assert 7 not in batch and 8 not in batch
+
+    def test_remove_scheduled_with_an_unknown_id_removes_none(self):
+        batch = self._batch()
+        before = self._state(batch)
+        with pytest.raises(KeyError):
+            batch.remove_scheduled([0, 99])
+        with pytest.raises(KeyError):
+            batch.remove_scheduled([0, 0])  # named twice
+        assert self._state(batch) == before
         assert 0 in batch

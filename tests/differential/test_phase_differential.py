@@ -12,6 +12,7 @@ extracted schedule entries all match bit-for-bit — including under tiny
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.affinity import (
     UniformCommunicationModel,
     ZeroCommunicationModel,
 )
+from repro.core.batch import Batch
 from repro.core.cost import EarliestFinishEvaluator, LoadBalancingEvaluator
 from repro.core.representations import (
     AssignmentOrientedExpander,
@@ -204,3 +206,49 @@ def test_zero_communication_model_identical(seed: int) -> None:
     )
     assert opt_log == ref_log
     assert _phase_fingerprint(opt) == _phase_fingerprint(ref)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_order_and_unsorted_list_give_identical_phases(seed: int) -> None:
+    """EDF order carried by type is the order the shared key sorts into.
+
+    ``run_phase`` skips its sort for a batch's own ``edf_order()``; handed
+    the same members as a shuffled plain list it sorts them itself, and the
+    frozen reference always does.  All three phases must be one phase.
+    """
+    rng = random.Random(20_000 + seed)
+    tasks = random_batch(rng, num_tasks=18, num_processors=4)
+    # Deadline ties, so the id half of the key has to do its part.
+    tasks += [replace(task, task_id=100 + task.task_id) for task in tasks[:4]]
+    rng.shuffle(tasks)
+    loads = [rng.uniform(0.0, 25.0) for _ in range(4)]
+    quantum = rng.uniform(10.0, 60.0)
+    comm = UniformCommunicationModel(remote_cost=rng.uniform(5.0, 40.0))
+    ordered = Batch(tasks).edf_order()
+    assert list(ordered) != tasks
+    from_order, reference_phase, order_log, reference_log = _run_pair(
+        ordered,
+        loads,
+        quantum,
+        comm,
+        AssignmentOrientedExpander(),
+        reference.ReferenceAssignmentOrientedExpander(),
+        LoadBalancingEvaluator(),
+        reference.ReferenceLoadBalancingEvaluator(),
+    )
+    from_list, _, list_log, _ = _run_pair(
+        tasks,
+        loads,
+        quantum,
+        comm,
+        AssignmentOrientedExpander(),
+        reference.ReferenceAssignmentOrientedExpander(),
+        LoadBalancingEvaluator(),
+        reference.ReferenceLoadBalancingEvaluator(),
+    )
+    assert order_log == list_log == reference_log
+    assert (
+        _phase_fingerprint(from_order)
+        == _phase_fingerprint(from_list)
+        == _phase_fingerprint(reference_phase)
+    )
