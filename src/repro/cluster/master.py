@@ -621,6 +621,11 @@ class ClusterMaster(PhaseHooks):
             )
         self.driver.worker_lost()
         self.driver.surrender(requeue, now_v, worker_id)
+        self._after_requeue(requeue)
+
+    def _after_requeue(self, task_ids: List[int]) -> None:
+        """Hook: ``task_ids`` lost their worker and wait again (the
+        service moves them back into its admission queue)."""
 
     # ----- PhaseHooks: the driver's view of the live cluster ----------------
 

@@ -53,17 +53,18 @@ class Task:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.processing_time <= 0:
+        # Written as ``not (x > y)`` so that a NaN fails each check.
+        if not self.processing_time > 0:
             raise TaskValidationError(
                 f"task {self.task_id}: processing_time must be positive, "
                 f"got {self.processing_time}"
             )
-        if self.arrival_time < 0:
+        if not self.arrival_time >= 0:
             raise TaskValidationError(
                 f"task {self.task_id}: arrival_time must be non-negative, "
                 f"got {self.arrival_time}"
             )
-        if self.deadline <= self.arrival_time:
+        if not self.deadline > self.arrival_time:
             raise TaskValidationError(
                 f"task {self.task_id}: deadline ({self.deadline}) must be "
                 f"after arrival ({self.arrival_time})"

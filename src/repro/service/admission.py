@@ -8,8 +8,12 @@ the paper's guarantee discipline says it should happen at admission, not
 by silent deadline misses deep in the backlog.
 
 Three policies are provided, all deciding from the same
-:class:`AdmissionState` snapshot (admitted-but-undispatched work, work in
-flight on workers, alive fleet size, and a backlog capacity):
+:class:`AdmissionState` (admitted-but-undispatched work, work in flight on
+workers, alive fleet size, and a backlog capacity).  The service master
+keeps one state for its whole run and moves a task between its views at
+the record's four status transitions — accepted, dispatched, requeued by a
+lost worker, settled — so what a decision reads is already there: a SUBMIT
+costs the policy's own work, never a walk of every record in flight.
 
 ``reject-newest``
     Bound the backlog in work units; reject arrivals that would overflow
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Type
+from typing import Collection, Dict, Iterable, List, Tuple, Type
 
 from ..core.task import Task
 
@@ -61,29 +65,104 @@ class QueuedTask:
         return self.deadline - now - self.cost
 
 
-@dataclass(frozen=True)
+class _Queue:
+    """Views keyed by task id, and the sum of their costs."""
+
+    __slots__ = ("views", "units")
+
+    def __init__(self, views: Iterable[QueuedTask]) -> None:
+        self.views: Dict[int, QueuedTask] = {q.task_id: q for q in views}
+        self.units = sum((q.cost for q in self.views.values()), 0.0)
+
+    def add(self, queued: QueuedTask) -> None:
+        self.views[queued.task_id] = queued
+        self.units += queued.cost
+
+    def take(self, task_id: int) -> QueuedTask:
+        queued = self.views.pop(task_id)
+        # Exactly zero once empty: no rounding outlives a drain.
+        self.units = self.units - queued.cost if self.views else 0.0
+        return queued
+
+
 class AdmissionState:
-    """Snapshot the master hands a policy for one SUBMIT decision.
+    """What is queued, as a policy sees it for one SUBMIT decision.
 
     ``pending`` is admitted-but-undispatched work (sheddable: no guarantee
     was issued yet); ``outstanding`` is dispatched, unfinished work (not
     sheddable: it carries a delivered guarantee).  ``capacity_units`` is
     the backlog bound the capped policies enforce.
+
+    A state built from views sums each view once; the service master keeps
+    one and posts its records' transitions to :meth:`admit`,
+    :meth:`place`, :meth:`requeue` and :meth:`settle`, which keep both
+    views and both unit totals.  Totals are running sums, exact for the
+    integer-valued costs of every shipped template universe.
     """
 
-    now: float
-    workers: int
-    capacity_units: float
-    pending: Tuple[QueuedTask, ...] = ()
-    outstanding: Tuple[QueuedTask, ...] = ()
+    def __init__(
+        self,
+        now: float,
+        workers: int,
+        capacity_units: float,
+        pending: Iterable[QueuedTask] = (),
+        outstanding: Iterable[QueuedTask] = (),
+    ) -> None:
+        self.now = now
+        self.workers = workers
+        self.capacity_units = capacity_units
+        self._pending = _Queue(pending)
+        self._outstanding = _Queue(outstanding)
+
+    @property
+    def pending(self) -> Collection[QueuedTask]:
+        """Admitted-but-undispatched work."""
+        return self._pending.views.values()
+
+    @property
+    def outstanding(self) -> Collection[QueuedTask]:
+        """Dispatched, unfinished work."""
+        return self._outstanding.views.values()
 
     def backlog_units(self) -> float:
         """Admitted-but-undispatched work in cost units."""
-        return sum(q.cost for q in self.pending)
+        return self._pending.units
 
     def outstanding_units(self) -> float:
         """Dispatched, unfinished work in cost units."""
-        return sum(q.cost for q in self.outstanding)
+        return self._outstanding.units
+
+    def at(self, now: float, workers: int) -> "AdmissionState":
+        """Stamp the decision's clock and alive fleet size; returns self."""
+        self.now = now
+        self.workers = workers
+        return self
+
+    # ----- the four transitions a kept state follows -------------------------
+
+    def admit(self, task: Task) -> None:
+        """An accepted task waits, costed at its processing time."""
+        self._pending.add(
+            QueuedTask(task.task_id, task.processing_time, task.deadline)
+        )
+
+    def place(self, task_id: int, cost: float) -> None:
+        """A waiting task was dispatched under a guarantee budgeted at
+        ``cost`` (the schedule entry's total)."""
+        queued = self._pending.take(task_id)
+        self._outstanding.add(QueuedTask(task_id, cost, queued.deadline))
+
+    def requeue(self, task: Task) -> None:
+        """A lost worker's task waits again, at its processing time."""
+        self._outstanding.take(task.task_id)
+        self.admit(task)
+
+    def settle(self, task_id: int) -> None:
+        """The task reached a terminal status: it is queued nowhere."""
+        if task_id in self._pending.views:
+            self._pending.take(task_id)
+        else:
+            self._outstanding.take(task_id)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ waiting on a frame that will not come.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -41,9 +42,9 @@ from ..cluster import protocol
 from ..cluster.master import ClusterMaster, Domain
 from ..core.task import Task
 from ..observability import Instrumentation
-from ..runtime.ledger import DELIVERED, PENDING, SHED, SURRENDERED, TaskRecord
+from ..runtime.ledger import PENDING, SHED, SURRENDERED, TaskRecord
 from ..runtime.report import RunReport
-from .admission import AdmissionState, QueuedTask, build_policy
+from .admission import AdmissionState, build_policy
 from .config import ServiceConfig
 
 
@@ -85,8 +86,12 @@ class ServiceMaster(ClusterMaster):
         laxities = [t.deadline - t.arrival_time for t in templates]
         self.mean_template_cost = sum(costs) / len(costs)
         mean_laxity = sum(laxities) / len(laxities)
-        self.capacity_units = service.max_backlog_units or (
-            self.expected_workers * mean_laxity
+        #: What is queued, kept at every record's status transitions.
+        self.admission = AdmissionState(
+            now=0.0,
+            workers=0,
+            capacity_units=service.max_backlog_units
+            or self.expected_workers * mean_laxity,
         )
         self._next_task_id = max(self.templates) + 1
         # Client connections currently open (conn_id -> submissions seen).
@@ -232,6 +237,8 @@ class ServiceMaster(ClusterMaster):
         request_id = int(message["request_id"])
         template_id = int(message["template_id"])
         relative = float(message.get("relative_deadline") or 0.0)
+        if not math.isfinite(relative):
+            raise ValueError(f"relative_deadline must be finite: {relative}")
         self._clients[conn_id] = self._clients.get(conn_id, 0) + 1
         self._had_client = True
         if self._draining:
@@ -252,7 +259,7 @@ class ServiceMaster(ClusterMaster):
             deadline=now_v + relative,
         )
         cost = template.processing_time
-        state = self._admission_state(now_v)
+        state = self.admission.at(now_v, len(self._alive_workers()))
         decision = self.policy.decide(task, cost, state)
         for shed_id in decision.shed:
             self._shed_task(shed_id, now_v)
@@ -269,6 +276,7 @@ class ServiceMaster(ClusterMaster):
                 template_id=template.task_id,
             )
         )
+        self.admission.admit(task)
         self.driver.admit([task])
         self.hub.send(
             conn_id, protocol.accept(request_id, task_id, task.deadline)
@@ -284,29 +292,21 @@ class ServiceMaster(ClusterMaster):
         )
         if decision.shed:
             self._note_backpressure(True)
-        elif state.backlog_units() + cost < 0.8 * state.capacity_units:
+        elif state.backlog_units() < 0.8 * state.capacity_units:
+            # The backlog after admission: it holds the newcomer already.
             self._note_backpressure(False)
 
-    def _admission_state(self, now_v: float) -> AdmissionState:
-        pending: List[QueuedTask] = []
-        outstanding: List[QueuedTask] = []
-        for record in self.records.values():
-            view = QueuedTask(
-                task_id=record.task.task_id,
-                cost=record.planned_cost or record.task.processing_time,
-                deadline=record.task.deadline,
-            )
-            if record.status == PENDING:
-                pending.append(view)
-            elif record.status == DELIVERED:
-                outstanding.append(view)
-        return AdmissionState(
-            now=now_v,
-            workers=len(self._alive_workers()),
-            capacity_units=self.capacity_units,
-            pending=tuple(pending),
-            outstanding=tuple(outstanding),
-        )
+    def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
+        """Dispatch as every live master does; a placed task becomes
+        outstanding work, costed at the entry's planned total."""
+        placed = super().deliver_entry(entry, phase_index, now)
+        if placed:
+            self.admission.place(entry.task.task_id, entry.total_cost)
+        return placed
+
+    def _after_requeue(self, task_ids: List[int]) -> None:
+        for task_id in task_ids:
+            self.admission.requeue(self.records[task_id].task)
 
     def _reject(self, conn_id: int, request_id: int, reason: str) -> None:
         self.ledger.reject()
@@ -346,7 +346,8 @@ class ServiceMaster(ClusterMaster):
 
     def _send_result(self, record: ServiceTaskRecord, now_v: float) -> None:
         """Send the one terminal RESULT for a just-settled ``record`` and
-        prune it (the ledger's ``on_settled`` hook).
+        prune it (the ledger's ``on_settled`` hook): it leaves admission's
+        queue and the records.
 
         Pruning is what bounds master memory over an unbounded run; the
         ledger's counts keep the history the report needs.  A dead client
@@ -363,6 +364,7 @@ class ServiceMaster(ClusterMaster):
                 finished,
             ),
         )
+        self.admission.settle(record.task_id)
         self.records.pop(record.task_id, None)
 
     # ----- report ------------------------------------------------------------
@@ -385,7 +387,7 @@ class ServiceMaster(ClusterMaster):
             shed=ledger.settled[SHED],
             surrendered=ledger.settled[SURRENDERED],
             open=ledger.still_open,
-            capacity_units=self.capacity_units,
+            capacity_units=self.admission.capacity_units,
             distinct_workers=len(self.workers),
             drain_reason=self._drain_reason,
         )

@@ -31,6 +31,18 @@ class TestTaskValidation:
         with pytest.raises(TaskValidationError):
             make_task(1, processing_time=1.0, deadline=3.0, arrival_time=5.0)
 
+    @pytest.mark.parametrize(
+        "field", ["processing_time", "arrival_time", "deadline"]
+    )
+    def test_rejects_nan_in_any_timing_field(self, field):
+        """NaN compares false both ways, so it must fail every check rather
+        than slip past them (a NaN deadline would sort anywhere in EDF
+        order and could never be met)."""
+        fields = dict(processing_time=1.0, arrival_time=0.0, deadline=10.0)
+        fields[field] = float("nan")
+        with pytest.raises(TaskValidationError):
+            Task(task_id=1, **fields)
+
     def test_affinity_coerced_to_frozenset(self):
         task = make_task(1, processing_time=1.0, deadline=10.0, affinity=[0, 1])
         assert isinstance(task.affinity, frozenset)

@@ -31,9 +31,12 @@ from repro.service import (
     LoadSpec,
     ServiceClient,
     ServiceConfig,
+    ServiceMaster,
     run_load,
     run_service,
 )
+
+from .kept_state import assert_kept_state_is_snapshot
 
 
 def smoke_service(workers=2, tasks=24, seed=7, **overrides) -> ServiceConfig:
@@ -52,10 +55,20 @@ def make_driver(spec: LoadSpec, holder: dict):
 
 class TestServiceUnderLoad:
     def test_elastic_join_and_failstop_absorb_load(
-        self, assert_no_leaked_children
+        self, assert_no_leaked_children, monkeypatch
     ):
         """One worker joins mid-run, another fail-stops; the stream keeps
-        settling and the books balance on both sides of the wire."""
+        settling and the books balance on both sides of the wire — and
+        after every step the master's kept admission state equals a walk
+        of its records, requeued work included."""
+        step = ServiceMaster.step
+
+        def checked_step(master):
+            done = step(master)
+            assert_kept_state_is_snapshot(master)
+            return done
+
+        monkeypatch.setattr(ServiceMaster, "step", checked_step)
         service = ServiceConfig(
             cluster=ClusterConfig.smoke(
                 workers=2,

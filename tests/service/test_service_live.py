@@ -27,6 +27,8 @@ from repro.observability import (
 )
 from repro.service import ServiceClient, ServiceConfig, ServiceMaster
 
+from .kept_state import check_after_every_step
+
 
 def smoke_service(workers=2, tasks=16, seed=7, **overrides) -> ServiceConfig:
     cluster = ClusterConfig.smoke(workers=workers, tasks=tasks, seed=seed)
@@ -50,9 +52,11 @@ def live_service(
 
     ``before_workers(master)`` runs while the master still waits for its
     fleet: whatever it submits is queued and replayed at virtual time
-    zero, back to back, before any phase runs.
+    zero, back to back, before any phase runs.  After every ``step()``
+    the master's kept admission state must equal a walk of its records.
     """
     master = ServiceMaster(service, instrumentation=instrumentation)
+    check_after_every_step(master)
     worker_config = service.cluster.with_port(master.port)
     workers: list = []
     box: dict = {}
@@ -145,14 +149,25 @@ class TestResultDiscipline:
     def test_malformed_submit_costs_only_its_own_connection(
         self, assert_no_leaked_children
     ):
-        """A well-framed SUBMIT with missing or mistyped fields is the
-        sender's problem: its connection closes, nothing is counted, and a
-        second client keeps getting ACCEPT + exactly one RESULT each."""
+        """A well-framed SUBMIT with missing, mistyped or non-finite
+        fields is the sender's problem: its connection closes, nothing is
+        counted, and a second client keeps getting ACCEPT + exactly one
+        RESULT each."""
         malformed = [
             {"type": protocol.SUBMIT},
             {"type": protocol.SUBMIT, "request_id": "x", "template_id": 0},
             {"type": protocol.SUBMIT, "request_id": 1, "template_id": None},
+            # JSON's NaN / Infinity tokens decode to floats.
+            {
+                "type": protocol.SUBMIT, "request_id": 2, "template_id": 0,
+                "relative_deadline": float("nan"),
+            },
+            {
+                "type": protocol.SUBMIT, "request_id": 3, "template_id": 0,
+                "relative_deadline": float("inf"),
+            },
         ]
+        count = len(malformed)
         with live_service(smoke_service(stop_when_idle=False)) as (
             master, _workers, box,
         ):
@@ -160,8 +175,8 @@ class TestResultDiscipline:
             client = ServiceClient.connect("127.0.0.1", master.port)
             frames = []
             try:
-                templates = sorted(master.templates)[:6]
-                for template_id, payload in zip(templates, malformed * 2):
+                templates = sorted(master.templates)[:count]
+                for template_id, payload in zip(templates, malformed):
                     vandal = WorkerChannel.connect("127.0.0.1", master.port)
                     try:
                         vandal.send(payload)
@@ -175,7 +190,7 @@ class TestResultDiscipline:
                 while client.unsettled() and time.monotonic() < deadline:
                     frames.extend(client.poll(0.05))
                 outcomes = list(client.outcomes.values())
-                assert len(outcomes) == 6
+                assert len(outcomes) == count
                 assert all(o.accepted and o.settled for o in outcomes)
                 for outcome in outcomes:
                     results = [
@@ -188,8 +203,8 @@ class TestResultDiscipline:
                 client.close()
         report = box["report"]
         # Malformed frames were refused before they were counted.
-        assert report.extras["submitted"] == 6
-        assert report.extras["accepted"] == 6
+        assert report.extras["submitted"] == count
+        assert report.extras["accepted"] == count
         assert report.extras["rejected"] == 0
 
     def test_stray_migrate_offer_is_ignored_by_a_lone_master(
