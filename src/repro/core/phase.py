@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .affinity import CommunicationModel
 from .batch import in_edf_order
 from .cost import VertexEvaluator
-from .feasibility import projected_offsets
+from .feasibility import EPSILON, projected_offsets
 from .schedule import Schedule
 from .search import (
     Expander,
@@ -86,34 +86,43 @@ def run_phase(
     # offset (zero wait, zero communication).  A task failing
     # ``t_s + Q_s + p <= d`` is infeasible on every processor this phase, so
     # no representation needs to probe it; it stays in the batch for the
-    # next phase.  The scan is part of the per-phase batch-management
-    # overhead the scheduler already charges.
+    # next phase.  That holds because the test carries the expanders' own
+    # tolerance, ``EPSILON``.  The scan is part of the per-phase
+    # batch-management overhead the scheduler already charges.
     bound = now + quantum
     admitted = [
-        t for t in ordered if bound + t.processing_time <= t.deadline + 1e-9
+        t for t in ordered if bound + t.processing_time <= t.deadline + EPSILON
     ]
-    prefilter_rejected = len(ordered) - len(admitted)
-    ordered = admitted
     offsets = projected_offsets(loads, quantum)
-    ctx = PhaseContext(
-        tasks=ordered,
-        num_processors=len(loads),
-        comm=comm,
-        phase_start=now,
-        quantum=quantum,
-        initial_offsets=offsets,
-        evaluator=evaluator,
-    )
     if budget is None:
         budget = VirtualTimeBudget(quantum=quantum, per_vertex_cost=per_vertex_cost)
-    outcome = run_search(ctx, expander, budget, max_candidates=max_candidates)
-    outcome.stats.prefilter_rejected = prefilter_rejected
-    time_used = min(max(outcome.time_used, MIN_PHASE_TIME), quantum)
+    # Most phases cannot extend their root at all; the representation
+    # certifies that in one pass and charges what the search would have, so
+    # such a phase builds no search state (see repro.core.representations).
+    stats = expander.dead_root(admitted, offsets, bound, comm, budget)
+    if stats is None:
+        ctx = PhaseContext(
+            tasks=admitted,
+            num_processors=len(loads),
+            comm=comm,
+            phase_start=now,
+            quantum=quantum,
+            initial_offsets=offsets,
+            evaluator=evaluator,
+        )
+        outcome = run_search(ctx, expander, budget, max_candidates=max_candidates)
+        schedule = outcome.extract_schedule(ctx)
+        stats = outcome.stats
+        spent = outcome.time_used
+    else:
+        schedule = Schedule()
+        spent = min(budget.used(), quantum)
+    stats.prefilter_rejected = len(ordered) - len(admitted)
     return PhaseResult(
-        schedule=outcome.extract_schedule(ctx),
-        time_used=time_used,
+        schedule=schedule,
+        time_used=min(max(spent, MIN_PHASE_TIME), quantum),
         quantum=quantum,
         phase_start=now,
-        stats=outcome.stats,
+        stats=stats,
         initial_offsets=offsets,
     )

@@ -23,12 +23,25 @@ per-phase communication-row cache, the best-case feasibility prune, and the
 hoisted feasibility comparison change how fast candidates are produced, never
 which candidates are produced, charged, or counted.  The differential harness
 under ``tests/differential/`` enforces this.
+
+**Dead roots.**  Most phases place nothing: at the projected offsets every
+admitted task fails Figure 4's ``t_c + RQ_s(j) + se_lk <= d_l`` on every
+processor the root expansion probes.  Each expander's ``dead_root`` decides
+that in one pass over the tasks its ``successors`` would probe at the root,
+with the same float expression, before :func:`repro.core.phase.run_phase`
+builds a context, a root vertex or a candidate list.  A certified root is
+charged to the budget exactly as the search would have charged it — the
+modelled cost per vertex is unchanged, only the host work goes — and the
+counters are the ones :func:`repro.core.search.run_search` would have
+returned.  The first task that fits ends the certificate with the budget
+untouched, and the ordinary search runs.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence
 
+from .affinity import CommunicationModel
 from .feasibility import EPSILON
 from .search import (
     Expander,
@@ -38,6 +51,7 @@ from .search import (
     SearchStats,
     Vertex,
 )
+from .task import Task
 
 
 def _unscheduled_indices(vertex: Vertex, n: int):
@@ -46,6 +60,37 @@ def _unscheduled_indices(vertex: Vertex, n: int):
     for index in range(n):
         if not (mask >> index) & 1:
             yield index
+
+
+def _unexpanded_root(n: int, budget: SearchBudget) -> Optional[SearchStats]:
+    """The stats of a search that stops before expanding its root, if it does.
+
+    :func:`~repro.core.search.run_search` tests the budget before its first
+    pop, and the root of an empty batch is already a complete schedule.
+    """
+    if budget.exhausted():
+        return SearchStats()
+    if not n:
+        return SearchStats(complete=True)
+    return None
+
+
+def _failed_root(
+    stats: SearchStats, budget: SearchBudget, exhaustive: bool
+) -> SearchStats:
+    """Finish the stats of a root expansion that produced no successor.
+
+    An exhaustive expansion ends the search at a maximal (empty) schedule.
+    Any other is a backtrack to an empty candidate list, which the loop
+    reports as a dead end unless the budget ran out first.
+    """
+    stats.expansions = 1
+    if exhaustive:
+        stats.maximal = True
+    else:
+        stats.backtracks = 1
+        stats.dead_end = not budget.exhausted()
+    return stats
 
 
 class AssignmentOrientedExpander(Expander):
@@ -148,6 +193,52 @@ class AssignmentOrientedExpander(Expander):
         # probed, this vertex is provably maximal (exhaustive=True).
         return Expansion(successors=[], exhaustive=not truncated)
 
+    def dead_root(
+        self,
+        tasks: Sequence[Task],
+        offsets: Sequence[float],
+        bound: float,
+        comm: CommunicationModel,
+        budget: SearchBudget,
+    ) -> Optional[SearchStats]:
+        """Certify that no admitted task fits on any processor at the root.
+
+        The root expansion probes tasks in EDF order until one fits or the
+        budget truncates it; a root with no fitting task is therefore
+        charged ``m`` per probe, every candidate rejected and every probed
+        task pruned, and ends maximal unless truncation left untested tasks.
+        """
+        m = len(offsets)
+        min_offset = min(offsets)
+        for task in tasks:
+            row, min_comm = comm.cost_row_and_min(task, m)
+            processing = task.processing_time
+            deadline_eps = task.deadline + EPSILON
+            if bound + (min_offset + (processing + min_comm)) > deadline_eps:
+                continue
+            for processor in range(m):
+                scheduled_end = offsets[processor] + (processing + row[processor])
+                if bound + scheduled_end <= deadline_eps:
+                    return None
+        stats = _unexpanded_root(len(tasks), budget)
+        if stats is not None:
+            return stats
+        exhausted = budget.exhausted
+        charge = budget.charge
+        probes = 0
+        for _ in tasks:
+            if probes and exhausted():
+                break
+            probes += 1
+            charge(m)
+        stats = SearchStats(
+            vertices_generated=probes * m,
+            task_probes=probes,
+            feasibility_rejections=probes * m,
+            tasks_pruned=probes,
+        )
+        return _failed_root(stats, budget, exhaustive=probes == len(tasks))
+
 
 class SequenceOrientedExpander(Expander):
     """D-COLS's representation: pick a processor round-robin, branch on tasks.
@@ -217,3 +308,36 @@ class SequenceOrientedExpander(Expander):
         # sequence-oriented expansion is never exhaustive: the representation
         # cannot certify a maximal schedule and must backtrack instead.
         return Expansion(successors=candidates, exhaustive=False)
+
+    def dead_root(
+        self,
+        tasks: Sequence[Task],
+        offsets: Sequence[float],
+        bound: float,
+        comm: CommunicationModel,
+        budget: SearchBudget,
+    ) -> Optional[SearchStats]:
+        """Certify that none of the first ``m`` tasks fits on processor 0.
+
+        That is the whole root expansion: one charge for the probed tasks,
+        then a backtrack to an empty candidate list.
+        """
+        m = len(offsets)
+        processor = self.processor_at(0, m)
+        offset = offsets[processor]
+        probed = tasks[:m]
+        for task in probed:
+            comm_cost = comm.cost_row_and_min(task, m)[0][processor]
+            scheduled_end = offset + (task.processing_time + comm_cost)
+            if bound + scheduled_end <= task.deadline + EPSILON:
+                return None
+        stats = _unexpanded_root(len(tasks), budget)
+        if stats is not None:
+            return stats
+        budget.charge(len(probed))
+        stats = SearchStats(
+            vertices_generated=len(probed),
+            task_probes=1,
+            feasibility_rejections=len(probed),
+        )
+        return _failed_root(stats, budget, exhaustive=False)

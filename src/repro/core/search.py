@@ -548,6 +548,27 @@ class Expander(ABC):
         best-first (ties in generation order) when the block is pushed.
         """
 
+    def dead_root(
+        self,
+        tasks: Sequence[Task],
+        offsets: Sequence[float],
+        bound: float,
+        comm: CommunicationModel,
+        budget: SearchBudget,
+    ) -> Optional[SearchStats]:
+        """The phase's :class:`SearchStats` if its root cannot be extended.
+
+        Asked by :func:`repro.core.phase.run_phase` before it builds any
+        search state: ``tasks`` is the admitted batch in EDF order,
+        ``offsets`` the root's per-processor offsets and ``bound`` the
+        phase's ``t_s + Q_s(j)``.  A representation that can prove, in one
+        pass, that its root expansion yields no feasible successor charges
+        ``budget`` exactly as :func:`run_search` would have and returns the
+        counters it would have produced; ``None`` (the default) means "run
+        the search", and an override must leave ``budget`` untouched then.
+        """
+        return None
+
     @property
     def name(self) -> str:
         """Human-readable representation name (class name)."""

@@ -53,6 +53,10 @@ class WorkerProcessor:
             raise ValueError("processor_id must be non-negative")
         self.processor_id = processor_id
         self.queue: Deque[QueuedWork] = deque()
+        # The queue's summed cost, as ``load`` sums it; None once a queue
+        # change (deliver, start_next, fail) made it stale.  Re-summed, not
+        # adjusted, so it is the very float the sum would give.
+        self._queued_cost: Optional[float] = None
         self.running: Optional[RunningWork] = None
         self.completed_count = 0
         self.busy_time = 0.0
@@ -71,7 +75,10 @@ class WorkerProcessor:
         """
         if self.failed:
             return float("inf")
-        remaining = sum(work.total_cost for work in self.queue)
+        remaining = self._queued_cost
+        if remaining is None:
+            remaining = sum(work.total_cost for work in self.queue)
+            self._queued_cost = remaining
         if self.running is not None:
             remaining += max(0.0, self.running.finishes_at - now)
         return remaining
@@ -91,6 +98,7 @@ class WorkerProcessor:
         survivors = list(self.queue)
         self.running = None
         self.queue.clear()
+        self._queued_cost = None
         if lost is not None:
             self.busy_time += max(0.0, now - lost.started_at)
         return lost, survivors
@@ -125,6 +133,7 @@ class WorkerProcessor:
                 planned_cost=entry.total_cost,
             )
         )
+        self._queued_cost = None
 
     def start_next(self, now: float) -> Optional[RunningWork]:
         """Begin the next queued task if idle; returns the running record."""
@@ -133,6 +142,7 @@ class WorkerProcessor:
         if not self.queue:
             return None
         work = self.queue.popleft()
+        self._queued_cost = None
         self.running = RunningWork(
             task=work.task,
             started_at=now,

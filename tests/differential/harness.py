@@ -15,6 +15,8 @@ import random
 from typing import List, Tuple
 
 from repro.core import Task, make_task
+from repro.core import phase as optimized_phase
+from repro.core import reference
 from repro.core.search import Expander, Expansion, PhaseContext, Vertex
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_workload
@@ -140,6 +142,83 @@ class RecordingExpander(Expander):
             )
         )
         return expansion
+
+    def dead_root(self, tasks, offsets, bound, comm, budget):
+        """Forward the certificate; log a certified root as its expansion.
+
+        A root the search would have expanded (``expansions == 1``) is
+        logged as the empty, successor-less block the reference's root
+        expansion produces, so trace equality still covers dead roots.
+        """
+        stats = self.inner.dead_root(tasks, offsets, bound, comm, budget)
+        if stats is not None and stats.expansions:
+            self.log.append((0, -1, -1, (), stats.maximal))
+        return stats
+
+
+def phase_fingerprint(result) -> tuple:
+    """A phase's schedule, timings, counters and offsets at full precision."""
+    entries = tuple(
+        (
+            entry.task.task_id,
+            entry.processor,
+            repr(entry.communication_cost),
+            repr(entry.scheduled_end),
+        )
+        for entry in result.schedule
+    )
+    return (
+        entries,
+        repr(result.time_used),
+        repr(result.quantum),
+        repr(result.phase_start),
+        stats_fingerprint(result.stats),
+        tuple(repr(offset) for offset in result.initial_offsets),
+    )
+
+
+def run_phase_pair(
+    tasks,
+    loads,
+    quantum,
+    comm,
+    optimized_expander,
+    reference_expander,
+    optimized_evaluator,
+    reference_evaluator,
+    max_candidates=None,
+    now=0.0,
+    per_vertex_cost=0.05,
+    budget_factory=None,
+):
+    """One phase through the optimized and the reference loop, both logged.
+
+    ``budget_factory`` builds each side's own budget; without it both
+    loops build the default virtual-time budget from ``per_vertex_cost``.
+    Returns ``(optimized, reference, optimized_log, reference_log)``.
+    """
+    results, logs = [], []
+    for run_phase, expander, evaluator in (
+        (optimized_phase.run_phase, optimized_expander, optimized_evaluator),
+        (reference.run_phase, reference_expander, reference_evaluator),
+    ):
+        log: list = []
+        results.append(
+            run_phase(
+                tasks=tasks,
+                loads=loads,
+                now=now,
+                quantum=quantum,
+                comm=comm,
+                expander=RecordingExpander(expander, log),
+                evaluator=evaluator,
+                budget=budget_factory() if budget_factory else None,
+                per_vertex_cost=per_vertex_cost,
+                max_candidates=max_candidates,
+            )
+        )
+        logs.append(log)
+    return results[0], results[1], logs[0], logs[1]
 
 
 def stats_fingerprint(stats) -> Tuple:

@@ -16,7 +16,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import phase as optimized_phase
 from repro.core import reference
 from repro.core.affinity import (
     UniformCommunicationModel,
@@ -29,67 +28,7 @@ from repro.core.representations import (
     SequenceOrientedExpander,
 )
 
-from .harness import RecordingExpander, random_batch, stats_fingerprint
-
-
-def _phase_fingerprint(result) -> tuple:
-    entries = tuple(
-        (
-            entry.task.task_id,
-            entry.processor,
-            repr(entry.communication_cost),
-            repr(entry.scheduled_end),
-        )
-        for entry in result.schedule
-    )
-    return (
-        entries,
-        repr(result.time_used),
-        repr(result.quantum),
-        repr(result.phase_start),
-        stats_fingerprint(result.stats),
-        tuple(repr(offset) for offset in result.initial_offsets),
-    )
-
-
-def _run_pair(
-    tasks,
-    loads,
-    quantum,
-    comm,
-    optimized_expander,
-    reference_expander,
-    optimized_evaluator,
-    reference_evaluator,
-    max_candidates=None,
-    now=0.0,
-    per_vertex_cost=0.05,
-):
-    opt_log: list = []
-    ref_log: list = []
-    opt = optimized_phase.run_phase(
-        tasks=tasks,
-        loads=loads,
-        now=now,
-        quantum=quantum,
-        comm=comm,
-        expander=RecordingExpander(optimized_expander, opt_log),
-        evaluator=optimized_evaluator,
-        per_vertex_cost=per_vertex_cost,
-        max_candidates=max_candidates,
-    )
-    ref = reference.run_phase(
-        tasks=tasks,
-        loads=loads,
-        now=now,
-        quantum=quantum,
-        comm=comm,
-        expander=RecordingExpander(reference_expander, ref_log),
-        evaluator=reference_evaluator,
-        per_vertex_cost=per_vertex_cost,
-        max_candidates=max_candidates,
-    )
-    return opt, ref, opt_log, ref_log
+from .harness import phase_fingerprint, random_batch, run_phase_pair
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -100,7 +39,7 @@ def test_assignment_phase_trace_identical(seed: int, num_processors: int) -> Non
     loads = [rng.uniform(0.0, 25.0) for _ in range(num_processors)]
     quantum = rng.uniform(10.0, 60.0)
     comm = UniformCommunicationModel(remote_cost=rng.uniform(5.0, 40.0))
-    opt, ref, opt_log, ref_log = _run_pair(
+    opt, ref, opt_log, ref_log = run_phase_pair(
         tasks,
         loads,
         quantum,
@@ -111,7 +50,7 @@ def test_assignment_phase_trace_identical(seed: int, num_processors: int) -> Non
         reference.ReferenceLoadBalancingEvaluator(),
     )
     assert opt_log == ref_log
-    assert _phase_fingerprint(opt) == _phase_fingerprint(ref)
+    assert phase_fingerprint(opt) == phase_fingerprint(ref)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -122,7 +61,7 @@ def test_sequence_phase_trace_identical(seed: int, num_processors: int) -> None:
     loads = [rng.uniform(0.0, 25.0) for _ in range(num_processors)]
     quantum = rng.uniform(10.0, 60.0)
     comm = UniformCommunicationModel(remote_cost=rng.uniform(5.0, 40.0))
-    opt, ref, opt_log, ref_log = _run_pair(
+    opt, ref, opt_log, ref_log = run_phase_pair(
         tasks,
         loads,
         quantum,
@@ -133,7 +72,7 @@ def test_sequence_phase_trace_identical(seed: int, num_processors: int) -> None:
         reference.ReferenceLoadBalancingEvaluator(),
     )
     assert opt_log == ref_log
-    assert _phase_fingerprint(opt) == _phase_fingerprint(ref)
+    assert phase_fingerprint(opt) == phase_fingerprint(ref)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -146,7 +85,7 @@ def test_cl_eviction_paths_identical(seed: int, max_candidates: int) -> None:
     loads = [rng.uniform(0.0, 15.0) for _ in range(m)]
     quantum = rng.uniform(20.0, 80.0)
     comm = UniformCommunicationModel(remote_cost=15.0)
-    opt, ref, opt_log, ref_log = _run_pair(
+    opt, ref, opt_log, ref_log = run_phase_pair(
         tasks,
         loads,
         quantum,
@@ -158,7 +97,7 @@ def test_cl_eviction_paths_identical(seed: int, max_candidates: int) -> None:
         max_candidates=max_candidates,
     )
     assert opt_log == ref_log
-    assert _phase_fingerprint(opt) == _phase_fingerprint(ref)
+    assert phase_fingerprint(opt) == phase_fingerprint(ref)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -170,7 +109,7 @@ def test_earliest_finish_evaluator_identical(seed: int) -> None:
     loads = [rng.uniform(0.0, 20.0) for _ in range(m)]
     quantum = rng.uniform(15.0, 70.0)
     comm = UniformCommunicationModel(remote_cost=25.0)
-    opt, ref, opt_log, ref_log = _run_pair(
+    opt, ref, opt_log, ref_log = run_phase_pair(
         tasks,
         loads,
         quantum,
@@ -181,7 +120,7 @@ def test_earliest_finish_evaluator_identical(seed: int) -> None:
         reference.ReferenceEarliestFinishEvaluator(),
     )
     assert opt_log == ref_log
-    assert _phase_fingerprint(opt) == _phase_fingerprint(ref)
+    assert phase_fingerprint(opt) == phase_fingerprint(ref)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -194,7 +133,7 @@ def test_zero_communication_model_identical(seed: int) -> None:
     loads = [0.0] * m
     quantum = 50.0
     comm = ZeroCommunicationModel()
-    opt, ref, opt_log, ref_log = _run_pair(
+    opt, ref, opt_log, ref_log = run_phase_pair(
         tasks,
         loads,
         quantum,
@@ -205,7 +144,7 @@ def test_zero_communication_model_identical(seed: int) -> None:
         reference.ReferenceLoadBalancingEvaluator(),
     )
     assert opt_log == ref_log
-    assert _phase_fingerprint(opt) == _phase_fingerprint(ref)
+    assert phase_fingerprint(opt) == phase_fingerprint(ref)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -226,7 +165,7 @@ def test_batch_order_and_unsorted_list_give_identical_phases(seed: int) -> None:
     comm = UniformCommunicationModel(remote_cost=rng.uniform(5.0, 40.0))
     ordered = Batch(tasks).edf_order()
     assert list(ordered) != tasks
-    from_order, reference_phase, order_log, reference_log = _run_pair(
+    from_order, reference_phase, order_log, reference_log = run_phase_pair(
         ordered,
         loads,
         quantum,
@@ -236,7 +175,7 @@ def test_batch_order_and_unsorted_list_give_identical_phases(seed: int) -> None:
         LoadBalancingEvaluator(),
         reference.ReferenceLoadBalancingEvaluator(),
     )
-    from_list, _, list_log, _ = _run_pair(
+    from_list, _, list_log, _ = run_phase_pair(
         tasks,
         loads,
         quantum,
@@ -248,7 +187,7 @@ def test_batch_order_and_unsorted_list_give_identical_phases(seed: int) -> None:
     )
     assert order_log == list_log == reference_log
     assert (
-        _phase_fingerprint(from_order)
-        == _phase_fingerprint(from_list)
-        == _phase_fingerprint(reference_phase)
+        phase_fingerprint(from_order)
+        == phase_fingerprint(from_list)
+        == phase_fingerprint(reference_phase)
     )

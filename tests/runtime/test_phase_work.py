@@ -3,7 +3,10 @@
 The claim that a phase no longer walks its batch is gated here on counts a
 seed fixes.  A spy task type counts every read of a member's ``deadline`` or
 ``processing_time`` and every ``slack`` / ``is_expired`` call — each is one
-visit to one batch member.
+visit to one batch member.  The same way, a phase whose root is dead is
+gated on building no search (no ``successors`` call, no ``Vertex``, no
+``PhaseContext``), and a worker's load on summing its ready queue only
+after the queue changed.
 """
 
 from __future__ import annotations
@@ -11,13 +14,21 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import pytest
+
 from repro.core import Batch, Task, UniformCommunicationModel, min_slack
 from repro.core.phase import PhaseResult
+from repro.core.representations import (
+    AssignmentOrientedExpander,
+    SequenceOrientedExpander,
+)
 from repro.core.schedule import Schedule, ScheduleEntry
-from repro.core.scheduler import Scheduler
-from repro.core.search import SearchStats
+from repro.core.scheduler import Scheduler, SearchScheduler
+from repro.core.search import PhaseContext, SearchStats, Vertex
 from repro.observability import NULL_INSTRUMENTATION
 from repro.runtime import PhaseDriver, PhaseHooks, TaskLedger, TaskRecord
+from repro.simulator import processor as processor_module
+from repro.simulator.processor import QueuedWork, WorkerProcessor
 
 MEMBERS = 200
 PHASES = 50
@@ -120,3 +131,105 @@ def test_fifty_phases_visit_what_changed_not_the_batch():
     assert visits <= changes * per_change
     assert visits < PHASES * MEMBERS / 4
     assert not VISITS["slack"] and not VISITS["is_expired"]
+
+
+QUEUED = 50
+SUMMED = Counter()
+
+
+class SpyWork(QueuedWork):
+    """Queued work that counts each time its cost is read."""
+
+    def __getattribute__(self, name):
+        if name == "total_cost":
+            SUMMED[name] += 1
+        return object.__getattribute__(self, name)
+
+
+class WorkerHooks(PhaseHooks):
+    """Loads are real workers' ready queues; a dead root delivers nothing."""
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def loads(self, now):
+        return [worker.load(now) for worker in self.workers]
+
+    def deliver_entry(self, entry, phase_index, now):
+        raise AssertionError("a dead-root phase has nothing to deliver")
+
+
+def loaded_workers(monkeypatch, count=2):
+    """Workers whose queues keep every spy task past its deadline."""
+    monkeypatch.setattr(processor_module, "QueuedWork", SpyWork)
+    workers = [WorkerProcessor(k) for k in range(count)]
+    for worker in workers:
+        for i in range(QUEUED):
+            task = Task(
+                task_id=10_000 + 100 * worker.processor_id + i,
+                processing_time=25.0,
+                arrival_time=0.0,
+                deadline=5_000.0,
+            )
+            worker.deliver(ScheduleEntry(task, worker.processor_id, 0.0, 0.0), 0.0)
+    return workers
+
+
+def dead_root_phases(expander, workers):
+    """PHASES phases of a 200-member batch the loaded workers all refuse."""
+    ledger = TaskLedger(NULL_INSTRUMENTATION)
+    scheduler = SearchScheduler(
+        UniformCommunicationModel(remote_cost=5.0),
+        expander_factory=lambda phase_index: expander,
+    )
+    driver = PhaseDriver(scheduler, WorkerHooks(workers), ledger)
+    tasks = spy_tasks(0, MEMBERS)
+    for task in tasks:
+        ledger.open(TaskRecord(task))
+    driver.admit(tasks)
+    return [driver.run_phase(now=float(phase)) for phase in range(PHASES)]
+
+
+@pytest.mark.parametrize(
+    "representation", [AssignmentOrientedExpander, SequenceOrientedExpander]
+)
+def test_dead_root_phases_build_no_search(representation, monkeypatch):
+    built = Counter()
+    for cls in (Vertex, PhaseContext):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            built[_name] += 1
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    class Spy(representation):
+        def successors(self, vertex, ctx, budget, stats):
+            built["successors"] += 1
+            return super().successors(vertex, ctx, budget, stats)
+
+    class Uncertified(Spy):
+        def dead_root(self, tasks, offsets, bound, comm, budget):
+            return None
+
+    certified = dead_root_phases(Spy(), loaded_workers(monkeypatch))
+    assert not built
+    # The same phases searched: one root expansion each, the same charges.
+    searched = dead_root_phases(Uncertified(), loaded_workers(monkeypatch))
+    assert built == {"successors": PHASES, "PhaseContext": PHASES, "Vertex": PHASES}
+    assert certified == searched
+    assert all(
+        trace.scheduled == 0 and trace.vertices_generated > 0 for trace in certified
+    )
+
+
+def test_phases_over_unchanged_queues_resum_no_queue(monkeypatch):
+    workers = loaded_workers(monkeypatch)
+    SUMMED.clear()
+    dead_root_phases(AssignmentOrientedExpander(), workers)
+    # Each queue is summed once, for the first phase; nothing changed since.
+    assert SUMMED["total_cost"] == len(workers) * QUEUED
+    workers[0].start_next(now=0.0)
+    SUMMED.clear()
+    loads = [worker.load(1.0) for worker in workers]
+    assert SUMMED["total_cost"] == QUEUED - 1
+    assert loads == [25.0 * (QUEUED - 1) + 24.0, 25.0 * QUEUED]
