@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
+#: Its own copy of the core tolerance: the oracle imports nothing from repro.
 EPSILON = 1e-9
 
 #: Verdict labels, in decreasing order of good news.

@@ -26,7 +26,6 @@ from .master import (
     ClusterMaster,
     ClusterStartupError,
     ClusterTimeoutError,
-    remap_tasks,
 )
 from .network import ConnectionLost, MessageHub, NetworkEvent, WorkerChannel
 from .protocol import PROTOCOL_VERSION, FrameDecoder, ProtocolError
@@ -52,7 +51,6 @@ __all__ = [
     "build_cluster_workload",
     "launch_cluster",
     "reap_workers",
-    "remap_tasks",
     "spawn_worker",
     "worker_main",
 ]

@@ -37,7 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.affinity import UniformCommunicationModel, project_tasks
+from ..core.affinity import Projection, UniformCommunicationModel
+from ..core.feasibility import EPSILON
 from ..core.task import Task
 from ..experiments.runner import build_scheduler
 from ..observability import Instrumentation, get_instrumentation
@@ -62,9 +63,6 @@ from .config import (
 )
 from .failure import HeartbeatMonitor
 from .network import CONNECT, DISCONNECT, MESSAGE, MessageHub, NetworkEvent
-
-#: Deadline-comparison slop in virtual units (mirrors the core EPSILON).
-EPSILON = 1e-9
 
 
 class ClusterError(RuntimeError):
@@ -93,21 +91,6 @@ class _WorkerState:
     def outstanding_units(self) -> float:
         """Worst-case remaining work — the live ``Load_k`` upper bound."""
         return sum(self.outstanding.values())
-
-
-def remap_tasks(
-    tasks: Sequence[Task], alive: Sequence[int]
-) -> List[Task]:
-    """Project task affinities onto the alive-worker index space.
-
-    The search scheduler addresses processors ``0..m-1``; with dead workers
-    (or a domain owning only a slice of the fleet) the master schedules
-    over its own workers only, so affinities referring to real worker ids
-    are translated to positions in ``alive``.  Affinity to an absent
-    worker simply drops out (the data's surviving replicas keep their
-    entries; a fully-absent affinity set degrades to all-remote).
-    """
-    return project_tasks(tasks, alive)
 
 
 @dataclass(frozen=True)
@@ -211,9 +194,11 @@ class ClusterMaster(PhaseHooks):
         # Telemetry events each worker's bounded buffer had to drop
         # (worker_id -> count), folded into the run_end trace header.
         self.telemetry_dropped: Dict[int, int] = {}
-        # Per-phase scratch set by loads() and consumed by deliver_entry():
-        # the alive-worker index space and the accumulating queue picture.
-        self._phase_alive: List[int] = []
+        #: The alive workers in slot order, as of the last phase: replaced
+        #: by loads() only after a join or a loss.
+        self.view = Projection((), self.database.placement.num_processors)
+        # Per-phase scratch set by loads() and extended by deliver_entry():
+        # the accumulating queue picture, slot by slot.
         self._phase_cumulative: List[float] = []
         self._t0: Optional[float] = None
         self._start_wall: Optional[float] = None
@@ -639,13 +624,15 @@ class ClusterMaster(PhaseHooks):
     def loads(self, now: float) -> List[float]:
         """Live ``Load_k``: outstanding worst-case work per alive worker.
 
-        Also pins this phase's alive-index space and seeds the cumulative
-        queue picture :meth:`deliver_entry` extends dispatch by dispatch.
-        An empty return (every worker dead) makes the driver skip the
-        phase; leftovers expire as the clock advances.
+        Also pins this phase's slots — a new :attr:`view` only when the
+        alive set changed — and seeds the cumulative queue picture
+        :meth:`deliver_entry` extends dispatch by dispatch.  An empty
+        return (every worker dead) makes the driver skip the phase;
+        leftovers expire as the clock advances.
         """
-        alive = self._alive_workers()
-        self._phase_alive = alive
+        alive = tuple(self._alive_workers())
+        if alive != self.view.workers:
+            self.view = Projection(alive, self.view.universe)
         loads = [
             self.workers[worker_id].outstanding_units() for worker_id in alive
         ]
@@ -654,7 +641,7 @@ class ClusterMaster(PhaseHooks):
 
     def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
         """Project affinities onto this phase's alive-worker slots."""
-        return remap_tasks(tasks, self._phase_alive)
+        return self.view.project(tasks)
 
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
         """Re-validate one entry at dispatch time and send it.
@@ -667,7 +654,7 @@ class ClusterMaster(PhaseHooks):
         """
         config = self.config
         margin = config.guarantee_margin_units
-        worker_id = self._phase_alive[entry.processor]
+        worker_id = self.view.workers[entry.processor]
         state = self.workers[worker_id]
         if not state.alive:
             return False  # died mid-phase

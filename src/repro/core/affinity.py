@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .task import Task
 
@@ -174,25 +174,49 @@ def random_affinity(
     return frozenset(members)
 
 
-def project_tasks(
-    tasks: Iterable[Task], workers: Sequence[int]
-) -> list[Task]:
-    """Re-express global affinities against an ordered worker subset.
+class Projection:
+    """One host's view of the machine: global worker ids in slot order.
 
-    ``workers`` lists global worker ids in slot order; each task's
-    affinity is rewritten to the *positions* of its affine workers within
-    that list.  Workers missing from the list simply drop out of the
-    affinity set (their data is unreachable from this view), which is
-    exactly the cluster master's alive-set remap and the sharded
-    runtime's domain projection — both are the same renaming.
+    The host's scheduler sees slots, so a task's affinity (drawn from
+    ``range(universe)``, the placement's ``m``) is renamed to the slots of
+    its affine workers; a worker the view lacks drops out.  A sharded
+    domain, and a live master after a loss or a late join, are such views.
+    When the first ``universe`` slots are ``0..universe-1`` the renaming is
+    the identity and :meth:`project` returns its input — keyed on slot
+    order, never on the number of hosts.  Otherwise a memo keyed by task id
+    renames each task object once and holds only the last call's tasks,
+    so a host that projects its batch every phase keeps one batch of it.
     """
-    positions = {worker: slot for slot, worker in enumerate(workers)}
-    projected = []
-    for task in tasks:
-        local = frozenset(
-            positions[w] for w in task.affinity if w in positions
-        )
-        projected.append(
-            task if local == task.affinity else replace(task, affinity=local)
-        )
-    return projected
+
+    def __init__(self, workers: Sequence[int], universe: int) -> None:
+        #: Global worker id of each slot: ``workers[slot]``.
+        self.workers = tuple(workers)
+        self.universe = universe
+        self.identity = self.workers[:universe] == tuple(range(universe))
+        self._slots = {worker: slot for slot, worker in enumerate(self.workers)}
+        #: task id -> (task as given, its projection).
+        self._memo: Dict[int, Tuple[Task, Task]] = {}
+
+    def rename(self, task: Task) -> Task:
+        """``task`` in slot space; the same object if nothing moved."""
+        slots = self._slots
+        local = frozenset(slots[w] for w in task.affinity if w in slots)
+        if local == task.affinity:
+            return task
+        return replace(task, affinity=local)
+
+    def project(self, tasks: Sequence[Task]) -> Sequence[Task]:
+        """``tasks`` in slot space, element by element; unchanged ones as given."""
+        if self.identity:
+            return tasks
+        memo = self._memo
+        kept: Dict[int, Tuple[Task, Task]] = {}
+        projected = []
+        for task in tasks:
+            pair = memo.get(task.task_id)
+            if pair is None or pair[0] is not task:
+                pair = (task, self.rename(task))
+            kept[task.task_id] = pair
+            projected.append(pair[1])
+        self._memo = kept
+        return projected

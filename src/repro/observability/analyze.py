@@ -65,7 +65,8 @@ from ..analysis.schedulability import (
     analyze_triples,
 )
 
-#: Deadline-comparison slop in virtual units (mirrors the core EPSILON).
+#: Deadline-comparison slop in virtual units: the core EPSILON's value,
+#: copied because this package imports nothing beyond the stdlib.
 EPSILON = 1e-9
 
 CAUSE_WORKER_FAILURE = "worker_failure"

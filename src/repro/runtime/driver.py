@@ -90,8 +90,10 @@ class PhaseHooks:
     """What a concrete runtime must answer for the driver.
 
     Subclass (or duck-type) and override; :meth:`transform_batch` has an
-    identity default because only runtimes with dynamic processor sets
-    (the live cluster after worker loss) need it.
+    identity default because only a host that sees part of the machine —
+    a sharded simulator domain, a live master after a loss or a late join —
+    needs it, and each such host answers it with its
+    :class:`~repro.core.affinity.Projection`.
     """
 
     #: Fields stamped on the ``task`` events the driver posts on this

@@ -46,10 +46,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Tuple, Type
 
+from ..core.feasibility import EPSILON
 from ..core.task import Task
-
-#: Comparison slop in virtual units (mirrors the core EPSILON).
-EPSILON = 1e-9
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
+from ..core.feasibility import EPSILON
 from ..core.task import Task
-
-EPSILON = 1e-9
 
 
 def can_guarantee(

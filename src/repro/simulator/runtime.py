@@ -19,8 +19,10 @@ such host — a driver, its scheduler and the workers it owns — and
 :class:`~repro.simulator.engine.SimulationEngine` (the engine allows one
 handler per event type, so the runtime is the sole subscriber and routes
 to hosts).  The paper's machine is the one-domain assignment: its host's
-slots *are* the global worker ids, it has no peers, and so neither the
-affinity projection nor the migration path below is ever reached.
+slots *are* the global worker ids (its
+:class:`~repro.core.affinity.Projection` is the identity) and it has no
+peers, so no affinity is ever renamed and the migration path below is
+never reached.
 
 With ``k > 1`` domains each host searches only its own workers and its own
 share of the arrivals, and the hosts' phases overlap freely in virtual
@@ -39,7 +41,7 @@ import time
 import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.affinity import CommunicationModel, project_tasks
+from ..core.affinity import CommunicationModel, Projection
 from ..core.domains import DomainAssignment, partition_workers
 from ..core.scheduler import Scheduler
 from ..core.task import Task, TaskSet
@@ -59,9 +61,6 @@ from .events import (
 from .execution import ExecutionTimeModel, resolve_actual_cost
 from .processor import WorkerProcessor
 
-#: ``DomainHost._projections`` miss: no task is ``None``.
-_UNPROJECTED = (None, None)
-
 #: Safety cap on dispatched events; generously above any legitimate run
 #: (a 1000-task burst dispatches a few thousand events).
 MAX_EVENTS = 5_000_000
@@ -75,8 +74,7 @@ class DomainHost(PhaseHooks):
     pieces of the run it uses, never the runtime, and its driver calls
     back through a weak proxy: a finished run is a tree, freed by
     reference count when the caller drops it, not whenever the cycle
-    collector next runs (its ledger and projections are most of what a
-    sweep allocates).
+    collector next runs (its ledger is most of what a sweep allocates).
     """
 
     def __init__(
@@ -89,22 +87,14 @@ class DomainHost(PhaseHooks):
         execution_model: Optional[ExecutionTimeModel] = None,
     ) -> None:
         self.domain_id = domain_id
-        #: Global worker ids in slot order; the scheduler sees slots.
-        self.workers = workers
+        #: This host's slots (``view.workers[slot]`` is a global worker
+        #: id), fixed for the run; the scheduler sees slots.
+        self.view = Projection(workers, assignment.num_workers)
         self.scheduler = scheduler
         self.ledger = ledger
         self.execution_model = execution_model
         self.driver = PhaseDriver(scheduler, weakref.proxy(self), ledger)
         self.worker_objs = [WorkerProcessor(w) for w in workers]
-        #: Slot ``i`` is global worker ``i``: projecting a batch onto this
-        #: host would hand every task back unchanged, so it is skipped.
-        self.owns_whole_machine = workers == tuple(
-            range(assignment.num_workers)
-        )
-        #: task id -> (task as admitted, its projection onto ``workers``).
-        #: The worker tuple is fixed for the run, so each task is projected
-        #: once, however many phases it waits in the batch.
-        self._projections: Dict[int, Tuple[Task, Task]] = {}
         #: Domain label on this host's trace events (none on a lone host).
         self.tag = {"domain": domain_id} if assignment.sharded else {}
         self.busy = False
@@ -124,16 +114,7 @@ class DomainHost(PhaseHooks):
         return [worker.load(now) for worker in self.worker_objs]
 
     def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
-        if self.owns_whole_machine:
-            return tasks
-        projections = self._projections
-        fresh = [
-            task for task in tasks
-            if projections.get(task.task_id, _UNPROJECTED)[0] is not task
-        ]
-        for task, local in zip(fresh, project_tasks(fresh, self.workers)):
-            projections[task.task_id] = (task, local)
-        return [projections[task.task_id][1] for task in tasks]
+        return self.view.project(tasks)
 
     def deliver_entry(self, entry, phase_index: int, now: float) -> bool:
         worker = self.worker_objs[entry.processor]
@@ -369,7 +350,9 @@ class DistributedRuntime:
             self._migration_barred.add(task.task_id)
             self.stats.record_offer(origin.domain_id)
             self.ledger.note("migration_offered", task.task_id, now, **hop)
-            if can_guarantee(task, now, loads, target.workers, self.remote_cost):
+            if can_guarantee(
+                task, now, loads, target.view.workers, self.remote_cost
+            ):
                 self.stats.record_accept(target.domain_id)
                 migrated.append(task)
                 outcome = "migrated"

@@ -1,4 +1,4 @@
-"""Master-side pure logic: affinity remapping and report arithmetic."""
+"""Master-side pure logic: the alive-set projection and report arithmetic."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro.cluster import remap_tasks
 from repro.core import RTSADS, UniformCommunicationModel, make_task
+from repro.core.affinity import Projection
 from repro.runtime import RunReport
 
 
@@ -35,35 +35,41 @@ def make_report(**overrides) -> RunReport:
     return RunReport(**defaults)
 
 
+def project(tasks, alive, placement=4):
+    """What the master's phase sees: ``tasks`` over the ``alive`` view of
+    a ``placement``-processor machine."""
+    return Projection(alive, placement).project(tasks)
+
+
 class TestRemapTasks:
     def test_identity_when_all_workers_alive(self):
         tasks = [
             make_task(0, 10.0, 100.0, affinity=[0, 2]),
             make_task(1, 10.0, 100.0, affinity=[1]),
         ]
-        remapped = remap_tasks(tasks, alive=[0, 1, 2])
-        assert remapped == tasks
+        remapped = project(tasks, alive=[0, 1, 2], placement=3)
+        assert remapped is tasks
 
     def test_affinities_shift_into_survivor_index_space(self):
         """With worker 1 dead, survivors [0, 2, 3] become indices
         [0, 1, 2]; a task pinned to real worker 3 must point at index 2."""
         tasks = [make_task(0, 10.0, 100.0, affinity=[3])]
-        (remapped,) = remap_tasks(tasks, alive=[0, 2, 3])
+        (remapped,) = project(tasks, alive=[0, 2, 3])
         assert remapped.affinity == frozenset({2})
 
     def test_dead_worker_drops_out_of_affinity(self):
         tasks = [make_task(0, 10.0, 100.0, affinity=[1, 2])]
-        (remapped,) = remap_tasks(tasks, alive=[0, 2])
+        (remapped,) = project(tasks, alive=[0, 2])
         assert remapped.affinity == frozenset({1})  # worker 2 -> index 1
 
     def test_fully_dead_affinity_degrades_to_remote_everywhere(self):
         tasks = [make_task(0, 10.0, 100.0, affinity=[1])]
-        (remapped,) = remap_tasks(tasks, alive=[0, 2])
+        (remapped,) = project(tasks, alive=[0, 2])
         assert remapped.affinity == frozenset()
 
     def test_everything_but_affinity_is_preserved(self):
         task = make_task(5, 12.5, 80.0, affinity=[1], arrival_time=3.0)
-        (remapped,) = remap_tasks([task], alive=[1, 2])
+        (remapped,) = project([task], alive=[1, 2])
         assert remapped.task_id == task.task_id
         assert remapped.processing_time == task.processing_time
         assert remapped.arrival_time == task.arrival_time
@@ -78,7 +84,7 @@ class TestRemapTasks:
             make_task(0, 10.0, 100.0, affinity=[0, 1, 2]),
             make_task(1, 10.0, 100.0),  # already affinity-free
         ]
-        remapped = remap_tasks(tasks, alive=[])
+        remapped = project(tasks, alive=[])
         assert all(t.affinity == frozenset() for t in remapped)
 
     def test_slack_that_cannot_survive_remapping_is_not_guaranteed(self):
@@ -91,7 +97,7 @@ class TestRemapTasks:
         # Feasible while worker 1 lives: cost 10, deadline 50.  Remote it
         # costs 10 + 400 = 410 > 50.
         task = make_task(0, 10.0, 50.0, affinity=[1])
-        (remapped,) = remap_tasks([task], alive=[0, 2])
+        (remapped,) = project([task], alive=[0, 2])
         assert remapped.affinity == frozenset()
         loads = [0.0, 0.0]
         quantum = scheduler.plan_quantum([remapped], loads, now=0.0)
@@ -120,10 +126,12 @@ class TestRemapTasks:
             alive_final = sorted(rng.sample(alive_first, 2))
             positions = [alive_first.index(w) for w in alive_final]
 
-            stepwise = remap_tasks(
-                remap_tasks(tasks, alive=alive_first), alive=positions
+            stepwise = project(
+                project(tasks, alive=alive_first, placement=6),
+                alive=positions,
+                placement=len(alive_first),
             )
-            direct = remap_tasks(tasks, alive=alive_final)
+            direct = project(tasks, alive=alive_final, placement=6)
             assert stepwise == direct, f"seed {1998 + seed}"
 
 
@@ -145,22 +153,22 @@ class TestMidPhaseDisconnect:
 
         class FlakyWorkerHooks(PhaseHooks):
             def __init__(self):
-                self.alive = [0, 1]
+                self.view = Projection((0, 1), 2)
                 self.dead_processor = None
                 self.dispatched = []
 
             def loads(self, now):
-                return [0.0] * len(self.alive)
+                return [0.0] * len(self.view.workers)
 
             def transform_batch(self, tasks, now):
-                return remap_tasks(tasks, self.alive)
+                return self.view.project(tasks)
 
             def deliver_entry(self, entry, phase_index, now):
                 if entry.processor == self.dead_processor:
                     return False
                 self.dispatched.append(entry.task.task_id)
                 ledger.place(
-                    entry, phase_index, now, self.alive[entry.processor]
+                    entry, phase_index, now, self.view.workers[entry.processor]
                 )
                 return True
 
@@ -184,7 +192,7 @@ class TestMidPhaseDisconnect:
 
         # The master notices the loss before the next phase: survivors
         # only, and the declined tasks re-enter through the normal path.
-        hooks.alive = [0]
+        hooks.view = Projection((0,), 2)
         hooks.dead_processor = None
         second = driver.run_phase(now=first.end)
         assert second.delivered == declined

@@ -87,3 +87,22 @@ class TestDeadlineSafety:
     def test_detects_late_finish(self):
         tasks = {0: make_task(0, processing_time=1.0, deadline=10.0)}
         assert not schedule_is_deadline_safe({0: 10.5}, tasks)
+
+
+class TestOneTolerance:
+    """The live re-checks mirror Figure 4's test, so they share its slop."""
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.cluster.master",  # dispatch-time re-check
+            "repro.sharding.migration",  # can_guarantee
+            "repro.service.admission",  # admission policies
+        ],
+    )
+    def test_live_checks_use_the_core_epsilon(self, module):
+        import importlib
+
+        from repro.core import feasibility
+
+        assert importlib.import_module(module).EPSILON is feasibility.EPSILON

@@ -7,7 +7,7 @@ from typing import List
 import pytest
 
 from repro.core import RTSADS, Task, UniformCommunicationModel, make_task
-from repro.core.affinity import project_tasks
+from repro.core.affinity import Projection
 from repro.observability import NULL_INSTRUMENTATION
 from repro.runtime import PhaseDriver, PhaseHooks, TaskLedger, TaskRecord
 from repro.runtime.ledger import EXPIRED, FAILED
@@ -149,15 +149,14 @@ class TestDelivery:
         came back as {0, 2}, then as the empty set)."""
 
         class SlotSpaceHooks(RecordingHooks):
-            workers = (1, 3, 5, 7)
-
             def __init__(self):
                 super().__init__(num_processors=4)
+                self.view = Projection((1, 3, 5, 7), 8)
                 self.batches = []
 
             def transform_batch(self, tasks, now):
                 self.batches.append(list(tasks))
-                return project_tasks(tasks, self.workers)
+                return self.view.project(tasks)
 
         driver, hooks = make_driver(hooks=SlotSpaceHooks())
         task = make_task(0, 10.0, 1000.0, affinity=[1, 5])

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import RTSADS, UniformCommunicationModel, make_task
-from repro.core.affinity import project_tasks
+from repro.core.affinity import Projection
 from repro.core.domains import partition_workers
 from repro.core.registry import SCHEDULER_NAMES
 from repro.experiments import ExperimentConfig, run_once
@@ -119,14 +119,13 @@ class TestIdentityProjectionIsKeyedOnWorkerOrder:
 
     def test_projecting_onto_range_m_returns_the_same_objects(self):
         """Why the skip is safe: the projection it skips is the identity."""
-        tasks = self._tasks()
-        projected = project_tasks(tasks, range(3))
-        assert all(a is b for a, b in zip(tasks, projected))
+        view = Projection(range(3), 3)
+        assert all(view.rename(task) is task for task in self._tasks())
 
     def test_the_whole_machine_in_order_skips_projection(self):
         host = self._runtime().domains[0]
         tasks = self._tasks()
-        assert host.workers == (0, 1, 2)
+        assert host.view.workers == (0, 1, 2)
         assert host.transform_batch(tasks, 0.0) is tasks
 
     def test_a_permuted_single_domain_still_projects(self):

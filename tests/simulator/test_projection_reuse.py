@@ -1,7 +1,8 @@
-"""A host projects each task once per run: same run as projecting per phase.
+"""A host projects a task once per stay in its batch: same run as per phase.
 
 The reference below is what ``DomainHost.transform_batch`` did before it
-kept its projections — ``project_tasks`` over the whole batch, every phase.
+kept its projections — the renaming oracle over the whole batch, every
+phase.
 Runs with k = 2 and k = 4 hosts, a processor failure and migrated-in tasks
 must produce the same report, the same per-task trace and the same phase
 list either way.
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.affinity import UniformCommunicationModel, project_tasks
+from repro.core.affinity import Projection, UniformCommunicationModel
 from repro.core.domains import partition_workers
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import build_scheduler, workload_tasks
 from repro.simulator import DistributedRuntime, DomainHost
+
+from ..core.test_projection import project_tasks
 
 CONFIG = ExperimentConfig.quick(
     num_transactions=240, num_processors=8, runs=1, per_vertex_cost=0.005
@@ -23,9 +26,7 @@ CONFIG = ExperimentConfig.quick(
 
 
 def _project_every_phase(self, tasks, now):
-    if self.owns_whole_machine:
-        return tasks
-    return project_tasks(tasks, self.workers)
+    return project_tasks(tasks, self.view.workers)
 
 
 def _run(domains: int, seed: int):
@@ -72,19 +73,30 @@ def test_projection_reuse_changes_nothing(monkeypatch, domains, seed):
 
 
 def test_a_task_is_projected_once_however_long_it_waits(monkeypatch):
-    """Counts the work, not the time: ``project_tasks`` sees each admitted
-    task object once per host, not once per phase it spends in a batch."""
-    from repro.simulator import runtime as runtime_module
+    """Counts the work, not the time: a host's ``Projection`` renames a
+    task object when it joins the host's batch, not once per phase it
+    spends there.  (A task that leaves — delivered, then surrendered by
+    the failed worker — is renamed again when it comes back: the memo
+    holds one batch, not the run.)"""
+    project, rename = Projection.project, Projection.rename
+    calls = []  # per project(): (view, input objects, renamed objects)
 
-    seen = []
+    def counting_project(view, tasks):
+        calls.append((view, {id(task) for task in tasks}, []))
+        return project(view, tasks)
 
-    def counting(tasks, workers):
-        tasks = list(tasks)
-        seen.extend((tuple(workers), id(task)) for task in tasks)
-        return project_tasks(tasks, workers)
+    def counting_rename(view, task):
+        calls[-1][2].append(id(task))
+        return rename(view, task)
 
-    monkeypatch.setattr(runtime_module, "project_tasks", counting)
+    monkeypatch.setattr(Projection, "project", counting_project)
+    monkeypatch.setattr(Projection, "rename", counting_rename)
     report = _run(2, 7)
+    previous = {}
+    for view, inputs, renamed in calls:
+        joined = inputs - previous.get(id(view), set())
+        assert sorted(renamed) == sorted(joined)
+        previous[id(view)] = inputs
+    renames = sum(len(renamed) for _, _, renamed in calls)
     waited = sum(phase.batch_size for phase in report.phases)
-    assert len(seen) == len(set(seen))
-    assert len(seen) < waited
+    assert 0 < renames < waited
