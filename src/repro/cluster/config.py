@@ -18,6 +18,7 @@ jitter, which the dispatch-time guarantee margin absorbs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -62,12 +63,12 @@ class ClusterConfig:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.seconds_per_unit <= 0:
-            raise ValueError("seconds_per_unit must be positive")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.max_wall_seconds <= 0:
-            raise ValueError("max_wall_seconds must be positive")
+        if not 0 < self.seconds_per_unit < math.inf:
+            raise ValueError("seconds_per_unit must be positive and finite")
+        if not 0 < self.heartbeat_interval < math.inf:
+            raise ValueError("heartbeat_interval must be positive and finite")
+        if not 0 < self.max_wall_seconds < math.inf:
+            raise ValueError("max_wall_seconds must be positive and finite")
         if self.failure is not None and (
             self.failure.worker_index >= self.num_workers
         ):

@@ -11,6 +11,7 @@ surrendered queue on the survivors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -29,8 +30,8 @@ class FailurePlan:
     def __post_init__(self) -> None:
         if self.worker_index < 0:
             raise ValueError("worker_index must be non-negative")
-        if self.after_seconds < 0:
-            raise ValueError("after_seconds must be non-negative")
+        if not 0 <= self.after_seconds < math.inf:
+            raise ValueError("after_seconds must be non-negative and finite")
 
     @classmethod
     def parse(cls, spec: str) -> "FailurePlan":

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.affinity import Projection, UniformCommunicationModel
 from ..core.feasibility import EPSILON
@@ -62,7 +62,7 @@ from .config import (
     build_cluster_workload,
 )
 from .failure import HeartbeatMonitor
-from .network import CONNECT, DISCONNECT, MESSAGE, MessageHub, NetworkEvent
+from .network import DISCONNECT, MESSAGE, MessageHub, NetworkEvent
 
 
 class ClusterError(RuntimeError):
@@ -130,12 +130,9 @@ class Domain:
 class ClusterMaster(PhaseHooks):
     """Accepts workers, runs the scheduling loop, collects completions."""
 
-    #: ``RunReport.backend`` label of this master's runs.
-    backend = "cluster"
-
     #: The one dispatch point: message type -> handler method, each called
-    #: as ``handler(conn_id, message)``.  A subclass serving more frame
-    #: types extends the table; nothing pre-filters events around it.
+    #: as ``handler(conn_id, message)``; nothing pre-filters events around
+    #: it.  :meth:`handle` adds a frame type to one master's table.
     HANDLERS = {
         protocol.HELLO: "_register_worker",
         protocol.HEARTBEAT: "_on_heartbeat",
@@ -174,7 +171,7 @@ class ClusterMaster(PhaseHooks):
         self.ledger = TaskLedger(self.obs, placed_as=LIVE_PLACED)
         self.records = self.ledger.records
         self.driver = PhaseDriver(self.scheduler, self, self.ledger)
-        self._handlers = {
+        self._handlers: Dict[str, Callable[[int, Dict], None]] = {
             kind: getattr(self, name) for kind, name in self.HANDLERS.items()
         }
         # Every task of the closed workload is known up front: one record
@@ -224,27 +221,9 @@ class ClusterMaster(PhaseHooks):
     # ----- lifecycle -------------------------------------------------------
     #
     # await_workers -> start_clock -> step (until True) -> shutdown ->
-    # report.  run() is exactly that sequence for one master; the launcher
-    # walks k masters through the same public steps from one thread.
-
-    def run(self) -> RunReport:
-        """Serve one complete workload; returns the aggregated report."""
-        try:
-            self.await_workers()
-            if self.obs.enabled:
-                self.obs.emit(
-                    "run_start",
-                    workers=len(self.workers),
-                    tasks=len(self.records),
-                )
-            self.start_clock()
-            while not self.step():
-                pass
-        finally:
-            self.shutdown()
-        report = self.report()
-        emit_run_end(self.obs, report, [self])
-        return report
+    # report.  Whoever owns the run walks its masters through exactly that
+    # sequence from one thread: the launcher for k >= 1 domains, the
+    # service for its one.
 
     def start_clock(self, t0: Optional[float] = None) -> None:
         """Start virtual time (at ``t0``, a monotonic reading; default now).
@@ -392,8 +371,8 @@ class ClusterMaster(PhaseHooks):
     def step(self) -> bool:
         """One iteration of the scheduling loop; True when the run is done.
 
-        The whole loop body: :meth:`run` just iterates it, and the launcher
-        round-robins several domain masters through it in one thread.
+        The whole loop body: the launcher round-robins several domain
+        masters through it in one thread, the service steps its one.
         """
         config = self.config
         for event in self.hub.poll(POLL_INTERVAL):
@@ -406,19 +385,18 @@ class ClusterMaster(PhaseHooks):
                 f"live run exceeded {config.max_wall_seconds}s; "
                 "aborting and shutting the cluster down"
             )
-        self._before_phase(now_wall)
         self._schedule_ready_work()
         return self._finished()
 
-    def _before_phase(self, now_wall: float) -> None:
-        """Per-step hook ahead of scheduling (the service's stop check)."""
+    def handle(self, kind: str, handler: Callable[[int, Dict], None]) -> None:
+        """Route frames of type ``kind`` to ``handler(conn_id, message)``."""
+        self._handlers[kind] = handler
 
     def _dispatch(self, event: NetworkEvent) -> None:
-        if event.kind == CONNECT:
-            self._on_connect(event.conn_id)
-        elif event.kind == DISCONNECT:
+        # A CONNECT carries nothing: a peer's identity is its first frame.
+        if event.kind == DISCONNECT:
             self._on_disconnect(event.conn_id)
-        else:
+        elif event.kind == MESSAGE:
             self._handle_frame(event.conn_id, event.message)
 
     def _handle_frame(self, conn_id: int, message: Dict) -> None:
@@ -446,9 +424,6 @@ class ClusterMaster(PhaseHooks):
             self.obs.metrics.counter("cluster_protocol_errors").inc()
             self.hub.close_connection(conn_id)
             self._on_disconnect(conn_id)
-
-    def _on_connect(self, conn_id: int) -> None:
-        """A peer connected; its identity arrives with its first frame."""
 
     def _on_disconnect(self, conn_id: int) -> None:
         worker_id = self._conn_to_worker.pop(conn_id, None)
@@ -606,15 +581,11 @@ class ClusterMaster(PhaseHooks):
             )
         self.driver.worker_lost()
         self.driver.surrender(requeue, now_v, worker_id)
-        self._after_requeue(requeue)
-
-    def _after_requeue(self, task_ids: List[int]) -> None:
-        """Hook: ``task_ids`` lost their worker and wait again (the
-        service moves them back into its admission queue)."""
 
     # ----- PhaseHooks: the driver's view of the live cluster ----------------
 
-    def _alive_workers(self) -> List[int]:
+    def alive_workers(self) -> List[int]:
+        """Ids of the registered workers not declared dead, ascending."""
         return sorted(
             worker_id
             for worker_id, state in self.workers.items()
@@ -630,7 +601,7 @@ class ClusterMaster(PhaseHooks):
         return (every worker dead) makes the driver skip the phase;
         leftovers expire as the clock advances.
         """
-        alive = tuple(self._alive_workers())
+        alive = tuple(self.alive_workers())
         if alive != self.view.workers:
             self.view = Projection(alive, self.view.universe)
         loads = [
@@ -731,7 +702,7 @@ class ClusterMaster(PhaseHooks):
         """This master's outcome, from its ledger's counts.
 
         Emits nothing: the ``run_end`` header belongs to whoever owns the
-        run (:meth:`run`, or the launcher for its merged report).  Nothing
+        run (the launcher for its merged report, or the service).  Nothing
         is ``failed`` in flight here: fail-stop workers surrender their
         queues, so a batch run's tasks all complete or expire.
         """
@@ -743,7 +714,7 @@ class ClusterMaster(PhaseHooks):
         )
         return RunReport.from_ledgers(
             [self.ledger],
-            backend=self.backend,
+            backend="cluster",
             scheduler_name=self.scheduler.name,
             num_workers=self.expected_workers,
             seed=self.config.experiment.base_seed,
@@ -780,7 +751,7 @@ class ClusterMaster(PhaseHooks):
             deadline=float(message["deadline"]),
             affinity=frozenset(int(p) for p in message["affinity"]),
         )
-        alive = self._alive_workers()
+        alive = self.alive_workers()
         loads = [self.workers[w].outstanding_units() for w in alive]
         acceptable = (
             task_id not in self.records
@@ -849,7 +820,7 @@ class ClusterMaster(PhaseHooks):
 
     def mean_load(self) -> float:
         """Mean outstanding work per alive worker (inf with none alive)."""
-        alive = self._alive_workers()
+        alive = self.alive_workers()
         if not alive:
             return float("inf")
         total = sum(self.workers[w].outstanding_units() for w in alive)

@@ -101,6 +101,11 @@ class MessageHub:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def open_connections(self) -> int:
+        """Peers connected right now, whatever they are."""
+        return len(self._connections)
+
     # ----- metrics ---------------------------------------------------------
 
     def _count(self, counter: str, kind: str, size: int) -> None:

@@ -47,7 +47,6 @@ from .runner import (
 )
 from .sweep import (
     CellRecord,
-    PortPool,
     SweepCache,
     SweepCell,
     SweepOutcome,
@@ -61,7 +60,6 @@ __all__ = [
     "CellRecord",
     "CellResult",
     "ExperimentConfig",
-    "PortPool",
     "SweepCache",
     "SweepCell",
     "SweepOutcome",

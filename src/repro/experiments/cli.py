@@ -31,6 +31,7 @@ Trace analysis (see docs/OBSERVABILITY.md; also ``repro trace ...``)::
 
 from __future__ import annotations
 
+import math
 import argparse
 import json
 import sys
@@ -168,8 +169,12 @@ def _parse_join(spec: str):
 
 positive_int = _checked(int, "a positive integer", lambda v: v > 0)
 count = _checked(int, "a non-negative integer", lambda v: v >= 0)
-positive_float = _checked(float, "a positive number", lambda v: v > 0)
-amount = _checked(float, "a non-negative number", lambda v: v >= 0)
+positive_float = _checked(
+    float, "a positive finite number", lambda v: 0 < v < math.inf
+)
+amount = _checked(
+    float, "a non-negative finite number", lambda v: 0 <= v < math.inf
+)
 unit_rate = _checked(float, "a rate in (0, 1]", lambda v: 0 < v <= 1)
 tcp_port = _checked(int, "a port in 0..65535", lambda v: 0 <= v <= 65535)
 chart_width = _checked(int, "at least 16 columns", lambda v: v >= 16)

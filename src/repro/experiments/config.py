@@ -12,6 +12,7 @@ drives the result shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -145,16 +146,16 @@ class ExperimentConfig:
         """Reject configurations no experiment could meaningfully run."""
         if self.num_transactions <= 0:
             raise ValueError("num_transactions must be positive")
-        if self.slack_factor <= 0:
-            raise ValueError("slack_factor must be positive")
+        if not 0 < self.slack_factor < math.inf:
+            raise ValueError("slack_factor must be positive and finite")
         if not 0.0 < self.replication_rate <= 1.0:
             raise ValueError("replication_rate must be in (0, 1]")
         if self.num_processors <= 0:
             raise ValueError("num_processors must be positive")
-        if self.remote_cost < 0:
-            raise ValueError("remote_cost must be non-negative")
-        if self.per_vertex_cost <= 0:
-            raise ValueError("per_vertex_cost must be positive")
+        if not 0 <= self.remote_cost < math.inf:
+            raise ValueError("remote_cost must be non-negative and finite")
+        if not 0 < self.per_vertex_cost < math.inf:
+            raise ValueError("per_vertex_cost must be positive and finite")
         if self.runs <= 0:
             raise ValueError("runs must be positive")
         if not self.backend:
@@ -184,8 +185,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"arrival must be one of {ARRIVAL_NAMES}, got {self.arrival!r}"
             )
-        if self.offered_load <= 0:
-            raise ValueError("offered_load must be positive")
+        if not 0 < self.offered_load < math.inf:
+            raise ValueError("offered_load must be positive and finite")
         if self.admission_policy not in ADMISSION_POLICY_NAMES:
             raise ValueError(
                 f"admission_policy must be one of {ADMISSION_POLICY_NAMES}, "

@@ -33,10 +33,9 @@ table row's :class:`~repro.runtime.sim.SimBackend` variant.  Where a cell
 runs and whether it is cached are read off the cell itself.  A cell on a
 :attr:`~repro.runtime.backend.ExecutionBackend.live` backend spawns its
 own worker processes and binds a listening socket, so it runs in the
-parent, one at a time, on a master port leased from a bounded
-:class:`PortPool`; every other cell may cross the spawn boundary.  A cell
-carrying a backend instance has no content address (the config does not
-say what the instance substitutes), so it is never cached.
+parent, one at a time; every other cell may cross the spawn boundary.  A
+cell carrying a backend instance has no content address (the config does
+not say what the instance substitutes), so it is never cached.
 
 Units: everything a :class:`CellRecord` stores under a ``*_time`` /
 ``makespan`` name is virtual quanta (one tuple-check = 1.0 unit);
@@ -54,9 +53,7 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-import threading
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -276,68 +273,25 @@ class SweepCache:
         os.replace(temp, path)
 
 
-# ----- bounded port pool for live-backend cells ------------------------------
-
-
-class PortPool:
-    """A bounded pool of TCP ports for live-cluster cells.
-
-    Port 0 means "let the OS pick an ephemeral port" — the default, and
-    collision-free by construction; an explicit range pins masters to
-    known ports (firewalled environments).  The pool's *size* is the real
-    control: at most ``len(ports)`` cluster cells may hold a lease at
-    once, and the engine additionally serializes cluster cells, so a
-    sweep never races two masters onto one port.  Thread-safe (condition
-    variable); leases are parent-process-only and never cross the spawn
-    boundary.
-    """
-
-    def __init__(self, ports: Sequence[int] = (0,)) -> None:
-        if not ports:
-            raise ValueError("a port pool needs at least one slot")
-        self._free: List[int] = list(ports)
-        self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
-
-    @contextmanager
-    def lease(self) -> Iterator[int]:
-        """Borrow one port for the duration of a ``with`` block (blocking)."""
-        with self._available:
-            while not self._free:
-                self._available.wait()
-            port = self._free.pop(0)
-        try:
-            yield port
-        finally:
-            with self._available:
-                self._free.append(port)
-                self._available.notify()
-
-
 # ----- running one cell ------------------------------------------------------
 
 
-def _run_here(
-    cell: SweepCell, obs, port_pool: Optional[PortPool] = None
-) -> CellRecord:
+def _run_here(cell: SweepCell, obs) -> CellRecord:
     """Run one cell in this process, under ``obs``; returns its record.
 
     The run goes through :func:`~repro.experiments.runner.run_once`, so
     trace events reach ``obs``'s sink directly and only the cell's counter
-    deltas need capturing.  A live backend holds a master port from
-    ``port_pool`` for the duration of its run; consecutive masters can
-    therefore never contend for one listener.
+    deltas need capturing.
     """
-    backend = cell.resolve_backend()
     before = _counter_values(obs)
-    with port_pool.lease() if backend.live else nullcontext(0) as port:
-        if port:
-            backend = backend.with_port(port)
-        start = time.perf_counter()
-        report = run_once(
-            cell.config, cell.scheduler_name, cell.seed, backend=backend
-        )
-        elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    report = run_once(
+        cell.config,
+        cell.scheduler_name,
+        cell.seed,
+        backend=cell.resolve_backend(),
+    )
+    elapsed = time.perf_counter() - start
     return replace(
         CellRecord.from_report(report, elapsed_seconds=elapsed),
         counters=_counter_delta(before, _counter_values(obs)),
@@ -436,7 +390,6 @@ def run_grid(
     *,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    port_pool: Optional[PortPool] = None,
 ) -> SweepOutcome:
     """Run every repetition of every spec and fold each into a cell.
 
@@ -446,8 +399,8 @@ def run_grid(
     ``cache_dir`` fields (keyword arguments override).  Cells found in the
     cache are not re-executed; with ``jobs > 1`` the rest fan across a
     spawn pool of that many workers, except a live backend's, which stay
-    in the parent (one at a time, on ``port_pool``, ephemeral ports by
-    default).  With ``jobs=1`` every cell runs here, in order.
+    in the parent and run one at a time.  With ``jobs=1`` every cell runs
+    here, in order.
 
     Aggregation order is fixed by ``specs`` and ``config.seeds()`` — never
     by completion order — so the returned :class:`SweepOutcome` is
@@ -463,7 +416,6 @@ def run_grid(
     if jobs <= 0:
         raise ValueError("jobs must be positive (1 = serial)")
     cache = SweepCache(cache_dir) if cache_dir else None
-    port_pool = port_pool or PortPool()
 
     # One flat, deterministically indexed cell list across all specs.
     cells: List[SweepCell] = []
@@ -514,7 +466,7 @@ def run_grid(
             finish(index, record)
     for index, cell in pending:
         if index not in records:
-            finish(index, _run_here(cell, obs, port_pool))
+            finish(index, _run_here(cell, obs))
 
     stats.elapsed_seconds = time.perf_counter() - started
     obs.logger.info(

@@ -44,8 +44,7 @@ class ExecutionBackend(ABC):
 
     #: A live backend spawns its own OS processes and binds a TCP listener
     #: per run, so the sweep engine runs its cells one at a time in the
-    #: parent, each on a port leased from a bounded pool, and never hands
-    #: one to a pool child.
+    #: parent and never hands one to a pool child.
     live: ClassVar[bool] = False
 
     #: Whether a run's task set is exactly ``workload_tasks(config, seed)``,
@@ -70,10 +69,6 @@ class ExecutionBackend(ABC):
         *instance* (see :class:`repro.runtime.sim.SimBackend`'s variants),
         never a parameter of the call.
         """
-
-    def with_port(self, port: int) -> "ExecutionBackend":
-        """A copy that binds ``port``; a backend that binds none is itself."""
-        return self
 
 
 def register_backend(

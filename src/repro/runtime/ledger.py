@@ -8,8 +8,8 @@ and is the only code that changes a record's status.  Each method does, in
 one place, everything a transition entails: change the record, keep the
 run's counts incrementally (each O(1) per transition), bump
 ``runtime_task_transitions{transition=}``, emit the ``task`` trace event
-behind the ``obs.enabled`` guard, and — on a terminal transition — call
-the :attr:`TaskLedger.on_settled` hook (the service's cue to send RESULT).
+behind the ``obs.enabled`` guard, and tell the one
+:attr:`TaskLedger.observer` (the service front keeps its books there).
 
 The simulator's runtime shares one ledger among its ``k`` hosts; each
 live master has its own.  Who posts which transition on which backend is
@@ -26,7 +26,7 @@ both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.feasibility import EPSILON
 from ..core.task import Task
@@ -143,13 +143,15 @@ class TaskLedger:
         self,
         obs: "Instrumentation",
         placed_as: str = SIM_PLACED,
-        on_settled: Optional[Callable[[TaskRecord, float], None]] = None,
+        observer: Optional[object] = None,
     ) -> None:
         self.obs = obs
         #: Which of :data:`PLACED_TRANSITIONS` this backend's traces use.
         self.placed_as = placed_as
-        #: Called with ``(record, t)`` after every terminal transition.
-        self.on_settled = on_settled
+        #: Follows the four status transitions: its ``open``, ``place``,
+        #: ``requeue`` and ``settle`` are each called with the record once
+        #: that transition is booked.  ``None`` on every batch backend.
+        self.observer = observer
         self.records: Dict[int, TaskRecord] = {}
         #: The run's phases in start order (the simulator fills this in).
         self.phases: List["PhaseTrace"] = []
@@ -183,6 +185,8 @@ class TaskLedger:
             raise ValueError(f"task {record.task_id} already on the ledger")
         self.records[record.task_id] = record
         self.opened += 1
+        if self.observer is not None:
+            self.observer.open(record)
 
     def reject(self) -> None:
         """Count one offered task that was refused admission."""
@@ -239,6 +243,8 @@ class TaskLedger:
                 planned_cost=entry.total_cost,
                 **tag,
             )
+        if self.observer is not None:
+            self.observer.place(record)
 
     def requeue(
         self, task_id: int, t: float, processor: int, **tag: object
@@ -266,6 +272,8 @@ class TaskLedger:
                 SURRENDERED, task_id, t,
                 processor=processor, deadline=record.task.deadline, **tag,
             )
+        if self.observer is not None:
+            self.observer.requeue(record)
         return record.task
 
     def settle(
@@ -307,8 +315,8 @@ class TaskLedger:
                 TERMINAL_TRANSITIONS[TERMINAL.index(status)], task_id, t,
                 **_settled_fields(record, extra),
             )
-        if self.on_settled is not None:
-            self.on_settled(record, t)
+        if self.observer is not None:
+            self.observer.settle(record)
 
     def _revoke(self, record: TaskRecord) -> None:
         if record.guaranteed:

@@ -40,19 +40,9 @@ class ClusterBackend(ExecutionBackend):
     def __init__(self, **cluster_overrides) -> None:
         #: ``ClusterConfig`` fields replaced on every run's config: the
         #: CLI's live knobs (``cli.LIVE_KNOB_FLAGS``: ``failure``,
-        #: ``seconds_per_unit``, ``heartbeat_interval``) and, through
-        #: :meth:`with_port`, a leased ``port``.  ``ClusterConfig`` itself
-        #: rejects a name it does not have when the run starts.
+        #: ``seconds_per_unit``, ``heartbeat_interval``).  ``ClusterConfig``
+        #: itself rejects a name it does not have when the run starts.
         self.cluster_overrides = cluster_overrides
-
-    def with_port(self, port: int) -> "ClusterBackend":
-        """A copy whose master binds ``port`` (0 = OS-chosen ephemeral).
-
-        The sweep engine uses this to pin consecutive live cells onto
-        leased ports from a bounded pool; every other override carries
-        over unchanged.
-        """
-        return type(self)(**{**self.cluster_overrides, "port": port})
 
     def cluster_config(self, config, scheduler_name: str, seed: int):
         """The ``ClusterConfig`` one repetition deploys.

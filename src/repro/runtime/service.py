@@ -1,8 +1,9 @@
 """The service backend: open-loop load against a long-lived master.
 
 Where the ``"cluster"`` backend replays the closed batch workload, this
-backend stands up a :class:`~repro.service.master.ServiceMaster` with its
-worker fleet and drives it with the in-process open-loop load generator:
+backend stands up a master behind a
+:class:`~repro.service.master.ServiceFront`, with its worker fleet, and
+drives it with the in-process open-loop load generator:
 the experiment's ``arrival``, ``offered_load`` and ``admission_policy``
 fields pick the stream shape and the shedding policy, so a sweep grid
 over those fields *is* a deadline-compliance-under-load study — every
@@ -26,11 +27,10 @@ class ServiceBackend(ClusterBackend):
     """Runs a cell as one service lifetime under open-loop load.
 
     The same fleet deployment as :class:`ClusterBackend` (one mapping of
-    ``ClusterConfig`` overrides, the same port leasing) in front of a
-    service master.  Stateless between runs; not concurrency-safe with a
-    pinned port.  The run ends by going idle: the load thread submits its
-    stream, every submission settles, the client disconnects, and the
-    master drains.
+    ``ClusterConfig`` overrides) with a service front on its master.
+    Stateless between runs; not concurrency-safe with a pinned port.  The
+    run ends by going idle: the load thread submits its stream, every
+    submission settles, the client disconnects, and the service drains.
     """
 
     name = "service"

@@ -1,19 +1,19 @@
 """Streaming service mode: a long-lived RT-SADS scheduler on the wire.
 
 Where :mod:`repro.cluster` runs one closed batch to completion, this
-package keeps the master alive under *open-loop* load: clients stream
-``SUBMIT`` frames over the same TCP protocol (v3), the admission layer
-applies backpressure and overload shedding
-(:mod:`~repro.service.admission`), workers join and leave mid-run, and
-every accepted submission is answered with exactly one terminal
-``RESULT`` — even through a SIGTERM drain.
+package puts a front on the same master and keeps it alive under
+*open-loop* load: clients stream ``SUBMIT`` frames over the same TCP
+protocol (v3), the admission layer applies backpressure and overload
+shedding (:mod:`~repro.service.admission`), workers join and leave
+mid-run, and every accepted submission is answered with exactly one
+terminal ``RESULT`` — even through a SIGTERM drain.
 
 Entry points
 ------------
 :func:`run_service`           run one service end to end (master + fleet).
 :func:`run_load`              open-loop load generator / client.
 :class:`ServiceConfig`        service knobs around a ``ClusterConfig``.
-:class:`ServiceMaster`        the long-lived master (a ``ClusterMaster``).
+:class:`ServiceFront`         admission, results and drain on one master.
 :func:`build_policy`          admission-policy registry.
 
 The CLI surface is ``repro serve`` and ``repro load``.
@@ -39,8 +39,7 @@ from .admission import (
 _LAZY = {
     "JoinPlan": "config",
     "ServiceConfig": "config",
-    "ServiceMaster": "master",
-    "ServiceTaskRecord": "master",
+    "ServiceFront": "master",
     "ServiceClient": "client",
     "LoadReport": "load",
     "LoadSpec": "load",

@@ -1,7 +1,7 @@
 """A streaming client of the scheduler service.
 
 :class:`ServiceClient` wraps one :class:`~repro.cluster.network.
-WorkerChannel` connection to a :class:`~repro.service.master.ServiceMaster`
+WorkerChannel` connection to a :class:`~repro.service.master.ServiceFront`
 and keeps the submission ledger: every ``SUBMIT`` it sends is tracked until
 its ``ACCEPT``/``REJECT`` and — for accepted ones — its terminal
 ``RESULT`` arrives.  The open-loop load generator

@@ -15,6 +15,7 @@ they script the membership churn a service-smoke run exercises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..cluster.config import ClusterConfig
@@ -36,8 +37,8 @@ class JoinPlan:
     def __post_init__(self) -> None:
         if self.worker_index < 0:
             raise ValueError("worker_index must be non-negative")
-        if self.after_seconds < 0:
-            raise ValueError("after_seconds must be non-negative")
+        if not 0 <= self.after_seconds < math.inf:
+            raise ValueError("after_seconds must be non-negative and finite")
 
     @classmethod
     def parse(cls, spec: str) -> "JoinPlan":
@@ -81,9 +82,11 @@ class ServiceConfig:
                 f"admission_policy must be one of {ADMISSION_POLICY_NAMES}, "
                 f"got {self.admission_policy!r}"
             )
-        if self.max_backlog_units < 0:
-            raise ValueError("max_backlog_units must be non-negative")
-        if self.drain_grace_seconds <= 0:
-            raise ValueError("drain_grace_seconds must be positive")
-        if self.max_service_seconds < 0:
-            raise ValueError("max_service_seconds must be non-negative")
+        if not 0 <= self.max_backlog_units < math.inf:
+            raise ValueError("max_backlog_units must be non-negative and finite")
+        if not 0 < self.drain_grace_seconds < math.inf:
+            raise ValueError("drain_grace_seconds must be positive and finite")
+        if not 0 <= self.max_service_seconds < math.inf:
+            raise ValueError(
+                "max_service_seconds must be non-negative and finite"
+            )

@@ -1,11 +1,13 @@
 """Run one scheduler service end to end: master, fleet, churn, teardown.
 
 :func:`run_service` is the service-mode sibling of
-:func:`~repro.cluster.launcher.launch_cluster`.  The differences are
-exactly the ones a long-lived service needs:
+:func:`~repro.cluster.launcher.launch_cluster`, and :func:`serve` walks
+the one master through the same public lifecycle the launcher does.  The
+differences are exactly the ones a long-lived service needs:
 
-* the master is a :class:`~repro.service.master.ServiceMaster` (admission,
-  streaming clients, drain-on-stop) instead of a batch master;
+* a :class:`~repro.service.master.ServiceFront` (admission, streaming
+  clients, drain-on-stop) sits on the master in place of a closed
+  workload, and is asked around every step whether to drain or stop;
 * the fleet is *elastic*: :class:`~repro.service.config.JoinPlan` entries
   schedule extra workers to join mid-run (new capacity or restarts), and
   the embedded :class:`~repro.cluster.failure.FailurePlan` still scripts
@@ -22,13 +24,15 @@ from __future__ import annotations
 
 import signal
 import threading
+import time
 from typing import Callable, Optional, Sequence
 
 from ..cluster.launcher import WorkerFleet
+from ..cluster.master import emit_run_end
 from ..observability import Instrumentation, get_instrumentation
 from ..runtime.report import RunReport
 from .config import JoinPlan, ServiceConfig
-from .master import ServiceMaster
+from .master import ServiceFront
 
 
 def run_service(
@@ -48,7 +52,8 @@ def run_service(
     request a graceful drain instead of terminating the process.
     """
     obs = instrumentation or get_instrumentation()
-    master = ServiceMaster(service, instrumentation=obs)
+    front = ServiceFront.on_whole_fleet(service, instrumentation=obs)
+    master = front.master
     cluster = service.cluster
     fleet = WorkerFleet(cluster, obs)
 
@@ -64,7 +69,7 @@ def run_service(
         threading.Timer(plan.after_seconds, _join_fleet, args=(plan,))
         for plan in joins
     ]
-    restored = _install_handlers(master, obs) if install_signal_handlers else []
+    restored = _install_handlers(front, obs) if install_signal_handlers else []
     load_thread: Optional[threading.Thread] = None
     try:
         for index in range(cluster.num_workers):
@@ -80,7 +85,7 @@ def run_service(
                 daemon=True,
             )
             load_thread.start()
-        report = master.run()
+        report = serve(front)
     finally:
         for timer in timers:
             timer.cancel()
@@ -95,7 +100,37 @@ def run_service(
     return report
 
 
-def _install_handlers(master: ServiceMaster, obs: Instrumentation):
+def serve(front: ServiceFront) -> RunReport:
+    """Serve until the front's drain finishes; returns the report.
+
+    The lifecycle every live run walks — ``await_workers``, the
+    ``run_start`` header, ``start_clock``, ``step`` until done,
+    ``shutdown``, ``report``, the ``run_end`` header — with the front
+    asked before each step whether to begin a drain and after it whether
+    the drain is over, and answering whatever is left before SHUTDOWN.
+    Reaping the fleet and closing the hub stay with the caller.
+    """
+    master = front.master
+    obs = master.obs
+    master.await_workers()
+    if obs.enabled:
+        obs.emit(
+            "run_start", workers=len(master.workers), tasks=len(master.records)
+        )
+    master.start_clock()
+    front.start()
+    while True:
+        front.drain_if_due(time.monotonic())
+        if front.finished(master.step()):
+            break
+    front.surrender()
+    master.shutdown()
+    report = front.stamp(master.report())
+    emit_run_end(obs, report, [master])
+    return report
+
+
+def _install_handlers(front: ServiceFront, obs: Instrumentation):
     """Route SIGTERM/SIGINT into a graceful drain; returns the old handlers."""
     if threading.current_thread() is not threading.main_thread():
         obs.logger.warning(
@@ -104,7 +139,7 @@ def _install_handlers(master: ServiceMaster, obs: Instrumentation):
         return []
 
     def _request_drain(signum, _frame) -> None:
-        master.request_stop(reason=signal.Signals(signum).name.lower())
+        front.request_stop(reason=signal.Signals(signum).name.lower())
 
     restored = []
     for handler_signal in (signal.SIGTERM, signal.SIGINT):

@@ -12,6 +12,14 @@ from repro.experiments.config import ExperimentConfig
 
 
 class TestClusterConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["seconds_per_unit", "heartbeat_interval", "max_wall_seconds"]
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            ClusterConfig.smoke(**{field: value})
+
     def test_workers_mirror_experiment_processors(self):
         config = ClusterConfig.smoke(workers=6, tasks=50)
         assert config.num_workers == 6
@@ -98,6 +106,11 @@ class TestFailurePlan:
     )
     def test_parse_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):
+            FailurePlan.parse(spec)
+
+    @pytest.mark.parametrize("spec", ["1@nan", "1@inf"])
+    def test_non_finite_delay_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
             FailurePlan.parse(spec)
 
     def test_rejects_negative_fields(self):

@@ -366,6 +366,27 @@ class TestUsageErrors:
         ],
     )
     def test_exit_2_one_line_no_traceback(self, argv, complaint, capsys):
+        self.assert_usage_error(argv, complaint, capsys)
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            (["fig5", "--slack-factor", "inf"], "--slack-factor"),
+            (["fig5", "--slack-factor", "nan"], "--slack-factor"),
+            (["cluster", "--time-scale", "inf"], "--time-scale"),
+            (["serve", "--drain-grace", "inf"], "--drain-grace"),
+            (["serve", "--backlog-units", "inf"], "--backlog-units"),
+            (["serve", "--max-seconds", "nan"], "--max-seconds"),
+            (["serve", "--join", "1@nan"], "--join"),
+            (["cluster", "--kill-worker", "1@nan"], "--kill-worker"),
+            (["cluster", "--kill-worker", "1@inf"], "--kill-worker"),
+        ],
+    )
+    def test_non_finite_numbers_are_usage_errors(self, argv, complaint, capsys):
+        self.assert_usage_error(argv, complaint, capsys)
+
+    @staticmethod
+    def assert_usage_error(argv, complaint, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -93,6 +93,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(runs=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["slack_factor", "remote_cost", "per_vertex_cost", "offered_load"],
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            ExperimentConfig.quick(**{field: value})
+
     @pytest.mark.parametrize("kernel", ["vectorized", "auto"])
     def test_only_the_scalar_search_loop_exists(self, kernel):
         """ValueError is what benchmarks/e2e/run.py catches for a gone kernel."""

@@ -23,7 +23,6 @@ from repro.experiments.runner import run_cell, run_once
 from repro.experiments.sweep import (
     CACHE_SCHEMA_VERSION,
     CellRecord,
-    PortPool,
     SweepCache,
     SweepCell,
     config_digest,
@@ -427,47 +426,6 @@ class TestRunnerDelegation:
         assert len(list(digest_dirs[0].glob("*-seed*.json"))) == config.runs
         second = run_cell(config, "rtsads")
         assert second.hit_percents == first.hit_percents
-
-
-class TestPortPool:
-    def test_lease_returns_and_restores_ports(self):
-        pool = PortPool((5000, 5001))
-        with pool.lease() as first:
-            assert first == 5000
-            with pool.lease() as second:
-                assert second == 5001
-        # Freed ports return to the back of the queue (FIFO reuse); the
-        # inner lease released 5001 first.
-        with pool.lease() as again:
-            assert again == 5001
-
-    def test_default_pool_hands_out_ephemeral_port_zero(self):
-        with PortPool().lease() as port:
-            assert port == 0
-
-    def test_rejects_empty_pool(self):
-        with pytest.raises(ValueError):
-            PortPool(())
-
-    def test_blocks_until_a_port_frees(self):
-        import threading
-
-        pool = PortPool((7000,))
-        order = []
-
-        def worker():
-            with pool.lease() as port:
-                order.append(("worker", port))
-
-        with pool.lease() as port:
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join(timeout=0.05)
-            assert thread.is_alive(), "lease should block while held"
-            order.append(("parent", port))
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        assert order == [("parent", 7000), ("worker", 7000)]
 
 
 class TestConfigExecutionFields:

@@ -120,27 +120,18 @@ class TestBackendFacts:
             "service": (True, False),
         }
 
-    def test_a_backend_that_binds_no_port_is_its_own_copy(self):
+    def test_a_plain_backend_is_neither_live_nor_seeded(self):
         backend = RecordingBackend()
-        assert backend.with_port(4242) is backend
         assert not backend.live and not backend.seeded_workload
 
     def test_a_registered_live_backend_stays_in_the_parent(self, monkeypatch):
-        """A third-party socket backend is never pooled and gets a leased
-        port per run, because it says ``live`` — no name set knows it."""
-        from repro.experiments import PortPool, run_grid, sweep
+        """A third-party socket backend is never pooled and runs its seeds
+        in order, because it says ``live`` — no name set knows it."""
+        from repro.experiments import run_grid, sweep
 
         class SocketBackend(RecordingBackend):
             name = "socket-test"
             live = True
-
-            def __init__(self):
-                super().__init__()
-                self.ports = []
-
-            def with_port(self, port):
-                self.ports.append(port)
-                return self
 
         def no_pool(method):
             raise AssertionError("a live backend's cell must not be pooled")
@@ -149,11 +140,8 @@ class TestBackendFacts:
         backend = SocketBackend()
         register_backend(backend.name, lambda: backend)
         config = ExperimentConfig.quick(runs=2, backend=backend.name)
-        outcome = run_grid(
-            [(config, "rtsads")], jobs=4, port_pool=PortPool((5001,))
-        )
+        outcome = run_grid([(config, "rtsads")], jobs=4)
         assert outcome.stats.executed == 2
-        assert backend.ports == [5001, 5001]
         assert [seed for _, _, seed in backend.calls] == config.seeds()
 
     def test_a_seeded_workload_backend_gets_an_oracle_verdict(self):
@@ -271,22 +259,6 @@ class TestServiceBackendContract:
         backend = get_backend("service")
         assert isinstance(backend, ExecutionBackend)
         assert backend.name == "service"
-
-    def test_with_port_clones_with_every_override_intact(self):
-        from repro.runtime.service import ServiceBackend
-
-        backend = ServiceBackend(
-            heartbeat_interval=0.1, seconds_per_unit=0.01
-        )
-        pinned = backend.with_port(4242)
-        assert pinned is not backend
-        assert type(pinned) is ServiceBackend
-        assert pinned.cluster_overrides == {
-            "heartbeat_interval": 0.1,
-            "seconds_per_unit": 0.01,
-            "port": 4242,
-        }
-        assert "port" not in backend.cluster_overrides
 
     def test_unknown_override_rejected(self):
         """``ClusterConfig`` refuses it before any process is spawned."""

@@ -4,7 +4,9 @@ A hypothesis state machine drives one driver and one ledger through every
 transition a backend can post, in any order — admissions, clock jumps past
 deadlines, phases with some deliveries declined, withdrawals (shed),
 processor losses (requeue), drain-style revocations, completions and
-in-flight failures — and checks the ledger's books after every step.
+in-flight failures — and checks the ledger's books after every step,
+including that its observer heard each transition exactly when it was
+booked.
 """
 
 from __future__ import annotations
@@ -42,6 +44,30 @@ from repro.runtime.ledger import (
 PROCESSORS = 3
 
 
+class CountingObserver:
+    """Counts, per task, each transition the ledger reports."""
+
+    def __init__(self) -> None:
+        self.heard = {
+            kind: Counter() for kind in ("open", "place", "requeue", "settle")
+        }
+
+    def open(self, record) -> None:
+        self.heard["open"][record.task_id] += 1
+
+    def place(self, record) -> None:
+        assert record.status == DELIVERED
+        self.heard["place"][record.task_id] += 1
+
+    def requeue(self, record) -> None:
+        assert record.status == PENDING
+        self.heard["requeue"][record.task_id] += 1
+
+    def settle(self, record) -> None:
+        assert record.status in TERMINAL
+        self.heard["settle"][record.task_id] += 1
+
+
 class FakeHooks(PhaseHooks):
     """Flat loads; declines the entries the current rule asked it to."""
 
@@ -62,13 +88,8 @@ class FakeHooks(PhaseHooks):
 class LedgerMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.settlements: Counter = Counter()
-        self.ledger = TaskLedger(
-            NULL_INSTRUMENTATION,
-            on_settled=lambda record, t: self.settlements.update(
-                [record.task_id]
-            ),
-        )
+        self.observer = CountingObserver()
+        self.ledger = TaskLedger(NULL_INSTRUMENTATION, observer=self.observer)
         self.hooks = FakeHooks(self.ledger)
         self.driver = PhaseDriver(
             RTSADS(
@@ -174,9 +195,16 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @invariant()
     def nothing_settles_twice(self):
+        heard = self.observer.heard
         for record in self.ledger.records.values():
+            task_id = record.task_id
+            assert heard["open"][task_id] == 1
             expected = 1 if record.status in TERMINAL else 0
-            assert self.settlements[record.task_id] == expected
+            assert heard["settle"][task_id] == expected
+            assert heard["requeue"][task_id] == record.reschedules
+            # Every placement but the standing one was undone by a requeue.
+            placed = heard["place"][task_id] - record.reschedules
+            assert placed == int(record.processor is not None)
 
     @invariant()
     def guaranteed_is_delivered_and_unrevoked(self):

@@ -1,12 +1,13 @@
-"""The admission state a service master keeps, checked against the records.
+"""The admission state a service front keeps, checked against the records.
 
 :func:`snapshot` is the from-scratch oracle: it walks every open record
-the way the master once did on each SUBMIT.
-:func:`assert_kept_state_is_snapshot` holds the master's kept views and
+the way the service once did on each SUBMIT.
+:func:`assert_kept_state_is_snapshot` holds the front's kept views and
 totals to it, and makes every policy decide the same probes on both.
-:func:`offline_master` builds a real :class:`~repro.service.ServiceMaster`
-with no sockets and no workers — an in-memory :class:`WireStub` for a hub
-and a hand-driven clock — so a test can post every transition itself.
+:func:`offline_front` builds a real :class:`~repro.service.ServiceFront`
+on a real master with no sockets and no worker processes — an in-memory
+:class:`WireStub` for a hub and a hand-driven clock — so a test can post
+every transition itself.
 """
 
 from __future__ import annotations
@@ -23,16 +24,16 @@ from repro.service import (
     AdmissionState,
     QueuedTask,
     ServiceConfig,
-    ServiceMaster,
+    ServiceFront,
     build_policy,
 )
 
 
-def snapshot(master: ServiceMaster, now: float) -> AdmissionState:
+def snapshot(front: ServiceFront, now: float) -> AdmissionState:
     """What is queued, from scratch: one view per open record."""
     pending: List[QueuedTask] = []
     outstanding: List[QueuedTask] = []
-    for record in master.records.values():
+    for record in front.master.records.values():
         view = QueuedTask(
             task_id=record.task.task_id,
             cost=record.planned_cost or record.task.processing_time,
@@ -44,8 +45,8 @@ def snapshot(master: ServiceMaster, now: float) -> AdmissionState:
             outstanding.append(view)
     return AdmissionState(
         now=now,
-        workers=len(master._alive_workers()),
-        capacity_units=master.admission.capacity_units,
+        workers=len(front.master.alive_workers()),
+        capacity_units=front.admission.capacity_units,
         pending=tuple(pending),
         outstanding=tuple(outstanding),
     )
@@ -55,11 +56,11 @@ def _by_id(views) -> Dict[int, QueuedTask]:
     return {view.task_id: view for view in views}
 
 
-def assert_kept_state_is_snapshot(master: ServiceMaster) -> None:
+def assert_kept_state_is_snapshot(front: ServiceFront) -> None:
     """Kept views and totals equal the snapshot's; so do all decisions."""
-    now = master.vnow()
-    oracle = snapshot(master, now)
-    kept = master.admission.at(now, oracle.workers)
+    now = front.master.vnow()
+    oracle = snapshot(front, now)
+    kept = front.admission.at(now, oracle.workers)
     assert _by_id(kept.pending) == _by_id(oracle.pending)
     assert _by_id(kept.outstanding) == _by_id(oracle.outstanding)
     assert kept.backlog_units() == oracle.backlog_units()
@@ -73,13 +74,14 @@ def assert_kept_state_is_snapshot(master: ServiceMaster) -> None:
             ), (name, cost, laxity)
 
 
-def check_after_every_step(master: ServiceMaster) -> None:
-    """Wrap ``master.step`` so the kept state is checked after each one."""
+def check_after_every_step(front: ServiceFront) -> None:
+    """Wrap the master's ``step`` so the kept state is checked after each."""
+    master = front.master
     step = master.step
 
     def checked_step() -> bool:
         done = step()
-        assert_kept_state_is_snapshot(master)
+        assert_kept_state_is_snapshot(front)
         return done
 
     master.step = checked_step
@@ -89,12 +91,21 @@ class WireStub:
     """The hub surface a master uses, in memory.
 
     Frames are kept per connection; a send to a closed (or deliberately
-    cut) connection fails, the way a dead socket does.
+    cut) connection fails, the way a dead socket does.  A peer is open
+    from :meth:`connect` until its connection is closed or cut.
     """
 
     def __init__(self) -> None:
         self.frames: Dict[int, List[dict]] = defaultdict(list)
         self.cut: set = set()
+        self.connected: set = set()
+
+    @property
+    def open_connections(self) -> int:
+        return len(self.connected - self.cut)
+
+    def connect(self, conn_id: int) -> None:
+        self.connected.add(conn_id)
 
     def send(self, conn_id: int, message: dict) -> bool:
         if conn_id in self.cut:
@@ -122,58 +133,62 @@ class Clock:
         return self.now
 
 
-def offline_master(
+def offline_front(
     workers: int = 2,
     instrumentation=None,
     clock: Optional[Clock] = None,
     **service: object,
-) -> ServiceMaster:
-    """A started service master over the smoke universe, off the wire.
+) -> ServiceFront:
+    """A started service front over the smoke universe, off the wire.
 
-    Workers ``0..workers-1`` are registered on connections ``100 + id``;
-    the master's virtual now is ``clock`` (a fresh one by default).
+    Workers ``0..workers-1`` are connected and registered on connections
+    ``100 + id``; the master's virtual now is ``clock`` (a fresh one by
+    default).
     """
-    master = ServiceMaster(
+    front = ServiceFront.on_whole_fleet(
         ServiceConfig(
             cluster=ClusterConfig.smoke(workers=workers, tasks=16, seed=7),
             **service,
         ),
         instrumentation=instrumentation,
     )
+    master = front.master
     master.hub.close()
     master.hub = WireStub()
     master.vnow = clock or Clock()
     for worker_id in range(workers):
+        master.hub.connect(100 + worker_id)
         master._register_worker(100 + worker_id, {"worker_id": worker_id})
     master.start_clock()
-    return master
+    front.start()
+    return front
 
 
 def snapshot_submit(
-    master: ServiceMaster, template_id: int, relative: float
+    front: ServiceFront, template_id: int, relative: float
 ):
     """The decision and backpressure flag a SUBMIT gets from the snapshot.
 
-    The master's own rule, read off a from-scratch snapshot taken before
+    The front's own rule, read off a from-scratch snapshot taken before
     the SUBMIT: the baseline the kept state must reproduce.
     """
-    now = master.vnow()
-    template = master.templates[template_id]
+    now = front.master.vnow()
+    template = front.templates[template_id]
     if relative <= 0.0:
         relative = template.deadline - template.arrival_time
     task = replace(
         template,
-        task_id=master._next_task_id,
+        task_id=front._next_task_id,
         arrival_time=now,
         deadline=now + relative,
     )
     cost = template.processing_time
-    before = snapshot(master, now)
-    decision = master.policy.decide(task, cost, before)
+    before = snapshot(front, now)
+    decision = front.policy.decide(task, cost, before)
     if not decision.accept or decision.shed:
         backpressure = True
     elif before.backlog_units() + cost < 0.8 * before.capacity_units:
         backpressure = False
     else:
-        backpressure = master._backpressure
+        backpressure = front._backpressure
     return decision, backpressure

@@ -1,7 +1,7 @@
-"""The service master's kept admission state is the snapshot, always.
+"""The service front's kept admission state is the snapshot, always.
 
-A hypothesis state machine drives a real :class:`ServiceMaster` off the
-wire (:func:`kept_state.offline_master`) through every transition a
+A hypothesis state machine drives a real :class:`ServiceFront` and its
+master off the wire (:func:`kept_state.offline_front`) through every transition a
 record can take — admission under each policy (least-slack sheds), phases
 that dispatch, decline or expire, a worker whose link breaks mid-phase,
 worker loss and rejoin, completions (stale ones too), a drain's surrender —
@@ -28,7 +28,7 @@ from repro.service import ADMISSION_POLICY_NAMES, build_policy
 from .kept_state import (
     Clock,
     assert_kept_state_is_snapshot,
-    offline_master,
+    offline_front,
     snapshot_submit,
 )
 
@@ -42,9 +42,10 @@ class KeptStateMachine(RuleBasedStateMachine):
     @initialize(capacity=st.sampled_from([40.0, 120.0, 600.0]))
     def start(self, capacity):
         self.clock = Clock()
-        self.master = offline_master(
+        self.front = offline_front(
             clock=self.clock, max_backlog_units=capacity
         )
+        self.master = self.front.master
         self.next_conn = 200
         self.next_request = 0
 
@@ -72,15 +73,15 @@ class KeptStateMachine(RuleBasedStateMachine):
     )
     def submit(self, policy, templates, relative):
         """A burst of SUBMITs, each decided as the snapshot decides it."""
-        master = self.master
-        master.policy = build_policy(policy)
+        front, master = self.front, self.master
+        front.policy = build_policy(policy)
         for template in templates:
             decision, backpressure = snapshot_submit(
-                master, template, relative
+                front, template, relative
             )
             opened = master.ledger.opened
             shed = master.ledger.settled[SHED]
-            master._on_submit(
+            front._on_submit(
                 1,
                 {
                     "request_id": self.next_request,
@@ -92,7 +93,7 @@ class KeptStateMachine(RuleBasedStateMachine):
             assert master.ledger.opened - opened == int(decision.accept)
             assert master.ledger.settled[SHED] - shed == len(decision.shed)
             assert not set(decision.shed) & set(master.records)
-            assert master._backpressure == backpressure
+            assert front._backpressure == backpressure
 
     @rule(dt=st.sampled_from([1.0, 25.0, 120.0, 700.0]))
     def advance_clock(self, dt):
@@ -151,14 +152,14 @@ class KeptStateMachine(RuleBasedStateMachine):
 
     @rule()
     def drain(self):
-        self.master._surrender_unfinished()
+        self.front.surrender()
         assert self.master.records == {}
 
     # ----- invariants -------------------------------------------------------
 
     @invariant()
     def kept_state_is_the_snapshot(self):
-        assert_kept_state_is_snapshot(self.master)
+        assert_kept_state_is_snapshot(self.front)
 
 
 KeptStateMachine.TestCase.settings = settings(
@@ -173,18 +174,19 @@ class TestBackpressureFlips:
         through phases and completions, and refills it: the flag flips
         open -> shedding -> open exactly where the snapshot says."""
         clock = Clock()
-        master = offline_master(clock=clock, max_backlog_units=120.0)
+        front = offline_front(clock=clock, max_backlog_units=120.0)
+        master = front.master
         try:
             flips, flags = [], []
             small = [
                 t for t in TEMPLATES
-                if master.templates[t].processing_time < 20
+                if front.templates[t].processing_time < 20
             ]
 
             def submit(template):
-                decision, expected = snapshot_submit(master, template, 1000.0)
-                before = master._backpressure
-                master._on_submit(
+                decision, expected = snapshot_submit(front, template, 1000.0)
+                before = front._backpressure
+                front._on_submit(
                     1,
                     {
                         "request_id": len(flags),
@@ -192,11 +194,11 @@ class TestBackpressureFlips:
                         "relative_deadline": 1000.0,
                     },
                 )
-                assert master._backpressure == expected
-                if master._backpressure != before:
-                    flips.append((len(flags), master._backpressure))
-                flags.append(master._backpressure)
-                assert_kept_state_is_snapshot(master)
+                assert front._backpressure == expected
+                if front._backpressure != before:
+                    flips.append((len(flags), front._backpressure))
+                flags.append(front._backpressure)
+                assert_kept_state_is_snapshot(front)
 
             for template in small * 2:  # 210 units offered: overflow
                 submit(template)

@@ -1,7 +1,7 @@
 """What the live master projects: only what changed.
 
-Work, not seconds.  A real service master runs off the wire
-(:func:`~tests.service.kept_state.offline_master`), and a counting
+Work, not seconds.  A real master behind a service front runs off the
+wire (:func:`~tests.service.kept_state.offline_front`), and a counting
 ``Projection.rename`` records every task renamed into the master's slot
 space.  Phases over an unchanged alive set rename nothing; a loss, or a
 join that changes the slot order, renames each waiting task once; and
@@ -18,7 +18,7 @@ from repro.cluster import protocol
 from repro.core.affinity import Projection
 from repro.runtime.ledger import COMPLETED, EXPIRED
 
-from .kept_state import offline_master
+from .kept_state import offline_front
 from .test_submit_path import submit
 
 #: Phases run over each unchanged view.
@@ -48,11 +48,11 @@ def stall(master, *worker_ids):
 
 def stalled_master(waiting=12):
     """Two workers, ``waiting`` accepted tasks no phase can place."""
-    master = offline_master(workers=2)
-    for request_id, template in enumerate(sorted(master.templates)[:waiting]):
-        submit(master, request_id, template, relative=5000.0)
-    stall(master, 0, 1)
-    return master
+    front = offline_front(workers=2)
+    for request_id, template in enumerate(sorted(front.templates)[:waiting]):
+        submit(front, request_id, template, relative=5000.0)
+    stall(front.master, 0, 1)
+    return front.master
 
 
 def run_phases(master, count=PHASES):
@@ -115,15 +115,16 @@ def test_the_memo_never_outgrows_the_batch(renamed):
     """Submit / settle / expire churn on a view that renames: after every
     phase the memo holds no more tasks than that phase's batch."""
     rng = random.Random(1998)
-    master = offline_master(workers=3)
+    front = offline_front(workers=3)
+    master = front.master
     try:
         master._worker_lost(1, reason="test")
-        templates = sorted(master.templates)
+        templates = sorted(front.templates)
         request_id = 0
         for _ in range(300):
             for _ in range(rng.randint(0, 3)):
                 relative = rng.choice((40.0, 400.0, 4000.0))
-                submit(master, request_id, rng.choice(templates), relative)
+                submit(front, request_id, rng.choice(templates), relative)
                 request_id += 1
             master.vnow.now += rng.uniform(0.0, 60.0)
             phases = len(master.driver.phases)

@@ -18,6 +18,11 @@ class TestJoinPlan:
         with pytest.raises(ValueError):
             JoinPlan.parse(spec)
 
+    @pytest.mark.parametrize("spec", ["1@nan", "1@inf"])
+    def test_non_finite_delay_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            JoinPlan.parse(spec)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             JoinPlan(worker_index=-1, after_seconds=0.0)
@@ -42,3 +47,12 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             ServiceConfig(max_service_seconds=-1.0)
 
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["max_backlog_units", "drain_grace_seconds", "max_service_seconds"],
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            ServiceConfig(**{field: value})

@@ -31,7 +31,7 @@ from repro.service import (
     LoadSpec,
     ServiceClient,
     ServiceConfig,
-    ServiceMaster,
+    ServiceFront,
     run_load,
     run_service,
 )
@@ -59,16 +59,15 @@ class TestServiceUnderLoad:
     ):
         """One worker joins mid-run, another fail-stops; the stream keeps
         settling and the books balance on both sides of the wire — and
-        after every step the master's kept admission state equals a walk
+        after every step the front's kept admission state equals a walk
         of its records, requeued work included."""
-        step = ServiceMaster.step
+        finished = ServiceFront.finished
 
-        def checked_step(master):
-            done = step(master)
-            assert_kept_state_is_snapshot(master)
-            return done
+        def checked_finished(front, master_done):
+            assert_kept_state_is_snapshot(front)
+            return finished(front, master_done)
 
-        monkeypatch.setattr(ServiceMaster, "step", checked_step)
+        monkeypatch.setattr(ServiceFront, "finished", checked_finished)
         service = ServiceConfig(
             cluster=ClusterConfig.smoke(
                 workers=2,

@@ -25,7 +25,8 @@ from repro.observability import (
     attribute_misses,
     get_instrumentation,
 )
-from repro.service import ServiceClient, ServiceConfig, ServiceMaster
+from repro.service import ServiceClient, ServiceConfig, ServiceFront
+from repro.service.server import serve
 
 from .kept_state import check_after_every_step
 
@@ -48,22 +49,25 @@ def assert_port_released(port: int) -> None:
 def live_service(
     service: ServiceConfig, instrumentation=None, before_workers=None
 ):
-    """Master in a thread, real worker fleet; always reaps and joins.
+    """Served front in a thread, real worker fleet; always reaps and joins.
 
-    ``before_workers(master)`` runs while the master still waits for its
+    ``before_workers(front)`` runs while the master still waits for its
     fleet: whatever it submits is queued and replayed at virtual time
     zero, back to back, before any phase runs.  After every ``step()``
-    the master's kept admission state must equal a walk of its records.
+    the front's kept admission state must equal a walk of its records.
     """
-    master = ServiceMaster(service, instrumentation=instrumentation)
-    check_after_every_step(master)
+    front = ServiceFront.on_whole_fleet(
+        service, instrumentation=instrumentation
+    )
+    master = front.master
+    check_after_every_step(front)
     worker_config = service.cluster.with_port(master.port)
     workers: list = []
     box: dict = {}
 
     def _run() -> None:
         try:
-            box["report"] = master.run()
+            box["report"] = serve(front)
         except BaseException as exc:  # surfaced after teardown
             box["error"] = exc
 
@@ -71,14 +75,14 @@ def live_service(
     thread.start()
     try:
         if before_workers is not None:
-            before_workers(master)
+            before_workers(front)
         workers.extend(
             spawn_worker(worker_config, index)
             for index in range(service.cluster.num_workers)
         )
-        yield master, workers, box
+        yield front, workers, box
     finally:
-        master.request_stop("test-teardown")
+        front.request_stop("test-teardown")
         thread.join(timeout=60)
         master.close()
         reap_workers(workers, get_instrumentation())
@@ -87,10 +91,10 @@ def live_service(
     assert thread.is_alive() is False, "service loop failed to stop"
 
 
-def await_ready(master: ServiceMaster, timeout: float = 30.0) -> None:
-    """Block until the master started its virtual clock."""
+def await_ready(front: ServiceFront, timeout: float = 30.0) -> None:
+    """Block until the front decides SUBMITs instead of queueing them."""
     deadline = time.monotonic() + timeout
-    while master._t0 is None:
+    while front._started is None:
         assert time.monotonic() < deadline, "service never became ready"
         time.sleep(0.02)
 
@@ -100,11 +104,11 @@ class TestResultDiscipline:
         self, assert_no_leaked_children
     ):
         service = smoke_service(stop_when_idle=False)
-        with live_service(service) as (master, _workers, box):
-            client = ServiceClient.connect("127.0.0.1", master.port)
+        with live_service(service) as (front, _workers, box):
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             try:
                 for template_id in sorted(
-                    t.task_id for t in master.templates.values()
+                    t.task_id for t in front.templates.values()
                 )[:12]:
                     client.submit(template_id)
                 assert client.drain(timeout=60.0)
@@ -117,7 +121,7 @@ class TestResultDiscipline:
                 # Fresh task ids, all distinct, none a template id.
                 minted = {o.task_id for o in outcomes}
                 assert len(minted) == 12
-                assert minted.isdisjoint(master.templates)
+                assert minted.isdisjoint(front.templates)
             finally:
                 client.close()
         report = box["report"]
@@ -131,16 +135,16 @@ class TestResultDiscipline:
         self, assert_no_leaked_children
     ):
         with live_service(smoke_service(stop_when_idle=False)) as (
-            master, _workers, _box,
+            front, _workers, _box,
         ):
-            client = ServiceClient.connect("127.0.0.1", master.port)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             try:
                 outcome = client.submit(999999)
                 assert client.drain(timeout=30.0)
                 assert outcome.accepted is False
                 assert outcome.reject_reason == "unknown-template"
                 # The service keeps serving after a bad submission.
-                good = client.submit(min(master.templates))
+                good = client.submit(min(front.templates))
                 assert client.drain(timeout=60.0)
                 assert good.accepted is True
             finally:
@@ -169,15 +173,15 @@ class TestResultDiscipline:
         ]
         count = len(malformed)
         with live_service(smoke_service(stop_when_idle=False)) as (
-            master, _workers, box,
+            front, _workers, box,
         ):
-            await_ready(master)
-            client = ServiceClient.connect("127.0.0.1", master.port)
+            await_ready(front)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             frames = []
             try:
-                templates = sorted(master.templates)[:count]
+                templates = sorted(front.templates)[:count]
                 for template_id, payload in zip(templates, malformed):
-                    vandal = WorkerChannel.connect("127.0.0.1", master.port)
+                    vandal = WorkerChannel.connect("127.0.0.1", front.master.port)
                     try:
                         vandal.send(payload)
                         with pytest.raises(ConnectionLost):
@@ -213,15 +217,15 @@ class TestResultDiscipline:
         """A lone master has no peers: a MIGRATE_OFFER injects no task,
         gets no answer, and a client keeps its one RESULT per submission."""
         with live_service(smoke_service(stop_when_idle=False)) as (
-            master, _workers, box,
+            front, _workers, box,
         ):
-            await_ready(master)
-            client = ServiceClient.connect("127.0.0.1", master.port)
-            peer = WorkerChannel.connect("127.0.0.1", master.port)
+            await_ready(front)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
+            peer = WorkerChannel.connect("127.0.0.1", front.master.port)
             frames, replies = [], []
             try:
                 for offer_id, template_id in enumerate(
-                    sorted(master.templates)[:6]
+                    sorted(front.templates)[:6]
                 ):
                     # A free task id (template ids are never minted) and a
                     # deadline any worker could meet: acceptable on paper.
@@ -263,18 +267,18 @@ class TestResultDiscipline:
         moves: the named task still completes through its real worker and
         its client still gets the one RESULT."""
         with live_service(smoke_service(stop_when_idle=False)) as (
-            master, _workers, box,
+            front, _workers, box,
         ):
-            await_ready(master)
-            client = ServiceClient.connect("127.0.0.1", master.port)
+            await_ready(front)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             try:
-                for template_id in sorted(master.templates)[:6]:
+                for template_id in sorted(front.templates)[:6]:
                     outcome = client.submit(template_id)
                     while outcome.accepted is None:
                         client.poll(0.05)
                     for worker_id in range(2):
                         vandal = WorkerChannel.connect(
-                            "127.0.0.1", master.port
+                            "127.0.0.1", front.master.port
                         )
                         vandal.send(
                             {
@@ -309,14 +313,14 @@ class TestGracefulDrain:
             service,
             cluster=dataclasses.replace(service.cluster, seconds_per_unit=0.01),
         )
-        with live_service(service) as (master, _workers, box):
-            await_ready(master)
-            client = ServiceClient.connect("127.0.0.1", master.port)
+        with live_service(service) as (front, _workers, box):
+            await_ready(front)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             try:
-                for template_id in sorted(master.templates):
+                for template_id in sorted(front.templates):
                     client.submit(template_id)
                 client.poll(0.2)  # let a few ACCEPTs land
-                master.request_stop("test-stop")
+                front.request_stop("test-stop")
                 assert client.drain(timeout=60.0), (
                     "unsettled submissions after drain: "
                     f"{[o.request_id for o in client.unsettled()]}"
@@ -342,7 +346,7 @@ class TestGracefulDrain:
         assert report.extras["drain_reason"] == "test-stop"
         assert report.extras["surrendered"] == len(surrendered)
         # The master's ledger is empty: nothing orphaned inside either.
-        assert master.records == {}
+        assert front.master.records == {}
 
     def test_trace_outcomes_equal_the_reports_counts(
         self, assert_no_leaked_children
@@ -366,29 +370,29 @@ class TestGracefulDrain:
         )
         clients = []
 
-        def burst_before_the_fleet(master):
+        def burst_before_the_fleet(front):
             # The whole universe, tightest first, so each newcomer
             # outranks the queue it is replayed against at t=0.
-            client = ServiceClient.connect("127.0.0.1", master.port)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             clients.append(client)
             for template in sorted(
-                master.templates.values(),
+                front.templates.values(),
                 key=lambda t: t.deadline - t.arrival_time - t.processing_time,
             ):
                 client.submit(template.task_id)
             deadline = time.monotonic() + 10.0
-            while len(master._pre_start) < len(master.templates):
+            while len(front._pre_start) < len(front.templates):
                 assert time.monotonic() < deadline, "SUBMITs never queued"
                 time.sleep(0.02)
 
         with live_service(service, obs, burst_before_the_fleet) as (
-            master, _workers, box
+            front, _workers, box
         ):
-            await_ready(master)
+            await_ready(front)
             (client,) = clients
             try:
                 client.poll(0.2)  # the scan runs 2 s on the slowed clock
-                master.request_stop("test-stop")
+                front.request_stop("test-stop")
                 assert client.drain(timeout=60.0)
             finally:
                 client.close()
@@ -402,7 +406,7 @@ class TestGracefulDrain:
         assert outcomes["shed"] == extras["shed"]
         assert outcomes["surrendered"] == extras["surrendered"]
         assert sum(outcomes.values()) == extras["accepted"]
-        assert extras["open"] == 0 and master.records == {}
+        assert extras["open"] == 0 and front.master.records == {}
 
     def test_submissions_during_drain_are_rejected(
         self, assert_no_leaked_children
@@ -416,19 +420,19 @@ class TestGracefulDrain:
             service,
             cluster=dataclasses.replace(service.cluster, seconds_per_unit=0.05),
         )
-        with live_service(service) as (master, _workers, _box):
-            await_ready(master)
-            client = ServiceClient.connect("127.0.0.1", master.port)
+        with live_service(service) as (front, _workers, _box):
+            await_ready(front)
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             try:
-                inflight = client.submit(min(master.templates))
+                inflight = client.submit(min(front.templates))
                 client.poll(0.2)
                 assert inflight.accepted is True
-                master.request_stop("early-stop")
+                front.request_stop("early-stop")
                 deadline = time.monotonic() + 10.0
-                while not master.draining and time.monotonic() < deadline:
+                while not front.draining and time.monotonic() < deadline:
                     time.sleep(0.02)
-                assert master.draining
-                late = client.submit(min(master.templates))
+                assert front.draining
+                late = client.submit(min(front.templates))
                 assert client.drain(timeout=60.0)
                 assert late.accepted is False
                 assert late.reject_reason == "draining"
@@ -441,19 +445,19 @@ class TestElasticMembership:
         self, assert_no_leaked_children
     ):
         service = smoke_service(workers=2, stop_when_idle=False)
-        with live_service(service) as (master, workers, box):
-            await_ready(master)
+        with live_service(service) as (front, workers, box):
+            await_ready(front)
             # An index beyond the data placement: pure elastic capacity.
             workers.append(
-                spawn_worker(service.cluster.with_port(master.port), 5)
+                spawn_worker(service.cluster.with_port(front.master.port), 5)
             )
             deadline = time.monotonic() + 30.0
-            while 5 not in master.workers and time.monotonic() < deadline:
+            while 5 not in front.master.workers and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert 5 in master.workers, "late HELLO was not registered"
-            client = ServiceClient.connect("127.0.0.1", master.port)
+            assert 5 in front.master.workers, "late HELLO was not registered"
+            client = ServiceClient.connect("127.0.0.1", front.master.port)
             try:
-                for template_id in sorted(master.templates)[:8]:
+                for template_id in sorted(front.templates)[:8]:
                     client.submit(template_id)
                 assert client.drain(timeout=60.0)
             finally:

@@ -1,6 +1,7 @@
 """Soak: thousands of submissions through the live streaming service.
 
-A ~30s open-loop pounding of one :class:`ServiceMaster` with a real
+A ~30s open-loop pounding of one served master (a
+:class:`~repro.service.ServiceFront` on a ``ClusterMaster``) with a real
 worker fleet, asserting the two properties that keep a long-lived
 service long-lived:
 
@@ -55,11 +56,12 @@ class TestServiceSoak:
         service = smoke_service(workers=3, tasks=32, stop_when_idle=False)
         submitted = 0
         high_water = 0
-        with live_service(service) as (master, _workers, box):
-            await_ready(master)
+        with live_service(service) as (front, _workers, box):
+            master = front.master
+            await_ready(front)
             client = ServiceClient.connect("127.0.0.1", master.port)
             try:
-                templates = itertools.cycle(sorted(master.templates))
+                templates = itertools.cycle(sorted(front.templates))
                 deadline = time.monotonic() + SOAK_SECONDS
                 while time.monotonic() < deadline:
                     if len(client.unsettled()) < MAX_UNSETTLED:

@@ -1,7 +1,7 @@
-"""What one SUBMIT costs, and which SUBMITs the master refuses to parse.
+"""What one SUBMIT costs, and which SUBMITs the service refuses to parse.
 
 Work, not seconds: with records in flight, a SUBMIT reads the admission
-state the master keeps — it walks no record, and builds one view only
+state the front keeps — it walks no record, and builds one view only
 when it accepts.  A spy record table counts every record any walk
 visits; a counting ``QueuedTask`` constructor counts views.
 """
@@ -15,7 +15,7 @@ from repro.observability import Instrumentation, MemorySink
 from repro.runtime.ledger import DELIVERED, PENDING
 from repro.service import QueuedTask
 
-from .kept_state import assert_kept_state_is_snapshot, offline_master
+from .kept_state import assert_kept_state_is_snapshot, offline_front
 
 
 class CountingRecords(dict):
@@ -41,8 +41,8 @@ class CountingRecords(dict):
         return self._walk(super().items())
 
 
-def submit(master, request_id, template_id, relative=1000.0, conn=1):
-    master._handle_frame(
+def submit(front, request_id, template_id, relative=1000.0, conn=1):
+    front.master._handle_frame(
         conn,
         {
             "type": protocol.SUBMIT,
@@ -57,14 +57,15 @@ class TestWorkNotSeconds:
     def test_submits_visit_no_record_and_build_one_view_per_accept(
         self, monkeypatch
     ):
-        master = offline_master(max_backlog_units=400.0)
+        front = offline_front(max_backlog_units=400.0)
+        master = front.master
         try:
             small = sorted(
-                t for t, task in master.templates.items()
+                t for t, task in front.templates.items()
                 if task.processing_time < 20
             )
             for request_id in range(30):
-                submit(master, request_id, small[request_id % len(small)])
+                submit(front, request_id, small[request_id % len(small)])
                 if request_id == 9:
                     master._schedule_ready_work()
             statuses = [r.status for r in master.records.values()]
@@ -85,7 +86,7 @@ class TestWorkNotSeconds:
             opened, rejected = master.ledger.opened, master.ledger.rejected
             submissions = 40
             for request_id in range(30, 30 + submissions):
-                submit(master, request_id, small[request_id % len(small)])
+                submit(front, request_id, small[request_id % len(small)])
             accepted = master.ledger.opened - opened
             assert accepted + master.ledger.rejected - rejected == submissions
             assert 0 < accepted < submissions
@@ -106,10 +107,11 @@ class TestNonFiniteDeadline:
         ``cluster_protocol_errors`` booked — and never admitted under a
         deadline no dispatch could meet."""
         obs = Instrumentation(sink=MemorySink())
-        master = offline_master(instrumentation=obs)
+        front = offline_front(instrumentation=obs)
+        master = front.master
         try:
-            template = min(master.templates)
-            submit(master, 7, template, float(relative))
+            template = min(front.templates)
+            submit(front, 7, template, float(relative))
             assert master.hub.frames[1] == []  # no ACCEPT, no REJECT
             assert 1 in master.hub.cut
             assert master.ledger.opened == master.ledger.rejected == 0
@@ -117,9 +119,9 @@ class TestNonFiniteDeadline:
             errors = obs.metrics.counter("cluster_protocol_errors").value
             assert errors == 1
             # A finite SUBMIT on a new connection is still served.
-            submit(master, 8, template, conn=2)
+            submit(front, 8, template, conn=2)
             assert master.ledger.opened == 1
             assert master.hub.frames[2][0]["type"] == protocol.ACCEPT
-            assert_kept_state_is_snapshot(master)
+            assert_kept_state_is_snapshot(front)
         finally:
             master.close()
