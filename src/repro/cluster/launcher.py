@@ -47,11 +47,12 @@ def launch_cluster(
     """Run one live experiment end to end; always reaps the workers.
 
     The masters (one per domain) are stepped round-robin from this
-    thread, so the run needs no locks and migration negotiations are
-    naturally serialized.  ``router`` overrides the partition's task
+    thread, so the run needs no locks and a migration is a direct call
+    between two of them.  ``router`` overrides the partition's task
     routing (tests use it to force cross-domain migrations
     deterministically); the default routes by affinity plurality like the
-    simulator.  Returns the one merged report.
+    simulator.  A router answer outside ``0..k-1`` raises ``ValueError``
+    before anything is spawned.  Returns the one merged report.
     """
     # Imported lazily: the migration broker imports this package.
     from ..sharding.cluster import MigrationBroker, merge_reports
@@ -70,7 +71,12 @@ def launch_cluster(
     route = router if router is not None else assignment.route
     routed: List[List[Task]] = [[] for _ in assignment.domains]
     for task in tasks:
-        routed[route(task)].append(task)
+        target = route(task)
+        if not 0 <= target < len(routed):
+            raise ValueError(
+                f"router sent task {task.task_id} to unknown domain {target}"
+            )
+        routed[target].append(task)
     # The run's own trace headers speak as "the master", whatever k is.
     headers = obs.bind(component="master") if obs.enabled else obs
     masters: List[ClusterMaster] = []
@@ -125,7 +131,6 @@ def launch_cluster(
         # listeners (close never raises), so the reap below always runs.
         for master in masters:
             master.close()
-        broker.close()
         fleet.reap()
 
 

@@ -48,12 +48,10 @@ from ..runtime.ledger import (
     COMPLETED,
     DELIVERED,
     LIVE_PLACED,
-    PENDING,
     TaskLedger,
     TaskRecord,
 )
 from ..runtime.report import RunReport
-from ..sharding.migration import can_guarantee
 from . import protocol
 from .config import (
     POLL_INTERVAL,
@@ -138,7 +136,6 @@ class ClusterMaster(PhaseHooks):
         protocol.HEARTBEAT: "_on_heartbeat",
         protocol.TASK_DONE: "_on_task_done",
         protocol.TELEMETRY: "_on_telemetry",
-        protocol.MIGRATE_OFFER: "_on_migrate_offer",
     }
 
     def __init__(
@@ -179,8 +176,6 @@ class ClusterMaster(PhaseHooks):
         for task in domain.tasks:
             self.ledger.open(TaskRecord(task))
         self.driver.stage_arrivals(domain.tasks)
-        #: Task ids that may not migrate (offered once, or migrated in).
-        self._migration_barred: set = set()
         self.workers: Dict[int, _WorkerState] = {}
         self._conn_to_worker: Dict[int, int] = {}
         self.monitor = HeartbeatMonitor(config.heartbeat_interval)
@@ -206,6 +201,11 @@ class ClusterMaster(PhaseHooks):
     def port(self) -> int:
         """The TCP port this master's hub is bound to."""
         return self.hub.port
+
+    @property
+    def domain_id(self) -> int:
+        """Which scheduling domain of the run this master drives."""
+        return self.domain.domain_id
 
     @property
     def expected_workers(self) -> int:
@@ -725,85 +725,7 @@ class ClusterMaster(PhaseHooks):
             extras={"port": self.port},
         )
 
-    # ----- migration: the target side ---------------------------------------
-
-    def _on_migrate_offer(self, conn_id: int, message: Dict) -> None:
-        """Decide one offer: admit-and-accept, or decline.
-
-        The quick check is the same arithmetic the simulator's peer
-        domains use (:func:`~repro.sharding.migration.can_guarantee`), so
-        sim and cluster accept the same offers under the same loads.  An
-        accepted task is barred from re-migration (one-hop) and re-earns
-        its guarantee through the normal dispatch-time re-check.  A lone
-        domain has no peers to hear from: an offer there is a stray frame.
-        """
-        if not self.domain.has_peers:
-            self.obs.logger.warning(
-                "unexpected message at master", type=protocol.MIGRATE_OFFER
-            )
-            return
-        offer_id = int(message["offer_id"])
-        task_id = int(message["task_id"])
-        task = Task(
-            task_id=task_id,
-            processing_time=float(message["processing"]),
-            arrival_time=float(message["arrival"]),
-            deadline=float(message["deadline"]),
-            affinity=frozenset(int(p) for p in message["affinity"]),
-        )
-        alive = self.alive_workers()
-        loads = [self.workers[w].outstanding_units() for w in alive]
-        acceptable = (
-            task_id not in self.records
-            and bool(alive)
-            and can_guarantee(
-                task,
-                self.vnow(),
-                loads,
-                alive,
-                self.config.experiment.remote_cost,
-            )
-        )
-        domain_id = self.domain.domain_id
-        if acceptable:
-            self.ledger.open(TaskRecord(task))
-            self._migration_barred.add(task_id)
-            self.driver.admit([task])
-            self.hub.send(
-                conn_id, protocol.migrate_accept(offer_id, task_id, domain_id)
-            )
-            if self.obs.enabled:
-                self.obs.metrics.counter("cluster_migrations_in").inc()
-        else:
-            self.hub.send(
-                conn_id, protocol.migrate_decline(offer_id, task_id, domain_id)
-            )
-
-    # ----- migration: the origin side ---------------------------------------
-
-    def migration_candidates(self) -> List[Task]:
-        """Unbarred batch leftovers — what the local search failed to place.
-
-        Returned with their *original* (global-id) affinities from the
-        task records, never the remapped local-slot view the search saw.
-        """
-        now = self.vnow()
-        candidates: List[Task] = []
-        for stale in self.driver.batch.tasks():
-            record = self.records.get(stale.task_id)
-            if record is None or record.status != PENDING:
-                continue
-            if stale.task_id in self._migration_barred:
-                continue
-            task = record.task
-            if task.is_expired(now):
-                continue
-            candidates.append(task)
-        return sorted(candidates, key=lambda t: t.task_id)
-
-    def bar_migration(self, task_id: int) -> None:
-        """One-hop discipline: never offer this task again."""
-        self._migration_barred.add(task_id)
+    # ----- migration: what the broker hands over ----------------------------
 
     def release_migrated(self, task_id: int) -> bool:
         """Hand ownership to the accepting peer: drop batch entry + record."""
@@ -818,13 +740,16 @@ class ClusterMaster(PhaseHooks):
             self.obs.metrics.counter("cluster_migrations_out").inc()
         return True
 
-    def mean_load(self) -> float:
-        """Mean outstanding work per alive worker (inf with none alive)."""
-        alive = self.alive_workers()
-        if not alive:
-            return float("inf")
-        total = sum(self.workers[w].outstanding_units() for w in alive)
-        return total / len(alive)
+    def adopt_migrated(self, task: Task) -> None:
+        """Take ownership of a peer's accepted task: open it and admit it.
+
+        It re-earns its guarantee through the normal dispatch-time
+        re-check, like any task of this domain.
+        """
+        self.ledger.open(TaskRecord(task))
+        self.driver.admit([task])
+        if self.obs.enabled:
+            self.obs.metrics.counter("cluster_migrations_in").inc()
 
 
 def emit_run_end(

@@ -20,9 +20,6 @@ Message types
 ``ACCEPT``     master -> client: submission admitted (task id + deadline).
 ``REJECT``     master -> client: submission shed by the admission policy.
 ``RESULT``     master -> client: terminal outcome of an accepted submission.
-``MIGRATE_OFFER``    master -> master: hand off one unplaceable task.
-``MIGRATE_ACCEPT``   master -> master: the peer took ownership of the task.
-``MIGRATE_DECLINE``  master -> master: the peer cannot guarantee it either.
 
 Service mode (protocol v3)
 --------------------------
@@ -38,17 +35,9 @@ execute for a minted task id.  Every ``SUBMIT`` receives exactly one
 
 Sharded domains (protocol v4)
 -----------------------------
-With ``ExperimentConfig.domains > 1`` the launcher runs one master per
-scheduling domain.  When a domain's feasibility search cannot place a task
-locally, its master sends a ``MIGRATE_OFFER`` to the least-loaded peer
-domain carrying the full task description (id, arrival, worst-case cost,
-deadline, global affinity set).  The peer answers exactly one
-``MIGRATE_ACCEPT`` (it created a record and admitted the task to its own
-batch) or ``MIGRATE_DECLINE`` (its quick guarantee check failed too); an
-unanswered offer times out at the origin and counts as a decline the peer
-never voiced.  Offers are one-hop: an accepted task is never re-offered,
-and a declined task falls back to the origin's normal surrender/expiry
-path.
+v4 added master-to-master migration frames (offer, accept, decline); they
+are retired, as the masters of one run share a process and offer work by
+a direct call (:mod:`repro.sharding.cluster`).
 
 Clock samples
 -------------
@@ -68,7 +57,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence
 #: Bump on any incompatible change to frame layout or message fields.
 #: v2: TELEMETRY messages; ``mono`` clock samples on HELLO and HEARTBEAT.
 #: v3: service-mode SUBMIT/ACCEPT/REJECT/RESULT; ``template_id`` on ASSIGN.
-#: v4: inter-domain MIGRATE_OFFER/MIGRATE_ACCEPT/MIGRATE_DECLINE frames.
+#: v4: inter-domain migration frames, since retired (no worker or client
+#: frame changed with them).
 PROTOCOL_VERSION = 4
 
 #: 4-byte big-endian unsigned payload length.
@@ -93,9 +83,6 @@ SUBMIT = "SUBMIT"
 ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 RESULT = "RESULT"
-MIGRATE_OFFER = "MIGRATE_OFFER"
-MIGRATE_ACCEPT = "MIGRATE_ACCEPT"
-MIGRATE_DECLINE = "MIGRATE_DECLINE"
 
 MESSAGE_TYPES = frozenset(
     {
@@ -110,9 +97,6 @@ MESSAGE_TYPES = frozenset(
         ACCEPT,
         REJECT,
         RESULT,
-        MIGRATE_OFFER,
-        MIGRATE_ACCEPT,
-        MIGRATE_DECLINE,
     }
 )
 
@@ -372,61 +356,4 @@ def result(
         "status": status,
         "met_deadline": met_deadline,
         "finished_at": finished_at,
-    }
-
-
-def migrate_offer(
-    offer_id: int,
-    origin_domain: int,
-    task_id: int,
-    arrival: float,
-    processing: float,
-    deadline: float,
-    affinity: Iterable[int],
-    mono: float = 0.0,
-) -> Dict[str, object]:
-    """Offer one unplaceable task to a peer domain's master.
-
-    Carries the complete task description so the peer can reconstruct the
-    :class:`~repro.core.task.Task` and run the quick guarantee check
-    without any shared state; ``affinity`` is the *global* processor-id
-    set (every master speaks global ids on the wire — only the searches
-    think in local slots).  ``offer_id`` is origin-scoped and echoed on
-    the reply so late answers still resolve.
-    """
-    return {
-        "type": MIGRATE_OFFER,
-        "offer_id": offer_id,
-        "origin_domain": origin_domain,
-        "task_id": task_id,
-        "arrival": arrival,
-        "processing": processing,
-        "deadline": deadline,
-        "affinity": sorted(affinity),
-        "mono": mono,
-    }
-
-
-def migrate_accept(
-    offer_id: int, task_id: int, target_domain: int
-) -> Dict[str, object]:
-    """The peer took ownership: it admitted the task to its own batch."""
-    return {
-        "type": MIGRATE_ACCEPT,
-        "offer_id": offer_id,
-        "task_id": task_id,
-        "target_domain": target_domain,
-    }
-
-
-def migrate_decline(
-    offer_id: int, task_id: int, target_domain: int, reason: str = "infeasible"
-) -> Dict[str, object]:
-    """The peer's quick guarantee check failed; the task stays put."""
-    return {
-        "type": MIGRATE_DECLINE,
-        "offer_id": offer_id,
-        "task_id": task_id,
-        "target_domain": target_domain,
-        "reason": reason,
     }

@@ -33,8 +33,9 @@ Two admission styles are supported because the two time models need them:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.batch import Batch
 from ..core.scheduler import Scheduler
@@ -70,6 +71,19 @@ class PhaseTrace:
     def end(self) -> float:
         """Phase end on the run's clock (virtual quanta on the simulator)."""
         return self.start + self.time_used
+
+
+def interleave_phases(
+    per_domain: Iterable[Sequence[PhaseTrace]],
+) -> List[PhaseTrace]:
+    """Every domain's phases in one list, in start order on the shared clock.
+
+    Each domain's own list is already in start order (a host's phases
+    never overlap), so this is a merge; ties go to the lower domain.
+    """
+    return list(
+        heapq.merge(*per_domain, key=lambda p: (p.start, p.end, p.index))
+    )
 
 
 @dataclass

@@ -34,7 +34,6 @@ from ..core.task import Task
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.schedule import ScheduleEntry
     from ..observability import Instrumentation
-    from .driver import PhaseTrace
 
 # ----- the status vocabulary -------------------------------------------------
 
@@ -153,8 +152,6 @@ class TaskLedger:
         #: that transition is booked.  ``None`` on every batch backend.
         self.observer = observer
         self.records: Dict[int, TaskRecord] = {}
-        #: The run's phases in start order (the simulator fills this in).
-        self.phases: List["PhaseTrace"] = []
         #: Tasks this ledger took ownership of (opened minus released).
         self.opened = 0
         #: Offered tasks turned away at the door: counted, never recorded.

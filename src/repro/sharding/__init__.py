@@ -10,16 +10,17 @@ feasibility search cannot guarantee a task locally, it offers the task to
 the least-loaded peer domain (one-hop handoff, declined offers fall back
 to the local surrender path).
 
-Two compositions exist over the same core:
+Two compositions exist over the same core, and one offer round
+(:func:`~repro.sharding.migration.offer_leftovers`) serves both:
 
 * :class:`~repro.simulator.runtime.DistributedRuntime` — ``k`` domain
   hosts on one virtual clock (the simulator's only runtime; ``k = 1`` is
   the paper's single master);
 * :func:`~repro.cluster.launcher.launch_cluster` — ``k`` in-process
   :class:`~repro.cluster.master.ClusterMaster`s (``k = 1`` likewise the
-  paper's single master) stepped by one coordinator thread, exchanging
-  protocol-v4 ``MIGRATE_OFFER/ACCEPT/DECLINE`` frames over TCP through
-  :class:`~repro.sharding.cluster.MigrationBroker`.
+  paper's single master) stepped by one coordinator thread, whose
+  :class:`~repro.sharding.cluster.MigrationBroker` runs the round between
+  them by a direct call.
 
 Both merge their per-domain outcomes into one
 :class:`~repro.runtime.report.RunReport` whose ``migration`` section

@@ -36,7 +36,6 @@ task holds no guarantee and earns one only where it is finally delivered.
 
 from __future__ import annotations
 
-import heapq
 import time
 import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -46,10 +45,15 @@ from ..core.domains import DomainAssignment, partition_workers
 from ..core.scheduler import Scheduler
 from ..core.task import Task, TaskSet
 from ..observability import Instrumentation, get_instrumentation
-from ..runtime.driver import OpenPhase, PhaseDriver, PhaseHooks
+from ..runtime.driver import (
+    OpenPhase,
+    PhaseDriver,
+    PhaseHooks,
+    interleave_phases,
+)
 from ..runtime.ledger import COMPLETED, FAILED, TaskLedger, TaskRecord
 from ..runtime.report import RunReport
-from ..sharding.migration import MigrationStats, can_guarantee
+from ..sharding.migration import MigrationStats, offer_leftovers
 from .engine import SimulationEngine, SimulationError
 from .events import (
     HostWake,
@@ -100,13 +104,6 @@ class DomainHost(PhaseHooks):
         self.busy = False
         self.wake_pending = False
         self.open_phase: Optional[OpenPhase] = None
-
-    def total_load(self, now: float) -> float:
-        """Mean remaining work per live worker (the peer-selection metric)."""
-        finite = [l for l in self.loads(now) if l != float("inf")]
-        if not finite:
-            return float("inf")
-        return sum(finite) / len(finite)
 
     # ----- PhaseHooks: the driver's view of this host's workers ------------
 
@@ -319,47 +316,20 @@ class DistributedRuntime:
     # ----- migration (only ever reached with peers) ------------------------
 
     def _offer_leftovers(self, origin: DomainHost, now: float) -> None:
-        """Offer each task the origin's search left unplaced to one peer.
+        """Run the one offer round; move what the target accepted.
 
-        Candidates are the batch leftovers after delivery — exactly the
-        tasks the local feasibility search failed to guarantee.  Each is
-        offered at most once, to the least-loaded peer (mean remaining
-        work, ties to the lowest domain id; nothing in here moves a
-        worker's load, so one peer serves the whole call); an accepted
-        task is withdrawn here and admitted there, a declined one is
-        barred and falls back to the origin's normal surrender/expiry
-        path.
+        The hosts share one ledger, so a hand-off is the origin's
+        ``withdraw`` and the target's ``admit``: no record moves.
         """
-        leftovers = sorted(origin.driver.batch.tasks(), key=lambda t: t.task_id)
-        candidates = [
-            self.ledger.records[stale.task_id].task  # original affinity
-            for stale in leftovers
-            if stale.task_id not in self._migration_barred
-            and not stale.is_expired(now)
-        ]
-        if not candidates:
-            return
-        target = min(
-            (host for host in self.domains if host is not origin),
-            key=lambda host: (host.total_load(now), host.domain_id),
+        target, migrated = offer_leftovers(
+            origin,
+            [host for host in self.domains if host is not origin],
+            now,
+            self.remote_cost,
+            self.stats,
+            self._migration_barred,
+            self.ledger,
         )
-        loads = target.loads(now)
-        hop = {"from_domain": origin.domain_id, "to_domain": target.domain_id}
-        migrated: List[Task] = []
-        for task in candidates:
-            self._migration_barred.add(task.task_id)
-            self.stats.record_offer(origin.domain_id)
-            self.ledger.note("migration_offered", task.task_id, now, **hop)
-            if can_guarantee(
-                task, now, loads, target.view.workers, self.remote_cost
-            ):
-                self.stats.record_accept(target.domain_id)
-                migrated.append(task)
-                outcome = "migrated"
-            else:
-                self.stats.record_decline()
-                outcome = "migration_declined"
-            self.ledger.note(outcome, task.task_id, now, **hop)
         if migrated:
             origin.driver.withdraw([task.task_id for task in migrated])
             target.driver.admit(migrated)
@@ -414,14 +384,6 @@ class DistributedRuntime:
                 "simulation drained with tasks still unscheduled; "
                 "this indicates a stalled host loop"
             )
-        # Each host's phases are already in start order (they never
-        # overlap); interleave the hosts on the shared clock.
-        ledger.phases = list(
-            heapq.merge(
-                *(driver.phases for driver in drivers),
-                key=lambda p: (p.start, p.end, p.index),
-            )
-        )
         report = RunReport.from_ledgers(
             [ledger],
             backend="sharded" if sharded else "sim",
@@ -431,7 +393,7 @@ class DistributedRuntime:
             workers_lost=sum(d.workers_lost for d in drivers),
             makespan=self.engine.now,
             wall_seconds=time.monotonic() - start_wall,
-            phases=ledger.phases,
+            phases=interleave_phases(driver.phases for driver in drivers),
             migration=self.stats.as_section() if sharded else {},
             extras={
                 "trace": ledger,

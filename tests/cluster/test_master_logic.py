@@ -1,11 +1,14 @@
-"""Master-side pure logic: the alive-set projection and report arithmetic."""
+"""Master-side pure logic: the alive-set projection, report arithmetic and
+the launcher's task routing."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster import ClusterConfig, launch_cluster, launcher
 from repro.core import RTSADS, UniformCommunicationModel, make_task
 from repro.core.affinity import Projection
 from repro.runtime import RunReport
@@ -226,3 +229,24 @@ class TestClusterReport:
         text = make_report(workers_lost=1, reschedules=7).render()
         assert "workers lost 1" in text
         assert "reschedules 7" in text
+
+
+class TestLauncherRouting:
+    @pytest.mark.parametrize("answer", [-1, 2])
+    def test_router_answer_outside_the_domains_is_refused(
+        self, answer, monkeypatch
+    ):
+        """A router answer outside ``0..k-1`` names the task in a
+        ValueError before any master is built, never landing the task in
+        the last domain (-1) or raising a bare IndexError (k)."""
+
+        def no_master(*args, **kwargs):
+            raise AssertionError("a master was built for a misrouted run")
+
+        monkeypatch.setattr(launcher, "ClusterMaster", no_master)
+        config = ClusterConfig.smoke(workers=4, tasks=8, seed=7)
+        config = replace(
+            config, experiment=config.experiment.with_domains(2)
+        )
+        with pytest.raises(ValueError, match=r"task \d+ to unknown domain"):
+            launch_cluster(config, router=lambda task: answer)

@@ -100,10 +100,7 @@ class TestLiveShardedCluster:
         # The merged report carries the sharding identity.
         assert len(report.extras["partition"]["domains"]) == 2
         section = report.migration
-        assert (
-            section["offers"]
-            == section["accepted"] + section["declined"] + section["timeouts"]
-        )
+        assert section["offers"] == section["accepted"] + section["declined"]
         # One extras shape at every k: ``port`` is domain 0's.
         assert report.port == report.extras["ports"][0]
         for port in report.extras["ports"]:
@@ -156,10 +153,7 @@ class TestLiveShardedCluster:
         section = report.migration
         assert section["offers"] > 0
         assert section["accepted"] >= 1  # domain 1 starts idle
-        assert (
-            section["offers"]
-            == section["accepted"] + section["declined"] + section["timeouts"]
-        )
+        assert section["offers"] == section["accepted"] + section["declined"]
         assert sum(section["out_by_domain"].values()) == section["offers"]
         assert sum(section["in_by_domain"].values()) == section["accepted"]
         # Guarantee accounting absorbed the handoffs without double counts.

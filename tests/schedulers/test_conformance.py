@@ -250,10 +250,7 @@ class TestShardedConformance:
         report = run_once(config, scheduler_name, config.base_seed)
         assert report.deadline_hits <= report.regret["hits_upper_bound"]
         section = report.migration
-        assert (
-            section["offers"]
-            == section["accepted"] + section["declined"] + section["timeouts"]
-        )
+        assert section["offers"] == section["accepted"] + section["declined"]
         assert sum(section["out_by_domain"].values()) == section["offers"]
         assert sum(section["in_by_domain"].values()) == section["accepted"]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import socket
 import threading
 import time
@@ -214,37 +215,39 @@ class TestResultDiscipline:
     def test_stray_migrate_offer_is_ignored_by_a_lone_master(
         self, assert_no_leaked_children
     ):
-        """A lone master has no peers: a MIGRATE_OFFER injects no task,
-        gets no answer, and a client keeps its one RESULT per submission."""
+        """The retired master-to-master offer frame is an unknown type: its
+        sender loses the connection, no task is injected, and a client
+        keeps its one RESULT per submission."""
         with live_service(smoke_service(stop_when_idle=False)) as (
             front, _workers, box,
         ):
             await_ready(front)
             client = ServiceClient.connect("127.0.0.1", front.master.port)
-            peer = WorkerChannel.connect("127.0.0.1", front.master.port)
-            frames, replies = [], []
+            frames = []
             try:
-                for offer_id, template_id in enumerate(
-                    sorted(front.templates)[:6]
-                ):
+                for template_id in sorted(front.templates)[:6]:
                     # A free task id (template ids are never minted) and a
                     # deadline any worker could meet: acceptable on paper.
-                    peer.send(
-                        protocol.migrate_offer(
-                            offer_id=offer_id,
-                            origin_domain=1,
-                            task_id=template_id,
-                            arrival=0.0,
-                            processing=1.0,
-                            deadline=1e9,
-                            affinity=(0,),
-                        )
-                    )
+                    body = json.dumps({
+                        "v": protocol.PROTOCOL_VERSION,
+                        "type": "MIGRATE_OFFER",
+                        "offer_id": template_id,
+                        "origin_domain": 1,
+                        "task_id": template_id,
+                        "arrival": 0.0,
+                        "processing": 1.0,
+                        "deadline": 1e9,
+                        "affinity": [0],
+                    }).encode("utf-8")
+                    with socket.create_connection(
+                        ("127.0.0.1", front.master.port), timeout=30.0
+                    ) as peer:
+                        peer.sendall(protocol.HEADER.pack(len(body)) + body)
+                        assert peer.recv(1) == b""  # dropped, unanswered
                     client.submit(template_id)
                 deadline = time.monotonic() + 60.0
                 while client.unsettled() and time.monotonic() < deadline:
                     frames.extend(client.poll(0.05))
-                    replies.extend(peer.poll(0.0))
                 outcomes = list(client.outcomes.values())
                 assert len(outcomes) == 6
                 assert all(o.accepted and o.settled for o in outcomes)
@@ -252,9 +255,7 @@ class TestResultDiscipline:
                 assert sorted(f["request_id"] for f in results) == sorted(
                     o.request_id for o in outcomes
                 )
-                assert replies == []
             finally:
-                peer.close()
                 client.close()
         report = box["report"]
         assert report.total_tasks == report.extras["submitted"] == 6

@@ -1,7 +1,7 @@
 """The migration guarantee check and its accounting.
 
-``can_guarantee`` is the arithmetic both backends use to answer a
-``MIGRATE_OFFER``, so it gets two kinds of scrutiny: hand-built cases
+``can_guarantee`` is the arithmetic both backends' one offer round uses
+to answer an offer, so it gets two kinds of scrutiny: hand-built cases
 pinning the communication-cost handling, and a hypothesis property that
 cross-validates every per-worker decision against the exact
 branch-and-bound oracle (``exact_feasibility``) on the equivalent
@@ -111,9 +111,9 @@ class TestMigrationStats:
         stats.record_offer(2)
         stats.record_accept(1)
         stats.record_decline()
-        stats.record_timeout()
+        stats.record_decline()
         assert stats.offers == 3
-        assert stats.accepted + stats.declined + stats.timeouts == 3
+        assert stats.accepted + stats.declined == 3
         assert sum(stats.out_by_domain.values()) == stats.offers
         assert sum(stats.in_by_domain.values()) == stats.accepted
 
@@ -128,7 +128,6 @@ class TestMigrationStats:
             "in_by_domain",
             "offers",
             "out_by_domain",
-            "timeouts",
         ]
         assert section["out_by_domain"] == {"1": 1}
         assert section["in_by_domain"] == {"0": 1}
@@ -177,9 +176,7 @@ class TestEndToEndAccounting:
         stats = runtime.stats
         assert stats.offers > 0
         assert stats.accepted > 0  # domain 1 starts idle: some must land
-        assert (
-            stats.offers == stats.accepted + stats.declined + stats.timeouts
-        )
+        assert stats.offers == stats.accepted + stats.declined
         assert sum(stats.out_by_domain.values()) == stats.offers
         assert sum(stats.in_by_domain.values()) == stats.accepted
         assert report.migration == stats.as_section()

@@ -180,7 +180,8 @@ def smoke_shard(trace_out: str) -> str:
     """Two live domains with a forced cross-domain migration.
 
     The router misroutes every task to domain 0, so domain 0's master must
-    hand work to domain 1 over real MIGRATE_OFFER/ACCEPT frames.
+    hand work to domain 1 through the broker's offer round, while every
+    worker talks to its own domain's master over TCP.
     """
     experiment = ExperimentConfig.quick(
         num_transactions=40, num_processors=4,
@@ -202,9 +203,8 @@ def smoke_shard(trace_out: str) -> str:
     # offer resolved exactly once.
     section = report.migration
     assert section["accepted"] >= 1, section
-    assert section["offers"] == (
-        section["accepted"] + section["declined"] + section["timeouts"]
-    ), section
+    offers = section["accepted"] + section["declined"]
+    assert section["offers"] == offers, section
     assert sum(section["out_by_domain"].values()) == section["offers"]
     assert sum(section["in_by_domain"].values()) == section["accepted"]
     # Guarantee accounting absorbed the handoffs exactly once: the merged
