@@ -263,6 +263,18 @@ class Batch:
                 smallest = slack
         return max(0.0, smallest)
 
+    def expiry_horizon(self) -> float:
+        """The latest ``now`` at which :meth:`drop_expired` looks at no window.
+
+        The smallest key less twice its guard band: at any ``now`` from 0 up
+        to it, ``now`` plus its own band stays below every key, because the
+        band's scale only grows with ``now``.  ``inf`` when empty.
+        """
+        if not self._windows:
+            return _INF
+        first = self._windows[0][0]
+        return first - 2 * (self._key_limit(first, first) - first)
+
     def _key_limit(self, start: float, now: float) -> float:
         """The largest key that may belong before ``start``: it plus the band.
 

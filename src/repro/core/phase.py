@@ -8,11 +8,12 @@ processors' ready queues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .affinity import CommunicationModel
-from .batch import in_edf_order
+from .batch import GUARD_BAND, in_edf_order
 from .cost import VertexEvaluator
 from .feasibility import EPSILON, projected_offsets
 from .schedule import Schedule
@@ -126,3 +127,58 @@ def run_phase(
         stats=stats,
         initial_offsets=offsets,
     )
+
+
+def repeat_horizon(
+    tasks: Sequence[Task],
+    loads: Sequence[float],
+    result: PhaseResult,
+    comm: CommunicationModel,
+    expander: Expander,
+    per_vertex_cost: float,
+) -> float:
+    """The latest start at which :func:`run_phase` repeats a dead ``result``.
+
+    ``result`` is the phase :func:`run_phase` returned for ``tasks`` and
+    ``loads`` at ``result.phase_start``, with its root certified dead.  Take
+    a later phase over the same tasks with the same window ``Q`` (the
+    caller answers for the quantum) and no event between: every worker's
+    queue then ends at a fixed ``F_k`` (an idle one never starts), so a
+    task's earliest finish ``max(t_s + Q, F_k) + p + c_k`` cannot fall while
+    ``t_s`` rises, and the dead root stays dead (Bonifaci &
+    Marchetti-Spaccamela's demand monotonicity).  What can change is the
+    pre-filter: a task leaves the admitted set once ``t_s + Q + p``
+    passes ``d``, and the certificate's counters with it.  So the phase at
+    any start up to the returned one has ``result``'s time, counters and
+    (empty) schedule.
+
+    Floats are handled as :meth:`~repro.core.batch.Batch.drop_expired`
+    handles keys: the exact argument needs a margin of a few ulps, so the
+    root must be dead with the bound lowered by a guard band, and the
+    pre-filter horizon stops a band short of the first admitted ``d - p``.
+    ``-inf`` when the root is dead only within the band, or not certified.
+    """
+    ordered = in_edf_order(tasks)
+    now = result.phase_start
+    window = result.quantum
+    bound = now + window
+    admitted = [
+        t for t in ordered if bound + t.processing_time <= t.deadline + EPSILON
+    ]
+    # The band covers the rounding of every operand the feasibility test
+    # adds: the start, the window, and anything up to twice the latest
+    # deadline (a larger operand fails the test by more than it rounds).
+    band = GUARD_BAND * (abs(now) + window + 4 * abs(ordered[-1].deadline) + 1)
+    dead = expander.dead_root(
+        admitted,
+        projected_offsets(loads, window),
+        bound - band,
+        comm,
+        VirtualTimeBudget(quantum=window, per_vertex_cost=per_vertex_cost),
+    )
+    if dead is None:
+        return -math.inf
+    first = min(
+        (t.deadline - t.processing_time for t in admitted), default=math.inf
+    )
+    return first - window - band

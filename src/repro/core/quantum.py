@@ -23,7 +23,15 @@ from .task import Task
 
 
 class QuantumPolicy(ABC):
-    """Decides ``Q_s(j)`` from the batch, processor loads, and current time."""
+    """Decides ``Q_s(j)`` from the batch, processor loads, and current time.
+
+    Between events — the batch and the workers' queues unchanged, time
+    passing — a policy's value never rises: slacks and remaining loads only
+    fall, and a constant stays.  :meth:`Scheduler.quiet_until
+    <repro.core.scheduler.Scheduler.quiet_until>` relies on it: equal quanta
+    at the two ends of a run of repeated phases hold between them.  Keep it
+    for any new policy.
+    """
 
     #: Smallest quantum the policy will grant.  A zero quantum would forbid
     #: even one vertex evaluation and stall the runtime; a handful of

@@ -9,13 +9,14 @@ share :class:`~repro.core.baselines.ListScheduler`.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..observability import Instrumentation, get_instrumentation
 from .affinity import CommunicationModel
 from .cost import LoadBalancingEvaluator, VertexEvaluator
-from .phase import PhaseResult, run_phase
+from .phase import PhaseResult, repeat_horizon, run_phase
 from .quantum import QuantumPolicy, SelfAdjustingQuantum
 from .search import SearchStats, VirtualTimeBudget
 from .task import Task
@@ -233,6 +234,25 @@ class Scheduler(ABC):
         the feasibility bound are ``now + budget.quantum``.
         """
 
+    def quiet_until(
+        self,
+        batch: Sequence[Task],
+        loads_at: Callable[[float], Sequence[float]],
+        result: PhaseResult,
+        until: float,
+    ) -> float:
+        """The latest start, at most ``until``, whose phase repeats ``result``.
+
+        ``result`` is this scheduler's last phase, run over ``batch`` with
+        loads ``loads_at(result.phase_start)``, and it placed nothing.  A
+        repeat is a later phase over the same batch with no event between:
+        it has ``result``'s quantum, time, counters and empty schedule, so a
+        runtime may record it without running the frame.  The frame does
+        not know what :meth:`fill_window` reads, so by default no phase
+        repeats (``-inf``).
+        """
+        return -math.inf
+
     def reset(self) -> None:
         """Clear inter-phase state before a fresh simulation run."""
         self.phase_index = 0
@@ -295,6 +315,45 @@ class SearchScheduler(Scheduler):
             per_vertex_cost=self.per_vertex_cost,
             max_candidates=self.max_candidates,
         )
+
+    def quiet_until(self, batch, loads_at, result, until):
+        """As the frame's, for a dead root the expander certified.
+
+        A repeat needs the same quantum at its start, the same admitted set
+        and a root still dead (:func:`~repro.core.phase.repeat_horizon`).
+        Only the default phase loop is known to certify, and only an
+        expander that is one object across phases keeps its fact.
+        """
+        expander = self.expander_factory(self.phase_index)
+        if (
+            self._phase_runner is not run_phase
+            or expander is not self.expander_factory(self.phase_index - 1)
+        ):
+            return -math.inf
+
+        def quantum_at(start: float) -> float:
+            """The quantum a phase over ``batch`` at ``start`` would get."""
+            return self.plan_quantum(batch, loads_at(start), start)
+
+        now = result.phase_start
+        quantum = quantum_at(now)
+        low = result.phase_end
+        if quantum_at(low) != quantum:
+            return -math.inf
+        high = min(
+            until,
+            repeat_horizon(
+                batch, loads_at(now), result, self.comm, expander,
+                self.per_vertex_cost,
+            ),
+        )
+        # Between events no term of a policy rises (QuantumPolicy), so equal
+        # quanta at both ends hold between them.  Where they differ, only
+        # the next phase is known to repeat: the quantum changes within a
+        # run too rarely to search for where.
+        if high < low or quantum_at(high) == quantum:
+            return high
+        return low
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Class, display name, evaluator and quantum policy."""

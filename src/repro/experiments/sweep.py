@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -348,6 +347,9 @@ def _run_in_pool(
         if trace_dir is None:
             return None
         return os.path.join(trace_dir, f"cell-{index}.jsonl")
+
+    # Imported here: a serial sweep, every simulator run's, starts no pool.
+    import multiprocessing
 
     payloads = [(index, cell, trace_path(index)) for index, cell in items]
     try:

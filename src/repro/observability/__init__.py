@@ -23,18 +23,6 @@ does under the hood)::
 See :mod:`repro.observability.sinks` for the JSONL event schema.
 """
 
-from .analyze import (
-    CAUSES,
-    AttributionReport,
-    MissAttribution,
-    TraceDiff,
-    attribute_misses,
-    diff_traces,
-    render_attribution,
-    render_diff,
-    render_timeline,
-    trace_oracle,
-)
 from .clockskew import ClockOffsetEstimator
 from .instrument import (
     NULL_INSTRUMENTATION,
@@ -54,6 +42,32 @@ from .metrics import (
 )
 from .sinks import NULL_SINK, JsonlSink, MemorySink, TraceSink, read_jsonl
 from .tracing import NULL_SPAN, NullSpan, Span
+
+#: Names re-exported from :mod:`.analyze`, which is imported on first use:
+#: it brings the schedulability oracle with it, and a simulator run reads
+#: neither.
+_ANALYZE = (
+    "CAUSES",
+    "AttributionReport",
+    "MissAttribution",
+    "TraceDiff",
+    "attribute_misses",
+    "diff_traces",
+    "render_attribution",
+    "render_diff",
+    "render_timeline",
+    "trace_oracle",
+)
+
+
+def __getattr__(name: str):
+    """Import :mod:`.analyze` the first time one of its names is asked for."""
+    if name in _ANALYZE:
+        from . import analyze
+
+        return getattr(analyze, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AttributionReport",

@@ -104,6 +104,11 @@ class SimulationEngine:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         self._queue.push(self.now + delay, event)
 
+    def next_time(self) -> float:
+        """When the next queued event is due (``inf`` with none queued)."""
+        time = self._queue.peek_time()
+        return float("inf") if time is None else time
+
     def step(self) -> bool:
         """Dispatch the next event; returns False when the queue is empty."""
         if not self._queue:

@@ -36,8 +36,10 @@ task holds no guarantee and earns one only where it is finally delivered.
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.affinity import CommunicationModel, Projection
@@ -65,9 +67,25 @@ from .events import (
 from .execution import ExecutionTimeModel, resolve_actual_cost
 from .processor import WorkerProcessor
 
-#: Safety cap on dispatched events; generously above any legitimate run
-#: (a 1000-task burst dispatches a few thousand events).
+#: Safety cap on dispatched events plus stepped phases; generously above
+#: any legitimate run.  One run of the paper-scale burst (1000 tasks,
+#: m = 2..8, seed 1998) dispatches 1.1-1.3 k events and steps 3.9-31.5 k
+#: phases; run by run, every phase an event, it dispatched 5.1-32.7 k.
 MAX_EVENTS = 5_000_000
+
+
+@dataclass
+class QuietRun:
+    """A host's last phase, which placed nothing, and until when it repeats.
+
+    Kept only for a phase that ends before the engine's next event, so its
+    own delivery is the next event the host sees.
+    """
+
+    #: The phase every repeat copies.
+    opened: OpenPhase
+    #: The latest start whose phase repeats it (``PhaseDriver.quiet_until``).
+    until: float
 
 
 class DomainHost(PhaseHooks):
@@ -104,6 +122,10 @@ class DomainHost(PhaseHooks):
         self.busy = False
         self.wake_pending = False
         self.open_phase: Optional[OpenPhase] = None
+        #: Whether phases may be stepped: not while the scheduler reports
+        #: each phase it runs (instrumentation on), which a step does not.
+        self.may_step = True
+        self.quiet: Optional[QuietRun] = None
 
     # ----- PhaseHooks: the driver's view of this host's workers ------------
 
@@ -166,8 +188,10 @@ class DistributedRuntime:
         for at, processor in self.failures:
             if not 0 <= processor < assignment.num_workers:
                 raise ValueError(f"failure targets unknown P{processor}")
-            if at < 0:
-                raise ValueError("failure time must be non-negative")
+            if not 0 <= at < math.inf:
+                raise ValueError(
+                    f"failure time must be finite and non-negative, got {at}"
+                )
 
         # Resolved at construction; bound with the scheduler name so every
         # event this run emits says which scheduler produced it.
@@ -178,6 +202,8 @@ class DistributedRuntime:
             else base_obs
         )
         self.engine = SimulationEngine()
+        #: Phases recorded as repeats, not run (see _step_quiet_run).
+        self.phases_stepped = 0
         #: The run's one ledger, shared by every host.
         self.ledger = TaskLedger(self.obs)
         self.stats = MigrationStats()
@@ -241,6 +267,11 @@ class DistributedRuntime:
 
     def _start_phase(self, host: DomainHost, now: float) -> None:
         """Open the host's phase ``j`` if there is anything to schedule."""
+        engine = self.engine
+        quiet, host.quiet = host.quiet, None
+        if quiet is not None:
+            self._step_quiet_run(host, quiet, now)
+            return
         opened = host.driver.open_phase(now)
         if opened is None:
             # Nothing schedulable; the host sleeps until the next arrival.
@@ -249,8 +280,64 @@ class DistributedRuntime:
             opened.result.validate(self.comm or host.scheduler.comm)
         host.busy = True
         host.open_phase = opened
-        self.engine.schedule_at(
-            opened.result.phase_end, ScheduleDelivered(host.domain_id)
+        end = opened.result.phase_end
+        if host.may_step and not opened.result.schedule:
+            next_event = engine.next_time()
+            if end < next_event:
+                until = host.driver.quiet_until(opened, next_event)
+                if until >= end:
+                    host.quiet = QuietRun(opened, until)
+        engine.schedule_at(end, ScheduleDelivered(host.domain_id))
+
+    def _step_quiet_run(
+        self, host: DomainHost, quiet: QuietRun, now: float
+    ) -> None:
+        """Step the phases from ``now`` on that repeat ``quiet``'s phase.
+
+        A repeat places nothing, and until the next event nothing else
+        happens, so the phase after a repeat starts at its end over the same
+        batch.  Each repeat that ends before the next event is therefore
+        recorded on the spot, without an event.  The repeat that does not is
+        opened in flight and delivered by the engine after that event, as it
+        would have been.  The first phase past the run's horizon is opened by a
+        wake at its start, where the engine's clock would have read its
+        start.  The phase at ``now`` repeats (``quiet.until`` is at least
+        its start).  Stepped phases count against ``MAX_EVENTS`` with the
+        events.
+        """
+        driver = host.driver
+        trace = driver.phases[-1]
+        next_event = self.engine.next_time()
+        allowance = self._allowance()
+        start, stepped = now, 0
+        while start <= quiet.until:
+            if start + trace.time_used >= next_event:
+                opened = driver.reopen_phase(quiet.opened, start)
+                host.busy = True
+                host.open_phase = opened
+                self.engine.schedule_at(
+                    opened.result.phase_end, ScheduleDelivered(host.domain_id)
+                )
+                break
+            if stepped >= allowance:
+                raise self._runaway()
+            trace = driver.repeat_phase(trace)
+            stepped += 1
+            start = trace.end
+        else:
+            host.wake_pending = True
+            self.engine.schedule_at(start, HostWake(host.domain_id))
+        self.phases_stepped += stepped
+
+    def _allowance(self) -> int:
+        """How many more events and stepped phases the run may take."""
+        return MAX_EVENTS - self.engine.events_dispatched - self.phases_stepped
+
+    def _runaway(self) -> SimulationError:
+        """The error of a run past ``MAX_EVENTS`` (see :meth:`_allowance`)."""
+        return SimulationError(
+            f"exceeded max_events={MAX_EVENTS} (events and stepped phases); "
+            "likely a runaway simulation (check quantum/expiry configuration)"
         )
 
     def _on_schedule_delivered(self, now: float, event: ScheduleDelivered) -> None:
@@ -331,6 +418,7 @@ class DistributedRuntime:
             self.ledger,
         )
         if migrated:
+            origin.quiet = None  # its batch changed
             origin.driver.withdraw([task.task_id for task in migrated])
             target.driver.admit(migrated)
             self._request_wake(target, now)
@@ -349,6 +437,9 @@ class DistributedRuntime:
             if self.obs.enabled and host.scheduler.instrumentation is None:
                 host.scheduler.instrumentation = self.obs
                 lent.append(host.scheduler)
+            host.may_step = not (
+                host.scheduler.instrumentation or get_instrumentation()
+            ).enabled
         try:
             return self._run()
         finally:
@@ -377,7 +468,10 @@ class DistributedRuntime:
             self.engine.schedule_at(task.arrival_time, TaskArrived(task))
         for at, processor in self.failures:
             self.engine.schedule_at(at, ProcessorFailed(processor))
-        self.engine.run(max_events=MAX_EVENTS)
+        engine = self.engine
+        while engine.step():
+            if self._allowance() < 0:
+                raise self._runaway()
         drivers = [host.driver for host in self.domains]
         if any(driver.has_backlog() for driver in drivers):
             raise SimulationError(

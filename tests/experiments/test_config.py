@@ -188,3 +188,25 @@ class TestServiceFields:
         assert config_digest(base) != config_digest(
             replace(base, arrival="diurnal")
         )
+
+
+def test_the_figures_import_leaves_out_the_trace_analyzer_and_the_pool():
+    """Cold start reads only what a simulator run uses.
+
+    The trace analyzer (and the oracle it imports) loads on first use of
+    one of its names; ``multiprocessing`` only when a pool is built.
+    """
+    probe = (
+        "import sys\n"
+        "import repro.experiments.figures\n"
+        "print([m for m in ('repro.observability.analyze', 'multiprocessing') "
+        "if m in sys.modules])\n"
+        "from repro.observability import attribute_misses\n"
+        "print(attribute_misses.__module__)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "repro.observability.analyze"]

@@ -20,6 +20,7 @@ Regenerate (only when a behaviour change is intended and understood)::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -184,13 +185,14 @@ def test_tables_in_the_parent_without_a_cache():
 def pools_entered(monkeypatch):
     """The start method of every pool the engine opens, in order."""
     entered = []
-    get_context = sweep.multiprocessing.get_context
+    get_context = multiprocessing.get_context
 
     def spy(method):
         entered.append(method)
         return get_context(method)
 
-    monkeypatch.setattr(sweep.multiprocessing, "get_context", spy)
+    # The engine imports multiprocessing where it builds a pool.
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
     return entered
 
 

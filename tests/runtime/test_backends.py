@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -127,7 +128,7 @@ class TestBackendFacts:
     def test_a_registered_live_backend_stays_in_the_parent(self, monkeypatch):
         """A third-party socket backend is never pooled and runs its seeds
         in order, because it says ``live`` — no name set knows it."""
-        from repro.experiments import run_grid, sweep
+        from repro.experiments import run_grid
 
         class SocketBackend(RecordingBackend):
             name = "socket-test"
@@ -136,7 +137,7 @@ class TestBackendFacts:
         def no_pool(method):
             raise AssertionError("a live backend's cell must not be pooled")
 
-        monkeypatch.setattr(sweep.multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         backend = SocketBackend()
         register_backend(backend.name, lambda: backend)
         config = ExperimentConfig.quick(runs=2, backend=backend.name)

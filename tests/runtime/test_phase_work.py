@@ -6,17 +6,27 @@ seed fixes.  A spy task type counts every read of a member's ``deadline`` or
 visit to one batch member.  The same way, a phase whose root is dead is
 gated on building no search (no ``successors`` call, no ``Vertex``, no
 ``PhaseContext``), and a worker's load on summing its ready queue only
-after the queue changed.
+after the queue changed.  A quiet run of phases is gated on running the frame
+(``schedule_phase``) only where an event or a window crossing is.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.core import Batch, Task, UniformCommunicationModel, min_slack
+from repro.core import (
+    DCOLS,
+    RTSADS,
+    Batch,
+    Task,
+    UniformCommunicationModel,
+    make_task,
+    min_slack,
+)
 from repro.core.phase import PhaseResult
 from repro.core.representations import (
     AssignmentOrientedExpander,
@@ -26,8 +36,15 @@ from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.scheduler import Scheduler, SearchScheduler
 from repro.core.search import PhaseContext, SearchStats, Vertex
 from repro.observability import NULL_INSTRUMENTATION
-from repro.runtime import PhaseDriver, PhaseHooks, TaskLedger, TaskRecord
+from repro.runtime import (
+    PhaseDriver,
+    PhaseHooks,
+    PhaseTrace,
+    TaskLedger,
+    TaskRecord,
+)
 from repro.simulator import processor as processor_module
+from repro.simulator import simulate
 from repro.simulator.processor import QueuedWork, WorkerProcessor
 
 MEMBERS = 200
@@ -99,6 +116,25 @@ class AcceptingHooks(PhaseHooks):
     def deliver_entry(self, entry, phase_index, now):
         self.ledger.place(entry, phase_index, now, entry.processor)
         return True
+
+
+def test_a_repeat_copies_every_field_but_its_place():
+    """``repeat_phase`` builds its trace field by field; a field it does not
+    copy would take its default in every stepped phase."""
+    ledger = TaskLedger(NULL_INSTRUMENTATION)
+    driver = PhaseDriver(
+        FirstTaskScheduler(UniformCommunicationModel(remote_cost=5.0)),
+        AcceptingHooks(ledger),
+        ledger,
+    )
+    sample = {"int": 7, "float": 2.5, "bool": True}
+    trace = PhaseTrace(**{f.name: sample[f.type] for f in fields(PhaseTrace)})
+    # A repeated phase placed nothing, so it delivered nothing.
+    trace = replace(trace, scheduled=0, delivered=0)
+    index = driver.batch.phase_index
+    assert driver.repeat_phase(trace) == replace(
+        trace, index=index, start=trace.end, expired_before=0
+    )
 
 
 def test_fifty_phases_visit_what_changed_not_the_batch():
@@ -233,3 +269,62 @@ def test_phases_over_unchanged_queues_resum_no_queue(monkeypatch):
     loads = [worker.load(1.0) for worker in workers]
     assert SUMMED["total_cost"] == QUEUED - 1
     assert loads == [25.0 * (QUEUED - 1) + 24.0, 25.0 * QUEUED]
+
+
+WINDOWS = 5
+
+
+def quiet_burst(span: float):
+    """Two blockers hold both workers past every deadline of 20 late tasks.
+
+    The late tasks share ``WINDOWS`` latest-start windows, ``span`` apart:
+    every phase after their arrival places nothing, and only a window
+    leaving the pre-filter or expiring changes what the next phase reads.
+    """
+    blockers = [make_task(k, 5000.0, 6000.0, affinity=[k]) for k in range(2)]
+    late = [
+        make_task(
+            10 + i,
+            4.0 + i % WINDOWS,
+            span * (4.0 + i % WINDOWS),
+            arrival_time=1.0,
+            affinity=[0],
+        )
+        for i in range(20)
+    ]
+    return blockers + late
+
+
+def framed_phases(cls, span: float, full_frame: bool = False):
+    """The run's phases and the starts of the phases that ran the frame."""
+    scheduler = cls(UniformCommunicationModel(remote_cost=5.0))
+    frame = scheduler.schedule_phase
+    starts = []
+
+    def counting(*args, **kwargs):
+        result = frame(*args, **kwargs)
+        starts.append(result.phase_start)
+        return result
+
+    scheduler.schedule_phase = counting
+    if full_frame:
+        scheduler.quiet_until = lambda *args: -math.inf
+    return simulate(scheduler, quiet_burst(span), 2).phases, starts
+
+
+@pytest.mark.parametrize("cls", [RTSADS, DCOLS])
+def test_a_quiet_run_runs_the_frame_once_per_event_or_crossing(cls):
+    phases, starts = framed_phases(cls, span=100.0)
+    # Arrivals at t = 0 and t = 1; then each window leaves the pre-filter
+    # and later expires.  A phase that starts within the guard band of a
+    # crossing runs the frame, and so does the next.
+    assert len(starts) <= 2 + 2 * (2 * WINDOWS)
+    assert len(phases) > 15 * len(starts)
+    # Four times the quiet phases, the same frames: the work is per crossing.
+    longer, longer_starts = framed_phases(cls, span=400.0)
+    assert len(longer) > 3 * len(phases)
+    assert len(longer_starts) <= len(starts) + 2
+    # The full frame runs for every phase, and the phases are the same.
+    framed, every = framed_phases(cls, span=100.0, full_frame=True)
+    assert framed == phases
+    assert every == [phase.start for phase in phases]

@@ -1,5 +1,7 @@
 """Tests for fail-stop processor crashes and rescheduling."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -149,6 +151,13 @@ class TestRuntimeFailures:
             self._run(failures=[(1.0, 9)])
         with pytest.raises(ValueError):
             self._run(failures=[(-1.0, 0)])
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -1.0])
+    def test_failure_time_must_be_finite_and_non_negative(self, at):
+        # A NaN time would corrupt the event heap's order; an infinite one
+        # would end the run at makespan inf.
+        with pytest.raises(ValueError, match="failure time"):
+            self._run(failures=[(at, 0)])
 
 
 class TestRuntimeFailuresTwoDomains(TestRuntimeFailures):

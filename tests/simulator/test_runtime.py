@@ -12,7 +12,8 @@ from repro.core import (
 )
 from repro.core.domains import partition_workers
 from repro.runtime.ledger import COMPLETED, EXPIRED
-from repro.simulator import DistributedRuntime, simulate
+from repro.simulator import DistributedRuntime, SimulationError, simulate
+from repro.simulator import runtime as runtime_module
 
 
 def _simulate(tasks, m=2, C=50.0, scheduler_cls=RTSADS, **kwargs):
@@ -184,6 +185,59 @@ class TestRuntimeConstruction:
         result = _simulate(simple_tasks, m=2,
                            scheduler_cls=GreedyEDFScheduler)
         assert result.hit_ratio == 1.0
+
+
+class TestRunawayGuard:
+    """``MAX_EVENTS`` caps dispatched events and stepped phases together."""
+
+    @staticmethod
+    def _quiet_tasks():
+        # Both workers are held past the late tasks' deadlines, so every
+        # phase after t = 1 places nothing: a few dozen events, hundreds of
+        # phases, nearly all of them stepped.
+        tasks = [make_task(k, 5000.0, 6000.0, affinity=[k]) for k in range(2)]
+        tasks += [
+            make_task(10 + i, 5.0, 800.0, arrival_time=1.0, affinity=[0])
+            for i in range(10)
+        ]
+        return tasks
+
+    def _long_quiet_run(self):
+        return simulate(
+            RTSADS(UniformCommunicationModel(5.0)), self._quiet_tasks(), 2
+        )
+
+    def test_the_quiet_run_fits_under_the_shipped_cap(self):
+        report = self._long_quiet_run()
+        assert report.events_dispatched < 50 < len(report.phases) / 4
+
+    def test_stepped_phases_count_against_the_cap(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_EVENTS", 60)
+        with pytest.raises(SimulationError, match="max_events=60"):
+            self._long_quiet_run()
+
+    def test_events_after_the_steps_count_against_the_same_cap(
+        self, monkeypatch
+    ):
+        def runtime():
+            return DistributedRuntime(
+                [RTSADS(UniformCommunicationModel(5.0))],
+                partition_workers(2, 1),
+                self._quiet_tasks(),
+                remote_cost=5.0,
+            )
+
+        whole = runtime()
+        whole.run()
+        events, stepped = whole.engine.events_dispatched, whole.phases_stepped
+        # One short of the whole run: every phase is stepped under the cap,
+        # and the workers' last completions, dispatched after, pass it.
+        monkeypatch.setattr(runtime_module, "MAX_EVENTS", events + stepped - 1)
+        capped = runtime()
+        with pytest.raises(SimulationError, match="max_events"):
+            capped.run()
+        assert capped.phases_stepped == stepped
+        assert capped.engine.events_dispatched == events
 
 
 class TestDeterminism:
