@@ -5,16 +5,21 @@ replica placement, global index, cost model — into the object the workload
 generator and experiments use, and converts transactions into the scheduler's
 :class:`~repro.core.task.Task` model (affinity = processors holding the
 target sub-database, processing time = worst-case estimated cost).
+
+A seed alone fixes the rows and the index (:class:`PopulatedDatabase`), and
+with them every transaction's estimate, deadline and tag
+(:class:`TaskDraft`); replica placement, the one piece that reads ``m`` and
+``R``, completes a :class:`DistributedDatabase` and each draft's affinity.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from ..core.task import Task
-from .cost_model import TransactionCostModel
+from .cost_model import CostEstimate, TransactionCostModel
 from .executor import TransactionExecutor
 from .index import GlobalIndex
 from .partition import IntervalHashPartitioner
@@ -52,7 +57,111 @@ class DatabaseConfig:
         )
 
 
-class DistributedDatabase:
+class TaskDraft(NamedTuple):
+    """A transaction's task fields that replica placement does not touch.
+
+    Everything :meth:`DistributedDatabase.to_task` writes but the affinity,
+    plus the two facts the affinity is read from (the target sub-database
+    and whether the transaction writes).  A draft holds no transaction and
+    no row: it is what a seeded workload keeps of each transaction while
+    ``m`` and ``R`` vary (:class:`~repro.workload.transactions.SeededDraw`).
+    """
+
+    task_id: int
+    arrival_time: float
+    processing_time: float
+    deadline: float
+    tag: str
+    subdb: int
+    is_write: bool
+
+    def place(self, placement: ReplicaPlacement) -> Task:
+        """The scheduler's task once ``placement`` says where the data is."""
+        return Task(
+            task_id=self.task_id,
+            processing_time=self.processing_time,
+            arrival_time=self.arrival_time,
+            deadline=self.deadline,
+            affinity=placement.affinity(self.subdb, self.is_write),
+            tag=self.tag,
+        )
+
+
+class PopulatedDatabase:
+    """Rows and host index: the part of a database its seed alone fixes.
+
+    A transaction's cost estimate, deadline and tag read only this part;
+    replica placement, the one part that depends on ``m`` and ``R``, is
+    added by :meth:`placed`.
+    """
+
+    def __init__(
+        self,
+        config: DatabaseConfig,
+        schema: Schema,
+        subdatabases: Dict[int, SubDatabase],
+        index: GlobalIndex,
+    ) -> None:
+        self.config = config
+        self.schema = schema
+        self.subdatabases = subdatabases
+        self.index = index
+        self.cost_model = TransactionCostModel(
+            schema=schema,
+            index=index,
+            records_per_subdb=config.records_per_subdb,
+        )
+
+    @classmethod
+    def populate(
+        cls, config: DatabaseConfig, rng: random.Random
+    ) -> "PopulatedDatabase":
+        """Generate every sub-database's rows from ``rng`` and index them."""
+        schema = config.make_schema()
+        subdatabases = {
+            subdb: generate_subdatabase(
+                subdb, schema, config.records_per_subdb, rng
+            )
+            for subdb in range(config.num_subdatabases)
+        }
+        index = GlobalIndex.build(schema, subdatabases.values())
+        return cls(config, schema, subdatabases, index)
+
+    def placed(self, placement: ReplicaPlacement) -> "DistributedDatabase":
+        """This database with its replicas laid out by ``placement``."""
+        return DistributedDatabase(
+            config=self.config,
+            schema=self.schema,
+            subdatabases=self.subdatabases,
+            placement=placement,
+            index=self.index,
+        )
+
+    def estimate_cost(self, txn: Transaction) -> float:
+        """Worst-case processing time of ``txn`` (host index estimate)."""
+        return self.cost_model.estimate(txn).cost
+
+    def draft(
+        self, txn: Transaction, deadline: float, estimate: CostEstimate
+    ) -> TaskDraft:
+        """``txn``'s task fields but the affinity, from its ``estimate``
+        (the one its deadline was derived from)."""
+        if txn.is_write:
+            tag = "update"
+        else:
+            tag = "indexed" if estimate.used_index else "scan"
+        return TaskDraft(
+            task_id=txn.txn_id,
+            arrival_time=txn.arrival_time,
+            processing_time=estimate.cost,
+            deadline=deadline,
+            tag=tag,
+            subdb=estimate.target_subdb,
+            is_write=txn.is_write,
+        )
+
+
+class DistributedDatabase(PopulatedDatabase):
     """A populated, partitioned, replicated database plus its host index."""
 
     def __init__(
@@ -63,17 +172,9 @@ class DistributedDatabase:
         placement: ReplicaPlacement,
         index: GlobalIndex,
     ) -> None:
-        self.config = config
-        self.schema = schema
-        self.subdatabases = subdatabases
+        super().__init__(config, schema, subdatabases, index)
         self.placement = placement
-        self.index = index
         self.partitioner = IntervalHashPartitioner(schema)
-        self.cost_model = TransactionCostModel(
-            schema=schema,
-            index=index,
-            records_per_subdb=config.records_per_subdb,
-        )
 
     @classmethod
     def build(
@@ -83,65 +184,35 @@ class DistributedDatabase:
         replication_rate: float = 0.3,
         rng: Optional[random.Random] = None,
     ) -> "DistributedDatabase":
-        """Generate data, place replicas, and build the global index."""
+        """Generate data, place replicas, and build the global index.
+
+        Replica placement continues ``rng`` where the rows left it.
+        """
         config = config or DatabaseConfig()
         rng = rng or random.Random(0)
-        schema = config.make_schema()
-        subdatabases = {
-            subdb: generate_subdatabase(
-                subdb, schema, config.records_per_subdb, rng
+        populated = PopulatedDatabase.populate(config, rng)
+        return populated.placed(
+            place_replicas(
+                num_subdatabases=config.num_subdatabases,
+                num_processors=num_processors,
+                replication_rate=replication_rate,
+                rng=rng,
             )
-            for subdb in range(config.num_subdatabases)
-        }
-        placement = place_replicas(
-            num_subdatabases=config.num_subdatabases,
-            num_processors=num_processors,
-            replication_rate=replication_rate,
-            rng=rng,
-        )
-        index = GlobalIndex.build(schema, subdatabases.values())
-        return cls(
-            config=config,
-            schema=schema,
-            subdatabases=subdatabases,
-            placement=placement,
-            index=index,
         )
 
     # ----- scheduler-facing views -------------------------------------------
 
     def affinity_of(self, txn: Transaction) -> frozenset:
-        """Processors whose local memory can serve ``txn`` without transfer.
-
-        Read-only transactions can run on any replica holder; write
-        transactions are pinned to the primary copy (primary-copy
-        replication), so same-partition writes serialize through one FIFO
-        queue and no lock waits can delay a scheduled task.
-        """
-        subdb = txn.target_subdb(self.schema)
-        if txn.is_write:
-            return frozenset({self.placement.primary_of(subdb)})
-        return self.placement.processors_holding(subdb)
-
-    def estimate_cost(self, txn: Transaction) -> float:
-        """Worst-case processing time of ``txn`` (host index estimate)."""
-        return self.cost_model.estimate(txn).cost
+        """Processors whose local memory can serve ``txn`` without transfer
+        (:meth:`~repro.database.replication.ReplicaPlacement.affinity`)."""
+        return self.placement.affinity(
+            txn.target_subdb(self.schema), txn.is_write
+        )
 
     def to_task(self, txn: Transaction, deadline: float) -> Task:
         """Convert a transaction into the scheduler's task model."""
         estimate = self.cost_model.estimate(txn)
-        if txn.is_write:
-            tag = "update"
-        else:
-            tag = "indexed" if estimate.used_index else "scan"
-        return Task(
-            task_id=txn.txn_id,
-            processing_time=estimate.cost,
-            arrival_time=txn.arrival_time,
-            deadline=deadline,
-            affinity=self.affinity_of(txn),
-            tag=tag,
-        )
+        return self.draft(txn, deadline, estimate).place(self.placement)
 
     # ----- node-facing views -------------------------------------------------
 

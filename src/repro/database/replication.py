@@ -44,6 +44,18 @@ class ReplicaPlacement:
             primary = min(holders)
         return primary
 
+    def affinity(self, subdb: int, write: bool) -> FrozenSet[int]:
+        """Processors that can serve a transaction on ``subdb`` locally.
+
+        A read runs on any replica holder; a write is pinned to the
+        primary copy (primary-copy replication), so same-partition writes
+        serialize through one FIFO queue and no lock waits can delay a
+        scheduled task.
+        """
+        if write:
+            return frozenset({self.primary_of(subdb)})
+        return self.processors_holding(subdb)
+
     def contents_of(self, processor: int) -> FrozenSet[int]:
         """Sub-databases resident in ``processor``'s local memory."""
         if not 0 <= processor < self.num_processors:

@@ -32,22 +32,29 @@ EXECUTION_FIELDS = ("jobs", "cache_dir")
 #: seven seeds per point.
 STATISTICS_FIELDS = ("runs", "base_seed")
 
-#: The fields :func:`repro.workload.transactions.build_seeded_workload`
-#: reads: with the seed, the whole identity of a generated workload.
-#: ``domains``, ``partition_policy``, ``scheduler`` and ``backend`` are
-#: absent because they never reach the generator (tested against an
-#: attribute-recording proxy in ``tests/experiments/test_workload_memo.py``).
-WORKLOAD_FIELDS = (
+#: The fields the seed half of a workload reads
+#: (:func:`repro.workload.transactions.draw_workload`): with the seed, they
+#: fix the rows, the index, the transactions and their deadlines.
+DRAW_FIELDS = (
     "num_subdatabases",
     "records_per_subdb",
     "num_attributes",
     "domain_size",
-    "num_processors",
-    "replication_rate",
     "num_transactions",
     "slack_factor",
     "key_probability",
 )
+
+#: The fields :func:`repro.workload.transactions.build_seeded_workload`
+#: reads: with the seed, the whole identity of a generated workload.  The
+#: two beyond :data:`DRAW_FIELDS` are read only by replica placement, so a
+#: fig. 5 ``m``-sweep and a fig. 6 ``R``-sweep draw each seed's rows once
+#: (the runner's :class:`~repro.experiments.runner.WorkloadMemo`).
+#: ``domains``, ``partition_policy``, ``scheduler`` and ``backend`` are
+#: absent because they never reach the generator (both tuples are tested
+#: against an attribute-recording proxy in
+#: ``tests/experiments/test_workload_memo.py``).
+WORKLOAD_FIELDS = DRAW_FIELDS + ("num_processors", "replication_rate")
 
 
 @dataclass(frozen=True)
@@ -279,6 +286,11 @@ class ExperimentConfig:
         run them on.
         """
         return tuple(getattr(self, name) for name in WORKLOAD_FIELDS)
+
+    def draw_key(self) -> Tuple[object, ...]:
+        """The :data:`DRAW_FIELDS` values: which rows, transactions and
+        deadlines a seed yields, whatever ``m`` and ``R`` place them on."""
+        return tuple(getattr(self, name) for name in DRAW_FIELDS)
 
     def cache_fields(self) -> Dict[str, object]:
         """Every field one seeded run reads, as plain types.

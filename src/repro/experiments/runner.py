@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sized, Tuple, Union
 
 from ..analysis.schedulability import (
     analyze_tasks,
@@ -43,8 +43,9 @@ from ..metrics.regret import summarize_regret
 from ..metrics.stats import ConfidenceInterval, confidence_interval, mean
 from ..runtime.backend import ExecutionBackend, get_backend
 from ..runtime.report import RunReport
-from ..workload.transactions import build_seeded_workload
+from ..workload.transactions import SeededDraw, draw_workload
 from .config import ExperimentConfig
+
 
 def build_scheduler(
     name: str,
@@ -71,55 +72,92 @@ def build_scheduler(
     )
 
 
-def build_workload(config: ExperimentConfig, seed: int):
-    """Database + tasks for one repetition; returns (database, task set)."""
-    database, tasks, _transactions = build_seeded_workload(config, seed)
-    return database, tasks
+def build_workload(
+    config: ExperimentConfig,
+    seed: int,
+    draw: Optional[SeededDraw] = None,
+) -> Tuple[SeededDraw, Tuple[Task, ...]]:
+    """The tasks of one repetition, and the seed's draw they came from.
+
+    The seed half (:func:`~repro.workload.transactions.draw_workload`:
+    rows, index, transactions, estimates, deadlines) runs here unless the
+    caller passes the seed's ``draw`` already made; the placement half —
+    the only step that reads ``num_processors`` and ``replication_rate`` —
+    always runs.  The tasks are those
+    :func:`~repro.workload.transactions.build_seeded_workload` returns.
+    """
+    if draw is None:
+        draw, _database, _transactions = draw_workload(config, seed)
+    _placement, tasks = draw.place(
+        config.num_processors, config.replication_rate
+    )
+    return draw, tasks
 
 
-#: Tasks the process-wide workload memo may retain; the latest workload is
-#: kept whatever its size.  Large enough for the repetitions of one
-#: quick-scale figure cell, or two paper-scale workloads, to stay resident
-#: while the other scheduler of the cell and the oracle ask for them again;
-#: small enough (about a megabyte of ``Task`` objects) that a sweep's peak
-#: memory stays that of its largest run.
+#: Tasks and drawn transactions the process-wide workload memo may retain;
+#: the latest entry is kept whatever its size.  Large enough for the
+#: draws and task lists of one quick-scale figure cell's three seeds, or
+#: one paper-scale draw and its task list, to stay resident while the
+#: other scheduler of the cell, the oracle and the next ``m`` or ``R``
+#: ask for them again; small enough (about a megabyte of ``Task``
+#: objects) that a sweep's peak memory stays that of its largest run.
 WORKLOAD_MEMO_TASKS = 2048
 
 
 class WorkloadMemo:
-    """Seeded task lists already built, least recently used first.
+    """Seeded task lists and seed draws already built, least recently used
+    first.
 
     A generated workload is a pure function of ``(config.workload_key(),
     seed)``: the schedulers of a figure cell, every domain count of a shard
     curve and the schedulability oracle all ask for the same one.  Hits
     return the same immutable tuple of (frozen) tasks, never the database.
-    One lock covers lookup, build and eviction, so threads sharing a
-    backend build each workload once.
+    A miss places the seed's :class:`SeededDraw`, itself an entry keyed on
+    ``(config.draw_key(), seed)``, so the points of an ``m``- or
+    ``R``-sweep draw a seed's rows and transactions once.  Both kinds of
+    entry count their transactions against one budget.  One lock covers
+    lookup, build and eviction, so threads sharing a backend build each
+    workload once.
     """
 
     def __init__(self, max_tasks: int = WORKLOAD_MEMO_TASKS) -> None:
         self.max_tasks = max_tasks
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, Tuple[Task, ...]]" = OrderedDict()
+        # A draw key is two fields shorter than a workload key, so the
+        # two kinds of entry never share a key.
+        self._entries: "OrderedDict[tuple, Sized]" = OrderedDict()
 
     def tasks(self, config: ExperimentConfig, seed: int) -> Tuple[Task, ...]:
         """The tasks of ``(config, seed)``, built on the first request."""
         key = (config.workload_key(), seed)
         with self._lock:
-            tasks = self._entries.get(key)
-            if tasks is not None:
-                self._entries.move_to_end(key)
-                return tasks
-            _, built = build_workload(config, seed)
-            tasks = self._entries[key] = tuple(built)
-            retained = self.retained_tasks()
-            while retained > self.max_tasks and len(self._entries) > 1:
-                _, oldest = self._entries.popitem(last=False)
-                retained -= len(oldest)
+            tasks = self._get(key)
+            if tasks is None:
+                draw_key = (config.draw_key(), seed)
+                draw, tasks = build_workload(
+                    config, seed, self._get(draw_key)
+                )
+                self._keep(draw_key, draw)
+                self._keep(key, tasks)
             return tasks
 
+    def _get(self, key: tuple):
+        """The entry under ``key``, now the most recently used, or None."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def _keep(self, key: tuple, entry: Sized) -> None:
+        """Store ``entry`` as the most recent; evict the oldest over budget."""
+        self._entries[key] = entry
+        retained = self.retained_tasks()
+        while retained > self.max_tasks and len(self._entries) > 1:
+            _, oldest = self._entries.popitem(last=False)
+            retained -= len(oldest)
+
     def retained_tasks(self) -> int:
-        """How many tasks the memo currently keeps alive."""
+        """How many tasks and drawn transactions the memo keeps alive."""
         return sum(map(len, self._entries.values()))
 
 

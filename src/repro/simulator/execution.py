@@ -122,15 +122,12 @@ def resolve_actual_cost(
     if model is None:
         return entry.total_cost
     actual = model.actual_cost(entry)
-    if actual <= 0.0:
+    planned = entry.total_cost
+    # Written as ``not (0 < x <= bound)`` so that a NaN fails the check.
+    if not 0.0 < actual <= planned + 1e-9:
         raise ExecutionModelError(
-            f"{model.name} produced non-positive cost {actual} for task "
-            f"{entry.task.task_id}"
-        )
-    if actual > entry.total_cost + 1e-9:
-        raise ExecutionModelError(
-            f"{model.name} produced cost {actual} above the planned worst "
-            f"case {entry.total_cost} for task {entry.task.task_id}; this "
-            "would void the deadline guarantee"
+            f"{model.name} produced cost {actual} for task "
+            f"{entry.task.task_id}, outside (0, {planned}]: a cost above "
+            "the planned worst case would void the deadline guarantee"
         )
     return actual

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.task import Task, TaskSet
-from ..database.database import DatabaseConfig, DistributedDatabase
+from ..database.database import (
+    DatabaseConfig,
+    DistributedDatabase,
+    PopulatedDatabase,
+    TaskDraft,
+)
+from ..database.replication import ReplicaPlacement, place_replicas
 from ..database.transaction import Transaction, UpdateTransaction
 from .arrivals import ArrivalProcess, BurstyArrival
 from .deadlines import ProportionalDeadline
@@ -52,11 +58,15 @@ class TransactionWorkloadConfig:
 
 
 class TransactionWorkloadGenerator:
-    """Draws transactions against a built database and emits scheduler tasks."""
+    """Draws transactions against a populated database.
+
+    :meth:`drafts` needs only the rows and index; :meth:`generate` also
+    needs the replica placement of a :class:`DistributedDatabase`.
+    """
 
     def __init__(
         self,
-        database: DistributedDatabase,
+        database: PopulatedDatabase,
         config: Optional[TransactionWorkloadConfig] = None,
         arrivals: Optional[ArrivalProcess] = None,
     ) -> None:
@@ -120,20 +130,113 @@ class TransactionWorkloadGenerator:
             for txn_id, arrival in enumerate(times)
         ]
 
+    def drafts(self) -> Tuple[List[TaskDraft], List[Transaction]]:
+        """Each transaction's task fields but the affinity, plus the
+        transactions; reads no replica placement.
+
+        Every transaction is estimated once: its deadline and its task's
+        processing time are the same estimate.
+        """
+        transactions = self.generate_transactions()
+        drafts = []
+        for txn in transactions:
+            estimate = self.database.cost_model.estimate(txn)
+            deadline = self.deadlines.deadline(txn.arrival_time, estimate.cost)
+            drafts.append(self.database.draft(txn, deadline, estimate))
+        return drafts, transactions
+
     def generate(self) -> Tuple[TaskSet, List[Transaction]]:
         """Tasks (for the scheduler) plus the transactions they wrap."""
-        transactions = self.generate_transactions()
-        tasks = TaskSet()
-        for txn in transactions:
-            estimate = self.database.estimate_cost(txn)
-            deadline = self.deadlines.deadline(txn.arrival_time, estimate)
-            tasks.add(self.database.to_task(txn, deadline))
+        drafts, transactions = self.drafts()
+        placement = self.database.placement
+        tasks = TaskSet(draft.place(placement) for draft in drafts)
         return tasks, transactions
 
     def generate_tasks(self) -> TaskSet:
         """Just the scheduler-facing tasks."""
         tasks, _ = self.generate()
         return tasks
+
+
+@dataclass(frozen=True)
+class SeededDraw:
+    """What a seed fixes of a workload, whatever machine it runs on.
+
+    The paper's m- and R-sweeps run one database and one transaction
+    stream per seed; only replica placement differs between their points.
+    A draw keeps, per transaction, its :class:`TaskDraft` (estimate,
+    deadline, tag, target sub-database), and the row generator's state
+    where the rows left it, from which :func:`place_replicas` continues.
+    It holds no row, no index and no transaction, so nothing a run later
+    mutates (X3's updates) can reach it.
+    """
+
+    num_subdatabases: int
+    rng_state: tuple
+    drafts: Tuple[TaskDraft, ...]
+
+    def __len__(self) -> int:
+        return len(self.drafts)
+
+    def place(
+        self, num_processors: int, replication_rate: float
+    ) -> Tuple[ReplicaPlacement, Tuple[Task, ...]]:
+        """The replica placement on ``(m, R)`` and the tasks it yields."""
+        rng = random.Random(0)
+        rng.setstate(self.rng_state)  # where the rows left the stream
+        placement = place_replicas(
+            num_subdatabases=self.num_subdatabases,
+            num_processors=num_processors,
+            replication_rate=replication_rate,
+            rng=rng,
+        )
+        tasks = tuple(draft.place(placement) for draft in self.drafts)
+        return placement, tasks
+
+
+def draw_workload(
+    experiment,
+    seed: int,
+    arrivals: Optional[ArrivalProcess] = None,
+    write_fraction: float = 0.0,
+) -> Tuple[SeededDraw, PopulatedDatabase, List[Transaction]]:
+    """The seed half of :func:`build_seeded_workload`.
+
+    Draws the rows from ``Random(seed)``, the transactions from a second
+    ``Random(seed)``, and estimates and dates each transaction; reads every
+    :data:`~repro.experiments.config.DRAW_FIELDS` field of ``experiment``
+    and neither ``num_processors`` nor ``replication_rate``.  Returns the
+    draw with the rows and transactions it was made from.
+    """
+    rng = random.Random(seed)
+    database = PopulatedDatabase.populate(
+        DatabaseConfig(
+            num_subdatabases=experiment.num_subdatabases,
+            records_per_subdb=experiment.records_per_subdb,
+            num_attributes=experiment.num_attributes,
+            domain_size=experiment.domain_size,
+        ),
+        rng,
+    )
+    rng_state = rng.getstate()
+    generator = TransactionWorkloadGenerator(
+        database=database,
+        config=TransactionWorkloadConfig(
+            num_transactions=experiment.num_transactions,
+            slack_factor=experiment.slack_factor,
+            key_probability=experiment.key_probability,
+            write_fraction=write_fraction,
+            seed=seed,
+        ),
+        arrivals=arrivals,
+    )
+    drafts, transactions = generator.drafts()
+    draw = SeededDraw(
+        num_subdatabases=database.config.num_subdatabases,
+        rng_state=rng_state,
+        drafts=tuple(drafts),
+    )
+    return draw, database, transactions
 
 
 def build_seeded_workload(
@@ -152,28 +255,15 @@ def build_seeded_workload(
     two keywords are the extension studies' departures from the paper's
     read-only burst: ``arrivals`` (X2's Poisson stream) and
     ``write_fraction`` (X3's update mix).
+
+    It is the seed half (:func:`draw_workload`) followed by the placement
+    half (:meth:`SeededDraw.place`), the same two steps the experiment
+    runner's memo takes with the seed half kept between ``(m, R)`` points.
     """
-    database = DistributedDatabase.build(
-        config=DatabaseConfig(
-            num_subdatabases=experiment.num_subdatabases,
-            records_per_subdb=experiment.records_per_subdb,
-            num_attributes=experiment.num_attributes,
-            domain_size=experiment.domain_size,
-        ),
-        num_processors=experiment.num_processors,
-        replication_rate=experiment.replication_rate,
-        rng=random.Random(seed),
+    draw, database, transactions = draw_workload(
+        experiment, seed, arrivals, write_fraction
     )
-    generator = TransactionWorkloadGenerator(
-        database=database,
-        config=TransactionWorkloadConfig(
-            num_transactions=experiment.num_transactions,
-            slack_factor=experiment.slack_factor,
-            key_probability=experiment.key_probability,
-            write_fraction=write_fraction,
-            seed=seed,
-        ),
-        arrivals=arrivals,
+    placement, tasks = draw.place(
+        experiment.num_processors, experiment.replication_rate
     )
-    tasks, transactions = generator.generate()
-    return database, tasks, transactions
+    return database.placed(placement), TaskSet(tasks), transactions

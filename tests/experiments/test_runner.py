@@ -44,10 +44,10 @@ class TestBuildScheduler:
 
 class TestBuildWorkload:
     def test_workload_matches_config(self):
-        database, tasks = build_workload(TINY, seed=1)
-        assert len(tasks) == 40
-        assert database.config.num_subdatabases == TINY.num_subdatabases
-        assert database.placement.num_processors == 3
+        draw, tasks = build_workload(TINY, seed=1)
+        assert len(tasks) == len(draw) == 40
+        assert draw.num_subdatabases == TINY.num_subdatabases
+        assert set().union(*(task.affinity for task in tasks)) <= {0, 1, 2}
 
     def test_seed_controls_workload(self):
         _, a = build_workload(TINY, seed=1)

@@ -1,13 +1,16 @@
-"""One workload build per ``(workload fields, seed)``: the runner's memo.
+"""One workload build per ``(workload fields, seed)``, one draw per
+``(draw fields, seed)``: the runner's memo.
 
-Pins what the memo is keyed on (exactly the fields the generator reads),
-how many real builds a figure cell and a shard-curve row cost, that a
-caller cannot poison a later hit, that what the memo and the oracle retain
-is bounded by constants, and that threads sharing it lose no update.
+Pins what the memo is keyed on (exactly the fields each half of the
+generator reads), how many real draws a figure cell, an ``m``- and
+``R``-sweep and a shard-curve row cost, that a caller cannot poison a
+later hit, that what the memo and the oracle retain is bounded by
+constants and holds no row, and that threads sharing it lose no update.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from dataclasses import fields, replace
@@ -15,31 +18,67 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.analysis import schedulability
-from repro.experiments import ExperimentConfig, figure5, shard_curve
+from repro.database import GlobalIndex, SubDatabase, Transaction
+from repro.database import database as database_module
+from repro.experiments import (
+    ExperimentConfig,
+    figure5,
+    figure6,
+    shard_curve,
+)
 from repro.experiments import runner
-from repro.experiments.config import WORKLOAD_FIELDS
+from repro.experiments.config import DRAW_FIELDS, WORKLOAD_FIELDS
 from repro.experiments.runner import (
     WORKLOAD_MEMO_TASKS,
     WorkloadMemo,
     workload_tasks,
 )
-from repro.workload.transactions import build_seeded_workload
+from repro.workload.transactions import build_seeded_workload, draw_workload
 
 TINY = ExperimentConfig.quick(num_transactions=30, num_processors=4, runs=3)
 
 
 @pytest.fixture
 def seeded_builds(monkeypatch):
-    """Count real ``build_seeded_workload`` calls, starting from no memo."""
+    """Count real seed draws (the rows, index and transactions of a seed),
+    starting from no memo."""
     calls = []
 
     def counting(config, seed):
-        calls.append((config.workload_key(), seed))
-        return build_seeded_workload(config, seed)
+        calls.append((config.draw_key(), seed))
+        return draw_workload(config, seed)
 
-    monkeypatch.setattr(runner, "build_seeded_workload", counting)
+    monkeypatch.setattr(runner, "draw_workload", counting)
     monkeypatch.setattr(runner, "_WORKLOADS", WorkloadMemo())
     return calls
+
+
+@pytest.fixture
+def drawn_subdatabases(monkeypatch):
+    """Count generated sub-databases, starting from no memo."""
+    drawn = []
+    generate = database_module.generate_subdatabase
+
+    def counting(subdb, *args):
+        drawn.append(subdb)
+        return generate(subdb, *args)
+
+    monkeypatch.setattr(database_module, "generate_subdatabase", counting)
+    monkeypatch.setattr(runner, "_WORKLOADS", WorkloadMemo())
+    return drawn
+
+
+def _reachable(roots):
+    """Every object reachable from ``roots``, classes and modules aside."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen.values()
 
 
 class _RecordingConfig:
@@ -60,9 +99,29 @@ class TestKey:
         build_seeded_workload(proxy, 1)
         assert proxy.read == set(WORKLOAD_FIELDS)
 
+    def test_the_seed_half_reads_no_placement_field(self):
+        proxy = _RecordingConfig(TINY)
+        draw_workload(proxy, 1)
+        assert proxy.read == set(DRAW_FIELDS)
+        assert not proxy.read & {"num_processors", "replication_rate"}
+
+    def test_the_two_halves_read_exactly_the_workload_fields(self):
+        proxy = _RecordingConfig(TINY)
+        draw, _ = runner.build_workload(proxy, 1)
+        assert proxy.read == set(WORKLOAD_FIELDS)
+        placed = _RecordingConfig(TINY)
+        runner.build_workload(placed, 1, draw)
+        assert placed.read == {"num_processors", "replication_rate"}
+
     def test_every_key_field_is_a_config_field(self):
         assert set(WORKLOAD_FIELDS) <= {spec.name for spec in fields(TINY)}
         assert len(TINY.workload_key()) == len(WORKLOAD_FIELDS)
+        assert len(TINY.draw_key()) == len(DRAW_FIELDS)
+
+    def test_placement_is_not_in_the_draw_key(self):
+        elsewhere = TINY.with_processors(9).with_replication(0.8)
+        assert elsewhere.draw_key() == TINY.draw_key()
+        assert elsewhere.workload_key() != TINY.workload_key()
 
     def test_where_a_workload_runs_is_not_in_the_key(self):
         elsewhere = replace(
@@ -94,6 +153,20 @@ class TestBuildCounts:
         )
         shard_curve(config, processors=(4,), domains=(1, 2, 4))
         assert len(seeded_builds) == 1
+
+    def test_an_m_sweep_and_an_r_sweep_draw_each_seeds_rows_once(
+        self, drawn_subdatabases
+    ):
+        """Every fig. 5 processor count and every fig. 6 replication rate
+        over one database per seed."""
+        config = ExperimentConfig.quick(num_transactions=20, runs=2)
+        figure5(config)
+        figure6(config)
+        seeds = len(config.seeds())
+        assert len(drawn_subdatabases) == seeds * config.num_subdatabases
+        assert sorted(drawn_subdatabases) == sorted(
+            list(range(config.num_subdatabases)) * seeds
+        )
 
 
 class TestIsolation:
@@ -137,12 +210,45 @@ class TestBounds:
         assert memo.retained_tasks() == 30  # seed 1 made room
 
     def test_a_hit_refreshes_its_entry(self):
-        memo = WorkloadMemo(max_tasks=60)
+        memo = WorkloadMemo(max_tasks=120)  # two draws, two task lists
         first = memo.tasks(TINY, 1)
         memo.tasks(TINY, 2)
         assert memo.tasks(TINY, 1) is first  # now the most recent
-        memo.tasks(TINY, 3)  # evicts seed 2
+        memo.tasks(TINY, 3)  # evicts the draws of seeds 1 and 2
         assert memo.tasks(TINY, 1) is first
+
+    def test_draws_and_task_lists_share_the_budget(self):
+        """A paper-scale-like sweep: one draw and one task list fit, so a
+        new ``m`` evicts the old task list and keeps the seed's draw."""
+        config = TINY.with_processors(2)
+        memo = WorkloadMemo(max_tasks=2 * TINY.num_transactions)
+        memo.tasks(config, 1)
+        for m in (3, 4, 5):
+            memo.tasks(config.with_processors(m), 1)
+            assert memo.retained_tasks() == 2 * TINY.num_transactions
+        entries = memo._entries.values()
+        assert sorted(type(entry).__name__ for entry in entries) == [
+            "SeededDraw",
+            "tuple",
+        ]
+
+    def test_the_memo_retains_no_row_index_or_transaction(self):
+        memo = WorkloadMemo()
+        for m in (2, 3):
+            for seed in (1, 2):
+                memo.tasks(TINY.with_processors(m), seed)
+        found = _reachable(memo._entries.values())
+        assert not [
+            obj for obj in found
+            if isinstance(obj, (SubDatabase, GlobalIndex, Transaction))
+        ]
+        rows = [
+            obj for obj in found
+            if isinstance(obj, tuple)
+            and len(obj) == TINY.num_attributes
+            and all(type(value) is int for value in obj)
+        ]
+        assert rows == []
 
     def test_a_sweep_leaves_both_process_memos_within_their_constants(self):
         """What stays behind after N distinct workloads does not grow
@@ -166,8 +272,9 @@ class TestThreads:
         """More threads than cores, a 10 microsecond switch interval: a
         lost update would show as a second build of a seed, a torn
         eviction as more retained tasks than the entries account for."""
-        memo = WorkloadMemo(max_tasks=4 * TINY.num_transactions)
-        seeds = range(4)  # all four fit, so nothing is ever evicted
+        # Four draws and four task lists fit, so nothing is ever evicted.
+        memo = WorkloadMemo(max_tasks=8 * TINY.num_transactions)
+        seeds = range(4)
         results = {seed: [] for seed in seeds}
         errors = []
 
@@ -195,4 +302,4 @@ class TestThreads:
         for seed in seeds:
             assert len(results[seed]) == 8 * 5
             assert all(hit is results[seed][0] for hit in results[seed])
-        assert memo.retained_tasks() == 4 * TINY.num_transactions
+        assert memo.retained_tasks() == 8 * TINY.num_transactions

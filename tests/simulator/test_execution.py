@@ -94,6 +94,22 @@ class TestResolve:
         with pytest.raises(ExecutionModelError):
             resolve_actual_cost(Zero(), _entry())
 
+    @pytest.mark.parametrize(
+        "actual", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_rejects_a_cost_outside_zero_and_the_plan(self, actual):
+        """A NaN passes both one-sided comparisons; it would put the
+        worker's TaskFinished at NaN time and corrupt the event heap."""
+
+        class Model:
+            name = "Model"
+
+            def actual_cost(self, entry):
+                return actual
+
+        with pytest.raises(ExecutionModelError, match="task 7"):
+            resolve_actual_cost(Model(), _entry(task_id=7))
+
 
 class TestReclaimingRuntime:
     def _workload(self):

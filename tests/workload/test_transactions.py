@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.database import TransactionCostModel
+from repro.experiments import ExperimentConfig
 from repro.workload import (
     BurstyArrival,
     PoissonArrival,
     TransactionWorkloadConfig,
     TransactionWorkloadGenerator,
 )
+from repro.workload.transactions import build_seeded_workload
 
 
 def _generator(database, **config_kwargs):
@@ -104,7 +107,34 @@ class TestTransactionGeneration:
             TransactionWorkloadConfig(write_fraction=-0.1)
 
 
+@pytest.fixture
+def estimated(monkeypatch):
+    """The ids of the transactions the cost model estimates, in order."""
+    calls = []
+    estimate = TransactionCostModel.estimate
+
+    def counting(model, txn):
+        calls.append(txn.txn_id)
+        return estimate(model, txn)
+
+    monkeypatch.setattr(TransactionCostModel, "estimate", counting)
+    return calls
+
+
 class TestTaskConversion:
+    def test_each_transaction_is_estimated_once(
+        self, small_database, estimated
+    ):
+        """The deadline and the task's processing time read one estimate."""
+        _generator(small_database).generate()
+        assert estimated == list(range(60))
+
+    def test_a_seeded_build_estimates_each_transaction_once(self, estimated):
+        """What every live master and worker builds at start-up."""
+        config = ExperimentConfig.quick(num_transactions=40)
+        build_seeded_workload(config, 3)
+        assert estimated == list(range(40))
+
     def test_tasks_match_transactions(self, small_database):
         tasks, txns = _generator(small_database).generate()
         assert len(tasks) == len(txns)
