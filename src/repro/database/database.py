@@ -10,6 +10,8 @@ A seed alone fixes the rows and the index (:class:`PopulatedDatabase`), and
 with them every transaction's estimate, deadline and tag
 (:class:`TaskDraft`); replica placement, the one piece that reads ``m`` and
 ``R``, completes a :class:`DistributedDatabase` and each draft's affinity.
+It continues the row generator where the rows left it
+(:func:`placement_after`), whoever builds the database.
 """
 
 from __future__ import annotations
@@ -55,6 +57,28 @@ class DatabaseConfig:
             num_attributes=self.num_attributes,
             domain_size=self.domain_size,
         )
+
+
+def placement_after(
+    rng_state: tuple,
+    num_subdatabases: int,
+    num_processors: int,
+    replication_rate: float,
+) -> ReplicaPlacement:
+    """The replica placement of a seeded database on ``(m, R)``.
+
+    ``rng_state`` is the row generator's state after
+    :meth:`PopulatedDatabase.populate` drew the rows; placement continues
+    that stream from a copy, so one state places every ``(m, R)``.
+    """
+    rng = random.Random(0)
+    rng.setstate(rng_state)
+    return place_replicas(
+        num_subdatabases=num_subdatabases,
+        num_processors=num_processors,
+        replication_rate=replication_rate,
+        rng=rng,
+    )
 
 
 class TaskDraft(NamedTuple):
@@ -138,7 +162,11 @@ class PopulatedDatabase:
         )
 
     def estimate_cost(self, txn: Transaction) -> float:
-        """Worst-case processing time of ``txn`` (host index estimate)."""
+        """Worst-case processing time of ``txn`` (host index estimate).
+
+        A convenience for tests and examples; a workload estimates each
+        transaction once, in :meth:`TransactionWorkloadGenerator.drafts`.
+        """
         return self.cost_model.estimate(txn).cost
 
     def draft(
@@ -186,17 +214,21 @@ class DistributedDatabase(PopulatedDatabase):
     ) -> "DistributedDatabase":
         """Generate data, place replicas, and build the global index.
 
-        Replica placement continues ``rng`` where the rows left it.
+        Replica placement continues ``rng``'s stream where the rows left
+        it (:func:`placement_after`), the same two steps a seeded
+        workload takes.  Tests and examples build their databases here;
+        the experiments go through
+        :func:`~repro.workload.transactions.build_seeded_workload`.
         """
         config = config or DatabaseConfig()
         rng = rng or random.Random(0)
         populated = PopulatedDatabase.populate(config, rng)
         return populated.placed(
-            place_replicas(
-                num_subdatabases=config.num_subdatabases,
-                num_processors=num_processors,
-                replication_rate=replication_rate,
-                rng=rng,
+            placement_after(
+                rng.getstate(),
+                config.num_subdatabases,
+                num_processors,
+                replication_rate,
             )
         )
 
@@ -210,7 +242,11 @@ class DistributedDatabase(PopulatedDatabase):
         )
 
     def to_task(self, txn: Transaction, deadline: float) -> Task:
-        """Convert a transaction into the scheduler's task model."""
+        """Convert a transaction into the scheduler's task model.
+
+        The one-transaction form of a workload's draft-then-place, for
+        tests and examples.
+        """
         estimate = self.cost_model.estimate(txn)
         return self.draft(txn, deadline, estimate).place(self.placement)
 

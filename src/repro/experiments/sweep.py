@@ -9,9 +9,14 @@ code that runs repetitions and folds them into a
 same call at ``jobs=1`` with no cache directory.  On top of that one loop:
 
 * **fan-out** — with ``jobs > 1`` cells execute on a ``multiprocessing``
-  *spawn* pool (spawn, not fork: workers must rebuild state from the
-  pickled config alone, the same discipline the live cluster already
-  enforces);
+  pool.  Every worker rebuilds its cells' state from the pickled cell
+  alone, the same discipline the live cluster already enforces, and a
+  cell's record does not depend on how its worker started.  On Linux a
+  single-threaded parent *forks* its workers: a fork costs milliseconds
+  where a fresh interpreter pays its start-up and the package import
+  (~0.3 s) before its first cell, which is as long as a whole quick
+  figure grid.  Elsewhere, or with other threads running, workers are
+  *spawned*;
 * **content-addressed cache** — with a ``cache_dir`` each finished cell
   persists one small JSON record under ``<cache_dir>/<config digest>/``,
   keyed by the config's
@@ -33,7 +38,7 @@ table row's :class:`~repro.runtime.sim.SimBackend` variant.  Where a cell
 runs and whether it is cached are read off the cell itself.  A cell on a
 :attr:`~repro.runtime.backend.ExecutionBackend.live` backend spawns its
 own worker processes and binds a listening socket, so it runs in the
-parent, one at a time; every other cell may cross the spawn boundary.  A
+parent, one at a time; every other cell may go to a pool worker.  A
 cell carrying a backend instance has no content address (the config does
 not say what the instance substitutes), so it is never cached.
 
@@ -51,13 +56,16 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import (
+    NULL_INSTRUMENTATION,
     NULL_SINK,
     OFF,
     Instrumentation,
@@ -95,7 +103,7 @@ class SweepCell:
 
     Frozen and picklable (the config is a frozen dataclass of plain types,
     a backend instance holds policy objects and module-level functions),
-    so a cell crosses the spawn boundary to a pool worker intact.
+    so a cell crosses the process boundary to a pool worker intact.
     """
 
     config: ExperimentConfig
@@ -302,18 +310,21 @@ def _run_in_child(
 ) -> Tuple[int, Dict[str, object]]:
     """Pool worker: run one cell and return ``(index, record dict)``.
 
-    ``payload`` is ``(index, cell, trace_path)``.  A spawned child starts
-    with instrumentation disabled and cannot reach the parent's sink, so
-    when the parent is tracing it passes a path: the child instruments
-    itself into a private JSONL file there, with a fresh registry whose
-    values *are* the cell's counter deltas, and the parent adopts both
-    when the cell finishes — ``--trace-out --jobs N`` loses nothing
-    relative to ``--jobs 1``.  Module-level by necessity: spawn pickles
-    the function by reference.
+    ``payload`` is ``(index, cell, trace_path)``.  A child never writes
+    to the parent's sink or registry — a forked one still holds copies of
+    both — so it runs with instrumentation disabled unless the parent is
+    tracing and passes a path: the child then instruments itself into a
+    private JSONL file there, with a fresh registry whose values *are* the
+    cell's counter deltas, and the parent adopts both when the cell
+    finishes — ``--trace-out --jobs N`` loses nothing relative to
+    ``--jobs 1``.  Module-level by necessity: spawn pickles the function
+    by reference.
     """
     index, cell, trace_path = payload
     if trace_path is None:
-        return index, _run_here(cell, get_instrumentation()).as_dict()
+        with instrumented(NULL_INSTRUMENTATION):
+            record = _run_here(cell, NULL_INSTRUMENTATION)
+        return index, record.as_dict()
     obs = Instrumentation(
         metrics=MetricsRegistry(),
         logger=StructuredLogger(name="repro.sweep", level=OFF),
@@ -330,7 +341,7 @@ def _run_in_child(
 def _run_in_pool(
     items: Sequence[Tuple[int, SweepCell]], jobs: int, obs
 ) -> Iterator[Tuple[int, CellRecord]]:
-    """Fan ``items`` over a spawn pool; yields ``(index, record)`` as done.
+    """Fan ``items`` over a worker pool; yields ``(index, record)`` as done.
 
     When the parent is tracing, each child writes a private per-cell
     JSONL file that the parent adopts (re-emits, then deletes) as the
@@ -353,7 +364,7 @@ def _run_in_pool(
 
     payloads = [(index, cell, trace_path(index)) for index, cell in items]
     try:
-        context = multiprocessing.get_context("spawn")
+        context = multiprocessing.get_context(_start_method())
         with context.Pool(processes=min(jobs, len(items))) as pool:
             for index, payload in pool.imap_unordered(_run_in_child, payloads):
                 if trace_dir:
@@ -362,6 +373,18 @@ def _run_in_pool(
     finally:
         if trace_dir:
             shutil.rmtree(trace_dir, ignore_errors=True)
+
+
+def _start_method() -> str:
+    """How the pool starts its workers: fork where that is safe, else spawn.
+
+    Forking copies only the calling thread, so a lock another thread held
+    would stay held in the child; Linux with no other thread running is
+    where a fork is both safe and what the platform supports well.
+    """
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
 
 
 # ----- the engine ------------------------------------------------------------
@@ -400,7 +423,7 @@ def run_grid(
     cached).  The execution knobs default to the first config's ``jobs`` /
     ``cache_dir`` fields (keyword arguments override).  Cells found in the
     cache are not re-executed; with ``jobs > 1`` the rest fan across a
-    spawn pool of that many workers, except a live backend's, which stay
+    pool of that many workers, except a live backend's, which stay
     in the parent and run one at a time.  With ``jobs=1`` every cell runs
     here, in order.
 

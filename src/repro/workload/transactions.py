@@ -27,8 +27,9 @@ from ..database.database import (
     DistributedDatabase,
     PopulatedDatabase,
     TaskDraft,
+    placement_after,
 )
-from ..database.replication import ReplicaPlacement, place_replicas
+from ..database.replication import ReplicaPlacement
 from ..database.transaction import Transaction, UpdateTransaction
 from .arrivals import ArrivalProcess, BurstyArrival
 from .deadlines import ProportionalDeadline
@@ -146,14 +147,19 @@ class TransactionWorkloadGenerator:
         return drafts, transactions
 
     def generate(self) -> Tuple[TaskSet, List[Transaction]]:
-        """Tasks (for the scheduler) plus the transactions they wrap."""
+        """Tasks (for the scheduler) plus the transactions they wrap.
+
+        A convenience for tests and examples over a
+        :class:`DistributedDatabase`; the experiments place drafts through
+        :class:`SeededDraw` instead.
+        """
         drafts, transactions = self.drafts()
         placement = self.database.placement
         tasks = TaskSet(draft.place(placement) for draft in drafts)
         return tasks, transactions
 
     def generate_tasks(self) -> TaskSet:
-        """Just the scheduler-facing tasks."""
+        """Just the scheduler-facing tasks (tests and examples)."""
         tasks, _ = self.generate()
         return tasks
 
@@ -166,7 +172,8 @@ class SeededDraw:
     stream per seed; only replica placement differs between their points.
     A draw keeps, per transaction, its :class:`TaskDraft` (estimate,
     deadline, tag, target sub-database), and the row generator's state
-    where the rows left it, from which :func:`place_replicas` continues.
+    where the rows left it, from which replica placement continues
+    (:func:`~repro.database.database.placement_after`).
     It holds no row, no index and no transaction, so nothing a run later
     mutates (X3's updates) can reach it.
     """
@@ -182,13 +189,11 @@ class SeededDraw:
         self, num_processors: int, replication_rate: float
     ) -> Tuple[ReplicaPlacement, Tuple[Task, ...]]:
         """The replica placement on ``(m, R)`` and the tasks it yields."""
-        rng = random.Random(0)
-        rng.setstate(self.rng_state)  # where the rows left the stream
-        placement = place_replicas(
-            num_subdatabases=self.num_subdatabases,
-            num_processors=num_processors,
-            replication_rate=replication_rate,
-            rng=rng,
+        placement = placement_after(
+            self.rng_state,
+            self.num_subdatabases,
+            num_processors,
+            replication_rate,
         )
         tasks = tuple(draft.place(placement) for draft in self.drafts)
         return placement, tasks

@@ -8,8 +8,8 @@ a tiny ``figure5``, a ``shard_curve`` with k in {1, 2} and an
 ``engine_tables.json`` was written one simplification later, at the commit
 *before* the nine tables moved onto that engine, by their own loops.  The
 engine in ``experiments/sweep.py`` must reproduce those bytes however it
-is asked to run — in the parent, in a spawn pool, against a cold cache
-and against a warm one.
+is asked to run — in the parent, in a spawned or a forked pool, against
+a cold cache and against a warm one.
 
 Regenerate (only when a behaviour change is intended and understood)::
 
@@ -114,11 +114,27 @@ def test_in_the_parent_without_a_cache(stem, tmp_path):
     assert document == _golden(stem)
 
 
+@pytest.fixture
+def spawned(monkeypatch):
+    """Pools spawn their workers, as off Linux or beside other threads."""
+    monkeypatch.setattr(sweep, "_start_method", lambda: "spawn")
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("stem", FIGURES)
-def test_in_a_spawn_pool(stem, tmp_path):
+def test_in_a_spawn_pool(stem, tmp_path, spawned, pools_entered):
     config = replace(TINY, jobs=2)
     assert _document(stem, config, tmp_path) == _golden(stem)
+    assert pools_entered and set(pools_entered) == {"spawn"}
+
+
+@pytest.mark.parametrize("stem", FIGURES)
+def test_in_a_forked_pool(stem, tmp_path, pools_entered):
+    if sweep._start_method() != "fork":
+        pytest.skip("workers fork only on Linux with no other thread")
+    config = replace(TINY, jobs=2)
+    assert _document(stem, config, tmp_path) == _golden(stem)
+    assert pools_entered and set(pools_entered) == {"fork"}
 
 
 @pytest.mark.parametrize("stem", FIGURES)
@@ -197,7 +213,7 @@ def pools_entered(monkeypatch):
 
 
 @pytest.mark.slow
-def test_tables_in_a_spawn_pool(pools_entered):
+def test_tables_in_a_spawn_pool(spawned, pools_entered):
     assert _tables_document(replace(TABLE_CONFIG, jobs=2)) == _golden("tables")
     # Every table of every scheduler setting fanned its cells out: a row's
     # variant is no reason to stay in the parent.
@@ -245,7 +261,7 @@ class TestVariantSpecs:
     @pytest.mark.slow
     def test_is_pooled_and_reproduces_the_in_parent_cell(self, pools_entered):
         pooled = run_grid(self.SPECS[:1], jobs=2).cells[0]
-        assert pools_entered == ["spawn"]
+        assert pools_entered == [sweep._start_method()]
         here, plain = run_grid(self.SPECS, jobs=1).cells
         assert repr(pooled) == repr(here)
         # ... and the variant reached the scheduler.

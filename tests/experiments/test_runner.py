@@ -47,7 +47,11 @@ class TestBuildWorkload:
         draw, tasks = build_workload(TINY, seed=1)
         assert len(tasks) == len(draw) == 40
         assert draw.num_subdatabases == TINY.num_subdatabases
-        assert set().union(*(task.affinity for task in tasks)) <= {0, 1, 2}
+        placement, placed = draw.place(
+            TINY.num_processors, TINY.replication_rate
+        )
+        assert placement.num_processors == 3
+        assert placed == tasks
 
     def test_seed_controls_workload(self):
         _, a = build_workload(TINY, seed=1)

@@ -3,9 +3,9 @@
 The suite covers the three contracts the engine exists for:
 
 * determinism — the same cells aggregate to bit-identical results no
-  matter the worker count or cache state (including the actual spawn
-  pool, exercised once with a tiny workload; the figure-level bytes are
-  pinned in ``test_one_engine.py``);
+  matter the worker count, how the workers start, or the cache state
+  (including the actual pool, exercised once with a tiny workload; the
+  figure-level bytes are pinned in ``test_one_engine.py``);
 * cache identity — a change to any field a run reads invalidates cached
   cells, while execution knobs (jobs, cache_dir) and the statistics block
   (runs, base_seed) never do;
@@ -15,10 +15,11 @@ The suite covers the three contracts the engine exists for:
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_grid
+from repro.experiments import ExperimentConfig, run_grid, sweep
 from repro.experiments.runner import run_cell, run_once
 from repro.experiments.sweep import (
     CACHE_SCHEMA_VERSION,
@@ -307,6 +308,40 @@ class TestSpawnPool:
         # in the same positions regardless of worker count.
         assert pooled.cells[0].hit_percents == serial.cells[0].hit_percents
         assert pooled.cells[0].dead_end_rates == serial.cells[0].dead_end_rates
+
+    def test_workers_spawn_beside_another_thread(self):
+        """A fork copies one thread; a lock another held would stay held."""
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert sweep._start_method() == "spawn"
+        finally:
+            release.set()
+            other.join()
+
+    @pytest.mark.slow
+    def test_cell_summary_does_not_depend_on_how_workers_start(
+        self, monkeypatch
+    ):
+        """A forked worker holds a copy of the parent's registry; it must
+        count into it no more than a spawned one, which has none."""
+        from repro.observability import (
+            OFF,
+            Instrumentation,
+            StructuredLogger,
+            instrumented,
+        )
+
+        def summary():
+            obs = Instrumentation(logger=StructuredLogger(level=OFF))
+            with instrumented(obs):
+                run_grid([(tiny_config(), "rtsads")], jobs=2, cache_dir=None)
+            return obs.cells
+
+        default = summary()
+        monkeypatch.setattr(sweep, "_start_method", lambda: "spawn")
+        assert summary() == default
 
 
 def _traced_grid(jobs, cache_dir=None):
