@@ -52,48 +52,6 @@ def test_fig5_scalability_sweep(benchmark):
     )
 
 
-def test_fig5_parallel_sweep(benchmark, tmp_path):
-    """The same sweep through the parallel engine, plus the cache-hit path.
-
-    Three guarantees measured and asserted in one pass: a pooled sweep
-    (jobs=2) produces exactly the serial result, a warm-cache re-run
-    executes zero cells, and the cache-hit pass is what the benchmark
-    times (the expensive cold passes run once outside the timer).
-    """
-    from repro.experiments import run_grid
-
-    config = bench_config()
-    serial = figure5(config, processors=PROCESSORS)
-    specs = [
-        (config.with_processors(m), name)
-        for name in ("rtsads", "dcols")
-        for m in PROCESSORS
-    ]
-    cold = run_grid(specs, jobs=2, cache_dir=str(tmp_path))
-    assert cold.stats.executed == cold.stats.total_cells
-
-    warm = benchmark.pedantic(
-        lambda: run_grid(specs, jobs=2, cache_dir=str(tmp_path)),
-        rounds=3,
-        iterations=1,
-    )
-    assert warm.stats.executed == 0, "warm cache must re-execute nothing"
-    record_metric(
-        "fig5",
-        "parallel_sweep_cache_hit_seconds",
-        samples=timing_samples(benchmark),
-        unit="s",
-    )
-
-    # The pooled/cached cells must be bit-identical to the serial figure.
-    for cell in warm.cells:
-        m = cell.config.num_processors
-        assert (
-            cell.hit_percents
-            == serial.cells[(cell.scheduler_name, m)].hit_percents
-        )
-
-
 def _record_cell_vertices(name: str, result) -> None:
     """Per-phase search effort: vertices the quantum actually bought."""
     record_metric(

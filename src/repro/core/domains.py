@@ -9,7 +9,7 @@ is the backend-neutral core of that refactor — the partition itself.
 A :class:`DomainAssignment` is a frozen, picklable description of one
 partition: every worker id in ``range(num_workers)`` appears in exactly
 one domain, and the tuple-of-tuples layout makes the assignment hashable
-so it can ride inside cache digests and cross the spawn boundary.
+so it can key a dict and cross the spawn boundary.
 
 Three policies build assignments (:func:`partition_workers`):
 

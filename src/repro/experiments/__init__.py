@@ -3,8 +3,8 @@
 The public surface: :class:`ExperimentConfig` describes a cell,
 :func:`run_once` executes one seeded repetition of it, and :func:`run_grid`
 is the one engine that runs every repetition of a grid of cells — in this
-process, or fanned over worker processes, with per-cell result caching
-(:func:`run_cell` is its one-cell call).  The ``figure5``/``figure6``/...
+process, or fanned over worker processes (:func:`run_cell` is its one-cell
+call).  The ``figure5``/``figure6``/...
 builders reproduce the paper's evaluation on top of it.
 """
 
@@ -47,11 +47,9 @@ from .runner import (
 )
 from .sweep import (
     CellRecord,
-    SweepCache,
     SweepCell,
     SweepOutcome,
     SweepStats,
-    config_digest,
     run_grid,
 )
 
@@ -60,11 +58,9 @@ __all__ = [
     "CellRecord",
     "CellResult",
     "ExperimentConfig",
-    "SweepCache",
     "SweepCell",
     "SweepOutcome",
     "SweepStats",
-    "config_digest",
     "run_grid",
     "LaxitySweepResult",
     "OverheadResult",

@@ -13,7 +13,6 @@ Examples::
 Parallel sweeps (see EXPERIMENTS.md "Parallel sweeps" appendix)::
 
     python -m repro.experiments fig5 --quick --jobs 4
-    python -m repro.experiments fig5 --quick --jobs 4 --resume
     python -m repro.experiments fig5 --quick --jobs 4 --export fig5.json
 
 Observability (see EXPERIMENTS.md appendix for the schemas)::
@@ -51,7 +50,6 @@ from ..runtime import BACKEND_NAMES
 from ..service.admission import ADMISSION_POLICY_NAMES
 from ..workload.arrivals import ARRIVAL_NAMES
 from .config import ExperimentConfig
-from .sweep import DEFAULT_CACHE_DIR
 from .extensions import (
     ablation_interconnect,
     extension_load_sweep,
@@ -326,39 +324,14 @@ FLAGS: Dict[str, Flag] = {
         "--jobs",
         "-j",
         type=positive_int,
-        help=(
-            "worker processes for independent cells (default 1 = serial; "
-            f"implies caching under {DEFAULT_CACHE_DIR} unless --no-cache)"
-        ),
-    ),
-    "cache_dir": _flag(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "cache finished cells under DIR so re-runs skip them "
-            f"(default {DEFAULT_CACHE_DIR} when --jobs/--resume is given, "
-            "otherwise off)"
-        ),
-    ),
-    "no_cache": _flag(
-        "--no-cache",
-        action="store_true",
-        help="never read or write the cell cache, even with --jobs",
-    ),
-    "resume": _flag(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted sweep: re-run only cells missing from "
-            "the cache (implies caching)"
-        ),
+        help="worker processes for independent cells (default 1 = serial)",
     ),
     "export": _flag(
         "--export",
         metavar="PATH",
         help=(
             "also write the figure's data as JSON to PATH "
-            f"({EXPORTING} only; byte-stable across --jobs/--resume)"
+            f"({EXPORTING} only; byte-stable across --jobs)"
         ),
     ),
     # --- observability ---
@@ -570,6 +543,7 @@ CONFIG_FLAGS = {
     "backend": "backend",
     "scheduler": "scheduler",
     "partition_policy": "partition_policy",
+    "jobs": "jobs",
 }
 
 #: The three live-fleet knobs 'cluster' and serve share: dest ->
@@ -604,12 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_flags(sharding, "domains", "partition_policy")
     sweeps = parser.add_argument_group(
         "parallel sweeps",
-        "fan cells over worker processes and cache finished cells "
-        "(results are byte-identical for every combination of these flags)",
+        "fan cells over worker processes (results are byte-identical "
+        "for every --jobs)",
     )
-    add_flags(sweeps, "jobs", "cache_dir")
-    add_flags(sweeps.add_mutually_exclusive_group(), "no_cache", "resume")
-    add_flags(sweeps, "export")
+    add_flags(sweeps, "jobs", "export")
     add_flags(parser.add_mutually_exclusive_group(), "verbose", "quiet")
     add_flags(parser, "trace_out", "metrics_out")
     cluster = parser.add_argument_group(
@@ -655,41 +627,17 @@ def write_metrics_snapshot(
         handle.write("\n")
 
 
-def sweep_execution_from_args(args: argparse.Namespace) -> dict:
-    """The (jobs, cache_dir) overrides the sweep flags imply.
-
-    Caching policy: ``--cache-dir`` always enables it; ``--jobs N`` and
-    ``--resume`` turn it on under :data:`DEFAULT_CACHE_DIR` (``--resume``
-    is nothing more than that: the engine consults whatever cache it is
-    given); ``--no-cache`` forces it off; and a plain serial invocation
-    leaves it off entirely, so the default CLI run touches nothing on disk.
-    """
-    jobs = args.jobs if args.jobs is not None else 1
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    elif args.resume or jobs > 1:
-        cache_dir = DEFAULT_CACHE_DIR
-    else:
-        cache_dir = None
-    return {"jobs": jobs, "cache_dir": cache_dir}
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Build the run's :class:`ExperimentConfig` from parsed CLI flags.
 
     Starts from the chosen scale (``--paper`` / ``--quick``), applies the
-    generic workload overrides, then the sweep-execution knobs from
-    :func:`sweep_execution_from_args`.  Raises ``ValueError`` for what only
-    the whole config can refuse (see :func:`usage_errors`).
+    generic workload overrides and ``--jobs``.  Raises ``ValueError`` for
+    what only the whole config can refuse (see :func:`usage_errors`).
     """
     config = (
         ExperimentConfig.paper() if args.paper else ExperimentConfig.quick()
     )
-    overrides = {
-        **sweep_execution_from_args(args), **given(args, CONFIG_FLAGS)
-    }
+    overrides = given(args, CONFIG_FLAGS)
     if args.domains is not None:
         if len(args.domains) == 1:
             overrides["domains"] = args.domains[0]
@@ -719,7 +667,7 @@ def _sweep_regret(result) -> dict:
     Shape: ``{scheduler: {x_value: summary}}`` using
     :func:`repro.metrics.regret.summarize_regret`; cells without regret
     data (non-figure results) contribute nothing.  Deterministic given
-    the cells, so exports stay byte-stable across ``--jobs``/``--resume``.
+    the cells, so exports stay byte-stable across ``--jobs``.
     """
     section: dict = {}
     for (scheduler, x), cell in getattr(result, "cells", {}).items():

@@ -13,32 +13,19 @@ drives the result shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from ..core.domains import PARTITION_POLICIES
+from ..database.database import DatabaseConfig
 from ..service.admission import ADMISSION_POLICY_NAMES
 from ..workload.arrivals import ARRIVAL_NAMES
-
-#: Fields describing *how* a sweep executes (parallelism, caching) rather
-#: than *what* it computes.  They are excluded from
-#: :meth:`ExperimentConfig.cache_fields`, so changing them can never
-#: invalidate cached results — ``--jobs 4`` reuses cells computed serially.
-EXECUTION_FIELDS = ("jobs", "cache_dir")
-
-#: Fields that say which seeds a cell repeats.  ``run_once(config,
-#: scheduler, seed)`` reads neither (the seed is an argument), so they are
-#: no part of a run's identity: ``--runs 3`` then ``--runs 10`` recomputes
-#: seven seeds per point.
-STATISTICS_FIELDS = ("runs", "base_seed")
 
 #: The fields the seed half of a workload reads
 #: (:func:`repro.workload.transactions.draw_workload`): with the seed, they
 #: fix the rows, the index, the transactions and their deadlines.
 DRAW_FIELDS = (
-    "num_subdatabases",
     "records_per_subdb",
-    "num_attributes",
     "domain_size",
     "num_transactions",
     "slack_factor",
@@ -68,11 +55,11 @@ class ExperimentConfig:
     """
 
     # --- workload (paper Section 5.1) ---
+    # The database has the paper's d = 10 sub-databases of 10 attributes
+    # each (DatabaseConfig's defaults); only its size varies here.
     num_transactions: int = 1000
     slack_factor: float = 1.0
-    num_subdatabases: int = 10
     records_per_subdb: int = 1000
-    num_attributes: int = 10
     domain_size: int = 100
     # Probability a transaction gives a key value (None = paper-literal
     # uniform attribute subsets, ~55%).  At paper scale 1000 transactions
@@ -107,9 +94,7 @@ class ExperimentConfig:
     # Registry name of the scheduler to run (see repro.core.registry).
     # None means "no explicit choice": experiments fall back to their own
     # scheduler set (the figures compare rtsads vs dcols), while a name
-    # pins every cell of a sweep to that one scheduler.  An ordinary
-    # cache field, so `--scheduler edf` sweeps are content-addressed
-    # separately from the default comparisons.
+    # pins every cell of a sweep to that one scheduler.
     scheduler: Optional[str] = None
 
     # --- sharding (see src/repro/sharding/) ---
@@ -117,9 +102,7 @@ class ExperimentConfig:
     # the partitioning policy (a member of
     # repro.core.domains.PARTITION_POLICIES).  domains=1 is the paper's
     # single-master system; domains>1 dispatches through the sharded
-    # runtime (sim) or the multi-master launcher (cluster).  Ordinary
-    # cache fields, so shard-curve sweeps are content-addressed like any
-    # other axis.
+    # runtime (sim) or the multi-master launcher (cluster).
     domains: int = 1
     partition_policy: str = "hash"
 
@@ -133,21 +116,16 @@ class ExperimentConfig:
     # repro.workload.arrivals.ARRIVAL_NAMES), the offered load as a
     # fraction of fleet capacity (1.0 = mean arrival work == what the
     # workers can clear), and the admission/overload-shedding policy
-    # (a key of repro.service.admission.ADMISSION_POLICY_NAMES).  They
-    # are ordinary cache fields, so load-curve grids are content-addressed
-    # like every other sweep axis.
+    # (a key of repro.service.admission.ADMISSION_POLICY_NAMES).
     arrival: str = "burst"
     offered_load: float = 1.0
     admission_policy: str = "reject-newest"
 
     # --- sweep execution (see experiments/sweep.py) ---
-    # How the cell grid executes: worker processes to fan cells across
-    # (1 = every cell in this process) and where finished cells are kept
-    # and looked up (None = no cache).  Neither affects what is computed —
-    # they are excluded from the cache key (EXECUTION_FIELDS) and results
-    # are byte-identical for every (jobs, cache_dir) combination.
+    # Worker processes to fan the cell grid across (1 = every cell in
+    # this process).  It does not affect what is computed: results are
+    # byte-identical for every value.
     jobs: int = 1
-    cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         """Reject configurations no experiment could meaningfully run."""
@@ -237,7 +215,9 @@ class ExperimentConfig:
     @property
     def total_records(self) -> int:
         """``r``: global record count."""
-        return self.num_subdatabases * self.records_per_subdb
+        return DatabaseConfig(
+            records_per_subdb=self.records_per_subdb
+        ).total_records
 
     @property
     def scan_cost(self) -> float:
@@ -291,24 +271,6 @@ class ExperimentConfig:
         """The :data:`DRAW_FIELDS` values: which rows, transactions and
         deadlines a seed yields, whatever ``m`` and ``R`` place them on."""
         return tuple(getattr(self, name) for name in DRAW_FIELDS)
-
-    def cache_fields(self) -> Dict[str, object]:
-        """Every field one seeded run reads, as plain types.
-
-        This is the identity the sweep cache hashes: all workload,
-        machine, cost-model, backend, sharding and service fields —
-        everything except :data:`EXECUTION_FIELDS` (how a sweep executes),
-        :data:`STATISTICS_FIELDS` (which seeds) and the
-        one-valued ``kernel``.  Any change to any returned value must
-        invalidate cached cells, and no other change may (both tested in
-        ``tests/experiments/test_sweep.py``).
-        """
-        unread = (*EXECUTION_FIELDS, *STATISTICS_FIELDS, "kernel")
-        return {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name not in unread
-        }
 
 
 #: Sweep axes used by the figure reproductions (paper Section 5.1).

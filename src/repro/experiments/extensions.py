@@ -263,9 +263,9 @@ def service_curve(config: Optional[ExperimentConfig] = None) -> SweepResult:
     delivered on time as the stream crosses capacity.
 
     Every cell is a plain ``ExperimentConfig`` on the ``service`` backend,
-    so the figure runs like every other one — cells cache and export
-    exactly like the simulator figures (a live backend's cells run one at
-    a time in the parent; ``--jobs`` fan-out does not apply).
+    so the figure runs and exports like every other one (a live
+    backend's cells run one at a time in the parent; ``--jobs`` fan-out
+    does not apply).
     """
     config = config or ExperimentConfig.quick()
     scheduler = config.scheduler or "rtsads"

@@ -115,8 +115,8 @@ def _run_sweep(
     engine (:func:`repro.experiments.sweep.run_grid`) as one batch, so with
     ``jobs > 1`` a single worker pool covers every (series, x, seed) cell.
     Cells land in deterministic (series-major, x-minor, seed-innermost)
-    order whatever the worker count or cache state, so the figure is
-    byte-identical across them.
+    order whatever the worker count, so the figure is byte-identical
+    across them.
     """
     figure = FigureData(
         title=title, x_label=x_label, x_values=list(x_values), notes=list(notes)

@@ -281,9 +281,9 @@ def run_cell(config: ExperimentConfig, scheduler_name: str) -> CellResult:
     """Run every repetition of one cell and aggregate the paper's metrics.
 
     The one-spec call of the cell engine
-    (:func:`repro.experiments.sweep.run_grid`): cached repetitions are
-    reused and, with ``config.jobs > 1``, missing ones fan across worker
-    processes; the results are bit-identical either way.  Not thread-safe
+    (:func:`repro.experiments.sweep.run_grid`): with ``config.jobs > 1``
+    the repetitions fan across worker processes; the results are
+    bit-identical either way.  Not thread-safe
     under instrumentation (the metrics registry is unlocked); virtual
     quanta throughout.
     """

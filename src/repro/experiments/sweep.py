@@ -1,4 +1,4 @@
-"""The cell engine: run every repetition of a grid, cache and fan out.
+"""The cell engine: run every repetition of a grid, and fan it out.
 
 A figure reproduction is a grid of independent *cells* — one
 ``(config, scheduler, seed)`` triple per repetition per sweep point — and
@@ -6,7 +6,7 @@ nothing about the paper's evaluation couples them: every cell rebuilds its
 own workload and scheduler from the seed.  :func:`run_grid` is the only
 code that runs repetitions and folds them into a
 :class:`~repro.experiments.runner.CellResult`; a plain serial run is the
-same call at ``jobs=1`` with no cache directory.  On top of that one loop:
+same call at ``jobs=1``.  On top of that one loop:
 
 * **fan-out** — with ``jobs > 1`` cells execute on a ``multiprocessing``
   pool.  Every worker rebuilds its cells' state from the pickled cell
@@ -17,51 +17,36 @@ same call at ``jobs=1`` with no cache directory.  On top of that one loop:
   (~0.3 s) before its first cell, which is as long as a whole quick
   figure grid.  Elsewhere, or with other threads running, workers are
   *spawned*;
-* **content-addressed cache** — with a ``cache_dir`` each finished cell
-  persists one small JSON record under ``<cache_dir>/<config digest>/``,
-  keyed by the config's
-  :meth:`~repro.experiments.config.ExperimentConfig.cache_fields` hash plus
-  ``(scheduler, seed)``; the cache is consulted on every call, so re-runs
-  (``--resume`` after an interruption, ``--runs 10`` after ``--runs 3``)
-  execute only the missing cells;
 * **deterministic merge** — results aggregate in ``config.seeds()`` order
-  regardless of completion order, worker count, or cache hits, so figure
-  JSON is byte-identical across every ``(jobs, cache)`` combination (CI's
-  ``sweep-smoke`` job asserts the bytes);
+  regardless of completion order or worker count, so figure JSON is
+  byte-identical for every ``jobs`` (CI's ``sweep-smoke`` job asserts the
+  bytes);
 * **observability** — one progress line per finished cell, per-cell wall
-  timing into the metrics registry (``sweep_cell_seconds``), and hit/miss
-  counters (``sweep_cells{source=...}``).
+  timing into the metrics registry (``sweep_cell_seconds``), and a cell
+  counter (``sweep_cells``).
 
 A spec is ``(config, scheduler_name)``, or ``(config, scheduler_name,
 backend)`` when every repetition departs from the config the same way — a
 table row's :class:`~repro.runtime.sim.SimBackend` variant.  Where a cell
-runs and whether it is cached are read off the cell itself.  A cell on a
+runs is read off the cell itself.  A cell on a
 :attr:`~repro.runtime.backend.ExecutionBackend.live` backend spawns its
 own worker processes and binds a listening socket, so it runs in the
-parent, one at a time; every other cell may go to a pool worker.  A
-cell carrying a backend instance has no content address (the config does
-not say what the instance substitutes), so it is never cached.
+parent, one at a time; every other cell may go to a pool worker.
 
 Units: everything a :class:`CellRecord` stores under a ``*_time`` /
 ``makespan`` name is virtual quanta (one tuple-check = 1.0 unit);
 ``wall_seconds`` and ``elapsed_seconds`` are real host seconds.
-Process-safety: cache writes are atomic (temp file + ``os.replace``), so
-concurrent sweeps sharing a cache directory at worst recompute a cell —
-they can never read a torn record.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import shutil
 import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import (
@@ -80,20 +65,6 @@ from ..runtime.backend import ExecutionBackend, get_backend
 from .config import ExperimentConfig
 from .runner import CellResult, run_once
 
-#: Bump when the CellRecord schema changes: a new version can never read
-#: (or be poisoned by) records written by an older one.
-#: v2: records carry the cell's counter deltas, so cached cells keep
-#: their metrics contribution on --resume.
-#: v3: records carry the run's schedulability-oracle regret section, and
-#: the config grew a ``scheduler`` cache field.
-#: v4: records carry the run's migration section, and the config grew
-#: ``domains`` / ``partition_policy`` cache fields.
-CACHE_SCHEMA_VERSION = 4
-
-#: The cache directory the CLI defaults to (relative to the working dir).
-DEFAULT_CACHE_DIR = "results/cache"
-
-
 # ----- the unit of work ------------------------------------------------------
 
 
@@ -110,8 +81,7 @@ class SweepCell:
     scheduler_name: str
     seed: int
     #: The spec's backend instance; ``None`` means ``config.backend`` by
-    #: name, the only kind of cell the config fully describes (and so the
-    #: only kind the cache may hold).
+    #: name.
     backend: Optional[ExecutionBackend] = None
 
     def resolve_backend(self) -> ExecutionBackend:
@@ -121,16 +91,16 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CellRecord:
-    """The per-repetition scalars every aggregation consumes, cache-stably.
+    """The per-repetition scalars every aggregation consumes.
 
     Exactly the values :class:`~repro.experiments.runner.CellResult` reads
     off a :class:`~repro.runtime.report.RunReport`, captured once so a
-    cached cell aggregates bit-identically to a fresh one (JSON floats
-    round-trip exactly via ``repr``).  ``total_scheduling_time`` and
-    ``makespan`` are virtual quanta; ``wall_seconds`` is the backend's
-    reported real time and ``elapsed_seconds`` the engine-measured wall
-    time of producing this record (0.0 when it came from the cache).
-    Immutable, hence safe to share across threads.
+    pooled cell aggregates bit-identically to an in-parent one: a pool
+    child returns the record itself, and pickling round-trips its floats
+    exactly.  ``total_scheduling_time`` and ``makespan`` are virtual
+    quanta; ``wall_seconds`` is the backend's reported real time and
+    ``elapsed_seconds`` the engine-measured wall time of producing this
+    record.  Immutable, hence safe to share across threads.
     """
 
     scheduler_name: str
@@ -147,13 +117,11 @@ class CellRecord:
     wall_seconds: float
     elapsed_seconds: float = 0.0
     #: Worst-case processor time reclaimed by early completions (virtual
-    #: quanta); 0.0 for every run under the worst-case execution model, so
-    #: records written before the field existed read back exactly.
+    #: quanta); 0.0 for every run under the worst-case execution model.
     reclaimed_time: float = 0.0
-    #: Counter deltas this cell's run produced (``format_key`` -> value).
-    #: Persisted with the record so a cached cell still contributes its
-    #: metrics to ``--metrics-out`` on resume; empty when the run was
-    #: uninstrumented.
+    #: Counter deltas this cell's run produced (``format_key`` -> value),
+    #: carried back from a pool child for ``--metrics-out``; empty when
+    #: the run was uninstrumented.
     counters: Dict[str, float] = field(default_factory=dict)
     #: The run's schedulability-oracle verdict + regret (see
     #: :func:`repro.analysis.schedulability.regret_section`); empty when
@@ -180,104 +148,6 @@ class CellRecord:
             reclaimed_time=report.reclaimed_time,
             regret=dict(report.regret),
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view, the JSON cache-file payload."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "CellRecord":
-        """Rebuild a record from :meth:`as_dict` output (cache read path)."""
-        return cls(**payload)
-
-
-# ----- content-addressed cache ----------------------------------------------
-
-
-def config_digest(config: ExperimentConfig) -> str:
-    """Stable hex digest of everything one seeded run reads from ``config``.
-
-    Hashes the canonical JSON of :meth:`ExperimentConfig.cache_fields`
-    plus :data:`CACHE_SCHEMA_VERSION`.  Execution knobs (``jobs``,
-    ``cache_dir``) are excluded by construction, so the same workload
-    computed serially and in parallel shares one digest; so is the
-    statistics block (``runs``, ``base_seed``), which no run reads — the
-    seed is in the record's file name — so a longer sweep reuses every
-    seed already computed.  Digests changed once when the
-    statistics block left the key: records written before that are never
-    found again (and never misread).
-    """
-    canonical = json.dumps(
-        {"schema": CACHE_SCHEMA_VERSION, **config.cache_fields()},
-        sort_keys=True,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class SweepCache:
-    """One directory of finished-cell records, keyed by config digest.
-
-    Layout: ``<root>/<digest[:16]>/<scheduler>-seed<seed>.json`` plus a
-    ``config.json`` manifest per digest directory for human inspection.
-    Writes are atomic (temp file + ``os.replace``), so the cache is safe
-    under concurrent sweeps from multiple processes; loads of missing or
-    torn entries return ``None`` (the cell simply re-executes).
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    def cell_path(self, cell: SweepCell) -> Path:
-        """Where ``cell``'s record lives (whether or not it exists yet)."""
-        digest = config_digest(cell.config)
-        return (
-            self.root
-            / digest[:16]
-            / f"{cell.scheduler_name}-seed{cell.seed}.json"
-        )
-
-    def load(self, cell: SweepCell) -> Optional[CellRecord]:
-        """The cached record for ``cell``, or ``None`` on any miss.
-
-        Unreadable or schema-mismatched files count as misses, never as
-        errors: a half-written entry from an interrupted sweep must not
-        wedge the resume that is trying to recover from it.
-        """
-        path = self.cell_path(cell)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            record = CellRecord.from_dict(payload["record"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        return record
-
-    def store(self, cell: SweepCell, record: CellRecord) -> Path:
-        """Atomically persist ``cell``'s record; returns the final path."""
-        path = self.cell_path(cell)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        manifest = path.parent / "config.json"
-        if not manifest.exists():
-            self._write_atomic(
-                manifest,
-                json.dumps(cell.config.cache_fields(), indent=2,
-                           sort_keys=True),
-            )
-        document = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "config_digest": config_digest(cell.config),
-            "record": record.as_dict(),
-        }
-        self._write_atomic(path, json.dumps(document, indent=2,
-                                            sort_keys=True))
-        return path
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        """Write-then-rename so readers never observe a partial file."""
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        temp.write_text(text + "\n", encoding="utf-8")
-        os.replace(temp, path)
 
 
 # ----- running one cell ------------------------------------------------------
@@ -306,36 +176,35 @@ def _run_here(cell: SweepCell, obs) -> CellRecord:
 
 
 def _run_in_child(
-    payload: Tuple[int, SweepCell, Optional[str]]
-) -> Tuple[int, Dict[str, object]]:
-    """Pool worker: run one cell and return ``(index, record dict)``.
+    payload: Tuple[int, SweepCell, bool, Optional[str]]
+) -> Tuple[int, CellRecord]:
+    """Pool worker: run one cell and return ``(index, record)``.
 
-    ``payload`` is ``(index, cell, trace_path)``.  A child never writes
-    to the parent's sink or registry — a forked one still holds copies of
-    both — so it runs with instrumentation disabled unless the parent is
-    tracing and passes a path: the child then instruments itself into a
-    private JSONL file there, with a fresh registry whose values *are* the
-    cell's counter deltas, and the parent adopts both when the cell
-    finishes — ``--trace-out --jobs N`` loses nothing relative to
-    ``--jobs 1``.  Module-level by necessity: spawn pickles the function
-    by reference.
+    ``payload`` is ``(index, cell, counted, trace_path)``.  A child never
+    writes to the parent's sink or registry — a forked one still holds
+    copies of both.  When the parent is instrumented (``counted``), the
+    child runs under a fresh registry whose values *are* the cell's
+    counter deltas, returned on the record; when the parent also traces,
+    the child writes its events to a private JSONL file at
+    ``trace_path``, which the parent adopts as the cell finishes.  So
+    ``--metrics-out`` and ``--trace-out`` at ``--jobs N`` lose nothing
+    relative to ``--jobs 1``.  Otherwise the child runs uninstrumented.
+    Module-level by necessity: spawn pickles the function by reference.
     """
-    index, cell, trace_path = payload
-    if trace_path is None:
+    index, cell, counted, trace_path = payload
+    if not counted:
         with instrumented(NULL_INSTRUMENTATION):
-            record = _run_here(cell, NULL_INSTRUMENTATION)
-        return index, record.as_dict()
+            return index, _run_here(cell, NULL_INSTRUMENTATION)
     obs = Instrumentation(
         metrics=MetricsRegistry(),
         logger=StructuredLogger(name="repro.sweep", level=OFF),
-        sink=JsonlSink(trace_path),
+        sink=JsonlSink(trace_path) if trace_path else None,
     )
     try:
         with instrumented(obs):
-            record = _run_here(cell, obs)
+            return index, _run_here(cell, obs)
     finally:
         obs.close()
-    return index, record.as_dict()
 
 
 def _run_in_pool(
@@ -362,14 +231,16 @@ def _run_in_pool(
     # Imported here: a serial sweep, every simulator run's, starts no pool.
     import multiprocessing
 
-    payloads = [(index, cell, trace_path(index)) for index, cell in items]
+    payloads = [
+        (index, cell, obs.enabled, trace_path(index)) for index, cell in items
+    ]
     try:
         context = multiprocessing.get_context(_start_method())
         with context.Pool(processes=min(jobs, len(items))) as pool:
-            for index, payload in pool.imap_unordered(_run_in_child, payloads):
+            for index, record in pool.imap_unordered(_run_in_child, payloads):
                 if trace_dir:
                     _adopt_cell_trace(obs, trace_path(index))
-                yield index, CellRecord.from_dict(payload)
+                yield index, record
     finally:
         if trace_dir:
             shutil.rmtree(trace_dir, ignore_errors=True)
@@ -392,11 +263,10 @@ def _start_method() -> str:
 
 @dataclass
 class SweepStats:
-    """What one :func:`run_grid` invocation actually did (wall seconds)."""
+    """What one :func:`run_grid` invocation did (wall seconds)."""
 
     total_cells: int = 0
     executed: int = 0
-    cached: int = 0
     jobs: int = 1
     elapsed_seconds: float = 0.0
 
@@ -411,36 +281,26 @@ class SweepOutcome:
 
 
 def run_grid(
-    specs: Sequence[tuple],
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
+    specs: Sequence[tuple], *, jobs: Optional[int] = None
 ) -> SweepOutcome:
     """Run every repetition of every spec and fold each into a cell.
 
     A spec is ``(config, scheduler_name)``, optionally followed by the
-    backend instance every repetition runs on (a simulator variant; never
-    cached).  The execution knobs default to the first config's ``jobs`` /
-    ``cache_dir`` fields (keyword arguments override).  Cells found in the
-    cache are not re-executed; with ``jobs > 1`` the rest fan across a
-    pool of that many workers, except a live backend's, which stay
-    in the parent and run one at a time.  With ``jobs=1`` every cell runs
-    here, in order.
+    backend instance every repetition runs on (a simulator variant).
+    ``jobs`` defaults to the first config's ``jobs`` field.  With
+    ``jobs > 1`` the cells fan across a pool of that many workers, except
+    a live backend's, which stay in the parent and run one at a time;
+    with ``jobs=1`` every cell runs here, in order.
 
     Aggregation order is fixed by ``specs`` and ``config.seeds()`` — never
     by completion order — so the returned :class:`SweepOutcome` is
-    bit-identical for any worker count or cache state.  Safe to call from
-    any thread, but do not share one cache directory between two
-    *schemas*; the version stamp protects reads either way.
+    bit-identical for any worker count.
     """
     if not specs:
         return SweepOutcome()
-    first = specs[0][0]
-    jobs = first.jobs if jobs is None else jobs
-    cache_dir = first.cache_dir if cache_dir is None else cache_dir
+    jobs = specs[0][0].jobs if jobs is None else jobs
     if jobs <= 0:
         raise ValueError("jobs must be positive (1 = serial)")
-    cache = SweepCache(cache_dir) if cache_dir else None
 
     # One flat, deterministically indexed cell list across all specs.
     cells: List[SweepCell] = []
@@ -452,44 +312,26 @@ def run_grid(
         spec_slices.append((start, len(cells)))
 
     obs = get_instrumentation()
+    stats = SweepStats(total_cells=len(cells), jobs=jobs)
+    obs.logger.info("sweep start", cells=len(cells), jobs=jobs)
     records: Dict[int, CellRecord] = {}
-    pending: List[Tuple[int, SweepCell]] = []
-    for index, cell in enumerate(cells):
-        cached = cache.load(cell) if cache and not cell.backend else None
-        if cached is not None:
-            records[index] = cached
-            _note_cell(obs, cell, cached, index, len(cells), source="cache")
-        else:
-            pending.append((index, cell))
-
-    stats = SweepStats(total_cells=len(cells), cached=len(records), jobs=jobs)
-    obs.logger.info(
-        "sweep start",
-        cells=len(cells),
-        cached=stats.cached,
-        to_run=len(pending),
-        jobs=jobs,
-    )
 
     def finish(index: int, record: CellRecord) -> None:
-        """Accept one freshly executed cell: record, cache, account, log."""
-        cell = cells[index]
+        """Accept one executed cell: record, account, log."""
         records[index] = record
         stats.executed += 1
-        if cache and not cell.backend:
-            cache.store(cell, record)
-        _note_cell(obs, cell, record, index, len(cells), source="run")
+        _note_cell(obs, cells[index], record, index, len(cells))
 
     started = time.perf_counter()
     pooled = [
         (index, cell)
-        for index, cell in pending
+        for index, cell in enumerate(cells)
         if not cell.resolve_backend().live
     ]
     if jobs > 1 and len(pooled) > 1:  # a pool of one buys nothing
         for index, record in _run_in_pool(pooled, jobs, obs):
             finish(index, record)
-    for index, cell in pending:
+    for index, cell in enumerate(cells):
         if index not in records:
             finish(index, _run_here(cell, obs))
 
@@ -498,7 +340,6 @@ def run_grid(
         "sweep done",
         cells=stats.total_cells,
         executed=stats.executed,
-        cached=stats.cached,
         jobs=stats.jobs,
         elapsed_s=round(stats.elapsed_seconds, 3),
     )
@@ -510,11 +351,8 @@ def run_grid(
         outcome.cells.append(cell)
         if obs.enabled:
             # The per-cell summary of --metrics-out.  Counter deltas sum
-            # over the spec's records: fresh cells captured them at
-            # execution time (in the child or around the in-parent run)
-            # and cached cells persisted them in their cache records, so a
-            # resumed sweep reports the same totals as the run that
-            # populated the cache.
+            # over the spec's records, each captured at execution time (in
+            # the child or around the in-parent run).
             summed: Dict[str, float] = {}
             for record in ordered:
                 for key, value in record.counters.items():
@@ -579,9 +417,9 @@ def _aggregate(
 ) -> CellResult:
     """Fold per-seed records into one ``CellResult`` in seed order.
 
-    Append per repetition, sum the violations: cached, pooled and
-    in-parent records fold through these same lines, so they cannot
-    diverge even in float rounding.
+    Append per repetition, sum the violations: pooled and in-parent
+    records fold through these same lines, so they cannot diverge even in
+    float rounding.
     """
     return CellResult(
         scheduler_name=scheduler_name,
@@ -599,19 +437,17 @@ def _aggregate(
 
 
 def _note_cell(
-    obs, cell: SweepCell, record: CellRecord, index: int, total: int,
-    *, source: str,
+    obs, cell: SweepCell, record: CellRecord, index: int, total: int
 ) -> None:
-    """Per-cell observability: progress line, timing histogram, counters."""
+    """Per-cell observability: progress line, timing histogram, counter."""
     if not obs.enabled:
         return
-    obs.metrics.counter("sweep_cells", source=source).inc()
-    if source == "run":
-        obs.metrics.histogram(
-            "sweep_cell_seconds",
-            scheduler=cell.scheduler_name,
-            backend=record.backend,
-        ).observe(record.elapsed_seconds)
+    obs.metrics.counter("sweep_cells").inc()
+    obs.metrics.histogram(
+        "sweep_cell_seconds",
+        scheduler=cell.scheduler_name,
+        backend=record.backend,
+    ).observe(record.elapsed_seconds)
     obs.logger.info(
         "cell done",
         cell=f"{index + 1}/{total}",
@@ -621,6 +457,5 @@ def _note_cell(
         processors=cell.config.num_processors,
         replication=cell.config.replication_rate,
         hit_percent=round(record.hit_percent, 2),
-        source=source,
         elapsed_s=round(record.elapsed_seconds, 3),
     )

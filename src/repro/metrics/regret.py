@@ -6,7 +6,7 @@ seed; sweeps need the per-cell view — how many repetitions were provably
 feasible, how many misses the ideal scheduler would have avoided, and the
 mean compliance-vs-bound.  These helpers aggregate the per-run sections
 without reaching back into the oracle, so they work identically on live
-reports and on cached sweep records.
+reports and on sweep cell records.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ drives it with the in-process open-loop load generator:
 the experiment's ``arrival``, ``offered_load`` and ``admission_policy``
 fields pick the stream shape and the shedding policy, so a sweep grid
 over those fields *is* a deadline-compliance-under-load study — every
-cell caches, resumes, and exports exactly like any other experiment.
+cell runs and exports exactly like any other experiment.
 
 The master's report counts every submission in ``total_tasks``, so
 ``hit_ratio`` is compliance against *offered* load — shed and rejected

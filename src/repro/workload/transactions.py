@@ -216,9 +216,7 @@ def draw_workload(
     rng = random.Random(seed)
     database = PopulatedDatabase.populate(
         DatabaseConfig(
-            num_subdatabases=experiment.num_subdatabases,
             records_per_subdb=experiment.records_per_subdb,
-            num_attributes=experiment.num_attributes,
             domain_size=experiment.domain_size,
         ),
         rng,

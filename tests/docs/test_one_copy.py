@@ -87,8 +87,8 @@ SWEEP = "experiments/sweep.py"
 
 
 def test_one_cell_engine():
-    """A serial run is ``run_grid`` at one job with no cache, not a second
-    loop chosen elsewhere; only the engine iterates a config's seeds; how a
+    """A serial run is ``run_grid`` at one job, not a second loop chosen
+    elsewhere; only the engine iterates a config's seeds; how a
     repetition departs from its config is a ``SimBackend`` variant, named
     only where it is built and consumed; a table is rows of specs."""
     bad = []
@@ -102,10 +102,6 @@ def test_one_cell_engine():
             and isinstance(first.ops[0], ast.Gt)
         ):
             bad.append(f"{path}:{node.lineno}: jobs > ... or")
-    for path, call in nodes(ast.Call):
-        arguments = list(call.args) + [kw.value for kw in call.keywords]
-        if path != SWEEP and any(is_attribute(a, "cache_dir") for a in arguments):
-            bad.append(f"{path}:{call.lineno}: passes .cache_dir")
     for path, node in nodes(ast.For, ast.AsyncFor, ast.comprehension):
         source = iterated(node)
         if (
@@ -272,8 +268,9 @@ def test_one_migration_path():
 
 #: Names of second copies that were removed, each with the law that replaced
 #: it: the projection's task renamers, the service's record and lifecycle
-#: hooks (one master class), and the migration frames and reply pump (one
-#: migration path).
+#: hooks (one master class), the migration frames and reply pump (one
+#: migration path), and the sweep cell cache (one cell engine, which
+#: recomputes every cell).
 RETIRED = (
     "project_tasks",
     "remap_tasks",
@@ -288,6 +285,10 @@ RETIRED = (
     "_await_reply",
     "OFFER_TIMEOUT_SECONDS",
     "record_timeout",
+    "SweepCache",
+    "config_digest",
+    "CACHE_SCHEMA_VERSION",
+    "cache_fields",
 )
 
 

@@ -210,8 +210,8 @@ class TestMainWithObservability:
     def test_default_run_has_no_observability_side_effects(
         self, tmp_path, capsys, monkeypatch
     ):
-        # Also guards the sweep flags' caching policy: a plain serial
-        # invocation must neither cache nor export anything.
+        # A plain invocation writes nothing: no trace, no metrics, no
+        # export.
         monkeypatch.chdir(tmp_path)
         code = main(list(self.ARGS))
         assert code == 0
@@ -219,46 +219,14 @@ class TestMainWithObservability:
 
 
 class TestSweepFlags:
-    def _execution(self, *argv):
-        from repro.experiments.cli import sweep_execution_from_args
-
-        return sweep_execution_from_args(build_parser().parse_args(argv))
-
     def test_defaults_serial_and_uncached(self):
-        assert self._execution("fig5") == {"jobs": 1, "cache_dir": None}
-
-    def test_jobs_implies_default_cache(self):
-        from repro.experiments.sweep import DEFAULT_CACHE_DIR
-
-        execution = self._execution("fig5", "--jobs", "4")
-        assert execution["jobs"] == 4
-        assert execution["cache_dir"] == DEFAULT_CACHE_DIR
-
-    def test_no_cache_wins_over_jobs(self):
-        execution = self._execution("fig5", "--jobs", "4", "--no-cache")
-        assert execution["cache_dir"] is None
-
-    def test_explicit_cache_dir(self):
-        execution = self._execution("fig5", "--cache-dir", "my/cache")
-        assert execution["cache_dir"] == "my/cache"
-
-    def test_resume_implies_default_cache(self):
-        from repro.experiments.sweep import DEFAULT_CACHE_DIR
-
-        execution = self._execution("fig5", "--resume")
-        assert execution == {"jobs": 1, "cache_dir": DEFAULT_CACHE_DIR}
-
-    def test_resume_and_no_cache_conflict(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--resume", "--no-cache"])
+        config = config_from_args(build_parser().parse_args(["fig5"]))
+        assert config.jobs == 1
 
     def test_flags_reach_the_config(self):
-        args = build_parser().parse_args(
-            ["fig5", "--jobs", "2", "--cache-dir", "c", "--resume"]
-        )
+        args = build_parser().parse_args(["fig5", "--jobs", "2"])
         config = config_from_args(args)
         assert config.jobs == 2
-        assert config.cache_dir == "c"
 
     def test_export_requires_a_figure_experiment(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -280,7 +248,6 @@ class TestSweepFlags:
                 "--quick",
                 "--runs", "1",
                 "--transactions", "30",
-                "--no-cache",
                 "--export", str(path),
             ]
         )
@@ -290,19 +257,21 @@ class TestSweepFlags:
         labels = {s["label"] for s in document["figure"]["series"]}
         assert {"RT-SADS", "D-COLS"} <= labels
 
-    def test_cached_rerun_exports_identical_bytes(self, tmp_path, capsys):
-        argv = [
-            "fig5",
-            "--quick",
-            "--runs", "1",
-            "--transactions", "30",
-            "--cache-dir", str(tmp_path / "cache"),
+    def test_pooled_run_exports_the_serial_bytes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """--jobs changes where cells run, never the export, and leaves
+        no file behind but the export."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["fig5", "--quick", "--runs", "2", "--transactions", "30"]
+        assert main(argv + ["--export", "serial.json"]) == 0
+        assert main(argv + ["--jobs", "2", "--export", "pooled.json"]) == 0
+        serial = tmp_path / "serial.json"
+        assert serial.read_bytes() == (tmp_path / "pooled.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "pooled.json",
+            "serial.json",
         ]
-        first = tmp_path / "first.json"
-        second = tmp_path / "second.json"
-        assert main(argv + ["--export", str(first)]) == 0
-        assert main(argv + ["--resume", "--export", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
 
 
 class TestServiceParsers:

@@ -2,14 +2,13 @@
 
 The fixtures ``tests/fixtures/golden/engine_*.json`` were written at the
 commit *before* ``runner.run_cell`` lost its own repetition loop, by that
-loop (``jobs=1``, no cache): the exported JSON and the rendered report of
+loop (``jobs=1``): the exported JSON and the rendered report of
 a tiny ``figure5``, a ``shard_curve`` with k in {1, 2} and an
 ``ablation_quantum`` (whose cells carry a quantum-policy variant).
 ``engine_tables.json`` was written one simplification later, at the commit
 *before* the nine tables moved onto that engine, by their own loops.  The
 engine in ``experiments/sweep.py`` must reproduce those bytes however it
-is asked to run — in the parent, in a spawned or a forked pool, against
-a cold cache and against a warm one.
+is asked to run — in the parent, or in a spawned or a forked pool.
 
 Regenerate (only when a behaviour change is intended and understood)::
 
@@ -101,10 +100,6 @@ def _golden(stem: str) -> str:
     return (GOLDEN_DIR / f"engine_{stem}.json").read_text().rstrip("\n")
 
 
-def _cache_files(root: Path):
-    return sorted(root.glob("*/*-seed*.json"))
-
-
 @pytest.mark.parametrize("stem", FIGURES)
 def test_in_the_parent_without_a_cache(stem, tmp_path):
     document = _document(stem, TINY, tmp_path)
@@ -135,23 +130,6 @@ def test_in_a_forked_pool(stem, tmp_path, pools_entered):
     config = replace(TINY, jobs=2)
     assert _document(stem, config, tmp_path) == _golden(stem)
     assert pools_entered and set(pools_entered) == {"fork"}
-
-
-@pytest.mark.parametrize("stem", FIGURES)
-def test_cold_cache_then_warm_cache(stem, tmp_path):
-    cache_dir = tmp_path / "cache"
-    config = replace(TINY, cache_dir=str(cache_dir))
-    assert _document(stem, config, tmp_path) == _golden(stem)
-    written = _cache_files(cache_dir)
-    stamps = [path.stat().st_mtime_ns for path in written]
-    assert _document(stem, config, tmp_path) == _golden(stem)
-    # The warm run loaded every record it had written and wrote no other.
-    assert _cache_files(cache_dir) == written
-    assert [path.stat().st_mtime_ns for path in written] == stamps
-    if stem == "ablation_quantum":
-        assert written == []  # every cell carries a simulator variant
-    else:
-        assert written
 
 
 # ----- the nine tables -------------------------------------------------------
@@ -220,43 +198,13 @@ def test_tables_in_a_spawn_pool(spawned, pools_entered):
     assert pools_entered == ["spawn"] * len(TABLES) * len(TABLE_SCHEDULERS)
 
 
-def test_tables_cold_cache_then_warm_cache(tmp_path):
-    config = replace(TABLE_CONFIG, cache_dir=str(tmp_path))
-    assert _tables_document(config) == _golden("tables")
-    written = _cache_files(tmp_path)
-    stamps = [path.stat().st_mtime_ns for path in written]
-    assert _tables_document(config) == _golden("tables")
-    assert _cache_files(tmp_path) == written
-    assert [path.stat().st_mtime_ns for path in written] == stamps
-    # Only ablate-representation's cells are what their config says they
-    # are: its two schedulers, each seed, under each scheduler setting
-    # (the pin is a cache field).  A variant cell has no content address.
-    assert sorted(path.name for path in written) == sorted(
-        f"{name}-seed{seed}.json"
-        for name in ("rtsads", "dcols")
-        for seed in config.seeds()
-        for _ in TABLE_SCHEDULERS
-    )
-
-
 class TestVariantSpecs:
-    """A spec carrying a backend instance: never cached, pooled like any."""
+    """A spec carrying a backend instance: pooled like any."""
 
     SPECS = [
         (TINY, "rtsads", SimBackend(quantum_policy=FixedQuantum(5.0))),
         (TINY, "rtsads"),
     ]
-
-    def test_writes_no_cache_file(self, tmp_path):
-        outcome = run_grid(self.SPECS, cache_dir=str(tmp_path))
-        assert outcome.stats.executed == 2 * TINY.runs
-        assert len(_cache_files(tmp_path)) == TINY.runs
-        again = run_grid(self.SPECS, cache_dir=str(tmp_path))
-        assert again.stats.executed == TINY.runs
-        assert again.stats.cached == TINY.runs
-        assert [c.hit_percents for c in again.cells] == [
-            c.hit_percents for c in outcome.cells
-        ]
 
     @pytest.mark.slow
     def test_is_pooled_and_reproduces_the_in_parent_cell(self, pools_entered):
@@ -290,7 +238,7 @@ def test_no_run_outside_the_engine(name, monkeypatch):
     with instrumented(obs):
         build_experiment(name, config)
     counters = obs.metrics.snapshot()["counters"]
-    in_engine = counters["sweep_cells{source=run}"]
+    in_engine = counters["sweep_cells"]
     # E4 reads per-phase Q_s, which no cell record carries, off one extra
     # repetition per scheduler; nothing else runs beside the engine.
     extra = len(figures.PAPER_SCHEDULERS) if name == "overhead" else 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DCOLS, RTSADS, GreedyEDFScheduler, UniformCommunicationModel
 from repro.core.quantum import FixedQuantum
+from repro.database import DatabaseConfig
 from repro.experiments import (
     ExperimentConfig,
     build_scheduler,
@@ -46,7 +47,7 @@ class TestBuildWorkload:
     def test_workload_matches_config(self):
         draw, tasks = build_workload(TINY, seed=1)
         assert len(tasks) == len(draw) == 40
-        assert draw.num_subdatabases == TINY.num_subdatabases
+        assert draw.num_subdatabases == DatabaseConfig().num_subdatabases
         placement, placed = draw.place(
             TINY.num_processors, TINY.replication_rate
         )

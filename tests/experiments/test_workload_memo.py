@@ -18,7 +18,12 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.analysis import schedulability
-from repro.database import GlobalIndex, SubDatabase, Transaction
+from repro.database import (
+    DatabaseConfig,
+    GlobalIndex,
+    SubDatabase,
+    Transaction,
+)
 from repro.database import database as database_module
 from repro.experiments import (
     ExperimentConfig,
@@ -163,10 +168,9 @@ class TestBuildCounts:
         figure5(config)
         figure6(config)
         seeds = len(config.seeds())
-        assert len(drawn_subdatabases) == seeds * config.num_subdatabases
-        assert sorted(drawn_subdatabases) == sorted(
-            list(range(config.num_subdatabases)) * seeds
-        )
+        d = DatabaseConfig().num_subdatabases
+        assert len(drawn_subdatabases) == seeds * d
+        assert sorted(drawn_subdatabases) == sorted(list(range(d)) * seeds)
 
 
 class TestIsolation:
@@ -245,7 +249,7 @@ class TestBounds:
         rows = [
             obj for obj in found
             if isinstance(obj, tuple)
-            and len(obj) == TINY.num_attributes
+            and len(obj) == DatabaseConfig().num_attributes
             and all(type(value) is int for value in obj)
         ]
         assert rows == []
