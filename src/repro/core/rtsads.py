@@ -6,6 +6,13 @@ Min_Load)``, guided by the **load-balancing cost function** ``CE``, with the
 quantum-aware feasibility test that makes its correctness theorem hold.  It
 is a configuration of :class:`repro.core.scheduler.SearchScheduler`; this
 module pins the paper's choices and documents the knobs.
+
+RT-SADS makes Greedy-EDF's decisions: the expander prunes a task that fits
+nowhere (DESIGN.md §5.1) and a vertex without successors ends the phase
+(§5.2), so the first descent, in EDF order, is the whole search; and
+``CE = max(parent_max, end) + 1e-6 * end`` is strictly increasing in
+``end``, so each step takes the minimum-completion-time processor
+(pinned by ``tests/differential/test_rtsads_is_greedy_edf.py``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..core.domains import PARTITION_POLICIES
-from ..database.database import DatabaseConfig
 from ..service.admission import ADMISSION_POLICY_NAMES
 from ..workload.arrivals import ARRIVAL_NAMES
 
@@ -30,15 +29,19 @@ DRAW_FIELDS = (
     "num_transactions",
     "slack_factor",
     "key_probability",
+    "arrival",
 )
 
+#: What a draw also reads at an arrival other than ``"burst"`` (its rate).
+RATE_FIELDS = ("offered_load", "num_processors")
+
 #: The fields :func:`repro.workload.transactions.build_seeded_workload`
-#: reads: with the seed, the whole identity of a generated workload.  The
-#: two beyond :data:`DRAW_FIELDS` are read only by replica placement, so a
+#: reads at a burst: with the seed, a workload's whole identity.  The two
+#: beyond :data:`DRAW_FIELDS` are read only by replica placement, so a
 #: fig. 5 ``m``-sweep and a fig. 6 ``R``-sweep draw each seed's rows once
 #: (the runner's :class:`~repro.experiments.runner.WorkloadMemo`).
 #: ``domains``, ``partition_policy``, ``scheduler`` and ``backend`` are
-#: absent because they never reach the generator (both tuples are tested
+#: absent because they never reach the generator (both keys are tested
 #: against an attribute-recording proxy in
 #: ``tests/experiments/test_workload_memo.py``).
 WORKLOAD_FIELDS = DRAW_FIELDS + ("num_processors", "replication_rate")
@@ -111,12 +114,13 @@ class ExperimentConfig:
     # passes kernel="scalar"; the field goes when that benchmark is re-based.
     kernel: str = "scalar"
 
-    # --- service mode (see src/repro/service/; ignored by sim/cluster) ---
-    # Arrival-process name for the open-loop load generator (a key of
-    # repro.workload.arrivals.ARRIVAL_NAMES), the offered load as a
-    # fraction of fleet capacity (1.0 = mean arrival work == what the
-    # workers can clear), and the admission/overload-shedding policy
-    # (a key of repro.service.admission.ADMISSION_POLICY_NAMES).
+    # --- arrivals and admission ---
+    # Every backend's seeded draw reads the arrival process (a key of
+    # repro.workload.arrivals.ARRIVAL_NAMES) and, unless it is the paper's
+    # "burst", the offered load as a fraction of fleet capacity (1.0 = mean
+    # arrival work == what the workers can clear).  Only the service reads
+    # the admission policy (repro.service.admission.ADMISSION_POLICY_NAMES);
+    # the simulator refuses a non-default one.
     arrival: str = "burst"
     offered_load: float = 1.0
     admission_policy: str = "reject-newest"
@@ -213,13 +217,6 @@ class ExperimentConfig:
     # ----- derived quantities -------------------------------------------------
 
     @property
-    def total_records(self) -> int:
-        """``r``: global record count."""
-        return DatabaseConfig(
-            records_per_subdb=self.records_per_subdb
-        ).total_records
-
-    @property
     def scan_cost(self) -> float:
         """Worst-case cost of a non-key transaction (``k * r/d``)."""
         return float(self.records_per_subdb)
@@ -259,18 +256,24 @@ class ExperimentConfig:
         return [self.base_seed + run for run in range(self.runs)]
 
     def workload_key(self) -> Tuple[object, ...]:
-        """The :data:`WORKLOAD_FIELDS` values: which workload a seed yields.
+        """The :data:`WORKLOAD_FIELDS` values (and ``offered_load`` at an
+        open arrival): which workload a seed yields.
 
         Two configs with equal keys generate byte-identical workloads from
         the same seed, whatever scheduler, backend or domain count they
         run them on.
         """
-        return tuple(getattr(self, name) for name in WORKLOAD_FIELDS)
+        return self._key(WORKLOAD_FIELDS, "offered_load")
 
     def draw_key(self) -> Tuple[object, ...]:
-        """The :data:`DRAW_FIELDS` values: which rows, transactions and
-        deadlines a seed yields, whatever ``m`` and ``R`` place them on."""
-        return tuple(getattr(self, name) for name in DRAW_FIELDS)
+        """The :data:`DRAW_FIELDS` values (and :data:`RATE_FIELDS` at an
+        open arrival): which rows, transactions and deadlines a seed
+        yields, whatever replica placement they run on."""
+        return self._key(DRAW_FIELDS, *RATE_FIELDS)
+
+    def _key(self, names: Tuple[str, ...], *rate_names: str) -> tuple:
+        names += rate_names if self.arrival != "burst" else ()
+        return tuple(getattr(self, name) for name in names)
 
 
 #: Sweep axes used by the figure reproductions (paper Section 5.1).

@@ -38,7 +38,6 @@ from ..simulator.execution import (
     StochasticExecution,
 )
 from ..simulator.interconnect import MeshCommunicationModel, near_square_mesh
-from ..workload.arrivals import PoissonArrival
 from .config import OFFERED_LOAD_SWEEP, ExperimentConfig
 from .figures import (
     DISPLAY_NAMES,
@@ -74,10 +73,9 @@ def extension_write_mix(
         f"(P={config.num_processors}, R={config.replication_rate:.0%}, "
         f"SF={config.slack_factor:g})",
         "write fraction",
-        config,
         [
-            (fraction, SimBackend(workload={"write_fraction": fraction}))
-            for fraction in write_fractions
+            (f, config, SimBackend(workload={"write_fraction": f}))
+            for f in write_fractions
         ],
     )
 
@@ -142,30 +140,17 @@ def extension_load_sweep(
     """Open system: Poisson arrivals at a fraction of machine capacity.
 
     The paper's burst is the extreme overload point; this sweep shows each
-    algorithm's compliance as offered load crosses capacity.  The arrival
-    rate for load factor ``f`` is ``f * m / mean_cost``.
+    algorithm's compliance as offered load crosses capacity.  A row is the
+    config at ``arrival="poisson"`` and ``offered_load=f``, arriving at
+    :func:`repro.workload.arrivals.arrival_rate`'s ``f * m / mean_cost``.
     """
     config = config or ExperimentConfig.paper()
-    key_p = (
-        config.key_probability if config.key_probability is not None else 0.55
-    )
-    mean_cost = key_p * 10.0 + (1.0 - key_p) * config.scan_cost
     return _scheduler_table(
         "X2 - Open-system load sweep (Poisson arrivals, "
         f"P={config.num_processors}, R={config.replication_rate:.0%})",
         "offered load",
-        config,
         [
-            (
-                factor,
-                SimBackend(
-                    workload={
-                        "arrivals": PoissonArrival(
-                            rate=factor * config.num_processors / mean_cost
-                        )
-                    }
-                ),
-            )
+            (factor, replace(config, arrival="poisson", offered_load=factor))
             for factor in load_factors
         ],
     )
@@ -197,10 +182,10 @@ def extension_failures(
         f"(P={config.num_processors}, R={config.replication_rate:.0%}, "
         f"SF={config.slack_factor:g})",
         "processors failed",
-        config,
         [
             (
                 count,
+                config,
                 SimBackend(
                     failures=[
                         (horizon * 0.25 * (i + 1) / max(1, count), i)
@@ -243,8 +228,7 @@ def ablation_interconnect(
         "A4 - Interconnect model "
         f"(P={config.num_processors}, R={config.replication_rate:.0%})",
         "communication model",
-        config,
-        [(label, SimBackend(comm=comm)) for label, comm in comm_models],
+        [(label, config, SimBackend(comm=c)) for label, c in comm_models],
     )
 
 

@@ -186,19 +186,16 @@ def _run_table(
 
 
 def _scheduler_table(
-    title: str,
-    x_label: str,
-    config: ExperimentConfig,
-    variants: Sequence[Tuple[object, SimBackend]],
+    title: str, x_label: str, rows: Sequence[tuple]
 ) -> AblationResult:
-    """A comparison table: a row per variant, a hit-% column per scheduler."""
-    schedulers = _pick_schedulers(config)
+    """Rows of ``(label, config[, variant])``, a hit-% column per scheduler."""
+    schedulers = _pick_schedulers(rows[0][1])
     return _run_table(
         title,
         [x_label] + [DISPLAY_NAMES.get(n, n) + " hit %" for n in schedulers],
         [
-            (label, [(config, name, backend) for name in schedulers])
-            for label, backend in variants
+            (label, [(row, name, *variant) for name in schedulers])
+            for label, row, *variant in rows
         ],
     )
 

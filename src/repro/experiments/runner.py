@@ -95,11 +95,11 @@ def build_workload(
 
 
 #: Tasks and drawn transactions the process-wide workload memo may retain;
-#: the latest entry is kept whatever its size.  Large enough for the
-#: draws and task lists of one quick-scale figure cell's three seeds, or
-#: one paper-scale draw and its task list, to stay resident while the
-#: other scheduler of the cell, the oracle and the next ``m`` or ``R``
-#: ask for them again; small enough (about a megabyte of ``Task``
+#: the latest task list and its draw are kept whatever their size.  Large
+#: enough for the draws and task lists of one quick-scale figure cell's
+#: three seeds, or one paper-scale draw and its task list, to stay resident
+#: while the other scheduler of the cell, the oracle and the next ``m`` or
+#: ``R`` ask for them again; small enough (about a megabyte of ``Task``
 #: objects) that a sweep's peak memory stays that of its largest run.
 WORKLOAD_MEMO_TASKS = 2048
 
@@ -123,8 +123,8 @@ class WorkloadMemo:
     def __init__(self, max_tasks: int = WORKLOAD_MEMO_TASKS) -> None:
         self.max_tasks = max_tasks
         self._lock = threading.Lock()
-        # A draw key is two fields shorter than a workload key, so the
-        # two kinds of entry never share a key.
+        # No draw key equals a workload key: at one arrival the draw key
+        # is the shorter, and keys of two arrivals differ in ``arrival``.
         self._entries: "OrderedDict[tuple, Sized]" = OrderedDict()
 
     def tasks(self, config: ExperimentConfig, seed: int) -> Tuple[Task, ...]:
@@ -149,10 +149,11 @@ class WorkloadMemo:
         return entry
 
     def _keep(self, key: tuple, entry: Sized) -> None:
-        """Store ``entry`` as the most recent; evict the oldest over budget."""
+        """Keep ``entry`` as the newest; evict oldest over budget, not the
+        last two (the latest task list and its draw)."""
         self._entries[key] = entry
         retained = self.retained_tasks()
-        while retained > self.max_tasks and len(self._entries) > 1:
+        while retained > self.max_tasks and len(self._entries) > 2:
             _, oldest = self._entries.popitem(last=False)
             retained -= len(oldest)
 

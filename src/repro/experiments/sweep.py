@@ -266,7 +266,6 @@ class SweepStats:
     """What one :func:`run_grid` invocation did (wall seconds)."""
 
     total_cells: int = 0
-    executed: int = 0
     jobs: int = 1
     elapsed_seconds: float = 0.0
 
@@ -319,7 +318,6 @@ def run_grid(
     def finish(index: int, record: CellRecord) -> None:
         """Accept one executed cell: record, account, log."""
         records[index] = record
-        stats.executed += 1
         _note_cell(obs, cells[index], record, index, len(cells))
 
     started = time.perf_counter()
@@ -339,7 +337,6 @@ def run_grid(
     obs.logger.info(
         "sweep done",
         cells=stats.total_cells,
-        executed=stats.executed,
         jobs=stats.jobs,
         elapsed_s=round(stats.elapsed_seconds, 3),
     )

@@ -38,7 +38,7 @@ class SimBackend(ExecutionBackend):
         "comm",             # A4: the CommunicationModel (one domain only)
         "max_candidates",   # A5: the candidate-list bound (None = unbounded)
         "execution_model",  # X1: factory(database, transactions) -> model
-        "workload",         # X2, X3: build_seeded_workload keywords
+        "workload",         # X3: build_seeded_workload's write_fraction
         "failures",         # X4: (time, processor) fail-stop crashes
     )
 
@@ -99,11 +99,17 @@ class SimBackend(ExecutionBackend):
         # import time.
         from ..core.affinity import UniformCommunicationModel
         from ..core.domains import partition_workers
+        from ..experiments.config import ExperimentConfig
         from ..experiments.runner import build_scheduler, workload_tasks
         from ..sharding.migration import MigrationStats
         from ..simulator.runtime import DistributedRuntime, simulate
         from ..workload.transactions import build_seeded_workload
 
+        if config.admission_policy != ExperimentConfig.admission_policy:
+            raise ValueError(
+                f"admission_policy={config.admission_policy!r}: only the "
+                "service backend reads it; the simulator admits every task"
+            )
         variant = self.variant
         if variant:
             self.require(config)

@@ -10,8 +10,8 @@ can clear:
 
     ``rate = offered_load * workers / mean_template_cost``  [tasks/unit]
 
-mirroring the simulator's ``extension_load_sweep`` calibration, so offered
-load means the same thing on every backend.  Virtual arrival times map to
+(:func:`~repro.workload.arrivals.arrival_rate`, as in the seeded draw), so
+offered load means the same thing on every backend.  Virtual arrival times map to
 the wall through the service's ``seconds_per_unit``.
 
 Templates are the deterministically rebuilt workload transactions (the
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.config import build_cluster_workload
 from ..cluster.network import ConnectionLost
 from ..experiments.config import ExperimentConfig
-from ..workload.arrivals import ARRIVAL_NAMES, make_arrival
+from ..workload.arrivals import ARRIVAL_NAMES, arrival_rate, make_arrival
 from .client import ServiceClient
 
 
@@ -128,22 +128,6 @@ class LoadReport:
             f"{reason}={count}"
             for reason, count in sorted(self.reject_reasons.items())
         )
-
-
-def arrival_rate(experiment: ExperimentConfig, offered_load: float) -> float:
-    """Mean arrivals per virtual unit offering ``offered_load`` x capacity.
-
-    Uses the analytic mean template cost (key probability mix of probe and
-    scan costs) so the serve and load sides agree without building the
-    workload twice.
-    """
-    key_p = (
-        experiment.key_probability
-        if experiment.key_probability is not None
-        else 0.55  # the literal uniform-attribute mix's key share
-    )
-    mean_cost = key_p * 10.0 + (1.0 - key_p) * experiment.scan_cost
-    return offered_load * experiment.num_processors / mean_cost
 
 
 def run_load(

@@ -244,3 +244,19 @@ def make_arrival(name: str, rate: float, horizon: float = 0.0) -> ArrivalProcess
     if horizon <= 0:
         horizon = 100.0 / rate
     return _ARRIVALS[name](rate, horizon)
+
+
+def arrival_rate(experiment, offered_load: float) -> float:
+    """Mean arrivals per virtual unit offering ``offered_load`` x capacity.
+
+    Uses the analytic mean transaction cost (key probability mix of probe
+    and scan costs), so the seeded draw, the service and its load
+    generator agree without building the workload.
+    """
+    key_p = (
+        experiment.key_probability
+        if experiment.key_probability is not None
+        else 0.55  # the literal uniform-attribute mix's key share
+    )
+    mean_cost = key_p * 10.0 + (1.0 - key_p) * experiment.records_per_subdb
+    return offered_load * experiment.num_processors / mean_cost

@@ -31,7 +31,7 @@ from ..database.database import (
 )
 from ..database.replication import ReplicaPlacement
 from ..database.transaction import Transaction, UpdateTransaction
-from .arrivals import ArrivalProcess, BurstyArrival
+from .arrivals import ArrivalProcess, BurstyArrival, arrival_rate, make_arrival
 from .deadlines import ProportionalDeadline
 
 
@@ -202,17 +202,21 @@ class SeededDraw:
 def draw_workload(
     experiment,
     seed: int,
-    arrivals: Optional[ArrivalProcess] = None,
     write_fraction: float = 0.0,
 ) -> Tuple[SeededDraw, PopulatedDatabase, List[Transaction]]:
     """The seed half of :func:`build_seeded_workload`.
 
     Draws the rows from ``Random(seed)``, the transactions from a second
-    ``Random(seed)``, and estimates and dates each transaction; reads every
-    :data:`~repro.experiments.config.DRAW_FIELDS` field of ``experiment``
-    and neither ``num_processors`` nor ``replication_rate``.  Returns the
-    draw with the rows and transactions it was made from.
+    ``Random(seed)``, and estimates and dates each transaction; reads the
+    fields of ``experiment.draw_key()``: an open arrival comes at
+    :func:`arrival_rate`, over the time the stream takes at that rate.
+    Returns the draw with the rows and transactions it was made from.
     """
+    arrivals = None
+    if experiment.arrival != "burst":
+        rate = arrival_rate(experiment, experiment.offered_load)
+        horizon = experiment.num_transactions / rate
+        arrivals = make_arrival(experiment.arrival, rate, horizon=horizon)
     rng = random.Random(seed)
     database = PopulatedDatabase.populate(
         DatabaseConfig(
@@ -245,7 +249,6 @@ def draw_workload(
 def build_seeded_workload(
     experiment,
     seed: int,
-    arrivals: Optional[ArrivalProcess] = None,
     write_fraction: float = 0.0,
 ) -> Tuple[DistributedDatabase, TaskSet, List[Transaction]]:
     """Database, scheduler tasks and raw transactions of one seeded run.
@@ -254,17 +257,15 @@ def build_seeded_workload(
     :class:`~repro.experiments.config.ExperimentConfig`'s database and
     workload fields.  The simulator, the live master and every live worker
     rebuild byte-identical state from ``(experiment, seed)`` independently,
-    so live and simulated runs of one config see the same workload.  The
-    two keywords are the extension studies' departures from the paper's
-    read-only burst: ``arrivals`` (X2's Poisson stream) and
-    ``write_fraction`` (X3's update mix).
+    so live and simulated runs of one config see the same workload.
+    ``write_fraction`` is X3's update mix.
 
     It is the seed half (:func:`draw_workload`) followed by the placement
     half (:meth:`SeededDraw.place`), the same two steps the experiment
     runner's memo takes with the seed half kept between ``(m, R)`` points.
     """
     draw, database, transactions = draw_workload(
-        experiment, seed, arrivals, write_fraction
+        experiment, seed, write_fraction
     )
     placement, tasks = draw.place(
         experiment.num_processors, experiment.replication_rate

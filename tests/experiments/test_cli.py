@@ -369,8 +369,12 @@ class TestUsageErrors:
 #: The tables whose rows each run on a simulator variant.
 VARIANT_TABLES = [
     "ablate-quantum", "ablate-cost", "ablate-interconnect", "ablate-memory",
-    "reclaiming", "load-sweep", "write-mix", "failures",
+    "reclaiming", "write-mix", "failures",
 ]
+
+
+class _GridReached(Exception):
+    """Raised in place of running a grid, once its specs are recorded."""
 
 
 class TestVariantTables:
@@ -391,7 +395,27 @@ class TestVariantTables:
         last = captured.err.rstrip().splitlines()[-1]
         assert "error: backend 'cluster' cannot run" in last
 
-    @pytest.mark.parametrize("name", VARIANT_TABLES)
+    def test_load_sweep_rows_run_on_the_chosen_backend(self, monkeypatch):
+        """X2's rows are configs at ``arrival="poisson"``, not simulator
+        variants, so ``--backend cluster`` runs them live like fig. 5's."""
+        from repro.experiments import figures
+
+        specs = []
+
+        def record(grid, **kwargs):
+            specs.extend(grid)
+            raise _GridReached
+
+        monkeypatch.setattr(figures, "run_grid", record)
+        with pytest.raises(_GridReached):
+            main(["load-sweep", *self.TINY, "--backend", "cluster"])
+        assert specs and all(len(spec) == 2 for spec in specs)
+        assert {
+            (config.backend, config.arrival) for config, _ in specs
+        } == {("cluster", "poisson")}
+
+    # load-sweep's config rows take --domains as every figure's do.
+    @pytest.mark.parametrize("name", VARIANT_TABLES + ["load-sweep"])
     def test_domains_honoured_or_refused(self, name, tmp_path, capsys):
         import json
 

@@ -48,9 +48,6 @@ class TestScales:
 
 
 class TestDerived:
-    def test_total_records(self):
-        assert ExperimentConfig.paper().total_records == 10_000
-
     def test_scan_cost(self):
         assert ExperimentConfig.paper().scan_cost == 1000.0
 

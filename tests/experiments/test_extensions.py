@@ -47,6 +47,43 @@ class TestLoadSweep:
         light, heavy = result.rows[0][1], result.rows[1][1]
         assert light > heavy
 
+    def test_a_row_is_a_poisson_config_with_a_real_regret_section(
+        self, monkeypatch
+    ):
+        """X2's cells run the plain simulator on config rows, so the
+        offline oracle analyses each run's workload."""
+        from repro.analysis.schedulability import analyze_tasks, regret_section
+        from repro.experiments import figures, sweep
+        from repro.experiments.runner import workload_tasks
+
+        outcomes = []
+
+        def recording(specs, **kwargs):
+            outcomes.append(sweep.run_grid(specs, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(figures, "run_grid", recording)
+        extension_load_sweep(TINY, load_factors=(0.5, 1.5))
+        (outcome,) = outcomes
+        assert [
+            (cell.config.arrival, cell.config.offered_load)
+            for cell in outcome.cells
+        ] == [("poisson", 0.5)] * 2 + [("poisson", 1.5)] * 2
+        for cell in outcome.cells:
+            for seed, regret, hits in zip(
+                cell.config.seeds(), cell.regrets, cell.hit_percents
+            ):
+                assert regret["verdict"] != "unknown"
+                verdict = analyze_tasks(
+                    workload_tasks(cell.config, seed), TINY.num_processors
+                )
+                assert regret == regret_section(
+                    verdict, regret["deadline_hits"]
+                )
+                assert regret["deadline_hits"] == round(
+                    hits * TINY.num_transactions / 100
+                )
+
 
 class TestInterconnect:
     def test_structure_and_render(self):

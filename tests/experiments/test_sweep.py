@@ -74,7 +74,7 @@ class TestRunGrid:
         config = tiny_config(jobs=2)
         outcome = run_grid([(config, "rtsads")])
         assert outcome.stats.jobs == 2
-        assert outcome.stats.executed == config.runs
+        assert outcome.stats.total_cells == config.runs
 
     def test_empty_specs(self):
         outcome = run_grid([])
@@ -238,7 +238,7 @@ class TestClusterCells:
         # and binds a listener, so the engine must run it in the parent.
         monkeypatch.setattr(sweep, "_run_in_pool", None)  # never called
         out = run_grid([(config, "rtsads")], jobs=4)
-        assert out.stats.executed == 1
+        assert len(out.cells[0].hit_percents) == 1
         assert out.cells[0].config.backend == "cluster"
 
 

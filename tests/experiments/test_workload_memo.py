@@ -32,7 +32,11 @@ from repro.experiments import (
     shard_curve,
 )
 from repro.experiments import runner
-from repro.experiments.config import DRAW_FIELDS, WORKLOAD_FIELDS
+from repro.experiments.config import (
+    DRAW_FIELDS,
+    RATE_FIELDS,
+    WORKLOAD_FIELDS,
+)
 from repro.experiments.runner import (
     WORKLOAD_MEMO_TASKS,
     WorkloadMemo,
@@ -41,6 +45,17 @@ from repro.experiments.runner import (
 from repro.workload.transactions import build_seeded_workload, draw_workload
 
 TINY = ExperimentConfig.quick(num_transactions=30, num_processors=4, runs=3)
+POISSON = replace(TINY, arrival="poisson", offered_load=0.7)
+
+#: arrival -> (config, what its draw reads, what its whole build reads)
+ARRIVALS = {
+    "burst": (TINY, DRAW_FIELDS, WORKLOAD_FIELDS),
+    "poisson": (
+        POISSON,
+        DRAW_FIELDS + RATE_FIELDS,
+        WORKLOAD_FIELDS + ("offered_load",),
+    ),
+}
 
 
 @pytest.fixture
@@ -123,6 +138,19 @@ class TestKey:
         assert len(TINY.workload_key()) == len(WORKLOAD_FIELDS)
         assert len(TINY.draw_key()) == len(DRAW_FIELDS)
 
+    def test_draw_keys_and_workload_keys_never_meet(self):
+        configs = [
+            replace(config, num_processors=m, offered_load=load)
+            for config in (TINY, POISSON)
+            for m in (2, 4)
+            for load in (0.7, 1.0)
+        ]
+        draws = {config.draw_key() for config in configs}
+        workloads = {config.workload_key() for config in configs}
+        assert len(draws) == 1 + 4  # a burst reads neither m nor the load
+        assert len(workloads) == 2 + 4
+        assert not draws & workloads
+
     def test_placement_is_not_in_the_draw_key(self):
         elsewhere = TINY.with_processors(9).with_replication(0.8)
         assert elsewhere.draw_key() == TINY.draw_key()
@@ -145,6 +173,50 @@ class TestKey:
         assert workload_tasks(TINY.with_replication(0.9), 3) is not base
 
 
+@pytest.mark.parametrize("arrival", sorted(ARRIVALS))
+class TestKeyPerArrival:
+    def test_the_draw_reads_its_fields(self, arrival):
+        config, draw_fields, _ = ARRIVALS[arrival]
+        proxy = _RecordingConfig(config)
+        draw_workload(proxy, 1)
+        assert proxy.read == set(draw_fields)
+        assert "replication_rate" not in proxy.read
+        rate_fields = {"offered_load", "num_processors"}
+        if arrival == "burst":
+            assert not proxy.read & rate_fields
+        else:
+            assert proxy.read - set(DRAW_FIELDS) == rate_fields
+
+    def test_each_half_reads_exactly_what_its_key_holds(self, arrival):
+        config, draw_fields, workload_fields = ARRIVALS[arrival]
+        assert config.draw_key() == tuple(
+            getattr(config, name) for name in draw_fields
+        )
+        assert config.workload_key() == tuple(
+            getattr(config, name) for name in workload_fields
+        )
+        drawn = _RecordingConfig(config)
+        draw, _ = runner.build_workload(drawn, 1)
+        assert drawn.read == set(workload_fields)
+        placed = _RecordingConfig(config)
+        runner.build_workload(placed, 1, draw)
+        assert placed.read == {"num_processors", "replication_rate"}
+        whole = _RecordingConfig(config)
+        build_seeded_workload(whole, 1)
+        assert whole.read == set(workload_fields)
+
+    def test_what_the_draw_reads_changes_what_it_draws(self, arrival):
+        config, draw_fields, _ = ARRIVALS[arrival]
+        times = [d.arrival_time for d in draw_workload(config, 1)[2]]
+        for name, value in (("offered_load", 1.4), ("num_processors", 8)):
+            moved = replace(config, **{name: value})
+            again = [d.arrival_time for d in draw_workload(moved, 1)[2]]
+            assert (again != times) == (name in draw_fields)
+            assert (moved.draw_key() != config.draw_key()) == (
+                name in draw_fields
+            )
+
+
 class TestBuildCounts:
     def test_a_figure5_cell_builds_each_seed_once(self, seeded_builds):
         """rtsads + dcols, three runs each, each followed by the oracle:
@@ -157,6 +229,14 @@ class TestBuildCounts:
             num_transactions=30, num_processors=4, runs=1
         )
         shard_curve(config, processors=(4,), domains=(1, 2, 4))
+        assert len(seeded_builds) == 1
+
+    def test_an_m_sweep_over_a_small_budget_draws_once(self, seeded_builds):
+        """One draw and its task list outgrow the budget; the next ``m``
+        still finds the draw."""
+        memo = WorkloadMemo(max_tasks=TINY.num_transactions)
+        for m in (2, 3, 4, 5):
+            memo.tasks(TINY.with_processors(m), 1)
         assert len(seeded_builds) == 1
 
     def test_an_m_sweep_and_an_r_sweep_draw_each_seeds_rows_once(
@@ -209,9 +289,10 @@ class TestBounds:
         memo = WorkloadMemo(max_tasks=10)
         first = memo.tasks(TINY, 1)
         assert memo.tasks(TINY, 1) is first
-        assert memo.retained_tasks() == 30
+        assert memo.retained_tasks() == 60  # the task list and its draw
         memo.tasks(TINY, 2)
-        assert memo.retained_tasks() == 30  # seed 1 made room
+        assert memo.retained_tasks() == 60  # seed 1 made room
+        assert (TINY.workload_key(), 1) not in memo._entries
 
     def test_a_hit_refreshes_its_entry(self):
         memo = WorkloadMemo(max_tasks=120)  # two draws, two task lists

@@ -142,7 +142,7 @@ class TestBackendFacts:
         register_backend(backend.name, lambda: backend)
         config = ExperimentConfig.quick(runs=2, backend=backend.name)
         outcome = run_grid([(config, "rtsads")], jobs=4)
-        assert outcome.stats.executed == 2
+        assert len(outcome.cells[0].hit_percents) == 2
         assert [seed for _, _, seed in backend.calls] == config.seeds()
 
     def test_a_seeded_workload_backend_gets_an_oracle_verdict(self):
@@ -155,6 +155,39 @@ class TestBackendFacts:
         mirrored = run_once(config, "rtsads", 7, backend=MirrorBackend())
         assert plain.regret["verdict"] == "unknown"
         assert mirrored.regret["verdict"] != "unknown"
+
+
+class TestSimReadsEveryArrivalField:
+    """The simulator runs ``arrival`` and ``offered_load`` and refuses the
+    one field only the service reads."""
+
+    TINY = ExperimentConfig.quick(
+        num_transactions=30, runs=1, num_processors=3
+    )
+
+    @staticmethod
+    def arrival_times(config) -> list:
+        records = run_once(config, "rtsads", 7).trace.records
+        return [records[i].task.arrival_time for i in sorted(records)]
+
+    def test_arrival_and_offered_load_change_a_runs_tasks(self):
+        burst = self.arrival_times(self.TINY)
+        poisson = replace(self.TINY, arrival="poisson")
+        light = self.arrival_times(poisson)
+        heavy = self.arrival_times(replace(poisson, offered_load=2.0))
+        assert set(burst) == {0.0}
+        assert min(light) > 0.0
+        assert heavy != light
+        # Twice the rate from the same draws: the stream ends sooner.
+        assert max(heavy) < max(light)
+
+    @pytest.mark.parametrize("domains", [1, 2])
+    def test_a_non_default_admission_policy_is_refused(self, domains):
+        config = replace(
+            self.TINY.with_domains(domains), admission_policy="least-slack"
+        )
+        with pytest.raises(ValueError, match="admission_policy"):
+            run_once(config, "rtsads", 7)
 
 
 class TestExperimentConfigBackend:
